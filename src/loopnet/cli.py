@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, affine_data, entropy, fock, lie, loops
 from . import soliton as soliton_mod
-from .errors import ConfigError, LoopnetError
+from .errors import CapacityError, ConfigError, LoopnetError
 
 __all__ = ["Scenario", "RunReport", "validate_config", "run_scenario",
            "export_profile", "main"]
@@ -300,12 +300,10 @@ def validate_config(text: str) -> Scenario:
                 raise ConfigError("cutoff must be a positive integer",
                                   f"{ptr}/cutoff")
             # surface capacity problems at validation time
-            est = fock._count_states(n, c, traw.get("charge"))
-            limit = fock._dim_limit(dim_limit)
-            if est > limit:
-                raise ConfigError(
-                    f"cutoff {c} gives dimension {est} > limit {limit}",
-                    f"{ptr}/cutoff")
+            try:
+                fock._check_capacity(n, c, traw.get("charge"), dim_limit)
+            except CapacityError as err:
+                raise ConfigError(f"cutoff {c}: {err}", f"{ptr}/cutoff") from None
             ids = traw.get("identities", list(_IDENTITY_NAMES))
             if not (isinstance(ids, list) and ids
                     and all(x in _IDENTITY_NAMES for x in ids)):

@@ -32,6 +32,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +63,7 @@ __all__ = [
 
 DEFAULT_DIM_LIMIT = 20000
 _DIM_LIMIT_ENV = "LOOPNET_DIM_LIMIT"
+MASK_BITS = 64   # occupation masks are np.uint64 words
 
 
 def _dim_limit(explicit: int | None) -> int:
@@ -105,6 +107,25 @@ def _count_states(n: int, cutoff: int, charge: int | None) -> int:
     return total
 
 
+def _check_capacity(n: int, cutoff: int, charge: int | None,
+                    dim_limit: int | None) -> None:
+    """Raise ``CapacityError`` unless the space fits the limit and a mask word.
+
+    The (2*cutoff+1)*n window modes are the bits of one np.uint64 occupation
+    mask, so wider windows are refused rather than truncated.
+    """
+    limit = _dim_limit(dim_limit)
+    total = _count_states(n, cutoff, charge)
+    if total > limit:
+        raise CapacityError(
+            f"truncated dimension {total} exceeds limit {limit}", total)
+    width = (2 * cutoff + 1) * n
+    if width > MASK_BITS:
+        raise CapacityError(
+            f"occupation mask needs (2*{cutoff}+1)*{n} = {width} bits, "
+            f"more than the {MASK_BITS}-bit mask width", total)
+
+
 @dataclass(frozen=True)
 class TruncatedFockSpace:
     """Energy-cutoff basis of particle/hole configurations.
@@ -113,6 +134,10 @@ class TruncatedFockSpace:
     with |k| <= cutoff; the Dirac-sea modes below the window are permanently
     filled and never touched by any operator assembled here, so bilinear
     matrix elements computed in the window are exact.
+
+    ``hops`` caches the elementary hops E_ij(m) = sum_k a^dag(k-m, i) a(k, j)
+    as (rows, cols, signs) arrays, built on first use by ``_hop``; every
+    current, Sugawara mode and pi_element is a linear combination of them.
     """
 
     n: int
@@ -123,13 +148,18 @@ class TruncatedFockSpace:
     charges: np.ndarray
     occupations: list[tuple[tuple, tuple]]   # (particles, holes) per state
     index: dict[int, int] = field(repr=False)
+    hops: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.masks)
 
-    def mode_bit(self, k: int, color: int) -> int:
-        return (k + self.cutoff) * self.n + color
+    @cached_property
+    def _mask_lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(masks as uint64 in basis order, sorted masks, their basis indices)."""
+        words = np.array(self.masks, dtype=np.uint64)
+        order = np.argsort(words)
+        return words, words[order], order
 
     @property
     def vacuum_index(self) -> int:
@@ -151,15 +181,12 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
     cuts the dimension roughly by the number of sectors.  The exact dimension
     is computed up front and ``CapacityError`` raised if it exceeds the limit
     (default 20000, overridable via the LOOPNET_DIM_LIMIT environment
-    variable or the ``dim_limit`` argument).
+    variable or the ``dim_limit`` argument), or if the (2*cutoff+1)*n window
+    modes do not fit a 64-bit occupation mask.
     """
     if n < 2 or cutoff < 0:
         raise ValueError(f"need n >= 2 and cutoff >= 0, got n={n}, cutoff={cutoff}")
-    limit = _dim_limit(dim_limit)
-    total = _count_states(n, cutoff, charge)
-    if total > limit:
-        raise CapacityError(
-            f"truncated dimension {total} exceeds limit {limit}", total)
+    _check_capacity(n, cutoff, charge, dim_limit)
 
     colors = range(n)
     levels = []  # (particles at k>=1, holes at k<=-1) configurations with cost
@@ -246,7 +273,7 @@ class FockOperator:
                if self.degree is not None and other.degree is not None else None)
         return FockOperator(
             (self.matrix @ other.matrix).tocsr(), self.space, deg,
-            min(other.protected_energy, self.protected_energy - other.max_raise),
+            _product_protection(self, other),
             self.max_raise + other.max_raise)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
@@ -279,12 +306,23 @@ class FockOperator:
 
     def max_protected_abs(self) -> float:
         """Largest matrix-element magnitude over truncation-exact columns."""
-        cols = np.nonzero(self.protected_columns())[0]
-        if len(cols) == 0:
+        keep = self.protected_columns()
+        if not keep.any():
             raise ValueError("no protected columns; identity not checkable "
                              f"(protected_energy={self.protected_energy})")
-        sub = self.matrix.tocsc()[:, cols]
-        return float(np.abs(sub.data).max()) if sub.nnz else 0.0
+        return _max_abs_on_columns(self.matrix, keep)
+
+
+def _max_abs_on_columns(matrix, keep: np.ndarray) -> float:
+    """Largest |entry| among stored entries whose column has ``keep`` set."""
+    mat = matrix.tocsr()
+    vals = mat.data[keep[mat.indices]]
+    return float(np.abs(vals).max()) if vals.size else 0.0
+
+
+def _product_protection(a: FockOperator, b: FockOperator) -> int:
+    """Protected energy of a @ b: b's columns, and b must not lift them past a's."""
+    return min(b.protected_energy, a.protected_energy - b.max_raise)
 
 
 def _same_space(a: FockOperator, b: FockOperator) -> None:
@@ -302,51 +340,68 @@ def identity_operator(space: TruncatedFockSpace) -> FockOperator:
                         space, 0, space.cutoff, 0)
 
 
-def _apply_annihilate(mask: int, bit: int) -> tuple[int, int] | None:
-    if not (mask >> bit) & 1:
-        return None
-    sign = -1 if (mask & ((1 << bit) - 1)).bit_count() & 1 else 1
-    return mask & ~(1 << bit), sign
+def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
+    """Cached (rows, cols, signs) of E_ij(m) = sum_k a^dag(k-m, i) a(k, j).
 
-
-def _apply_create(mask: int, bit: int) -> tuple[int, int] | None:
-    if (mask >> bit) & 1:
-        return None
-    sign = -1 if (mask & ((1 << bit) - 1)).bit_count() & 1 else 1
-    return mask | (1 << bit), sign
-
-
-def _bilinear(space: TruncatedFockSpace, xmat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
-    """Matrix of the normal-ordered bilinear sum_k a^dag(k-m) X a(k)."""
+    Built once per space for all states and window modes k at once: the sign
+    of each ladder step is the parity of the occupied bits below it, and the
+    target row is found by binary search among the sorted masks (targets
+    outside the space are dropped).
+    """
+    key = (i, j, m)
+    hop = space.hops.get(key)
+    if hop is not None:
+        return hop
     n, cutoff = space.n, space.cutoff
-    entries = [(i, j, xmat[i, j]) for i in range(n) for j in range(n)
-               if abs(xmat[i, j]) > 1e-15]
+    words, sorted_words, order = space._mask_lookup
+    ks = np.arange(max(-cutoff, -cutoff + m), min(cutoff, cutoff + m) + 1)
+    one = np.uint64(1)
+    src = one << ((ks + cutoff) * n + j).astype(np.uint64)[None, :]
+    dst = one << ((ks - m + cutoff) * n + i).astype(np.uint64)[None, :]
+    state = words[:, None]
+    mid = state & ~src
+    ok = ((state & src) != 0) & ((mid & dst) == 0)
+    parity = (np.bitwise_count(state & (src - one))
+              + np.bitwise_count(mid & (dst - one))) & 1
+    cols, kk = np.nonzero(ok)
+    target = (mid | dst)[cols, kk]
+    pos = np.minimum(np.searchsorted(sorted_words, target), len(words) - 1)
+    found = sorted_words[pos] == target
+    hop = (order[pos[found]].astype(np.int32), cols[found].astype(np.int32),
+           (1 - 2 * parity[cols[found], kk[found]]).astype(np.int8))
+    space.hops[key] = hop
+    return hop
+
+
+def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
+    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k)."""
     if m == 0 and abs(np.trace(xmat)) > 1e-12:
         raise ValueError("zero-mode currents are defined for traceless "
                          "generators only")
-    k_lo = max(-cutoff, -cutoff + m)
-    k_hi = min(cutoff, cutoff + m)
-    rows, cols, data = [], [], []
-    for col, mask in enumerate(space.masks):
-        for k in range(k_lo, k_hi + 1):
-            for i, j, xij in entries:
-                res = _apply_annihilate(mask, space.mode_bit(k, j))
-                if res is None:
-                    continue
-                mid, s1 = res
-                res = _apply_create(mid, space.mode_bit(k - m, i))
-                if res is None:
-                    continue
-                out, s2 = res
-                row = space.index.get(out)
-                if row is not None:
-                    rows.append(row)
-                    cols.append(col)
-                    data.append(xij * s1 * s2)
+    return [(xmat[i, j], _hop(space, i, j, m))
+            for i, j in zip(*np.nonzero(np.abs(xmat) > 1e-15))]
+
+
+def _assemble(terms, shape, row_offsets=None, col_offsets=None):
+    """CSR sum of coefficient * hop over (coefficient, hop) terms.
+
+    ``row_offsets``/``col_offsets`` give each term's block position when the
+    hops are stacked into a taller or wider matrix.
+    """
+    if not terms:
+        return scipy.sparse.csr_matrix(shape, dtype=complex)
+    rows = [r for _, (r, _, _) in terms]
+    cols = [c for _, (_, c, _) in terms]
+    if row_offsets is not None:
+        rows = [r + off for r, off in zip(rows, row_offsets)]
+    if col_offsets is not None:
+        cols = [c + off for c, off in zip(cols, col_offsets)]
+    data = np.concatenate([coef * signs for coef, (_, _, signs) in terms])
+    # the constructor sums duplicates; entries that cancel exactly are dropped
     mat = scipy.sparse.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)),
-        shape=(space.dim, space.dim))
-    mat.sum_duplicates()
+        (data.astype(complex), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape)
+    mat.eliminate_zeros()
     return mat
 
 
@@ -363,7 +418,8 @@ def current(space: TruncatedFockSpace, x, m: int) -> FockOperator:
     xmat = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
     if xmat.shape != (space.n, space.n):
         raise ValueError(f"generator shape {xmat.shape} does not match n={space.n}")
-    return FockOperator(_bilinear(space, xmat, m), space,
+    return FockOperator(_assemble(_hop_terms(space, xmat, m),
+                                  (space.dim, space.dim)), space,
                         degree=-m,
                         protected_energy=space.cutoff - max(0, -m),
                         max_raise=max(0, -m))
@@ -389,17 +445,27 @@ def sugawara(space: TruncatedFockSpace, m: int, data: LevelData) -> FockOperator
             f"|m| = {abs(m)} exceeds cutoff/2 = {space.cutoff // 2}")
     if data.family != "A" or data.rank != space.n - 1:
         raise ValueError("level data does not match the space's algebra")
-    algebra = build_su(space.n)
-    lo = math.ceil(-m / 2)
-    hi = space.cutoff - max(m, 0)
-    total = scipy.sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for mp in range(lo, hi + 1):
+    basis = build_su(space.n).basis
+    # sum_i x_i(-m') x^i(m'+m) = sum_{ab} E_ab(-m') sum_{cd} cas[a,b,c,d] E_cd(m'+m)
+    # with the dual basis x^i = -x_i; every block (m', a, b) is stacked into
+    # one wide-by-tall sparse product
+    cas = -np.einsum("iab,icd->abcd", basis, basis)
+    dim = space.dim
+    left, left_offsets, right, right_offsets = [], [], [], []
+    for mp in range(math.ceil(-m / 2), space.cutoff - max(m, 0) + 1):
         weight = 1.0 if 2 * mp == -m else 2.0
-        for i in range(algebra.dimension):
-            xi = algebra.basis[i]
-            left = _bilinear(space, xi, -mp)
-            right = _bilinear(space, -xi, mp + m)   # dual basis x^i = -x_i
-            total = total + weight * (left @ right)
+        for a, b in itertools.product(range(space.n), repeat=2):
+            terms = _hop_terms(space, cas[a, b], mp + m)
+            if not terms:
+                continue
+            offset = len(left) * dim
+            left.append((weight, _hop(space, a, b, -mp)))
+            left_offsets.append(offset)
+            right += terms
+            right_offsets += [offset] * len(terms)
+    stacked = len(left) * dim
+    total = (_assemble(left, (dim, stacked), col_offsets=left_offsets)
+             @ _assemble(right, (stacked, dim), row_offsets=right_offsets))
     scale = 1.0 / (2.0 * (data.level + data.dual_coxeter))
     return FockOperator(scale * total.tocsr(), space,
                         degree=-m,
@@ -417,13 +483,11 @@ def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
         raise WindowError(
             f"element has modes up to {max(abs(k) for k in modes)}, "
             f"window allows {max_mode}")
-    mat = scipy.sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    raise_ = 0
-    for k, a in x.coefficients.items():
-        mat = mat + _bilinear(space, a, k)
-        raise_ = max(raise_, max(0, -k))
+    terms = [t for k, a in x.coefficients.items() for t in _hop_terms(space, a, k)]
+    raise_ = max([0] + [-k for k in modes])
     degree = -modes[0] if len(modes) == 1 else (0 if not modes else None)
-    return FockOperator(mat.tocsr(), space, degree, space.cutoff - raise_, raise_)
+    return FockOperator(_assemble(terms, (space.dim, space.dim)), space,
+                        degree, space.cutoff - raise_, raise_)
 
 
 def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
@@ -432,16 +496,21 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
 
     Equals i * l * B(X, Y) with l = 1 and B the coefficient-side 2-cocycle;
     the comparison value is computed independently by ``central_term_B``.
+    Only the (vacuum, vacuum) element is formed: a vacuum row of one factor
+    times the vacuum column of the other, under the protection the full
+    commutator would carry.
     """
     half = space.cutoff // 2
     px = pi_element(space, x, max_mode=half)
     py = pi_element(space, y, max_mode=half)
     pbr = pi_element(space, bracket_elements(x, y), max_mode=2 * half)
-    resid = commutator(px, py) - pbr
-    if resid.protected_energy < 0:
+    if min(_product_protection(px, py), _product_protection(py, px),
+           pbr.protected_energy) < 0:
         raise WindowError("vacuum column not protected; lower the mode window")
     iv = space.vacuum_index
-    return complex(resid.matrix[iv, iv])
+    a, b = px.matrix, py.matrix
+    comm = a[[iv], :] @ b[:, [iv]] - b[[iv], :] @ a[:, [iv]]
+    return complex(comm[0, 0] - pbr.matrix[iv, iv])
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +613,7 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     gamma = _loop_of_element(x, n_samples)
     u = implement_exponential(space, x)
     py = pi_element(space, y)
-    lhs = (u @ py) @ _unitary_inverse(u)
+    lhs = (u @ py) @ u.adjoint()
     thetas = gamma.thetas
     ys = y.evaluate(thetas)
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
@@ -555,10 +624,8 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     ady = FourierLoopElement(keep, algebra)
     c_val = _loops.cocycle_c(gamma, y, level)
     rhs = pi_element(space, ady) + (1j * c_val) * identity_operator(space)
-    resid_op = lhs - rhs
-    cols = np.nonzero(space.energies <= block_energy)[0]
-    sub = resid_op.matrix.tocsc()[:, cols]
-    residual = float(np.abs(sub.data).max()) if sub.nnz else 0.0
+    residual = _max_abs_on_columns((lhs - rhs).matrix,
+                                   space.energies <= block_energy)
     return {
         "identity": "adjoint-action",
         "block": int(block_energy),
@@ -581,11 +648,6 @@ def _loop_of_element(x: FourierLoopElement, n_samples: int):
         w, u = np.linalg.eigh(1j * xs[j])
         samples[j] = (u * np.exp(-1j * w)) @ u.conj().T
     return GridLoop(samples, x.algebra)
-
-
-def _unitary_inverse(u: FockOperator) -> FockOperator:
-    return FockOperator(u.matrix.conj().T.tocsr(), u.space, None, -1,
-                        u.space.cutoff)
 
 
 # ---------------------------------------------------------------------------

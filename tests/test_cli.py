@@ -67,6 +67,17 @@ def test_capacity_surfaced_at_validation():
     assert "dimension" in str(err.value)
 
 
+def test_mask_width_surfaced_at_validation():
+    # su2 at cutoff 16: 47155 charge-0 states, (2*16+1)*2 = 66 window modes
+    raw = json.loads(scenario_text(tasks=[{"task": "fock-verify", "cutoff": 16,
+                                           "charge": 0}]))
+    raw["dim_limit"] = 100000
+    with pytest.raises(ConfigError) as err:
+        cli.validate_config(json.dumps(raw))
+    assert err.value.pointer == "/tasks/0/cutoff"
+    assert "64-bit mask" in str(err.value)
+
+
 def test_bad_loop_reference():
     text = scenario_text(tasks=[{"task": "bekenstein", "loop": "nope"}])
     with pytest.raises(ConfigError):

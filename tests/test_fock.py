@@ -57,6 +57,19 @@ def test_capacity_error():
     assert err.value.estimate == 1520
 
 
+@pytest.mark.parametrize("n, cutoff, dim, dim_limit",
+                         [(5, 6, 34002, 10 ** 6), (6, 5, 33665, 10 ** 6),
+                          (13, 2, 6592, None)])
+def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
+    # within the dimension limit, but (2N+1)*n window modes exceed the
+    # 64-bit occupation mask (su13/2 does so within the default limit)
+    assert fock._count_states(n, cutoff, 0) == dim
+    with pytest.raises(CapacityError, match="64-bit mask") as err:
+        fock.build_fock(n, cutoff, charge=0, dim_limit=dim_limit)
+    assert err.value.estimate == dim
+    assert f"{(2 * cutoff + 1) * n} bits" in str(err.value)
+
+
 def test_capacity_env_override(monkeypatch):
     monkeypatch.setenv("LOOPNET_DIM_LIMIT", "10")
     with pytest.raises(CapacityError):
@@ -113,6 +126,14 @@ def test_identity_suite_su3_sector():
     # the charge-0 sector cuts the cutoff-6 dimension to a tractable size
     # (1867 states) while keeping every identity exact on protected columns
     reports = fock.identity_reports(3, 6, charge=0, mode_range=1, tol=1e-10)
+    for r in reports:
+        assert r["pass"], r
+
+
+def test_identity_suite_su3_cutoff8_sector():
+    reports = fock.identity_reports(3, 8, charge=0, mode_range=1, tol=1e-10)
+    assert fock._count_states(3, 8, 0) == 8446
+    assert len(reports) == 6
     for r in reports:
         assert r["pass"], r
 
