@@ -24,6 +24,20 @@ because the interval weight (r^2-u^2)/2r never exceeds r/2.
 The left-hand entropy uses the weight (t - u), the unique choice that is
 nonnegative, nondecreasing in t and consistent with the sum rule.
 
+All of these are read from one quadrature of rho = S''.  Its adaptive panel
+partition over the support (``quadrature.panel_partition``) is built once
+per path and tolerance and cached on the LinePath; with the tail moments
+M_p(t) = integral_t^inf u^p rho du and the totals E_p = M_p(-inf),
+
+    S(t)     = M1(t) - t M0(t),          S'(t) = -M0(t),
+    S_bar(t) = t (E0 - M0(t)) - (E1 - M1(t)),
+    E_total  = E0 / 2 pi,
+    S_(-r,r) = (r^2 (M0(-r) - M0(r)) - (M2(-r) - M2(r))) / 2r.
+
+Each M_p(t) is a suffix sum of per-panel moments plus one checked integral
+over the part of t's panel right of t, and ``qnec_profile`` asks for all
+its grid and stencil points in one batch.
+
 The one-parameter family intertwining the vacuum and excited half-line
 states is realized at path level: u_t(u) = gamma_+(u) gamma_+(e^{2 pi t} u)^{-1}
 with the dilation acting by precomposition, validated through the chain rule
@@ -37,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSplittableError, VerificationError
+from .errors import NotSplittableError, NumericError, VerificationError
 from .lie import AlgebraElement, CompactSimpleAlgebra
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import PanelPartition, panel_partition
 
 __all__ = [
     "GaussianWindow",
@@ -178,6 +192,8 @@ class LinePath:
             self.factors.append((xm, profile))
             w, u = np.linalg.eigh(1j * xm)
             self._eig.append((u, -w))   # xm = u diag(i d) u^dagger
+        self._partitions: dict[float, PanelPartition] = {}
+
     @property
     def n_factors(self) -> int:
         return len(self.factors)
@@ -238,34 +254,48 @@ def _density_integrand(path: LinePath):
     return rho
 
 
+def _partition(path: LinePath, tol: float) -> PanelPartition:
+    """The panel partition of rho = S'' over the support, cached per tol."""
+    part = path._partitions.get(tol)
+    if part is None:
+        lo, hi = path.support()
+        part = panel_partition(_density_integrand(path), lo, hi, tol=tol)
+        path._partitions[tol] = part
+    return part
+
+
+def _tail_moments(path: LinePath, ts, tol: float) -> np.ndarray:
+    """M_p(t) = integral_t^inf u^p S''(u) du for p = 0, 1, 2, shape (len(ts), 3)."""
+    return _partition(path, tol).tail_moments(_density_integrand(path), ts)
+
+
 def total_energy(path: LinePath, tol: float = _QUAD_TOL) -> float:
-    """Adaptive quadrature of the energy density over the support hull."""
+    """E_total = E0 / 2 pi, E0 the integral of S'' over the support hull."""
     lo, hi = path.support()
     if hi <= lo:
         return 0.0
-    rho = _density_integrand(path)
-    val = adaptive_gauss_legendre(lambda u: rho(u), lo, hi, tol=tol)
-    return val / (2.0 * math.pi)
+    return float(_partition(path, tol).totals[0]) / (2.0 * math.pi)
 
 
 def entropy_right(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
     """Half-line relative entropy S(t) = integral_t^inf (u - t) * S''(u) du."""
     lo, hi = path.support()
-    a = max(float(t), lo)
-    if hi <= a:
+    t = float(t)
+    if hi <= max(t, lo):
         return 0.0
-    rho = _density_integrand(path)
-    return adaptive_gauss_legendre(lambda u: (u - t) * rho(u), a, hi, tol=tol)
+    m0, m1, _ = _tail_moments(path, t, tol)[0]
+    return float(m1 - t * m0)
 
 
 def entropy_left(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
     """Complementary entropy S_bar(t) = integral_-inf^t (t - u) * S''(u) du."""
     lo, hi = path.support()
-    b = min(float(t), hi)
-    if b <= lo:
+    t = float(t)
+    if min(t, hi) <= lo:
         return 0.0
-    rho = _density_integrand(path)
-    return adaptive_gauss_legendre(lambda u: (t - u) * rho(u), lo, b, tol=tol)
+    e0, e1, _ = _partition(path, tol).totals
+    m0, m1, _ = _tail_moments(path, t, tol)[0]
+    return float(t * (e0 - m0) - (e1 - m1))
 
 
 def entropy_interval(path: LinePath, r: float, tol: float = _QUAD_TOL) -> float:
@@ -273,12 +303,11 @@ def entropy_interval(path: LinePath, r: float, tol: float = _QUAD_TOL) -> float:
     if r <= 0:
         raise ValueError(f"interval radius must be positive, got {r}")
     lo, hi = path.support()
-    a, b = max(lo, -r), min(hi, r)
-    if b <= a:
+    if min(hi, r) <= max(lo, -r):
         return 0.0
-    rho = _density_integrand(path)
-    weight = lambda u: (r - u) * (r + u) / (2.0 * r)
-    return adaptive_gauss_legendre(lambda u: weight(u) * rho(u), a, b, tol=tol)
+    left, right = _tail_moments(path, [-r, r], tol)
+    m0, _, m2 = left - right
+    return float((r * r * m0 - m2) / (2.0 * r))
 
 
 @dataclass(frozen=True)
@@ -332,21 +361,24 @@ def qnec_profile(path: LinePath, grid, fd_tolerance: float = 1e-4,
         raise ValueError("grid must be a 1-d array with at least 3 points")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("grid must be strictly increasing")
-    rho = _density_integrand(path)
-    sdd = rho(ts)
+    sdd = _density_integrand(path)(ts)
     dens = sdd / (2.0 * math.pi)
-    s_vals = np.array([entropy_right(path, t, tol) for t in ts])
-    sbar_vals = np.array([entropy_left(path, t, tol) for t in ts])
-    lo, hi = path.support()
-    sp_vals = np.array([
-        -adaptive_gauss_legendre(rho, max(t, lo), hi, tol=tol)
-        if hi > max(t, lo) else 0.0
-        for t in ts])
+    # S, S_bar and S' at the grid and S on the stencil t +- d, all read from
+    # one batch of tail moments on the cached partition
     d = float(fd_spacing)
-    fd = np.array([
-        (entropy_right(path, t + d, tol) - 2 * s_vals[i]
-         + entropy_right(path, t - d, tol)) / (d * d)
-        for i, t in enumerate(ts)])
+    n = len(ts)
+    queries = np.concatenate([ts, ts - d, ts + d])
+    m0, m1, _ = _tail_moments(path, queries, tol).T
+    e0, e1, _ = _partition(path, tol).totals
+    # the same exact zeros outside the support as the scalar functionals
+    lo, hi = path.support()
+    right_of = np.maximum(queries, lo) >= hi
+    s_all = np.where(right_of, 0.0, m1 - queries * m0)
+    s_vals = s_all[:n]
+    sbar_vals = np.where(np.minimum(ts, hi) <= lo, 0.0,
+                         ts * (e0 - m0[:n]) - (e1 - m1[:n]))
+    sp_vals = np.where(right_of[:n], 0.0, -m0[:n])
+    fd = (s_all[2 * n:] - 2 * s_vals + s_all[n:2 * n]) / (d * d)
 
     scale = max(float(np.max(np.abs(sdd))), 1e-30)
     rel = np.abs(fd - sdd) / scale
@@ -462,7 +494,12 @@ def cayley_transfer(circle_loop) -> SampledPath:
 
 
 def cayley_inverse(path: SampledPath, n_samples: int):
-    """Rebuild the circle grid loop; theta = pi is filled with the identity."""
+    """Rebuild the circle grid loop; theta = pi is filled with the identity.
+
+    Every other grid angle must find its sample at u = tan(theta/2) to 12
+    digits; NumericError names the grid indices that do not (for instance
+    when ``n_samples`` is not a divisor of the transferred grid's size).
+    """
     from .loops import GridLoop
 
     thetas = 2 * np.pi * np.arange(n_samples) / n_samples
@@ -471,10 +508,17 @@ def cayley_inverse(path: SampledPath, n_samples: int):
                               (n_samples, n, n)).copy()
     us = np.tan(0.5 * np.where(thetas > np.pi, thetas - 2 * np.pi, thetas))
     lookup = {round(float(u), 12): i for i, u in enumerate(path.us)}
+    missed = []
     for j in range(n_samples):
         if j == n_samples // 2:
             continue
         i = lookup.get(round(float(us[j]), 12))
-        if i is not None:
+        if i is None:
+            missed.append(j)
+        else:
             samples[j] = path.samples[i]
+    if missed:
+        raise NumericError(
+            f"no line sample at {len(missed)} of {n_samples} circle angles, "
+            f"theta indices {missed}")
     return GridLoop(samples, path.algebra)

@@ -189,7 +189,6 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
     _check_capacity(n, cutoff, charge, dim_limit)
 
     colors = range(n)
-    levels = []  # (particles at k>=1, holes at k<=-1) configurations with cost
     def extend(k, budget, particles, holes, out):
         if k > cutoff:
             out.append((tuple(particles), tuple(holes)))
@@ -214,17 +213,22 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
         extend(1, cutoff, [], [], configs)
     else:
         configs.append(((), ()))
+    # (particles, holes) configurations by the charge they add to the zero modes
+    by_charge: dict[int, list] = {}
+    for particles, holes in configs:
+        by_charge.setdefault(len(particles) - len(holes), []).append(
+            (particles, holes))
 
     states = []
     for zero_size in range(n + 1):
+        paired = (configs if charge is None
+                  else by_charge.get(charge - zero_size, []))
         for zsub in itertools.combinations(colors, zero_size):
             zmodes = tuple((0, j) for j in zsub)
-            for particles, holes in configs:
+            for particles, holes in paired:
                 p_all = tuple(sorted(zmodes + particles))
                 energy = sum(k for k, _ in p_all) + sum(-k for k, _ in holes)
                 q = len(p_all) - len(holes)
-                if charge is not None and q != charge:
-                    continue
                 states.append((energy, q, p_all, tuple(sorted(holes))))
     states.sort()
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erf, erfc
 
 from loopnet import entropy, lie, loops
-from loopnet.errors import NotSplittableError, VerificationError
+from loopnet.errors import NotSplittableError, NumericError, VerificationError
 
 from conftest import random_line_path
 
@@ -301,3 +301,14 @@ def test_cayley_rejects_nontrivial_infinity(su2):
                                            lambda th: 0.4 * np.sin(th))], 128)
     with pytest.raises(ValueError):
         entropy.cayley_transfer(gamma)
+
+
+def test_cayley_inverse_mismatched_grid_raises(su2):
+    gamma = loops.loop_from_factors(su2, [(su2.basis[0], circle_bump)], 256)
+    sp = entropy.cayley_transfer(gamma)
+    with pytest.raises(NumericError) as err:
+        entropy.cayley_inverse(sp, 200)
+    assert "theta indices [" in str(err.value)
+    # a coarser grid whose angles are all on the transferred one still works
+    back = entropy.cayley_inverse(sp, 128)
+    assert np.abs(back.samples - gamma.samples[::2]).max() < 1e-9

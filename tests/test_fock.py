@@ -51,6 +51,28 @@ def test_build_fock_ordering_and_vacuum(space6):
     assert int(np.sum(space6.energies == 0)) == 4
 
 
+@pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 4), (4, 3)])
+def test_build_fock_sector_matches_filtered_full_space(n, cutoff):
+    # a charge sector is the full space filtered by charge, in the same order,
+    # and the sectors together, sorted, are the full space again
+    full = fock.build_fock(n, cutoff)
+    sectors = []
+    for q in sorted(set(full.charges.tolist()) | {-cutoff - 1, n + cutoff + 1}):
+        sector = fock.build_fock(n, cutoff, charge=q)
+        keep = np.flatnonzero(full.charges == q)
+        assert sector.masks == [full.masks[i] for i in keep]
+        assert np.array_equal(sector.energies, full.energies[keep])
+        assert np.array_equal(sector.charges, full.charges[keep])
+        assert sector.occupations == [full.occupations[i] for i in keep]
+        sectors += [(e, c, occ, m) for e, c, occ, m in zip(
+            sector.energies.tolist(), sector.charges.tolist(),
+            sector.occupations, sector.masks)]
+    sectors.sort()
+    assert [m for *_, m in sectors] == full.masks
+    assert [e for e, *_ in sectors] == full.energies.tolist()
+    assert [c for _, c, *_ in sectors] == full.charges.tolist()
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError) as err:
         fock.build_fock(2, 6, dim_limit=100)
@@ -204,8 +226,14 @@ def test_operator_norm_estimate(space6, su2, level1_su2):
 def test_stress_tensor_bound(space6, level1_su2):
     # ||(1+L0)^k L_n xi|| <= sqrt(c/2) (1+|n|)^{k+3/2} ||(1+L0)^{k+1} xi||
     rng = np.random.default_rng(9)
-    l0 = fock.sugawara(space6, 0, level1_su2).dense()
-    one_plus = l0 + np.eye(space6.dim)
+    l0 = fock.sugawara(space6, 0, level1_su2).matrix
+    one_plus = l0 + scipy.sparse.identity(space6.dim, format="csr")
+
+    def power_apply(k, vec):
+        for _ in range(k):
+            vec = one_plus @ vec
+        return vec
+
     for n in (-2, -1, 1, 2):
         ln = fock.sugawara(space6, n, level1_su2)
         for _ in range(10):
@@ -213,9 +241,9 @@ def test_stress_tensor_bound(space6, level1_su2):
             xi[space6.energies > space6.cutoff - abs(n) - 1] = 0.0
             v = ln.matrix @ xi
             for k in (0, 1):
-                lhs = np.linalg.norm(np.linalg.matrix_power(one_plus, k) @ v)
+                lhs = np.linalg.norm(power_apply(k, v))
                 rhs = np.sqrt(0.5) * (1 + abs(n)) ** (k + 1.5) * \
-                    np.linalg.norm(np.linalg.matrix_power(one_plus, k + 1) @ xi)
+                    np.linalg.norm(power_apply(k + 1, xi))
                 assert lhs <= rhs + 1e-9
 
 
