@@ -71,7 +71,11 @@ def level_data(algebra, level: int) -> LevelData:
 # ---------------------------------------------------------------------------
 
 class _TypeARoots:
-    """Gram data of A_{n-1} fundamental weights in the theta^2 = 2 normalization."""
+    """Gram data of A_{n-1} fundamental weights in the theta^2 = 2 normalization.
+
+    n times the Gram matrix, min(i, j) n - i j, is an integer matrix, so
+    pairings are summed in ints and divided by n once.
+    """
 
     def __init__(self, n: int):
         if n < 2:
@@ -79,8 +83,8 @@ class _TypeARoots:
         self.n = n
         self.rank = n - 1
         r = self.rank
-        self.gram = [[Fraction(min(i, j) * n - i * j, n)
-                      for j in range(1, r + 1)] for i in range(1, r + 1)]
+        self.gram_n = [[min(i, j) * n - i * j
+                        for j in range(1, r + 1)] for i in range(1, r + 1)]
         # highest root in fundamental-weight coordinates
         if r == 1:
             self.theta = (2,)
@@ -88,15 +92,20 @@ class _TypeARoots:
             self.theta = tuple(1 if i in (0, r - 1) else 0 for i in range(r))
         self.rho = tuple(1 for _ in range(r))
 
-    def pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
+    def pair_n(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """n <a, b>, exact in ints."""
+        total = 0
         for i, ai in enumerate(a):
             if not ai:
                 continue
+            row = self.gram_n[i]
             for j, bj in enumerate(b):
                 if bj:
-                    total += ai * bj * self.gram[i][j]
+                    total += ai * bj * row[j]
         return total
+
+    def pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
+        return Fraction(self.pair_n(a, b), self.n)
 
 
 def _roots_for(algebra) -> _TypeARoots:
@@ -129,12 +138,15 @@ def alcove(algebra, level: int) -> list[AlcoveWeight]:
     roots = _roots_for(algebra)
     data = level_data(algebra, level)
     denom = 2 * (level + data.dual_coxeter)
+    n = roots.n
     out = []
     for coords in itertools.product(range(level + 1), repeat=roots.rank):
-        pairing = roots.pair(coords, roots.theta)
-        if pairing <= level:
-            cas = roots.pair(coords, coords) + 2 * roots.pair(coords, roots.rho)
-            out.append(AlcoveWeight(coords, cas, cas / denom, pairing))
+        pairing = roots.pair_n(coords, roots.theta)
+        if pairing <= level * n:
+            cas = Fraction(roots.pair_n(coords, coords)
+                           + 2 * roots.pair_n(coords, roots.rho), n)
+            out.append(AlcoveWeight(coords, cas, cas / denom,
+                                    Fraction(pairing, n)))
     out.sort(key=lambda w: w.weight)
     return out
 
@@ -181,7 +193,7 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
         return AlcoveBoundsReport(data.central_charge, c_ok, None, None, None,
                                  None, None)
     r = roots.rank
-    gram = np.array([[float(roots.gram[i][j]) for j in range(r)] for i in range(r)])
+    gram = np.array(roots.gram_n, dtype=float) / roots.n
     theta = np.array([float(t) for t in roots.theta])
     m = math.inf
     for i in range(r):

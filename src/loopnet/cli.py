@@ -330,7 +330,12 @@ def validate_config(text: str) -> Scenario:
 # Loop construction from validated specs
 # ---------------------------------------------------------------------------
 
-def _line_path(scenario: Scenario, spec: LoopSpec) -> entropy.LinePath:
+def _line_path(scenario: Scenario, spec: LoopSpec,
+               paths: dict[str, entropy.LinePath]) -> entropy.LinePath:
+    """The run's one LinePath of a line loop, so its panel partition is built once."""
+    path = paths.get(spec.name)
+    if path is not None:
+        return path
     if spec.kind != "line":
         raise ConfigError(f"loop {spec.name!r} is not a line path")
     factors = []
@@ -342,7 +347,8 @@ def _line_path(scenario: Scenario, spec: LoopSpec) -> entropy.LinePath:
             window = entropy.PolyBump(params["center"], params["width"],
                                       params["amplitude"])
         factors.append((gen, window))
-    return entropy.LinePath(scenario.algebra(), factors, level=scenario.level)
+    return paths.setdefault(spec.name, entropy.LinePath(
+        scenario.algebra(), factors, level=scenario.level))
 
 
 def _circle_profile(profile: str, params: dict):
@@ -385,10 +391,6 @@ def _fourier_element(scenario: Scenario, factors) -> loops.FourierLoopElement:
 # Serialization helpers (byte-stable)
 # ---------------------------------------------------------------------------
 
-def _jnum(x: float) -> float:
-    return float(x)
-
-
 def _jmat(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
@@ -414,7 +416,7 @@ def export_profile(profile: entropy.EntropyProfile, fmt: str = "csv",
     elif fmt == "json":
         artifacts.append((f"{name}.json", _json_bytes({
             **{c: [float(v) for v in vals] for c, vals in columns},
-            "total_energy": _jnum(profile.total_energy),
+            "total_energy": float(profile.total_energy),
         })))
     else:
         raise ConfigError(f"unknown profile format {fmt!r}")
@@ -430,7 +432,7 @@ def export_profile(profile: entropy.EntropyProfile, fmt: str = "csv",
 # Task handlers: pure computation, return (result, artifacts)
 # ---------------------------------------------------------------------------
 
-def _run_fock_verify(scenario, task):
+def _run_fock_verify(scenario, task, paths):
     reports = fock.identity_reports(
         scenario.algebra_n, task.get("cutoff", scenario.fock_cutoff),
         level=scenario.level,
@@ -443,9 +445,9 @@ def _run_fock_verify(scenario, task):
               "residuals": {r["identity"]: r["residual_max"] for r in reports}}
     return result, [("fock_verify.json", _json_bytes(reports))]
 
-def _run_entropy_profile(scenario, task):
+def _run_entropy_profile(scenario, task, paths):
     spec = scenario.loop_spec(task["loop"], "loop")
-    path = _line_path(scenario, spec)
+    path = _line_path(scenario, spec, paths)
     grid_spec = task.get("grid", {})
     lo, hi = path.support()
     start = grid_spec.get("start", lo - 1.0)
@@ -461,42 +463,42 @@ def _run_entropy_profile(scenario, task):
     result = {"status": "pass",
               "residuals": {"fd_vs_analytic": float(np.max(np.abs(
                   profile.s_dd_fd - profile.s_dd_analytic)))},
-              "total_energy": _jnum(profile.total_energy)}
+              "total_energy": float(profile.total_energy)}
     return result, artifacts
 
-def _run_bekenstein(scenario, task):
+def _run_bekenstein(scenario, task, paths):
     spec = scenario.loop_spec(task["loop"], "loop")
-    path = _line_path(scenario, spec)
+    path = _line_path(scenario, spec, paths)
     radii = task.get("radii", [0.5, 1.0, 5.0])
     rows = []
     ok = True
     for r in radii:
         rep = entropy.bekenstein_check(path, float(r))
         ok = ok and rep.holds
-        rows.append({"r": _jnum(r), "interval_entropy": _jnum(rep.interval_entropy),
-                     "bound": _jnum(rep.bound), "holds": rep.holds,
-                     "ratio": _jnum(rep.ratio)})
+        rows.append({"r": float(r), "interval_entropy": float(rep.interval_entropy),
+                     "bound": float(rep.bound), "holds": rep.holds,
+                     "ratio": float(rep.ratio)})
     name = task.get("out", f"{spec.name}_bekenstein")
     result = {"status": "pass" if ok else "fail",
               "residuals": {"worst_ratio": max(r["ratio"] for r in rows)}}
     return result, [(f"{name}.json", _json_bytes(rows))]
 
-def _run_hs_defect(scenario, task):
+def _run_hs_defect(scenario, task, paths):
     spec = scenario.loop_spec(task["loop"], "loop")
     gamma = _circle_loop(scenario, spec)
     window = task.get("window", scenario.grid_samples // 2)
     data = loops.loop_fourier_coefficients(gamma)
     rep = fock.hs_defect(data, window)
     name = task.get("out", f"{spec.name}_hs_defect")
-    payload = {"fourier_value": _jnum(rep.fourier_value),
-               "truncated_value": _jnum(rep.truncated_value),
-               "window": rep.window, "relative_gap": _jnum(rep.relative_gap),
-               "tail_ok": rep.tail_ok, "tail_fraction": _jnum(rep.tail_fraction)}
+    payload = {"fourier_value": float(rep.fourier_value),
+               "truncated_value": float(rep.truncated_value),
+               "window": rep.window, "relative_gap": float(rep.relative_gap),
+               "tail_ok": rep.tail_ok, "tail_fraction": float(rep.tail_fraction)}
     result = {"status": "pass" if rep.relative_gap <= 1e-3 else "fail",
               "residuals": {"relative_gap": rep.relative_gap}}
     return result, [(f"{name}.json", _json_bytes(payload))]
 
-def _run_alcove(scenario, task):
+def _run_alcove(scenario, task, paths):
     algebra = scenario.algebra()
     levels = task.get("levels", [scenario.level])
     lines = ["family,level,weight,casimir,h,c"]
@@ -513,7 +515,7 @@ def _run_alcove(scenario, task):
     result = {"status": "pass" if ok else "fail", "residuals": {}}
     return result, [(f"{name}.csv", ("\n".join(lines) + "\n").encode())]
 
-def _run_soliton(scenario, task):
+def _run_soliton(scenario, task, paths):
     algebra = scenario.algebra()
     sraw = task["soliton"]
     factors = []
@@ -539,7 +541,7 @@ def _run_soliton(scenario, task):
               "extendable": verdict.extendable}
     return result, [(f"{name}.json", _json_bytes(payload))]
 
-def _run_exp_check(scenario, task):
+def _run_exp_check(scenario, task, paths):
     element = _fourier_element(scenario, [
         _parse_factor(f, scenario.algebra(), f"/element/factors/{j}")
         for j, f in enumerate(task["element"]["factors"])])
@@ -553,13 +555,15 @@ def _run_exp_check(scenario, task):
         residual = getattr(exc, "residual", math.nan)
         rotation, ok = alpha * t, False
     name = task.get("out", "exp_check")
-    payload = {"alpha": _jnum(alpha), "time": _jnum(t),
-               "rotation": _jnum(rotation), "pass": ok}
+    payload = {"alpha": float(alpha), "time": float(t),
+               "rotation": float(rotation), "pass": ok}
     result = {"status": "pass" if ok else "fail",
               "residuals": {"ode_sup": residual}}
     return result, [(f"{name}.json", _json_bytes(payload))]
 
 
+# Handlers take (scenario, task, paths); ``paths`` maps each line loop's
+# name to the LinePath built for it in this run.
 _HANDLERS = {
     "fock-verify": _run_fock_verify,
     "entropy-profile": _run_entropy_profile,
@@ -606,12 +610,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                                  "elapsed_s": 0.0, "artifacts": []})
         else:
             selected.append((i, task))
+    paths: dict[str, entropy.LinePath] = {}
 
     def execute(item):
         i, task = item
         t0 = time.perf_counter()
         try:
-            result, artifacts = _HANDLERS[task["task"]](scenario, task)
+            result, artifacts = _HANDLERS[task["task"]](scenario, task, paths)
         except LoopnetError as exc:
             result, artifacts = {"status": "error", "residuals": {},
                                  "message": str(exc)}, []

@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import NotSplittableError, NumericError, VerificationError
 from .lie import AlgebraElement, CompactSimpleAlgebra
+from .loops import _eig_factor, _exp_profile
 from .quadrature import PanelPartition, panel_partition
 
 __all__ = [
@@ -190,8 +191,7 @@ class LinePath:
             if not np.allclose(xm.conj().T, -xm, atol=1e-12):
                 raise ValueError("path generators must be anti-hermitian")
             self.factors.append((xm, profile))
-            w, u = np.linalg.eigh(1j * xm)
-            self._eig.append((u, -w))   # xm = u diag(i d) u^dagger
+            self._eig.append(_eig_factor(xm))   # xm = u diag(i d) u^dagger
         self._partitions: dict[float, PanelPartition] = {}
 
     @property
@@ -211,9 +211,7 @@ class LinePath:
         n = self.algebra.n
         out = np.broadcast_to(np.eye(n, dtype=complex), (len(us), n, n)).copy()
         for (xm, profile), (u_mat, d) in zip(self.factors, self._eig):
-            f = np.asarray(profile.value(us), dtype=float)
-            phases = np.exp(1j * np.outer(f, d))
-            g = np.einsum("ab,jb,cb->jac", u_mat, phases, u_mat.conj())
+            g = _exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
             out = np.einsum("jab,jbc->jac", out, g)
         return out
 
@@ -227,9 +225,7 @@ class LinePath:
             fp = np.asarray(profile.derivative(us), dtype=float)
             conj = np.einsum("jab,bc,jdc->jad", prefix, xm, prefix.conj())
             m += fp[:, None, None] * conj
-            f = np.asarray(profile.value(us), dtype=float)
-            phases = np.exp(1j * np.outer(f, d))
-            g = np.einsum("ab,jb,cb->jac", u_mat, phases, u_mat.conj())
+            g = _exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
             prefix = np.einsum("jab,jbc->jac", prefix, g)
         vals = np.einsum("jab,jba->j", m, m)
         return vals.real

@@ -25,6 +25,7 @@ __all__ = [
     "basic_form",
     "bracket",
     "center_elements",
+    "exp_antihermitian",
     "group_exp",
     "simple_type_record",
     "simple_type_table",
@@ -183,6 +184,16 @@ def group_exp(x: AlgebraElement) -> np.ndarray:
     if not np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12):
         raise NumericError("exponential is not unitary to tolerance")
     return u
+
+
+def exp_antihermitian(stack: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack (..., n, n) of anti-hermitian matrices.
+
+    One stacked eigendecomposition X = U diag(-i w) U* of the hermitian iX
+    gives exp(X) = U diag(e^{-i w}) U* for every matrix at once.
+    """
+    w, u = np.linalg.eigh(1j * np.asarray(stack))
+    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CompositionUnsupportedError, LoopnetError
 from .lie import AlgebraElement, CompactSimpleAlgebra, center_elements
-from .loops import GridLoop, ScalarField
+from .loops import GridLoop, ScalarField, _eig_factor, _exp_profile
 
 __all__ = [
     "PeriodicFactor",
@@ -61,9 +61,7 @@ class PeriodicFactor:
         f = self.profile.evaluate(xs)
         if np.abs(f.imag).max(initial=0.0) > 1e-12:
             raise ValueError("periodic factor profile must be real")
-        w, u = np.linalg.eigh(1j * self.generator)
-        phases = np.exp(-1j * np.outer(f.real, w))
-        return np.einsum("ab,jb,cb->jac", u, phases, u.conj())
+        return _exp_profile(*_eig_factor(self.generator), f.real)
 
     def inverse(self) -> "PeriodicFactor":
         return PeriodicFactor(-self.generator, self.profile)
@@ -76,9 +74,8 @@ class LinearFactor:
     generator: np.ndarray
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        w, u = np.linalg.eigh(1j * self.generator)
-        phases = np.exp(-1j * np.outer(np.asarray(xs, dtype=float), w))
-        return np.einsum("ab,jb,cb->jac", u, phases, u.conj())
+        return _exp_profile(*_eig_factor(self.generator),
+                            np.asarray(xs, dtype=float))
 
     def inverse(self) -> "LinearFactor":
         return LinearFactor(-self.generator)

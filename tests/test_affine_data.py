@@ -113,3 +113,43 @@ def test_level_validation(su2):
         affine_data.level_data(su2, 0)
     with pytest.raises(ValueError):
         affine_data.alcove(su2, 0)
+
+
+def _alcove_fraction_gram(n, level):
+    """The alcove as enumerated before the integer Gram: every pairing summed
+    as Fractions of the Gram matrix of the fundamental weights."""
+    rank = n - 1
+    gram = [[Fraction(min(i, j) * n - i * j, n) for j in range(1, rank + 1)]
+            for i in range(1, rank + 1)]
+    theta = (2,) if rank == 1 else tuple(1 if i in (0, rank - 1) else 0
+                                         for i in range(rank))
+    rho = (1,) * rank
+
+    def pair(a, b):
+        total = Fraction(0)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if bj:
+                    total += ai * bj * gram[i][j]
+        return total
+
+    denom = 2 * (level + n)
+    out = []
+    for coords in product(range(level + 1), repeat=rank):
+        pairing = pair(coords, theta)
+        if pairing <= level:
+            cas = pair(coords, coords) + 2 * pair(coords, rho)
+            out.append((coords, cas, cas / denom, pairing))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n,max_level", [(2, 8), (3, 8), (4, 8), (5, 6)])
+def test_alcove_integer_gram_matches_fraction_gram(n, max_level):
+    algebra = lie.build_su(n)
+    for level in range(1, max_level + 1):
+        got = [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
+               for w in affine_data.alcove(algebra, level)]
+        assert got == _alcove_fraction_gram(n, level)
+        assert all(type(v) is Fraction for row in got for v in row[1:])

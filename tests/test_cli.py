@@ -184,6 +184,26 @@ def test_artifacts_byte_stable(full_scenario, tmp_path_factory):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
+    built = []
+
+    class CountingPath(entropy.LinePath):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "LinePath", CountingPath)
+    scenario, tmp_path = full_scenario
+    report = cli.run_scenario(scenario, out_dir=str(tmp_path),
+                              task_filter=("entropy-profile", "bekenstein"))
+    assert report.passed
+    assert len(built) == 1
+    assert len(built[0]._partitions) == 1
+    cli.run_scenario(scenario, out_dir=str(tmp_path),
+                     task_filter=("entropy-profile", "bekenstein"))
+    assert len(built) == 2
+
+
 def test_parallel_matches_sequential(full_scenario, tmp_path_factory):
     scenario, _ = full_scenario
     seq = tmp_path_factory.mktemp("seq")

@@ -5,7 +5,9 @@ normal-ordered bilinear sum_k a^dag(k-m) X a(k): one state, one mode and one
 matrix entry at a time, with the target row found in the space's dict
 index.  It shares no code with the vectorized hop table, so agreement to
 1e-14 checks the sign parity, the row lookup and the mode range of the new
-path.
+path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
+``implement_exponential`` route, against which the column-restricted
+``expm_multiply`` route is compared.
 """
 
 import math
@@ -221,3 +223,49 @@ def test_vacuum_cocycle_protection_matches_full_matrix_route(
             fock.vacuum_cocycle_check(space, x, y)
     else:
         assert abs(fock.vacuum_cocycle_check(space, x, y) - want) <= 1e-14
+
+
+def _oracle_adjoint_residual(space, x, y, level=1.0, block_energy=None,
+                             n_samples=256):
+    """Residual of the adjoint-action check by the dense route: the whole
+    exp(pi(X)) from ``implement_exponential`` and sparse products with it."""
+    if block_energy is None:
+        block_energy = space.cutoff // 4
+    gamma = fock._loop_of_element(x, n_samples)
+    u = fock.implement_exponential(space, x)
+    lhs = (u @ fock.pi_element(space, y)) @ u.adjoint()
+    ys = y.evaluate(gamma.thetas)
+    conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
+    hats = np.fft.fft(conj, axis=0) / n_samples
+    ks = np.fft.fftfreq(n_samples, d=1.0 / n_samples).astype(int)
+    keep = {int(k): hats[i] for i, k in enumerate(ks)
+            if abs(k) <= space.cutoff and np.linalg.norm(hats[i]) > 1e-13}
+    ady = FourierLoopElement(keep, x.algebra)
+    c_val = loops.cocycle_c(gamma, y, level)
+    rhs = fock.pi_element(space, ady) + (1j * c_val) * fock.identity_operator(space)
+    return fock._max_abs_on_columns((lhs - rhs).matrix,
+                                    space.energies <= block_energy)
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_adjoint_action_columns_match_dense_route(spaces, spec):
+    space = spaces[spec]
+    algebra = lie.build_su(spec[0])
+    rng = np.random.default_rng(spec[1])
+    for block in (0, 1, space.cutoff // 4):
+        a = 0.3 * sum(rng.normal() * b for b in algebra.basis)
+        x = FourierLoopElement({1: a, -1: a}, algebra)
+        y = fock._random_polynomial(algebra, rng, 2)
+        got = fock.adjoint_action_check(space, x, y, block_energy=block)
+        want = _oracle_adjoint_residual(space, x, y, block_energy=block)
+        assert abs(got["residual_max"] - want) <= 1e-12 * max(1.0, want)
+
+
+def test_adjoint_action_window_guard(spaces):
+    space = spaces[(2, 6, 0)]
+    su2 = lie.build_su(2)
+    a = su2.basis[0]
+    x = FourierLoopElement({2: a, -2: a}, su2)
+    with pytest.raises(WindowError):
+        fock.adjoint_action_check(space, x, x)

@@ -144,3 +144,28 @@ def test_simple_type_table():
     assert by_key[("G2", 2)].dual_coxeter == 4
     for rec in table:
         assert rec.dual_coxeter + 1 <= rec.complex_dimension
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exp_antihermitian_matches_per_sample_eigh(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+    stack = 0.7 * (a - a.conj().transpose(0, 2, 1))
+    want = np.empty_like(stack)
+    for j in range(len(stack)):
+        w, u = np.linalg.eigh(1j * stack[j])
+        want[j] = (u * np.exp(-1j * w)) @ u.conj().T
+    got = lie.exp_antihermitian(stack)
+    assert np.abs(got - want).max() <= 1e-14
+    nested = lie.exp_antihermitian(stack.reshape(5, 8, n, n))
+    assert np.abs(nested.reshape(stack.shape) - want).max() <= 1e-14
+
+
+def test_exp_antihermitian_matches_expm(su3):
+    import scipy.linalg
+
+    x = 1.3 * su3.basis[2] - 0.4 * su3.basis[7]
+    got = lie.exp_antihermitian(x[None])[0]
+    assert np.abs(got - scipy.linalg.expm(x)).max() <= 1e-13
+    assert np.array_equal(lie.exp_antihermitian(np.zeros((3, 3, 3))),
+                          np.broadcast_to(np.eye(3), (3, 3, 3)))
