@@ -10,10 +10,11 @@ hs-defect        Hilbert-Schmidt defect of the Hardy compression of a loop
 soliton          twisted-loop classification (``soliton classify``)
 exp-check        closed-form semidirect exponential vs ODE integration
 
-All subcommands accept ``--config scenario.json`` (strict JSON: unknown keys
-are rejected with a JSON pointer), ``--out-dir``, ``--fail-fast`` and
-``--parallel``.  Exit code 0 means every executed task passed, 1 that some
-invariant failed, 2 that the configuration was rejected.
+All subcommands accept ``--config scenario.json`` (strict JSON: unknown keys,
+wrong types, NaN and Infinity are rejected at every depth with a JSON
+pointer), ``--out-dir`` and ``--fail-fast``.  Exit code 0 means every
+executed task passed, 1 that some invariant failed, 2 that the configuration
+was rejected.
 
 Artifacts (CSV/JSON) are byte-stable for a fixed scenario and package
 version; ``report.json`` additionally carries wall-clock timings and is
@@ -23,13 +24,13 @@ exempt from byte-stability.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,6 @@ from .errors import CapacityError, ConfigError, LoopnetError
 __all__ = ["Scenario", "RunReport", "validate_config", "run_scenario",
            "export_profile", "main"]
 
-_TASK_TYPES = ("fock-verify", "entropy-profile", "bekenstein", "hs-defect",
-               "alcove", "soliton-classify", "exp-ode-check")
-
 _SUBCOMMAND_TASKS = {
     "verify": ("fock-verify",),
     "entropy-profile": ("entropy-profile", "bekenstein"),
@@ -53,106 +51,225 @@ _SUBCOMMAND_TASKS = {
     "exp-check": ("exp-ode-check",),
 }
 
-_DEFAULTS = {
-    "grid_samples": 256,
-    "fock_cutoff": 6,
-    "tolerances": {"quadrature": 1e-10, "identity": 1e-10, "fd_relative": 1e-4},
-}
-
 
 # ---------------------------------------------------------------------------
 # Strict parsing
 # ---------------------------------------------------------------------------
+#
+# Every field of a scenario, at every depth, is read here, by one parser
+# per field: parse(value, pointer, ctx, fields), ``pointer`` being the JSON
+# pointer of ``value``, ``ctx`` what the caller hands down (the scenario-level
+# fields for loops and tasks, the algebra for factors) and ``fields`` the
+# fields of the enclosing object parsed so far.  Parsers that need neither
+# take *_.
 
-def _require_keys(obj: dict, allowed: dict, pointer: str) -> None:
-    for key in obj:
-        if key not in allowed:
+_REQUIRED = object()   # table default of a key that must be given
+
+
+def _show(v) -> str:
+    return json.dumps(v)[:40]
+
+
+def _fields(raw, pointer, table, ctx=None) -> dict:
+    """Parse a JSON object by its field table {key: (parse, default)}.
+
+    Unknown keys are rejected.  A missing key takes its default, a JSON
+    value or a function of (ctx, fields parsed so far) that gives one, and
+    the default is parsed like a given value; ``_REQUIRED`` marks a key
+    without one.  Keys parse in table order.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"must be an object, got {_show(raw)}", pointer)
+    for key in raw:
+        if key not in table:
             raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
-    for key, required in allowed.items():
-        if required and key not in obj:
+    fields = {}
+    for key, (parse, default) in table.items():
+        if key in raw:
+            value = raw[key]
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}", pointer)
+        else:
+            value = default(ctx, fields) if callable(default) else default
+        fields[key] = parse(value, f"{pointer}/{key}", ctx, fields)
+    return fields
 
 
-def _expect(obj, types, pointer, what):
-    if not isinstance(obj, types):
-        raise ConfigError(f"{what} must be {types}, got {type(obj).__name__}",
+def _object(table):
+    """Parser of a nested object whose fields need no context."""
+    return lambda v, pointer, *_: _fields(v, pointer, table)
+
+
+def _number(v, pointer, *_, positive=False) -> float:
+    """A finite JSON number, never a boolean, as a float (> 0 if ``positive``)."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max or positive and v <= 0):
+        kind = "positive number" if positive else "number"
+        raise ConfigError(f"must be a finite {kind}, got {_show(v)}", pointer)
+    return float(v)
+
+
+def _int(v, pointer, *_, minimum=1) -> int:
+    """A JSON integer, never a boolean, of at least ``minimum`` (None: any)."""
+    if (isinstance(v, bool) or not isinstance(v, int)
+            or minimum is not None and v < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"must be an integer{bound}, got {_show(v)}", pointer)
+    return v
+
+
+_positive = functools.partial(_number, positive=True)
+
+
+def _optional(parse):
+    """``parse`` that also lets JSON null through as None."""
+    return lambda v, *args: None if v is None else parse(v, *args)
+
+
+def _string(v, pointer, *_) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"must be a nonempty string, got {_show(v)}", pointer)
+    return v
+
+
+def _name(v, pointer, *_) -> str:
+    """A loop or artifact name; artifacts are written under it, so no '/'."""
+    if "/" in _string(v, pointer):
+        raise ConfigError("a name cannot contain '/'", pointer)
+    return v
+
+
+def _choice(*options):
+    """Parser of one of ``options``, matched in value and type (1 is not True)."""
+    def parse(v, pointer, *_):
+        if not any(type(v) is type(o) and v == o for o in options):
+            raise ConfigError(f"must be one of {options}, got {_show(v)}", pointer)
+        return v
+    return parse
+
+
+def _list(v, pointer, ctx=None, *_, item, length=None, empty=False) -> tuple:
+    """A JSON list, each entry parsed as item(entry, pointer, ctx); nonempty
+    unless ``empty``, of exactly ``length`` entries if that is given."""
+    if (not isinstance(v, list) or not (v or empty)
+            or length is not None and len(v) != length):
+        want = "a nonempty list" if length is None else f"a list of {length} entries"
+        raise ConfigError(f"must be {want}, got {_show(v)}", pointer)
+    return tuple(item(x, f"{pointer}/{i}", ctx) for i, x in enumerate(v))
+
+
+def _parse_complex(v, pointer, *_) -> complex:
+    re_part, im_part = _list(v, pointer, item=_number, length=2)
+    return complex(re_part, im_part)
+
+
+def _parse_generator(spec, pointer, algebra, *_) -> np.ndarray:
+    """{"basis": i}, {"diag": [z, ...]} or {"matrix": [[z, ...], ...]}, z = [re, im].
+
+    The matrix must be anti-hermitian to 1e-12, the test LinePath and
+    SolitonPath apply, so a hermitian matrix is never exponentiated.
+    """
+    if not (isinstance(spec, dict) and len(spec) == 1):
+        raise ConfigError("generator needs exactly one of basis/diag/matrix",
                           pointer)
-    return obj
+    (key, value), = spec.items()
+    at, n = f"{pointer}/{key}", algebra.n
+    if key == "basis":
+        i = _int(value, at, minimum=0)
+        if i >= algebra.dimension:
+            raise ConfigError(f"basis index out of range 0..{algebra.dimension - 1}", at)
+        mat = algebra.basis[i]
+    elif key == "diag":
+        mat = np.diag(_list(value, at, item=_parse_complex, length=n))
+    elif key == "matrix":
+        row = functools.partial(_list, item=_parse_complex, length=n)
+        mat = np.array(_list(value, at, item=row, length=n))
+    else:
+        raise ConfigError(f"unknown key {key!r}", at)
+    if not np.allclose(mat.conj().T, -mat, atol=1e-12):
+        raise ConfigError("generator must be anti-hermitian", pointer)
+    return mat
 
 
-def _parse_complex(v, pointer):
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        raise ConfigError("complex numbers are [re, im] pairs", pointer)
-    return complex(v[0], v[1])
+def _coefficient(v, pointer, *_) -> tuple:
+    if not (isinstance(v, list) and len(v) == 3):
+        raise ConfigError("fourier coefficients are [k, re, im] triples", pointer)
+    return (_int(v[0], f"{pointer}/0", minimum=None),
+            complex(_number(v[1], f"{pointer}/1"), _number(v[2], f"{pointer}/2")))
 
 
-def _parse_generator(spec, algebra, pointer):
-    _expect(spec, dict, pointer, "generator")
-    if len(spec) != 1:
-        raise ConfigError("generator needs exactly one of basis/matrix/diag",
-                          pointer)
-    if "basis" in spec:
-        i = _expect(spec["basis"], int, f"{pointer}/basis", "basis index")
-        if not 0 <= i < algebra.dimension:
-            raise ConfigError(f"basis index out of range 0..{algebra.dimension - 1}",
-                              f"{pointer}/basis")
-        return algebra.basis[i]
-    if "diag" in spec:
-        entries = _expect(spec["diag"], list, f"{pointer}/diag", "diagonal")
-        if len(entries) != algebra.n:
-            raise ConfigError(f"diagonal needs {algebra.n} entries",
-                              f"{pointer}/diag")
-        vals = [_parse_complex(v, f"{pointer}/diag/{i}")
-                for i, v in enumerate(entries)]
-        return np.diag(vals)
-    if "matrix" in spec:
-        rows = _expect(spec["matrix"], list, f"{pointer}/matrix", "matrix")
-        mat = np.array([[_parse_complex(v, f"{pointer}/matrix/{i}/{j}")
-                         for j, v in enumerate(row)]
-                        for i, row in enumerate(rows)])
-        if mat.shape != (algebra.n, algebra.n):
-            raise ConfigError(f"matrix must be {algebra.n} x {algebra.n}",
-                              f"{pointer}/matrix")
-        return mat
-    raise ConfigError("generator needs one of basis/matrix/diag", pointer)
-
-
-_PROFILE_KINDS = ("gaussian", "bump", "fourier")
-
-
-def _parse_factor(spec, algebra, pointer):
-    _expect(spec, dict, pointer, "factor")
-    _require_keys(spec, {"generator": True, "profile": True, "parameters": True},
-                  pointer)
-    gen = _parse_generator(spec["generator"], algebra, f"{pointer}/generator")
-    profile = spec["profile"]
-    if profile not in _PROFILE_KINDS:
-        raise ConfigError(f"profile must be one of {_PROFILE_KINDS}",
-                          f"{pointer}/profile")
-    params = _expect(spec["parameters"], dict, f"{pointer}/parameters",
-                     "parameters")
-    if profile in ("gaussian", "bump"):
-        _require_keys(params, {"center": False, "width": False,
-                               "amplitude": False}, f"{pointer}/parameters")
-        got = {k: float(_expect(params.get(k, d), (int, float),
-                                f"{pointer}/parameters/{k}", k))
-               for k, d in (("center", 0.0), ("width", 1.0), ("amplitude", 1.0))}
-        if got["width"] <= 0:
-            raise ConfigError("width must be positive",
-                              f"{pointer}/parameters/width")
-        return gen, profile, got
-    _require_keys(params, {"coefficients": True}, f"{pointer}/parameters")
+def _fourier_field(v, pointer, *_) -> loops.ScalarField:
+    """A real scalar field from [k, re, im] triples; repeated k add up."""
     coeffs = {}
-    for i, item in enumerate(_expect(params["coefficients"], list,
-                                     f"{pointer}/parameters/coefficients",
-                                     "coefficient list")):
-        if not (isinstance(item, list) and len(item) == 3
-                and isinstance(item[0], int)):
-            raise ConfigError("fourier coefficients are [k, re, im] triples",
-                              f"{pointer}/parameters/coefficients/{i}")
-        coeffs[item[0]] = coeffs.get(item[0], 0.0) + complex(item[1], item[2])
-    return gen, profile, {"coefficients": coeffs}
+    for k, c in _list(v, pointer, item=_coefficient):
+        coeffs[k] = coeffs.get(k, 0.0) + c
+    scalar = loops.ScalarField(coeffs)
+    if not scalar.real:
+        raise ConfigError("fourier profiles must be real: c_-k = conj(c_k)", pointer)
+    return scalar
+
+
+_PROFILE_FIELDS = {
+    "fourier": {"coefficients": (_fourier_field, _REQUIRED)},
+    "gaussian": {"center": (_number, 0.0), "width": (_positive, 1.0),
+                 "amplitude": (_number, 1.0)},
+}
+_PROFILE_FIELDS["bump"] = _PROFILE_FIELDS["gaussian"]
+
+
+def _parameters(v, pointer, _, factor):
+    params = _fields(v, pointer, _PROFILE_FIELDS[factor["profile"]])
+    return params["coefficients"] if factor["profile"] == "fourier" else params
+
+
+_FACTOR_FIELDS = {"generator": (_parse_generator, _REQUIRED),
+                  "profile": (_choice(*_PROFILE_FIELDS), _REQUIRED),
+                  "parameters": (_parameters, _REQUIRED)}
+
+
+def _parse_factor(spec, pointer, algebra, *_) -> tuple:
+    """(generator, profile, parameters); a fourier profile's parameters are
+    its ScalarField, a window's the dict of center, width and amplitude."""
+    return tuple(_fields(spec, pointer, _FACTOR_FIELDS, algebra).values())
+
+
+def _factors(v, pointer, algebra, *_, profiles) -> tuple:
+    """A nonempty factor list whose profiles are all among ``profiles``."""
+    factors = _list(v, pointer, algebra, item=_parse_factor)
+    for j, (_, profile, _) in enumerate(factors):
+        if profile not in profiles:
+            raise ConfigError(f"profile must be one of {profiles} here",
+                              f"{pointer}/{j}/profile")
+    return factors
+
+
+_fourier_factors = functools.partial(_factors, profiles=("fourier",))
+
+
+_WINDOWS = {"gaussian": entropy.GaussianWindow, "bump": entropy.PolyBump}
+
+
+def _wrapped_window(profile: str, center: float, width: float,
+                    amplitude: float):
+    """A window profile made 2 pi-periodic for circle loops."""
+    def wrapped(thetas):
+        s = np.angle(np.exp(1j * (np.asarray(thetas) - center))) / width
+        if profile == "gaussian":
+            return amplitude * np.exp(-s * s)
+        return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
+    return wrapped
+
+
+def _loop_factors(v, pointer, algebra, loop) -> tuple:
+    """Line loops: (generator, window) pairs for LinePath.  Circle loops:
+    (generator, scalar field or periodic window) pairs for loop_from_factors."""
+    if loop["kind"] == "line":
+        return tuple((gen, _WINDOWS[profile](**params)) for gen, profile, params
+                     in _factors(v, pointer, algebra, profiles=tuple(_WINDOWS)))
+    return tuple((gen, params if profile == "fourier"
+                  else _wrapped_window(profile, **params))
+                 for gen, profile, params
+                 in _factors(v, pointer, algebra, profiles=tuple(_PROFILE_FIELDS)))
 
 
 @dataclass(frozen=True)
@@ -161,10 +278,187 @@ class LoopSpec:
     kind: str                      # "line" | "circle"
     factors: tuple
 
+    @property
+    def support(self) -> tuple[float, float]:
+        """Hull of a line loop's window supports, as LinePath.support."""
+        los, his = zip(*(window.support() for _, window in self.factors))
+        return (min(los), max(his))
+
+
+_LOOP_FIELDS = {"name": (_optional(_name), None),
+                "kind": (_choice("line", "circle"), "line"),
+                "factors": (_loop_factors, _REQUIRED)}
+
+
+def _loop(v, pointer, algebra, *_) -> LoopSpec:
+    return LoopSpec(**_fields(v, pointer, _LOOP_FIELDS, algebra))
+
+
+def _loops(v, pointer, _, top) -> tuple:
+    """Loop specs with distinct names, ``loop<i>`` where none is given."""
+    specs = []
+    for i, spec in enumerate(_list(v, pointer, top["algebra"][0], item=_loop,
+                                   empty=True)):
+        spec = replace(spec, name=spec.name or f"loop{i}")
+        if any(s.name == spec.name for s in specs):
+            raise ConfigError(f"duplicate loop name {spec.name!r}",
+                              f"{pointer}/{i}/name")
+        specs.append(spec)
+    return tuple(specs)
+
+
+def _loop_ref(kind):
+    """Parser of a task's reference, by index or name, to a ``kind`` loop."""
+    def parse(v, pointer, top, _):
+        specs = top["loops"]
+        by_index = (isinstance(v, int) and not isinstance(v, bool)
+                    and 0 <= v < len(specs))
+        spec = specs[v] if by_index else next(
+            (s for s in specs if s.name == v), None)
+        if spec is None:
+            raise ConfigError(f"no loop with index or name {_show(v)}", pointer)
+        if spec.kind != kind:
+            raise ConfigError(f"loop {spec.name!r} is not a {kind} loop", pointer)
+        return spec
+    return parse
+
+
+def _grid(v, pointer, _, task) -> tuple:
+    """(start, stop, num) for np.linspace; the ends default to one unit
+    beyond the loop's support."""
+    lo, hi = task["loop"].support
+    grid = _fields(v, pointer, {"start": (_number, lo - 1.0),
+                                "stop": (_number, hi + 1.0),
+                                "num": (functools.partial(_int, minimum=3), 161)})
+    if not grid["start"] < grid["stop"]:
+        raise ConfigError("grid start must be below stop", pointer)
+    return tuple(grid.values())
+
+
+def _cutoff(v, pointer, top, task) -> int:
+    """An energy cutoff whose truncated space fits the dimension limit."""
+    cutoff = _int(v, pointer)
+    try:
+        fock._check_capacity(top["algebra"][0].n, cutoff, task["charge"],
+                             top["dim_limit"])
+    except CapacityError as err:
+        raise ConfigError(f"cutoff {cutoff}: {err}", pointer) from None
+    return cutoff
+
+
+def _soliton(v, pointer, top, _) -> tuple:
+    """The factors of a SolitonPath: periodic ones, then the linear one."""
+    spec = _fields(v, pointer, {"factors": (_optional(_fourier_factors), None),
+                                "linear": (_optional(_parse_generator), None)},
+                   top["algebra"][0])
+    if spec["factors"] is None and spec["linear"] is None:
+        raise ConfigError("a soliton needs factors or linear", pointer)
+    factors = [soliton_mod.PeriodicFactor(gen, scalar)
+               for gen, _, scalar in spec["factors"] or ()]
+    if spec["linear"] is not None:
+        factors.append(soliton_mod.LinearFactor(spec["linear"]))
+    return tuple(factors)
+
+
+def _element(v, pointer, top, _) -> loops.FourierLoopElement:
+    """Sum (not product) of profile * generator terms as a loop-algebra element."""
+    algebra = top["algebra"][0]
+    spec = _fields(v, pointer, {"factors": (_fourier_factors, _REQUIRED)},
+                   algebra)
+    coeffs: dict[int, np.ndarray] = {}
+    for gen, _, scalar in spec["factors"]:
+        for k, c in scalar.coefficients.items():
+            coeffs[k] = coeffs.get(k, 0) + c * gen
+    return loops.FourierLoopElement(coeffs, algebra)
+
+
+_IDENTITY_NAMES = ("affine", "commutator", "virasoro", "rotation", "adjoint",
+                   "vacuum-cocycle")
+
+
+def _named(suffix):
+    """Default artifact name: the task's loop name plus ``suffix``."""
+    return lambda _, task: task["loop"].name + suffix
+
+
+# Task type -> {field: (parser, default)}; ``task`` itself is read first.
+_TASK_FIELDS = {
+    "fock-verify": {
+        "charge": (_optional(functools.partial(_int, minimum=None)), None),
+        "cutoff": (_cutoff, lambda top, _: top["fock_cutoff"]),
+        "identities": (functools.partial(
+            _list, item=_choice(*_IDENTITY_NAMES)), list(_IDENTITY_NAMES)),
+        "tolerance": (_positive, lambda top, _: top["tolerances"]["identity"]),
+        "mode_range": (_int, 2)},
+    "entropy-profile": {"loop": (_loop_ref("line"), _REQUIRED),
+                        "grid": (_grid, {}),
+                        "out": (_name, _named("_profile"))},
+    "bekenstein": {"loop": (_loop_ref("line"), _REQUIRED),
+                   "radii": (functools.partial(_list, item=_positive),
+                             [0.5, 1.0, 5.0]),
+                   "out": (_name, _named("_bekenstein"))},
+    "hs-defect": {"loop": (_loop_ref("circle"), _REQUIRED),
+                  "window": (_int, lambda top, _: top["grid_samples"] // 2),
+                  "out": (_name, _named("_hs_defect"))},
+    "alcove": {"levels": (functools.partial(_list, item=_int),
+                          lambda top, _: [top["algebra"][1]]),
+               "out": (_name, "alcove")},
+    "soliton-classify": {"soliton": (_soliton, _REQUIRED),
+                         "out": (_name, "soliton_verdict")},
+    "exp-ode-check": {"element": (_element, _REQUIRED),
+                      "alpha": (_number, 1.0), "time": (_number, 1.0),
+                      "out": (_name, "exp_check")},
+}
+
+
+def _task(v, pointer, top, *_) -> dict:
+    name = v.get("task") if isinstance(v, dict) else None
+    if not isinstance(name, str) or name not in _TASK_FIELDS:
+        raise ConfigError(f"unknown task {_show(name)}; expected one of "
+                          f"{tuple(_TASK_FIELDS)}", f"{pointer}/task")
+    fields = {k: x for k, x in v.items() if k != "task"}
+    return {"task": name, **_fields(fields, pointer, _TASK_FIELDS[name], top)}
+
+
+def _family(v, pointer, *_) -> lie.CompactSimpleAlgebra:
+    m = re.fullmatch(r"su([2-9]\d*)", v) if isinstance(v, str) else None
+    if not m:
+        raise ConfigError("family must be a string key 'su2', 'su3', ...", pointer)
+    return lie.build_su(int(m.group(1)))
+
+
+def _algebra(v, pointer, *_) -> tuple:
+    """(algebra, level); the algebra is built here, once per scenario."""
+    alg = _fields(v, pointer, {"family": (_family, _REQUIRED), "level": (_int, 1)})
+    return alg["family"], alg["level"]
+
+
+def _grid_samples(v, pointer, *_) -> int:
+    n = _int(v, pointer, minimum=4)
+    if n & (n - 1):
+        raise ConfigError("grid_samples must be a power of two >= 4", pointer)
+    return n
+
+
+_SCENARIO_FIELDS = {
+    "algebra": (_algebra, {"family": "su2"}),
+    "grid_samples": (_grid_samples, 256),
+    "fock_cutoff": (_int, 6),
+    "dim_limit": (_optional(_int), None),
+    "tolerances": (_object({"quadrature": (_positive, 1e-10),
+                            "identity": (_positive, 1e-10),
+                            "fd_relative": (_positive, 1e-4)}), {}),
+    "output": (_object({"dir": (_string, "."),
+                        "format": (_choice("csv", "json"), "csv"),
+                        "plot_data": (_choice(False, True), False)}), {}),
+    "loops": (_loops, []),
+    "tasks": (lambda v, p, _, top: _list(v, p, top, item=_task, empty=True), []),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
-    algebra_n: int
+    algebra: lie.CompactSimpleAlgebra
     level: int
     grid_samples: int
     fock_cutoff: int
@@ -176,215 +470,26 @@ class Scenario:
     loops: tuple
     tasks: tuple
 
-    def algebra(self):
-        return lie.build_su(self.algebra_n)
-
-    def loop_spec(self, ref, pointer):
-        if isinstance(ref, int):
-            if not 0 <= ref < len(self.loops):
-                raise ConfigError(f"loop index {ref} out of range", pointer)
-            return self.loops[ref]
-        for spec in self.loops:
-            if spec.name == ref:
-                return spec
-        raise ConfigError(f"no loop named {ref!r}", pointer)
-
-
-_TASK_KEYS = {
-    "fock-verify": {"task": True, "cutoff": False, "identities": False,
-                    "tolerance": False, "charge": False, "mode_range": False},
-    "entropy-profile": {"task": True, "loop": True, "grid": False, "out": False},
-    "bekenstein": {"task": True, "loop": True, "radii": False, "out": False},
-    "hs-defect": {"task": True, "loop": True, "window": False, "out": False},
-    "alcove": {"task": True, "levels": False, "out": False},
-    "soliton-classify": {"task": True, "soliton": True, "out": False},
-    "exp-ode-check": {"task": True, "element": True, "alpha": False,
-                      "time": False, "out": False},
-}
-
-_IDENTITY_NAMES = ("affine", "commutator", "virasoro", "rotation", "adjoint",
-                   "vacuum-cocycle")
+    @property
+    def algebra_n(self) -> int:
+        return self.algebra.n
 
 
 def validate_config(text: str) -> Scenario:
-    """Parse and strictly validate a scenario; fill documented defaults."""
+    """Parse and strictly validate a scenario; fill documented defaults.
+
+    NaN and Infinity, which Python's JSON reader accepts, are rejected
+    wherever a number is expected.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from None
-    _expect(raw, dict, "", "scenario")
-    _require_keys(raw, {"algebra": False, "grid_samples": False,
-                        "fock_cutoff": False, "dim_limit": False,
-                        "tolerances": False, "output": False,
-                        "loops": False, "tasks": False}, "")
-
-    alg = raw.get("algebra", {"family": "su2", "level": 1})
-    _expect(alg, dict, "/algebra", "algebra")
-    _require_keys(alg, {"family": True, "level": False}, "/algebra")
-    m = re.fullmatch(r"su([2-9]\d*)", str(alg["family"]))
-    if not m:
-        raise ConfigError("family must be a string key 'su2', 'su3', ...",
-                          "/algebra/family")
-    n = int(m.group(1))
-    level = alg.get("level", 1)
-    if not isinstance(level, int) or level < 1:
-        raise ConfigError("level must be a positive integer", "/algebra/level")
-
-    grid_samples = raw.get("grid_samples", _DEFAULTS["grid_samples"])
-    if not isinstance(grid_samples, int) or grid_samples < 4 \
-            or grid_samples & (grid_samples - 1):
-        raise ConfigError("grid_samples must be a power of two >= 4",
-                          "/grid_samples")
-    cutoff = raw.get("fock_cutoff", _DEFAULTS["fock_cutoff"])
-    if not isinstance(cutoff, int) or cutoff < 1:
-        raise ConfigError("fock_cutoff must be a positive integer",
-                          "/fock_cutoff")
-    dim_limit = raw.get("dim_limit")
-    if dim_limit is not None and (not isinstance(dim_limit, int) or dim_limit < 1):
-        raise ConfigError("dim_limit must be a positive integer", "/dim_limit")
-
-    tol = dict(_DEFAULTS["tolerances"])
-    tol_raw = raw.get("tolerances", {})
-    _expect(tol_raw, dict, "/tolerances", "tolerances")
-    _require_keys(tol_raw, {k: False for k in tol}, "/tolerances")
-    for k, v in tol_raw.items():
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError("tolerances must be positive numbers",
-                              f"/tolerances/{k}")
-        tol[k] = float(v)
-
-    out = raw.get("output", {})
-    _expect(out, dict, "/output", "output")
-    _require_keys(out, {"dir": False, "format": False, "plot_data": False},
-                  "/output")
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'", "/output/format")
-    plot_data = out.get("plot_data", False)
-    if not isinstance(plot_data, bool):
-        raise ConfigError("plot_data must be a boolean", "/output/plot_data")
-
-    algebra = lie.build_su(n)
-    specs = []
-    for i, lraw in enumerate(_expect(raw.get("loops", []), list, "/loops",
-                                     "loops")):
-        ptr = f"/loops/{i}"
-        _expect(lraw, dict, ptr, "loop spec")
-        _require_keys(lraw, {"name": False, "kind": False, "factors": True}, ptr)
-        kind = lraw.get("kind", "line")
-        if kind not in ("line", "circle"):
-            raise ConfigError("kind must be 'line' or 'circle'", f"{ptr}/kind")
-        factors = tuple(
-            _parse_factor(f, algebra, f"{ptr}/factors/{j}")
-            for j, f in enumerate(_expect(lraw["factors"], list,
-                                          f"{ptr}/factors", "factors")))
-        for j, (_, profile, _) in enumerate(factors):
-            if kind == "line" and profile == "fourier":
-                raise ConfigError("line paths need windowed profiles "
-                                  "(gaussian or bump)", f"{ptr}/factors/{j}")
-        specs.append(LoopSpec(str(lraw.get("name", f"loop{i}")), kind, factors))
-
-    tasks = []
-    for i, traw in enumerate(_expect(raw.get("tasks", []), list, "/tasks",
-                                     "tasks")):
-        ptr = f"/tasks/{i}"
-        _expect(traw, dict, ptr, "task")
-        name = traw.get("task")
-        if name not in _TASK_TYPES:
-            raise ConfigError(f"unknown task {name!r}; expected one of "
-                              f"{_TASK_TYPES}", f"{ptr}/task")
-        _require_keys(traw, _TASK_KEYS[name], ptr)
-        if name == "fock-verify":
-            c = traw.get("cutoff", cutoff)
-            if not isinstance(c, int) or c < 1:
-                raise ConfigError("cutoff must be a positive integer",
-                                  f"{ptr}/cutoff")
-            # surface capacity problems at validation time
-            try:
-                fock._check_capacity(n, c, traw.get("charge"), dim_limit)
-            except CapacityError as err:
-                raise ConfigError(f"cutoff {c}: {err}", f"{ptr}/cutoff") from None
-            ids = traw.get("identities", list(_IDENTITY_NAMES))
-            if not (isinstance(ids, list) and ids
-                    and all(x in _IDENTITY_NAMES for x in ids)):
-                raise ConfigError(f"identities must be a nonempty subset of "
-                                  f"{_IDENTITY_NAMES}", f"{ptr}/identities")
-        if name in ("entropy-profile", "bekenstein", "hs-defect"):
-            self_ref = traw["loop"]
-            if not isinstance(self_ref, (int, str)):
-                raise ConfigError("loop reference must be an index or a name",
-                                  f"{ptr}/loop")
-        tasks.append(dict(traw))
-
-    scenario = Scenario(n, level, grid_samples, cutoff, dim_limit, tol,
-                        str(out.get("dir", ".")), fmt, plot_data,
-                        tuple(specs), tuple(tasks))
-    # resolve loop references now so bad names fail at validation time
-    for i, task in enumerate(tasks):
-        if "loop" in task:
-            scenario.loop_spec(task["loop"], f"/tasks/{i}/loop")
-    return scenario
-
-
-# ---------------------------------------------------------------------------
-# Loop construction from validated specs
-# ---------------------------------------------------------------------------
-
-def _line_path(scenario: Scenario, spec: LoopSpec,
-               paths: dict[str, entropy.LinePath]) -> entropy.LinePath:
-    """The run's one LinePath of a line loop, so its panel partition is built once."""
-    path = paths.get(spec.name)
-    if path is not None:
-        return path
-    if spec.kind != "line":
-        raise ConfigError(f"loop {spec.name!r} is not a line path")
-    factors = []
-    for gen, profile, params in spec.factors:
-        if profile == "gaussian":
-            window = entropy.GaussianWindow(params["center"], params["width"],
-                                            params["amplitude"])
-        else:
-            window = entropy.PolyBump(params["center"], params["width"],
-                                      params["amplitude"])
-        factors.append((gen, window))
-    return paths.setdefault(spec.name, entropy.LinePath(
-        scenario.algebra(), factors, level=scenario.level))
-
-
-def _circle_profile(profile: str, params: dict):
-    if profile == "fourier":
-        return loops.ScalarField(params["coefficients"])
-    center, width, amp = params["center"], params["width"], params["amplitude"]
-
-    def wrapped(thetas, c=center, w=width, a=amp, kind=profile):
-        d = np.angle(np.exp(1j * (np.asarray(thetas) - c)))
-        s = d / w
-        if kind == "gaussian":
-            return a * np.exp(-s * s)
-        return a * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
-
-    return wrapped
-
-
-def _circle_loop(scenario: Scenario, spec: LoopSpec) -> loops.GridLoop:
-    if spec.kind != "circle":
-        raise ConfigError(f"loop {spec.name!r} is not a circle loop")
-    factors = [(gen, _circle_profile(profile, params))
-               for gen, profile, params in spec.factors]
-    return loops.loop_from_factors(scenario.algebra(), factors,
-                                   scenario.grid_samples)
-
-
-def _fourier_element(scenario: Scenario, factors) -> loops.FourierLoopElement:
-    """Sum (not product) of profile * generator terms as a loop-algebra element."""
-    algebra = scenario.algebra()
-    coeffs: dict[int, np.ndarray] = {}
-    for gen, profile, params in factors:
-        if profile != "fourier":
-            raise ConfigError("algebra elements need 'fourier' profiles")
-        for k, v in params["coefficients"].items():
-            coeffs[k] = coeffs.get(k, 0) + v * gen
-    return loops.FourierLoopElement(coeffs, algebra)
+    top = _fields(raw, "", _SCENARIO_FIELDS)
+    out = top["output"]
+    return Scenario(*top["algebra"], top["grid_samples"], top["fock_cutoff"],
+                    top["dim_limit"], top["tolerances"], out["dir"],
+                    out["format"], out["plot_data"], top["loops"], top["tasks"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,36 +534,34 @@ def export_profile(profile: entropy.EntropyProfile, fmt: str = "csv",
 
 
 # ---------------------------------------------------------------------------
-# Task handlers: pure computation, return (result, artifacts)
+# Task handlers: pure computation on parsed fields, return (result, artifacts)
 # ---------------------------------------------------------------------------
+
+def _line_path(scenario: Scenario, spec: LoopSpec,
+               paths: dict[str, entropy.LinePath]) -> entropy.LinePath:
+    """The run's one LinePath of a line loop, so its panel partition is built once."""
+    if spec.name not in paths:
+        paths[spec.name] = entropy.LinePath(scenario.algebra, spec.factors,
+                                            level=scenario.level)
+    return paths[spec.name]
 
 def _run_fock_verify(scenario, task, paths):
     reports = fock.identity_reports(
-        scenario.algebra_n, task.get("cutoff", scenario.fock_cutoff),
-        level=scenario.level,
-        identities=tuple(task.get("identities", _IDENTITY_NAMES)),
-        mode_range=task.get("mode_range", 2),
-        tol=task.get("tolerance", scenario.tolerances["identity"]),
-        charge=task.get("charge"), dim_limit=scenario.dim_limit)
+        scenario.algebra_n, task["cutoff"], level=scenario.level,
+        identities=task["identities"], mode_range=task["mode_range"],
+        tol=task["tolerance"], charge=task["charge"],
+        dim_limit=scenario.dim_limit)
     ok = all(r["pass"] for r in reports)
     result = {"status": "pass" if ok else "fail",
               "residuals": {r["identity"]: r["residual_max"] for r in reports}}
     return result, [("fock_verify.json", _json_bytes(reports))]
 
 def _run_entropy_profile(scenario, task, paths):
-    spec = scenario.loop_spec(task["loop"], "loop")
-    path = _line_path(scenario, spec, paths)
-    grid_spec = task.get("grid", {})
-    lo, hi = path.support()
-    start = grid_spec.get("start", lo - 1.0)
-    stop = grid_spec.get("stop", hi + 1.0)
-    num = grid_spec.get("num", 161)
-    grid = np.linspace(start, stop, num)
     profile = entropy.qnec_profile(
-        path, grid, fd_tolerance=scenario.tolerances["fd_relative"],
+        _line_path(scenario, task["loop"], paths), np.linspace(*task["grid"]),
+        fd_tolerance=scenario.tolerances["fd_relative"],
         tol=scenario.tolerances["quadrature"])
-    name = task.get("out", f"{spec.name}_profile")
-    artifacts = export_profile(profile, scenario.output_format, name,
+    artifacts = export_profile(profile, scenario.output_format, task["out"],
                                scenario.plot_data)
     result = {"status": "pass",
               "residuals": {"fd_vs_analytic": float(np.max(np.abs(
@@ -467,99 +570,70 @@ def _run_entropy_profile(scenario, task, paths):
     return result, artifacts
 
 def _run_bekenstein(scenario, task, paths):
-    spec = scenario.loop_spec(task["loop"], "loop")
-    path = _line_path(scenario, spec, paths)
-    radii = task.get("radii", [0.5, 1.0, 5.0])
+    path = _line_path(scenario, task["loop"], paths)
     rows = []
     ok = True
-    for r in radii:
-        rep = entropy.bekenstein_check(path, float(r))
+    for r in task["radii"]:
+        rep = entropy.bekenstein_check(path, r)
         ok = ok and rep.holds
-        rows.append({"r": float(r), "interval_entropy": float(rep.interval_entropy),
+        rows.append({"r": r, "interval_entropy": float(rep.interval_entropy),
                      "bound": float(rep.bound), "holds": rep.holds,
                      "ratio": float(rep.ratio)})
-    name = task.get("out", f"{spec.name}_bekenstein")
     result = {"status": "pass" if ok else "fail",
               "residuals": {"worst_ratio": max(r["ratio"] for r in rows)}}
-    return result, [(f"{name}.json", _json_bytes(rows))]
+    return result, [(f"{task['out']}.json", _json_bytes(rows))]
 
 def _run_hs_defect(scenario, task, paths):
-    spec = scenario.loop_spec(task["loop"], "loop")
-    gamma = _circle_loop(scenario, spec)
-    window = task.get("window", scenario.grid_samples // 2)
-    data = loops.loop_fourier_coefficients(gamma)
-    rep = fock.hs_defect(data, window)
-    name = task.get("out", f"{spec.name}_hs_defect")
+    gamma = loops.loop_from_factors(scenario.algebra, task["loop"].factors,
+                                    scenario.grid_samples)
+    rep = fock.hs_defect(loops.loop_fourier_coefficients(gamma), task["window"])
     payload = {"fourier_value": float(rep.fourier_value),
                "truncated_value": float(rep.truncated_value),
                "window": rep.window, "relative_gap": float(rep.relative_gap),
                "tail_ok": rep.tail_ok, "tail_fraction": float(rep.tail_fraction)}
     result = {"status": "pass" if rep.relative_gap <= 1e-3 else "fail",
               "residuals": {"relative_gap": rep.relative_gap}}
-    return result, [(f"{name}.json", _json_bytes(payload))]
+    return result, [(f"{task['out']}.json", _json_bytes(payload))]
 
 def _run_alcove(scenario, task, paths):
-    algebra = scenario.algebra()
-    levels = task.get("levels", [scenario.level])
+    algebra = scenario.algebra
     lines = ["family,level,weight,casimir,h,c"]
     ok = True
-    for lev in levels:
-        data = affine_data.level_data(algebra, int(lev))
-        bounds = affine_data.alcove_bounds(algebra, int(lev))
+    for lev in task["levels"]:
+        data = affine_data.level_data(algebra, lev)
+        bounds = affine_data.alcove_bounds(algebra, lev)
         ok = ok and bounds.c_ge_1 and bool(bounds.all_within_bound)
-        for w in affine_data.alcove(algebra, int(lev)):
+        for w in affine_data.alcove(algebra, lev):
             weight = " ".join(str(a) for a in w.weight)
             lines.append(f"A{scenario.algebra_n - 1},{lev},{weight},"
                          f"{w.casimir},{w.conformal_weight},{data.central_charge}")
-    name = task.get("out", "alcove")
     result = {"status": "pass" if ok else "fail", "residuals": {}}
-    return result, [(f"{name}.csv", ("\n".join(lines) + "\n").encode())]
+    return result, [(f"{task['out']}.csv", ("\n".join(lines) + "\n").encode())]
 
 def _run_soliton(scenario, task, paths):
-    algebra = scenario.algebra()
-    sraw = task["soliton"]
-    factors = []
-    for j, fraw in enumerate(_expect(sraw.get("factors", []), list,
-                                     "/soliton/factors", "factors")):
-        gen, profile, params = _parse_factor(fraw, algebra,
-                                             f"/soliton/factors/{j}")
-        if profile != "fourier":
-            raise ConfigError("twisted-path factors use 'fourier' profiles",
-                              f"/soliton/factors/{j}")
-        factors.append(soliton_mod.PeriodicFactor(
-            gen, loops.ScalarField(params["coefficients"])))
-    if "linear" in sraw:
-        gen = _parse_generator(sraw["linear"], algebra, "/soliton/linear")
-        factors.append(soliton_mod.LinearFactor(gen))
-    path = soliton_mod.SolitonPath(algebra, factors)
+    path = soliton_mod.SolitonPath(scenario.algebra, list(task["soliton"]))
     verdict = soliton_mod.extendability(path)
-    name = task.get("out", "soliton_verdict")
     payload = {"jump": _jmat(verdict.jump), "central": verdict.central,
                "center_index": verdict.center_index,
                "extendable": verdict.extendable}
     result = {"status": "pass", "residuals": {},
               "extendable": verdict.extendable}
-    return result, [(f"{name}.json", _json_bytes(payload))]
+    return result, [(f"{task['out']}.json", _json_bytes(payload))]
 
 def _run_exp_check(scenario, task, paths):
-    element = _fourier_element(scenario, [
-        _parse_factor(f, scenario.algebra(), f"/element/factors/{j}")
-        for j, f in enumerate(task["element"]["factors"])])
-    alpha = float(task.get("alpha", 1.0))
-    t = float(task.get("time", 1.0))
+    alpha, t = task["alpha"], task["time"]
     try:
-        _, rotation = loops.semidirect_exp(element, alpha, None, t,
+        _, rotation = loops.semidirect_exp(task["element"], alpha, None, t,
                                            n_samples=scenario.grid_samples)
         residual, ok = 0.0, True
     except LoopnetError as exc:
         residual = getattr(exc, "residual", math.nan)
         rotation, ok = alpha * t, False
-    name = task.get("out", "exp_check")
-    payload = {"alpha": float(alpha), "time": float(t),
+    payload = {"alpha": alpha, "time": t,
                "rotation": float(rotation), "pass": ok}
     result = {"status": "pass" if ok else "fail",
               "residuals": {"ode_sup": residual}}
-    return result, [(f"{name}.json", _json_bytes(payload))]
+    return result, [(f"{task['out']}.json", _json_bytes(payload))]
 
 
 # Handlers take (scenario, task, paths); ``paths`` maps each line loop's
@@ -592,28 +666,27 @@ class RunReport:
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None,
                  task_filter: tuple[str, ...] | None = None,
-                 fail_fast: bool = False, parallel: bool = False) -> RunReport:
+                 fail_fast: bool = False) -> RunReport:
     """Execute the scenario's tasks in declared order and write artifacts.
 
     ``task_filter`` restricts to the given task types (used by the
     subcommands); skipped tasks are recorded as such, never silently
-    dropped.  Artifact writes happen sequentially in task order regardless
-    of ``parallel``.
+    dropped.  With ``fail_fast`` no task runs after the first that does not
+    pass.
     """
     report = RunReport(__version__)
     out_base = Path(out_dir if out_dir is not None else scenario.output_dir)
-    selected = []
+    out_base.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, entropy.LinePath] = {}
+    stopped = False
     for i, task in enumerate(scenario.tasks):
         if task_filter is not None and task["task"] not in task_filter:
             report.tasks.append({"task": task["task"], "index": i,
                                  "status": "skipped", "residuals": {},
                                  "elapsed_s": 0.0, "artifacts": []})
-        else:
-            selected.append((i, task))
-    paths: dict[str, entropy.LinePath] = {}
-
-    def execute(item):
-        i, task = item
+            continue
+        if stopped:
+            continue
         t0 = time.perf_counter()
         try:
             result, artifacts = _HANDLERS[task["task"]](scenario, task, paths)
@@ -622,21 +695,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                                  "message": str(exc)}, []
         result.update({"task": task["task"], "index": i,
                        "elapsed_s": time.perf_counter() - t0})
-        return i, result, artifacts
-
-    outputs = []
-    if parallel and len(selected) > 1:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            outputs = list(pool.map(execute, selected))
-    else:
-        for item in selected:
-            outputs.append(execute(item))
-            if fail_fast and outputs[-1][1]["status"] != "pass":
-                break
-
-    outputs.sort(key=lambda o: o[0])
-    out_base.mkdir(parents=True, exist_ok=True)
-    for _, result, artifacts in outputs:
         written = []
         for relpath, blob in artifacts:
             target = out_base / relpath
@@ -644,7 +702,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
             written.append(str(target))
         result["artifacts"] = written
         report.tasks.append(result)
-    report.tasks.sort(key=lambda t: t["index"])
+        stopped = fail_fast and result["status"] != "pass"
     (out_base / "report.json").write_bytes(_json_bytes(report.to_json()))
     return report
 
@@ -665,7 +723,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario JSON file")
         p.add_argument("--out-dir", help="artifact directory (default from config)")
         p.add_argument("--fail-fast", action="store_true")
-        p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("verify", help="operator-identity suite")
     common(p)
@@ -724,7 +781,7 @@ def main(argv=None) -> int:
                 print("error: --config required (or config-free flags for "
                       "verify/alcove)", file=sys.stderr)
                 return 2
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -739,7 +796,7 @@ def main(argv=None) -> int:
 
     report = run_scenario(scenario, out_dir=args.out_dir,
                           task_filter=_SUBCOMMAND_TASKS[args.command],
-                          fail_fast=args.fail_fast, parallel=args.parallel)
+                          fail_fast=args.fail_fast)
     for t in report.tasks:
         status = t["status"].upper()
         extras = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"

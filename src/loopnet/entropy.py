@@ -379,7 +379,7 @@ def qnec_profile(path: LinePath, grid, fd_tolerance: float = 1e-4,
     scale = max(float(np.max(np.abs(sdd))), 1e-30)
     rel = np.abs(fd - sdd) / scale
     worst = int(np.argmax(rel))
-    if rel[worst] > fd_tolerance:
+    if not rel[worst] <= fd_tolerance:   # a NaN residual fails too
         raise VerificationError(
             f"S'' mismatch at t = {ts[worst]:.6g}: analytic {sdd[worst]:.6e} "
             f"vs finite difference {fd[worst]:.6e} "

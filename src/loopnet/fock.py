@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,15 +61,11 @@ __all__ = [
 ]
 
 DEFAULT_DIM_LIMIT = 20000
-_DIM_LIMIT_ENV = "LOOPNET_DIM_LIMIT"
 MASK_BITS = 64   # occupation masks are np.uint64 words
 
 
 def _dim_limit(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(_DIM_LIMIT_ENV)
-    return int(env) if env else DEFAULT_DIM_LIMIT
+    return DEFAULT_DIM_LIMIT if explicit is None else explicit
 
 
 def _occupation_mask(n: int, cutoff: int, particles, holes) -> int:
@@ -167,10 +162,6 @@ class TruncatedFockSpace:
             raise ValueError("vacuum lives in the charge-0 sector")
         return self.index[_occupation_mask(self.n, self.cutoff, (), ())]
 
-    def state_label(self, i: int) -> str:
-        particles, holes = self.occupations[i]
-        return f"p{list(particles)}h{list(holes)}"
-
 
 def build_fock(n: int, cutoff: int, charge: int | None = None,
                dim_limit: int | None = None) -> TruncatedFockSpace:
@@ -180,9 +171,8 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
     this module preserves; the restriction is exact for identity checks and
     cuts the dimension roughly by the number of sectors.  The exact dimension
     is computed up front and ``CapacityError`` raised if it exceeds the limit
-    (default 20000, overridable via the LOOPNET_DIM_LIMIT environment
-    variable or the ``dim_limit`` argument), or if the (2*cutoff+1)*n window
-    modes do not fit a 64-bit occupation mask.
+    (default 20000, overridable via the ``dim_limit`` argument), or if the
+    (2*cutoff+1)*n window modes do not fit a 64-bit occupation mask.
     """
     if n < 2 or cutoff < 0:
         raise ValueError(f"need n >= 2 and cutoff >= 0, got n={n}, cutoff={cutoff}")

@@ -168,17 +168,6 @@ class ScalarField:
     def constant(value: complex = 1.0) -> "ScalarField":
         return ScalarField({0: value})
 
-    @staticmethod
-    def from_callable(f: Callable[[np.ndarray], np.ndarray], n_modes: int = 64,
-                      n_samples: int = 512) -> "ScalarField":
-        """Fourier coefficients of a smooth periodic callable, |k| <= n_modes."""
-        thetas = 2 * np.pi * np.arange(n_samples) / n_samples
-        vals = np.asarray(f(thetas), dtype=complex)
-        hats = np.fft.fft(vals) / n_samples
-        ks = np.fft.fftfreq(n_samples, d=1.0 / n_samples).astype(int)
-        return ScalarField({int(k): hats[i] for i, k in enumerate(ks)
-                            if abs(k) <= n_modes and abs(hats[i]) > 1e-15})
-
     def modes(self) -> list[int]:
         return sorted(self.coefficients)
 

@@ -14,7 +14,8 @@ bounds the estimated error of integral (u - t) f for every t in [a, b], and
 of integral (r^2 - u^2)/(2r) f for L/2 <= r <= 2L.  Partial panels are
 checked by the same rule under the budget of the panel they sit in and
 bisected until they pass.  A panel that still fails at ``max_depth``
-raises AccuracyError; nothing is accepted unchecked.
+raises AccuracyError, and a non-finite integrand value NumericError;
+nothing is accepted unchecked.
 
 The integrand is called on all panels of one bisection level at once, in
 chunks of at most ``CHUNK`` points, which bounds the memory of a call.
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, NumericError
 
 __all__ = ["PanelPartition", "panel_partition"]
 
@@ -71,6 +72,9 @@ def _adaptive_panels(f, lo, hi, depth, tol, scale, max_depth):
     accepted = []
     while len(lo):
         moments, err = _panel_moments(f, lo, hi, scale)
+        if not np.all(np.isfinite(err)):
+            i = int(np.argmin(np.isfinite(err)))
+            raise NumericError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
         budget = tol * np.exp2(-depth)
         ok = err <= budget
         accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], moments[ok]))
@@ -141,9 +145,12 @@ def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     Bisects breadth-first from the single panel [a, b]; see the module
     docstring for the acceptance rule.  An empty interval (b <= a) gives a
-    partition with no panels whose moments are all zero.
+    partition with no panels whose moments are all zero.  A bound that is
+    not finite raises NumericError.
     """
     a, b = float(a), float(b)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise NumericError(f"quadrature bounds must be finite, got [{a}, {b}]")
     scale = max(b - a, 1.0)
     if not (b > a):
         return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros((1, 3)),

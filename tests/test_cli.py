@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopnet import cli, entropy
 from loopnet.errors import ConfigError
@@ -123,25 +126,25 @@ def test_export_profile_empty_and_roundtrip():
             "p_S_dd_analytic.dat", "p_S_dd_fd.dat", "p_density.dat"} == names
 
 
+FULL_TASKS = [
+    {"task": "fock-verify", "identities": ["affine", "rotation"], "cutoff": 3},
+    {"task": "entropy-profile", "loop": "gauss",
+     "grid": {"start": -3.0, "stop": 3.0, "num": 41}},
+    {"task": "bekenstein", "loop": "gauss", "radii": [0.5, 1.0]},
+    {"task": "hs-defect", "loop": "circle", "window": 32},
+    {"task": "alcove", "levels": [1, 2]},
+    {"task": "soliton-classify",
+     "soliton": {"linear": {"diag": [[0.0, 0.5], [0.0, -0.5]]}}},
+    {"task": "exp-ode-check", "element": {"factors": [
+        {"generator": {"basis": 0}, "profile": "fourier",
+         "parameters": {"coefficients": [[1, 0.4, 0.0], [-1, 0.4, 0.0]]}}]},
+     "alpha": 1.0, "time": 1.0},
+]
+
+
 @pytest.fixture()
 def full_scenario(tmp_path):
-    text = scenario_text(tasks=[
-        {"task": "fock-verify", "identities": ["affine", "rotation"],
-         "cutoff": 3},
-        {"task": "entropy-profile", "loop": "gauss",
-         "grid": {"start": -3.0, "stop": 3.0, "num": 41}},
-        {"task": "bekenstein", "loop": "gauss", "radii": [0.5, 1.0]},
-        {"task": "hs-defect", "loop": "circle", "window": 32},
-        {"task": "alcove", "levels": [1, 2]},
-        {"task": "soliton-classify",
-         "soliton": {"linear": {"diag": [[0.0, 0.5], [0.0, -0.5]]}}},
-        {"task": "exp-ode-check", "element": {"factors": [
-            {"generator": {"basis": 0}, "profile": "fourier",
-             "parameters": {"coefficients": [[1, 0.4, 0.0],
-                                             [-1, 0.4, 0.0]]}}]},
-         "alpha": 1.0, "time": 1.0},
-    ])
-    return cli.validate_config(text), tmp_path
+    return cli.validate_config(scenario_text(tasks=FULL_TASKS)), tmp_path
 
 
 def test_run_scenario_all_tasks(full_scenario):
@@ -204,18 +207,6 @@ def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
     assert len(built) == 2
 
 
-def test_parallel_matches_sequential(full_scenario, tmp_path_factory):
-    scenario, _ = full_scenario
-    seq = tmp_path_factory.mktemp("seq")
-    par = tmp_path_factory.mktemp("par")
-    cli.run_scenario(scenario, out_dir=str(seq),
-                     task_filter=("alcove", "bekenstein"))
-    cli.run_scenario(scenario, out_dir=str(par),
-                     task_filter=("alcove", "bekenstein"), parallel=True)
-    for name in ("alcove.csv", "gauss_bekenstein.json"):
-        assert (seq / name).read_bytes() == (par / name).read_bytes()
-
-
 def test_main_entry_points(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(scenario_text(tasks=[{"task": "alcove"}]))
@@ -267,3 +258,132 @@ def test_fail_fast_stops_after_failure(tmp_path):
     assert statuses[0] == "fail"
     assert len(statuses) == 1
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# Malformed scenarios: exit 2 with a JSON pointer, never a traceback
+# ---------------------------------------------------------------------------
+
+_HERMITIAN = {"diag": [[0.5, 0.0], [-0.5, 0.0]]}
+_FOURIER = {"generator": {"basis": 0}, "profile": "fourier",
+            "parameters": {"coefficients": [[1, 0.4, 0.0], [-1, 0.4, 0.0]]}}
+_GAUSSIAN = {"generator": {"basis": 0}, "profile": "gaussian",
+             "parameters": {"width": 1.0}}
+
+
+def _full_raw():
+    return json.loads(scenario_text(tasks=FULL_TASKS))
+
+
+def _put(raw, pointer, value):
+    """Replace the value at a JSON pointer (every step must exist)."""
+    *parents, last = pointer.strip("/").split("/")
+    node = raw
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+# (subcommand, pointer to replace, new value, pointer the error must name);
+# task indices follow FULL_TASKS, loop 0 is the line loop, loop 1 the circle
+MALFORMED = [
+    ("entropy-profile", "/tasks/1/grid", 3, "/tasks/1/grid"),
+    ("entropy-profile", "/tasks/1/grid", {"points": 5}, "/tasks/1/grid/points"),
+    ("entropy-profile", "/tasks/1/grid", {"num": "x"}, "/tasks/1/grid/num"),
+    ("entropy-profile", "/tasks/1/grid", {"num": 2}, "/tasks/1/grid/num"),
+    ("entropy-profile", "/tasks/1/grid", {"start": 3.0, "stop": -3.0},
+     "/tasks/1/grid"),
+    ("entropy-profile", "/tasks/1/loop", "circle", "/tasks/1/loop"),
+    ("entropy-profile", "/tasks/2/radii", "abc", "/tasks/2/radii"),
+    ("entropy-profile", "/tasks/2/radii", [-1.0], "/tasks/2/radii/0"),
+    ("entropy-profile", "/tasks/2/radii", [], "/tasks/2/radii"),
+    ("hs-defect", "/tasks/3/window", "x", "/tasks/3/window"),
+    ("hs-defect", "/tasks/3/window", 0, "/tasks/3/window"),
+    ("hs-defect", "/tasks/3/loop", "gauss", "/tasks/3/loop"),
+    ("alcove", "/tasks/4/levels", ["x"], "/tasks/4/levels/0"),
+    ("alcove", "/tasks/4/levels", [0], "/tasks/4/levels/0"),
+    ("alcove", "/tasks/4/out", 5, "/tasks/4/out"),
+    ("alcove", "/tasks/4/out", "sub/alcove", "/tasks/4/out"),
+    ("verify", "/tasks/0/cutoff", True, "/tasks/0/cutoff"),
+    ("verify", "/tasks/0/tolerance", "x", "/tasks/0/tolerance"),
+    ("verify", "/tasks/0/charge", "x", "/tasks/0/charge"),
+    ("verify", "/tasks/0/mode_range", 1.5, "/tasks/0/mode_range"),
+    ("soliton", "/tasks/5/soliton", {"lineer": {"basis": 0}},
+     "/tasks/5/soliton/lineer"),
+    ("soliton", "/tasks/5/soliton", 5, "/tasks/5/soliton"),
+    ("soliton", "/tasks/5/soliton", {}, "/tasks/5/soliton"),
+    ("soliton", "/tasks/5/soliton/linear", _HERMITIAN,
+     "/tasks/5/soliton/linear"),
+    ("soliton", "/tasks/5/soliton", {"factors": [_GAUSSIAN]},
+     "/tasks/5/soliton/factors/0/profile"),
+    ("soliton", "/tasks/5/soliton", {"factors": [
+        {**_FOURIER, "parameters": {"coefficients": [[1, 0.4, 0.0]]}}]},
+     "/tasks/5/soliton/factors/0/parameters/coefficients"),
+    ("exp-check", "/tasks/6/element", 5, "/tasks/6/element"),
+    ("exp-check", "/tasks/6/element/factors", [], "/tasks/6/element/factors"),
+    ("exp-check", "/tasks/6/element", {"factors": [_FOURIER], "scale": 2},
+     "/tasks/6/element/scale"),
+    ("exp-check", "/tasks/6/element/factors", [_GAUSSIAN],
+     "/tasks/6/element/factors/0/profile"),
+    ("exp-check", "/tasks/6/element/factors/0/parameters/coefficients",
+     [[1, 0.4, 0.0]], "/tasks/6/element/factors/0/parameters/coefficients"),
+    ("exp-check", "/tasks/6/alpha", "x", "/tasks/6/alpha"),
+    ("exp-check", "/tasks/6/time", math.nan, "/tasks/6/time"),
+    ("entropy-profile", "/loops/0/factors/0/generator", _HERMITIAN,
+     "/loops/0/factors/0/generator"),
+    ("hs-defect", "/loops/1/factors/0/generator", _HERMITIAN,
+     "/loops/1/factors/0/generator"),
+    ("entropy-profile", "/loops/0/factors/0/parameters/width", math.nan,
+     "/loops/0/factors/0/parameters/width"),
+    ("entropy-profile", "/loops/0/factors/0/parameters/width", math.inf,
+     "/loops/0/factors/0/parameters/width"),
+    ("entropy-profile", "/loops/0/factors", [], "/loops/0/factors"),
+    ("entropy-profile", "/loops/1/name", "gauss", "/loops/1/name"),
+    ("hs-defect", "/loops/1/factors/0", {**_FOURIER, "parameters": {
+        "coefficients": [[1, 0.4, 0.0]]}},
+     "/loops/1/factors/0/parameters/coefficients"),
+]
+
+
+@pytest.mark.parametrize("command,target,value,pointer", MALFORMED,
+                         ids=[f"{p}<-{json.dumps(v)[:16]}"
+                              for _, _, v, p in MALFORMED])
+def test_malformed_config_exits_2(command, target, value, pointer, tmp_path,
+                                  capsys):
+    raw = _full_raw()
+    _put(raw, target, value)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(raw))
+    rc = cli.main([command, "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"configuration error: {pointer}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaves(node, pointer=""):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [pointer]
+    return [leaf for key, child in items
+            for leaf in _leaves(child, f"{pointer}/{key}")]
+
+
+_FULL_LEAVES = _leaves(_full_raw())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FULL_LEAVES),
+       st.sampled_from([None, True, "x", [], [1], {}, {"a": 1}, math.nan]))
+def test_wrong_typed_leaf_is_config_error(target, value):
+    raw = _full_raw()
+    _put(raw, target, value)
+    try:
+        cli.validate_config(json.dumps(raw))
+    except ConfigError:
+        pass

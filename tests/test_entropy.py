@@ -196,6 +196,46 @@ def test_qnec_profile_fd_verification_error(su2):
     assert err.value.residual > 1e-12
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("window", [entropy.GaussianWindow, entropy.PolyBump])
+def test_non_finite_window_raises(su2, window, width):
+    path = entropy.LinePath(su2, [(normalized_generator(su2),
+                                   window(0.0, width, 0.8))])
+    with pytest.raises(NumericError, match="bounds must be finite"):
+        entropy.total_energy(path)
+    with pytest.raises(NumericError, match="bounds must be finite"):
+        entropy.entropy_interval(path, 1.0)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="bounds must be finite"):
+        entropy.qnec_profile(path, np.linspace(-3, 3, 31))
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_non_finite_integrand_raises(su2, amplitude):
+    path = entropy.LinePath(su2, [(normalized_generator(su2),
+                                   entropy.PolyBump(0.3, 1.0, amplitude))])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="integrand is not finite"):
+        entropy.total_energy(path)
+
+
+class _NanBeyond(entropy.PolyBump):
+    """A bump whose derivative reads NaN right of u = 2, off its support."""
+
+    def derivative(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u > 2.0, np.nan, super().derivative(u))
+
+
+def test_qnec_profile_nan_residual_fails(su2):
+    path = entropy.LinePath(su2, [(normalized_generator(su2),
+                                   _NanBeyond(0.0, 1.0, 0.8))])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(VerificationError) as err:
+        entropy.qnec_profile(path, np.linspace(-3, 3, 31))
+    assert math.isnan(err.value.residual)
+
+
 def test_sum_rule_random(su2):
     rng = np.random.default_rng(2)
     for _ in range(20):

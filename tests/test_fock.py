@@ -92,14 +92,6 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
     assert f"{(2 * cutoff + 1) * n} bits" in str(err.value)
 
 
-def test_capacity_env_override(monkeypatch):
-    monkeypatch.setenv("LOOPNET_DIM_LIMIT", "10")
-    with pytest.raises(CapacityError):
-        fock.build_fock(2, 2)
-    monkeypatch.setenv("LOOPNET_DIM_LIMIT", "100000")
-    assert fock.build_fock(2, 2).dim > 10
-
-
 def test_charge_sector_restriction(su2):
     full = fock.build_fock(2, 3)
     sectors = [fock.build_fock(2, 3, charge=q) for q in range(-5, 8)]
