@@ -416,6 +416,9 @@ def _task(v, pointer, top, *_) -> dict:
     if not isinstance(name, str) or name not in _TASK_FIELDS:
         raise ConfigError(f"unknown task {_show(name)}; expected one of "
                           f"{tuple(_TASK_FIELDS)}", f"{pointer}/task")
+    if name == "fock-verify" and top["algebra"][1] != 1:
+        raise ConfigError(f"task {pointer} (fock-verify) runs the level-1 "
+                          "fermionic model; the level must be 1", "/algebra/level")
     fields = {k: x for k, x in v.items() if k != "task"}
     return {"task": name, **_fields(fields, pointer, _TASK_FIELDS[name], top)}
 
@@ -547,9 +550,8 @@ def _line_path(scenario: Scenario, spec: LoopSpec,
 
 def _run_fock_verify(scenario, task, paths):
     reports = fock.identity_reports(
-        scenario.algebra_n, task["cutoff"], level=scenario.level,
-        identities=task["identities"], mode_range=task["mode_range"],
-        tol=task["tolerance"], charge=task["charge"],
+        scenario.algebra_n, task["cutoff"], identities=task["identities"],
+        mode_range=task["mode_range"], tol=task["tolerance"], charge=task["charge"],
         dim_limit=scenario.dim_limit)
     ok = all(r["pass"] for r in reports)
     result = {"status": "pass" if ok else "fail",

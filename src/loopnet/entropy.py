@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSplittableError, NumericError, VerificationError
-from .lie import AlgebraElement, CompactSimpleAlgebra
-from .loops import _eig_factor, _exp_profile
+from .lie import CompactSimpleAlgebra, as_generator, eig_antihermitian, exp_profile
+from .loops import GridLoop, circle_grid, factor_product
 from .quadrature import PanelPartition, panel_partition
 
 __all__ = [
@@ -187,11 +187,9 @@ class LinePath:
         self.factors = []
         self._eig = []
         for x, profile in factors:
-            xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
-            if not np.allclose(xm.conj().T, -xm, atol=1e-12):
-                raise ValueError("path generators must be anti-hermitian")
+            xm = as_generator(x, algebra.n)
             self.factors.append((xm, profile))
-            self._eig.append(_eig_factor(xm))   # xm = u diag(i d) u^dagger
+            self._eig.append(eig_antihermitian(xm))   # xm = u diag(i d) u^dagger
         self._partitions: dict[float, PanelPartition] = {}
 
     @property
@@ -208,12 +206,10 @@ class LinePath:
     def evaluate(self, us) -> np.ndarray:
         """Path values, shape (len(us), n, n)."""
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        n = self.algebra.n
-        out = np.broadcast_to(np.eye(n, dtype=complex), (len(us), n, n)).copy()
-        for (xm, profile), (u_mat, d) in zip(self.factors, self._eig):
-            g = _exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
-            out = np.einsum("jab,jbc->jac", out, g)
-        return out
+        return factor_product(
+            [(eig, np.asarray(profile.value(us), dtype=float))
+             for (_, profile), eig in zip(self.factors, self._eig)],
+            len(us), self.algebra.n)
 
     def current_square(self, us) -> np.ndarray:
         """<g' g^-1, g' g^-1>(u) for the trace form, computed by the product rule."""
@@ -225,7 +221,7 @@ class LinePath:
             fp = np.asarray(profile.derivative(us), dtype=float)
             conj = np.einsum("jab,bc,jdc->jad", prefix, xm, prefix.conj())
             m += fp[:, None, None] * conj
-            g = _exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
+            g = exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
             prefix = np.einsum("jab,jbc->jac", prefix, g)
         vals = np.einsum("jab,jba->j", m, m)
         return vals.real
@@ -496,9 +492,7 @@ def cayley_inverse(path: SampledPath, n_samples: int):
     digits; NumericError names the grid indices that do not (for instance
     when ``n_samples`` is not a divisor of the transferred grid's size).
     """
-    from .loops import GridLoop
-
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_grid(n_samples)
     n = path.algebra.n
     samples = np.broadcast_to(np.eye(n, dtype=complex),
                               (n_samples, n, n)).copy()

@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .affine_data import LevelData
+from .affine_data import LevelData, level_data
 from .errors import CapacityError, WindowError
 from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
-from .loops import FourierLoopElement, bracket_elements, central_term_B
+from .loops import (FourierLoopElement, GridLoop, bracket_elements,
+                    central_term_B, circle_grid, cocycle_c, fourier_modes)
 
 __all__ = [
     "TruncatedFockSpace",
@@ -53,7 +53,6 @@ __all__ = [
     "pi_element",
     "vacuum_cocycle_check",
     "hs_defect",
-    "implement_exponential",
     "adjoint_action_check",
     "commutator",
     "identity_reports",
@@ -563,35 +562,11 @@ def hs_defect(fourier_data, window: int) -> HSReport:
 
 
 # ---------------------------------------------------------------------------
-# Exponentials and adjoint-action verification
+# Adjoint-action verification
 # ---------------------------------------------------------------------------
 
-def _check_exponentiable(space: TruncatedFockSpace, x: FourierLoopElement) -> None:
-    if not x.real_form:
-        raise ValueError("implementer needs a real-form element")
-    modes = x.modes()
-    if modes and max(abs(k) for k in modes) > space.cutoff // 4:
-        raise WindowError("element modes exceed cutoff/4; exponential would "
-                          "be truncation-dominated")
-
-
-def implement_exponential(space: TruncatedFockSpace,
-                          x: FourierLoopElement) -> FockOperator:
-    """Unitary implementer exp(pi(X)) of the loop exp(X), as a dense exponential.
-
-    Exactness degrades with energy (the exponential mixes all grades), so the
-    result carries no protected columns; use ``adjoint_action_check`` for a
-    quantitative report instead of trusting the matrix blindly.
-    """
-    _check_exponentiable(space, x)
-    px = pi_element(space, x)
-    mat = scipy.linalg.expm(px.dense())
-    return FockOperator(scipy.sparse.csr_matrix(mat), space, None, -1,
-                        space.cutoff)
-
-
 def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
-                         y: FourierLoopElement, level: float = 1.0,
+                         y: FourierLoopElement,
                          block_energy: int | None = None,
                          n_samples: int = 256,
                          tolerance: float = 1e-6) -> dict:
@@ -603,16 +578,18 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     the residual is truncation-limited and measured on columns with energy
     at most ``block_energy`` (default cutoff/4).  Only those columns of the
     left-hand side are formed, by the action of the exponentials on them.
+    The element X must be real-form with modes at most cutoff/4.
     """
     import scipy.sparse.linalg
 
-    from . import loops as _loops
-
+    if not x.real_form:
+        raise ValueError("implementer needs a real-form element")
+    if max(map(abs, x.modes()), default=0) > space.cutoff // 4:
+        raise WindowError("element modes exceed cutoff/4; exponential would "
+                          "be truncation-dominated")
     if block_energy is None:
         block_energy = space.cutoff // 4
-    algebra = x.algebra
     gamma = _loop_of_element(x, n_samples)
-    _check_exponentiable(space, x)
     cols = np.flatnonzero(space.energies <= block_energy)
     e_cols = np.zeros((space.dim, len(cols)), dtype=complex)
     e_cols[cols, np.arange(len(cols))] = 1.0
@@ -620,33 +597,23 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     py = pi_element(space, y).matrix
     lhs = scipy.sparse.linalg.expm_multiply(
         px, py @ scipy.sparse.linalg.expm_multiply(-px, e_cols))
-    thetas = gamma.thetas
-    ys = y.evaluate(thetas)
+    ys = y.evaluate(gamma.thetas)
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
-    hats = np.fft.fft(conj, axis=0) / n_samples
-    ks = np.fft.fftfreq(n_samples, d=1.0 / n_samples).astype(int)
+    ks, hats, norms = fourier_modes(conj)
     keep = {int(k): hats[i] for i, k in enumerate(ks)
-            if abs(k) <= space.cutoff and np.linalg.norm(hats[i]) > 1e-13}
-    ady = FourierLoopElement(keep, algebra)
-    c_val = _loops.cocycle_c(gamma, y, level)
+            if abs(k) <= space.cutoff and norms[i] > 1e-13}
+    ady = FourierLoopElement(keep, x.algebra)
+    c_val = cocycle_c(gamma, y)
     rhs = pi_element(space, ady).matrix[:, cols].toarray() + (1j * c_val) * e_cols
     residual = float(np.abs(lhs - rhs).max(initial=0.0))
-    return {
-        "identity": "adjoint-action",
-        "block": int(block_energy),
-        "residual_max": residual,
-        "tolerance": tolerance,
-        "pass": bool(residual <= tolerance),
-        "scalar_part": c_val,
-    }
+    return _report("adjoint-action", block_energy, residual, tolerance,
+                   scalar_part=c_val)
 
 
-def _loop_of_element(x: FourierLoopElement, n_samples: int):
+def _loop_of_element(x: FourierLoopElement, n_samples: int) -> GridLoop:
     """Pointwise exponential exp(X(theta)) of a real-form element on the grid."""
-    from .loops import GridLoop
-
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
-    return GridLoop(exp_antihermitian(x.evaluate(thetas)), x.algebra)
+    return GridLoop(exp_antihermitian(x.evaluate(circle_grid(n_samples))),
+                    x.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +628,7 @@ def _report(identity, block, residual, tol, **extra):
     return rep
 
 
-def identity_reports(n: int, cutoff: int, level: int = 1,
+def identity_reports(n: int, cutoff: int,
                      identities: tuple[str, ...] = ("affine", "commutator",
                                                     "virasoro", "rotation",
                                                     "adjoint", "vacuum-cocycle"),
@@ -670,14 +637,13 @@ def identity_reports(n: int, cutoff: int, level: int = 1,
                      dim_limit: int | None = None) -> list[dict]:
     """Run the operator-identity suite on the truncated level-1 model.
 
-    Returns one report dict per identity with the worst residual over the
+    The central terms are those of level 1, the level of the fermionic
+    representation.  Returns one report dict per identity with the worst residual over the
     protected block.  ``charge`` restricts to a sector (cheaper, equally
     exact for these charge-preserving identities).
     """
-    from .affine_data import level_data as _level_data
-
     algebra = build_su(n)
-    data = _level_data(algebra, level)
+    data = level_data(algebra, 1)
     space = build_fock(n, cutoff, charge=charge, dim_limit=dim_limit)
     rng = np.random.default_rng(seed)
     reports = []
@@ -701,7 +667,7 @@ def identity_reports(n: int, cutoff: int, level: int = 1,
                     lhs = commutator(current(space, xm, a), current(space, ym, b))
                     rhs = current(space, brk, a + b)
                     if a + b == 0:
-                        rhs = rhs + (a * level * pairing) * identity_operator(space)
+                        rhs = rhs + (a * pairing) * identity_operator(space)
                     resid = lhs - rhs
                     worst = max(worst, resid.max_protected_abs())
                     block = min(block, resid.protected_energy)
@@ -770,16 +736,16 @@ def identity_reports(n: int, cutoff: int, level: int = 1,
             x = _random_polynomial(algebra, rng, half)
             y = _random_polynomial(algebra, rng, half)
             got = vacuum_cocycle_check(space, x, y)
-            want = 1j * level * central_term_B(x, y)
+            want = 1j * central_term_B(x, y)
             worst = max(worst, abs(got - want))
         reports.append(_report("vacuum-cocycle", 0, worst, max(tol, 1e-12)))
 
     return reports
 
 
-def _random_polynomial(algebra: CompactSimpleAlgebra, rng, max_mode: int,
-                       real_form: bool = True) -> FourierLoopElement:
-    """Random finitely supported element; real-form by hermitian pairing."""
+def _random_polynomial(algebra: CompactSimpleAlgebra, rng,
+                       max_mode: int) -> FourierLoopElement:
+    """Random finitely supported real-form element, by hermitian pairing."""
     coeffs: dict[int, np.ndarray] = {}
     modes = rng.integers(1, max_mode + 1, size=2)
     for k in modes:
@@ -787,8 +753,7 @@ def _random_polynomial(algebra: CompactSimpleAlgebra, rng, max_mode: int,
         a = sum(rng.normal() * algebra.basis[i] + 1j * rng.normal() * algebra.basis[i]
                 for i in range(algebra.dimension))
         coeffs[k] = coeffs.get(k, 0) + a
-        if real_form:
-            coeffs[-k] = coeffs.get(-k, 0) + (-a.conj().T)
+        coeffs[-k] = coeffs.get(-k, 0) + (-a.conj().T)
     z = sum(rng.normal() * algebra.basis[i] for i in range(algebra.dimension))
     coeffs[0] = coeffs.get(0, 0) + z
-    return FourierLoopElement(coeffs, algebra, real_form=real_form or None)
+    return FourierLoopElement(coeffs, algebra, real_form=True)

@@ -25,7 +25,10 @@ __all__ = [
     "basic_form",
     "bracket",
     "center_elements",
+    "as_generator",
+    "eig_antihermitian",
     "exp_antihermitian",
+    "exp_profile",
     "group_exp",
     "simple_type_record",
     "simple_type_table",
@@ -184,6 +187,28 @@ def group_exp(x: AlgebraElement) -> np.ndarray:
     if not np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12):
         raise NumericError("exponential is not unitary to tolerance")
     return u
+
+
+def as_generator(x, n: int) -> np.ndarray:
+    """The (n, n) matrix of an AlgebraElement or array, anti-hermitian to 1e-12."""
+    xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
+    if xm.shape != (n, n):
+        raise ValueError(f"generator shape {xm.shape}, expected {(n, n)}")
+    if not np.allclose(xm.conj().T, -xm, atol=_ATOL):
+        raise ValueError("generators must be anti-hermitian")
+    return xm
+
+
+def eig_antihermitian(x_matrix: np.ndarray):
+    """Eigendecomposition X = U diag(i d) U* of an anti-hermitian matrix."""
+    w, u = np.linalg.eigh(1j * x_matrix)   # hermitian; X = -i * (i X)
+    return u, -w                            # X = U diag(i * (-w)) U*
+
+
+def exp_profile(u: np.ndarray, d: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """exp(f X) for all f in f_vals at once, X = U diag(i d) U*."""
+    phases = np.exp(1j * np.outer(f_vals, d))
+    return np.einsum("ab,jb,cb->jac", u, phases, u.conj())
 
 
 def exp_antihermitian(stack: np.ndarray) -> np.ndarray:

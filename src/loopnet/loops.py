@@ -29,7 +29,8 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .lie import AlgebraElement, CompactSimpleAlgebra, exp_antihermitian
+from .lie import (AlgebraElement, CompactSimpleAlgebra, as_generator,
+                  eig_antihermitian, exp_antihermitian, exp_profile)
 
 __all__ = [
     "FourierLoopElement",
@@ -48,6 +49,9 @@ __all__ = [
     "cocycle_b_field",
     "split_loop",
     "semidirect_exp",
+    "circle_grid",
+    "fourier_modes",
+    "factor_product",
     "kernel_bound_check",
     "kernel_bound_sweep",
     "loop_from_factors",
@@ -59,6 +63,8 @@ _DROP = 1e-16          # coefficients below this Frobenius norm are discarded
 _REALITY_TOL = 1e-12
 _TAIL_GUARD = 1e-10    # relative tail mass allowed above mode N/4
 _FLOW_STEPS = 1000     # RK4 steps of the flow to the farthest Gauss node time
+_ODE_DT = 1e-3         # step of the RK4 integration that verifies semidirect_exp
+_ODE_TOL = 1e-6        # sup-norm gap allowed between closed form and integration
 
 
 class FourierLoopElement:
@@ -290,7 +296,7 @@ class GridLoop:
 
     @property
     def thetas(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n_samples) / self.n_samples
+        return circle_grid(self.n_samples)
 
     def inverse(self) -> "GridLoop":
         return GridLoop(self.samples.conj().transpose(0, 2, 1), self.algebra,
@@ -310,16 +316,21 @@ def identity_loop(algebra: CompactSimpleAlgebra, n_samples: int = 256) -> GridLo
     return GridLoop(eye, algebra, check=False)
 
 
-def _eig_factor(x_matrix: np.ndarray):
-    """Eigendecomposition X = U diag(i d) U* of an anti-hermitian matrix."""
-    w, u = np.linalg.eigh(1j * x_matrix)   # hermitian; X = -i * (i X)
-    return u, -w                            # X = U diag(i * (-w)) U*
+def circle_grid(n_samples: int) -> np.ndarray:
+    """The grid angles theta_j = 2 pi j / N, j = 0, ..., N - 1."""
+    return 2 * np.pi * np.arange(n_samples) / n_samples
 
 
-def _exp_profile(u: np.ndarray, d: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-    """exp(f X) for all f in f_vals at once, X = U diag(i d) U*."""
-    phases = np.exp(1j * np.outer(f_vals, d))
-    return np.einsum("ab,jb,cb->jac", u, phases, u.conj())
+def factor_product(factors, n_samples: int, n: int) -> np.ndarray:
+    """Samples of prod_j exp(f_j X_j), shape (n_samples, n, n).
+
+    ``factors`` are ((U, d), f) pairs: the ``eig_antihermitian`` of X_j and
+    its real profile values on the samples.  No factors give the identity.
+    """
+    out = np.broadcast_to(np.eye(n, dtype=complex), (n_samples, n, n)).copy()
+    for (u, d), f_vals in factors:
+        out = np.einsum("jab,jbc->jac", out, exp_profile(u, d, f_vals))
+    return out
 
 
 def loop_from_factors(algebra: CompactSimpleAlgebra,
@@ -327,11 +338,10 @@ def loop_from_factors(algebra: CompactSimpleAlgebra,
                                           Callable[[np.ndarray], np.ndarray] | ScalarField]],
                       n_samples: int = 256) -> GridLoop:
     """Pointwise product of exponentials exp(f_j(theta) X_j) on the grid."""
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
-    samples = np.broadcast_to(np.eye(algebra.n, dtype=complex),
-                              (n_samples, algebra.n, algebra.n)).copy()
+    thetas = circle_grid(n_samples)
+    pairs = []
     for x, profile in factors:
-        xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
+        xm = as_generator(x, algebra.n)
         if isinstance(profile, ScalarField):
             f_vals = profile.evaluate(thetas)
             if np.abs(f_vals.imag).max() > 1e-12:
@@ -339,19 +349,25 @@ def loop_from_factors(algebra: CompactSimpleAlgebra,
             f_vals = f_vals.real
         else:
             f_vals = np.asarray(profile(thetas), dtype=float)
-        u, d = _eig_factor(xm)
-        samples = np.einsum("jab,jbc->jac", samples, _exp_profile(u, d, f_vals))
-    return GridLoop(samples, algebra)
+        pairs.append((eig_antihermitian(xm), f_vals))
+    return GridLoop(factor_product(pairs, n_samples, algebra.n), algebra)
 
 
-def loop_fourier_coefficients(gamma: GridLoop, drop: float = 1e-14) -> dict[int, np.ndarray]:
-    """Matrix-valued Fourier coefficients of the sampled loop."""
-    n_samp = gamma.n_samples
-    hats = np.fft.fft(gamma.samples, axis=0) / n_samp
+def fourier_modes(samples: np.ndarray):
+    """(k, c_k, |c_k|): integer modes, coefficients FFT / N and their
+    Frobenius norms, of samples on the uniform grid, in FFT order."""
+    n_samp = samples.shape[0]
+    hats = np.fft.fft(samples, axis=0) / n_samp
     ks = np.fft.fftfreq(n_samp, d=1.0 / n_samp).astype(int)
-    scale = max(np.linalg.norm(hats[i]) for i in range(n_samp))
-    return {int(k): hats[i] for i, k in enumerate(ks)
-            if np.linalg.norm(hats[i]) > drop * scale}
+    return ks, hats, np.linalg.norm(hats.reshape(n_samp, -1), axis=1)
+
+
+def loop_fourier_coefficients(gamma: GridLoop) -> dict[int, np.ndarray]:
+    """Matrix-valued Fourier coefficients of the sampled loop, those above
+    1e-14 of the largest."""
+    ks, hats, norms = fourier_modes(gamma.samples)
+    scale = norms.max()
+    return {int(k): hats[i] for i, k in enumerate(ks) if norms[i] > 1e-14 * scale}
 
 
 def _spectral_derivative(samples: np.ndarray) -> np.ndarray:
@@ -364,11 +380,9 @@ def _spectral_derivative(samples: np.ndarray) -> np.ndarray:
 
 def _check_resolution(gamma: GridLoop) -> None:
     n_samp = gamma.n_samples
-    hats = np.fft.fft(gamma.samples, axis=0) / n_samp
-    ks = np.abs(np.fft.fftfreq(n_samp, d=1.0 / n_samp).astype(int))
-    norms = np.linalg.norm(hats.reshape(n_samp, -1), axis=1)
+    ks, _, norms = fourier_modes(gamma.samples)
     scale = norms.max()
-    tail = norms[ks >= n_samp // 4].max(initial=0.0)
+    tail = norms[np.abs(ks) >= n_samp // 4].max(initial=0.0)
     if tail > _TAIL_GUARD * scale:
         raise ResolutionError(
             f"Fourier tail {tail / scale:.2e} above mode N/4 exceeds {_TAIL_GUARD}; "
@@ -399,11 +413,10 @@ def maurer_cartan(gamma: GridLoop, side: str = "right") -> FourierLoopElement:
     gamma' gamma^-1 (right)."""
     cur = _current_samples(gamma, side)
     n_samp = gamma.n_samples
-    hats = np.fft.fft(cur, axis=0) / n_samp
-    ks = np.fft.fftfreq(n_samp, d=1.0 / n_samp).astype(int)
-    scale = max(np.linalg.norm(hats.reshape(n_samp, -1), axis=1).max(), 1e-300)
+    ks, hats, norms = fourier_modes(cur)
+    scale = max(norms.max(), 1e-300)
     coeffs = {int(k): hats[i] for i, k in enumerate(ks)
-              if abs(k) < n_samp // 2 and np.linalg.norm(hats[i]) > 1e-14 * scale}
+              if abs(k) < n_samp // 2 and norms[i] > 1e-14 * scale}
     elem = FourierLoopElement(coeffs, gamma.algebra)
     # reality a_{-k} = -(a_k)^dagger is automatic after the pointwise
     # anti-hermitian projection; assert rather than re-project
@@ -556,7 +569,7 @@ def _flow_angles(h: ScalarField, thetas: np.ndarray,
 def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
                      t: float, n_samples: int, dt: float) -> np.ndarray:
     """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma."""
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_grid(n_samples)
     xs = x.evaluate(thetas)
     hv = h.evaluate(thetas).real[:, None, None]
     gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
@@ -578,8 +591,8 @@ def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
 
 def semidirect_exp(x: FourierLoopElement, alpha: float,
                    h: ScalarField | None = None, t: float = 1.0,
-                   n_samples: int = 256, verify: bool = True,
-                   ode_dt: float = 1e-3, tol: float = 1e-6) -> tuple[GridLoop, float]:
+                   n_samples: int = 256,
+                   verify: bool = True) -> tuple[GridLoop, float]:
     """Exponential exp(t(X + alpha h)) in the semidirect product with the flow of h.
 
     Returns the loop part and the accumulated flow time alpha * t.  The loop
@@ -601,9 +614,9 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
 
         d gamma/dt = X gamma - alpha h d_theta gamma
 
-    and a VerificationError carrying the sup-norm residual is raised above
-    ``tol``; this is also what rejects closed forms for non-commuting
-    generator families.
+    in steps of _ODE_DT, and a VerificationError carrying the sup-norm
+    residual is raised above _ODE_TOL; this is also what rejects closed
+    forms for non-commuting generator families.
     """
     if not x.real_form:
         raise ValueError("semidirect exponential needs a real-form element")
@@ -611,7 +624,7 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
         h = ScalarField.constant(1.0)
     if not h.real:
         raise ValueError("the flow field must be real")
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_grid(n_samples)
     rotation = alpha * t
     is_rigid = h.modes() in ([], [0])
     n = x.algebra.n
@@ -635,11 +648,11 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     samples = exp_antihermitian(ys)
     loop = GridLoop(samples, x.algebra)
     if verify:
-        ode = _ode_exponential(x, alpha, h, t, n_samples, ode_dt)
+        ode = _ode_exponential(x, alpha, h, t, n_samples, _ODE_DT)
         resid = float(np.abs(samples - ode).max())
-        if resid > tol:
+        if resid > _ODE_TOL:
             raise VerificationError(
-                f"closed form vs ODE integration differ by {resid:.2e} > {tol:.1e}",
+                f"closed form vs ODE integration differ by {resid:.2e} > {_ODE_TOL:.1e}",
                 resid)
     return loop, rotation
 

@@ -18,13 +18,14 @@ collapsing to the constant loop h exactly when h is central.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CompositionUnsupportedError, LoopnetError
-from .lie import AlgebraElement, CompactSimpleAlgebra, center_elements
-from .loops import GridLoop, ScalarField, _eig_factor, _exp_profile
+from .lie import (CompactSimpleAlgebra, as_generator, center_elements,
+                  eig_antihermitian)
+from .loops import GridLoop, ScalarField, circle_grid, factor_product
 
 __all__ = [
     "PeriodicFactor",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _JUMP_TOL = 1e-10
+_JUMP_CHECKS = 32   # base points at which the twist is compared
 
 
 class InvalidSolitonError(LoopnetError, ValueError):
@@ -57,14 +59,12 @@ class PeriodicFactor:
     generator: np.ndarray
     profile: ScalarField
 
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """The real profile values f(x)."""
         f = self.profile.evaluate(xs)
         if np.abs(f.imag).max(initial=0.0) > 1e-12:
             raise ValueError("periodic factor profile must be real")
-        return _exp_profile(*_eig_factor(self.generator), f.real)
-
-    def inverse(self) -> "PeriodicFactor":
-        return PeriodicFactor(-self.generator, self.profile)
+        return f.real
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,9 @@ class LinearFactor:
 
     generator: np.ndarray
 
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return _exp_profile(*_eig_factor(self.generator),
-                            np.asarray(xs, dtype=float))
-
-    def inverse(self) -> "LinearFactor":
-        return LinearFactor(-self.generator)
-
-
-def _as_antihermitian(x, n: int) -> np.ndarray:
-    xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
-    if xm.shape != (n, n):
-        raise ValueError(f"generator shape {xm.shape}, expected {(n, n)}")
-    if not np.allclose(xm.conj().T, -xm, atol=1e-12):
-        raise ValueError("generators must be anti-hermitian")
-    return xm
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """The profile values, x itself."""
+        return np.asarray(xs, dtype=float)
 
 
 class SolitonPath:
@@ -95,26 +83,21 @@ class SolitonPath:
 
     def __init__(self, algebra: CompactSimpleAlgebra, factors: list):
         self.algebra = algebra
-        checked = []
-        for f in factors:
-            if isinstance(f, (PeriodicFactor, LinearFactor)):
-                _as_antihermitian(f.generator, algebra.n)
-                checked.append(f)
-            else:
+        self.factors = list(factors)
+        for f in self.factors:
+            if not isinstance(f, (PeriodicFactor, LinearFactor)):
                 raise TypeError(f"unsupported factor {type(f)}")
-        self.factors = checked
+            as_generator(f.generator, algebra.n)
 
     @staticmethod
     def linear(algebra: CompactSimpleAlgebra, a) -> "SolitonPath":
-        return SolitonPath(algebra, [LinearFactor(_as_antihermitian(a, algebra.n))])
+        return SolitonPath(algebra, [LinearFactor(as_generator(a, algebra.n))])
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        n = self.algebra.n
-        out = np.broadcast_to(np.eye(n, dtype=complex), (len(xs), n, n)).copy()
-        for f in self.factors:
-            out = np.einsum("jab,jbc->jac", out, f.evaluate(xs))
-        return out
+        return factor_product(
+            [(eig_antihermitian(f.generator), f.values(xs)) for f in self.factors],
+            len(xs), self.algebra.n)
 
     def is_torus_valued(self) -> bool:
         """True when every generator is diagonal (common maximal torus)."""
@@ -124,13 +107,13 @@ class SolitonPath:
             for f in self.factors)
 
 
-def jump(zeta: SolitonPath, n_checks: int = 32) -> np.ndarray:
+def jump(zeta: SolitonPath) -> np.ndarray:
     """The twist h = zeta(x)^{-1} zeta(x + 2 pi), verified x-independent.
 
-    Evaluates the profile formula at ``n_checks`` sample points and raises
+    Evaluates the profile formula at _JUMP_CHECKS sample points and raises
     InvalidSolitonError when the twist varies beyond 1e-10.
     """
-    xs = np.linspace(0.0, 2 * math.pi, n_checks, endpoint=False)
+    xs = np.linspace(0.0, 2 * math.pi, _JUMP_CHECKS, endpoint=False)
     vals = zeta.evaluate(xs)
     shifted = zeta.evaluate(xs + 2 * math.pi)
     twists = np.einsum("jba,jbc->jac", vals.conj(), shifted)
@@ -167,7 +150,7 @@ def zeta_t(zeta: SolitonPath, t: float, n_samples: int = 256) -> GridLoop:
     grid to 1e-10 by comparing against the twisted extension over one period.
     """
     jump(zeta)  # validates the path
-    phis = 2 * np.pi * np.arange(n_samples) / n_samples
+    phis = circle_grid(n_samples)
     left = zeta.evaluate(phis)
     right = zeta.evaluate(phis - t)
     samples = np.einsum("jab,jcb->jac", left, right.conj())
@@ -214,8 +197,8 @@ def compose(zeta: SolitonPath, eta: SolitonPath) -> SolitonPath:
 
 def inverse(zeta: SolitonPath) -> SolitonPath:
     """Pointwise inverse; has the inverse jump."""
-    return SolitonPath(zeta.algebra,
-                       [f.inverse() for f in reversed(zeta.factors)])
+    return SolitonPath(zeta.algebra, [replace(f, generator=-f.generator)
+                                      for f in reversed(zeta.factors)])
 
 
 def equivalence_key(zeta: SolitonPath) -> np.ndarray:
@@ -234,14 +217,8 @@ def equivalence_key(zeta: SolitonPath) -> np.ndarray:
 def conjugate(zeta: SolitonPath, g: np.ndarray) -> SolitonPath:
     """The conjugated family x -> g zeta(x) g^{-1}."""
     g = np.asarray(g, dtype=complex)
-    factors = []
-    for f in zeta.factors:
-        gen = g @ f.generator @ g.conj().T
-        if isinstance(f, PeriodicFactor):
-            factors.append(PeriodicFactor(gen, f.profile))
-        else:
-            factors.append(LinearFactor(gen))
-    return SolitonPath(zeta.algebra, factors)
+    return SolitonPath(zeta.algebra, [replace(f, generator=g @ f.generator @ g.conj().T)
+                                      for f in zeta.factors])
 
 
 def keys_conjugate(key_a: np.ndarray, key_b: np.ndarray,

@@ -308,6 +308,7 @@ MALFORMED = [
     ("verify", "/tasks/0/tolerance", "x", "/tasks/0/tolerance"),
     ("verify", "/tasks/0/charge", "x", "/tasks/0/charge"),
     ("verify", "/tasks/0/mode_range", 1.5, "/tasks/0/mode_range"),
+    ("verify", "/algebra/level", 2, "/algebra/level"),
     ("soliton", "/tasks/5/soliton", {"lineer": {"basis": 0}},
      "/tasks/5/soliton/lineer"),
     ("soliton", "/tasks/5/soliton", 5, "/tasks/5/soliton"),

@@ -53,6 +53,12 @@ def test_energy_density_examples(su2):
     assert np.all(entropy.energy_density(g, us) >= 0)
 
 
+def test_line_path_without_factors_is_identity(su2):
+    us = np.linspace(-2.0, 2.0, 7)
+    vals = entropy.LinePath(su2, []).evaluate(us)
+    assert np.array_equal(vals, np.broadcast_to(np.eye(2), (7, 2, 2)))
+
+
 def test_energy_density_conjugation_invariance(su2):
     rng = np.random.default_rng(0)
     g = lie.group_exp(su2.element(

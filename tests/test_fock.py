@@ -320,20 +320,6 @@ def test_hs_defect_tail_warning():
 # Exponential implementers
 # ---------------------------------------------------------------------------
 
-def test_implement_exponential_zero(su2):
-    space = fock.build_fock(2, 4)
-    u = fock.implement_exponential(space, FourierLoopElement({}, su2))
-    assert np.abs(u.dense() - np.eye(space.dim)).max() < 1e-14
-
-
-def test_implement_exponential_window(su2):
-    space = fock.build_fock(2, 4)
-    a = su2.basis[0]
-    x = FourierLoopElement({2: a, -2: a}, su2)
-    with pytest.raises(WindowError):
-        fock.implement_exponential(space, x)
-
-
 def test_implement_exponential_first_order(su2):
     # e^{eps pi(X)} pi(Y) e^{-eps pi(X)} - pi(Y) - eps [pi(X), pi(Y)] = O(eps^2)
     space = fock.build_fock(2, 4)

@@ -6,14 +6,15 @@ matrix entry at a time, with the target row found in the space's dict
 index.  It shares no code with the vectorized hop table, so agreement to
 1e-14 checks the sign parity, the row lookup and the mode range of the new
 path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
-``implement_exponential`` route, against which the column-restricted
-``expm_multiply`` route is compared.
+``implement_exponential`` route, the whole exp(pi(X)) by ``scipy.linalg.expm``,
+against which the column-restricted ``expm_multiply`` route is compared.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from loopnet import affine_data, fock, lie, loops
@@ -225,14 +226,30 @@ def test_vacuum_cocycle_protection_matches_full_matrix_route(
         assert abs(fock.vacuum_cocycle_check(space, x, y) - want) <= 1e-14
 
 
-def _oracle_adjoint_residual(space, x, y, level=1.0, block_energy=None,
-                             n_samples=256):
+def implement_exponential(space, x):
+    """Unitary implementer exp(pi(X)) of the loop exp(X), as a dense exponential.
+
+    Exactness degrades with energy (the exponential mixes all grades), so the
+    result carries no protected columns.
+    """
+    mat = scipy.linalg.expm(fock.pi_element(space, x).dense())
+    return fock.FockOperator(scipy.sparse.csr_matrix(mat), space, None, -1,
+                             space.cutoff)
+
+
+def test_implement_exponential_zero(su2):
+    space = fock.build_fock(2, 4)
+    u = implement_exponential(space, FourierLoopElement({}, su2))
+    assert np.abs(u.dense() - np.eye(space.dim)).max() < 1e-14
+
+
+def _oracle_adjoint_residual(space, x, y, block_energy=None, n_samples=256):
     """Residual of the adjoint-action check by the dense route: the whole
     exp(pi(X)) from ``implement_exponential`` and sparse products with it."""
     if block_energy is None:
         block_energy = space.cutoff // 4
     gamma = fock._loop_of_element(x, n_samples)
-    u = fock.implement_exponential(space, x)
+    u = implement_exponential(space, x)
     lhs = (u @ fock.pi_element(space, y)) @ u.adjoint()
     ys = y.evaluate(gamma.thetas)
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
@@ -241,7 +258,7 @@ def _oracle_adjoint_residual(space, x, y, level=1.0, block_energy=None,
     keep = {int(k): hats[i] for i, k in enumerate(ks)
             if abs(k) <= space.cutoff and np.linalg.norm(hats[i]) > 1e-13}
     ady = FourierLoopElement(keep, x.algebra)
-    c_val = loops.cocycle_c(gamma, y, level)
+    c_val = loops.cocycle_c(gamma, y)
     rhs = fock.pi_element(space, ady) + (1j * c_val) * fock.identity_operator(space)
     return fock._max_abs_on_columns((lhs - rhs).matrix,
                                     space.energies <= block_energy)

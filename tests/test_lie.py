@@ -169,3 +169,27 @@ def test_exp_antihermitian_matches_expm(su3):
     assert np.abs(got - scipy.linalg.expm(x)).max() <= 1e-13
     assert np.array_equal(lie.exp_antihermitian(np.zeros((3, 3, 3))),
                           np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exp_profile_matches_expm(n):
+    import scipy.linalg
+
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(20 + n)
+    x = np.einsum("i,iab->ab", rng.normal(size=algebra.dimension), algebra.basis)
+    fs = np.array([0.0, 1.0, -1.0, 0.35, -2.6])
+    got = lie.exp_profile(*lie.eig_antihermitian(x), fs)
+    assert got.shape == (len(fs), n, n)
+    for f, g in zip(fs, got):
+        assert np.abs(g - scipy.linalg.expm(f * x)).max() <= 1e-13
+
+
+def test_as_generator(su2):
+    x = su2.basis[1]
+    assert np.array_equal(lie.as_generator(su2.basis_element(1), 2), x)
+    assert np.array_equal(lie.as_generator(x.tolist(), 2), x)
+    with pytest.raises(ValueError, match="generator shape"):
+        lie.as_generator(np.zeros((3, 3)), 2)
+    with pytest.raises(ValueError, match="generators must be anti-hermitian"):
+        lie.as_generator(1j * x, 2)

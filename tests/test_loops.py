@@ -177,6 +177,25 @@ def test_maurer_cartan_product_rule(su2):
     assert np.abs(vals - expect).max() < 1e-11
 
 
+def test_loop_from_factors_without_factors_is_identity(su2):
+    gamma = loops.loop_from_factors(su2, [], 16)
+    assert np.array_equal(gamma.samples, np.broadcast_to(np.eye(2), (16, 2, 2)))
+
+
+def test_fourier_modes_of_known_samples(su2):
+    a, b = su2.basis[0], su2.basis[1]
+    th = loops.circle_grid(16)
+    assert np.array_equal(th, loops.identity_loop(su2, 16).thetas)
+    samples = 0.5 * a + np.exp(3j * th)[:, None, None] * b
+    ks, hats, norms = loops.fourier_modes(samples)
+    assert sorted(ks) == list(range(-8, 8))
+    want = {0: 0.5 * a, 3: b}
+    for k, c, nrm in zip(ks, hats, norms):
+        w = want.get(int(k), np.zeros((2, 2)))
+        assert np.abs(c - w).max() < 1e-15
+        assert nrm == pytest.approx(np.linalg.norm(w), abs=1e-15)
+
+
 def test_resolution_guard(su2):
     f = lambda th: 0.8 * np.sin(7 * th)
     loop = loops.loop_from_factors(su2, [(su2.basis[0], f)], 16)

@@ -163,3 +163,9 @@ def test_conjugated_family(su2, quarter_twist):
     assert np.abs(key - want).max() < 1e-12
     assert soliton.keys_conjugate(key, soliton.jump(quarter_twist))
     assert not soliton.keys_conjugate(key, np.eye(2))
+
+
+def test_path_without_factors_is_identity(su3):
+    xs = np.linspace(-7.0, 7.0, 9)
+    vals = SolitonPath(su3, []).evaluate(xs)
+    assert np.array_equal(vals, np.broadcast_to(np.eye(3), (9, 3, 3)))
