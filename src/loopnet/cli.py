@@ -336,8 +336,9 @@ def _grid(v, pointer, _, task) -> tuple:
 
 
 def _cutoff(v, pointer, top, task) -> int:
-    """An energy cutoff whose truncated space fits the dimension limit."""
-    cutoff = _int(v, pointer)
+    """An energy cutoff of at least 2, the smallest the identity suite can
+    probe, whose truncated space fits the dimension limit."""
+    cutoff = _int(v, pointer, minimum=2)
     try:
         fock._check_capacity(top["algebra"][0].n, cutoff, task["charge"],
                              top["dim_limit"])
@@ -372,10 +373,6 @@ def _element(v, pointer, top, _) -> loops.FourierLoopElement:
     return loops.FourierLoopElement(coeffs, algebra)
 
 
-_IDENTITY_NAMES = ("affine", "commutator", "virasoro", "rotation", "adjoint",
-                   "vacuum-cocycle")
-
-
 def _named(suffix):
     """Default artifact name: the task's loop name plus ``suffix``."""
     return lambda _, task: task["loop"].name + suffix
@@ -387,7 +384,7 @@ _TASK_FIELDS = {
         "charge": (_optional(functools.partial(_int, minimum=None)), None),
         "cutoff": (_cutoff, lambda top, _: top["fock_cutoff"]),
         "identities": (functools.partial(
-            _list, item=_choice(*_IDENTITY_NAMES)), list(_IDENTITY_NAMES)),
+            _list, item=_choice(*fock.IDENTITIES)), list(fock.IDENTITIES)),
         "tolerance": (_positive, lambda top, _: top["tolerances"]["identity"]),
         "mode_range": (_int, 2)},
     "entropy-profile": {"loop": (_loop_ref("line"), _REQUIRED),
@@ -576,7 +573,7 @@ def _run_bekenstein(scenario, task, paths):
     rows = []
     ok = True
     for r in task["radii"]:
-        rep = entropy.bekenstein_check(path, r)
+        rep = entropy.bekenstein_check(path, r, scenario.tolerances["quadrature"])
         ok = ok and rep.holds
         rows.append({"r": r, "interval_entropy": float(rep.interval_entropy),
                      "bound": float(rep.bound), "holds": rep.holds,
@@ -759,10 +756,10 @@ def _config_free_scenario(args) -> Scenario | None:
     """Build a minimal scenario from flags when no --config was given."""
     if args.command == "verify" and args.algebra:
         ids = (args.identities.split(",") if args.identities
-               else list(_IDENTITY_NAMES))
+               else list(fock.IDENTITIES))
         cfg = {"algebra": {"family": args.algebra, "level": 1},
                "tasks": [{"task": "fock-verify", "identities": ids,
-                          **({"cutoff": args.cutoff} if args.cutoff else {})}]}
+                          **({} if args.cutoff is None else {"cutoff": args.cutoff})}]}
         return validate_config(json.dumps(cfg))
     if args.command == "alcove" and args.algebra:
         cfg = {"algebra": {"family": args.algebra,

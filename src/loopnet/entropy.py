@@ -217,12 +217,13 @@ class LinePath:
         n = self.algebra.n
         m = np.zeros((len(us), n, n), dtype=complex)
         prefix = np.broadcast_to(np.eye(n, dtype=complex), (len(us), n, n)).copy()
-        for (xm, profile), (u_mat, d) in zip(self.factors, self._eig):
+        for i, ((xm, profile), (u_mat, d)) in enumerate(zip(self.factors, self._eig)):
             fp = np.asarray(profile.derivative(us), dtype=float)
             conj = np.einsum("jab,bc,jdc->jad", prefix, xm, prefix.conj())
             m += fp[:, None, None] * conj
-            g = exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
-            prefix = np.einsum("jab,jbc->jac", prefix, g)
+            if i + 1 < len(self.factors):   # only a later factor reads the prefix
+                g = exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
+                prefix = np.einsum("jab,jbc->jac", prefix, g)
         vals = np.einsum("jab,jba->j", m, m)
         return vals.real
 
@@ -310,10 +311,11 @@ class BekensteinReport:
     ratio: float
 
 
-def bekenstein_check(path: LinePath, r: float) -> BekensteinReport:
+def bekenstein_check(path: LinePath, r: float,
+                     tol: float = _QUAD_TOL) -> BekensteinReport:
     """Evaluate S_(-r,r) against pi r E; holds structurally (weight <= r/2)."""
-    s = entropy_interval(path, r)
-    bound = math.pi * r * total_energy(path)
+    s = entropy_interval(path, r, tol)
+    bound = math.pi * r * total_energy(path, tol)
     ratio = s / bound if bound > 0 else (0.0 if s == 0 else math.inf)
     return BekensteinReport(s, bound, s <= bound + 1e-12, ratio)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse
@@ -56,23 +56,18 @@ __all__ = [
     "adjoint_action_check",
     "commutator",
     "identity_reports",
+    "IDENTITIES",
     "DEFAULT_DIM_LIMIT",
 ]
 
 DEFAULT_DIM_LIMIT = 20000
 MASK_BITS = 64   # occupation masks are np.uint64 words
-
-
-def _dim_limit(explicit: int | None) -> int:
-    return DEFAULT_DIM_LIMIT if explicit is None else explicit
+_ADJOINT_SAMPLES = 256   # circle grid of gamma = exp(X) in adjoint_action_check
 
 
 def _occupation_mask(n: int, cutoff: int, particles, holes) -> int:
     """Window bitmask: filled sea below 0, minus holes, plus particles."""
-    mask = 0
-    for k in range(-cutoff, 0):
-        for j in range(n):
-            mask |= 1 << ((k + cutoff) * n + j)
+    mask = (1 << cutoff * n) - 1   # the n * cutoff window modes k < 0
     for (k, j) in particles:
         mask |= 1 << ((k + cutoff) * n + j)
     for (k, j) in holes:
@@ -108,7 +103,7 @@ def _check_capacity(n: int, cutoff: int, charge: int | None,
     The (2*cutoff+1)*n window modes are the bits of one np.uint64 occupation
     mask, so wider windows are refused rather than truncated.
     """
-    limit = _dim_limit(dim_limit)
+    limit = DEFAULT_DIM_LIMIT if dim_limit is None else dim_limit
     total = _count_states(n, cutoff, charge)
     if total > limit:
         raise CapacityError(
@@ -198,10 +193,7 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
                        holes + [(-k, j) for j in hsub], out)
 
     configs: list[tuple[tuple, tuple]] = []
-    if cutoff >= 1:
-        extend(1, cutoff, [], [], configs)
-    else:
-        configs.append(((), ()))
+    extend(1, cutoff, [], [], configs)   # cutoff 0: the one empty configuration
     # (particles, holes) configurations by the charge they add to the zero modes
     by_charge: dict[int, list] = {}
     for particles, holes in configs:
@@ -221,19 +213,14 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
                 states.append((energy, q, p_all, tuple(sorted(holes))))
     states.sort()
 
-    space_masks, energies, charges, occupations = [], [], [], []
-    for energy, q, particles, holes in states:
-        mask = _occupation_mask(n, cutoff, particles, holes)
-        space_masks.append(mask)
-        energies.append(energy)
-        charges.append(q)
-        occupations.append((particles, holes))
+    occupations = [(particles, holes) for _, _, particles, holes in states]
+    space_masks = [_occupation_mask(n, cutoff, *occ) for occ in occupations]
     index = {m: i for i, m in enumerate(space_masks)}
     if len(index) != len(space_masks):
         raise RuntimeError("duplicate states in enumeration")
     return TruncatedFockSpace(n, cutoff, charge, space_masks,
-                              np.array(energies, dtype=int),
-                              np.array(charges, dtype=int),
+                              np.array([e for e, _, _, _ in states], dtype=int),
+                              np.array([q for _, q, _, _ in states], dtype=int),
                               occupations, index)
 
 
@@ -552,8 +539,7 @@ def hs_defect(fourier_data, window: int) -> HSReport:
             if g is not None:
                 big[offsets[p]:offsets[p] + n, offsets[q]:offsets[q] + n] = g
     pdiag = np.zeros(size)
-    for p in range(0, window + 1):
-        pdiag[offsets[p]:offsets[p] + n] = 1.0
+    pdiag[offsets[0]:] = 1.0   # the modes q >= 0 come last
     comm = pdiag[:, None] * big - big * pdiag[None, :]
     truncated_value = float(np.linalg.norm(comm) ** 2)
     gap = abs(truncated_value - fourier_value) / fourier_value if fourier_value else 0.0
@@ -568,7 +554,6 @@ def hs_defect(fourier_data, window: int) -> HSReport:
 def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
                          y: FourierLoopElement,
                          block_energy: int | None = None,
-                         n_samples: int = 256,
                          tolerance: float = 1e-6) -> dict:
     """Report on e^{pi(X)} pi(Y) e^{-pi(X)} = pi(Ad(gamma) Y) + i c(gamma, Y).
 
@@ -589,7 +574,7 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
                           "be truncation-dominated")
     if block_energy is None:
         block_energy = space.cutoff // 4
-    gamma = _loop_of_element(x, n_samples)
+    gamma = _loop_of_element(x, _ADJOINT_SAMPLES)
     cols = np.flatnonzero(space.energies <= block_energy)
     e_cols = np.zeros((space.dim, len(cols)), dtype=complex)
     e_cols[cols, np.arange(len(cols))] = 1.0
@@ -620,6 +605,10 @@ def _loop_of_element(x: FourierLoopElement, n_samples: int) -> GridLoop:
 # Identity suites (consumed by the CLI and the tests)
 # ---------------------------------------------------------------------------
 
+IDENTITIES = ("affine", "commutator", "virasoro", "rotation", "adjoint",
+              "vacuum-cocycle")
+
+
 def _report(identity, block, residual, tol, **extra):
     rep = {"identity": identity, "block": int(block),
            "residual_max": float(residual), "tolerance": float(tol),
@@ -629,26 +618,30 @@ def _report(identity, block, residual, tol, **extra):
 
 
 def identity_reports(n: int, cutoff: int,
-                     identities: tuple[str, ...] = ("affine", "commutator",
-                                                    "virasoro", "rotation",
-                                                    "adjoint", "vacuum-cocycle"),
+                     identities: tuple[str, ...] = IDENTITIES,
                      mode_range: int = 2, tol: float = 1e-10,
                      charge: int | None = None, seed: int = 7,
                      dim_limit: int | None = None) -> list[dict]:
     """Run the operator-identity suite on the truncated level-1 model.
 
     The central terms are those of level 1, the level of the fermionic
-    representation.  Returns one report dict per identity with the worst residual over the
-    protected block.  ``charge`` restricts to a sector (cheaper, equally
-    exact for these charge-preserving identities).
+    representation.  Returns one report dict per identity, in ``IDENTITIES``
+    order, with the worst residual over the protected block.  ``charge``
+    restricts to a sector (cheaper, equally exact for these
+    charge-preserving identities).
     """
+    unknown = [name for name in identities if name not in IDENTITIES]
+    if unknown:
+        raise ValueError(f"unknown identities {unknown}; known: {IDENTITIES}")
+    if cutoff < 2:
+        raise WindowError(f"the identity suite needs cutoff >= 2, got {cutoff}")
     algebra = build_su(n)
     data = level_data(algebra, 1)
     space = build_fock(n, cutoff, charge=charge, dim_limit=dim_limit)
     rng = np.random.default_rng(seed)
-    reports = []
     # keep every probed mode (including sums a+b) inside the cutoff window
     mode_range = max(1, min(mode_range, cutoff // 2))
+    modes = range(-mode_range, mode_range + 1)
 
     basis = [algebra.basis[i] for i in range(algebra.dimension)]
     pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
@@ -656,90 +649,86 @@ def identity_reports(n: int, cutoff: int,
         sel = rng.choice(len(pair_idx), size=12, replace=False)
         pair_idx = [pair_idx[int(s)] for s in sel]
 
-    if "affine" in identities:
-        worst, block = 0.0, cutoff
+    # each mode operator is built once per call: currents by (generator
+    # bytes, mode), so equal brackets share one, and L_m by mode
+    currents: dict[tuple[bytes, int], FockOperator] = {}
+
+    def cur(xm: np.ndarray, m: int) -> FockOperator:
+        key = (xm.tobytes(), m)
+        if key not in currents:
+            currents[key] = current(space, xm, m)
+        return currents[key]
+
+    lmode = cache(lambda m: sugawara(space, m, data))
+
+    def affine():
         for (i, j) in pair_idx:
             xm, ym = basis[i], basis[j]
             brk = xm @ ym - ym @ xm
             pairing = complex(np.trace(xm @ ym))
-            for a in range(-mode_range, mode_range + 1):
-                for b in range(-mode_range, mode_range + 1):
-                    lhs = commutator(current(space, xm, a), current(space, ym, b))
-                    rhs = current(space, brk, a + b)
+            for a in modes:
+                for b in modes:
+                    lhs = commutator(cur(xm, a), cur(ym, b))
+                    rhs = cur(brk, a + b)
                     if a + b == 0:
                         rhs = rhs + (a * pairing) * identity_operator(space)
-                    resid = lhs - rhs
-                    worst = max(worst, resid.max_protected_abs())
-                    block = min(block, resid.protected_energy)
-        reports.append(_report("affine", block, worst, tol))
+                    yield lhs - rhs
 
-    need_l = ("commutator" in identities) or ("virasoro" in identities)
-    lmodes = {}
-    if need_l:
-        l_max = min(2 * mode_range, cutoff // 2)
-        for m in range(-l_max, l_max + 1):
-            lmodes[m] = sugawara(space, m, data)
+    def stress_current():
+        for m in modes:
+            for k in modes:
+                yield (commutator(lmode(m), cur(basis[0], k))
+                       + float(k) * cur(basis[0], m + k))
 
-    if "commutator" in identities:
-        worst, block = 0.0, cutoff
-        xm = basis[0]
-        for m in range(-mode_range, mode_range + 1):
-            for k in range(-mode_range, mode_range + 1):
-                resid = commutator(lmodes[m], current(space, xm, k)) \
-                    + float(k) * current(space, xm, m + k)
-                worst = max(worst, resid.max_protected_abs())
-                block = min(block, resid.protected_energy)
-        reports.append(_report("commutator", block, worst, tol))
-
-    if "virasoro" in identities:
-        worst, block = 0.0, cutoff
+    def virasoro():
         c_val = float(data.central_charge)
-        for a in range(-mode_range, mode_range + 1):
-            for b in range(-mode_range, mode_range + 1):
-                if a + b not in lmodes and a != b:
-                    continue
-                resid = commutator(lmodes[a], lmodes[b])
+        for a in modes:
+            for b in modes:
+                if abs(a + b) > cutoff // 2 and a != b:
+                    continue   # L_{a+b} is outside the Sugawara window
+                resid = commutator(lmode(a), lmode(b))
                 if a != b:
-                    resid = resid - float(a - b) * lmodes[a + b]
+                    resid = resid - float(a - b) * lmode(a + b)
                 if a + b == 0:
                     central = c_val * a * (a * a - 1) / 12.0
                     resid = resid - central * identity_operator(space)
-                worst = max(worst, resid.max_protected_abs())
-                block = min(block, resid.protected_energy)
-        reports.append(_report("virasoro", block, worst, tol))
+                yield resid
 
-    if "rotation" in identities:
-        worst, block = 0.0, cutoff
+    def rotation():
         d_op = rotation_generator(space)
-        xm = basis[0]
-        for m in range(-mode_range, mode_range + 1):
-            xop = current(space, xm, m)
-            resid = commutator(d_op, xop) + float(m) * xop
-            worst = max(worst, resid.max_protected_abs())
-            block = min(block, resid.protected_energy)
-        reports.append(_report("rotation", block, worst, tol))
+        for m in modes:
+            yield commutator(d_op, cur(basis[0], m)) + float(m) * cur(basis[0], m)
 
-    if "adjoint" in identities:
-        worst, block = 0.0, cutoff
+    def adjoint():
         for i in range(min(3, len(basis))):
             for m in range(0, mode_range + 1):
-                xop = current(space, basis[i], m)
-                resid = xop.adjoint() + current(space, basis[i], -m)
-                worst = max(worst, resid.max_protected_abs())
-                block = min(block, resid.protected_energy)
-        reports.append(_report("adjoint", block, worst, tol))
+                yield cur(basis[i], m).adjoint() + cur(basis[i], -m)
 
-    if "vacuum-cocycle" in identities and charge in (None, 0):
-        worst = 0.0
-        half = max(1, cutoff // 2)
+    def vacuum_cocycle():   # scalars on the vacuum, hence block 0
         for _ in range(10):
-            x = _random_polynomial(algebra, rng, half)
-            y = _random_polynomial(algebra, rng, half)
-            got = vacuum_cocycle_check(space, x, y)
-            want = 1j * central_term_B(x, y)
-            worst = max(worst, abs(got - want))
-        reports.append(_report("vacuum-cocycle", 0, worst, max(tol, 1e-12)))
+            x = _random_polynomial(algebra, rng, cutoff // 2)
+            y = _random_polynomial(algebra, rng, cutoff // 2)
+            yield abs(vacuum_cocycle_check(space, x, y) - 1j * central_term_B(x, y))
 
+    # name -> (residuals, starting block, tolerance), in IDENTITIES order
+    suite = {"affine": (affine, cutoff, tol),
+             "commutator": (stress_current, cutoff, tol),
+             "virasoro": (virasoro, cutoff, tol),
+             "rotation": (rotation, cutoff, tol),
+             "adjoint": (adjoint, cutoff, tol),
+             "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
+    reports = []
+    for name, (residuals, block, tolerance) in suite.items():
+        if (name not in identities
+                or name == "vacuum-cocycle" and charge not in (None, 0)):
+            continue
+        worst = 0.0
+        for resid in residuals():
+            if isinstance(resid, FockOperator):
+                block = min(block, resid.protected_energy)
+                resid = resid.max_protected_abs()
+            worst = max(worst, resid)
+        reports.append(_report(name, block, worst, tolerance))
     return reports
 
 
@@ -747,9 +736,7 @@ def _random_polynomial(algebra: CompactSimpleAlgebra, rng,
                        max_mode: int) -> FourierLoopElement:
     """Random finitely supported real-form element, by hermitian pairing."""
     coeffs: dict[int, np.ndarray] = {}
-    modes = rng.integers(1, max_mode + 1, size=2)
-    for k in modes:
-        k = int(k)
+    for k in map(int, rng.integers(1, max_mode + 1, size=2)):
         a = sum(rng.normal() * algebra.basis[i] + 1j * rng.normal() * algebra.basis[i]
                 for i in range(algebra.dimension))
         coeffs[k] = coeffs.get(k, 0) + a

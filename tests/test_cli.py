@@ -207,6 +207,38 @@ def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
     assert len(built) == 2
 
 
+def test_bekenstein_uses_scenario_quadrature(tmp_path, monkeypatch):
+    built = []
+
+    class CapturingPath(entropy.LinePath):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "LinePath", CapturingPath)
+    scenario = cli.validate_config(scenario_text(
+        tolerances={"quadrature": 1e-3},
+        tasks=[{"task": "bekenstein", "loop": "gauss", "radii": [0.5, 1.0]}]))
+    assert cli.run_scenario(scenario, out_dir=str(tmp_path)).passed
+    (path,) = built
+    assert list(path._partitions) == [1e-3]
+    rows = json.loads((tmp_path / "gauss_bekenstein.json").read_text())
+    for row in rows:
+        rep = entropy.bekenstein_check(path, row["r"], 1e-3)
+        assert row == {"r": row["r"],
+                       "interval_entropy": float(rep.interval_entropy),
+                       "bound": float(rep.bound), "holds": rep.holds,
+                       "ratio": float(rep.ratio)}
+
+
+def test_config_free_verify_rejects_cutoff_zero(tmp_path, capsys):
+    rc = cli.main(["verify", "--algebra", "su2", "--cutoff", "0",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error: /tasks/0/cutoff:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_entry_points(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(scenario_text(tasks=[{"task": "alcove"}]))
@@ -305,6 +337,7 @@ MALFORMED = [
     ("alcove", "/tasks/4/out", 5, "/tasks/4/out"),
     ("alcove", "/tasks/4/out", "sub/alcove", "/tasks/4/out"),
     ("verify", "/tasks/0/cutoff", True, "/tasks/0/cutoff"),
+    ("verify", "/tasks/0/cutoff", 1, "/tasks/0/cutoff"),
     ("verify", "/tasks/0/tolerance", "x", "/tasks/0/tolerance"),
     ("verify", "/tasks/0/charge", "x", "/tasks/0/charge"),
     ("verify", "/tasks/0/mode_range", 1.5, "/tasks/0/mode_range"),

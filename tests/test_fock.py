@@ -152,6 +152,44 @@ def test_identity_suite_su3_cutoff8_sector():
         assert r["pass"], r
 
 
+def test_identity_reports_rejects_unknown_names():
+    with pytest.raises(ValueError, match="afine"):
+        fock.identity_reports(2, 4, identities=("afine", "rotation"))
+
+
+def test_identity_reports_follow_identities_order():
+    reports = fock.identity_reports(
+        2, 4, identities=tuple(reversed(fock.IDENTITIES)))
+    assert tuple(r["identity"] for r in reports) == fock.IDENTITIES
+
+
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_identity_reports_need_cutoff_two(cutoff):
+    with pytest.raises(WindowError, match="cutoff >= 2"):
+        fock.identity_reports(2, cutoff, identities=("commutator",))
+
+
+def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
+    builds = []
+    current, sugawara = fock.current, fock.sugawara
+
+    def counting_current(space, x, m):
+        builds.append(("current", np.asarray(x).tobytes(), m))
+        return current(space, x, m)
+
+    def counting_sugawara(space, m, data):
+        builds.append(("sugawara", m))
+        return sugawara(space, m, data)
+
+    monkeypatch.setattr(fock, "current", counting_current)
+    monkeypatch.setattr(fock, "sugawara", counting_sugawara)
+    for n, cutoff, charge in [(2, 6, None), (3, 4, 0)]:
+        builds.clear()
+        reports = fock.identity_reports(n, cutoff, charge=charge)
+        assert all(r["pass"] for r in reports)
+        assert builds and len(set(builds)) == len(builds)
+
+
 def test_rotation_commutator_sign(space6, su2):
     d = fock.rotation_generator(space6)
     x1 = fock.current(space6, su2.basis[0], 1)
