@@ -443,7 +443,8 @@ def _grid_samples(v, pointer, *_) -> int:
 _SCENARIO_FIELDS = {
     "algebra": (_algebra, {"family": "su2"}),
     "grid_samples": (_grid_samples, 256),
-    "fock_cutoff": (_int, 6),
+    # the cutoff of fock-verify tasks without their own, held to the same minimum
+    "fock_cutoff": (functools.partial(_int, minimum=2), 6),
     "dim_limit": (_optional(_int), None),
     "tolerances": (_object({"quadrature": (_positive, 1e-10),
                             "identity": (_positive, 1e-10),

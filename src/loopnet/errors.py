@@ -61,7 +61,8 @@ class WindowError(LoopnetError, ValueError):
 class CapacityError(LoopnetError, ValueError):
     """Estimated state-space dimension exceeds the configured limit.
 
-    Carries ``estimate``, the exact dimension that was requested.
+    Carries ``estimate``, the dimension that was requested, or a lower bound
+    on it when the count stopped early (the message then says "at least").
     """
 
     def __init__(self, message, estimate):

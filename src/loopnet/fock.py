@@ -75,10 +75,18 @@ def _occupation_mask(n: int, cutoff: int, particles, holes) -> int:
     return mask
 
 
-def _count_states(n: int, cutoff: int, charge: int | None) -> int:
-    """Exact dimension via the two-variable generating polynomial."""
+def _dimension_bounds(n: int, cutoff: int, charge: int | None):
+    """Lower bounds on the dimension, from the two-variable generating
+    polynomial: the number of states using only the window modes |k| <= K,
+    for K = 0, ..., cutoff.  The last is the exact dimension."""
     # counts[(energy, charge)] -> number of configurations, energy <= cutoff
     counts = {(0, 0): 1}
+
+    def total():   # times the zero-mode subsets of each size
+        return sum(c * math.comb(n, size) for (_, q), c in counts.items()
+                   for size in range(n + 1) if charge is None or q + size == charge)
+
+    yield total()
     for k in range(1, cutoff + 1):
         for dq in (1, -1):  # particle at +k / hole at -k, both cost k
             for _ in range(n):
@@ -88,11 +96,12 @@ def _count_states(n: int, cutoff: int, charge: int | None) -> int:
                         key = (e + k, q + dq)
                         new[key] = new.get(key, 0) + c
                 counts = new
-    total = 0
-    for (e, q), c in counts.items():
-        for size in range(n + 1):
-            if charge is None or q + size == charge:
-                total += c * math.comb(n, size)
+        yield total()
+
+
+def _count_states(n: int, cutoff: int, charge: int | None) -> int:
+    """Exact dimension of the truncated space."""
+    *_, total = _dimension_bounds(n, cutoff, charge)
     return total
 
 
@@ -101,14 +110,19 @@ def _check_capacity(n: int, cutoff: int, charge: int | None,
     """Raise ``CapacityError`` unless the space fits the limit and a mask word.
 
     The (2*cutoff+1)*n window modes are the bits of one np.uint64 occupation
-    mask, so wider windows are refused rather than truncated.
+    mask, so wider windows are refused rather than truncated.  A space that
+    fits the mask is cheap to count exactly; the count of a wider one, which
+    grows fast with the cutoff, stops once its lower bound passes the limit.
     """
     limit = DEFAULT_DIM_LIMIT if dim_limit is None else dim_limit
-    total = _count_states(n, cutoff, charge)
-    if total > limit:
-        raise CapacityError(
-            f"truncated dimension {total} exceeds limit {limit}", total)
     width = (2 * cutoff + 1) * n
+    for k, total in enumerate(_dimension_bounds(n, cutoff, charge)):
+        if width > MASK_BITS and total > limit:
+            break
+    if total > limit:
+        least = "at least " if k < cutoff else ""
+        raise CapacityError(
+            f"truncated dimension {least}{total} exceeds limit {limit}", total)
     if width > MASK_BITS:
         raise CapacityError(
             f"occupation mask needs (2*{cutoff}+1)*{n} = {width} bits, "

@@ -33,7 +33,8 @@ def _run_worker(tmp_path, workload, *flags):
     return json.loads(result.read_text())
 
 
-@pytest.mark.parametrize("workload", ["operator_suites", "entropy_profiles"])
+@pytest.mark.parametrize("workload", ["operator_suites", "entropy_profiles",
+                                      "oneshot_sweep"])
 def test_traced_workload_passes_its_checks(tmp_path, workload):
     result = _run_worker(tmp_path, workload, "--trace")
     assert result["checks_total"] > 0

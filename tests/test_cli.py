@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ def test_capacity_surfaced_at_validation():
     with pytest.raises(ConfigError) as err:
         cli.validate_config(text)
     assert "dimension" in str(err.value)
+
+
+def test_inherited_cutoff_error_names_fock_cutoff():
+    text = scenario_text(fock_cutoff=1, tasks=[{"task": "fock-verify"}])
+    with pytest.raises(ConfigError) as err:
+        cli.validate_config(text)
+    assert err.value.pointer == "/fock_cutoff"
+
+
+def test_large_cutoff_refused_quickly_at_validation():
+    text = scenario_text(tasks=[{"task": "fock-verify", "cutoff": 400}])
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as err:
+        cli.validate_config(text)
+    assert time.perf_counter() - start < 0.25
+    assert err.value.pointer == "/tasks/0/cutoff"
+    assert "dimension at least" in str(err.value)
 
 
 def test_mask_width_surfaced_at_validation():
@@ -338,6 +356,7 @@ MALFORMED = [
     ("alcove", "/tasks/4/out", "sub/alcove", "/tasks/4/out"),
     ("verify", "/tasks/0/cutoff", True, "/tasks/0/cutoff"),
     ("verify", "/tasks/0/cutoff", 1, "/tasks/0/cutoff"),
+    ("verify", "/fock_cutoff", 1, "/fock_cutoff"),
     ("verify", "/tasks/0/tolerance", "x", "/tasks/0/tolerance"),
     ("verify", "/tasks/0/charge", "x", "/tasks/0/charge"),
     ("verify", "/tasks/0/mode_range", 1.5, "/tasks/0/mode_range"),

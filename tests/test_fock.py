@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_capacity_error():
     with pytest.raises(CapacityError) as err:
         fock.build_fock(2, 6, dim_limit=100)
     assert err.value.estimate == 1520
+    assert "at least" not in str(err.value)   # fits the mask: counted exactly
+
+
+def test_capacity_count_stops_early_past_the_mask():
+    # su2 at cutoff 400 is far too wide for the mask; the full count takes
+    # seconds, while its lower bound passes the limit after a few modes
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="dimension at least") as err:
+        fock.build_fock(2, 400)
+    assert time.perf_counter() - start < 0.25
+    assert err.value.estimate > fock.DEFAULT_DIM_LIMIT
 
 
 @pytest.mark.parametrize("n, cutoff, dim, dim_limit",

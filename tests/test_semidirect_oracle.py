@@ -1,9 +1,15 @@
-"""The one-pass flow of ``loops.semidirect_exp`` against the per-node passes.
+"""``loops.semidirect_exp`` and its ODE check against the original routines.
 
-``_flow_angles_per_node`` below is the original routine: a separate
+``_flow_angles_per_node`` below is the original flow: a separate
 1000-step RK4 pass from the grid angles for every Gauss node time, each
 with its own step time/1000.  The one-pass flow visits the node times in
 order of size and never takes a longer step, so the two agree to rounding.
+
+``_ode_exponential_pointwise`` is the original ODE check: RK4 on the grid
+samples, with X and Re h applied pointwise and d_theta by an FFT pair in
+every stage.  ``loops._ode_exponential`` applies the same RK4 recurrence
+to the same semi-discrete operator as one sparse Fourier-space step map,
+so the two agree to rounding.
 """
 
 import math
@@ -11,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from loopnet import loops
+from loopnet import lie, loops
+from loopnet.errors import VerificationError
 from loopnet.loops import FourierLoopElement, ScalarField
 
 
@@ -141,3 +148,121 @@ def test_semidirect_negative_alpha_passes_ode_check(su2):
     loop, rot = loops.semidirect_exp(x, -1.2, h, 0.9, 128, verify=True)
     assert rot == pytest.approx(-1.2 * 0.9)
     assert math.isfinite(float(np.abs(loop.samples).max()))
+
+
+# ---------------------------------------------------------------------------
+# The ODE check
+# ---------------------------------------------------------------------------
+
+def _spectral_derivative(samples):
+    n_samp = samples.shape[0]
+    hats = np.fft.fft(samples, axis=0)
+    ks = np.fft.fftfreq(n_samp, d=1.0 / n_samp)
+    ks[n_samp // 2] = 0.0  # zero the unpaired Nyquist mode
+    return np.fft.ifft(1j * ks[:, None, None] * hats, axis=0)
+
+
+def _ode_exponential_pointwise(x, alpha, h, t, n_samples, dt):
+    """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma."""
+    thetas = loops.circle_grid(n_samples)
+    xs = x.evaluate(thetas)
+    hv = h.evaluate(thetas).real[:, None, None]
+    gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
+                          (n_samples, x.algebra.n, x.algebra.n)).copy()
+
+    def rhs(g):
+        return np.einsum("jab,jbc->jac", xs, g) - alpha * hv * _spectral_derivative(g)
+
+    n_steps = max(1, int(round(abs(t) / dt)))
+    step = t / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(gam)
+        k2 = rhs(gam + 0.5 * step * k1)
+        k3 = rhs(gam + 0.5 * step * k2)
+        k4 = rhs(gam + step * k3)
+        gam = gam + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return gam
+
+
+def _cos_element(algebra, amplitude, direction):
+    x0 = np.einsum("i,iab->ab", np.asarray(direction), algebra.basis)
+    return FourierLoopElement({1: amplitude * x0, -1: amplitude * x0}, algebra)
+
+
+def _real_form(algebra, modes):
+    """sum_k c_k B_k e^{ik theta} plus its mirror -c_k^* B_k^dagger e^{-ik theta}."""
+    coeffs = {}
+    for k, (c, i) in modes.items():
+        b = algebra.basis[i]
+        coeffs[k] = coeffs.get(k, 0) + c * b
+        coeffs[-k] = coeffs.get(-k, 0) - np.conj(c) * b.conj().T
+    return FourierLoopElement(coeffs, algebra, real_form=True)
+
+
+def _ode_cases():
+    su2, su3 = lie.build_su(2), lie.build_su(3)
+    return [
+        # the benchmark's seed-3 inputs, N = 256
+        ("bench-rigid", _cos_element(su2, 0.3585649167143624,
+                                     [-0.9639838129186612, 0.15770475218982766,
+                                      -0.2141597991396718]),
+         1.0, ScalarField.constant(1.0), 1.0, 256),
+        ("bench-general", _cos_element(su2, 0.2594128642240399,
+                                       [-0.10544421577028558, -0.9879343967346355,
+                                        -0.11343343911369938]),
+         0.7, _GENERAL, 1.0, 256),
+        ("negative-alpha-and-t",
+         _real_form(su2, {0: (0.3j, 1), 1: (0.2 + 0.1j, 0), 2: (0.1, 2)}),
+         -0.8, ScalarField({0: 0.9, 1: 0.1 - 0.2j, -1: 0.1 + 0.2j}), -0.6, 128),
+        ("t-zero", _real_form(su2, {1: (0.4, 0)}), 1.0, _GENERAL, 0.0, 64),
+        ("su3-two-mode-complex-h",
+         _real_form(su3, {0: (0.2j, 7), 1: (0.25 - 0.1j, 0), 2: (0.1j, 4)}),
+         0.9, ScalarField({0: 1.1, 1: 0.12 + 0.08j, -1: 0.12 - 0.08j,
+                           2: -0.05 + 0.06j, -2: -0.05 - 0.06j}), 1.0, 512),
+        # X modes 32 = N/2 and 40 > N/2 alias onto the grid's modes mod N
+        ("aliased-x-modes", _real_form(su2, {32: (0.2, 0), 40: (0.15j, 1),
+                                             3: (0.2, 2)}),
+         0.6, _GENERAL, 0.5, 64),
+        # c_{-k} = conj(c_k) only to ~1e-13: the ODE uses Re h
+        ("h-reality-off-1e-13", _real_form(su2, {1: (0.3, 0), 0: (0.2j, 1)}),
+         0.7, ScalarField({0: 1.0 + 1e-13j, 1: 0.15 + 0.1j,
+                           -1: 0.15 - 0.1j + 1e-13}, real=True), 1.0, 128),
+    ]
+
+
+_ODE_CASES = _ode_cases()
+
+
+@pytest.mark.parametrize("name,x,alpha,h,t,n_samples", _ODE_CASES,
+                         ids=[c[0] for c in _ODE_CASES])
+def test_ode_step_map_matches_pointwise_rk4(name, x, alpha, h, t, n_samples):
+    got = loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT)
+    want = _ode_exponential_pointwise(x, alpha, h, t, n_samples, loops._ODE_DT)
+    assert got.shape == want.shape == (n_samples, x.algebra.n, x.algebra.n)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_ode_uses_the_real_part_of_h():
+    # the h of the last case against the field of its real part,
+    # (h_k + conj(h_-k)) / 2, given exactly
+    _, x, alpha, h, t, n_samples = _ODE_CASES[-1]
+    re_h = ScalarField({k: 0.5 * (h.coefficients.get(k, 0.0)
+                                  + np.conj(h.coefficients.get(-k, 0.0)))
+                        for k in (-1, 0, 1)})
+    got = loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT)
+    want = loops._ode_exponential(x, alpha, re_h, t, n_samples, loops._ODE_DT)
+    assert np.array_equal(got, want)
+
+
+def test_noncommuting_rejection_residual_matches_pointwise_rk4(su2):
+    # the input of test_semidirect_noncommuting_rejected
+    x = FourierLoopElement({1: 0.6 * su2.basis[0], -1: 0.6 * su2.basis[0],
+                            0: 0.8 * su2.basis[1]}, su2)
+    loop, _ = loops.semidirect_exp(x, 1.0, None, 1.0, 128, verify=False)
+    ode = _ode_exponential_pointwise(x, 1.0, ScalarField.constant(1.0), 1.0, 128,
+                                     loops._ODE_DT)
+    want = float(np.abs(loop.samples - ode).max())
+    with pytest.raises(VerificationError) as err:
+        loops.semidirect_exp(x, 1.0, None, 1.0, 128)
+    assert want > loops._ODE_TOL
+    assert err.value.residual == pytest.approx(want, abs=1e-12)
