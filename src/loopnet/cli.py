@@ -66,6 +66,18 @@ _SUBCOMMAND_TASKS = {
 _REQUIRED = object()   # table default of a key that must be given
 
 
+@dataclass(frozen=True)
+class _Inherited:
+    """Table default copied from the scenario-level field at ``pointer``;
+    errors in the copy name that field, the one to mend."""
+    pointer: str
+
+    def read(self, top):
+        for key in self.pointer.split("/")[1:]:
+            top = top[key]
+        return top
+
+
 def _show(v) -> str:
     return json.dumps(v)[:40]
 
@@ -75,8 +87,9 @@ def _fields(raw, pointer, table, ctx=None) -> dict:
 
     Unknown keys are rejected.  A missing key takes its default, a JSON
     value or a function of (ctx, fields parsed so far) that gives one, and
-    the default is parsed like a given value; ``_REQUIRED`` marks a key
-    without one.  Keys parse in table order.
+    the default is parsed like a given value, an ``_Inherited`` one at its
+    own pointer; ``_REQUIRED`` marks a key without one.  Keys parse in table
+    order.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"must be an object, got {_show(raw)}", pointer)
@@ -85,13 +98,16 @@ def _fields(raw, pointer, table, ctx=None) -> dict:
             raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
     fields = {}
     for key, (parse, default) in table.items():
+        where = f"{pointer}/{key}"
         if key in raw:
             value = raw[key]
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}", pointer)
+        elif isinstance(default, _Inherited):
+            value, where = default.read(ctx), default.pointer
         else:
             value = default(ctx, fields) if callable(default) else default
-        fields[key] = parse(value, f"{pointer}/{key}", ctx, fields)
+        fields[key] = parse(value, where, ctx, fields)
     return fields
 
 
@@ -382,10 +398,10 @@ def _named(suffix):
 _TASK_FIELDS = {
     "fock-verify": {
         "charge": (_optional(functools.partial(_int, minimum=None)), None),
-        "cutoff": (_cutoff, lambda top, _: top["fock_cutoff"]),
+        "cutoff": (_cutoff, _Inherited("/fock_cutoff")),
         "identities": (functools.partial(
             _list, item=_choice(*fock.IDENTITIES)), list(fock.IDENTITIES)),
-        "tolerance": (_positive, lambda top, _: top["tolerances"]["identity"]),
+        "tolerance": (_positive, _Inherited("/tolerances/identity")),
         "mode_range": (_int, 2)},
     "entropy-profile": {"loop": (_loop_ref("line"), _REQUIRED),
                         "grid": (_grid, {}),
@@ -443,8 +459,7 @@ def _grid_samples(v, pointer, *_) -> int:
 _SCENARIO_FIELDS = {
     "algebra": (_algebra, {"family": "su2"}),
     "grid_samples": (_grid_samples, 256),
-    # the cutoff of fock-verify tasks without their own, held to the same minimum
-    "fock_cutoff": (functools.partial(_int, minimum=2), 6),
+    "fock_cutoff": (_int, 6),
     "dim_limit": (_optional(_int), None),
     "tolerances": (_object({"quadrature": (_positive, 1e-10),
                             "identity": (_positive, 1e-10),

@@ -572,19 +572,72 @@ def _flow_angles(h: ScalarField, thetas: np.ndarray,
     return out
 
 
-def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
-                     t: float, n_samples: int, dt: float) -> np.ndarray:
-    """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma.
+def _re_modes(h: ScalarField) -> dict[int, complex]:
+    """Fourier modes of Re h, (h_k + conj(h_-k)) / 2: a "real" ScalarField
+    may be non-real by up to _REALITY_TOL, and the ODE uses its real part."""
+    hc = h.coefficients
+    return {k: 0.5 * (hc.get(k, 0.0) + np.conj(hc.get(-k, 0.0)))
+            for k in set(hc) | {-q for q in hc}}
 
-    The grid's semi-discrete generator A (pointwise X and Re h, the spectral
-    derivative of ``_spectral_derivative``) is linear and constant in time,
-    so each RK4 step of length z is one fixed map
-    P = 1 + zA + (zA)^2/2 + (zA)^3/6 + (zA)^4/24.  On the Fourier
-    coefficients of the columns of gamma, A is sparse: X and h act by
-    circular convolution over their few modes (mod N) and d_theta is diag(ik).
-    P is formed once, as a CSR matrix by Horner's rule, and applied
-    round(|t| / dt) times to the identity, which sits in mode 0; one inverse
-    FFT gives the samples.
+
+def _step_map_pays(x: FourierLoopElement, h: ScalarField, n_samples: int,
+                   n_steps: int) -> bool:
+    """Whether the sparse step map is cheaper than pointwise RK4 here.
+
+    The step map P couples mode m to m + s (mod N) for s in the 4-fold
+    sumset S of the modes of X and h and 0, so it has up to N n^2 |S|
+    nonzeros: few for a few-mode X and h, up to (N n)^2 for many.  Measured
+    costs, in multiply-adds of the sparse product applied to one column
+    (numpy and scipy on one x86 core): forming P ~80 per nonzero, applying
+    it n per nonzero and step, a pointwise step ~150 per entry of the
+    N n^2 samples.  S is built only until it outgrows the bound these
+    costs give.
+    """
+    n = x.algebra.n
+    bound = 150 * n_steps / (n * n_steps + 80)
+    modes = {k % n_samples for k in (*x.coefficients, *_re_modes(h), 0)}
+    reach = {0}
+    for _ in range(4):
+        reach = {(a + b) % n_samples for a in reach for b in modes}
+        if len(reach) > bound:
+            return False
+    return True
+
+
+def _ode_pointwise(x: FourierLoopElement, alpha: float, h: ScalarField,
+                   t: float, n_samples: int, n_steps: int) -> np.ndarray:
+    """RK4 on the grid samples: X and Re h act pointwise and d_theta by an
+    FFT pair in every stage."""
+    thetas = circle_grid(n_samples)
+    xs = x.evaluate(thetas)
+    hv = h.evaluate(thetas).real[:, None, None]
+    gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
+                          (n_samples, x.algebra.n, x.algebra.n)).copy()
+
+    def rhs(g):
+        return np.einsum("jab,jbc->jac", xs, g) - alpha * hv * _spectral_derivative(g)
+
+    step = t / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(gam)
+        k2 = rhs(gam + 0.5 * step * k1)
+        k3 = rhs(gam + 0.5 * step * k2)
+        k4 = rhs(gam + step * k3)
+        gam = gam + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return gam
+
+
+def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
+                  t: float, n_samples: int, n_steps: int) -> np.ndarray:
+    """The RK4 recurrence of ``_ode_pointwise`` as one sparse step map.
+
+    The generator A is linear and constant in time, so each RK4 step of
+    length z is one fixed map P = 1 + zA + (zA)^2/2 + (zA)^3/6 + (zA)^4/24.
+    On the Fourier coefficients of the columns of gamma, X and Re h act by
+    circular convolution over their modes (mod N, so X modes >= N/2 alias
+    as on the grid) and d_theta is diag(ik).  P is formed once, as a CSR
+    matrix by Horner's rule, and applied n_steps times to the identity,
+    which sits in mode 0; one inverse FFT gives the samples.
     """
     n = x.algebra.n
     modes = np.arange(n_samples)
@@ -600,14 +653,10 @@ def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
     for k, a in x.coefficients.items():
         gen += scipy.sparse.kron(shift(k, np.ones(n_samples)), a)
     deriv = -alpha * _derivative_symbol(n_samples)
-    hc = h.coefficients
-    for k in set(hc) | {-q for q in hc}:
-        # the ODE uses Re h, whose modes are (h_k + conj(h_-k)) / 2
-        coeff = 0.5 * (hc.get(k, 0.0) + np.conj(hc.get(-k, 0.0)))
+    for k, coeff in _re_modes(h).items():
         gen += scipy.sparse.kron(shift(k, coeff * deriv), np.eye(n))
-    n_steps = max(1, int(round(abs(t) / dt)))
     step = t / n_steps
-    eye = scipy.sparse.eye_array(size, dtype=complex, format="csr")
+    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
     prop = eye
     for j in (4, 3, 2, 1):
         prop = eye + (step / j) * (gen @ prop)
@@ -621,6 +670,22 @@ def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
         parts = gam.view(float)
         parts[np.abs(parts) < 1e-250] = 0.0
     return np.fft.ifft(gam.reshape(n_samples, n, n), axis=0, norm="forward")
+
+
+def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
+                     t: float, n_samples: int, dt: float) -> np.ndarray:
+    """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma
+    on the grid, in round(|t| / dt) equal steps.
+
+    Both routes run the same recurrence on the same semi-discrete operator
+    (pointwise X and Re h, the spectral derivative of
+    ``_spectral_derivative``), so they agree to rounding; the sparse step
+    map is taken when few Fourier modes couple (``_step_map_pays``).
+    """
+    n_steps = max(1, int(round(abs(t) / dt)))
+    if _step_map_pays(x, h, n_samples, n_steps):
+        return _ode_step_map(x, alpha, h, t, n_samples, n_steps)
+    return _ode_pointwise(x, alpha, h, t, n_samples, n_steps)
 
 
 def semidirect_exp(x: FourierLoopElement, alpha: float,
@@ -648,8 +713,8 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
 
         d gamma/dt = X gamma - alpha h d_theta gamma
 
-    on the grid in steps of _ODE_DT, each step applied as one sparse
-    Fourier-space map (``_ode_exponential``), and a VerificationError
+    on the grid in steps of _ODE_DT (``_ode_exponential``: each step one
+    sparse Fourier-space map when few modes couple), and a VerificationError
     carrying the sup-norm residual is raised above _ODE_TOL; this is also
     what rejects closed forms for non-commuting generator families.
     """

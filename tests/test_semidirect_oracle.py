@@ -5,11 +5,12 @@
 with its own step time/1000.  The one-pass flow visits the node times in
 order of size and never takes a longer step, so the two agree to rounding.
 
-``_ode_exponential_pointwise`` is the original ODE check: RK4 on the grid
+``loops._ode_pointwise`` is the original ODE check: RK4 on the grid
 samples, with X and Re h applied pointwise and d_theta by an FFT pair in
-every stage.  ``loops._ode_exponential`` applies the same RK4 recurrence
-to the same semi-discrete operator as one sparse Fourier-space step map,
-so the two agree to rounding.
+every stage.  ``loops._ode_step_map`` applies the same RK4 recurrence to
+the same semi-discrete operator as one sparse Fourier-space step map, so
+the two agree to rounding; ``loops._ode_exponential`` takes the step map
+when few Fourier modes couple.
 """
 
 import math
@@ -154,34 +155,8 @@ def test_semidirect_negative_alpha_passes_ode_check(su2):
 # The ODE check
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(samples):
-    n_samp = samples.shape[0]
-    hats = np.fft.fft(samples, axis=0)
-    ks = np.fft.fftfreq(n_samp, d=1.0 / n_samp)
-    ks[n_samp // 2] = 0.0  # zero the unpaired Nyquist mode
-    return np.fft.ifft(1j * ks[:, None, None] * hats, axis=0)
-
-
-def _ode_exponential_pointwise(x, alpha, h, t, n_samples, dt):
-    """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma."""
-    thetas = loops.circle_grid(n_samples)
-    xs = x.evaluate(thetas)
-    hv = h.evaluate(thetas).real[:, None, None]
-    gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
-                          (n_samples, x.algebra.n, x.algebra.n)).copy()
-
-    def rhs(g):
-        return np.einsum("jab,jbc->jac", xs, g) - alpha * hv * _spectral_derivative(g)
-
-    n_steps = max(1, int(round(abs(t) / dt)))
-    step = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(gam)
-        k2 = rhs(gam + 0.5 * step * k1)
-        k3 = rhs(gam + 0.5 * step * k2)
-        k4 = rhs(gam + step * k3)
-        gam = gam + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return gam
+def _steps(t):
+    return max(1, int(round(abs(t) / loops._ODE_DT)))
 
 
 def _cos_element(algebra, amplitude, direction):
@@ -236,10 +211,40 @@ _ODE_CASES = _ode_cases()
 @pytest.mark.parametrize("name,x,alpha,h,t,n_samples", _ODE_CASES,
                          ids=[c[0] for c in _ODE_CASES])
 def test_ode_step_map_matches_pointwise_rk4(name, x, alpha, h, t, n_samples):
-    got = loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT)
-    want = _ode_exponential_pointwise(x, alpha, h, t, n_samples, loops._ODE_DT)
+    got = loops._ode_step_map(x, alpha, h, t, n_samples, _steps(t))
+    want = loops._ode_pointwise(x, alpha, h, t, n_samples, _steps(t))
     assert got.shape == want.shape == (n_samples, x.algebra.n, x.algebra.n)
     assert np.abs(got - want).max() <= 1e-13
+    # few modes couple in every case, so the check takes the step map
+    assert np.array_equal(
+        loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT), got)
+
+
+def _many_modes(algebra, top):
+    """A real-form element with every mode 1..top on the first basis element."""
+    return _real_form(algebra, {k: (0.3 / top, 0) for k in range(1, top + 1)})
+
+
+@pytest.mark.parametrize("n,n_samples,top,t,step_map", [
+    (2, 256, 8, 1.0, True),     # 4-fold sumset 65 modes: P ~1.8x faster
+    (2, 256, 12, 1.0, False),   # 97 modes: P ~1.3x slower
+    (3, 512, 4, 1.0, True),     # 33 modes: P ~2.9x faster
+    (3, 512, 8, 1.0, False),    # 65 modes: P ~1.4x slower
+    (3, 1024, 32, 1.0, False),  # 257 modes: P ~4x slower
+    (2, 256, 4, 0.01, False),   # 10 steps do not pay for forming P
+])
+def test_ode_route_follows_coupled_modes(n, n_samples, top, t, step_map):
+    # the ratios are timings of both routes on one x86 core
+    x = _many_modes(lie.build_su(n), top)
+    h = ScalarField.constant(1.0)
+    assert loops._step_map_pays(x, h, n_samples, _steps(t)) is step_map
+
+
+def test_many_mode_check_is_pointwise_rk4(su2):
+    x = _many_modes(su2, 16)
+    got = loops._ode_exponential(x, 0.8, _GENERAL, 0.05, 64, loops._ODE_DT)
+    want = loops._ode_pointwise(x, 0.8, _GENERAL, 0.05, 64, _steps(0.05))
+    assert np.array_equal(got, want)
 
 
 def test_ode_uses_the_real_part_of_h():
@@ -249,8 +254,8 @@ def test_ode_uses_the_real_part_of_h():
     re_h = ScalarField({k: 0.5 * (h.coefficients.get(k, 0.0)
                                   + np.conj(h.coefficients.get(-k, 0.0)))
                         for k in (-1, 0, 1)})
-    got = loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT)
-    want = loops._ode_exponential(x, alpha, re_h, t, n_samples, loops._ODE_DT)
+    got = loops._ode_step_map(x, alpha, h, t, n_samples, _steps(t))
+    want = loops._ode_step_map(x, alpha, re_h, t, n_samples, _steps(t))
     assert np.array_equal(got, want)
 
 
@@ -259,8 +264,8 @@ def test_noncommuting_rejection_residual_matches_pointwise_rk4(su2):
     x = FourierLoopElement({1: 0.6 * su2.basis[0], -1: 0.6 * su2.basis[0],
                             0: 0.8 * su2.basis[1]}, su2)
     loop, _ = loops.semidirect_exp(x, 1.0, None, 1.0, 128, verify=False)
-    ode = _ode_exponential_pointwise(x, 1.0, ScalarField.constant(1.0), 1.0, 128,
-                                     loops._ODE_DT)
+    ode = loops._ode_pointwise(x, 1.0, ScalarField.constant(1.0), 1.0, 128,
+                               _steps(1.0))
     want = float(np.abs(loop.samples - ode).max())
     with pytest.raises(VerificationError) as err:
         loops.semidirect_exp(x, 1.0, None, 1.0, 128)
