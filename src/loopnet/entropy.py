@@ -5,7 +5,21 @@ exact right logarithmic derivative by the product rule,
 
     gamma' gamma^-1 (u) = sum_j f_j'(u) P_j X_j P_j^-1,   P_j = g_1 ... g_{j-1},
 
-so the energy density, the total energy and the half-line/interval relative
+with g_j = exp(f_j(u) X_j).  The integrand only needs its square under the
+invariant form, and <Ad_g A, Ad_g B> = <A, B> while g_j commutes with X_j,
+so conjugating by g_1^-1 gives <g' g^-1, g' g^-1> = <Z, Z> with
+
+    Z = f_1' X_1 + f_2' X_2 + Ad_{g_2}(f_3' X_3 + Ad_{g_3}(... + Ad_{g_{L-1}}(f_L' X_L))).
+
+In the eigenbasis X_k = U_k diag(i d_k) U_k*, Ad_{g_k} multiplies entry
+(a, b) by e^{i f_k (d_a - d_b)}, and consecutive bases differ by the
+constant C_k = U_{k-1}* U_k.  So ``LinePath.current_square`` builds Z from
+the inside out with one phase array per interior factor and products against
+constants; it forms no matrix exponential, reads f_k only for the interior
+factors k = 2 ... L-1, and for one or two factors is the constant quadratic
+form f'^T G f' with G_ij = <X_i, X_j>.
+
+The energy density, the total energy and the half-line/interval relative
 entropies reduce to quadratures of smooth compactly supported integrands:
 
     E(u)     = -(l / 4 pi) <g' g^-1, g' g^-1>(u) >= 0,
@@ -52,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSplittableError, NumericError, VerificationError
-from .lie import CompactSimpleAlgebra, as_generator, eig_antihermitian, exp_profile
+from .lie import CompactSimpleAlgebra, as_generator, eig_antihermitian
 from .loops import GridLoop, circle_grid, factor_product
 from .quadrature import PanelPartition, panel_partition
 
@@ -190,6 +204,19 @@ class LinePath:
             xm = as_generator(x, algebra.n)
             self.factors.append((xm, profile))
             self._eig.append(eig_antihermitian(xm))   # xm = u diag(i d) u^dagger
+        xs = [xm for xm, _ in self.factors]
+        if len(xs) <= 2:
+            # <Z, Z> = f'^T G f' with the Gram matrix G_ij = <X_i, X_j>
+            self._gram = np.einsum("iab,jba->ij", xs, xs).real if xs else None
+        else:
+            # X_k in the eigenbasis where f_k' X_k joins Z (that of X_{k-1},
+            # or of X_2 for the first two factors) and the changes of basis
+            # C_k = U_{k-1}* U_k between interior factors
+            bases = [u for u, _ in self._eig]
+            joins = [bases[max(k - 1, 1)] for k in range(len(xs))]
+            self._own = [u.conj().T @ x @ u for u, x in zip(joins, xs)]
+            self._steps = [bases[k - 1].conj().T @ bases[k]
+                           for k in range(2, len(xs) - 1)]
         self._partitions: dict[float, PanelPartition] = {}
 
     @property
@@ -212,20 +239,38 @@ class LinePath:
             len(us), self.algebra.n)
 
     def current_square(self, us) -> np.ndarray:
-        """<g' g^-1, g' g^-1>(u) for the trace form, computed by the product rule."""
+        """<g' g^-1, g' g^-1>(u) for the trace form, as <Z, Z> (module docstring).
+
+        Z is built from the inside out in the eigenbasis of each interior
+        factor, where Ad_{g_k} multiplies entry (a, b) by e^{i f_k (d_a - d_b)};
+        the batch is kept in layout (a, point, b), so both changes of basis
+        are single products against a constant.
+        """
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        n = self.algebra.n
-        m = np.zeros((len(us), n, n), dtype=complex)
-        prefix = np.broadcast_to(np.eye(n, dtype=complex), (len(us), n, n)).copy()
-        for i, ((xm, profile), (u_mat, d)) in enumerate(zip(self.factors, self._eig)):
-            fp = np.asarray(profile.derivative(us), dtype=float)
-            conj = np.einsum("jab,bc,jdc->jad", prefix, xm, prefix.conj())
-            m += fp[:, None, None] * conj
-            if i + 1 < len(self.factors):   # only a later factor reads the prefix
-                g = exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
-                prefix = np.einsum("jab,jbc->jac", prefix, g)
-        vals = np.einsum("jab,jba->j", m, m)
-        return vals.real
+        fps = [np.asarray(profile.derivative(us), dtype=float)
+               for _, profile in self.factors]
+        if len(fps) <= 2:
+            if not fps:
+                return np.zeros(len(us))
+            return np.einsum("ip,ij,jp->p", fps, self._gram, fps)
+        n, p = self.algebra.n, len(us)
+
+        def term(k):   # f_k' X_k where it joins Z, layout (a, point, b)
+            return fps[k][None, :, None] * self._own[k][:, None, :]
+
+        w = term(len(fps) - 1)
+        for k in range(len(fps) - 2, 0, -1):
+            (_, profile), (_, d) = self.factors[k], self._eig[k]
+            e = np.exp(1j * np.outer(d, np.asarray(profile.value(us), dtype=float)))
+            w *= e[:, :, None]
+            w *= e.conj().T[None, :, :]
+            if k > 1:
+                c = self._steps[k - 2]
+                w = ((c @ w.reshape(n, p * n)).reshape(n * p, n)
+                     @ c.conj().T).reshape(n, p, n)
+            w += term(k)
+        w += term(0)
+        return np.einsum("apb,bpa->p", w, w).real
 
     def density_scale(self) -> float:
         return self.level / (4.0 * math.pi)

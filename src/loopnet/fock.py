@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -141,6 +142,8 @@ class TruncatedFockSpace:
     ``hops`` caches the elementary hops E_ij(m) = sum_k a^dag(k-m, i) a(k, j)
     as (rows, cols, signs) arrays, built on first use by ``_hop``; every
     current, Sugawara mode and pi_element is a linear combination of them.
+    ``vacuum_hops`` caches the vacuum row and column of each, cut by
+    ``_vacuum_hop`` for the vacuum cocycle check.
     """
 
     n: int
@@ -152,6 +155,7 @@ class TruncatedFockSpace:
     occupations: list[tuple[tuple, tuple]]   # (particles, holes) per state
     index: dict[int, int] = field(repr=False)
     hops: dict = field(default_factory=dict, compare=False, repr=False)
+    vacuum_hops: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -314,8 +318,11 @@ def _max_abs_on_columns(matrix, keep: np.ndarray) -> float:
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
-def _product_protection(a: FockOperator, b: FockOperator) -> int:
-    """Protected energy of a @ b: b's columns, and b must not lift them past a's."""
+def _product_protection(a, b) -> int:
+    """Protected energy of a @ b: b's columns, and b must not lift them past a's.
+
+    ``a`` and ``b`` are FockOperators or the ``_Grading`` of one.
+    """
     return min(b.protected_energy, a.protected_energy - b.max_raise)
 
 
@@ -367,12 +374,30 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     return hop
 
 
-def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
-    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k)."""
+def _vacuum_hop(space: TruncatedFockSpace, i: int, j: int, m: int):
+    """Cached (cols, signs) of the vacuum row and (rows, signs) of the vacuum
+    column of E_ij(m), cut from its ``_hop`` table."""
+    key = (i, j, m)
+    entry = space.vacuum_hops.get(key)
+    if entry is None:
+        rows, cols, signs = _hop(space, i, j, m)
+        iv = space.vacuum_index
+        in_row, in_col = rows == iv, cols == iv
+        entry = ((cols[in_row], signs[in_row]), (rows[in_col], signs[in_col]))
+        space.vacuum_hops[key] = entry
+    return entry
+
+
+def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int, table=_hop):
+    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k).
+
+    ``table`` gives each hop E_ij(m): ``_hop`` for the whole matrix,
+    ``_vacuum_hop`` for its vacuum row and column.
+    """
     if m == 0 and abs(np.trace(xmat)) > 1e-12:
         raise ValueError("zero-mode currents are defined for traceless "
                          "generators only")
-    return [(xmat[i, j], _hop(space, i, j, m))
+    return [(xmat[i, j], table(space, i, j, m))
             for i, j in zip(*np.nonzero(np.abs(xmat) > 1e-15))]
 
 
@@ -467,21 +492,47 @@ def sugawara(space: TruncatedFockSpace, m: int, data: LevelData) -> FockOperator
                         max_raise=max(0, -m))
 
 
-def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
-               max_mode: int | None = None) -> FockOperator:
-    """Representation of a polynomial loop-algebra element: sum_k x_k(k)."""
-    if max_mode is None:
-        max_mode = space.cutoff
+class _Grading(NamedTuple):
+    """The truncation bookkeeping of an operator, without its matrix."""
+
+    degree: int | None
+    protected_energy: int
+    max_raise: int
+
+
+def _pi_grading(space: TruncatedFockSpace, x: FourierLoopElement,
+                max_mode: int) -> _Grading:
+    """Grading of pi(x); WindowError if x has a mode beyond ``max_mode``."""
     modes = x.modes()
     if modes and max(abs(k) for k in modes) > max_mode:
         raise WindowError(
             f"element has modes up to {max(abs(k) for k in modes)}, "
             f"window allows {max_mode}")
-    terms = [t for k, a in x.coefficients.items() for t in _hop_terms(space, a, k)]
     raise_ = max([0] + [-k for k in modes])
     degree = -modes[0] if len(modes) == 1 else (0 if not modes else None)
-    return FockOperator(_assemble(terms, (space.dim, space.dim)), space,
-                        degree, space.cutoff - raise_, raise_)
+    return _Grading(degree, space.cutoff - raise_, raise_)
+
+
+def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
+               max_mode: int | None = None) -> FockOperator:
+    """Representation of a polynomial loop-algebra element: sum_k x_k(k)."""
+    if max_mode is None:
+        max_mode = space.cutoff
+    grading = _pi_grading(space, x, max_mode)
+    terms = [t for k, a in x.coefficients.items() for t in _hop_terms(space, a, k)]
+    return FockOperator(_assemble(terms, (space.dim, space.dim)), space, *grading)
+
+
+def _vacuum_lines(space: TruncatedFockSpace,
+                  x: FourierLoopElement) -> tuple[np.ndarray, np.ndarray]:
+    """The vacuum row and the vacuum column of pi(x), from the cached hops."""
+    terms = [t for k, a in x.coefficients.items()
+             for t in _hop_terms(space, a, k, _vacuum_hop)]
+    lines = (np.zeros(space.dim, dtype=complex), np.zeros(space.dim, dtype=complex))
+    for side, line in enumerate(lines if terms else ()):
+        np.add.at(line, np.concatenate([e[side][0] for _, e in terms]),
+                  np.concatenate([coef * e[side][1] for coef, e in terms]))
+    return lines
 
 
 def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
@@ -490,21 +541,21 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
 
     Equals i * l * B(X, Y) with l = 1 and B the coefficient-side 2-cocycle;
     the comparison value is computed independently by ``central_term_B``.
-    Only the (vacuum, vacuum) element is formed: a vacuum row of one factor
-    times the vacuum column of the other, under the protection the full
-    commutator would carry.
+    Only the (vacuum, vacuum) element is formed, from the vacuum rows and
+    columns of the factors read off the cached hops, under the protection
+    the full commutator would carry.
     """
     half = space.cutoff // 2
-    px = pi_element(space, x, max_mode=half)
-    py = pi_element(space, y, max_mode=half)
-    pbr = pi_element(space, bracket_elements(x, y), max_mode=2 * half)
-    if min(_product_protection(px, py), _product_protection(py, px),
-           pbr.protected_energy) < 0:
+    gx = _pi_grading(space, x, half)
+    gy = _pi_grading(space, y, half)
+    br = bracket_elements(x, y)
+    gbr = _pi_grading(space, br, 2 * half)
+    if min(_product_protection(gx, gy), _product_protection(gy, gx),
+           gbr.protected_energy) < 0:
         raise WindowError("vacuum column not protected; lower the mode window")
-    iv = space.vacuum_index
-    a, b = px.matrix, py.matrix
-    comm = a[[iv], :] @ b[:, [iv]] - b[[iv], :] @ a[:, [iv]]
-    return complex(comm[0, 0] - pbr.matrix[iv, iv])
+    (row_x, col_x), (row_y, col_y) = _vacuum_lines(space, x), _vacuum_lines(space, y)
+    comm = row_x @ col_y - row_y @ col_x
+    return complex(comm - _vacuum_lines(space, br)[0][space.vacuum_index])
 
 
 # ---------------------------------------------------------------------------

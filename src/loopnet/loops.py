@@ -180,10 +180,9 @@ class ScalarField:
 
     def evaluate(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = np.zeros(len(thetas), dtype=complex)
-        for k, v in self.coefficients.items():
-            out += v * np.exp(1j * k * thetas)
-        return out
+        ik = 1j * np.array(list(self.coefficients), dtype=float)
+        vs = np.array(list(self.coefficients.values()), dtype=complex)
+        return np.exp(thetas[:, None] * ik) @ vs
 
     def __repr__(self):
         return f"ScalarField(modes={self.modes()}, real={self.real})"

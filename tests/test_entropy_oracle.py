@@ -6,6 +6,11 @@ the support it needs, started afresh at each point.  That routine and those
 functionals live on here, run at tol = 1e-13, and the partition-backed
 functionals at their default tolerance must agree with them to 1e-10.
 
+The oracle integrand is the product rule, the form ``LinePath.current_square``
+had before its Ad-invariance reduction: prefix products of exp(f_j X_j)
+conjugating each X_j.  So the oracle functionals share no code with the fast
+integrand, and the two integrands must agree to 1e-14 of the peak.
+
 The generated windows are at most 1.0 wide with amplitudes up to 1.2: on
 much wider supports the 1e-13 oracle reaches the roundoff floor of the
 integrand and stalls with AccuracyError (seen at support length ~23).
@@ -18,9 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopnet import entropy, lie
+from loopnet import entropy, lie, loops
 from loopnet.errors import AccuracyError
 from loopnet.quadrature import panel_partition
+
+from conftest import random_antihermitian
 
 ORACLE_TOL = 1e-13
 AGREE = 1e-10
@@ -60,8 +67,25 @@ def adaptive_gauss_legendre(f, a, b, tol=1e-10, max_depth=40):
     return recurse(float(a), float(b), tol, 0)
 
 
+def product_rule_current_square(path, us):
+    """<g' g^-1, g' g^-1>(u) for the trace form, computed by the product rule."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    n = path.algebra.n
+    m = np.zeros((len(us), n, n), dtype=complex)
+    prefix = np.broadcast_to(np.eye(n, dtype=complex), (len(us), n, n)).copy()
+    for i, ((xm, profile), (u_mat, d)) in enumerate(zip(path.factors, path._eig)):
+        fp = np.asarray(profile.derivative(us), dtype=float)
+        conj = np.einsum("jab,bc,jdc->jad", prefix, xm, prefix.conj())
+        m += fp[:, None, None] * conj
+        if i + 1 < len(path.factors):   # only a later factor reads the prefix
+            g = lie.exp_profile(u_mat, d, np.asarray(profile.value(us), dtype=float))
+            prefix = np.einsum("jab,jbc->jac", prefix, g)
+    vals = np.einsum("jab,jba->j", m, m)
+    return vals.real
+
+
 def _rho(path):
-    return lambda us: -0.5 * path.level * path.current_square(us)
+    return lambda us: -0.5 * path.level * product_rule_current_square(path, us)
 
 
 def oracle_total_energy(path, tol=ORACLE_TOL):
@@ -248,3 +272,130 @@ def test_seed1_su3_path_regression():
     prof = entropy.qnec_profile(path, np.linspace(-4.0, 4.0, 161),
                                 fd_tolerance=1e-4)
     assert len(prof.grid) == 161
+
+
+# ---------------------------------------------------------------------------
+# The Ad-invariant integrand against the product rule
+# ---------------------------------------------------------------------------
+
+INTEGRAND_AGREE = 1e-14   # relative to the peak |<m, m>| on the sample grid
+
+
+def _assert_integrands_agree(path, us):
+    slow = product_rule_current_square(path, us)
+    fast = path.current_square(us)
+    assert fast.shape == slow.shape == (len(us),)
+    assert np.abs(fast - slow).max() <= INTEGRAND_AGREE * np.abs(slow).max()
+
+
+def _sample_grid(path):
+    lo, hi = path.support()
+    # points on both sides of the support, where the profiles are constant
+    return np.linspace(lo - 1.5, hi + 1.5, 301)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n_factors", range(7))
+def test_integrand_matches_product_rule(n, n_factors):
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(100 * n + n_factors)
+    factors = []
+    for j in range(n_factors):
+        x = random_antihermitian(algebra, rng, scale=rng.uniform(0.5, 1.6))
+        window = (entropy.GaussianWindow, entropy.PolyBump)[j % 2]
+        profile = window(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5),
+                         rng.uniform(-1.4, 1.4))
+        factors.append((x, profile))
+    path = entropy.LinePath(algebra, factors)
+    _assert_integrands_agree(path, _sample_grid(path))
+
+
+def test_integrand_matches_product_rule_degenerate_generator(su3):
+    # diag(i, i, -2i) has a two-dimensional eigenspace: any eigenbasis works
+    degenerate = np.diag([1j, 1j, -2j])
+    rng = np.random.default_rng(5)
+    others = [random_antihermitian(su3, rng) for _ in range(3)]
+    path = entropy.LinePath(su3, [
+        (others[0], entropy.GaussianWindow(-0.9, 0.8, 1.1)),
+        (degenerate, entropy.PolyBump(-0.2, 1.3, -0.8)),
+        (others[1], entropy.GaussianWindow(0.4, 0.6, 0.7)),
+        (degenerate, entropy.GaussianWindow(0.9, 1.0, 0.9)),
+        (others[2], entropy.PolyBump(1.2, 0.9, -1.2))])
+    _assert_integrands_agree(path, _sample_grid(path))
+
+
+def test_integrand_matches_product_rule_on_cocycle_path(su2, su3):
+    # the cocycle path repeats the base's last generator in adjacent factors
+    # and carries TransformedProfiles with sign -1
+    for algebra in (su2, su3):
+        rng = np.random.default_rng(algebra.n)
+        x, y, z = (random_antihermitian(algebra, rng) for _ in range(3))
+        base = entropy.LinePath(algebra, [
+            (x, entropy.PolyBump(1.5, 1.0, 0.9)),
+            (y, entropy.PolyBump(2.5, 1.2, -0.6)),
+            (z, entropy.PolyBump(3.5, 1.4, 0.7))])
+        for t in (-0.2, 0.3):
+            path = entropy.connes_cocycle_path(base, t).result
+            xs = [xm for xm, _ in path.factors]
+            assert np.array_equal(xs[2], xs[3])
+            _assert_integrands_agree(path, _sample_grid(path))
+
+
+def test_integrand_matches_product_rule_negative_rate(su3):
+    rng = np.random.default_rng(9)
+    xs = [random_antihermitian(su3, rng) for _ in range(4)]
+    flipped = entropy.TransformedProfile(entropy.GaussianWindow(0.5, 0.8, 1.0),
+                                         rate=-1.7, sign=1.0)
+    assert flipped.support()[0] < flipped.support()[1]
+    path = entropy.LinePath(su3, [
+        (xs[0], entropy.PolyBump(0.3, 1.1, 0.8)),
+        (xs[1], flipped),
+        (xs[2], entropy.TransformedProfile(entropy.PolyBump(-0.4, 1.0, -0.9),
+                                           rate=-0.6, sign=-1.0)),
+        (xs[3], entropy.GaussianWindow(-0.3, 0.7, 0.6))])
+    _assert_integrands_agree(path, _sample_grid(path))
+
+
+class _CountingProfile:
+    """Profile wrapper that logs its index each time its value is read."""
+
+    def __init__(self, base, index, log):
+        self.base, self.index, self.log = base, index, log
+
+    def derivative(self, u):
+        return self.base.derivative(u)
+
+    def value(self, u):
+        self.log.append(self.index)
+        return self.base.value(u)
+
+    def support(self):
+        return self.base.support()
+
+
+@pytest.mark.parametrize("n_factors", range(7))
+def test_integrand_forms_no_exponential(su3, monkeypatch, n_factors):
+    exps = []
+
+    def counted(*args):
+        exps.append(1)
+        return original(*args)
+
+    original = lie.exp_profile
+    monkeypatch.setattr(lie, "exp_profile", counted)
+    monkeypatch.setattr(loops, "exp_profile", counted)
+    rng = np.random.default_rng(n_factors)
+    reads = []
+    path = entropy.LinePath(su3, [
+        (random_antihermitian(su3, rng),
+         _CountingProfile(entropy.GaussianWindow(rng.uniform(-1.0, 1.0)), j,
+                          reads))
+        for j in range(n_factors)])
+    path.current_square(np.linspace(-3.0, 3.0, 41))
+    assert exps == []
+    # f_k is read for the interior factors 2 ... L-1 only, once each
+    assert reads == list(range(n_factors - 2, 0, -1))
+    # the oracle does use the exponentials, so the wrapper is live
+    if n_factors >= 2:
+        product_rule_current_square(path, np.linspace(-3.0, 3.0, 41))
+        assert exps

@@ -202,21 +202,22 @@ def test_vacuum_cocycle_protection_matches_full_matrix_route(
 
     With modes capped at cutoff/2 the vacuum column is always protected, so
     the factors' ``protected_energy`` is lowered by ``deficit`` to reach the
-    guard.
+    guard.  Both routes read it from ``_pi_grading``: ``pi_element`` for the
+    full matrices and the vacuum check for its guard.
     """
     space = spaces[(2, 6, 0)]
     algebra = lie.build_su(2)
     rng = np.random.default_rng(deficit)
     x = fock._random_polynomial(algebra, rng, 3)
     y = fock._random_polynomial(algebra, rng, 3)
-    exact = fock.pi_element
+    exact = fock._pi_grading
 
-    def shallow(space, elem, max_mode=None):
-        op = exact(space, elem, max_mode)
-        return fock.FockOperator(op.matrix, op.space, op.degree,
-                                 op.protected_energy - deficit, op.max_raise)
+    def shallow(space, elem, max_mode):
+        grading = exact(space, elem, max_mode)
+        return grading._replace(
+            protected_energy=grading.protected_energy - deficit)
 
-    monkeypatch.setattr(fock, "pi_element", shallow)
+    monkeypatch.setattr(fock, "_pi_grading", shallow)
     try:
         want = _oracle_vacuum_cocycle(space, x, y)
     except WindowError:
