@@ -15,7 +15,6 @@ alcove bound l^2/(4 m^2 (l+g)) controls the bare part only, and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,8 @@ import numpy as np
 
 from .errors import UnsupportedAlgebraError
 from .lie import CompactSimpleAlgebra, SimpleTypeRecord
+
+_ALCOVE_CHUNK = 65536   # coordinates of the alcove's level box held at once
 
 __all__ = [
     "LevelData",
@@ -126,12 +127,49 @@ class AlcoveWeight:
     theta_pairing: Fraction    # <lambda, theta>
 
 
+def _gram_array(roots: _TypeARoots, level: int) -> np.ndarray:
+    """n times the Gram matrix as an array whose dtype holds every pairing exactly.
+
+    Entries are positive, so n<lambda, lambda + 2 rho> over the level box is
+    at most sum(gram_n) * level * (level + 2); past the int64 range the
+    array falls back to Python ints.
+    """
+    bound = sum(map(sum, roots.gram_n)) * level * (level + 2)
+    return np.array(roots.gram_n, dtype=np.int64 if bound < 2 ** 63 else object)
+
+
+def _box_chunks(side: int, rank: int, dtype):
+    """The box range(side)^rank in lexicographic order, in row blocks.
+
+    A block holds at most ``_ALCOVE_CHUNK`` coordinates, so a huge level
+    never materialises the whole box.
+    """
+    total = side ** rank
+    rows = max(1, _ALCOVE_CHUNK // rank)
+    for start in range(0, total, rows):
+        carry = np.arange(min(rows, total - start)).astype(dtype)
+        block = np.empty((len(carry), rank), dtype=dtype)
+        rest = start
+        for j in range(rank - 1, -1, -1):
+            rest, digit = divmod(rest, side)
+            carry = carry + digit
+            block[:, j] = carry % side
+            carry //= side
+        yield block
+
+
+def _norms_n(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """n <lambda, lambda> for each row of ``coords``."""
+    return ((coords @ gram) * coords).sum(axis=1)
+
+
 def alcove(algebra, level: int) -> list[AlcoveWeight]:
     """All dominant integral weights with <lambda, theta> <= level, sorted.
 
     The pairing is evaluated through the exact Gram matrix of the fundamental
     weights, not through any closed-form shortcut, so an independent
-    enumerator can cross-check the counts.
+    enumerator can cross-check the counts.  The coordinate box is scanned in
+    integer blocks, and Fractions are built only for the weights kept.
     """
     if level < 1:
         raise ValueError(f"level must be a positive integer, got {level}")
@@ -139,15 +177,21 @@ def alcove(algebra, level: int) -> list[AlcoveWeight]:
     data = level_data(algebra, level)
     denom = 2 * (level + data.dual_coxeter)
     n = roots.n
+    gram = _gram_array(roots, level)
+    theta_n = gram @ np.array(roots.theta, dtype=gram.dtype)
+    rho2_n = 2 * (gram @ np.array(roots.rho, dtype=gram.dtype))
     out = []
-    for coords in itertools.product(range(level + 1), repeat=roots.rank):
-        pairing = roots.pair_n(coords, roots.theta)
-        if pairing <= level * n:
-            cas = Fraction(roots.pair_n(coords, coords)
-                           + 2 * roots.pair_n(coords, roots.rho), n)
-            out.append(AlcoveWeight(coords, cas, cas / denom,
-                                    Fraction(pairing, n)))
-    out.sort(key=lambda w: w.weight)
+    # lexicographic blocks, so the list comes out sorted
+    for block in _box_chunks(level + 1, roots.rank, gram.dtype):
+        pairing = block @ theta_n
+        keep = pairing <= level * n
+        block = block[keep]
+        cas_n = _norms_n(gram, block) + block @ rho2_n
+        for coords, c, p in zip(block.tolist(), cas_n.tolist(),
+                                pairing[keep].tolist()):
+            cas = Fraction(c, n)
+            out.append(AlcoveWeight(tuple(coords), cas, cas / denom,
+                                    Fraction(p, n)))
     return out
 
 
@@ -204,8 +248,11 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
     denom = 2 * (level + data.dual_coxeter)
     bound = level ** 2 / (4 * m * m * (level + data.dual_coxeter))
     weights = alcove(algebra, level)
-    bare = [float((roots.pair(w.weight, w.weight)) / denom) for w in weights]
+    gram_n = _gram_array(roots, level)
+    coords = np.array([w.weight for w in weights], dtype=gram_n.dtype)
+    # int / int true division rounds correctly, like the Fraction it replaces
+    max_bare = int(_norms_n(gram_n, coords).max()) / (roots.n * denom)
     dressed = max(w.conformal_weight for w in weights)
-    ok = all(b <= bound + 1e-12 for b in bare)
+    ok = bool(max_bare <= bound + 1e-12)
     return AlcoveBoundsReport(data.central_charge, c_ok, float(m), float(bound),
-                             max(bare), dressed, ok)
+                             max_bare, dressed, ok)

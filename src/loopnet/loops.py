@@ -84,25 +84,30 @@ class FourierLoopElement:
                  real_form: bool | None = None,
                  decay_rate: float | None = None):
         n = algebra.n
-        coeffs = {}
+        mats = {}
         for k, a in coefficients.items():
             a = np.asarray(a, dtype=complex)
             if a.shape != (n, n):
                 raise AlgebraMismatchError(
                     f"coefficient at mode {k} has shape {a.shape}, expected {(n, n)}")
-            if np.linalg.norm(a) > _DROP:
-                coeffs[int(k)] = a
-        if real_form is None:
-            real_form = all(
-                np.allclose(coeffs.get(-k, np.zeros((n, n))), -a.conj().T,
-                            atol=_REALITY_TOL)
-                for k, a in coeffs.items())
-        elif real_form:
-            worst = max((np.linalg.norm(coeffs.get(-k, np.zeros((n, n))) + a.conj().T)
-                         for k, a in coeffs.items()), default=0.0)
-            if worst > _REALITY_TOL:
-                raise ValueError(
-                    f"real-form tag violated: coefficient reality residual {worst:.2e}")
+            mats[int(k)] = a
+        stack = np.array(list(mats.values())).reshape(-1, n, n)
+        kept = np.linalg.norm(stack, axis=(1, 2)) > _DROP
+        coeffs = {k: a for (k, a), keep in zip(mats.items(), kept) if keep}
+        if coeffs and (real_form is None or real_form):
+            # a_{-k} = -(a_k)^dagger, checked for all modes at once
+            zero = np.zeros((n, n))
+            partner = np.array([coeffs.get(-k, zero) for k in coeffs])
+            minus_adjoint = -stack[kept].conj().transpose(0, 2, 1)
+            if real_form is None:
+                real_form = bool(np.allclose(partner, minus_adjoint, atol=_REALITY_TOL))
+            else:
+                worst = np.linalg.norm(partner - minus_adjoint, axis=(1, 2)).max()
+                if worst > _REALITY_TOL:
+                    raise ValueError(
+                        f"real-form tag violated: coefficient reality residual {worst:.2e}")
+        elif real_form is None:
+            real_form = True
         self.coefficients = coeffs
         self.algebra = algebra
         self.real_form = real_form
@@ -153,7 +158,7 @@ class FourierLoopElement:
 class ScalarField:
     """Finitely supported scalar series h(theta) = sum_k h_k e^{i k theta}."""
 
-    __slots__ = ("coefficients", "real", "decay_rate")
+    __slots__ = ("coefficients", "real", "decay_rate", "_pairs")
 
     def __init__(self, coefficients: Mapping[int, complex],
                  real: bool | None = None, decay_rate: float | None = None):
@@ -170,6 +175,11 @@ class ScalarField:
         self.coefficients = coeffs
         self.real = real
         self.decay_rate = decay_rate
+        # h_0, i|k| for each positive |k|, h_k and conj(h_{-k}) for evaluate
+        ks = sorted({abs(k) for k in coeffs} - {0})
+        self._pairs = (coeffs.get(0, 0j), 1j * np.array(ks, dtype=float),
+                       np.array([coeffs.get(k, 0j) for k in ks], dtype=complex),
+                       np.array([coeffs.get(-k, 0j) for k in ks], dtype=complex).conj())
 
     @staticmethod
     def constant(value: complex = 1.0) -> "ScalarField":
@@ -179,10 +189,12 @@ class ScalarField:
         return sorted(self.coefficients)
 
     def evaluate(self, thetas: np.ndarray) -> np.ndarray:
+        """h(theta) as a complex array, one exp per positive |k| and
+        e^{-ik theta} = conj(e^{ik theta})."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        ik = 1j * np.array(list(self.coefficients), dtype=float)
-        vs = np.array(list(self.coefficients.values()), dtype=complex)
-        return np.exp(thetas[:, None] * ik) @ vs
+        h0, iks, h_pos, h_neg_conj = self._pairs
+        phases = np.exp(np.multiply.outer(thetas, iks))
+        return (phases @ h_pos + (phases @ h_neg_conj).conj()) + h0
 
     def __repr__(self):
         return f"ScalarField(modes={self.modes()}, real={self.real})"

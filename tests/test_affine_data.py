@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from loopnet import affine_data, lie
@@ -97,6 +98,18 @@ def test_bounds_sweep():
             assert rep.all_within_bound
 
 
+def test_bounds_max_bare_h_matches_fraction_route():
+    # the per-weight Fraction route the integer norms replaced, bit for bit
+    for n in (2, 3, 4, 5):
+        alg = lie.build_su(n)
+        roots = affine_data._roots_for(alg)
+        for level in range(1, 7):
+            denom = 2 * (level + n)
+            want = max(float(roots.pair(w.weight, w.weight) / denom)
+                       for w in affine_data.alcove(alg, level))
+            assert affine_data.alcove_bounds(alg, level).max_bare_h == want
+
+
 def test_bounds_table_only_families():
     rep = affine_data.alcove_bounds(lie.simple_type_record("G2"), 2)
     assert rep.c_ge_1
@@ -146,10 +159,33 @@ def _alcove_fraction_gram(n, level):
 
 
 @pytest.mark.parametrize("n,max_level", [(2, 8), (3, 8), (4, 8), (5, 6)])
-def test_alcove_integer_gram_matches_fraction_gram(n, max_level):
+def test_alcove_integer_gram_matches_fraction_gram(n, max_level, monkeypatch):
     algebra = lie.build_su(n)
     for level in range(1, max_level + 1):
+        want = _alcove_fraction_gram(n, level)
         got = [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
                for w in affine_data.alcove(algebra, level)]
-        assert got == _alcove_fraction_gram(n, level)
+        assert got == want
         assert all(type(v) is Fraction for row in got for v in row[1:])
+        assert all(type(a) is int for row in got for a in row[0])
+        # a small block puts many block edges inside the box
+        with monkeypatch.context() as m:
+            m.setattr(affine_data, "_ALCOVE_CHUNK", 7)
+            assert [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
+                    for w in affine_data.alcove(algebra, level)] == want
+
+
+def test_alcove_exact_past_int64(monkeypatch):
+    roots = affine_data._roots_for(lie.build_su(2))
+    assert affine_data._gram_array(roots, 3 * 10 ** 9).dtype == np.int64
+    assert affine_data._gram_array(roots, 4 * 10 ** 9).dtype == object
+    # the Python-int route gives the same table and bounds
+    algebra = lie.build_su(4)
+    want = [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
+            for w in affine_data.alcove(algebra, 5)]
+    want_bounds = affine_data.alcove_bounds(algebra, 5)
+    monkeypatch.setattr(affine_data, "_gram_array",
+                        lambda roots, level: np.array(roots.gram_n, dtype=object))
+    assert [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
+            for w in affine_data.alcove(algebra, 5)] == want
+    assert affine_data.alcove_bounds(algebra, 5) == want_bounds

@@ -1,12 +1,13 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from loopnet import affine_data, fock, lie, loops
-from loopnet.errors import CapacityError, WindowError
+from loopnet.errors import AlgebraMismatchError, CapacityError, WindowError
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -364,6 +365,35 @@ def test_hs_defect_tail_warning():
     data = {k: 0.1 * np.eye(2) for k in range(-6, 7)}
     rep = fock.hs_defect(data, 2)
     assert not rep.tail_ok
+
+
+def test_hs_defect_rejects_empty_data():
+    with pytest.raises(ValueError, match="at least one"):
+        fock.hs_defect({}, 4)
+
+
+@pytest.mark.parametrize("data", [
+    {0: np.eye(2), 1: np.eye(3)},
+    {0: np.ones((2, 3))},
+    {0: np.ones(2)},
+], ids=["ragged", "non-square", "vector"])
+def test_hs_defect_rejects_mismatched_shapes(data):
+    with pytest.raises(AlgebraMismatchError):
+        fock.hs_defect(data, 4)
+
+
+def test_hs_defect_huge_window_allocates_nothing_window_sized():
+    # one dense block matrix at this window would take ~2.6e14 bytes
+    data = {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0]), 3: 0.1 * np.eye(2)}
+    tracemalloc.start()
+    try:
+        rep = fock.hs_defect(data, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.truncated_value == rep.fourier_value
+    assert rep.fourier_value == pytest.approx(2.0 + 3 * 0.02, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ index.  It shares no code with the vectorized hop table, so agreement to
 path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
 ``implement_exponential`` route, the whole exp(pi(X)) by ``scipy.linalg.expm``,
 against which the column-restricted ``expm_multiply`` route is compared.
+``_hs_dense_truncated`` is the windowed Hardy defect ||[P, M]||_2^2 from the
+whole block matrix M, against which the counted block pairs of
+``hs_defect`` are compared.
 """
 
 import math
@@ -287,3 +290,44 @@ def test_adjoint_action_window_guard(spaces):
     x = FourierLoopElement({2: a, -2: a}, su2)
     with pytest.raises(WindowError):
         fock.adjoint_action_check(space, x, x)
+
+
+def _hs_dense_truncated(fourier_data, window):
+    """||[P, M]||_2^2 from the dense block matrix M_{pq} = g_{p-q}, |p|, |q| <=
+    window, and the Hardy projection P = [q >= 0]."""
+    data = {int(k): np.asarray(v, dtype=complex) for k, v in fourier_data.items()}
+    n = next(iter(data.values())).shape[0]
+    size = (2 * window + 1) * n
+    big = np.zeros((size, size), dtype=complex)
+    offsets = {p: (p + window) * n for p in range(-window, window + 1)}
+    for p in range(-window, window + 1):
+        for q in range(-window, window + 1):
+            g = data.get(p - q)
+            if g is not None:
+                big[offsets[p]:offsets[p] + n, offsets[q]:offsets[q] + n] = g
+    pdiag = np.zeros(size)
+    pdiag[offsets[0]:] = 1.0   # the modes q >= 0 come last
+    comm = pdiag[:, None] * big - big * pdiag[None, :]
+    return float(np.linalg.norm(comm) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=lambda n: "su%d" % n)
+@pytest.mark.parametrize("window", [1, 2, 7, 64, 256])
+def test_hs_defect_counts_match_dense_blocks(n, window):
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(10 * n + window)
+    x = 0.7 * sum(rng.normal() * b for b in algebra.basis)
+    gamma = loops.loop_from_factors(
+        algebra, [(x, lambda th: np.sin(th) + 0.4 * np.cos(2 * th))], 64)
+    data = loops.loop_fourier_coefficients(gamma)
+    # modes at the window's edge, in (window, 2 window] and beyond 2 window,
+    # where the count falls to zero
+    for k in {window, window + 1, 2 * window - 1, 2 * window, 2 * window + 1,
+              2 * window + 5}:
+        for mode in (k, -k):
+            data[mode] = data.get(mode, 0) + 0.1 * (
+                rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    got = fock.hs_defect(data, window).truncated_value
+    want = _hs_dense_truncated(data, window)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-14 * want

@@ -41,6 +41,89 @@ def random_field(rng, max_mode=4, n_modes=6, real=True):
 
 
 # ---------------------------------------------------------------------------
+# Construction and pointwise evaluation
+# ---------------------------------------------------------------------------
+
+def _reality_oracle(coefficients, n, real_form):
+    """The per-coefficient reality rule: the untagged verdict, or for a tagged
+    element whether it is rejected."""
+    coeffs = {int(k): np.asarray(a, dtype=complex) for k, a in coefficients.items()
+              if np.linalg.norm(a) > 1e-16}
+    zero = np.zeros((n, n))
+    if real_form is None:
+        return all(np.allclose(coeffs.get(-k, zero), -a.conj().T, atol=1e-12)
+                   for k, a in coeffs.items())
+    worst = max((np.linalg.norm(coeffs.get(-k, zero) + a.conj().T)
+                 for k, a in coeffs.items()), default=0.0)
+    return worst > 1e-12
+
+
+def _near_real_coefficients(rng, n):
+    """Coefficients with a_{-k} = -(a_k)^dagger up to a residual of 1e-13 to
+    1e-11; zero entries make the absolute tolerance decide, and some partners
+    are left out."""
+    coeffs = {}
+    for k in range(int(rng.integers(0, 4))):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a *= rng.random((n, n)) < 0.6
+        if k == 0:
+            a = a - a.conj().T
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        partner = -a.conj().T + 10.0 ** rng.uniform(-13, -11) * noise / np.abs(noise).max()
+        coeffs[k] = partner if k == 0 else a
+        if k and rng.random() < 0.9:
+            coeffs[-k] = partner
+    return coeffs
+
+
+def test_reality_check_matches_per_coefficient_rule():
+    rng = np.random.default_rng(26)
+    verdicts = {None: [], True: []}
+    for trial in range(300):
+        algebra = lie.build_su(2 + trial % 2)
+        coeffs = _near_real_coefficients(rng, algebra.n)
+        want = _reality_oracle(coeffs, algebra.n, None)
+        assert FourierLoopElement(coeffs, algebra).real_form is want
+        verdicts[None].append(want)
+        rejected = _reality_oracle(coeffs, algebra.n, True)
+        if rejected:
+            with pytest.raises(ValueError, match="reality residual"):
+                FourierLoopElement(coeffs, algebra, real_form=True)
+        else:
+            assert FourierLoopElement(coeffs, algebra, real_form=True).real_form
+        verdicts[True].append(rejected)
+    # both rules see both outcomes
+    assert all(len(set(v)) == 2 for v in verdicts.values())
+
+
+def _evaluate_all_modes(h, thetas):
+    """h(theta) with one complex exp per stored mode, k = 0 included."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    ik = 1j * np.array(list(h.coefficients), dtype=float)
+    vs = np.array(list(h.coefficients.values()), dtype=complex)
+    return np.exp(thetas[:, None] * ik) @ vs
+
+
+@pytest.mark.parametrize("coeffs", [
+    {0: 1.0, 1: 0.15, -1: 0.15},
+    {0: 0.8, 2: 0.1 - 0.05j, -2: 0.1 + 0.05j, 5: 0.3j, -5: -0.3j},
+    {0: 0.5 + 0.2j, 1: 0.3, 3: -0.7j, -2: 0.25},
+    {0: 2.5},
+    {},
+    {-1: 0.4, -3: 0.1 + 0.9j},
+], ids=["real", "real-multi", "non-real", "mode-0", "empty", "negative-only"])
+def test_scalar_field_evaluate_matches_all_modes_sum(coeffs):
+    h = ScalarField(coeffs)
+    scale = max(1.0, sum(abs(v) for v in h.coefficients.values()))
+    for thetas in (np.linspace(0.0, 2 * np.pi, 257), 0.7):
+        got = h.evaluate(thetas)
+        want = _evaluate_all_modes(h, thetas)
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
 
