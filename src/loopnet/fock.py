@@ -24,12 +24,21 @@ of basis states with energy at or below it are exact matrix elements of the
 untruncated operator, and all identity checks restrict to those columns.
 Operator composition propagates the protected range conservatively, which is
 the central correctness mechanism of the module.
+
+The identity suites apply the same rule without composing operators: a
+residual is a short list of (coef, left, right) terms, its protected energy
+follows from the gradings alone, and since the basis is ordered by energy
+its protected columns are a prefix.  Each group of residuals is one sparse
+product of the stacked left factors with the stacked right factors cut to
+those columns.  ``FockOperator`` arithmetic stays the public route and the
+tests' oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -275,15 +284,20 @@ class FockOperator:
             self.max_raise + other.max_raise)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "FockOperator") -> "FockOperator":
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "FockOperator", op) -> "FockOperator":
+        """op(self, other) for ``operator.add`` or ``operator.sub``: one
+        sparse sum or difference, under the grading both operands share."""
         _same_space(self, other)
         deg = self.degree if self.degree == other.degree else None
         return FockOperator(
-            (self.matrix + other.matrix).tocsr(), self.space, deg,
+            op(self.matrix, other.matrix).tocsr(), self.space, deg,
             min(self.protected_energy, other.protected_energy),
             max(self.max_raise, other.max_raise))
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "FockOperator":
         return FockOperator(scalar * self.matrix, self.space, self.degree,
@@ -306,15 +320,19 @@ class FockOperator:
         """Largest matrix-element magnitude over truncation-exact columns."""
         keep = self.protected_columns()
         if not keep.any():
-            raise ValueError("no protected columns; identity not checkable "
-                             f"(protected_energy={self.protected_energy})")
+            raise _unprotected(self.protected_energy)
         return _max_abs_on_columns(self.matrix, keep)
 
 
+def _unprotected(protected_energy: int) -> WindowError:
+    return WindowError("no protected columns; identity not checkable "
+                       f"(protected_energy={protected_energy})")
+
+
 def _max_abs_on_columns(matrix, keep: np.ndarray) -> float:
-    """Largest |entry| among stored entries whose column has ``keep`` set."""
-    mat = matrix.tocsr()
-    vals = mat.data[keep[mat.indices]]
+    """Largest |entry| among stored entries of the CSR ``matrix`` whose
+    column has ``keep`` set."""
+    vals = matrix.data[keep[matrix.indices]]
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
@@ -680,6 +698,88 @@ def _report(identity, block, residual, tol, **extra):
     return rep
 
 
+def _protected_width(space: TruncatedFockSpace, protected_energy) -> np.ndarray:
+    """Number of basis states of energy at most ``protected_energy``.
+
+    ``build_fock`` orders the basis by energy, so these states are the
+    first columns.
+    """
+    return np.searchsorted(space.energies, protected_energy, side="right")
+
+
+def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
+    """Worst |entry| of a group of residuals on their protected columns,
+    and the group's smallest protected energy.
+
+    A residual is a list of ``(coef, left, right)`` terms standing for
+    sum coef * left @ right, where a factor of None is the identity.  Its
+    protected energy is the least ``_product_protection`` of its terms, the
+    rule ``FockOperator`` arithmetic applies, so only the gradings are read
+    and no residual matrix is formed.  Instead the group is one sparse
+    product wide @ tall: ``wide`` places the distinct left factors side by
+    side, and ``tall`` places coef * right[:, :k] at its left factor's row
+    block and its residual's column block, where k counts the residual's
+    protected columns.  Duplicate entries sum, so the product holds every
+    residual on its protected columns.
+    """
+    dim = space.dim
+    unit = _Grading(0, space.cutoff, 0)
+    prots = [min(_product_protection(unit if a is None else a,
+                                     unit if b is None else b)
+                 for _, a, b in terms) for terms in residuals]
+    widths = _protected_width(space, prots)
+    if not widths.all():
+        raise _unprotected(min(prots))
+    entries = {}   # id(factor) -> (rows, cols, data), read once per group
+
+    def coo(op):
+        if id(op) not in entries:
+            if op is None:
+                ids = np.arange(dim)
+                entries[id(op)] = (ids, ids, np.ones(dim, dtype=complex))
+            else:
+                mat = op.matrix
+                entries[id(op)] = (np.repeat(np.arange(dim), np.diff(mat.indptr)),
+                                   mat.indices, mat.data)
+        return entries[id(op)]
+
+    # blocks of wide, then of tall: (rows, cols, data, width, row offset,
+    # column offset, coef); tall keeps each right factor's protected columns
+    slots, wide, tall = {}, [], []
+    col_offset = 0
+    for terms, width in zip(residuals, widths):
+        for coef, left, right in terms:
+            if id(left) not in slots:
+                slots[id(left)] = len(slots) * dim
+                wide.append((*coo(left), dim, 0, slots[id(left)], 1.0))
+            tall.append((*coo(right), width, slots[id(left)], col_offset, coef))
+        col_offset += width
+    stacked = len(slots) * dim
+    product = (_stacked_csr(wide, (dim, stacked))
+               @ _stacked_csr(tall, (stacked, col_offset)))
+    return float(np.abs(product.data).max(initial=0.0)), min(prots)
+
+
+def _stacked_csr(blocks, shape):
+    """CSR sum over blocks (rows, cols, data, width, row offset, column
+    offset, coef) of coef * the entries in the first ``width`` columns,
+    placed at the block's offsets; duplicate entries sum."""
+    keeps = [cols < width for _, cols, _, width, *_ in blocks]
+    total = sum(map(np.count_nonzero, keeps))
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(total, dtype=index)
+    cols = np.empty(total, dtype=index)
+    data = np.empty(total, dtype=complex)
+    pos = 0
+    for (r, c, d, _, row_offset, col_offset, coef), keep in zip(blocks, keeps):
+        end = pos + np.count_nonzero(keep)
+        np.add(r[keep], row_offset, out=rows[pos:end])
+        np.add(c[keep], col_offset, out=cols[pos:end])
+        np.multiply(d[keep], coef, out=data[pos:end])
+        pos = end
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
+
+
 def identity_reports(n: int, cutoff: int,
                      identities: tuple[str, ...] = IDENTITIES,
                      mode_range: int = 2, tol: float = 1e-10,
@@ -689,9 +789,16 @@ def identity_reports(n: int, cutoff: int,
 
     The central terms are those of level 1, the level of the fermionic
     representation.  Returns one report dict per identity, in ``IDENTITIES``
-    order, with the worst residual over the protected block.  ``charge``
-    restricts to a sector (cheaper, equally exact for these
-    charge-preserving identities).
+    order, with the worst residual over the protected block, the block's
+    energy and its number of columns.  ``charge`` restricts to a sector
+    (cheaper, equally exact for these charge-preserving identities).
+
+    The affine, commutator, virasoro and rotation residuals are lists of
+    (coef, left, right) terms, evaluated by ``_group_worst`` one group at a
+    time: one basis pair of the affine suite, or the whole suite of the
+    other three.  The adjoint suite uses ``FockOperator`` arithmetic, and
+    the vacuum cocycle its scalar check.  A residual without protected
+    columns raises ``WindowError``.
     """
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
@@ -724,43 +831,56 @@ def identity_reports(n: int, cutoff: int,
 
     lmode = cache(lambda m: sugawara(space, m, data))
 
+    # the term-list generators yield groups of residuals; a multiple of the
+    # identity is the term (c, None, None)
+    def bracket(a: FockOperator, b: FockOperator) -> list:
+        return [(1.0, a, b), (-1.0, b, a)]
+
     def affine():
         for (i, j) in pair_idx:
             xm, ym = basis[i], basis[j]
             brk = xm @ ym - ym @ xm
             pairing = complex(np.trace(xm @ ym))
+            group = []
             for a in modes:
                 for b in modes:
-                    lhs = commutator(cur(xm, a), cur(ym, b))
-                    rhs = cur(brk, a + b)
+                    terms = [*bracket(cur(xm, a), cur(ym, b)),
+                             (-1.0, None, cur(brk, a + b))]
                     if a + b == 0:
-                        rhs = rhs + (a * pairing) * identity_operator(space)
-                    yield lhs - rhs
+                        terms.append((-a * pairing, None, None))
+                    group.append(terms)
+            yield group
 
     def stress_current():
+        group = []
         for m in modes:
             for k in modes:
-                yield (commutator(lmode(m), cur(basis[0], k))
-                       + float(k) * cur(basis[0], m + k))
+                group.append([*bracket(lmode(m), cur(basis[0], k)),
+                              (float(k), None, cur(basis[0], m + k))])
+        yield group
 
     def virasoro():
         c_val = float(data.central_charge)
+        group = []
         for a in modes:
             for b in modes:
                 if abs(a + b) > cutoff // 2 and a != b:
                     continue   # L_{a+b} is outside the Sugawara window
-                resid = commutator(lmode(a), lmode(b))
+                terms = bracket(lmode(a), lmode(b))
                 if a != b:
-                    resid = resid - float(a - b) * lmode(a + b)
+                    terms.append((-float(a - b), None, lmode(a + b)))
                 if a + b == 0:
-                    central = c_val * a * (a * a - 1) / 12.0
-                    resid = resid - central * identity_operator(space)
-                yield resid
+                    terms.append((-c_val * a * (a * a - 1) / 12.0, None, None))
+                group.append(terms)
+        yield group
 
     def rotation():
         d_op = rotation_generator(space)
+        group = []
         for m in modes:
-            yield commutator(d_op, cur(basis[0], m)) + float(m) * cur(basis[0], m)
+            group.append([*bracket(d_op, cur(basis[0], m)),
+                          (float(m), None, cur(basis[0], m))])
+        yield group
 
     def adjoint():
         for i in range(min(3, len(basis))):
@@ -787,11 +907,15 @@ def identity_reports(n: int, cutoff: int,
             continue
         worst = 0.0
         for resid in residuals():
-            if isinstance(resid, FockOperator):
+            if isinstance(resid, list):
+                resid, prot = _group_worst(space, resid)
+                block = min(block, prot)
+            elif isinstance(resid, FockOperator):
                 block = min(block, resid.protected_energy)
                 resid = resid.max_protected_abs()
             worst = max(worst, resid)
-        reports.append(_report(name, block, worst, tolerance))
+        reports.append(_report(name, block, worst, tolerance,
+                               columns=int(_protected_width(space, block))))
     return reports
 
 

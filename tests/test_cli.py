@@ -296,6 +296,25 @@ def test_main_config_free_verify(tmp_path):
     assert all(r["pass"] for r in reports)
 
 
+def test_unprotected_fock_sector_reports_error(tmp_path, capsys):
+    # su2's charge-3 sector starts at energy 1, so at cutoff 4 no column is
+    # protected for the affine residuals
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "algebra": {"family": "su2", "level": 1},
+        "tasks": [{"task": "fock-verify", "identities": ["affine"],
+                   "cutoff": 4, "charge": 3}]}))
+    rc = cli.main(["verify", "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "[ERROR] fock-verify" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [task] = report["tasks"]
+    assert task["status"] == "error"
+    assert "no protected columns" in task["message"]
+    assert report["passed"] is False
+
+
 def test_fail_fast_stops_after_failure(tmp_path):
     # a hs-defect task with a severely windowed loop fails its gap check;
     # with --fail-fast the following task must not run

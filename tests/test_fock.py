@@ -203,6 +203,49 @@ def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
         assert builds and len(set(builds)) == len(builds)
 
 
+def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):
+    """The four grouped suites form no FockOperator sum or product: one
+    sparse product per affine basis pair (12 sampled on su3) and one for
+    each of the other three suites."""
+    def refuse(*args):
+        raise AssertionError("FockOperator arithmetic in a grouped suite")
+
+    for op in ("__matmul__", "__add__", "__sub__", "__rmul__"):
+        monkeypatch.setattr(fock.FockOperator, op, refuse)
+    group_worst = fock._group_worst
+    calls = []
+
+    def counting(space, residuals):
+        calls.append(len(residuals))
+        return group_worst(space, residuals)
+
+    monkeypatch.setattr(fock, "_group_worst", counting)
+    reports = fock.identity_reports(
+        3, 4, charge=0,
+        identities=("affine", "commutator", "virasoro", "rotation"))
+    assert all(r["pass"] for r in reports)
+    assert len(calls) == 12 + 3
+    assert calls[:12] == [25] * 12
+
+
+@pytest.mark.parametrize("n, cutoff, columns", [(3, 4, 1), (2, 6, 14)])
+def test_identity_reports_count_protected_columns(n, cutoff, columns):
+    reports = {r["identity"]: r for r in fock.identity_reports(n, cutoff, charge=0)}
+    for name in ("affine", "commutator", "virasoro"):
+        assert reports[name]["columns"] == columns
+    assert reports["vacuum-cocycle"]["columns"] == 1
+
+
+def test_unprotected_residual_raises_window_error(space6, su2):
+    # the charge-3 sector of su2/4 starts at energy 1, above every block
+    with pytest.raises(WindowError, match="no protected columns"):
+        fock.identity_reports(2, 4, charge=3, identities=("affine",))
+    op = fock.current(space6, su2.basis[0], 1)
+    op.protected_energy = -1
+    with pytest.raises(WindowError, match="no protected columns"):
+        op.max_protected_abs()
+
+
 def test_rotation_commutator_sign(space6, su2):
     d = fock.rotation_generator(space6)
     x1 = fock.current(space6, su2.basis[0], 1)

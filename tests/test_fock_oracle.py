@@ -10,10 +10,13 @@ path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
 against which the column-restricted ``expm_multiply`` route is compared.
 ``_hs_dense_truncated`` is the windowed Hardy defect ||[P, M]||_2^2 from the
 whole block matrix M, against which the counted block pairs of
-``hs_defect`` are compared.
+``hs_defect`` are compared.  ``_oracle_suite`` holds the identity residuals
+as whole ``FockOperator`` expressions, against which the grouped,
+column-restricted evaluation of ``identity_reports`` is compared.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -331,3 +334,175 @@ def test_hs_defect_counts_match_dense_blocks(n, window):
     want = _hs_dense_truncated(data, window)
     assert want > 0.0
     assert abs(got - want) <= 1e-14 * want
+
+
+def _oracle_suite(n, cutoff, mode_range=2, charge=None, seed=7):
+    """The space and the residual generators that ``identity_reports`` ran
+    before its grouped evaluation, verbatim: every residual a whole
+    ``FockOperator`` built by operator arithmetic, and the report loop below
+    takes its protected energy and ``max_protected_abs``.  name -> (residuals,
+    starting block, tolerance) at the default tolerance 1e-10."""
+    tol = 1e-10
+    algebra = lie.build_su(n)
+    data = affine_data.level_data(algebra, 1)
+    space = fock.build_fock(n, cutoff, charge=charge)
+    rng = np.random.default_rng(seed)
+    mode_range = max(1, min(mode_range, cutoff // 2))
+    modes = range(-mode_range, mode_range + 1)
+
+    basis = [algebra.basis[i] for i in range(algebra.dimension)]
+    pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    if len(pair_idx) > 12:
+        sel = rng.choice(len(pair_idx), size=12, replace=False)
+        pair_idx = [pair_idx[int(s)] for s in sel]
+
+    currents = {}
+
+    def cur(xm, m):
+        key = (xm.tobytes(), m)
+        if key not in currents:
+            currents[key] = fock.current(space, xm, m)
+        return currents[key]
+
+    lmode = cache(lambda m: fock.sugawara(space, m, data))
+
+    def affine():
+        for (i, j) in pair_idx:
+            xm, ym = basis[i], basis[j]
+            brk = xm @ ym - ym @ xm
+            pairing = complex(np.trace(xm @ ym))
+            for a in modes:
+                for b in modes:
+                    lhs = fock.commutator(cur(xm, a), cur(ym, b))
+                    rhs = cur(brk, a + b)
+                    if a + b == 0:
+                        rhs = rhs + (a * pairing) * fock.identity_operator(space)
+                    yield lhs - rhs
+
+    def stress_current():
+        for m in modes:
+            for k in modes:
+                yield (fock.commutator(lmode(m), cur(basis[0], k))
+                       + float(k) * cur(basis[0], m + k))
+
+    def virasoro():
+        c_val = float(data.central_charge)
+        for a in modes:
+            for b in modes:
+                if abs(a + b) > cutoff // 2 and a != b:
+                    continue   # L_{a+b} is outside the Sugawara window
+                resid = fock.commutator(lmode(a), lmode(b))
+                if a != b:
+                    resid = resid - float(a - b) * lmode(a + b)
+                if a + b == 0:
+                    central = c_val * a * (a * a - 1) / 12.0
+                    resid = resid - central * fock.identity_operator(space)
+                yield resid
+
+    def rotation():
+        d_op = fock.rotation_generator(space)
+        for m in modes:
+            yield (fock.commutator(d_op, cur(basis[0], m))
+                   + float(m) * cur(basis[0], m))
+
+    def adjoint():
+        for i in range(min(3, len(basis))):
+            for m in range(0, mode_range + 1):
+                yield cur(basis[i], m).adjoint() + cur(basis[i], -m)
+
+    def vacuum_cocycle():
+        for _ in range(10):
+            x = fock._random_polynomial(algebra, rng, cutoff // 2)
+            y = fock._random_polynomial(algebra, rng, cutoff // 2)
+            yield abs(fock.vacuum_cocycle_check(space, x, y)
+                      - 1j * loops.central_term_B(x, y))
+
+    suite = {"affine": (affine, cutoff, tol),
+             "commutator": (stress_current, cutoff, tol),
+             "virasoro": (virasoro, cutoff, tol),
+             "rotation": (rotation, cutoff, tol),
+             "adjoint": (adjoint, cutoff, tol),
+             "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
+    if charge not in (None, 0):
+        del suite["vacuum-cocycle"]
+    return space, suite
+
+
+def _oracle_reports(suite):
+    """The report loop of ``identity_reports`` over whole-operator residuals."""
+    reports = []
+    for name, (residuals, block, tolerance) in suite.items():
+        worst = 0.0
+        for resid in residuals():
+            if isinstance(resid, fock.FockOperator):
+                block = min(block, resid.protected_energy)
+                resid = resid.max_protected_abs()
+            worst = max(worst, resid)
+        reports.append(fock._report(name, block, worst, tolerance))
+    return reports
+
+
+GROUPED = ("affine", "commutator", "virasoro", "rotation")
+SUITE_CASES = [(2, 6, None, 1), (2, 6, None, 2), (3, 4, 0, 1), (3, 4, 0, 2),
+               (2, 4, 1, 1), (2, 4, 1, 2)]
+
+
+def _suite_id(case):
+    return "su%d-N%d-q%s-r%d" % case
+
+
+@pytest.mark.parametrize("case", SUITE_CASES, ids=_suite_id)
+def test_grouped_residuals_match_operator_arithmetic(case, monkeypatch):
+    """Residual by residual, the (coef, left, right) term lists evaluated
+    alone by ``_group_worst`` carry the protected energy of the whole
+    operator and its worst protected entry to 1e-14."""
+    n, cutoff, charge, mode_range = case
+    group_worst = fock._group_worst
+    groups = []
+
+    def recording(space, residuals):
+        groups.append((space, residuals))
+        return group_worst(space, residuals)
+
+    monkeypatch.setattr(fock, "_group_worst", recording)
+    _, oracle = _oracle_suite(n, cutoff, mode_range, charge)
+    for name in GROUPED:
+        groups.clear()
+        fock.identity_reports(n, cutoff, identities=(name,),
+                              mode_range=mode_range, charge=charge)
+        got = [(space, terms) for space, group in groups for terms in group]
+        want = list(oracle[name][0]())
+        assert len(got) == len(want) > 0
+        for (space, terms), resid in zip(got, want):
+            worst, prot = group_worst(space, [terms])
+            assert prot == resid.protected_energy, name
+            assert abs(worst - resid.max_protected_abs()) <= 1e-14, name
+
+
+@pytest.mark.parametrize("case", SUITE_CASES, ids=_suite_id)
+def test_identity_reports_match_operator_arithmetic(case):
+    n, cutoff, charge, mode_range = case
+    space, oracle = _oracle_suite(n, cutoff, mode_range, charge)
+    got = fock.identity_reports(n, cutoff, mode_range=mode_range, charge=charge)
+    want = _oracle_reports(oracle)
+    assert [r["identity"] for r in got] == [r["identity"] for r in want]
+    for g, w in zip(got, want):
+        assert (g["block"], g["pass"]) == (w["block"], w["pass"]), g
+        assert abs(g["residual_max"] - w["residual_max"]) <= 1e-14, g
+        assert g["columns"] == np.count_nonzero(space.energies <= g["block"])
+
+
+def test_operator_difference_is_bit_identical_to_sum_of_negative(spaces):
+    space = spaces[(2, 6, 0)]
+    data = affine_data.level_data(lie.build_su(2), 1)
+    x = np.array([[0, 1], [0, 0]], complex)
+    ops = [fock.current(space, x, 1), fock.current(space, x.T, -1),
+           fock.sugawara(space, 1, data), fock.identity_operator(space)]
+    for a in ops:
+        for b in ops:
+            got, want = a - b, a + (-1.0) * b
+            assert ((got.degree, got.protected_energy, got.max_raise)
+                    == (want.degree, want.protected_energy, want.max_raise))
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.matrix, part),
+                                      getattr(want.matrix, part))
