@@ -315,25 +315,37 @@ def total_energy(path: LinePath, tol: float = _QUAD_TOL) -> float:
     return float(_partition(path, tol).totals[0]) / (2.0 * math.pi)
 
 
+def _entropies(path: LinePath, ts, tol: float, right: bool = True,
+               left: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = M1 - t M0, S_bar = t (E0 - M0) - (E1 - M1) and S' = -M0 at every
+    point of ``ts``, from one batch of tail moments.  S and S' vanish right
+    of the support hull, S_bar left of it; ``right`` (S, S') and ``left``
+    (S_bar) pick the values wanted, the others read 0, and no partition is
+    built unless a wanted value lies off those zeros."""
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = path.support()
+    zero = (np.maximum(ts, lo) >= hi) | (not right)
+    zero_bar = (np.minimum(ts, hi) <= lo) | (not left)
+    m0 = m1 = np.zeros_like(ts)
+    e0 = e1 = 0.0
+    if not (zero.all() and zero_bar.all()):
+        m0, m1, _ = _tail_moments(path, ts, tol).T
+        e0, e1, _ = _partition(path, tol).totals
+    return (np.where(zero, 0.0, m1 - ts * m0),
+            np.where(zero_bar, 0.0, ts * (e0 - m0) - (e1 - m1)),
+            np.where(zero, 0.0, -m0))
+
+
 def entropy_right(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
     """Half-line relative entropy S(t) = integral_t^inf (u - t) * S''(u) du."""
-    lo, hi = path.support()
-    t = float(t)
-    if hi <= max(t, lo):
-        return 0.0
-    m0, m1, _ = _tail_moments(path, t, tol)[0]
-    return float(m1 - t * m0)
+    s, _, _ = _entropies(path, [float(t)], tol, left=False)
+    return float(s[0])
 
 
 def entropy_left(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
     """Complementary entropy S_bar(t) = integral_-inf^t (t - u) * S''(u) du."""
-    lo, hi = path.support()
-    t = float(t)
-    if min(t, hi) <= lo:
-        return 0.0
-    e0, e1, _ = _partition(path, tol).totals
-    m0, m1, _ = _tail_moments(path, t, tol)[0]
-    return float(t * (e0 - m0) - (e1 - m1))
+    _, s_bar, _ = _entropies(path, [float(t)], tol, right=False)
+    return float(s_bar[0])
 
 
 def entropy_interval(path: LinePath, r: float, tol: float = _QUAD_TOL) -> float:
@@ -407,16 +419,8 @@ def qnec_profile(path: LinePath, grid, fd_tolerance: float = 1e-4,
     d = float(fd_spacing)
     n = len(ts)
     queries = np.concatenate([ts, ts - d, ts + d])
-    m0, m1, _ = _tail_moments(path, queries, tol).T
-    e0, e1, _ = _partition(path, tol).totals
-    # the same exact zeros outside the support as the scalar functionals
-    lo, hi = path.support()
-    right_of = np.maximum(queries, lo) >= hi
-    s_all = np.where(right_of, 0.0, m1 - queries * m0)
-    s_vals = s_all[:n]
-    sbar_vals = np.where(np.minimum(ts, hi) <= lo, 0.0,
-                         ts * (e0 - m0[:n]) - (e1 - m1[:n]))
-    sp_vals = np.where(right_of[:n], 0.0, -m0[:n])
+    s_all, sbar_all, sp_all = _entropies(path, queries, tol)
+    s_vals, sbar_vals, sp_vals = s_all[:n], sbar_all[:n], sp_all[:n]
     fd = (s_all[2 * n:] - 2 * s_vals + s_all[n:2 * n]) / (d * d)
 
     scale = max(float(np.max(np.abs(sdd))), 1e-30)

@@ -30,7 +30,9 @@ residual is a short list of (coef, left, right) terms, its protected energy
 follows from the gradings alone, and since the basis is ordered by energy
 its protected columns are a prefix.  Each group of residuals is one sparse
 product of the stacked left factors with the stacked right factors cut to
-those columns.  ``FockOperator`` arithmetic stays the public route and the
+those columns.  The Sugawara modes are the same product of hop tables, on
+all columns, and its factors, the currents and pi(x) come from one COO ->
+CSR routine.  ``FockOperator`` arithmetic stays the public route and the
 tests' oracle.
 """
 
@@ -419,27 +421,83 @@ def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int, table=_hop):
             for i, j in zip(*np.nonzero(np.abs(xmat) > 1e-15))]
 
 
-def _assemble(terms, shape, row_offsets=None, col_offsets=None):
-    """CSR sum of coefficient * hop over (coefficient, hop) terms.
+def _assemble(space: TruncatedFockSpace, terms):
+    """CSR sum of coefficient * hop over (coefficient, hop) terms."""
+    return _stacked_csr([(*hop, None, 0, 0, coef) for coef, hop in terms],
+                        (space.dim, space.dim))
 
-    ``row_offsets``/``col_offsets`` give each term's block position when the
-    hops are stacked into a taller or wider matrix.
+
+def _stacked_csr(blocks, shape):
+    """CSR sum over blocks (rows, cols, data, width, row offset, column
+    offset, coef) of coef * the entries in the first ``width`` columns (all
+    of them for None), placed at the block's offsets; duplicate entries sum
+    and entries that cancel exactly are dropped.  The module's one COO -> CSR
+    construction.
     """
-    if not terms:
-        return scipy.sparse.csr_matrix(shape, dtype=complex)
-    rows = [r for _, (r, _, _) in terms]
-    cols = [c for _, (_, c, _) in terms]
-    if row_offsets is not None:
-        rows = [r + off for r, off in zip(rows, row_offsets)]
-    if col_offsets is not None:
-        cols = [c + off for c, off in zip(cols, col_offsets)]
-    data = np.concatenate([coef * signs for coef, (_, _, signs) in terms])
-    # the constructor sums duplicates; entries that cancel exactly are dropped
-    mat = scipy.sparse.csr_matrix(
-        (data.astype(complex), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape)
+    keeps = [None if width is None else cols < width
+             for _, cols, _, width, *_ in blocks]
+    sizes = [len(cols) if keep is None else np.count_nonzero(keep)
+             for (_, cols, *_), keep in zip(blocks, keeps)]
+    total = sum(sizes)
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(total, dtype=index)
+    cols = np.empty(total, dtype=index)
+    data = np.empty(total, dtype=complex)
+    pos = 0
+    for (r, c, d, _, row_offset, col_offset, coef), keep, size in zip(
+            blocks, keeps, sizes):
+        if keep is not None:
+            r, c, d = r[keep], c[keep], d[keep]
+        end = pos + size
+        np.add(r, row_offset, out=rows[pos:end])
+        np.add(c, col_offset, out=cols[pos:end])
+        np.multiply(d, coef, out=data[pos:end])
+        pos = end
+    mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
     mat.eliminate_zeros()
     return mat
+
+
+def _stacked_product(space: TruncatedFockSpace, residuals, widths):
+    """The residuals side by side, each on its first ``width`` columns (all
+    of them for None), as one sparse product wide @ tall.
+
+    A residual is a list of ``(coef, left, right)`` terms standing for
+    sum coef * left @ right; a factor is a ``FockOperator``, a cached
+    ``_hop`` table or None, the identity.  ``wide`` places the distinct
+    left factors side by side, and ``tall`` places coef * right, cut to its
+    residual's width, at its left factor's row block and its residual's
+    column block.  Duplicate entries sum, so the product holds every
+    residual in its own column block.
+    """
+    dim = space.dim
+    entries = {}   # id(factor) -> (rows, cols, data), read once per call
+
+    def coo(op):
+        if isinstance(op, tuple):   # a _hop table
+            return op
+        if id(op) not in entries:
+            if op is None:
+                ids = np.arange(dim)
+                entries[id(op)] = (ids, ids, np.ones(dim, dtype=complex))
+            else:
+                mat = op.matrix
+                entries[id(op)] = (np.repeat(np.arange(dim), np.diff(mat.indptr)),
+                                   mat.indices, mat.data)
+        return entries[id(op)]
+
+    slots, wide, tall = {}, [], []
+    col_offset = 0
+    for terms, width in zip(residuals, widths):
+        for coef, left, right in terms:
+            if id(left) not in slots:
+                slots[id(left)] = len(slots) * dim
+                wide.append((*coo(left), None, 0, slots[id(left)], 1.0))
+            tall.append((*coo(right), width, slots[id(left)], col_offset, coef))
+        col_offset += dim if width is None else width
+    stacked = len(slots) * dim
+    return (_stacked_csr(wide, (dim, stacked))
+            @ _stacked_csr(tall, (stacked, col_offset)))
 
 
 def current(space: TruncatedFockSpace, x, m: int) -> FockOperator:
@@ -455,8 +513,7 @@ def current(space: TruncatedFockSpace, x, m: int) -> FockOperator:
     xmat = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
     if xmat.shape != (space.n, space.n):
         raise ValueError(f"generator shape {xmat.shape} does not match n={space.n}")
-    return FockOperator(_assemble(_hop_terms(space, xmat, m),
-                                  (space.dim, space.dim)), space,
+    return FockOperator(_assemble(space, _hop_terms(space, xmat, m)), space,
                         degree=-m,
                         protected_energy=space.cutoff - max(0, -m),
                         max_raise=max(0, -m))
@@ -484,27 +541,17 @@ def sugawara(space: TruncatedFockSpace, m: int, data: LevelData) -> FockOperator
         raise ValueError("level data does not match the space's algebra")
     basis = build_su(space.n).basis
     # sum_i x_i(-m') x^i(m'+m) = sum_{ab} E_ab(-m') sum_{cd} cas[a,b,c,d] E_cd(m'+m)
-    # with the dual basis x^i = -x_i; every block (m', a, b) is stacked into
-    # one wide-by-tall sparse product
+    # with the dual basis x^i = -x_i: one residual of hop terms, so one
+    # stacked product; the weight 1 or 2 scales exactly
     cas = -np.einsum("iab,icd->abcd", basis, basis)
-    dim = space.dim
-    left, left_offsets, right, right_offsets = [], [], [], []
+    terms = []
     for mp in range(math.ceil(-m / 2), space.cutoff - max(m, 0) + 1):
         weight = 1.0 if 2 * mp == -m else 2.0
         for a, b in itertools.product(range(space.n), repeat=2):
-            terms = _hop_terms(space, cas[a, b], mp + m)
-            if not terms:
-                continue
-            offset = len(left) * dim
-            left.append((weight, _hop(space, a, b, -mp)))
-            left_offsets.append(offset)
-            right += terms
-            right_offsets += [offset] * len(terms)
-    stacked = len(left) * dim
-    total = (_assemble(left, (dim, stacked), col_offsets=left_offsets)
-             @ _assemble(right, (stacked, dim), row_offsets=right_offsets))
+            terms += [(weight * coef, _hop(space, a, b, -mp), hop)
+                      for coef, hop in _hop_terms(space, cas[a, b], mp + m)]
     scale = 1.0 / (2.0 * (data.level + data.dual_coxeter))
-    return FockOperator(scale * total.tocsr(), space,
+    return FockOperator(scale * _stacked_product(space, [terms], [None]), space,
                         degree=-m,
                         protected_energy=space.cutoff - abs(m),
                         max_raise=max(0, -m))
@@ -538,7 +585,7 @@ def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
         max_mode = space.cutoff
     grading = _pi_grading(space, x, max_mode)
     terms = [t for k, a in x.coefficients.items() for t in _hop_terms(space, a, k)]
-    return FockOperator(_assemble(terms, (space.dim, space.dim)), space, *grading)
+    return FockOperator(_assemble(space, terms), space, *grading)
 
 
 def _vacuum_lines(space: TruncatedFockSpace,
@@ -711,18 +758,12 @@ def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
     """Worst |entry| of a group of residuals on their protected columns,
     and the group's smallest protected energy.
 
-    A residual is a list of ``(coef, left, right)`` terms standing for
-    sum coef * left @ right, where a factor of None is the identity.  Its
-    protected energy is the least ``_product_protection`` of its terms, the
-    rule ``FockOperator`` arithmetic applies, so only the gradings are read
-    and no residual matrix is formed.  Instead the group is one sparse
-    product wide @ tall: ``wide`` places the distinct left factors side by
-    side, and ``tall`` places coef * right[:, :k] at its left factor's row
-    block and its residual's column block, where k counts the residual's
-    protected columns.  Duplicate entries sum, so the product holds every
-    residual on its protected columns.
+    A residual's protected energy is the least ``_product_protection`` of
+    its terms, the rule ``FockOperator`` arithmetic applies, so only the
+    gradings of its factors (``FockOperator`` or None) are read and no
+    residual matrix is formed: ``_stacked_product`` evaluates the group on
+    the protected columns of each residual at once.
     """
-    dim = space.dim
     unit = _Grading(0, space.cutoff, 0)
     prots = [min(_product_protection(unit if a is None else a,
                                      unit if b is None else b)
@@ -730,54 +771,8 @@ def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
     widths = _protected_width(space, prots)
     if not widths.all():
         raise _unprotected(min(prots))
-    entries = {}   # id(factor) -> (rows, cols, data), read once per group
-
-    def coo(op):
-        if id(op) not in entries:
-            if op is None:
-                ids = np.arange(dim)
-                entries[id(op)] = (ids, ids, np.ones(dim, dtype=complex))
-            else:
-                mat = op.matrix
-                entries[id(op)] = (np.repeat(np.arange(dim), np.diff(mat.indptr)),
-                                   mat.indices, mat.data)
-        return entries[id(op)]
-
-    # blocks of wide, then of tall: (rows, cols, data, width, row offset,
-    # column offset, coef); tall keeps each right factor's protected columns
-    slots, wide, tall = {}, [], []
-    col_offset = 0
-    for terms, width in zip(residuals, widths):
-        for coef, left, right in terms:
-            if id(left) not in slots:
-                slots[id(left)] = len(slots) * dim
-                wide.append((*coo(left), dim, 0, slots[id(left)], 1.0))
-            tall.append((*coo(right), width, slots[id(left)], col_offset, coef))
-        col_offset += width
-    stacked = len(slots) * dim
-    product = (_stacked_csr(wide, (dim, stacked))
-               @ _stacked_csr(tall, (stacked, col_offset)))
+    product = _stacked_product(space, residuals, widths)
     return float(np.abs(product.data).max(initial=0.0)), min(prots)
-
-
-def _stacked_csr(blocks, shape):
-    """CSR sum over blocks (rows, cols, data, width, row offset, column
-    offset, coef) of coef * the entries in the first ``width`` columns,
-    placed at the block's offsets; duplicate entries sum."""
-    keeps = [cols < width for _, cols, _, width, *_ in blocks]
-    total = sum(map(np.count_nonzero, keeps))
-    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    rows = np.empty(total, dtype=index)
-    cols = np.empty(total, dtype=index)
-    data = np.empty(total, dtype=complex)
-    pos = 0
-    for (r, c, d, _, row_offset, col_offset, coef), keep in zip(blocks, keeps):
-        end = pos + np.count_nonzero(keep)
-        np.add(r[keep], row_offset, out=rows[pos:end])
-        np.add(c[keep], col_offset, out=cols[pos:end])
-        np.multiply(d[keep], coef, out=data[pos:end])
-        pos = end
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def identity_reports(n: int, cutoff: int,
@@ -793,12 +788,11 @@ def identity_reports(n: int, cutoff: int,
     energy and its number of columns.  ``charge`` restricts to a sector
     (cheaper, equally exact for these charge-preserving identities).
 
-    The affine, commutator, virasoro and rotation residuals are lists of
-    (coef, left, right) terms, evaluated by ``_group_worst`` one group at a
-    time: one basis pair of the affine suite, or the whole suite of the
-    other three.  The adjoint suite uses ``FockOperator`` arithmetic, and
-    the vacuum cocycle its scalar check.  A residual without protected
-    columns raises ``WindowError``.
+    The affine, commutator, virasoro, rotation and adjoint residuals are
+    lists of (coef, left, right) terms, evaluated by ``_group_worst`` one
+    group at a time: one basis pair of the affine suite, or the whole suite
+    of the other four.  The vacuum cocycle is its scalar check.  A residual
+    without protected columns raises ``WindowError``.
     """
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
@@ -883,9 +877,9 @@ def identity_reports(n: int, cutoff: int,
         yield group
 
     def adjoint():
-        for i in range(min(3, len(basis))):
-            for m in range(0, mode_range + 1):
-                yield cur(basis[i], m).adjoint() + cur(basis[i], -m)
+        yield [[(1.0, None, cur(basis[i], m).adjoint()),
+                (1.0, None, cur(basis[i], -m))]
+               for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
 
     def vacuum_cocycle():   # scalars on the vacuum, hence block 0
         for _ in range(10):
@@ -910,9 +904,6 @@ def identity_reports(n: int, cutoff: int,
             if isinstance(resid, list):
                 resid, prot = _group_worst(space, resid)
                 block = min(block, prot)
-            elif isinstance(resid, FockOperator):
-                block = min(block, resid.protected_energy)
-                resid = resid.max_protected_abs()
             worst = max(worst, resid)
         reports.append(_report(name, block, worst, tolerance,
                                columns=int(_protected_width(space, block))))

@@ -11,6 +11,7 @@ hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,13 +63,13 @@ class CompactSimpleAlgebra:
     """Explicit model of su(n): orthonormal anti-hermitian basis and invariants.
 
     The basis satisfies -tr(x_i x_j) = delta_ij, so the dual basis for the
-    trace form is x^i = -x_i.  Structure constants are stored as the 3-index
-    real array c[h, i, j] with [x_i, x_j] = sum_h c[h, i, j] x_h.
+    trace form is x^i = -x_i.  Structure constants are the 3-index real
+    array c[h, i, j] with [x_i, x_j] = sum_h c[h, i, j] x_h, computed on
+    first use (their intermediate is 10.8 GiB for su30).
     """
 
     n: int
     basis: np.ndarray                # (dim, n, n) complex
-    structure_constants: np.ndarray  # (dim, dim, dim) real
     dual_coxeter: int
     dimension: int
 
@@ -77,6 +78,21 @@ class CompactSimpleAlgebra:
 
     def __hash__(self):
         return hash(("su", self.n))
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """(dim, dim, dim) real, read-only."""
+        basis = self.basis
+        # c[h, i, j] = -tr([x_i, x_j] x_h); real because the real form is
+        # closed under brackets and orthonormal for -tr.
+        comm = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum(
+            "jab,ibc->ijac", basis, basis)
+        c = -np.einsum("ijab,hba->hij", comm, basis)
+        if np.abs(c.imag).max() > 1e-13:
+            raise NumericError("structure constants acquired an imaginary part")
+        c = c.real
+        c.setflags(write=False)
+        return c
 
     def element(self, matrix: np.ndarray, real_form: bool | None = None) -> "AlgebraElement":
         return AlgebraElement(np.asarray(matrix, dtype=complex), self, real_form)
@@ -136,24 +152,9 @@ def build_su(n: int) -> CompactSimpleAlgebra:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidRankError(f"su(n) needs integer n >= 2, got {n!r}")
     basis = np.array([1j * m / np.sqrt(2.0) for m in _gell_mann_hermitian(n)])
-    dim = n * n - 1
-    # c[h, i, j] = -tr([x_i, x_j] x_h); real because the real form is closed
-    # under brackets and orthonormal for -tr.
-    comm = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum(
-        "jab,ibc->ijac", basis, basis)
-    c = -np.einsum("ijab,hba->hij", comm, basis)
-    if np.abs(c.imag).max() > 1e-13:
-        raise NumericError("structure constants acquired an imaginary part")
-    alg = CompactSimpleAlgebra(
-        n=n,
-        basis=basis,
-        structure_constants=c.real,
-        dual_coxeter=n,
-        dimension=dim,
-    )
     basis.setflags(write=False)
-    alg.structure_constants.setflags(write=False)
-    return alg
+    return CompactSimpleAlgebra(n=n, basis=basis, dual_coxeter=n,
+                                dimension=n * n - 1)
 
 
 def basic_form(x: AlgebraElement, y: AlgebraElement) -> complex:

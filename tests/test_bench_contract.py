@@ -33,6 +33,17 @@ def _run_worker(tmp_path, workload, *flags):
     return json.loads(result.read_text())
 
 
+# exact work counters of the traced seed-3 runs, so that a change of the
+# work done shows here and not only when two runs of one tree are compared
+COUNTERS = {
+    "operator_suites": {"fock.states": 629, "fock.current.calls": 225,
+                        "fock.current.nnz": 56_756, "fock.sugawara.calls": 12,
+                        "fock.sugawara.nnz": 19_633,
+                        "fock.operator_algebra.calls": 18},
+    "oneshot_sweep": {"fock.pi_element.nnz": 42_480},
+}
+
+
 @pytest.mark.parametrize("workload", ["operator_suites", "entropy_profiles",
                                       "oneshot_sweep"])
 def test_traced_workload_passes_its_checks(tmp_path, workload):
@@ -40,6 +51,8 @@ def test_traced_workload_passes_its_checks(tmp_path, workload):
     assert result["checks_total"] > 0
     assert result["checks_failed"] == 0, result["worst"]
     assert result["layers"]
+    counters = COUNTERS.get(workload, {})
+    assert {name: result["layers"].get(name) for name in counters} == counters
 
 
 def test_oneshot_sweep_sets_up(tmp_path):

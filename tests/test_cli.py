@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ def test_bad_loop_reference():
 def test_unknown_family():
     with pytest.raises(ConfigError):
         cli.validate_config(json.dumps({"algebra": {"family": "so5"}}))
+
+
+def test_large_family_validates_without_structure_constants():
+    """su30's structure constants need a (899, 899, 30, 30) complex
+    intermediate, 10.8 GiB; validation never reads them, so they are not
+    computed and the peak stays small."""
+    tracemalloc.start()
+    try:
+        scenario = cli.validate_config(json.dumps({"algebra": {"family": "su30"}}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scenario.algebra.dimension == 899
+    assert "structure_constants" not in vars(scenario.algebra)
+    assert peak < 100 * 2**20
 
 
 def test_line_path_rejects_fourier_profile():

@@ -189,6 +189,18 @@ def test_outside_support_exact_zeros(su2):
         assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in arr)
 
 
+def test_exact_zeros_build_no_partition(su2):
+    """S right of the support and S_bar left of it are set, not integrated."""
+    x = np.sqrt(2.0) * su2.basis[0]
+    path = entropy.LinePath(su2, [(x, entropy.PolyBump(0.5, 1.5, 0.9))])
+    lo, hi = path.support()
+    assert entropy.entropy_right(path, hi + 2.0) == 0.0
+    assert entropy.entropy_left(path, lo - 2.0) == 0.0
+    assert not path._partitions
+    assert entropy.entropy_left(path, hi + 2.0) > 0.0
+    assert list(path._partitions) == [entropy._QUAD_TOL]
+
+
 def test_qnec_profile_matches_oracle_on_dense_grid(su2):
     x = np.sqrt(2.0) * su2.basis[0]
     y = np.sqrt(2.0) * su2.basis[1]

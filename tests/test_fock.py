@@ -204,9 +204,9 @@ def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
 
 
 def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):
-    """The four grouped suites form no FockOperator sum or product: one
+    """The five grouped suites form no FockOperator sum or product: one
     sparse product per affine basis pair (12 sampled on su3) and one for
-    each of the other three suites."""
+    each of the other four suites."""
     def refuse(*args):
         raise AssertionError("FockOperator arithmetic in a grouped suite")
 
@@ -222,10 +222,11 @@ def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):
     monkeypatch.setattr(fock, "_group_worst", counting)
     reports = fock.identity_reports(
         3, 4, charge=0,
-        identities=("affine", "commutator", "virasoro", "rotation"))
+        identities=("affine", "commutator", "virasoro", "rotation", "adjoint"))
     assert all(r["pass"] for r in reports)
-    assert len(calls) == 12 + 3
+    assert len(calls) == 12 + 3 + 1
     assert calls[:12] == [25] * 12
+    assert calls[-1] == 3 * 3   # adjoint: 3 generators, modes 0..2
 
 
 @pytest.mark.parametrize("n, cutoff, columns", [(3, 4, 1), (2, 6, 14)])

@@ -81,6 +81,21 @@ def test_casimir_dual_coxeter(n):
         assert np.abs(total - 2 * n * y.matrix).max() < 1e-10
 
 
+def test_structure_constants_computed_once_read_only():
+    alg = lie.build_su(3)
+    assert "structure_constants" not in vars(alg)
+    c = alg.structure_constants
+    assert c is alg.structure_constants
+    assert c.shape == (8, 8, 8) and c.dtype == float
+    assert not c.flags.writeable
+    # [x_i, x_j] = sum_h c[h, i, j] x_h
+    for i in range(8):
+        for j in range(8):
+            comm = alg.basis[i] @ alg.basis[j] - alg.basis[j] @ alg.basis[i]
+            assert np.abs(np.einsum("h,hab->ab", c[:, i, j], alg.basis)
+                          - comm).max() < 1e-13
+
+
 def test_structure_constant_symmetries(su3):
     c = su3.structure_constants
     # c^h_ij = c^i_jh = -c^i_hj
