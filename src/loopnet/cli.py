@@ -125,11 +125,15 @@ def _number(v, pointer, *_, positive=False) -> float:
     return float(v)
 
 
-def _int(v, pointer, *_, minimum=1) -> int:
-    """A JSON integer, never a boolean, of at least ``minimum`` (None: any)."""
+def _int(v, pointer, *_, minimum=1, maximum=None) -> int:
+    """A JSON integer, never a boolean, of at least ``minimum`` and at most
+    ``maximum`` (None: no bound)."""
     if (isinstance(v, bool) or not isinstance(v, int)
-            or minimum is not None and v < minimum):
+            or minimum is not None and v < minimum
+            or maximum is not None and v > maximum):
         bound = "" if minimum is None else f" >= {minimum}"
+        if maximum is not None:
+            bound += f" and <= {maximum}"
         raise ConfigError(f"must be an integer{bound}, got {_show(v)}", pointer)
     return v
 
@@ -339,13 +343,19 @@ def _loop_ref(kind):
     return parse
 
 
+# qnec_profile queries 3 num points at once; num = 100,000 peaks near 0.25 GB
+# resident and takes about 5 s on a three-factor su3 path (2-core x86 VM)
+MAX_GRID_POINTS = 100_000
+
+
 def _grid(v, pointer, _, task) -> tuple:
     """(start, stop, num) for np.linspace; the ends default to one unit
-    beyond the loop's support."""
+    beyond the loop's support, and num is at most MAX_GRID_POINTS."""
     lo, hi = task["loop"].support
+    num = functools.partial(_int, minimum=3, maximum=MAX_GRID_POINTS)
     grid = _fields(v, pointer, {"start": (_number, lo - 1.0),
                                 "stop": (_number, hi + 1.0),
-                                "num": (functools.partial(_int, minimum=3), 161)})
+                                "num": (num, 161)})
     if not grid["start"] < grid["stop"]:
         raise ConfigError("grid start must be below stop", pointer)
     return tuple(grid.values())

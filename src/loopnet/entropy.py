@@ -40,8 +40,12 @@ nonnegative, nondecreasing in t and consistent with the sum rule.
 
 All of these are read from one quadrature of rho = S''.  Its adaptive panel
 partition over the support (``quadrature.panel_partition``) is built once
-per path and tolerance and cached on the LinePath; with the tail moments
-M_p(t) = integral_t^inf u^p rho du and the totals E_p = M_p(-inf),
+per path and tolerance and cached on the LinePath.  It is cut at the
+support edges of every factor, where rho need not be smooth (a PolyBump
+edge is only C^3), so no panel straddles one; between those edges a path
+of one or two PolyBumps is a polynomial that the 10-point rule integrates
+exactly, and each piece passes on its first evaluation.  With the tail
+moments M_p(t) = integral_t^inf u^p rho du and the totals E_p = M_p(-inf),
 
     S(t)     = M1(t) - t M0(t),          S'(t) = -M0(t),
     S_bar(t) = t (E0 - M0(t)) - (E1 - M1(t)),
@@ -49,8 +53,9 @@ M_p(t) = integral_t^inf u^p rho du and the totals E_p = M_p(-inf),
     S_(-r,r) = (r^2 (M0(-r) - M0(r)) - (M2(-r) - M2(r))) / 2r.
 
 Each M_p(t) is a suffix sum of per-panel moments plus one checked integral
-over the part of t's panel right of t, and ``qnec_profile`` asks for all
-its grid and stencil points in one batch.
+over the part of t's panel right of t (a t on a panel edge, such as a
+factor's support edge, reads the suffix sum alone), and ``qnec_profile``
+asks for all its grid and stencil points in one batch.
 
 The one-parameter family intertwining the vacuum and excited half-line
 states is realized at path level: u_t(u) = gamma_+(u) gamma_+(e^{2 pi t} u)^{-1}
@@ -293,11 +298,14 @@ def _density_integrand(path: LinePath):
 
 
 def _partition(path: LinePath, tol: float) -> PanelPartition:
-    """The panel partition of rho = S'' over the support, cached per tol."""
+    """The panel partition of rho = S'' over the support, cached per tol and
+    seeded at the factors' support edges, where rho need not be smooth."""
     part = path._partitions.get(tol)
     if part is None:
         lo, hi = path.support()
-        part = panel_partition(_density_integrand(path), lo, hi, tol=tol)
+        edges = [x for _, profile in path.factors for x in profile.support()]
+        part = panel_partition(_density_integrand(path), lo, hi, tol=tol,
+                               points=edges)
         path._partitions[tol] = part
     return part
 

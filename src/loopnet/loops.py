@@ -30,8 +30,9 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .lie import (AlgebraElement, CompactSimpleAlgebra, as_generator,
-                  eig_antihermitian, exp_antihermitian, exp_profile)
+from .lie import (AlgebraElement, CompactSimpleAlgebra, _allclose,
+                  as_generator, eig_antihermitian, exp_antihermitian,
+                  exp_profile)
 
 __all__ = [
     "FourierLoopElement",
@@ -100,7 +101,7 @@ class FourierLoopElement:
             partner = np.array([coeffs.get(-k, zero) for k in coeffs])
             minus_adjoint = -stack[kept].conj().transpose(0, 2, 1)
             if real_form is None:
-                real_form = bool(np.allclose(partner, minus_adjoint, atol=_REALITY_TOL))
+                real_form = _allclose(partner, minus_adjoint, _REALITY_TOL)
             else:
                 worst = np.linalg.norm(partner - minus_adjoint, axis=(1, 2)).max()
                 if worst > _REALITY_TOL:

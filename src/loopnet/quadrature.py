@@ -6,16 +6,27 @@ partition stores the per-panel moments integral u^p f (p = 0, 1, 2) as
 suffix sums, and a query at t adds one integral over the partial panel
 [t, edge] to the suffix sum that starts at that edge.
 
-Panels are accepted when embedded 10/21-point Gauss-Legendre values agree
-within the panel's budget, tol / 2^depth, so the budgets of a partition add
-up to ``tol``.  The error estimate of a panel [lo, hi] with midpoint c is
-L * sum_p |G21 - G10|(integral ((u - c)/L)^p f), L = max(b - a, 1): it
-bounds the estimated error of integral (u - t) f for every t in [a, b], and
-of integral (r^2 - u^2)/(2r) f for L/2 <= r <= 2L.  Partial panels are
-checked by the same rule under the budget of the panel they sit in and
-bisected until they pass.  A panel that still fails at ``max_depth``
-raises AccuracyError, and a non-finite integrand value NumericError;
-nothing is accepted unchecked.
+Each panel is checked with the 10- and the 21-point Gauss-Legendre rules.
+The two node sets share no node, so a panel costs 31 integrand values, and
+the two rules' sums S_p = sum_n w_n x_n^p f(mid + half x_n) for p = 0, 1, 2
+are one product of the panel's values with a constant (31, 6) matrix.  The
+error estimate of a panel [lo, hi] = [mid - half, mid + half] is
+L * half * sum_p (half/L)^p |S21_p - S10_p|, L = max(b - a, 1), the 10/21
+gap of integral ((u - mid)/L)^p f scaled by L: it bounds the estimated error
+of integral (u - t) f for every t in [a, b], and of integral (r^2 - u^2)/(2r) f
+for L/2 <= r <= 2L.  The moments are the 21-point ones, expanded about the
+midpoint: half * (S0, mid S0 + half S1, mid^2 S0 + 2 mid half S1 + half^2 S2).
+
+The partition starts from the pieces of [a, b] cut at the given interior
+points, where the integrand is known not to be smooth (QUADPACK's QAGP
+breakpoints), and bisects breadth-first.  A piece of length l gets the
+budget tol * l / (b - a) and each bisection halves it, so the budgets of a
+partition add up to ``tol``; with no cut point this is tol / 2^depth.  A
+panel is accepted when its error estimate is within its budget.  Partial
+panels are checked by the same rule under the budget of the panel they sit
+in and bisected until they pass.  A panel that still fails after
+``max_depth`` bisections raises AccuracyError, and a non-finite integrand
+value NumericError; nothing is accepted unchecked.
 
 The integrand is called on all panels of one bisection level at once, in
 chunks of at most ``CHUNK`` points, which bounds the memory of a call.
@@ -33,11 +44,13 @@ from .errors import AccuracyError, NumericError
 __all__ = ["PanelPartition", "panel_partition"]
 
 CHUNK = 2048
-_N_LO = 10
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(_N_LO)
+_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_NODES_LO, _NODES_HI])
-_POWERS = np.arange(3)
+# columns w_n x_n^p (p = 0, 1, 2) of the 10-point rule, then of the 21-point rule
+_RULES = np.zeros((len(_NODES), 6))
+_RULES[:10, :3] = _WEIGHTS_LO[:, None] * _NODES_LO[:, None] ** np.arange(3)
+_RULES[10:, 3:] = _WEIGHTS_HI[:, None] * _NODES_HI[:, None] ** np.arange(3)
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray],
@@ -52,32 +65,36 @@ def _panel_moments(f, lo, hi, scale):
     """21-point moments integral u^p f (p = 0, 1, 2) on each panel, shape
     (k, 3), and each panel's 10/21 error estimate, shape (k,)."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    offsets = half[:, None] * _NODES
-    vals = _evaluate(f, (mid[:, None] + offsets).ravel()).reshape(offsets.shape)
-    local = (offsets / scale)[..., None] ** _POWERS * vals[..., None]
-    lo_est = np.einsum("n,knp->kp", _WEIGHTS_LO, local[:, :_N_LO])
-    hi_est = np.einsum("n,knp->kp", _WEIGHTS_HI, local[:, _N_LO:])
-    err = scale * half * np.abs(hi_est - lo_est).sum(axis=1)
-    u = mid[:, None] + offsets[:, _N_LO:]
-    moments = half[:, None] * np.einsum(
-        "n,knp->kp", _WEIGHTS_HI, u[..., None] ** _POWERS * vals[:, _N_LO:, None])
+    vals = _evaluate(f, (mid[:, None] + half[:, None] * _NODES).ravel())
+    sums = vals.reshape(len(lo), len(_NODES)) @ _RULES
+    gap = np.abs(sums[:, 3:] - sums[:, :3])
+    r = half / scale
+    err = scale * half * (gap[:, 0] + r * (gap[:, 1] + r * gap[:, 2]))
+    s0, s1, s2 = sums[:, 3:].T
+    moments = half[:, None] * np.column_stack(
+        [s0, mid * s0 + half * s1,
+         mid * mid * s0 + 2.0 * mid * half * s1 + half * half * s2])
     return moments, err
 
 
-def _adaptive_panels(f, lo, hi, depth, tol, scale, max_depth):
-    """Bisect the intervals [lo_i, hi_i], starting at ``depth``_i, until
-    every panel passes; return (owner, lo, hi, depth, moments) of the
-    accepted panels, ``owner`` being the index of the interval each came from."""
+def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
+    """Bisect the intervals [lo_i, hi_i], starting at ``depth``_i with
+    ``budget``_i, until every panel passes; return (owner, lo, hi, depth,
+    budget, moments) of the accepted panels, ``owner`` being the index of
+    the interval each came from."""
     owner = np.arange(len(lo))
     accepted = []
-    while len(lo):
+    while True:
         moments, err = _panel_moments(f, lo, hi, scale)
         if not np.all(np.isfinite(err)):
             i = int(np.argmin(np.isfinite(err)))
             raise NumericError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
-        budget = tol * np.exp2(-depth)
         ok = err <= budget
-        accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], moments[ok]))
+        if ok.all():
+            accepted.append((owner, lo, hi, depth, budget, moments))
+            break
+        accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
+                         moments[ok]))
         bad = ~ok
         if np.any(bad & (depth >= max_depth)):
             i = int(np.argmax(bad & (depth >= max_depth)))
@@ -91,6 +108,7 @@ def _adaptive_panels(f, lo, hi, depth, tol, scale, max_depth):
         lo = np.column_stack([lo[bad], mid]).ravel()
         hi = np.column_stack([mid, hi[bad]]).ravel()
         depth = np.repeat(depth[bad] + 1, 2)
+        budget = np.repeat(0.5 * budget[bad], 2)
     return tuple(np.concatenate(parts) for parts in zip(*accepted))
 
 
@@ -98,15 +116,16 @@ def _adaptive_panels(f, lo, hi, depth, tol, scale, max_depth):
 class PanelPartition:
     """Accepted panels of one integrand on [a, b] with suffix moment sums.
 
-    ``edges`` has the k + 1 panel edges, ``depth`` the bisection depth of
-    each panel and ``suffix[j]`` the moments integral_{edges[j]}^b u^p f for
+    ``edges`` has the k + 1 panel edges, ``depth`` the number of bisections
+    that made each panel from its seed piece, ``budget`` each panel's error
+    budget and ``suffix[j]`` the moments integral_{edges[j]}^b u^p f for
     p = 0, 1, 2, with ``suffix[k] = 0``.
     """
 
     edges: np.ndarray
     depth: np.ndarray
+    budget: np.ndarray
     suffix: np.ndarray
-    tol: float
     scale: float
     max_depth: int
 
@@ -131,7 +150,7 @@ class PanelPartition:
         if len(inner):
             pj = j[inner]
             owner, *_, moments = _adaptive_panels(
-                f, ts[inner], edges[pj + 1], self.depth[pj], self.tol,
+                f, ts[inner], edges[pj + 1], self.depth[pj], self.budget[pj],
                 self.scale, self.max_depth)
             partial = np.zeros((len(inner), 3))
             np.add.at(partial, owner, moments)
@@ -140,11 +159,14 @@ class PanelPartition:
 
 
 def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    tol: float = 1e-10, max_depth: int = 40) -> PanelPartition:
+                    tol: float = 1e-10, max_depth: int = 40,
+                    points=()) -> PanelPartition:
     """Adaptive partition of [a, b] for the vectorized integrand ``f``.
 
-    Bisects breadth-first from the single panel [a, b]; see the module
-    docstring for the acceptance rule.  An empty interval (b <= a) gives a
+    ``points`` are cut points where ``f`` may not be smooth; those strictly
+    inside (a, b) seed the partition, the others are ignored.  Bisects
+    breadth-first from the seed pieces; see the module docstring for the
+    budgets and the acceptance rule.  An empty interval (b <= a) gives a
     partition with no panels whose moments are all zero.  A bound that is
     not finite raises NumericError.
     """
@@ -153,12 +175,16 @@ def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise NumericError(f"quadrature bounds must be finite, got [{a}, {b}]")
     scale = max(b - a, 1.0)
     if not (b > a):
-        return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros((1, 3)),
-                              tol, scale, max_depth)
-    _, lo, hi, depth, moments = _adaptive_panels(
-        f, np.array([a]), np.array([b]), np.zeros(1, int), tol, scale, max_depth)
+        return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros(0),
+                              np.zeros((1, 3)), scale, max_depth)
+    cuts = np.unique(np.asarray(points, dtype=float))
+    seeds = np.concatenate([[a], cuts[(cuts > a) & (cuts < b)], [b]])
+    lo, hi = seeds[:-1], seeds[1:]
+    _, lo, hi, depth, budget, moments = _adaptive_panels(
+        f, lo, hi, np.zeros(len(lo), int), tol * ((hi - lo) / (b - a)),
+        scale, max_depth)
     order = np.argsort(lo)
     suffix = np.zeros((len(lo) + 1, 3))
     suffix[:-1] = np.cumsum(moments[order][::-1], axis=0)[::-1]
-    return PanelPartition(np.append(lo[order], b), depth[order], suffix,
-                          tol, scale, max_depth)
+    return PanelPartition(np.append(lo[order], b), depth[order], budget[order],
+                          suffix, scale, max_depth)

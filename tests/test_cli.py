@@ -126,6 +126,27 @@ def test_large_family_validates_without_structure_constants():
     assert peak < 100 * 2**20
 
 
+def test_grid_num_capped_at_validation():
+    """A grid of 10^7 points would have qnec_profile query 3 * 10^7 points;
+    it is refused at its pointer before anything of that size exists."""
+    def grid(num):
+        return scenario_text(tasks=[{"task": "entropy-profile", "loop": "gauss",
+                                     "grid": {"num": num}}])
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(grid(10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.pointer == "/tasks/0/grid/num"
+    assert f"<= {cli.MAX_GRID_POINTS}, got 10000000" in str(err.value)
+    assert peak < 10 * 2**20
+    for num in (3, cli.MAX_GRID_POINTS):
+        assert cli.validate_config(grid(num)).tasks[0]["grid"][2] == num
+
+
 def test_line_path_rejects_fourier_profile():
     raw = json.loads(scenario_text())
     raw["loops"][0]["factors"][0]["profile"] = "fourier"
@@ -377,6 +398,7 @@ MALFORMED = [
     ("entropy-profile", "/tasks/1/grid", {"points": 5}, "/tasks/1/grid/points"),
     ("entropy-profile", "/tasks/1/grid", {"num": "x"}, "/tasks/1/grid/num"),
     ("entropy-profile", "/tasks/1/grid", {"num": 2}, "/tasks/1/grid/num"),
+    ("entropy-profile", "/tasks/1/grid", {"num": 10**7}, "/tasks/1/grid/num"),
     ("entropy-profile", "/tasks/1/grid", {"start": 3.0, "stop": -3.0},
      "/tasks/1/grid"),
     ("entropy-profile", "/tasks/1/loop", "circle", "/tasks/1/loop"),

@@ -11,6 +11,11 @@ had before its Ad-invariance reduction: prefix products of exp(f_j X_j)
 conjugating each X_j.  So the oracle functionals share no code with the fast
 integrand, and the two integrands must agree to 1e-14 of the peak.
 
+The partition's moment rule (one product of a level's values with a
+constant matrix) keeps the per-point power arrays it replaced as
+``oracle_panel_moments``: without cut points the two build the same panels,
+with moments equal to 1e-14.
+
 The generated windows are at most 1.0 wide with amplitudes up to 1.2: on
 much wider supports the 1e-13 oracle reaches the roundoff floor of the
 integrand and stalls with AccuracyError (seen at support length ~23).
@@ -23,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loopnet import entropy, lie, loops
+from loopnet import entropy, lie, loops, quadrature
 from loopnet.errors import AccuracyError
 from loopnet.quadrature import panel_partition
 
@@ -44,9 +49,11 @@ def _panel(f, a, b, nodes, weights):
 def adaptive_gauss_legendre(f, a, b, tol=1e-10, max_depth=40):
     """Integrate a smooth vectorized callable over [a, b] to absolute tolerance.
 
-    Panels are bisected until embedded 10/21-point Gauss-Legendre values
-    agree; the local budget is split geometrically so the global error stays
-    below ``tol``.
+    Panels are bisected until the 10- and 21-point Gauss-Legendre values
+    agree (the two rules share no node, so a panel costs 31 values); the
+    local budget is halved at each bisection so the global error stays below
+    ``tol``.  Unlike ``quadrature.panel_partition`` it takes no cut points:
+    it starts from the single panel [a, b].
     """
     if not (b > a):
         return 0.0
@@ -272,13 +279,17 @@ _SU3X3_SEED1 = [
 ]
 
 
-def test_seed1_su3_path_regression():
+def _su3x3_seed1():
     su3 = lie.build_su(3)
     windows = {"gaussian": entropy.GaussianWindow, "bump": entropy.PolyBump}
-    path = entropy.LinePath(su3, [
+    return entropy.LinePath(su3, [
         (math.sqrt(2.0) * np.einsum("i,iab->ab", np.array(coeff), su3.basis),
          windows[kind](center, width, amplitude))
         for kind, coeff, center, width, amplitude in _SU3X3_SEED1])
+
+
+def test_seed1_su3_path_regression():
+    path = _su3x3_seed1()
     for t in (-3.96, -3.95, -3.94):
         assert abs(entropy.entropy_right(path, t) - oracle_right(path, t)) <= AGREE
     prof = entropy.qnec_profile(path, np.linspace(-4.0, 4.0, 161),
@@ -411,3 +422,184 @@ def test_integrand_forms_no_exponential(su3, monkeypatch, n_factors):
     if n_factors >= 2:
         product_rule_current_square(path, np.linspace(-3.0, 3.0, 41))
         assert exps
+
+
+# ---------------------------------------------------------------------------
+# The partition's moment rule and its cut points
+# ---------------------------------------------------------------------------
+
+def oracle_panel_moments(f, lo, hi, scale):
+    """The moment rule with per-point power arrays: 21-point moments
+    integral u^p f (p = 0, 1, 2) on each panel, shape (k, 3), and each
+    panel's 10/21 error estimate, shape (k,)."""
+    nodes = np.concatenate([_NODES_LO, _NODES_HI])
+    powers = np.arange(3)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    offsets = half[:, None] * nodes
+    vals = quadrature._evaluate(f, (mid[:, None] + offsets).ravel()).reshape(
+        offsets.shape)
+    local = (offsets / scale)[..., None] ** powers * vals[..., None]
+    lo_est = np.einsum("n,knp->kp", _WEIGHTS_LO, local[:, :10])
+    hi_est = np.einsum("n,knp->kp", _WEIGHTS_HI, local[:, 10:])
+    err = scale * half * np.abs(hi_est - lo_est).sum(axis=1)
+    u = mid[:, None] + offsets[:, 10:]
+    moments = half[:, None] * np.einsum(
+        "n,knp->kp", _WEIGHTS_HI, u[..., None] ** powers * vals[:, 10:, None])
+    return moments, err
+
+
+MOMENT_AGREE = 1e-14
+
+
+def _assert_moments_agree(fast, slow, lo, hi):
+    """Per panel |fast_p - slow_p| <= 1e-14 m0 max(|lo|, |hi|)^p, which
+    bounds |integral u^p f| for the nonnegative integrands used here."""
+    reach = np.maximum(np.abs(lo), np.abs(hi))[:, None] ** np.arange(3)
+    assert np.all(np.abs(fast - slow) <= MOMENT_AGREE * slow[:, :1] * reach)
+
+
+def _path(algebra, windows, level=1, seed=0):
+    rng = np.random.default_rng(seed)
+    return entropy.LinePath(algebra, [(random_antihermitian(algebra, rng), w)
+                                      for w in windows], level=level)
+
+
+def _counted_rho(path, calls):
+    rho = entropy._density_integrand(path)
+    return lambda us: calls.append(len(us)) or rho(us)
+
+
+def _unseeded_paths():
+    su2 = lie.build_su(2)
+    x = np.sqrt(2.0) * su2.basis[0]
+    y = np.sqrt(2.0) * su2.basis[1]
+    return [
+        entropy.LinePath(su2, [(x, entropy.GaussianWindow(0.0, 1.0, 0.8))]),
+        entropy.LinePath(su2, [(x, entropy.GaussianWindow(-0.8, 0.7, 0.8)),
+                               (y, entropy.PolyBump(1.0, 1.2, -1.1))]),
+        _path(su2, [entropy.PolyBump(-0.3, 1.0, 1.2),
+                    entropy.PolyBump(0.6, 0.8, -0.9)], level=2, seed=1),
+        _su3x3_seed1(),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_panel_moments_match_oracle(index):
+    rng = np.random.default_rng(index)
+    path = _unseeded_paths()[index]
+    lo, hi = path.support()
+    a = np.sort(rng.uniform(lo, hi, size=(40, 2)), axis=1)
+    rho = entropy._density_integrand(path)
+    scale = max(hi - lo, 1.0)
+    fast, err = quadrature._panel_moments(rho, a[:, 0], a[:, 1], scale)
+    slow, slow_err = oracle_panel_moments(rho, a[:, 0], a[:, 1], scale)
+    _assert_moments_agree(fast, slow, a[:, 0], a[:, 1])
+    # the gaps are differences of nearly equal sums: equal to their rounding
+    np.testing.assert_allclose(err, slow_err, rtol=1e-9,
+                               atol=1e-15 * scale * slow[:, 0].max())
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_unseeded_partition_matches_oracle_rule(index, monkeypatch):
+    """Without cut points the partition is the one the per-point moment rule
+    builds: the same edges, depths and budgets tol / 2^depth, bit for bit,
+    and the same suffix sums and tail moments to 1e-14."""
+    path = _unseeded_paths()[index]
+    rho = entropy._density_integrand(path)
+    lo, hi = path.support()
+    fast = panel_partition(rho, lo, hi)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_panel_moments", oracle_panel_moments)
+        slow = panel_partition(rho, lo, hi)
+    assert np.array_equal(fast.edges, slow.edges)
+    assert np.array_equal(fast.depth, slow.depth)
+    assert np.array_equal(fast.budget, slow.budget)
+    assert np.array_equal(fast.budget, 1e-10 * np.exp2(-fast.depth))
+    # suffix j sums the panels right of edges[j], so it obeys the bound of
+    # one panel [edges[j], b]
+    _assert_moments_agree(fast.suffix, slow.suffix, fast.edges,
+                          np.full(len(fast.edges), hi))
+    # and the partial panels of a query bisect alike
+    ts = np.linspace(lo - 0.5, hi + 0.5, 23)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_panel_moments", oracle_panel_moments)
+        slow_tail = slow.tail_moments(rho, ts)
+    reach = np.maximum(np.abs(ts), hi)[:, None] ** np.arange(3)
+    assert np.all(np.abs(fast.tail_moments(rho, ts) - slow_tail)
+                  <= MOMENT_AGREE * fast.totals[0] * reach)
+
+
+def test_single_bump_partition_is_one_call(su2):
+    path = _path(su2, [entropy.PolyBump(0.4, 1.3, -1.1)])
+    calls = []
+    square = path.current_square
+    path.current_square = lambda us: calls.append(len(us)) or square(us)
+    e_tot = entropy.total_energy(path)
+    part = path._partitions[entropy._QUAD_TOL]
+    assert calls == [31]
+    assert np.array_equal(part.edges, path.support())
+    assert abs(e_tot - oracle_total_energy(path)) <= AGREE
+
+
+def test_two_bump_cut_points_save_calls(su2):
+    """Two PolyBumps with offset supports: rho is a polynomial between the
+    four edges, so the seeded partition takes each piece at once, while the
+    unseeded one bisects toward the inner edges."""
+    path = _path(su2, [entropy.PolyBump(-0.3, 1.0, 1.2),
+                       entropy.PolyBump(0.6, 0.8, -0.9)], seed=1)
+    lo, hi = path.support()
+    cuts = [x for _, p in path.factors for x in p.support()]
+    seeded_calls, plain_calls = [], []
+    seeded = panel_partition(_counted_rho(path, seeded_calls), lo, hi,
+                             points=cuts)
+    plain = panel_partition(_counted_rho(path, plain_calls), lo, hi)
+    assert len(seeded_calls) == 1 and len(seeded.depth) == 3
+    assert len(plain_calls) > len(seeded_calls)
+    assert abs(seeded.budget.sum() - 1e-10) <= 1e-25
+    rho = entropy._density_integrand(path)
+    e_ref = oracle_total_energy(path)
+    ts = np.linspace(lo - 0.2, hi + 0.2, 9)
+    for part in (seeded, plain):
+        assert abs(part.totals[0] / (2 * math.pi) - e_ref) <= AGREE
+        m0, m1, _ = part.tail_moments(rho, ts).T
+        for t, s in zip(ts, m1 - ts * m0):
+            assert abs(s - oracle_right(path, t)) <= AGREE
+    # the path's own partition is the seeded one
+    entropy.total_energy(path)
+    assert np.array_equal(path._partitions[entropy._QUAD_TOL].edges,
+                          seeded.edges)
+
+
+def test_query_at_support_edge_reads_suffix_sums(su3):
+    path = _path(su3, [entropy.GaussianWindow(-0.6, 0.3, 0.9),
+                       entropy.PolyBump(0.2, 0.9, -1.0),
+                       entropy.PolyBump(0.9, 0.7, 0.8)], seed=2)
+    entropy.total_energy(path)
+    part = path._partitions[entropy._QUAD_TOL]
+    edges = sorted({x for _, p in path.factors for x in p.support()})
+    assert set(edges) <= set(part.edges)
+    calls = []
+    moments = part.tail_moments(_counted_rho(path, calls), edges)
+    assert calls == []
+    np.testing.assert_array_equal(
+        moments, part.suffix[np.searchsorted(part.edges, edges)])
+    for t in edges:
+        assert abs(entropy.entropy_right(path, t) - oracle_right(path, t)) <= AGREE
+
+
+@pytest.mark.parametrize("gap", [1e-13, -1e-13])
+def test_nearly_equal_edges(su2, gap):
+    """Edges 1e-13 apart make a seed piece of that length; it is accepted
+    like any other panel."""
+    path = _path(su2, [entropy.PolyBump(0.0, 1.5, 0.9),
+                       entropy.PolyBump(0.1 + gap, 1.4, -1.1),
+                       entropy.GaussianWindow(0.2, 0.7, 0.7)], seed=3)
+    supports = [p.support() for _, p in path.factors]
+    assert 0.0 < abs(supports[1][1] - supports[0][1]) < 2e-13
+    prof = entropy.qnec_profile(path, np.linspace(-2.0, 2.0, 41))
+    part = path._partitions[entropy._QUAD_TOL]
+    assert np.all(part.budget > 0) and np.all(np.diff(part.edges) > 0)
+    assert abs(prof.total_energy - oracle_total_energy(path)) <= AGREE
+    for r in (0.5, 1.5 + gap, 2.0):
+        assert abs(entropy.entropy_interval(path, r)
+                   - oracle_interval(path, r)) <= AGREE

@@ -208,3 +208,33 @@ def test_as_generator(su2):
         lie.as_generator(np.zeros((3, 3)), 2)
     with pytest.raises(ValueError, match="generators must be anti-hermitian"):
         lie.as_generator(1j * x, 2)
+
+
+def _allclose_cases():
+    rng = np.random.default_rng(7)
+    inf, nan = np.inf, np.nan
+    for atol in (0.0, 1e-12, 1e-3):
+        for _ in range(40):   # random complex pairs, some close, some not
+            b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+            noise = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+            yield b + 10.0 ** rng.uniform(-16, -2) * noise, b, atol
+        b = rng.normal(size=(4, 4))
+        edge = atol + 1e-5 * np.abs(b)   # on the boundary of the rule
+        for a in (b + edge, b - edge, np.nextafter(b + edge, inf),
+                  np.nextafter(b - edge, -inf)):
+            yield a, b, atol
+        yield b, b, atol
+        for a, b in (([inf], [inf]), ([inf], [-inf]), ([1.0], [inf]),
+                     ([inf], [1.0]), ([nan], [nan]), ([nan], [1.0]),
+                     ([1.0], [nan]), ([1.0 + 1j * inf], [1.0 + 1j * inf]),
+                     ([0.0, inf], [1e-13, inf]), ([1e308], [-1e308])):
+            yield np.array(a), np.array(b), atol
+
+
+def test_allclose_is_numpy_rule():
+    cases = list(_allclose_cases())
+    with np.errstate(over="ignore"):   # 1e308 - (-1e308) overflows in both
+        results = [lie._allclose(a, b, atol) for a, b, atol in cases]
+        expected = [bool(np.allclose(a, b, atol=atol)) for a, b, atol in cases]
+    assert results == expected
+    assert True in results and False in results
