@@ -15,16 +15,16 @@ alcove bound l^2/(4 m^2 (l+g)) controls the bare part only, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnsupportedAlgebraError
+from .errors import CapacityError, UnsupportedAlgebraError
 from .lie import CompactSimpleAlgebra, SimpleTypeRecord
 
 _ALCOVE_CHUNK = 65536   # coordinates of the alcove's level box held at once
+MAX_ALCOVE_BOX = 2 ** 18   # largest box scanned: su3 to level 511, su5 to 21
 
 __all__ = [
     "LevelData",
@@ -86,6 +86,7 @@ class _TypeARoots:
         r = self.rank
         self.gram_n = [[min(i, j) * n - i * j
                         for j in range(1, r + 1)] for i in range(1, r + 1)]
+        self.gram = np.array(self.gram_n, dtype=np.int64)
         # highest root in fundamental-weight coordinates
         if r == 1:
             self.theta = (2,)
@@ -127,35 +128,28 @@ class AlcoveWeight:
     theta_pairing: Fraction    # <lambda, theta>
 
 
-def _gram_array(roots: _TypeARoots, level: int) -> np.ndarray:
-    """n times the Gram matrix as an array whose dtype holds every pairing exactly.
-
-    Entries are positive, so n<lambda, lambda + 2 rho> over the level box is
-    at most sum(gram_n) * level * (level + 2); past the int64 range the
-    array falls back to Python ints.
-    """
+def _scannable_roots(algebra, level: int) -> _TypeARoots:
+    """Type-A root data for a level box range(level + 1)^rank of at most
+    MAX_ALCOVE_BOX coordinates whose pairings n<lambda, lambda + 2 rho>,
+    at most sum(gram_n) * level * (level + 2), are exact in int64."""
+    roots = _roots_for(algebra)
+    box = (level + 1) ** roots.rank
     bound = sum(map(sum, roots.gram_n)) * level * (level + 2)
-    return np.array(roots.gram_n, dtype=np.int64 if bound < 2 ** 63 else object)
+    if box > MAX_ALCOVE_BOX or bound >= 2 ** 63:
+        raise CapacityError(
+            f"the level-{level} alcove scan covers {box} coordinates, more "
+            f"than the {MAX_ALCOVE_BOX} allowed", box)
+    return roots
 
 
-def _box_chunks(side: int, rank: int, dtype):
-    """The box range(side)^rank in lexicographic order, in row blocks.
-
-    A block holds at most ``_ALCOVE_CHUNK`` coordinates, so a huge level
-    never materialises the whole box.
-    """
+def _box_chunks(side: int, rank: int):
+    """The box range(side)^rank in lexicographic order, in int64 row blocks
+    of at most ``_ALCOVE_CHUNK`` coordinates."""
     total = side ** rank
     rows = max(1, _ALCOVE_CHUNK // rank)
     for start in range(0, total, rows):
-        carry = np.arange(min(rows, total - start)).astype(dtype)
-        block = np.empty((len(carry), rank), dtype=dtype)
-        rest = start
-        for j in range(rank - 1, -1, -1):
-            rest, digit = divmod(rest, side)
-            carry = carry + digit
-            block[:, j] = carry % side
-            carry //= side
-        yield block
+        flat = np.arange(start, min(start + rows, total), dtype=np.int64)
+        yield np.column_stack(np.unravel_index(flat, (side,) * rank))
 
 
 def _norms_n(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -171,22 +165,19 @@ def alcove(algebra, level: int) -> list[AlcoveWeight]:
     enumerator can cross-check the counts.  The coordinate box is scanned in
     integer blocks, and Fractions are built only for the weights kept.
     """
-    if level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
-    roots = _roots_for(algebra)
     data = level_data(algebra, level)
+    roots = _scannable_roots(algebra, level)
     denom = 2 * (level + data.dual_coxeter)
     n = roots.n
-    gram = _gram_array(roots, level)
-    theta_n = gram @ np.array(roots.theta, dtype=gram.dtype)
-    rho2_n = 2 * (gram @ np.array(roots.rho, dtype=gram.dtype))
+    theta_n = roots.gram @ roots.theta
+    rho2_n = 2 * (roots.gram @ roots.rho)
     out = []
     # lexicographic blocks, so the list comes out sorted
-    for block in _box_chunks(level + 1, roots.rank, gram.dtype):
+    for block in _box_chunks(level + 1, roots.rank):
         pairing = block @ theta_n
         keep = pairing <= level * n
         block = block[keep]
-        cas_n = _norms_n(gram, block) + block @ rho2_n
+        cas_n = _norms_n(roots.gram, block) + block @ rho2_n
         for coords, c, p in zip(block.tolist(), cas_n.tolist(),
                                 pairing[keep].tolist()):
             cas = Fraction(c, n)
@@ -236,23 +227,18 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
     except UnsupportedAlgebraError:
         return AlcoveBoundsReport(data.central_charge, c_ok, None, None, None,
                                  None, None)
-    r = roots.rank
-    gram = np.array(roots.gram_n, dtype=float) / roots.n
-    theta = np.array([float(t) for t in roots.theta])
-    m = math.inf
-    for i in range(r):
-        e = np.zeros(r)
-        e[i] = 1.0
-        cos = (e @ gram @ theta) / math.sqrt((e @ gram @ e) * (theta @ gram @ theta))
-        m = min(m, cos)
+    gram = roots.gram / roots.n
+    theta = np.array(roots.theta, dtype=float)
+    # cos(angle(theta, omega_i)) = (G theta)_i / sqrt(G_ii <theta, theta>)
+    m = float(((gram @ theta)
+               / np.sqrt(np.diag(gram) * (theta @ gram @ theta))).min())
     denom = 2 * (level + data.dual_coxeter)
     bound = level ** 2 / (4 * m * m * (level + data.dual_coxeter))
     weights = alcove(algebra, level)
-    gram_n = _gram_array(roots, level)
-    coords = np.array([w.weight for w in weights], dtype=gram_n.dtype)
+    coords = np.array([w.weight for w in weights], dtype=np.int64)
     # int / int true division rounds correctly, like the Fraction it replaces
-    max_bare = int(_norms_n(gram_n, coords).max()) / (roots.n * denom)
+    max_bare = int(_norms_n(roots.gram, coords).max()) / (roots.n * denom)
     dressed = max(w.conformal_weight for w in weights)
     ok = bool(max_bare <= bound + 1e-12)
-    return AlcoveBoundsReport(data.central_charge, c_ok, float(m), float(bound),
+    return AlcoveBoundsReport(data.central_charge, c_ok, m, float(bound),
                              max_bare, dressed, ok)

@@ -186,7 +186,7 @@ def _parse_complex(v, pointer, *_) -> complex:
 def _parse_generator(spec, pointer, algebra, *_) -> np.ndarray:
     """{"basis": i}, {"diag": [z, ...]} or {"matrix": [[z, ...], ...]}, z = [re, im].
 
-    The matrix must be anti-hermitian to 1e-12, the test LinePath and
+    The matrix must pass ``lie.as_generator``, the test LinePath and
     SolitonPath apply, so a hermitian matrix is never exponentiated.
     """
     if not (isinstance(spec, dict) and len(spec) == 1):
@@ -206,9 +206,10 @@ def _parse_generator(spec, pointer, algebra, *_) -> np.ndarray:
         mat = np.array(_list(value, at, item=row, length=n))
     else:
         raise ConfigError(f"unknown key {key!r}", at)
-    if not np.allclose(mat.conj().T, -mat, atol=1e-12):
-        raise ConfigError("generator must be anti-hermitian", pointer)
-    return mat
+    try:
+        return lie.as_generator(mat, n)
+    except ValueError as err:
+        raise ConfigError(str(err), pointer) from None
 
 
 def _coefficient(v, pointer, *_) -> tuple:
@@ -269,15 +270,12 @@ _fourier_factors = functools.partial(_factors, profiles=("fourier",))
 _WINDOWS = {"gaussian": entropy.GaussianWindow, "bump": entropy.PolyBump}
 
 
-def _wrapped_window(profile: str, center: float, width: float,
-                    amplitude: float):
-    """A window profile made 2 pi-periodic for circle loops."""
-    def wrapped(thetas):
-        s = np.angle(np.exp(1j * (np.asarray(thetas) - center))) / width
-        if profile == "gaussian":
-            return amplitude * np.exp(-s * s)
-        return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
-    return wrapped
+def _wrapped_window(profile: str, center: float, **shape):
+    """A window profile made 2 pi-periodic for circle loops: the window's
+    derivative at the angle from ``center``, wrapped into (-pi, pi]."""
+    window = _WINDOWS[profile](0.0, **shape)
+    return lambda thetas: window.derivative(
+        np.angle(np.exp(1j * (np.asarray(thetas) - center))))
 
 
 def _loop_factors(v, pointer, algebra, loop) -> tuple:
@@ -297,12 +295,6 @@ class LoopSpec:
     name: str
     kind: str                      # "line" | "circle"
     factors: tuple
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Hull of a line loop's window supports, as LinePath.support."""
-        los, his = zip(*(window.support() for _, window in self.factors))
-        return (min(los), max(his))
 
 
 _LOOP_FIELDS = {"name": (_optional(_name), None),
@@ -343,15 +335,15 @@ def _loop_ref(kind):
     return parse
 
 
-# qnec_profile queries 3 num points at once; num = 100,000 peaks near 0.25 GB
-# resident and takes about 5 s on a three-factor su3 path (2-core x86 VM)
+# qnec_profile queries 3 num points at once; num = 100,000 peaks near 150 MB
+# resident and takes 8-9 s on a three-factor su3 path (2-core x86 VM)
 MAX_GRID_POINTS = 100_000
 
 
 def _grid(v, pointer, _, task) -> tuple:
     """(start, stop, num) for np.linspace; the ends default to one unit
     beyond the loop's support, and num is at most MAX_GRID_POINTS."""
-    lo, hi = task["loop"].support
+    lo, hi = entropy._support_hull(task["loop"].factors)
     num = functools.partial(_int, minimum=3, maximum=MAX_GRID_POINTS)
     grid = _fields(v, pointer, {"start": (_number, lo - 1.0),
                                 "stop": (_number, hi + 1.0),
@@ -399,6 +391,17 @@ def _element(v, pointer, top, _) -> loops.FourierLoopElement:
     return loops.FourierLoopElement(coeffs, algebra)
 
 
+def _alcove_level(v, pointer, top, *_) -> int:
+    """A level whose alcove box ``affine_data.alcove`` scans (the default
+    list holds the scenario level, refused at /algebra/level)."""
+    level = _int(v, pointer)
+    try:
+        affine_data._scannable_roots(top["algebra"][0], level)
+    except CapacityError as err:
+        raise ConfigError(str(err), pointer) from None
+    return level
+
+
 def _named(suffix):
     """Default artifact name: the task's loop name plus ``suffix``."""
     return lambda _, task: task["loop"].name + suffix
@@ -423,8 +426,9 @@ _TASK_FIELDS = {
     "hs-defect": {"loop": (_loop_ref("circle"), _REQUIRED),
                   "window": (_int, lambda top, _: top["grid_samples"] // 2),
                   "out": (_name, _named("_hs_defect"))},
-    "alcove": {"levels": (functools.partial(_list, item=_int),
-                          lambda top, _: [top["algebra"][1]]),
+    "alcove": {"levels": (functools.partial(_list, item=_alcove_level),
+                          lambda top, _: [_alcove_level(
+                              top["algebra"][1], "/algebra/level", top)]),
                "out": (_name, "alcove")},
     "soliton-classify": {"soliton": (_soliton, _REQUIRED),
                          "out": (_name, "soliton_verdict")},

@@ -184,6 +184,14 @@ class TransformedProfile:
         return (min(a, b), max(a, b))
 
 
+def _support_hull(factors) -> tuple[float, float]:
+    """Hull of the supports of (generator, profile) factors; (0, 0) for none."""
+    if not factors:
+        return (0.0, 0.0)
+    los, his = zip(*(p.support() for _, p in factors))
+    return (min(los), max(his))
+
+
 # ---------------------------------------------------------------------------
 # Line paths
 # ---------------------------------------------------------------------------
@@ -230,10 +238,7 @@ class LinePath:
 
     def support(self) -> tuple[float, float]:
         """Hull of the factor supports; gamma is constant outside it."""
-        if not self.factors:
-            return (0.0, 0.0)
-        los, his = zip(*(p.support() for _, p in self.factors))
-        return (min(los), max(his))
+        return _support_hull(self.factors)
 
     def evaluate(self, us) -> np.ndarray:
         """Path values, shape (len(us), n, n)."""

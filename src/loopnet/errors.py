@@ -59,10 +59,10 @@ class WindowError(LoopnetError, ValueError):
 
 
 class CapacityError(LoopnetError, ValueError):
-    """Estimated state-space dimension exceeds the configured limit.
+    """Estimated state-space dimension or alcove box exceeds its limit.
 
-    Carries ``estimate``, the dimension that was requested, or a lower bound
-    on it when the count stopped early (the message then says "at least").
+    Carries ``estimate``, the size that was requested, or a lower bound on
+    it when the count stopped early (the message then says "at least").
     """
 
     def __init__(self, message, estimate):

@@ -51,8 +51,8 @@ import scipy.sparse
 from .affine_data import LevelData, level_data
 from .errors import AlgebraMismatchError, CapacityError, WindowError
 from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
-from .loops import (FourierLoopElement, GridLoop, bracket_elements,
-                    central_term_B, circle_grid, cocycle_c, fourier_modes)
+from .loops import (FourierLoopElement, GridLoop, _mode_cut, bracket_elements,
+                    central_term_B, circle_grid, cocycle_c)
 
 __all__ = [
     "TruncatedFockSpace",
@@ -686,10 +686,11 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     """Report on e^{pi(X)} pi(Y) e^{-pi(X)} = pi(Ad(gamma) Y) + i c(gamma, Y).
 
     The right-hand side is built independently on a sample grid from the
-    pointwise conjugated symbol and the quadrature cocycle of the ``loops``
-    module.  Returns a verification report dict (never raises on mismatch);
-    the residual is truncation-limited and measured on columns with energy
-    at most ``block_energy`` (default cutoff/4).  Only those columns of the
+    pointwise conjugated symbol, its modes |k| <= cutoff above 1e-14 of the
+    largest, and the quadrature cocycle of the ``loops`` module.  Returns a
+    verification report dict (never raises on mismatch); the residual is
+    truncation-limited and measured on columns with energy at most
+    ``block_energy`` (default cutoff/4).  Only those columns of the
     left-hand side are formed, by the action of the exponentials on them.
     The element X must be real-form with modes at most cutoff/4.
     """
@@ -712,10 +713,7 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
         px, py @ scipy.sparse.linalg.expm_multiply(-px, e_cols))
     ys = y.evaluate(gamma.thetas)
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
-    ks, hats, norms = fourier_modes(conj)
-    keep = {int(k): hats[i] for i, k in enumerate(ks)
-            if abs(k) <= space.cutoff and norms[i] > 1e-13}
-    ady = FourierLoopElement(keep, x.algebra)
+    ady = FourierLoopElement(_mode_cut(conj, space.cutoff), x.algebra)
     c_val = cocycle_c(gamma, y)
     rhs = pi_element(space, ady).matrix[:, cols].toarray() + (1j * c_val) * e_cols
     residual = float(np.abs(lhs - rhs).max(initial=0.0))

@@ -234,13 +234,7 @@ def sobolev_norm(x, s: float, p: float = 1.0) -> float:
 
 def act_derivation(h: ScalarField, x: FourierLoopElement) -> FourierLoopElement:
     """The action h.X = h(theta) dX/dtheta; mode m gets sum_k h_{m-k} (ik) a_k."""
-    out: dict[int, np.ndarray] = {}
-    for kh, v in h.coefficients.items():
-        for kx, a in x.coefficients.items():
-            m = kh + kx
-            term = v * (1j * kx) * a
-            out[m] = out.get(m, 0) + term
-    return FourierLoopElement(out, x.algebra)
+    return multiply_field(h, x.derivative())
 
 
 def multiply_field(h: ScalarField, x: FourierLoopElement) -> FourierLoopElement:
@@ -375,12 +369,18 @@ def fourier_modes(samples: np.ndarray):
     return ks, hats, np.linalg.norm(hats.reshape(n_samp, -1), axis=1)
 
 
+def _mode_cut(samples: np.ndarray, max_mode: int) -> dict[int, np.ndarray]:
+    """Fourier coefficients of grid samples with |k| <= max_mode and norm
+    above 1e-14 of the largest, in FFT order."""
+    ks, hats, norms = fourier_modes(samples)
+    keep = (np.abs(ks) <= max_mode) & (norms > 1e-14 * norms.max())
+    return {int(ks[i]): hats[i] for i in np.flatnonzero(keep)}
+
+
 def loop_fourier_coefficients(gamma: GridLoop) -> dict[int, np.ndarray]:
     """Matrix-valued Fourier coefficients of the sampled loop, those above
     1e-14 of the largest."""
-    ks, hats, norms = fourier_modes(gamma.samples)
-    scale = norms.max()
-    return {int(k): hats[i] for i, k in enumerate(ks) if norms[i] > 1e-14 * scale}
+    return _mode_cut(gamma.samples, gamma.n_samples // 2)
 
 
 def _derivative_symbol(n_samples: int) -> np.ndarray:
@@ -430,11 +430,8 @@ def maurer_cartan(gamma: GridLoop, side: str = "right") -> FourierLoopElement:
     """Logarithmic derivative as a Fourier element: gamma^-1 gamma' (left) or
     gamma' gamma^-1 (right)."""
     cur = _current_samples(gamma, side)
-    n_samp = gamma.n_samples
-    ks, hats, norms = fourier_modes(cur)
-    scale = max(norms.max(), 1e-300)
-    coeffs = {int(k): hats[i] for i, k in enumerate(ks)
-              if abs(k) < n_samp // 2 and norms[i] > 1e-14 * scale}
+    # without the unpaired Nyquist mode -N/2
+    coeffs = _mode_cut(cur, gamma.n_samples // 2 - 1)
     elem = FourierLoopElement(coeffs, gamma.algebra)
     # reality a_{-k} = -(a_k)^dagger is automatic after the pointwise
     # anti-hermitian projection; assert rather than re-project
@@ -562,7 +559,7 @@ def _flow_angles(h: ScalarField, thetas: np.ndarray,
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), len(thetas)))
     h_max = np.abs(times).max(initial=0.0) / _FLOW_STEPS
-    th = thetas.astype(float).copy()
+    th = thetas.astype(float)
     s = 0.0
 
     def rhs(t):
@@ -572,16 +569,21 @@ def _flow_angles(h: ScalarField, thetas: np.ndarray,
         gap = times[k] - s
         if gap != 0.0:
             m = math.ceil(abs(gap) / h_max)
-            dt = gap / m
-            for _ in range(m):
-                k1 = rhs(th)
-                k2 = rhs(th + 0.5 * dt * k1)
-                k3 = rhs(th + 0.5 * dt * k2)
-                k4 = rhs(th + dt * k3)
-                th += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            th = _rk4(rhs, th, gap / m, m)
             s = times[k]
         out[k] = th
     return out
+
+
+def _rk4(rhs, y, dt: float, n_steps: int):
+    """``n_steps`` classical RK4 steps of length ``dt`` for dy/ds = rhs(y)."""
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 def _re_modes(h: ScalarField) -> dict[int, complex]:
@@ -624,19 +626,12 @@ def _ode_pointwise(x: FourierLoopElement, alpha: float, h: ScalarField,
     xs = x.evaluate(thetas)
     hv = h.evaluate(thetas).real[:, None, None]
     gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
-                          (n_samples, x.algebra.n, x.algebra.n)).copy()
+                          (n_samples, x.algebra.n, x.algebra.n))
 
     def rhs(g):
         return np.einsum("jab,jbc->jac", xs, g) - alpha * hv * _spectral_derivative(g)
 
-    step = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(gam)
-        k2 = rhs(gam + 0.5 * step * k1)
-        k3 = rhs(gam + 0.5 * step * k2)
-        k4 = rhs(gam + step * k3)
-        gam = gam + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return gam
+    return _rk4(rhs, gam, t / n_steps, n_steps)
 
 
 def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -780,8 +775,7 @@ def kernel_bound_check(eps: float, n: int, k: int) -> bool:
     """
     if eps < 0 or k < 0 or n + k < 0:
         raise ValueError("need eps >= 0, k >= 0 and n + k >= 0")
-    f = math.exp(-eps * (k + n)) - math.exp(-eps * k)
-    return f * f * (1 + k + n) <= 2.0 * (1 + abs(n)) ** 2 + 1e-12
+    return kernel_bound_sweep([eps], [n], [k])
 
 
 def kernel_bound_sweep(eps_values, n_values, k_values) -> bool:

@@ -28,8 +28,12 @@ in and bisected until they pass.  A panel that still fails after
 ``max_depth`` bisections raises AccuracyError, and a non-finite integrand
 value NumericError; nothing is accepted unchecked.
 
-The integrand is called on all panels of one bisection level at once, in
-chunks of at most ``CHUNK`` points, which bounds the memory of a call.
+A panel whose budget is below eps times the same weighted sum over
+|w_n x_n^p f|, the rounding floor of its estimate, passes only by chance
+(bisection halves budget and floor alike): more than ``FLOOR_PANELS``
+failing ones in a level raise AccuracyError.  The integrand is called on
+whole panels, at most ``CHUNK`` points at a time, and each call is reduced
+to its rule sums at once, so a level never holds all its nodes and values.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import AccuracyError, NumericError
 __all__ = ["PanelPartition", "panel_partition"]
 
 CHUNK = 2048
+FLOOR_PANELS = 1024
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_NODES_LO, _NODES_HI])
@@ -51,30 +56,33 @@ _NODES = np.concatenate([_NODES_LO, _NODES_HI])
 _RULES = np.zeros((len(_NODES), 6))
 _RULES[:10, :3] = _WEIGHTS_LO[:, None] * _NODES_LO[:, None] ** np.arange(3)
 _RULES[10:, 3:] = _WEIGHTS_HI[:, None] * _NODES_HI[:, None] ** np.arange(3)
-
-
-def _evaluate(f: Callable[[np.ndarray], np.ndarray],
-              points: np.ndarray) -> np.ndarray:
-    out = np.empty(len(points))
-    for start in range(0, len(points), CHUNK):
-        out[start:start + CHUNK] = f(points[start:start + CHUNK])
-    return out
+# |w_n x_n^p| of both rules, which scale the rounding of the sums
+_ABS_RULES = np.abs(_RULES[:, :3] + _RULES[:, 3:])
 
 
 def _panel_moments(f, lo, hi, scale):
     """21-point moments integral u^p f (p = 0, 1, 2) on each panel, shape
-    (k, 3), and each panel's 10/21 error estimate, shape (k,)."""
+    (k, 3), each panel's 10/21 error estimate, shape (k,), and the rounding
+    floor of that estimate, shape (k,)."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = _evaluate(f, (mid[:, None] + half[:, None] * _NODES).ravel())
-    sums = vals.reshape(len(lo), len(_NODES)) @ _RULES
-    gap = np.abs(sums[:, 3:] - sums[:, :3])
+    sums = np.empty((len(lo), 9))
+    step = max(1, CHUNK // len(_NODES))
+    for start in range(0, len(lo), step):
+        part = slice(start, start + step)
+        points = mid[part, None] + half[part, None] * _NODES
+        vals = f(points.ravel()).reshape(points.shape)
+        sums[part, :6] = vals @ _RULES
+        sums[part, 6:] = np.abs(vals) @ _ABS_RULES
     r = half / scale
-    err = scale * half * (gap[:, 0] + r * (gap[:, 1] + r * gap[:, 2]))
-    s0, s1, s2 = sums[:, 3:].T
+    # the 10/21 gaps and the rounding scales, each weighted by (half/scale)^p
+    cols = np.stack([np.abs(sums[:, 3:6] - sums[:, :3]),
+                     np.finfo(float).eps * sums[:, 6:]])
+    err, floor = scale * half * (cols[..., 0] + r * (cols[..., 1] + r * cols[..., 2]))
+    s0, s1, s2 = sums[:, 3:6].T
     moments = half[:, None] * np.column_stack(
         [s0, mid * s0 + half * s1,
          mid * mid * s0 + 2.0 * mid * half * s1 + half * half * s2])
-    return moments, err
+    return moments, err, floor
 
 
 def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
@@ -85,7 +93,7 @@ def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
     owner = np.arange(len(lo))
     accepted = []
     while True:
-        moments, err = _panel_moments(f, lo, hi, scale)
+        moments, err, floor = _panel_moments(f, lo, hi, scale)
         if not np.all(np.isfinite(err)):
             i = int(np.argmin(np.isfinite(err)))
             raise NumericError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
@@ -96,13 +104,16 @@ def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
         accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
                          moments[ok]))
         bad = ~ok
-        if np.any(bad & (depth >= max_depth)):
-            i = int(np.argmax(bad & (depth >= max_depth)))
+        stuck = bad & (depth >= max_depth)
+        below = bad & (budget < floor)
+        if stuck.any() or below.sum() > FLOOR_PANELS:
+            i = int(np.argmax(stuck if stuck.any() else below))
             estimate = float(sum(m[:, 0].sum() for *_, m in accepted)
                              + moments[bad, 0].sum())
             raise AccuracyError(
                 f"quadrature stalled on [{lo[i]}, {hi[i]}] with error "
-                f"{err[i]:.2e} > {budget[i]:.2e}", estimate)
+                f"{err[i]:.2e} > {budget[i]:.2e} (rounding floor "
+                f"{floor[i]:.2e})", estimate)
         mid = 0.5 * (lo[bad] + hi[bad])
         owner = np.repeat(owner[bad], 2)
         lo = np.column_stack([lo[bad], mid]).ravel()

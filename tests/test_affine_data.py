@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loopnet import affine_data, lie
-from loopnet.errors import UnsupportedAlgebraError
+from loopnet.errors import CapacityError, UnsupportedAlgebraError
 
 
 def brute_force_alcove_count(n, level):
@@ -175,17 +175,31 @@ def test_alcove_integer_gram_matches_fraction_gram(n, max_level, monkeypatch):
                     for w in affine_data.alcove(algebra, level)] == want
 
 
-def test_alcove_exact_past_int64(monkeypatch):
-    roots = affine_data._roots_for(lie.build_su(2))
-    assert affine_data._gram_array(roots, 3 * 10 ** 9).dtype == np.int64
-    assert affine_data._gram_array(roots, 4 * 10 ** 9).dtype == object
-    # the Python-int route gives the same table and bounds
-    algebra = lie.build_su(4)
-    want = [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
-            for w in affine_data.alcove(algebra, 5)]
-    want_bounds = affine_data.alcove_bounds(algebra, 5)
-    monkeypatch.setattr(affine_data, "_gram_array",
-                        lambda roots, level: np.array(roots.gram_n, dtype=object))
-    assert [(w.weight, w.casimir, w.conformal_weight, w.theta_pairing)
-            for w in affine_data.alcove(algebra, 5)] == want
-    assert affine_data.alcove_bounds(algebra, 5) == want_bounds
+def test_alcove_refuses_box_past_limit(monkeypatch):
+    """A level box of more than MAX_ALCOVE_BOX coordinates, or with pairings
+    past int64, is refused before any block is built."""
+    su5 = lie.build_su(5)
+    with pytest.raises(CapacityError) as err:
+        affine_data.alcove(su5, 100000)
+    assert err.value.estimate == 100001 ** 4
+    affine_data._scannable_roots(su5, 8)    # 9^4 = 6561 coordinates
+    su3 = lie.build_su(3)
+    monkeypatch.setattr(affine_data, "MAX_ALCOVE_BOX", 16)
+    assert len(affine_data.alcove(su3, 3)) == 10
+    with pytest.raises(CapacityError):
+        affine_data.alcove_bounds(su3, 4)
+    # with the box limit lifted, su2 at level 4e9 still has pairings up to
+    # 4e9 (4e9 + 2) > 2^63 and is refused; 3e9 is below that bound
+    monkeypatch.setattr(affine_data, "MAX_ALCOVE_BOX", 10 ** 12)
+    su2 = lie.build_su(2)
+    affine_data._scannable_roots(su2, 3 * 10 ** 9)
+    with pytest.raises(CapacityError):
+        affine_data._scannable_roots(su2, 4 * 10 ** 9)
+
+
+def test_box_chunks_are_the_lexicographic_box():
+    for side, rank in ((1, 3), (3, 1), (4, 3), (2, 5)):
+        blocks = list(affine_data._box_chunks(side, rank))
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.concatenate(blocks).tolist() == [
+            list(c) for c in product(range(side), repeat=rank)]

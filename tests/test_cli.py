@@ -147,6 +147,70 @@ def test_grid_num_capped_at_validation():
         assert cli.validate_config(grid(num)).tasks[0]["grid"][2] == num
 
 
+def test_alcove_level_box_capped_at_validation(tmp_path, capsys):
+    """su5 at level 100000 would scan about 10^20 coordinates; it is refused
+    at the pointer of its level, /algebra/level for the default list."""
+    def alcove(**task):
+        return json.dumps({"algebra": {"family": "su5", "level": 100000},
+                           "tasks": [{"task": "alcove", **task}]})
+
+    with pytest.raises(ConfigError) as err:
+        cli.validate_config(alcove())
+    assert err.value.pointer == "/algebra/level"
+    assert "100004000060000400001 coordinates" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        cli.validate_config(alcove(levels=[8, 100000]))
+    assert err.value.pointer == "/tasks/0/levels/1"
+    # the scenario level only matters to an alcove task that scans it
+    assert cli.validate_config(alcove(levels=[8])).tasks[0]["levels"] == (8,)
+    rc = cli.main(["alcove", "--algebra", "su5", "--level", "100000",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error: /algebra/level:" in capsys.readouterr().err
+
+
+def test_quadrature_tolerance_below_rounding_is_a_task_error(tmp_path):
+    """At tol 1e-14 the quadrature cannot certify its panels in double
+    precision; the task ends in an AccuracyError, not a memory error, the
+    run exits 1 and report.json is written."""
+    config = tmp_path / "scenario.json"
+    config.write_text(scenario_text(
+        tolerances={"quadrature": 1e-14},
+        tasks=[{"task": "entropy-profile", "loop": "gauss"}]))
+    out = tmp_path / "out"
+    rc = cli.main(["entropy-profile", "--config", str(config),
+                   "--out-dir", str(out)])
+    assert rc == 1
+    (task,) = json.loads((out / "report.json").read_text())["tasks"]
+    assert task["status"] == "error"
+    assert "quadrature stalled" in task["message"]
+    assert task["artifacts"] == []
+
+
+def _parent_wrapped_window(profile, center, width, amplitude):
+    """The periodic window formula ``_wrapped_window`` replaced."""
+    def wrapped(thetas):
+        s = np.angle(np.exp(1j * (np.asarray(thetas) - center))) / width
+        if profile == "gaussian":
+            return amplitude * np.exp(-s * s)
+        return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
+    return wrapped
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "bump"])
+def test_wrapped_window_is_the_window_derivative(profile):
+    """Bit for bit the formula it replaced, on grids across the +-pi wrap."""
+    thetas = np.concatenate([np.linspace(-3 * np.pi, 3 * np.pi, 2001),
+                             np.linspace(0.0, 2 * np.pi, 256, endpoint=False),
+                             [np.pi, -np.pi, np.nextafter(np.pi, 4.0)]])
+    for center in (0.0, 2.9, -3.1, np.pi):
+        for width in (0.4, 2.0, 5.0):
+            params = {"center": center, "width": width, "amplitude": -1.3}
+            got = cli._wrapped_window(profile, **params)(thetas)
+            want = _parent_wrapped_window(profile, **params)(thetas)
+            assert np.array_equal(got, want)
+
+
 def test_line_path_rejects_fourier_profile():
     raw = json.loads(scenario_text())
     raw["loops"][0]["factors"][0]["profile"] = "fourier"
@@ -410,6 +474,7 @@ MALFORMED = [
     ("hs-defect", "/tasks/3/loop", "gauss", "/tasks/3/loop"),
     ("alcove", "/tasks/4/levels", ["x"], "/tasks/4/levels/0"),
     ("alcove", "/tasks/4/levels", [0], "/tasks/4/levels/0"),
+    ("alcove", "/tasks/4/levels", [1, 10**6], "/tasks/4/levels/1"),
     ("alcove", "/tasks/4/out", 5, "/tasks/4/out"),
     ("alcove", "/tasks/4/out", "sub/alcove", "/tasks/4/out"),
     ("verify", "/tasks/0/cutoff", True, "/tasks/0/cutoff"),

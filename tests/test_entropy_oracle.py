@@ -11,10 +11,10 @@ had before its Ad-invariance reduction: prefix products of exp(f_j X_j)
 conjugating each X_j.  So the oracle functionals share no code with the fast
 integrand, and the two integrands must agree to 1e-14 of the peak.
 
-The partition's moment rule (one product of a level's values with a
+The partition's moment rule (products of each chunk's values with a
 constant matrix) keeps the per-point power arrays it replaced as
-``oracle_panel_moments``: without cut points the two build the same panels,
-with moments equal to 1e-14.
+``oracle_panel_moments``, with its own evaluation loop: without cut points
+the two build the same panels, with moments equal to 1e-14.
 
 The generated windows are at most 1.0 wide with amplitudes up to 1.2: on
 much wider supports the 1e-13 oracle reaches the roundoff floor of the
@@ -22,6 +22,8 @@ integrand and stalls with AccuracyError (seen at support length ~23).
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +259,65 @@ def test_partial_panel_raises_at_depth_limit():
         part.tail_moments(step, [0.25])
 
 
+def test_tolerance_below_rounding_raises_in_bounded_time_and_memory():
+    """Below double precision every panel fails its 10/21 estimate by
+    rounding alone, and bisection used to double the panels until memory ran
+    out (3.75M in one level under a 2 GB cap).  The one-Gaussian su2 path
+    converges with 10 panels at tol 1e-13 and raises AccuracyError at 1e-14
+    within a second and a few MB."""
+    su2 = lie.build_su(2)
+    path = entropy.LinePath(su2, [(np.sqrt(2.0) * su2.basis[0],
+                                   entropy.GaussianWindow(0.0, 1.0, 0.8))])
+    assert len(entropy._partition(path, 1e-13).depth) == 10
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(AccuracyError) as err:
+            entropy.total_energy(path, tol=1e-14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 5 * 2**20
+    assert "rounding floor" in str(err.value)
+    assert err.value.estimate == pytest.approx(
+        2 * math.pi * entropy.total_energy(path, 1e-13), rel=1e-12)
+
+
+def test_level_below_floor_counted_against_limit(monkeypatch):
+    """The limit counts a level's failing panels below their floor: with it
+    at 0 the first such panel raises, and the 1e-13 partition, whose
+    failing panels all sit above their floor, still converges."""
+    su2 = lie.build_su(2)
+    path = entropy.LinePath(su2, [(np.sqrt(2.0) * su2.basis[0],
+                                   entropy.GaussianWindow(0.0, 1.0, 0.8))])
+    monkeypatch.setattr(quadrature, "FLOOR_PANELS", 0)
+    assert len(entropy._partition(path, 1e-13).depth) == 10
+    with pytest.raises(AccuracyError):
+        entropy.total_energy(path, tol=1e-14)
+
+
+def test_qnec_profile_memory_bounded_by_chunks():
+    """qnec_profile on MAX_GRID_POINTS points queries 300,000 partial
+    panels in one level; their rule sums are formed chunk by chunk, so no
+    (panels, 31) array of nodes or values exists.  Measured: 162 MiB traced
+    peak when the level's nodes and values were held whole, 70 MiB now."""
+    su2 = lie.build_su(2)
+    path = entropy.LinePath(su2, [(np.sqrt(2.0) * su2.basis[0],
+                                   entropy.GaussianWindow(0.0, 1.0, 0.8))])
+    lo, hi = path.support()
+    entropy.total_energy(path)
+    tracemalloc.start()
+    try:
+        prof = entropy.qnec_profile(path, np.linspace(lo - 1.0, hi + 1.0,
+                                                      100_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prof.S) == 100_000
+    assert peak < 100 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Regression: the su3x3 path that the entropy_profiles benchmark generates
 # from seed 1, whose S(-3.95) the per-point routine at 1e-10 got 9e-9 wrong,
@@ -430,22 +491,30 @@ def test_integrand_forms_no_exponential(su3, monkeypatch, n_factors):
 
 def oracle_panel_moments(f, lo, hi, scale):
     """The moment rule with per-point power arrays: 21-point moments
-    integral u^p f (p = 0, 1, 2) on each panel, shape (k, 3), and each
-    panel's 10/21 error estimate, shape (k,)."""
+    integral u^p f (p = 0, 1, 2) on each panel, shape (k, 3), each panel's
+    10/21 error estimate, shape (k,), and its rounding floor, eps times the
+    same sum over absolute terms, shape (k,)."""
     nodes = np.concatenate([_NODES_LO, _NODES_HI])
     powers = np.arange(3)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     offsets = half[:, None] * nodes
-    vals = quadrature._evaluate(f, (mid[:, None] + offsets).ravel()).reshape(
-        offsets.shape)
+    points = (mid[:, None] + offsets).ravel()
+    vals = np.empty(len(points))
+    for start in range(0, len(points), quadrature.CHUNK):
+        vals[start:start + quadrature.CHUNK] = f(
+            points[start:start + quadrature.CHUNK])
+    vals = vals.reshape(offsets.shape)
     local = (offsets / scale)[..., None] ** powers * vals[..., None]
     lo_est = np.einsum("n,knp->kp", _WEIGHTS_LO, local[:, :10])
     hi_est = np.einsum("n,knp->kp", _WEIGHTS_HI, local[:, 10:])
     err = scale * half * np.abs(hi_est - lo_est).sum(axis=1)
+    floor = np.finfo(float).eps * scale * half * (
+        np.einsum("n,knp->k", np.abs(_WEIGHTS_LO), np.abs(local[:, :10]))
+        + np.einsum("n,knp->k", np.abs(_WEIGHTS_HI), np.abs(local[:, 10:])))
     u = mid[:, None] + offsets[:, 10:]
     moments = half[:, None] * np.einsum(
         "n,knp->kp", _WEIGHTS_HI, u[..., None] ** powers * vals[:, 10:, None])
-    return moments, err
+    return moments, err, floor
 
 
 MOMENT_AGREE = 1e-14
@@ -491,12 +560,15 @@ def test_panel_moments_match_oracle(index):
     a = np.sort(rng.uniform(lo, hi, size=(40, 2)), axis=1)
     rho = entropy._density_integrand(path)
     scale = max(hi - lo, 1.0)
-    fast, err = quadrature._panel_moments(rho, a[:, 0], a[:, 1], scale)
-    slow, slow_err = oracle_panel_moments(rho, a[:, 0], a[:, 1], scale)
+    fast, err, floor = quadrature._panel_moments(rho, a[:, 0], a[:, 1], scale)
+    slow, slow_err, slow_floor = oracle_panel_moments(rho, a[:, 0], a[:, 1],
+                                                      scale)
     _assert_moments_agree(fast, slow, a[:, 0], a[:, 1])
     # the gaps are differences of nearly equal sums: equal to their rounding
     np.testing.assert_allclose(err, slow_err, rtol=1e-9,
                                atol=1e-15 * scale * slow[:, 0].max())
+    # sums of nonnegative terms
+    np.testing.assert_allclose(floor, slow_floor, rtol=1e-13)
 
 
 @pytest.mark.parametrize("index", range(4))

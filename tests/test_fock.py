@@ -475,6 +475,29 @@ def test_implement_exponential_scalar_part(su2):
     assert got == pytest.approx(1j * loops.central_term_B(x, y), abs=1e-12)
 
 
+def test_mode_cut_bounds_of_each_caller(su2, monkeypatch):
+    """One Fourier cut, three bounds: loop_fourier_coefficients keeps the
+    Nyquist mode -N/2, maurer_cartan stops at N/2 - 1, and the adjoint
+    check's right-hand side at the cutoff."""
+    seen = []
+    cut = loops._mode_cut
+
+    def spy(samples, max_mode):
+        seen.append((len(samples), max_mode))
+        return cut(samples, max_mode)
+
+    monkeypatch.setattr(loops, "_mode_cut", spy)
+    monkeypatch.setattr(fock, "_mode_cut", spy)
+    gamma = loops.loop_from_factors(
+        su2, [(su2.basis[0], lambda th: 0.3 * np.sin(th))], 32)
+    loops.loop_fourier_coefficients(gamma)
+    loops.maurer_cartan(gamma)
+    x = FourierLoopElement({1: 0.2 * su2.basis[0], -1: 0.2 * su2.basis[0]},
+                           su2)
+    fock.adjoint_action_check(fock.build_fock(2, 4, charge=0), x, x)
+    assert seen == [(32, 16), (32, 15), (fock._ADJOINT_SAMPLES, 4)]
+
+
 def test_adjoint_action_report(su2):
     space = fock.build_fock(2, 8, charge=0, dim_limit=40000)
     x = FourierLoopElement({1: 0.2 * su2.basis[0], -1: 0.2 * su2.basis[0]},

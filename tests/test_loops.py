@@ -279,6 +279,35 @@ def test_fourier_modes_of_known_samples(su2):
         assert nrm == pytest.approx(np.linalg.norm(w), abs=1e-15)
 
 
+def test_mode_cut_keeps_modes_up_to_max_above_relative_floor(su2):
+    a, b = su2.basis[0], su2.basis[1]
+    th = loops.circle_grid(16)
+    wave = lambda k: np.exp(1j * k * th)[:, None, None]
+    # modes 0 (norm 1), 3 (1e-13), 5 (1e-15) and the Nyquist mode -8 (0.5)
+    samples = a + 1e-13 * wave(3) * b + 1e-15 * wave(5) * a + 0.5 * wave(8) * b
+    assert list(loops._mode_cut(samples, 8)) == [0, 3, -8]     # FFT order
+    assert list(loops._mode_cut(samples, 7)) == [0, 3]
+    # the floor is 1e-14 of the largest norm, not an absolute one
+    assert list(loops._mode_cut(1e-20 * samples, 8)) == [0, 3, -8]
+    np.testing.assert_allclose(loops._mode_cut(samples, 8)[-8], 0.5 * b,
+                               atol=1e-15)
+
+
+def test_loop_fourier_coefficients_keep_nyquist_mode(su2):
+    # x_0^2 = -1/2, so exp(0.3 (-1)^j x_0) has the Nyquist part
+    # sqrt(2) sin(0.3 / sqrt(2)) x_0; the whole series is kept, so the
+    # coefficients sum back to every sample
+    gamma = loops.loop_from_factors(
+        su2, [(su2.basis[0], lambda th: 0.3 * np.cos(4 * th))], 8)
+    coeffs = loops.loop_fourier_coefficients(gamma)
+    assert -4 in coeffs
+    nyquist = np.sqrt(2) * np.sin(0.3 / np.sqrt(2)) * su2.basis[0]
+    np.testing.assert_allclose(coeffs[-4], nyquist, atol=1e-15)
+    rebuilt = sum(np.exp(1j * k * gamma.thetas)[:, None, None] * c
+                  for k, c in coeffs.items())
+    np.testing.assert_allclose(rebuilt, gamma.samples, atol=1e-15)
+
+
 def test_resolution_guard(su2):
     f = lambda th: 0.8 * np.sin(7 * th)
     loop = loops.loop_from_factors(su2, [(su2.basis[0], f)], 16)

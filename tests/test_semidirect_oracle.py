@@ -7,7 +7,10 @@ order of size and never takes a longer step, so the two agree to rounding.
 
 ``loops._ode_pointwise`` is the original ODE check: RK4 on the grid
 samples, with X and Re h applied pointwise and d_theta by an FFT pair in
-every stage.  ``loops._ode_step_map`` applies the same RK4 recurrence to
+every stage.  Both it and the one-pass flow now step through the one
+``loops._rk4``; the loops each wrote out before are kept below
+(``_flow_angles_inline``, ``_ode_pointwise_inline``) and give the same
+arrays bit for bit.  ``loops._ode_step_map`` applies the same RK4 recurrence to
 the same semi-discrete operator as one sparse Fourier-space step map, so
 the two agree to rounding; ``loops._ode_exponential`` takes the step map
 when few Fourier modes couple.
@@ -110,6 +113,41 @@ def test_flow_rigid_field_is_a_rotation(alpha, t):
     times, _ = _node_times(alpha, t)
     got = loops._flow_angles(ScalarField.constant(1.0), thetas, times)
     assert np.abs(got - (thetas + times[:, None])).max() <= 2e-13
+
+
+def _flow_angles_inline(h, thetas, times):
+    """``loops._flow_angles`` with its own RK4 loop written out."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((len(times), len(thetas)))
+    h_max = np.abs(times).max(initial=0.0) / loops._FLOW_STEPS
+    th = thetas.astype(float).copy()
+    s = 0.0
+
+    def rhs(t):
+        return h.evaluate(t).real
+
+    for k in np.argsort(np.abs(times), kind="stable"):
+        gap = times[k] - s
+        if gap != 0.0:
+            m = math.ceil(abs(gap) / h_max)
+            dt = gap / m
+            for _ in range(m):
+                k1 = rhs(th)
+                k2 = rhs(th + 0.5 * dt * k1)
+                k3 = rhs(th + 0.5 * dt * k2)
+                k4 = rhs(th + dt * k3)
+                th += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            s = times[k]
+        out[k] = th
+    return out
+
+
+@pytest.mark.parametrize("name,h,alpha,t", _CASES, ids=[c[0] for c in _CASES])
+def test_flow_angles_match_inline_rk4(name, h, alpha, t):
+    thetas = 2 * np.pi * np.arange(8) / 8 + 0.1
+    times, _ = _node_times(alpha, t)
+    assert np.array_equal(loops._flow_angles(h, thetas, times),
+                          _flow_angles_inline(h, thetas, times))
 
 
 class _CountingField(ScalarField):
@@ -218,6 +256,37 @@ def test_ode_step_map_matches_pointwise_rk4(name, x, alpha, h, t, n_samples):
     # few modes couple in every case, so the check takes the step map
     assert np.array_equal(
         loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT), got)
+
+
+def _ode_pointwise_inline(x, alpha, h, t, n_samples, n_steps):
+    """``loops._ode_pointwise`` with its own RK4 loop written out."""
+    thetas = loops.circle_grid(n_samples)
+    xs = x.evaluate(thetas)
+    hv = h.evaluate(thetas).real[:, None, None]
+    gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
+                          (n_samples, x.algebra.n, x.algebra.n)).copy()
+
+    def rhs(g):
+        return (np.einsum("jab,jbc->jac", xs, g)
+                - alpha * hv * loops._spectral_derivative(g))
+
+    step = t / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(gam)
+        k2 = rhs(gam + 0.5 * step * k1)
+        k3 = rhs(gam + 0.5 * step * k2)
+        k4 = rhs(gam + step * k3)
+        gam = gam + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return gam
+
+
+@pytest.mark.parametrize("name,x,alpha,h,t,n_samples", _ODE_CASES,
+                         ids=[c[0] for c in _ODE_CASES])
+def test_ode_pointwise_matches_inline_rk4(name, x, alpha, h, t, n_samples):
+    # 50 steps of the recurrence; more would repeat the same arithmetic
+    assert np.array_equal(
+        loops._ode_pointwise(x, alpha, h, t, n_samples, 50),
+        _ode_pointwise_inline(x, alpha, h, t, n_samples, 50))
 
 
 def _many_modes(algebra, top):
