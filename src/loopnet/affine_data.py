@@ -221,12 +221,15 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
     maximum is reported alongside for reference.
     """
     data = level_data(algebra, level)
-    c_ok = data.central_charge >= 1
-    try:
-        roots = _roots_for(algebra)
-    except UnsupportedAlgebraError:
-        return AlcoveBoundsReport(data.central_charge, c_ok, None, None, None,
-                                 None, None)
+    if data.family != "A":
+        return AlcoveBoundsReport(data.central_charge,
+                                  data.central_charge >= 1, *[None] * 5)
+    return _type_a_bounds(data, alcove(algebra, level))
+
+
+def _type_a_bounds(data: LevelData, weights: list[AlcoveWeight]) -> AlcoveBoundsReport:
+    """``alcove_bounds`` of a type-A level, read from its scanned alcove."""
+    level, roots = data.level, _TypeARoots(data.rank + 1)
     gram = roots.gram / roots.n
     theta = np.array(roots.theta, dtype=float)
     # cos(angle(theta, omega_i)) = (G theta)_i / sqrt(G_ii <theta, theta>)
@@ -234,11 +237,10 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
                / np.sqrt(np.diag(gram) * (theta @ gram @ theta))).min())
     denom = 2 * (level + data.dual_coxeter)
     bound = level ** 2 / (4 * m * m * (level + data.dual_coxeter))
-    weights = alcove(algebra, level)
     coords = np.array([w.weight for w in weights], dtype=np.int64)
     # int / int true division rounds correctly, like the Fraction it replaces
     max_bare = int(_norms_n(roots.gram, coords).max()) / (roots.n * denom)
     dressed = max(w.conformal_weight for w in weights)
     ok = bool(max_bare <= bound + 1e-12)
-    return AlcoveBoundsReport(data.central_charge, c_ok, m, float(bound),
-                             max_bare, dressed, ok)
+    return AlcoveBoundsReport(data.central_charge, data.central_charge >= 1,
+                              m, float(bound), max_bare, dressed, ok)

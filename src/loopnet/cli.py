@@ -454,7 +454,10 @@ def _family(v, pointer, *_) -> lie.CompactSimpleAlgebra:
     m = re.fullmatch(r"su([2-9]\d*)", v) if isinstance(v, str) else None
     if not m:
         raise ConfigError("family must be a string key 'su2', 'su3', ...", pointer)
-    return lie.build_su(int(m.group(1)))
+    try:
+        return lie.build_su(int(m.group(1)))
+    except CapacityError as err:
+        raise ConfigError(str(err), pointer) from None
 
 
 def _algebra(v, pointer, *_) -> tuple:
@@ -630,9 +633,10 @@ def _run_alcove(scenario, task, paths):
     ok = True
     for lev in task["levels"]:
         data = affine_data.level_data(algebra, lev)
-        bounds = affine_data.alcove_bounds(algebra, lev)
+        weights = affine_data.alcove(algebra, lev)
+        bounds = affine_data._type_a_bounds(data, weights)
         ok = ok and bounds.c_ge_1 and bool(bounds.all_within_bound)
-        for w in affine_data.alcove(algebra, lev):
+        for w in weights:
             weight = " ".join(str(a) for a in w.weight)
             lines.append(f"A{scenario.algebra_n - 1},{lev},{weight},"
                          f"{w.casimir},{w.conformal_weight},{data.central_charge}")
@@ -757,7 +761,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--algebra", help="string key, e.g. su2 (config-free mode)")
     p.add_argument("--cutoff", type=int, help="energy cutoff (config-free mode)")
-    p.add_argument("--identities", help="comma list of identity names")
+    p.add_argument("--identities", default=",".join(fock.IDENTITIES),
+                   help="comma list of identity names (default: all)")
 
     p = sub.add_parser("entropy-profile", help="entropy/QNEC profiles")
     common(p)
@@ -765,7 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alcove", help="exact alcove tables")
     common(p)
     p.add_argument("--algebra", help="string key, e.g. su3 (config-free mode)")
-    p.add_argument("--level", type=int, help="level (config-free mode)")
+    p.add_argument("--level", type=int, default=1, help="level (config-free mode)")
     p.add_argument("--dump-table", metavar="PATH",
                    help="also dump the simple-type table as JSON")
 
@@ -785,15 +790,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_free_scenario(args) -> Scenario | None:
     """Build a minimal scenario from flags when no --config was given."""
     if args.command == "verify" and args.algebra:
-        ids = (args.identities.split(",") if args.identities
-               else list(fock.IDENTITIES))
         cfg = {"algebra": {"family": args.algebra, "level": 1},
-               "tasks": [{"task": "fock-verify", "identities": ids,
+               "tasks": [{"task": "fock-verify",
+                          "identities": args.identities.split(","),
                           **({} if args.cutoff is None else {"cutoff": args.cutoff})}]}
         return validate_config(json.dumps(cfg))
     if args.command == "alcove" and args.algebra:
-        cfg = {"algebra": {"family": args.algebra,
-                           "level": args.level or 1},
+        cfg = {"algebra": {"family": args.algebra, "level": args.level},
                "tasks": [{"task": "alcove"}]}
         return validate_config(json.dumps(cfg))
     return None

@@ -59,10 +59,10 @@ class WindowError(LoopnetError, ValueError):
 
 
 class CapacityError(LoopnetError, ValueError):
-    """Estimated state-space dimension or alcove box exceeds its limit.
+    """A state-space dimension, alcove box or su(n) basis exceeds its limit.
 
-    Carries ``estimate``, the size that was requested, or a lower bound on
-    it when the count stopped early (the message then says "at least").
+    Carries ``estimate``, the size requested (states, coordinates, bytes),
+    or a lower bound when the count stopped early (message: "at least").
     """
 
     def __init__(self, message, estimate):

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import AlgebraMismatchError, InvalidRankError, NumericError
+from .errors import (AlgebraMismatchError, CapacityError, InvalidRankError,
+                     NumericError)
 
 __all__ = [
     "CompactSimpleAlgebra",
@@ -36,19 +37,15 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+MAX_BASIS_BYTES = 2 ** 25   # largest su(n) basis built: su38 (33 MB); su30 is 13 MB
 
 
-def _allclose(a, b, atol: float) -> bool:
-    """``np.allclose(a, b, atol=atol)``: every |a - b| <= atol + 1e-5 |b|.
-
-    Written out for finite inputs, where it is the same rule at a fraction
-    of the cost (``np.isclose`` has a fixed overhead of tens of microseconds);
-    inputs with an infinite or NaN entry go to ``np.allclose`` itself.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return bool(np.allclose(a, b, atol=atol))
-    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+def _antihermitian_gap(m: np.ndarray) -> float:
+    """max |m + m*| over the entries: 0 exactly on the compact real form,
+    and inf when an entry is not finite."""
+    if not np.isfinite(m).all():
+        return np.inf
+    return float(np.abs(m + m.conj().T).max())
 
 
 def _gell_mann_hermitian(n: int) -> list[np.ndarray]:
@@ -124,10 +121,11 @@ class AlgebraElement:
         if matrix.shape != (algebra.n, algebra.n):
             raise AlgebraMismatchError(
                 f"matrix shape {matrix.shape} does not fit su({algebra.n})")
-        if real_form is None:
-            real_form = _allclose(matrix.conj().T, -matrix, _ATOL)
-        elif real_form and not _allclose(matrix.conj().T, -matrix, _ATOL):
-            raise ValueError("matrix is not anti-hermitian but tagged real-form")
+        if real_form is None or real_form:
+            inside = _antihermitian_gap(matrix) <= _ATOL
+            if real_form and not inside:
+                raise ValueError("matrix is not anti-hermitian but tagged real-form")
+            real_form = inside
         self.matrix = matrix
         self.algebra = algebra
         self.real_form = real_form
@@ -164,6 +162,11 @@ def build_su(n: int) -> CompactSimpleAlgebra:
     """Construct su(n) with basis x_a = i*lambda_a/sqrt(2), -tr(x_a x_b) = d_ab."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidRankError(f"su(n) needs integer n >= 2, got {n!r}")
+    nbytes = (n * n - 1) * n * n * 16   # (n^2 - 1, n, n) complex128
+    if nbytes > MAX_BASIS_BYTES:
+        raise CapacityError(
+            f"the su({n}) basis needs {nbytes} bytes, more than the "
+            f"{MAX_BASIS_BYTES} allowed", nbytes)
     basis = np.array([1j * m / np.sqrt(2.0) for m in _gell_mann_hermitian(n)])
     basis.setflags(write=False)
     return CompactSimpleAlgebra(n=n, basis=basis, dual_coxeter=n,
@@ -197,8 +200,7 @@ def group_exp(x: AlgebraElement) -> np.ndarray:
     if not x.real_form:
         raise ValueError("group_exp expects a real-form (anti-hermitian) element")
     u = scipy.linalg.expm(x.matrix)
-    n = x.algebra.n
-    if not np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12):
+    if np.abs(u.conj().T @ u - np.eye(len(u))).max() > _ATOL:
         raise NumericError("exponential is not unitary to tolerance")
     return u
 
@@ -208,7 +210,7 @@ def as_generator(x, n: int) -> np.ndarray:
     xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
     if xm.shape != (n, n):
         raise ValueError(f"generator shape {xm.shape}, expected {(n, n)}")
-    if not _allclose(xm.conj().T, -xm, _ATOL):
+    if _antihermitian_gap(xm) > _ATOL:
         raise ValueError("generators must be anti-hermitian")
     return xm
 

@@ -30,9 +30,8 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .lie import (AlgebraElement, CompactSimpleAlgebra, _allclose,
-                  as_generator, eig_antihermitian, exp_antihermitian,
-                  exp_profile)
+from .lie import (AlgebraElement, CompactSimpleAlgebra, as_generator,
+                  eig_antihermitian, exp_antihermitian, exp_profile)
 
 __all__ = [
     "FourierLoopElement",
@@ -95,20 +94,17 @@ class FourierLoopElement:
         stack = np.array(list(mats.values())).reshape(-1, n, n)
         kept = np.linalg.norm(stack, axis=(1, 2)) > _DROP
         coeffs = {k: a for (k, a), keep in zip(mats.items(), kept) if keep}
-        if coeffs and (real_form is None or real_form):
-            # a_{-k} = -(a_k)^dagger, checked for all modes at once
+        if real_form is None or real_form:
+            # a_{-k} = -(a_k)^dagger: max_k |a_{-k} + a_k^dagger|_F, all modes at once
             zero = np.zeros((n, n))
-            partner = np.array([coeffs.get(-k, zero) for k in coeffs])
-            minus_adjoint = -stack[kept].conj().transpose(0, 2, 1)
-            if real_form is None:
-                real_form = _allclose(partner, minus_adjoint, _REALITY_TOL)
-            else:
-                worst = np.linalg.norm(partner - minus_adjoint, axis=(1, 2)).max()
-                if worst > _REALITY_TOL:
-                    raise ValueError(
-                        f"real-form tag violated: coefficient reality residual {worst:.2e}")
-        elif real_form is None:
-            real_form = True
+            partner = np.array([coeffs.get(-k, zero) for k in coeffs]).reshape(-1, n, n)
+            worst = np.linalg.norm(partner + stack[kept].conj().transpose(0, 2, 1),
+                                   axis=(1, 2)).max(initial=0.0)
+            inside = bool(worst <= _REALITY_TOL)
+            if real_form and not inside:
+                raise ValueError(
+                    f"real-form tag violated: coefficient reality residual {worst:.2e}")
+            real_form = inside
         self.coefficients = coeffs
         self.algebra = algebra
         self.real_form = real_form
@@ -165,16 +161,14 @@ class ScalarField:
                  real: bool | None = None, decay_rate: float | None = None):
         coeffs = {int(k): complex(v) for k, v in coefficients.items()
                   if abs(v) > _DROP}
-        if real is None:
-            real = all(abs(np.conj(v) - coeffs.get(-k, 0.0)) <= _REALITY_TOL
-                       for k, v in coeffs.items())
-        elif real:
-            worst = max((abs(np.conj(v) - coeffs.get(-k, 0.0))
-                         for k, v in coeffs.items()), default=0.0)
-            if worst > _REALITY_TOL:
-                raise ValueError(f"real tag violated, residual {worst:.2e}")
+        # h_{-k} = conj(h_k): max_k |conj(h_k) - h_{-k}|, NaN kept by np.max
+        worst = np.max([abs(np.conj(v) - coeffs.get(-k, 0.0))
+                        for k, v in coeffs.items()], initial=0.0)
+        inside = bool(worst <= _REALITY_TOL)
+        if real and not inside:
+            raise ValueError(f"real tag violated, residual {worst:.2e}")
         self.coefficients = coeffs
-        self.real = real
+        self.real = inside if real is None else real
         self.decay_rate = decay_rate
         # h_0, i|k| for each positive |k|, h_k and conj(h_{-k}) for evaluate
         ks = sorted({abs(k) for k in coeffs} - {0})
@@ -196,6 +190,12 @@ class ScalarField:
         h0, iks, h_pos, h_neg_conj = self._pairs
         phases = np.exp(np.multiply.outer(thetas, iks))
         return (phases @ h_pos + (phases @ h_neg_conj).conj()) + h0
+
+    def real_values(self, thetas: np.ndarray) -> np.ndarray:
+        """Re h(theta), for a field that is ``real``; refuses any other."""
+        if not self.real:
+            raise ValueError("scalar field is not real: h_-k != conj(h_k)")
+        return self.evaluate(thetas).real
 
     def __repr__(self):
         return f"ScalarField(modes={self.modes()}, real={self.real})"
@@ -350,10 +350,7 @@ def loop_from_factors(algebra: CompactSimpleAlgebra,
     for x, profile in factors:
         xm = as_generator(x, algebra.n)
         if isinstance(profile, ScalarField):
-            f_vals = profile.evaluate(thetas)
-            if np.abs(f_vals.imag).max() > 1e-12:
-                raise ValueError("loop profile must be real")
-            f_vals = f_vals.real
+            f_vals = profile.real_values(thetas)
         else:
             f_vals = np.asarray(profile(thetas), dtype=float)
         pairs.append((eig_antihermitian(xm), f_vals))
@@ -459,10 +456,8 @@ def cocycle_c(gamma: GridLoop, x: FourierLoopElement, level: float = 1.0) -> flo
 
 def cocycle_c_field(gamma: GridLoop, h: ScalarField, level: float = 1.0) -> float:
     """Field cocycle c(gamma, h) = -(l/2) mean_theta h <gamma^-1 gamma', gamma^-1 gamma'>."""
-    if not h.real:
-        raise ValueError("field cocycle needs a real scalar field")
+    hv = h.real_values(gamma.thetas)
     cur = _current_samples(gamma, "left")
-    hv = h.evaluate(gamma.thetas).real
     vals = hv * np.einsum("jab,jba->j", cur, cur)
     c = -0.5 * level * _trapezoid_mean(vals)
     return float(c.real)
@@ -563,7 +558,7 @@ def _flow_angles(h: ScalarField, thetas: np.ndarray,
     s = 0.0
 
     def rhs(t):
-        return h.evaluate(t).real
+        return h.real_values(t)
 
     for k in np.argsort(np.abs(times), kind="stable"):
         gap = times[k] - s
@@ -624,7 +619,7 @@ def _ode_pointwise(x: FourierLoopElement, alpha: float, h: ScalarField,
     FFT pair in every stage."""
     thetas = circle_grid(n_samples)
     xs = x.evaluate(thetas)
-    hv = h.evaluate(thetas).real[:, None, None]
+    hv = h.real_values(thetas)[:, None, None]
     gam = np.broadcast_to(np.eye(x.algebra.n, dtype=complex),
                           (n_samples, x.algebra.n, x.algebra.n))
 

@@ -61,10 +61,7 @@ class PeriodicFactor:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """The real profile values f(x)."""
-        f = self.profile.evaluate(xs)
-        if np.abs(f.imag).max(initial=0.0) > 1e-12:
-            raise ValueError("periodic factor profile must be real")
-        return f.real
+        return self.profile.real_values(xs)
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,7 @@ class SolitonPath:
     def is_torus_valued(self) -> bool:
         """True when every generator is diagonal (common maximal torus)."""
         return all(
-            np.allclose(f.generator, np.diag(np.diagonal(f.generator)),
-                        atol=1e-12)
+            np.abs(f.generator - np.diag(np.diagonal(f.generator))).max() <= 1e-12
             for f in self.factors)
 
 

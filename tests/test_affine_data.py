@@ -110,6 +110,15 @@ def test_bounds_max_bare_h_matches_fraction_route():
             assert affine_data.alcove_bounds(alg, level).max_bare_h == want
 
 
+@pytest.mark.parametrize("n,level", [(2, 7), (3, 5), (4, 3)])
+def test_bounds_read_from_scanned_alcove(n, level):
+    """``alcove_bounds`` is the bounds of the one scanned alcove list."""
+    alg = lie.build_su(n)
+    weights = affine_data.alcove(alg, level)
+    assert (affine_data._type_a_bounds(affine_data.level_data(alg, level), weights)
+            == affine_data.alcove_bounds(alg, level))
+
+
 def test_bounds_table_only_families():
     rep = affine_data.alcove_bounds(lie.simple_type_record("G2"), 2)
     assert rep.c_ge_1

@@ -327,6 +327,28 @@ def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
     assert len(built) == 2
 
 
+def test_alcove_task_scans_each_level_once(tmp_path, monkeypatch):
+    """The table and its bounds read one scan of each level's alcove."""
+    from loopnet import affine_data
+
+    scanned = []
+    scan = affine_data.alcove
+
+    def counting_alcove(algebra, level):
+        scanned.append(level)
+        return scan(algebra, level)
+
+    monkeypatch.setattr(affine_data, "alcove", counting_alcove)
+    scenario = cli.validate_config(json.dumps(
+        {"algebra": {"family": "su3"},
+         "tasks": [{"task": "alcove", "levels": [1, 3, 5]}]}))
+    report = cli.run_scenario(scenario, out_dir=str(tmp_path))
+    assert report.passed
+    assert scanned == [1, 3, 5]
+    lines = (tmp_path / "alcove.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 + 10 + 21
+
+
 def test_bekenstein_uses_scenario_quadrature(tmp_path, monkeypatch):
     built = []
 
@@ -356,6 +378,23 @@ def test_config_free_verify_rejects_cutoff_zero(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "configuration error: /tasks/0/cutoff:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,pointer", [
+    (["alcove", "--algebra", "su3", "--level", "0"], "/algebra/level"),
+    (["verify", "--algebra", "su2", "--identities", ""],
+     "/tasks/0/identities/0"),
+    (["alcove", "--algebra", "su200", "--level", "1"], "/algebra/family"),
+], ids=["level-0", "identities-empty", "family-su200"])
+def test_config_free_flags_passed_through(argv, pointer, tmp_path, capsys):
+    """A given flag reaches validation as given, so a bad value is refused
+    at its pointer instead of falling back to a default."""
+    rc = cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"configuration error: {pointer}:" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -436,6 +475,9 @@ def test_fail_fast_stops_after_failure(tmp_path):
 # ---------------------------------------------------------------------------
 
 _HERMITIAN = {"diag": [[0.5, 0.0], [-0.5, 0.0]]}
+# entries 0.7071 and -0.70710678 differ by 6.8e-6: not anti-hermitian to 1e-12
+_NEAR_ANTIHERMITIAN = {"matrix": [[[0.0, 0.0], [0.7071, 0.0]],
+                                  [[-0.70710678, 0.0], [0.0, 0.0]]]}
 _FOURIER = {"generator": {"basis": 0}, "profile": "fourier",
             "parameters": {"coefficients": [[1, 0.4, 0.0], [-1, 0.4, 0.0]]}}
 _GAUSSIAN = {"generator": {"basis": 0}, "profile": "gaussian",
@@ -507,6 +549,9 @@ MALFORMED = [
     ("exp-check", "/tasks/6/time", math.nan, "/tasks/6/time"),
     ("entropy-profile", "/loops/0/factors/0/generator", _HERMITIAN,
      "/loops/0/factors/0/generator"),
+    ("entropy-profile", "/loops/0/factors/0/generator", _NEAR_ANTIHERMITIAN,
+     "/loops/0/factors/0/generator"),
+    ("verify", "/algebra/family", "su200", "/algebra/family"),
     ("hs-defect", "/loops/1/factors/0/generator", _HERMITIAN,
      "/loops/1/factors/0/generator"),
     ("entropy-profile", "/loops/0/factors/0/parameters/width", math.nan,

@@ -1,8 +1,12 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from loopnet import lie
-from loopnet.errors import AlgebraMismatchError, InvalidRankError
+from loopnet.errors import AlgebraMismatchError, CapacityError, InvalidRankError
 
 
 def test_build_su2_invariants(su2):
@@ -210,31 +214,72 @@ def test_as_generator(su2):
         lie.as_generator(1j * x, 2)
 
 
-def _allclose_cases():
-    rng = np.random.default_rng(7)
-    inf, nan = np.inf, np.nan
-    for atol in (0.0, 1e-12, 1e-3):
-        for _ in range(40):   # random complex pairs, some close, some not
-            b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-            noise = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
-            yield b + 10.0 ** rng.uniform(-16, -2) * noise, b, atol
-        b = rng.normal(size=(4, 4))
-        edge = atol + 1e-5 * np.abs(b)   # on the boundary of the rule
-        for a in (b + edge, b - edge, np.nextafter(b + edge, inf),
-                  np.nextafter(b - edge, -inf)):
-            yield a, b, atol
-        yield b, b, atol
-        for a, b in (([inf], [inf]), ([inf], [-inf]), ([1.0], [inf]),
-                     ([inf], [1.0]), ([nan], [nan]), ([nan], [1.0]),
-                     ([1.0], [nan]), ([1.0 + 1j * inf], [1.0 + 1j * inf]),
-                     ([0.0, inf], [1e-13, inf]), ([1e308], [-1e308])):
-            yield np.array(a), np.array(b), atol
+def test_as_generator_refuses_off_and_nonfinite():
+    """The anti-hermitian test is max |m + m*| <= 1e-12, absolute: a matrix
+    1e-6 off, which a relative 1e-5 rule accepted, is refused, and so is a
+    matrix with a NaN or an infinite entry."""
+    off = np.array([[1j, 1.0], [-1.0 + 1e-6, -1j]])
+    near = np.array([[0.0, 0.7071], [-0.70710678, 0.0]])
+    for bad in (off, near, np.array([[np.nan, 0.0], [0.0, 0.0]]),
+                np.array([[1j, np.inf], [-np.inf, -1j]])):
+        with pytest.raises(ValueError, match="generators must be anti-hermitian"):
+            lie.as_generator(bad, 2)
+    # the tolerance itself: a gap of exactly 1e-12 passes, one ulp more fails
+    edge = np.diag([5e-13 + 1j, -1j])
+    assert lie._antihermitian_gap(edge) == 1e-12
+    assert np.array_equal(lie.as_generator(edge, 2), edge)
+    edge[0, 0] = np.nextafter(5e-13, 1.0) + 1j
+    with pytest.raises(ValueError, match="anti-hermitian"):
+        lie.as_generator(edge, 2)
 
 
-def test_allclose_is_numpy_rule():
-    cases = list(_allclose_cases())
-    with np.errstate(over="ignore"):   # 1e308 - (-1e308) overflows in both
-        results = [lie._allclose(a, b, atol) for a, b, atol in cases]
-        expected = [bool(np.allclose(a, b, atol=atol)) for a, b, atol in cases]
-    assert results == expected
-    assert True in results and False in results
+def test_algebra_element_tag_agrees_with_inferred(su3):
+    """An untagged element is real-form exactly when the tag is accepted."""
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(200):
+        x = np.einsum("i,iab->ab", rng.normal(size=8), su3.basis)
+        noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m = x + 10.0 ** rng.uniform(-14, -10) * noise
+        inferred = su3.element(m).real_form
+        assert inferred is (lie._antihermitian_gap(m) <= 1e-12)
+        if inferred:
+            assert su3.element(m, real_form=True).real_form
+        else:
+            with pytest.raises(ValueError, match="tagged real-form"):
+                su3.element(m, real_form=True)
+        verdicts.append(inferred)
+    assert len(set(verdicts)) == 2
+    assert su3.element(np.full((3, 3), np.nan)).real_form is False
+
+
+def test_build_su_refuses_oversized_basis():
+    """The (n^2 - 1, n, n) complex basis is refused above MAX_BASIS_BYTES,
+    before anything of that size is allocated; su30 is still built."""
+    def nbytes(n):
+        return (n * n - 1) * n * n * 16
+
+    largest = max(n for n in range(2, 200) if nbytes(n) <= lie.MAX_BASIS_BYTES)
+    assert largest >= 30
+    tracemalloc.start()
+    try:
+        for n in (largest + 1, 200, 10**6):
+            with pytest.raises(CapacityError, match="basis needs") as err:
+                lie.build_su(n)
+            assert err.value.estimate == nbytes(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_package_has_no_relative_tolerance_tests():
+    """``allclose``/``isclose`` carry a hidden rtol = 1e-5; every membership
+    and closeness test in the package states its own absolute residual."""
+    pattern = re.compile(r"\b(?:all|is)close\(")
+    package = Path(lie.__file__).parent
+    hits = [f"{path.name}:{i}"
+            for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []

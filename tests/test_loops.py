@@ -44,18 +44,14 @@ def random_field(rng, max_mode=4, n_modes=6, real=True):
 # Construction and pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def _reality_oracle(coefficients, n, real_form):
-    """The per-coefficient reality rule: the untagged verdict, or for a tagged
-    element whether it is rejected."""
+def _reality_residual(coefficients, n):
+    """The per-coefficient reality rule: max_k |a_{-k} + (a_k)^dagger|_F over
+    the modes kept."""
     coeffs = {int(k): np.asarray(a, dtype=complex) for k, a in coefficients.items()
               if np.linalg.norm(a) > 1e-16}
     zero = np.zeros((n, n))
-    if real_form is None:
-        return all(np.allclose(coeffs.get(-k, zero), -a.conj().T, atol=1e-12)
-                   for k, a in coeffs.items())
-    worst = max((np.linalg.norm(coeffs.get(-k, zero) + a.conj().T)
-                 for k, a in coeffs.items()), default=0.0)
-    return worst > 1e-12
+    return max((np.linalg.norm(coeffs.get(-k, zero) + a.conj().T)
+                for k, a in coeffs.items()), default=0.0)
 
 
 def _near_real_coefficients(rng, n):
@@ -78,23 +74,74 @@ def _near_real_coefficients(rng, n):
 
 
 def test_reality_check_matches_per_coefficient_rule():
+    """One residual, one tolerance: an untagged element is real-form exactly
+    when the same coefficients are accepted with a real-form tag."""
     rng = np.random.default_rng(26)
-    verdicts = {None: [], True: []}
+    verdicts = []
     for trial in range(300):
         algebra = lie.build_su(2 + trial % 2)
         coeffs = _near_real_coefficients(rng, algebra.n)
-        want = _reality_oracle(coeffs, algebra.n, None)
-        assert FourierLoopElement(coeffs, algebra).real_form is want
-        verdicts[None].append(want)
-        rejected = _reality_oracle(coeffs, algebra.n, True)
-        if rejected:
+        inside = bool(_reality_residual(coeffs, algebra.n) <= 1e-12)
+        assert FourierLoopElement(coeffs, algebra).real_form is inside
+        if inside:
+            assert FourierLoopElement(coeffs, algebra, real_form=True).real_form
+        else:
             with pytest.raises(ValueError, match="reality residual"):
                 FourierLoopElement(coeffs, algebra, real_form=True)
-        else:
-            assert FourierLoopElement(coeffs, algebra, real_form=True).real_form
-        verdicts[True].append(rejected)
-    # both rules see both outcomes
-    assert all(len(set(v)) == 2 for v in verdicts.values())
+        verdicts.append(inside)
+    # the trials see both outcomes
+    assert len(set(verdicts)) == 2
+
+
+def test_reality_check_is_absolute(su2):
+    """A at mode 1 with -A^dagger (1 + 1e-6) at mode -1 is off by 1e-6 |A|:
+    neither inferred real-form nor accepted with the tag."""
+    a = su2.basis[0] + 2.0 * su2.basis[2]
+    coeffs = {1: a, -1: -a.conj().T * (1 + 1e-6)}
+    assert FourierLoopElement(coeffs, su2).real_form is False
+    with pytest.raises(ValueError, match="reality residual"):
+        FourierLoopElement(coeffs, su2, real_form=True)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 0.3 + 0.1j, -1: 0.3 - 0.1j},
+    {1: 0.3 + 0.1j, -1: 0.3 - 0.1j + 1e-12},
+    {1: 0.3 + 0.1j, -1: 0.3 - 0.1j + 2e-12},
+    {0: 1.0 + 1e-6j},
+    {0: 1.0, 2: 1e-13},
+    {2: 1.0, -2: 1.0 + 1e-9},
+    {},
+], ids=["real", "near-tol", "above-tol", "imag-mode-0", "unpaired-tiny",
+        "off-1e-9", "empty"])
+def test_scalar_field_tag_agrees_with_inferred(coeffs):
+    """The untagged field is real exactly when the ``real`` tag is accepted."""
+    inferred = ScalarField(coeffs).real
+    want = bool(max((abs(np.conj(v) - coeffs.get(-k, 0.0))
+                     for k, v in coeffs.items()), default=0.0) <= 1e-12)
+    assert inferred is want
+    if inferred:
+        assert ScalarField(coeffs, real=True).real
+    else:
+        with pytest.raises(ValueError, match="real tag violated"):
+            ScalarField(coeffs, real=True)
+
+
+def test_scalar_field_real_values():
+    h = ScalarField({0: 0.5, 1: 0.2 + 0.1j, -1: 0.2 - 0.1j})
+    thetas = np.linspace(0.0, 2 * np.pi, 17)
+    assert np.array_equal(h.real_values(thetas), h.evaluate(thetas).real)
+    with pytest.raises(ValueError, match="not real"):
+        ScalarField({1: 0.2}).real_values(thetas)
+
+
+@pytest.mark.parametrize("field", [
+    ScalarField({1: 0.2}),                        # a complex exponential
+    ScalarField({0: 1e-12j}),                     # imaginary part below 1e-12
+    ScalarField({1: 0.2, -1: 0.2}, real=False),   # tagged not real
+], ids=["exp", "tiny-imag", "tagged-false"])
+def test_loop_from_factors_refuses_non_real_field(su2, field):
+    with pytest.raises(ValueError, match="not real"):
+        loops.loop_from_factors(su2, [(su2.basis[0], field)], 16)
 
 
 def _evaluate_all_modes(h, thetas):

@@ -169,3 +169,25 @@ def test_path_without_factors_is_identity(su3):
     xs = np.linspace(-7.0, 7.0, 9)
     vals = SolitonPath(su3, []).evaluate(xs)
     assert np.array_equal(vals, np.broadcast_to(np.eye(3), (9, 3, 3)))
+
+
+@pytest.mark.parametrize("field", [
+    ScalarField({1: 0.3}),                        # a complex exponential
+    ScalarField({0: 1e-12j}),                     # imaginary part below 1e-12
+    ScalarField({1: 0.3, -1: 0.3}, real=False),   # tagged not real
+], ids=["exp", "tiny-imag", "tagged-false"])
+def test_periodic_factor_refuses_non_real_field(su2, field):
+    path = SolitonPath(su2, [PeriodicFactor(su2.basis[0], field)])
+    with pytest.raises(ValueError, match="not real"):
+        path.evaluate(np.linspace(0.0, 1.0, 5))
+
+
+def test_torus_valued_is_absolute(su2):
+    """Off-diagonal entries up to 1e-12 still count as diagonal."""
+    def path(eps):
+        return SolitonPath(su2, [LinearFactor(
+            np.array([[0.5j, eps], [-eps, -0.5j]]))])
+
+    assert path(0.0).is_torus_valued()
+    assert path(1e-12).is_torus_valued()
+    assert not path(2e-12).is_torus_valued()
