@@ -38,9 +38,9 @@ recon = pair.left @ pair.right
 print("split reconstruction residual:",
       np.abs(recon.samples - splittable.samples).max())
 
-# semidirect exponential: loop part is the exponential of the flow-averaged
-# symbol, cross-checked against a fourth-order integration of the transport
-# equation
+# semidirect exponential: loop part is the time-ordered exponential of X
+# along the flow, in sixth-order Magnus steps, cross-checked against a
+# fourth-order integration of the transport equation
 xc = loops.FourierLoopElement({1: 0.4 * x0, -1: 0.4 * x0}, su2)
 loop, rotation = loops.semidirect_exp(xc, alpha=1.0, t=1.0, n_samples=256)
 print(f"semidirect exponential verified; rotation amount {rotation}")

@@ -8,7 +8,7 @@ alcove           exact alcove tables as CSV (plus ``--dump-table`` for the
                  simple-type table as JSON)
 hs-defect        Hilbert-Schmidt defect of the Hardy compression of a loop
 soliton          twisted-loop classification (``soliton classify``)
-exp-check        closed-form semidirect exponential vs ODE integration
+exp-check        semidirect exponential (Magnus steps) vs ODE integration
 
 All subcommands accept ``--config scenario.json`` (strict JSON: unknown keys,
 wrong types, NaN and Infinity are rejected at every depth with a JSON

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse
 
 from .affine_data import LevelData, level_data
-from .errors import AlgebraMismatchError, CapacityError, WindowError
+from .errors import AlgebraMismatchError, CapacityError, NumericError, WindowError
 from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
 from .loops import (FourierLoopElement, GridLoop, _mode_cut, bracket_elements,
                     central_term_B, circle_grid, cocycle_c)
@@ -650,7 +650,7 @@ def hs_defect(fourier_data, window: int) -> HSReport:
     2 window), so the value is counted from the coefficient norms and no
     window-sized array is formed.  A coefficient tail above the window
     larger than 1e-10 of the total mass flags ``tail_ok = False`` instead of
-    raising.
+    raising; a coefficient that is not finite raises NumericError.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -662,6 +662,8 @@ def hs_defect(fourier_data, window: int) -> HSReport:
     if len(shapes) > 1 or len(shape) != 2 or shape[0] != shape[1]:
         raise AlgebraMismatchError(
             f"coefficients must share one n x n shape, got {sorted(shapes)}")
+    if not all(np.isfinite(v).all() for v in data.values()):
+        raise NumericError("hs_defect needs finite Fourier coefficients")
     mass = {k: float(np.linalg.norm(v) ** 2) for k, v in data.items()}
     fourier_value = sum(abs(k) * m for k, m in mass.items())
     total_mass = sum(mass.values())

@@ -10,7 +10,8 @@ multiplication actions of scalar fields, the central 2-cocycle
 
 the adjoint-action cocycles c(gamma, X) and c(gamma, h) by spectrally
 accurate trapezoid quadrature, loop splitting at marked points, and the
-closed-form exponential of the semidirect product with a rotation flow.
+exponential of the semidirect product with the flow of a real field, as the
+time-ordered exponential along the flow's characteristics.
 """
 
 from __future__ import annotations
@@ -63,9 +64,14 @@ __all__ = [
 _DROP = 1e-16          # coefficients below this Frobenius norm are discarded
 _REALITY_TOL = 1e-12
 _TAIL_GUARD = 1e-10    # relative tail mass allowed above mode N/4
-_FLOW_STEPS = 1000     # RK4 steps of the flow to the farthest Gauss node time
+_FLOW_STEPS = 1000     # RK4 steps of the flow to the farthest Magnus node time
 _ODE_DT = 1e-3         # step of the RK4 integration that verifies semidirect_exp
-_ODE_TOL = 1e-6        # sup-norm gap allowed between closed form and integration
+_ODE_TOL = 1e-6        # sup-norm gap allowed between Magnus product and integration
+# Gauss nodes on [0, 1] of the three-node sixth-order Magnus step
+_MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+# matrix entries (steps x samples x n^2) of the Magnus exponents formed at
+# once; the number of steps grows with |t| and the size of X, memory does not
+_MAGNUS_BLOCK = 1 << 18
 
 
 class FourierLoopElement:
@@ -92,6 +98,8 @@ class FourierLoopElement:
                     f"coefficient at mode {k} has shape {a.shape}, expected {(n, n)}")
             mats[int(k)] = a
         stack = np.array(list(mats.values())).reshape(-1, n, n)
+        if not np.isfinite(stack).all():
+            raise NumericError("loop element coefficients must be finite")
         kept = np.linalg.norm(stack, axis=(1, 2)) > _DROP
         coeffs = {k: a for (k, a), keep in zip(mats.items(), kept) if keep}
         if real_form is None or real_form:
@@ -159,8 +167,10 @@ class ScalarField:
 
     def __init__(self, coefficients: Mapping[int, complex],
                  real: bool | None = None, decay_rate: float | None = None):
-        coeffs = {int(k): complex(v) for k, v in coefficients.items()
-                  if abs(v) > _DROP}
+        values = {int(k): complex(v) for k, v in coefficients.items()}
+        if not np.isfinite(list(values.values())).all():
+            raise NumericError("scalar field coefficients must be finite")
+        coeffs = {k: v for k, v in values.items() if abs(v) > _DROP}
         # h_{-k} = conj(h_k): max_k |conj(h_k) - h_{-k}|, NaN kept by np.max
         worst = np.max([abs(np.conj(v) - coeffs.get(-k, 0.0))
                         for k, v in coeffs.items()], initial=0.0)
@@ -287,6 +297,8 @@ class GridLoop:
         if samples.shape[1:] != (algebra.n, algebra.n):
             raise AlgebraMismatchError("sample shape does not match the algebra")
         if check:
+            if not np.isfinite(samples).all():
+                raise NumericError("samples not special unitary: not finite")
             eye = np.eye(algebra.n)
             uerr = np.abs(np.einsum("jab,jcb->jac", samples, samples.conj())
                           - eye).max()
@@ -690,6 +702,76 @@ def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
     return _ode_pointwise(x, alpha, h, t, n_samples, n_steps)
 
 
+def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
+                  t: float) -> int:
+    """M = ceil(16 |t| (sum_k |a_k|_F + |alpha| sum_k |h_k| max|k|)), at least 1.
+
+    The two terms bound the size of X (sup |X|) and how fast X turns along
+    the characteristic (sup |alpha h| times the top mode of X), so each step
+    moves at most 1/16 in both.  At 1/8 the commuting input of the per-node
+    oracle test is 1.6e-13 off its 64-node Gauss value; at 1/16, 3.7e-15.
+    """
+    size = sum(float(np.linalg.norm(a)) for a in x.coefficients.values())
+    turn = (abs(alpha) * sum(abs(v) for v in h.coefficients.values())
+            * max(map(abs, x.coefficients), default=0))
+    return max(1, math.ceil(16 * abs(t) * (size + turn)))
+
+
+def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
+                      t: float, thetas: np.ndarray, step: float,
+                      steps: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus exponents of the given steps at every angle, shape
+    (len(steps), len(thetas), n, n).
+
+    Step j covers tau in [j, j + 1] * step, and X is read at its three Gauss
+    nodes, at flow time -alpha (t - tau) from the grid angles.
+    """
+    n = x.algebra.n
+    taus = (steps[:, None] + _MAGNUS_NODES) * step
+    times = (-alpha * (t - taus)).ravel()
+    if h.modes() in ([], [0]):
+        # a constant field flows by the exact rotation theta + h_0 s
+        speed = h.coefficients.get(0, complex(0.0)).real
+        angles = thetas + speed * times[:, None]
+    else:
+        angles = _flow_angles(h, thetas, times)
+    a1, a2, a3 = x.evaluate(angles.ravel()).reshape(
+        len(steps), 3, len(thetas), n, n).swapaxes(0, 1)
+
+    def bracket(p, q):
+        # p, q anti-hermitian: qp = (pq)^dagger
+        pq = p @ q
+        return pq - pq.conj().swapaxes(-1, -2)
+
+    # Blanes-Casas-Oteo-Ros, Phys. Rep. 470 (2009): the three-node step
+    b1 = step * a2
+    b2 = (math.sqrt(15.0) * step / 3.0) * (a3 - a1)
+    b3 = (10.0 * step / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = bracket(b1, b2)
+    c2 = (-1.0 / 60.0) * bracket(b1, 2.0 * b3 + c1)
+    return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def _magnus_product(x: FourierLoopElement, alpha: float, h: ScalarField,
+                    t: float, thetas: np.ndarray, n_steps: int) -> np.ndarray:
+    """The time-ordered exponential of X along each characteristic, by
+    ``n_steps`` equal sixth-order Magnus steps.
+
+    The steps are taken in blocks of at most _MAGNUS_BLOCK exponent entries,
+    each block's exponents through one stacked ``exp_antihermitian``, and
+    the step factors multiply with the latest step on the left.
+    """
+    n = x.algebra.n
+    per_block = max(1, _MAGNUS_BLOCK // (len(thetas) * n * n))
+    out = np.broadcast_to(np.eye(n, dtype=complex), (len(thetas), n, n))
+    for first in range(0, n_steps, per_block):
+        steps = np.arange(first, min(first + per_block, n_steps))
+        for factor in exp_antihermitian(_magnus_exponents(
+                x, alpha, h, t, thetas, t / n_steps, steps)):
+            out = factor @ out
+    return out
+
+
 def semidirect_exp(x: FourierLoopElement, alpha: float,
                    h: ScalarField | None = None, t: float = 1.0,
                    n_samples: int = 256,
@@ -697,28 +779,23 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     """Exponential exp(t(X + alpha h)) in the semidirect product with the flow of h.
 
     Returns the loop part and the accumulated flow time alpha * t.  The loop
-    part is the pointwise exponential of the flow-averaged symbol
+    part solves
 
-        Y_t(theta) = integral_0^t X(R_{alpha tau}^{-1}(theta)) d tau,
+        d gamma/dt = X gamma - alpha h d_theta gamma,   gamma_0 = Id,
 
-    which is the integral-curve solution whenever the rotated family of
-    generators commutes pointwise along the flow (single-generator elements
-    X = f(theta) X0 always qualify); the endpoint-rotated symbol t X(theta -
-    alpha t) fails even the one-parameter group law and is not used.  For
-    the rigid rotation h = 1 the average is exact in Fourier modes,
-    a_k -> a_k (1 - e^{-i k alpha t})/(i k alpha); a general real field h is
-    handled by 64-node Gauss quadrature along its flow, integrated in one
-    RK4 pass through all the node times.
+    which along the characteristic theta(tau) = Phi_{-alpha(t - tau)}(theta),
+    Phi the flow of h, reads d gamma/d tau = X(theta(tau)) gamma.  So
+    gamma_t(theta) is the time-ordered exponential of X along that curve,
+    taken in M equal sixth-order Magnus steps (``_magnus_product``) with M
+    from ``_magnus_steps``.  A constant field flows by an exact rotation; any
+    other real field by one RK4 pass through all the node times
+    (``_flow_angles``).  No commutation of the values of X is assumed.
 
     When ``verify`` is set the result is compared against an explicit RK4
-    integration of
-
-        d gamma/dt = X gamma - alpha h d_theta gamma
-
-    on the grid in steps of _ODE_DT (``_ode_exponential``: each step one
-    sparse Fourier-space map when few modes couple), and a VerificationError
-    carrying the sup-norm residual is raised above _ODE_TOL; this is also
-    what rejects closed forms for non-commuting generator families.
+    integration of the same equation on the grid in steps of _ODE_DT
+    (``_ode_exponential``: each step one sparse Fourier-space map when few
+    modes couple), and a VerificationError carrying the sup-norm residual is
+    raised above _ODE_TOL.
     """
     if not x.real_form:
         raise ValueError("semidirect exponential needs a real-form element")
@@ -726,37 +803,17 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
         h = ScalarField.constant(1.0)
     if not h.real:
         raise ValueError("the flow field must be real")
-    thetas = circle_grid(n_samples)
-    rotation = alpha * t
-    is_rigid = h.modes() in ([], [0])
-    n = x.algebra.n
-    if is_rigid:
-        speed = h.coefficients.get(0, complex(0.0)).real
-        avg = {}
-        for k, a in x.coefficients.items():
-            phi = k * alpha * speed
-            if k == 0 or phi == 0.0:
-                avg[k] = t * a
-            else:
-                avg[k] = a * (1.0 - np.exp(-1j * phi * t)) / (1j * phi)
-        ys = FourierLoopElement(avg, x.algebra).evaluate(thetas)
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        taus = 0.5 * t * (nodes + 1.0)
-        pre = _flow_angles(h, thetas, -alpha * taus)
-        ys = np.zeros((n_samples, n, n), dtype=complex)
-        for angles, w in zip(pre, weights):
-            ys += (0.5 * t * w) * x.evaluate(angles)
-    samples = exp_antihermitian(ys)
+    samples = _magnus_product(x, alpha, h, t, circle_grid(n_samples),
+                              _magnus_steps(x, alpha, h, t))
     loop = GridLoop(samples, x.algebra)
     if verify:
         ode = _ode_exponential(x, alpha, h, t, n_samples, _ODE_DT)
         resid = float(np.abs(samples - ode).max())
         if resid > _ODE_TOL:
             raise VerificationError(
-                f"closed form vs ODE integration differ by {resid:.2e} > {_ODE_TOL:.1e}",
-                resid)
-    return loop, rotation
+                f"Magnus product vs ODE integration differ by {resid:.2e} "
+                f"> {_ODE_TOL:.1e}", resid)
+    return loop, alpha * t
 
 
 # ---------------------------------------------------------------------------

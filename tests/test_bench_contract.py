@@ -40,7 +40,8 @@ COUNTERS = {
                         "fock.current.nnz": 56_756, "fock.sugawara.calls": 12,
                         "fock.sugawara.nnz": 19_633,
                         "fock.operator_algebra.calls": 18},
-    "oneshot_sweep": {"fock.pi_element.nnz": 42_480},
+    "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
+                      "loops.field_evaluations": 4_148, "lie.eigh_calls": 489},
 }
 
 

@@ -307,6 +307,22 @@ def test_artifacts_byte_stable(full_scenario, tmp_path_factory):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_exp_check_passes_on_two_directions(tmp_path):
+    # 0.4 x_0 + 0.3 x_1 at modes +-1 and 0.5 x_1 at mode 0: the values of
+    # the element do not commute along the flow
+    task = {"task": "exp-ode-check", "element": {"factors": [
+        {"generator": {"basis": 0}, "profile": "fourier",
+         "parameters": {"coefficients": [[1, 0.4, 0.0], [-1, 0.4, 0.0]]}},
+        {"generator": {"basis": 1}, "profile": "fourier",
+         "parameters": {"coefficients": [[1, 0.3, 0.0], [-1, 0.3, 0.0],
+                                         [0, 0.5, 0.0]]}}]},
+        "alpha": 1.0, "time": 1.0}
+    scenario = cli.validate_config(scenario_text(tasks=[task]))
+    report = cli.run_scenario(scenario, out_dir=str(tmp_path))
+    assert [t["status"] for t in report.tasks] == ["pass"]
+    assert json.loads((tmp_path / "exp_check.json").read_text())["pass"]
+
+
 def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
     built = []
 

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse.linalg
 
 from loopnet import affine_data, fock, lie, loops
-from loopnet.errors import AlgebraMismatchError, CapacityError, WindowError
+from loopnet.errors import (AlgebraMismatchError, CapacityError, NumericError,
+                            WindowError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -424,6 +425,12 @@ def test_hs_defect_rejects_empty_data():
 def test_hs_defect_rejects_mismatched_shapes(data):
     with pytest.raises(AlgebraMismatchError):
         fock.hs_defect(data, 4)
+
+
+def test_hs_defect_refuses_non_finite_coefficient():
+    # a NaN mass gave an all-NaN report with tail_ok False
+    with pytest.raises(NumericError, match="finite"):
+        fock.hs_defect({0: np.eye(2), 1: np.full((2, 2), np.nan)}, 4)
 
 
 def test_hs_defect_huge_window_allocates_nothing_window_sized():

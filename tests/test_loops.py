@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from loopnet import lie, loops
-from loopnet.errors import (NormDivergedError, NotSplittableError,
+from loopnet.errors import (NormDivergedError, NotSplittableError, NumericError,
                             ResolutionError, VerificationError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
@@ -101,6 +103,33 @@ def test_reality_check_is_absolute(su2):
     assert FourierLoopElement(coeffs, su2).real_form is False
     with pytest.raises(ValueError, match="reality residual"):
         FourierLoopElement(coeffs, su2, real_form=True)
+
+
+_NON_FINITE = [np.nan, np.inf, complex(0.0, -np.inf)]
+_NON_FINITE_IDS = ["nan", "inf", "imag-inf"]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=_NON_FINITE_IDS)
+def test_loop_element_refuses_non_finite_coefficient(su2, bad):
+    # a NaN norm is not above the drop threshold, so it was dropped silently
+    with pytest.raises(NumericError, match="finite"):
+        FourierLoopElement({0: su2.basis[0], 1: np.full((2, 2), bad)}, su2)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=_NON_FINITE_IDS)
+def test_scalar_field_refuses_non_finite_coefficient(bad):
+    with pytest.raises(NumericError, match="finite"):
+        ScalarField({0: 1.0, 2: bad})
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=_NON_FINITE_IDS)
+def test_grid_loop_refuses_non_finite_samples(su2, bad):
+    # under default warning filters a NaN residual compares False with the
+    # tolerance, so the check must not rest on that comparison
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(NumericError, match="special unitary"):
+            loops.GridLoop(np.full((4, 2, 2), bad, dtype=complex), su2)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -523,13 +552,26 @@ def test_semidirect_general_field(su2):
     assert rot == pytest.approx(0.7)
 
 
-def test_semidirect_noncommuting_rejected(su2):
-    # two non-commuting generator directions: no pointwise closed form
+@pytest.mark.parametrize("h", [None, ScalarField({0: 1.0, 1: 0.15, -1: 0.15})],
+                         ids=["rigid", "general"])
+def test_semidirect_noncommuting_verified(su2, h):
+    # two non-commuting generator directions: the values of X do not commute
+    # along the flow, and the time-ordered exponential still passes the check
     x = FourierLoopElement({1: 0.6 * su2.basis[0], -1: 0.6 * su2.basis[0],
                             0: 0.8 * su2.basis[1]}, su2)
-    with pytest.raises(VerificationError) as err:
-        loops.semidirect_exp(x, 1.0, None, 1.0, 128)
-    assert err.value.residual > 1e-6
+    _, rot = loops.semidirect_exp(x, 1.0, h, 1.0, 128, verify=True)
+    assert rot == 1.0
+
+
+def test_semidirect_verify_flags_aliased_modes(su2):
+    # X modes 32 and 40 do not fit a 64-point grid: the Magnus product reads
+    # X off the grid, the ODE check sees the aliased modes, and they differ
+    x = FourierLoopElement({32: 0.2 * su2.basis[0], -32: 0.2 * su2.basis[0],
+                            40: 0.15 * su2.basis[1], -40: 0.15 * su2.basis[1]},
+                           su2)
+    with pytest.raises(VerificationError, match="Magnus product") as err:
+        loops.semidirect_exp(x, 0.6, None, 0.5, 64)
+    assert err.value.residual > 1e-2
 
 
 # ---------------------------------------------------------------------------
