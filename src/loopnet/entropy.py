@@ -102,12 +102,31 @@ _QUAD_TOL = 1e-10
 # Window profiles: f is the accumulated integral of a localized derivative
 # ---------------------------------------------------------------------------
 
+def _check_finite(profile, *names) -> None:
+    """NumericError unless each named field of ``profile`` is finite."""
+    for name in names:
+        value = getattr(profile, name)
+        if not math.isfinite(value):
+            raise NumericError(
+                f"{type(profile).__name__}.{name} must be finite, got {value!r}")
+
+
+def _check_window(window) -> None:
+    """A window needs a finite center and amplitude and a finite width > 0."""
+    _check_finite(window, "center", "width", "amplitude")
+    if window.width <= 0:
+        raise NumericError(
+            f"{type(window).__name__}.width must be > 0, got {window.width!r}")
+
+
 @dataclass(frozen=True)
 class GaussianWindow:
     """Profile with f'(u) = amplitude * exp(-((u - center)/width)^2).
 
     The derivative is numerically supported on about +-8.6 widths (where the
     tail drops below 1e-32); f itself is the exact error-function integral.
+    Center and amplitude must be finite and the width finite and positive
+    (NumericError otherwise).
     """
 
     center: float = 0.0
@@ -115,6 +134,9 @@ class GaussianWindow:
     amplitude: float = 1.0
 
     _RADIUS = 8.6  # exp(-8.6^2) ~ 7e-33
+
+    def __post_init__(self):
+        _check_window(self)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -128,7 +150,7 @@ class GaussianWindow:
         return self.amplitude * self.width * 0.5 * math.sqrt(math.pi) * (erf(s) + 1.0)
 
     def support(self):
-        r = self._RADIUS * abs(self.width)
+        r = self._RADIUS * self.width
         return (self.center - r, self.center + r)
 
 
@@ -136,12 +158,16 @@ class GaussianWindow:
 class PolyBump:
     """Profile with f'(u) = amplitude * (1 - s^2)^4 on |s| < 1, s = (u-center)/width.
 
-    Exactly compactly supported; f is the polynomial antiderivative.
+    Exactly compactly supported; f is the polynomial antiderivative.  Fields
+    are checked as for GaussianWindow.
     """
 
     center: float = 0.0
     width: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _check_window(self)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -159,16 +185,21 @@ class PolyBump:
         return self.amplitude * self.width * (poly - at_lo)
 
     def support(self):
-        return (self.center - abs(self.width), self.center + abs(self.width))
+        return (self.center - self.width, self.center + self.width)
 
 
 @dataclass(frozen=True)
 class TransformedProfile:
-    """Reparametrized profile g(u) = sign * f(rate * u)."""
+    """Reparametrized profile g(u) = sign * f(rate * u); the rate is nonzero."""
 
     base: object
     rate: float = 1.0
     sign: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, "rate", "sign")
+        if self.rate == 0:
+            raise NumericError("TransformedProfile.rate must be nonzero")
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)

@@ -75,6 +75,12 @@ __all__ = [
 DEFAULT_DIM_LIMIT = 20000
 MASK_BITS = 64   # occupation masks are np.uint64 words
 _ADJOINT_SAMPLES = 256   # circle grid of gamma = exp(X) in adjoint_action_check
+# Taylor steps of _exp_action: each step's operator has 1-norm at most
+# _TAYLOR_THETA, and its series stops at the first degree whose a-priori
+# bound theta^k / k! is at most the unit roundoff 2^-53 (k = 24 for theta 2).
+_TAYLOR_THETA = 2.0
+_TAYLOR_TERMS = next(k for k in itertools.count(1)
+                     if _TAYLOR_THETA ** k / math.factorial(k) <= 2.0 ** -53)
 
 
 def _occupation_mask(n: int, cutoff: int, particles, holes) -> int:
@@ -693,11 +699,11 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     verification report dict (never raises on mismatch); the residual is
     truncation-limited and measured on columns with energy at most
     ``block_energy`` (default cutoff/4).  Only those columns of the
-    left-hand side are formed, by the action of the exponentials on them.
-    The element X must be real-form with modes at most cutoff/4.
+    left-hand side are formed, by ``_exp_action``, the truncated Taylor
+    action of the exponentials on them.  The element X must be real-form
+    with modes at most cutoff/4, and some state must have energy at most
+    ``block_energy``; otherwise WindowError.
     """
-    import scipy.sparse.linalg
-
     if not x.real_form:
         raise ValueError("implementer needs a real-form element")
     if max(map(abs, x.modes()), default=0) > space.cutoff // 4:
@@ -707,12 +713,13 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
         block_energy = space.cutoff // 4
     gamma = _loop_of_element(x, _ADJOINT_SAMPLES)
     cols = np.flatnonzero(space.energies <= block_energy)
+    if not len(cols):
+        raise WindowError(f"no basis state has energy <= {block_energy}")
     e_cols = np.zeros((space.dim, len(cols)), dtype=complex)
     e_cols[cols, np.arange(len(cols))] = 1.0
     px = pi_element(space, x).matrix
     py = pi_element(space, y).matrix
-    lhs = scipy.sparse.linalg.expm_multiply(
-        px, py @ scipy.sparse.linalg.expm_multiply(-px, e_cols))
+    lhs = _exp_action(px, py @ _exp_action(-px, e_cols))
     ys = y.evaluate(gamma.thetas)
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
     ady = FourierLoopElement(_mode_cut(conj, space.cutoff), x.algebra)
@@ -721,6 +728,30 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     residual = float(np.abs(lhs - rhs).max(initial=0.0))
     return _report("adjoint-action", block_energy, residual, tolerance,
                    scalar_part=c_val)
+
+
+def _exp_action(a: scipy.sparse.csr_matrix, block: np.ndarray) -> np.ndarray:
+    """e^A B for a sparse anti-hermitian A and a dense block B of columns.
+
+    The truncated Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput.
+    33, 2011) with an a-priori term count: s = ceil(||A||_1 / theta) steps
+    of e^{A/s}, each summed through degree ``_TAYLOR_TERMS``.  A is
+    anti-hermitian, so ||A/s||_2 <= ||A/s||_1 <= theta and the dropped tail
+    of each step is below theta^k / k! <= 2^-53 relative to its input; no
+    norm estimate or stopping test is needed.  A = 0 takes no step.  A
+    must be compressed (CSR or CSC): its 1-norm is read from ``indices``,
+    and the row and column sums of |A| agree for an anti-hermitian A.
+    """
+    norm = np.bincount(a.indices, weights=np.abs(a.data)).max(initial=0.0)
+    steps = math.ceil(norm / _TAYLOR_THETA)
+    out = np.array(block, dtype=complex)
+    for _ in range(steps):
+        term = out
+        for k in range(1, _TAYLOR_TERMS + 1):
+            term = a @ term
+            term *= 1.0 / (steps * k)
+            out += term
+    return out
 
 
 def _loop_of_element(x: FourierLoopElement, n_samples: int) -> GridLoop:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (AlgebraMismatchError, CapacityError, InvalidRankError,
                      NumericError)
@@ -194,12 +193,17 @@ def center_elements(n: int) -> list[np.ndarray]:
 
 
 def group_exp(x: AlgebraElement) -> np.ndarray:
-    """Matrix exponential of a real-form element; result is special unitary."""
+    """Matrix exponential of a real-form element; result is special unitary.
+
+    Computed by ``exp_antihermitian`` from one eigendecomposition of the
+    hermitian iX: the input is anti-hermitian, so its eigenvectors are
+    unitary and no scaling and squaring is needed.
+    """
     if not np.all(np.isfinite(x.matrix)):
         raise NumericError("non-finite entries in exponent")
     if not x.real_form:
         raise ValueError("group_exp expects a real-form (anti-hermitian) element")
-    u = scipy.linalg.expm(x.matrix)
+    u = exp_antihermitian(x.matrix)
     if np.abs(u.conj().T @ u - np.eye(len(u))).max() > _ATOL:
         raise NumericError("exponential is not unitary to tolerance")
     return u

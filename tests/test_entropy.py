@@ -205,8 +205,14 @@ def test_qnec_profile_fd_verification_error(su2):
 @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("window", [entropy.GaussianWindow, entropy.PolyBump])
 def test_non_finite_window_raises(su2, window, width):
-    path = entropy.LinePath(su2, [(normalized_generator(su2),
-                                   window(0.0, width, 0.8))])
+    """A non-finite width is refused when the window is built; a profile
+    whose support overflows (a subnormal rate) still meets the quadrature's
+    bounds check."""
+    with pytest.raises(NumericError, match="width must be finite"):
+        window(0.0, width, 0.8)
+    stretched = entropy.TransformedProfile(window(0.0, 1.0, 0.8), rate=1e-310)
+    assert not all(map(math.isfinite, stretched.support()))
+    path = entropy.LinePath(su2, [(normalized_generator(su2), stretched)])
     with pytest.raises(NumericError, match="bounds must be finite"):
         entropy.total_energy(path)
     with pytest.raises(NumericError, match="bounds must be finite"):
@@ -216,10 +222,31 @@ def test_non_finite_window_raises(su2, window, width):
         entropy.qnec_profile(path, np.linspace(-3, 3, 31))
 
 
+class _Unchecked:
+    """A duck-typed profile: a bump times an amplitude that nothing checks."""
+
+    def __init__(self, amplitude):
+        self.bump, self.amplitude = entropy.PolyBump(0.3, 1.0), amplitude
+
+    def derivative(self, u):
+        return self.amplitude * self.bump.derivative(u)
+
+    def value(self, u):
+        return self.amplitude * self.bump.value(u)
+
+    def support(self):
+        return self.bump.support()
+
+
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
 def test_non_finite_integrand_raises(su2, amplitude):
+    """A non-finite amplitude is refused when the window is built; a profile
+    whose derivative is not finite on its support still meets the
+    quadrature's integrand check."""
+    with pytest.raises(NumericError, match="amplitude must be finite"):
+        entropy.PolyBump(0.3, 1.0, amplitude)
     path = entropy.LinePath(su2, [(normalized_generator(su2),
-                                   entropy.PolyBump(0.3, 1.0, amplitude))])
+                                   _Unchecked(amplitude))])
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericError, match="integrand is not finite"):
         entropy.total_energy(path)
@@ -358,3 +385,37 @@ def test_cayley_inverse_mismatched_grid_raises(su2):
     # a coarser grid whose angles are all on the transferred one still works
     back = entropy.cayley_inverse(sp, 128)
     assert np.abs(back.samples - gamma.samples[::2]).max() < 1e-9
+
+
+@pytest.mark.parametrize("window", [entropy.GaussianWindow, entropy.PolyBump])
+def test_zero_width_window_is_refused(su2, window):
+    """A zero width made total_energy 0.0 instead of failing."""
+    with pytest.raises(NumericError, match=r"width must be > 0, got 0\.0"):
+        entropy.LinePath(su2, [(normalized_generator(su2), window(0.0, 0.0, 0.8))])
+    with pytest.raises(NumericError, match="width must be > 0"):
+        window(0.0, -1.0, 0.8)
+
+
+def test_zero_rate_is_refused(su2):
+    """TransformedProfile(rate=0) ended in a ZeroDivisionError, and a Connes
+    cocycle whose dilation rate e^{2 pi t} underflows to 0 was built
+    without complaint."""
+    with pytest.raises(NumericError, match="rate must be nonzero"):
+        entropy.TransformedProfile(entropy.PolyBump(), rate=0.0)
+    path = entropy.LinePath(su2, [(normalized_generator(su2),
+                                   entropy.PolyBump(1.5, 1.0, 0.9))])
+    with pytest.raises(NumericError, match="rate must be nonzero"):
+        entropy.connes_cocycle_path(path, -200.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_profile_fields_are_refused(value):
+    """Each field is checked at construction; GaussianWindow(amplitude=inf),
+    for one, ended in a numpy RuntimeWarning."""
+    for window in (entropy.GaussianWindow, entropy.PolyBump):
+        for name in ("center", "width", "amplitude"):
+            with pytest.raises(NumericError, match=f"{name} must be finite"):
+                window(**{name: value})
+    for name in ("rate", "sign"):
+        with pytest.raises(NumericError, match=f"{name} must be finite"):
+            entropy.TransformedProfile(entropy.GaussianWindow(), **{name: value})

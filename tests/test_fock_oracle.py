@@ -7,7 +7,9 @@ index.  It shares no code with the vectorized hop table, so agreement to
 1e-14 checks the sign parity, the row lookup and the mode range of the new
 path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
 ``implement_exponential`` route, the whole exp(pi(X)) by ``scipy.linalg.expm``,
-against which the column-restricted ``expm_multiply`` route is compared.
+against which the column-restricted route of ``_exp_action`` (the in-package
+truncated Taylor action) is compared; ``_exp_action`` itself is checked
+against ``scipy.sparse.linalg.expm_multiply``.
 ``_hs_dense_truncated`` is the windowed Hardy defect ||[P, M]||_2^2 from the
 whole block matrix M, against which the counted block pairs of
 ``hs_defect`` are compared.  ``_oracle_suite`` holds the identity residuals
@@ -292,6 +294,76 @@ def test_adjoint_action_columns_match_dense_route(spaces, spec):
         assert abs(got["residual_max"] - want) <= 1e-12 * max(1.0, want)
 
 
+def _bench_adjoint_input():
+    """The benchmark's adjoint-action input at seed 3: su2, cutoff 8, charge
+    0 (dim 1008), X and Y cosine loops, the 14 columns of energy <= 2."""
+    su2 = lie.build_su(2)
+    space = fock.build_fock(2, 8, charge=0)
+
+    def cos_loop(amplitude, direction):
+        a = amplitude * np.einsum("i,iab->ab", direction, su2.basis)
+        return FourierLoopElement({1: a, -1: a}, su2)
+
+    angle = 0.7142223654075871
+    x = cos_loop(0.22345771514092144, [math.cos(angle), math.sin(angle), 0.0])
+    y = cos_loop(0.2391228190495662,
+                 [-0.43746644693708076, -0.34895933469603135, -0.8287644360931212])
+    cols = np.flatnonzero(space.energies <= 2)
+    e_cols = np.zeros((space.dim, len(cols)), dtype=complex)
+    e_cols[cols, np.arange(len(cols))] = 1.0
+    return (fock.pi_element(space, x).matrix, fock.pi_element(space, y).matrix,
+            e_cols)
+
+
+def _one_norm(a):
+    return float(abs(a).sum(axis=0).max())
+
+
+def test_exp_action_matches_expm_multiply_on_bench_input():
+    import scipy.sparse.linalg
+
+    px, py, e_cols = _bench_adjoint_input()
+    assert e_cols.shape == (1008, 14)
+    assert 1.5 < _one_norm(px) < fock._TAYLOR_THETA   # one Taylor step
+    inner = fock._exp_action(-px, e_cols)
+    want = scipy.sparse.linalg.expm_multiply(-px, e_cols)
+    assert np.abs(inner - want).max() <= 1e-14
+    outer = fock._exp_action(px, py @ inner)
+    want = scipy.sparse.linalg.expm_multiply(px, py @ want)
+    assert np.abs(outer - want).max() <= 1e-14
+
+
+def test_exp_action_matches_expm_multiply_in_many_steps():
+    import scipy.sparse.linalg
+
+    px, _, e_cols = _bench_adjoint_input()
+    a = 15.0 * px
+    assert _one_norm(a) >= 20.0
+    got = fock._exp_action(a, e_cols)
+    assert np.abs(got - scipy.sparse.linalg.expm_multiply(a, e_cols)).max() <= 1e-14
+    # unitary: the columns stay orthonormal after 12 steps
+    assert np.abs(got.conj().T @ got - np.eye(e_cols.shape[1])).max() <= 1e-14
+
+
+def test_exp_action_degenerate_inputs():
+    """A = 0 takes no step and returns a copy of B.  A block with no columns
+    comes back empty; ``expm_multiply`` divides by the column count there
+    (ZeroDivisionError), so the dense ``expm`` is the oracle."""
+    import scipy.sparse.linalg
+
+    px, _, e_cols = _bench_adjoint_input()
+    zero = fock.pi_element(fock.build_fock(2, 8, charge=0),
+                           FourierLoopElement({}, lie.build_su(2))).matrix
+    assert _one_norm(zero) == 0.0
+    got = fock._exp_action(zero, e_cols)
+    assert np.abs(got - scipy.sparse.linalg.expm_multiply(zero, e_cols)).max() <= 1e-14
+    assert got is not e_cols and np.array_equal(got, e_cols)
+    empty = np.zeros((px.shape[0], 0), dtype=complex)
+    got = fock._exp_action(px, empty)
+    want = scipy.linalg.expm(px.toarray()) @ empty
+    assert got.shape == want.shape == (px.shape[0], 0)
+
+
 def test_adjoint_action_window_guard(spaces):
     space = spaces[(2, 6, 0)]
     su2 = lie.build_su(2)
@@ -299,6 +371,16 @@ def test_adjoint_action_window_guard(spaces):
     x = FourierLoopElement({2: a, -2: a}, su2)
     with pytest.raises(WindowError):
         fock.adjoint_action_check(space, x, x)
+
+
+def test_adjoint_action_without_columns_is_refused(spaces):
+    """No basis state at or below ``block_energy``: the check has nothing to
+    compare and says so, instead of passing on an empty residual."""
+    space = spaces[(2, 6, 0)]
+    su2 = lie.build_su(2)
+    x = FourierLoopElement({1: 0.2 * su2.basis[0], -1: 0.2 * su2.basis[0]}, su2)
+    with pytest.raises(WindowError, match="no basis state"):
+        fock.adjoint_action_check(space, x, x, block_energy=-1)
 
 
 def _hs_dense_truncated(fourier_data, window):

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -132,6 +135,20 @@ def test_group_exp(su2):
     uinv = lie.group_exp(-1 * y)
     assert np.abs(u @ uinv - np.eye(2)).max() < 1e-12
     assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_group_exp_matches_expm(n):
+    import scipy.linalg
+
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(40 + n)
+    for norm in (0.1, 1.0, 3.0, 10.0):
+        coeff = rng.normal(size=algebra.dimension)
+        x = np.einsum("i,iab->ab", norm * coeff / np.linalg.norm(coeff),
+                      algebra.basis)
+        got = lie.group_exp(algebra.element(x, real_form=True))
+        assert np.abs(got - scipy.linalg.expm(x)).max() <= 1e-13
 
 
 def test_errors(su2, su3):
@@ -283,3 +300,45 @@ def test_package_has_no_relative_tolerance_tests():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_package_has_no_scipy_linalg():
+    """``scipy.linalg`` and ``scipy.sparse.linalg`` are test oracles only;
+    the package's exponentials are its own."""
+    pattern = re.compile(r"scipy(?:\.sparse)?\.linalg|"
+                         r"from scipy(?:\.sparse)? import[^#]*\blinalg\b")
+    package = Path(lie.__file__).parent
+    hits = [f"{path.name}:{i}"
+            for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
+_IMPORT_GUARD = """
+import sys
+from loopnet import cli, fock, lie
+from loopnet.loops import FourierLoopElement
+
+su2 = lie.build_su(2)
+lie.group_exp(su2.basis_element(0))
+x = FourierLoopElement({1: 0.2 * su2.basis[0], -1: 0.2 * su2.basis[0]}, su2)
+assert fock.adjoint_action_check(fock.build_fock(2, 4), x, x)["pass"]
+assert cli.main(["alcove", "--algebra", "su3", "--level", "2",
+                 "--out-dir", sys.argv[1]]) == 0
+loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def test_workload_paths_do_not_load_scipy_linalg(tmp_path):
+    """A fresh interpreter that imports the package and the CLI, takes one
+    group exponential and one adjoint-action check and runs an alcove task
+    never loads ``scipy.linalg`` or ``scipy.sparse.linalg``."""
+    src = str(Path(lie.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
