@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, affine_data, entropy, fock, lie, loops
 from . import soliton as soliton_mod
-from .errors import CapacityError, ConfigError, LoopnetError
+from .errors import ConfigError, LoopnetError
 
 __all__ = ["Scenario", "RunReport", "validate_config", "run_scenario",
            "export_profile", "main"]
@@ -141,6 +141,15 @@ def _int(v, pointer, *_, minimum=1, maximum=None) -> int:
 _positive = functools.partial(_number, positive=True)
 
 
+def _accepted(rule, pointer, *args, **kwargs):
+    """rule(*args, **kwargs), a library call that checks its own input; its
+    refusal (a LoopnetError) becomes a ConfigError at ``pointer``, same message."""
+    try:
+        return rule(*args, **kwargs)
+    except LoopnetError as err:
+        raise ConfigError(str(err), pointer) from None
+
+
 def _optional(parse):
     """``parse`` that also lets JSON null through as None."""
     return lambda v, *args: None if v is None else parse(v, *args)
@@ -206,10 +215,7 @@ def _parse_generator(spec, pointer, algebra, *_) -> np.ndarray:
         mat = np.array(_list(value, at, item=row, length=n))
     else:
         raise ConfigError(f"unknown key {key!r}", at)
-    try:
-        return lie.as_generator(mat, n)
-    except ValueError as err:
-        raise ConfigError(str(err), pointer) from None
+    return _accepted(lie.as_generator, pointer, mat, n)
 
 
 def _coefficient(v, pointer, *_) -> tuple:
@@ -224,23 +230,27 @@ def _fourier_field(v, pointer, *_) -> loops.ScalarField:
     coeffs = {}
     for k, c in _list(v, pointer, item=_coefficient):
         coeffs[k] = coeffs.get(k, 0.0) + c
-    scalar = loops.ScalarField(coeffs)
-    if not scalar.real:
-        raise ConfigError("fourier profiles must be real: c_-k = conj(c_k)", pointer)
-    return scalar
+    return _accepted(loops.ScalarField, pointer, coeffs, real=True)
+
+
+_WINDOWS = {"gaussian": entropy.GaussianWindow, "bump": entropy.PolyBump}
 
 
 _PROFILE_FIELDS = {
     "fourier": {"coefficients": (_fourier_field, _REQUIRED)},
-    "gaussian": {"center": (_number, 0.0), "width": (_positive, 1.0),
+    "gaussian": {"center": (_number, 0.0), "width": (_number, 1.0),
                  "amplitude": (_number, 1.0)},
 }
 _PROFILE_FIELDS["bump"] = _PROFILE_FIELDS["gaussian"]
 
 
 def _parameters(v, pointer, _, factor):
+    """A fourier profile's ScalarField, or a window built from finite
+    fields, which can refuse only its width."""
     params = _fields(v, pointer, _PROFILE_FIELDS[factor["profile"]])
-    return params["coefficients"] if factor["profile"] == "fourier" else params
+    if factor["profile"] == "fourier":
+        return params["coefficients"]
+    return _accepted(_WINDOWS[factor["profile"]], f"{pointer}/width", **params)
 
 
 _FACTOR_FIELDS = {"generator": (_parse_generator, _REQUIRED),
@@ -250,7 +260,7 @@ _FACTOR_FIELDS = {"generator": (_parse_generator, _REQUIRED),
 
 def _parse_factor(spec, pointer, algebra, *_) -> tuple:
     """(generator, profile, parameters); a fourier profile's parameters are
-    its ScalarField, a window's the dict of center, width and amplitude."""
+    its ScalarField, a window profile's its GaussianWindow or PolyBump."""
     return tuple(_fields(spec, pointer, _FACTOR_FIELDS, algebra).values())
 
 
@@ -267,25 +277,22 @@ def _factors(v, pointer, algebra, *_, profiles) -> tuple:
 _fourier_factors = functools.partial(_factors, profiles=("fourier",))
 
 
-_WINDOWS = {"gaussian": entropy.GaussianWindow, "bump": entropy.PolyBump}
-
-
-def _wrapped_window(profile: str, center: float, **shape):
+def _wrapped_window(window):
     """A window profile made 2 pi-periodic for circle loops: the window's
-    derivative at the angle from ``center``, wrapped into (-pi, pi]."""
-    window = _WINDOWS[profile](0.0, **shape)
-    return lambda thetas: window.derivative(
-        np.angle(np.exp(1j * (np.asarray(thetas) - center))))
+    derivative at the angle from its center, wrapped into (-pi, pi]."""
+    shifted = replace(window, center=0.0)
+    return lambda thetas: shifted.derivative(
+        np.angle(np.exp(1j * (np.asarray(thetas) - window.center))))
 
 
 def _loop_factors(v, pointer, algebra, loop) -> tuple:
     """Line loops: (generator, window) pairs for LinePath.  Circle loops:
     (generator, scalar field or periodic window) pairs for loop_from_factors."""
     if loop["kind"] == "line":
-        return tuple((gen, _WINDOWS[profile](**params)) for gen, profile, params
+        return tuple((gen, window) for gen, _, window
                      in _factors(v, pointer, algebra, profiles=tuple(_WINDOWS)))
     return tuple((gen, params if profile == "fourier"
-                  else _wrapped_window(profile, **params))
+                  else _wrapped_window(params))
                  for gen, profile, params
                  in _factors(v, pointer, algebra, profiles=tuple(_PROFILE_FIELDS)))
 
@@ -357,11 +364,8 @@ def _cutoff(v, pointer, top, task) -> int:
     """An energy cutoff of at least 2, the smallest the identity suite can
     probe, whose truncated space fits the dimension limit."""
     cutoff = _int(v, pointer, minimum=2)
-    try:
-        fock._check_capacity(top["algebra"][0].n, cutoff, task["charge"],
-                             top["dim_limit"])
-    except CapacityError as err:
-        raise ConfigError(f"cutoff {cutoff}: {err}", pointer) from None
+    _accepted(fock._check_capacity, pointer, top["algebra"][0].n, cutoff,
+              task["charge"], top["dim_limit"])
     return cutoff
 
 
@@ -395,10 +399,7 @@ def _alcove_level(v, pointer, top, *_) -> int:
     """A level whose alcove box ``affine_data.alcove`` scans (the default
     list holds the scenario level, refused at /algebra/level)."""
     level = _int(v, pointer)
-    try:
-        affine_data._scannable_roots(top["algebra"][0], level)
-    except CapacityError as err:
-        raise ConfigError(str(err), pointer) from None
+    _accepted(affine_data._scannable_roots, pointer, top["algebra"][0], level)
     return level
 
 
@@ -454,10 +455,7 @@ def _family(v, pointer, *_) -> lie.CompactSimpleAlgebra:
     m = re.fullmatch(r"su([2-9]\d*)", v) if isinstance(v, str) else None
     if not m:
         raise ConfigError("family must be a string key 'su2', 'su3', ...", pointer)
-    try:
-        return lie.build_su(int(m.group(1)))
-    except CapacityError as err:
-        raise ConfigError(str(err), pointer) from None
+    return _accepted(lie.build_su, pointer, int(m.group(1)))
 
 
 def _algebra(v, pointer, *_) -> tuple:
@@ -467,10 +465,8 @@ def _algebra(v, pointer, *_) -> tuple:
 
 
 def _grid_samples(v, pointer, *_) -> int:
-    n = _int(v, pointer, minimum=4)
-    if n & (n - 1):
-        raise ConfigError("grid_samples must be a power of two >= 4", pointer)
-    return n
+    return _accepted(loops._check_sample_count, pointer,
+                     _int(v, pointer, minimum=None))
 
 
 _SCENARIO_FIELDS = {
@@ -654,16 +650,15 @@ def _run_soliton(scenario, task, paths):
     return result, [(f"{task['out']}.json", _json_bytes(payload))]
 
 def _run_exp_check(scenario, task, paths):
-    alpha, t = task["alpha"], task["time"]
+    x, alpha, t = task["element"], task["alpha"], task["time"]
+    h = loops.ScalarField.constant(1.0)
     try:
-        _, rotation = loops.semidirect_exp(task["element"], alpha, None, t,
-                                           n_samples=scenario.grid_samples)
-        residual, ok = 0.0, True
+        loop, _ = loops.semidirect_exp(x, alpha, h, t, scenario.grid_samples,
+                                       verify=False)
+        residual, ok = loops._ode_gap(loop, x, alpha, h, t), True
     except LoopnetError as exc:
-        residual = getattr(exc, "residual", math.nan)
-        rotation, ok = alpha * t, False
-    payload = {"alpha": alpha, "time": t,
-               "rotation": float(rotation), "pass": ok}
+        residual, ok = getattr(exc, "residual", math.nan), False
+    payload = {"alpha": alpha, "time": t, "rotation": float(alpha * t), "pass": ok}
     result = {"status": "pass" if ok else "fail",
               "residuals": {"ode_sup": residual}}
     return result, [(f"{task['out']}.json", _json_bytes(payload))]

@@ -83,38 +83,42 @@ _TAYLOR_TERMS = next(k for k in itertools.count(1)
                      if _TAYLOR_THETA ** k / math.factorial(k) <= 2.0 ** -53)
 
 
-def _occupation_mask(n: int, cutoff: int, particles, holes) -> int:
-    """Window bitmask: filled sea below 0, minus holes, plus particles."""
-    mask = (1 << cutoff * n) - 1   # the n * cutoff window modes k < 0
-    for (k, j) in particles:
-        mask |= 1 << ((k + cutoff) * n + j)
-    for (k, j) in holes:
-        mask &= ~(1 << ((k + cutoff) * n + j))
-    return mask
+def _excitations(n: int, cutoff: int):
+    """The excitations of the filled sea in cost order, as (cost, charge,
+    window bit): the n zero-mode particles, which cost nothing, then for
+    k = 1, ..., cutoff a particle at mode k and a hole at mode -k of each
+    color, both of energy k.  A state is a set of excitations of total cost
+    <= cutoff; window mode (k, color) is bit (k + cutoff) * n + color."""
+    for j in range(n):
+        yield 0, 1, cutoff * n + j
+    for k in range(1, cutoff + 1):
+        for dq in (1, -1):
+            for j in range(n):
+                yield k, dq, (dq * k + cutoff) * n + j
+
+
+def _affordable(excitations, dq: int, budget: np.ndarray) -> np.ndarray:
+    """The most ``excitations`` of charge ``dq`` that fit together in each
+    budget: the cheapest first."""
+    costs = np.cumsum(sorted(c for c, q, _ in excitations if q == dq))
+    return np.searchsorted(costs, budget, side="right")
 
 
 def _dimension_bounds(n: int, cutoff: int, charge: int | None):
-    """Lower bounds on the dimension, from the two-variable generating
-    polynomial: the number of states using only the window modes |k| <= K,
-    for K = 0, ..., cutoff.  The last is the exact dimension."""
-    # counts[(energy, charge)] -> number of configurations, energy <= cutoff
-    counts = {(0, 0): 1}
-
-    def total():   # times the zero-mode subsets of each size
-        return sum(c * math.comb(n, size) for (_, q), c in counts.items()
-                   for size in range(n + 1) if charge is None or q + size == charge)
-
-    yield total()
-    for k in range(1, cutoff + 1):
-        for dq in (1, -1):  # particle at +k / hole at -k, both cost k
-            for _ in range(n):
-                new = dict(counts)
-                for (e, q), c in counts.items():
-                    if e + k <= cutoff:
-                        key = (e + k, q + dq)
-                        new[key] = new.get(key, 0) + c
-                counts = new
-        yield total()
+    """Lower bounds on the dimension: the number of states built from the
+    excitations of the window modes |k| <= K, for K = 0, ..., cutoff, counted
+    by (energy, charge) over ``_excitations`` one cost at a time, so a caller
+    that stops early never generates the rest.  The last is the dimension."""
+    counts = {(0, 0): 1}   # (energy, charge) -> number of states
+    for _, group in itertools.groupby(_excitations(n, cutoff),
+                                      key=operator.itemgetter(0)):
+        for cost, dq, _ in group:
+            new = dict(counts)
+            for (e, q), c in counts.items():
+                if e + cost <= cutoff:
+                    new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
+            counts = new
+        yield sum(c for (_, q), c in counts.items() if charge in (None, q))
 
 
 def _count_states(n: int, cutoff: int, charge: int | None) -> int:
@@ -189,12 +193,12 @@ class TruncatedFockSpace:
     def vacuum_index(self) -> int:
         if self.charge not in (None, 0):
             raise ValueError("vacuum lives in the charge-0 sector")
-        return self.index[_occupation_mask(self.n, self.cutoff, (), ())]
+        return self.index[(1 << self.cutoff * self.n) - 1]   # the filled sea
 
 
 def build_fock(n: int, cutoff: int, charge: int | None = None,
                dim_limit: int | None = None) -> TruncatedFockSpace:
-    """Enumerate the truncated space, ordered by (energy, charge, occupation).
+    """Enumerate the truncated space, ordered by (energy, charge, particles, holes).
 
     ``charge`` restricts to a single charge sector, which every operator in
     this module preserves; the restriction is exact for identity checks and
@@ -207,56 +211,44 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
         raise ValueError(f"need n >= 2 and cutoff >= 0, got n={n}, cutoff={cutoff}")
     _check_capacity(n, cutoff, charge, dim_limit)
 
-    colors = range(n)
-    def extend(k, budget, particles, holes, out):
-        if k > cutoff:
-            out.append((tuple(particles), tuple(holes)))
-            return
-        max_total = budget // k
-        color_subsets = [c for size in range(min(n, max_total) + 1)
-                         for c in itertools.combinations(colors, size)]
-        for psub in color_subsets:
-            cost_p = k * len(psub)
-            if cost_p > budget:
-                continue
-            for hsub in color_subsets:
-                cost = cost_p + k * len(hsub)
-                if cost > budget:
-                    continue
-                extend(k + 1, budget - cost,
-                       particles + [(k, j) for j in psub],
-                       holes + [(-k, j) for j in hsub], out)
+    # each excitation flips its window bit in every state it fits; a state
+    # is kept while the requested charge is still reachable within its
+    # budget, so it extends to a distinct final state and no list grows
+    # past the final dimension
+    excitations = list(_excitations(n, cutoff))
+    sea = (1 << cutoff * n) - 1   # the vacuum: window modes k < 0 filled
+    words = np.array([sea], dtype=np.uint64)
+    energies, charges = np.zeros(1, int), np.zeros(1, int)
+    for i, (cost, dq, bit) in enumerate(excitations):
+        fits = energies + cost <= cutoff
+        words = np.concatenate([words, words[fits] ^ np.uint64(1 << bit)])
+        energies = np.concatenate([energies, energies[fits] + cost])
+        charges = np.concatenate([charges, charges[fits] + dq])
+        if charge is not None:
+            budget, rest = cutoff - energies, excitations[i + 1:]
+            keep = ((charges - _affordable(rest, -1, budget) <= charge)
+                    & (charge <= charges + _affordable(rest, 1, budget)))
+            words, energies, charges = words[keep], energies[keep], charges[keep]
 
-    configs: list[tuple[tuple, tuple]] = []
-    extend(1, cutoff, [], [], configs)   # cutoff 0: the one empty configuration
-    # (particles, holes) configurations by the charge they add to the zero modes
-    by_charge: dict[int, list] = {}
-    for particles, holes in configs:
-        by_charge.setdefault(len(particles) - len(holes), []).append(
-            (particles, holes))
-
+    # a word's flipped modes in bit order are its holes (k < 0), then its
+    # particles, each in ascending (k, color) order
+    modes = [(p // n - cutoff, p % n) for p in range((2 * cutoff + 1) * n)]
     states = []
-    for zero_size in range(n + 1):
-        paired = (configs if charge is None
-                  else by_charge.get(charge - zero_size, []))
-        for zsub in itertools.combinations(colors, zero_size):
-            zmodes = tuple((0, j) for j in zsub)
-            for particles, holes in paired:
-                p_all = tuple(sorted(zmodes + particles))
-                energy = sum(k for k, _ in p_all) + sum(-k for k, _ in holes)
-                q = len(p_all) - len(holes)
-                states.append((energy, q, p_all, tuple(sorted(holes))))
+    for e, q, word in zip(energies.tolist(), charges.tolist(), words.tolist()):
+        flipped, flips = [], word ^ sea
+        while flips:
+            low = flips & -flips
+            flipped.append(modes[low.bit_length() - 1])
+            flips ^= low
+        holes = (len(flipped) - q) // 2
+        states.append((e, q, tuple(flipped[holes:]), tuple(flipped[:holes]), word))
     states.sort()
-
-    occupations = [(particles, holes) for _, _, particles, holes in states]
-    space_masks = [_occupation_mask(n, cutoff, *occ) for occ in occupations]
-    index = {m: i for i, m in enumerate(space_masks)}
-    if len(index) != len(space_masks):
-        raise RuntimeError("duplicate states in enumeration")
-    return TruncatedFockSpace(n, cutoff, charge, space_masks,
-                              np.array([e for e, _, _, _ in states], dtype=int),
-                              np.array([q for _, q, _, _ in states], dtype=int),
-                              occupations, index)
+    masks = [word for *_, word in states]
+    return TruncatedFockSpace(n, cutoff, charge, masks,
+                              np.array([e for e, *_ in states], dtype=int),
+                              np.array([q for _, q, *_ in states], dtype=int),
+                              [(p, h) for _, _, p, h, _ in states],
+                              {m: i for i, m in enumerate(masks)})
 
 
 # ---------------------------------------------------------------------------

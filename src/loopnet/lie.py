@@ -213,9 +213,9 @@ def as_generator(x, n: int) -> np.ndarray:
     """The (n, n) matrix of an AlgebraElement or array, anti-hermitian to 1e-12."""
     xm = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
     if xm.shape != (n, n):
-        raise ValueError(f"generator shape {xm.shape}, expected {(n, n)}")
+        raise AlgebraMismatchError(f"generator shape {xm.shape}, expected {(n, n)}")
     if _antihermitian_gap(xm) > _ATOL:
-        raise ValueError("generators must be anti-hermitian")
+        raise NumericError("generators must be anti-hermitian")
     return xm
 
 

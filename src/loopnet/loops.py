@@ -176,7 +176,7 @@ class ScalarField:
                         for k, v in coeffs.items()], initial=0.0)
         inside = bool(worst <= _REALITY_TOL)
         if real and not inside:
-            raise ValueError(f"real tag violated, residual {worst:.2e}")
+            raise NumericError(f"real tag violated: max |conj(h_k) - h_-k| {worst:.2e}")
         self.coefficients = coeffs
         self.real = inside if real is None else real
         self.decay_rate = decay_rate
@@ -283,6 +283,14 @@ def central_term_B(x: FourierLoopElement, y: FourierLoopElement) -> complex:
 # Grid loops
 # ---------------------------------------------------------------------------
 
+def _check_sample_count(n_samples: int) -> int:
+    """``n_samples`` if it is a power of two >= 4, as a grid loop's sample
+    count must be; NumericError otherwise."""
+    if n_samples < 4 or n_samples & (n_samples - 1):
+        raise NumericError(f"sample count must be a power of two >= 4, got {n_samples}")
+    return n_samples
+
+
 class GridLoop:
     """Group-valued loop sampled at theta_j = 2 pi j / N, N a power of two."""
 
@@ -291,9 +299,7 @@ class GridLoop:
     def __init__(self, samples: np.ndarray, algebra: CompactSimpleAlgebra,
                  check: bool = True):
         samples = np.asarray(samples, dtype=complex)
-        n_samp = samples.shape[0]
-        if n_samp & (n_samp - 1) or n_samp < 4:
-            raise ValueError(f"sample count must be a power of two >= 4, got {n_samp}")
+        _check_sample_count(samples.shape[0])
         if samples.shape[1:] != (algebra.n, algebra.n):
             raise AlgebraMismatchError("sample shape does not match the algebra")
         if check:
@@ -791,11 +797,8 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     other real field by one RK4 pass through all the node times
     (``_flow_angles``).  No commutation of the values of X is assumed.
 
-    When ``verify`` is set the result is compared against an explicit RK4
-    integration of the same equation on the grid in steps of _ODE_DT
-    (``_ode_exponential``: each step one sparse Fourier-space map when few
-    modes couple), and a VerificationError carrying the sup-norm residual is
-    raised above _ODE_TOL.
+    When ``verify`` is set, ``_ode_gap`` compares the result with an
+    explicit RK4 integration and raises VerificationError above _ODE_TOL.
     """
     if not x.real_form:
         raise ValueError("semidirect exponential needs a real-form element")
@@ -807,13 +810,22 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
                               _magnus_steps(x, alpha, h, t))
     loop = GridLoop(samples, x.algebra)
     if verify:
-        ode = _ode_exponential(x, alpha, h, t, n_samples, _ODE_DT)
-        resid = float(np.abs(samples - ode).max())
-        if resid > _ODE_TOL:
-            raise VerificationError(
-                f"Magnus product vs ODE integration differ by {resid:.2e} "
-                f"> {_ODE_TOL:.1e}", resid)
+        _ode_gap(loop, x, alpha, h, t)
     return loop, alpha * t
+
+
+def _ode_gap(loop: GridLoop, x: FourierLoopElement, alpha: float,
+             h: ScalarField, t: float) -> float:
+    """Sup-norm gap between ``loop`` = semidirect_exp(x, alpha, h, t) and
+    the RK4 integration ``_ode_exponential`` in steps of _ODE_DT on its grid;
+    above _ODE_TOL, VerificationError carrying the gap."""
+    ode = _ode_exponential(x, alpha, h, t, loop.n_samples, _ODE_DT)
+    gap = float(np.abs(loop.samples - ode).max())
+    if gap > _ODE_TOL:
+        raise VerificationError(
+            f"Magnus product vs ODE integration differ by {gap:.2e} "
+            f"> {_ODE_TOL:.1e}", gap)
+    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ partition add up to ``tol``; with no cut point this is tol / 2^depth.  A
 panel is accepted when its error estimate is within its budget.  Partial
 panels are checked by the same rule under the budget of the panel they sit
 in and bisected until they pass.  A panel that still fails after
-``max_depth`` bisections raises AccuracyError, and a non-finite integrand
+``MAX_DEPTH`` bisections raises AccuracyError, and a non-finite integrand
 value NumericError; nothing is accepted unchecked.
 
 A panel whose budget is below eps times the same weighted sum over
@@ -48,6 +48,7 @@ from .errors import AccuracyError, NumericError
 __all__ = ["PanelPartition", "panel_partition"]
 
 CHUNK = 2048
+MAX_DEPTH = 40
 FLOOR_PANELS = 1024
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
@@ -85,7 +86,7 @@ def _panel_moments(f, lo, hi, scale):
     return moments, err, floor
 
 
-def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
+def _adaptive_panels(f, lo, hi, depth, budget, scale):
     """Bisect the intervals [lo_i, hi_i], starting at ``depth``_i with
     ``budget``_i, until every panel passes; return (owner, lo, hi, depth,
     budget, moments) of the accepted panels, ``owner`` being the index of
@@ -104,7 +105,7 @@ def _adaptive_panels(f, lo, hi, depth, budget, scale, max_depth):
         accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
                          moments[ok]))
         bad = ~ok
-        stuck = bad & (depth >= max_depth)
+        stuck = bad & (depth >= MAX_DEPTH)
         below = bad & (budget < floor)
         if stuck.any() or below.sum() > FLOOR_PANELS:
             i = int(np.argmax(stuck if stuck.any() else below))
@@ -138,7 +139,6 @@ class PanelPartition:
     budget: np.ndarray
     suffix: np.ndarray
     scale: float
-    max_depth: int
 
     @property
     def totals(self) -> np.ndarray:
@@ -162,7 +162,7 @@ class PanelPartition:
             pj = j[inner]
             owner, *_, moments = _adaptive_panels(
                 f, ts[inner], edges[pj + 1], self.depth[pj], self.budget[pj],
-                self.scale, self.max_depth)
+                self.scale)
             partial = np.zeros((len(inner), 3))
             np.add.at(partial, owner, moments)
             out[inner] = self.suffix[pj + 1] + partial
@@ -170,8 +170,7 @@ class PanelPartition:
 
 
 def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    tol: float = 1e-10, max_depth: int = 40,
-                    points=()) -> PanelPartition:
+                    tol: float = 1e-10, points=()) -> PanelPartition:
     """Adaptive partition of [a, b] for the vectorized integrand ``f``.
 
     ``points`` are cut points where ``f`` may not be smooth; those strictly
@@ -187,15 +186,15 @@ def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     scale = max(b - a, 1.0)
     if not (b > a):
         return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros(0),
-                              np.zeros((1, 3)), scale, max_depth)
+                              np.zeros((1, 3)), scale)
     cuts = np.unique(np.asarray(points, dtype=float))
     seeds = np.concatenate([[a], cuts[(cuts > a) & (cuts < b)], [b]])
     lo, hi = seeds[:-1], seeds[1:]
     _, lo, hi, depth, budget, moments = _adaptive_panels(
         f, lo, hi, np.zeros(len(lo), int), tol * ((hi - lo) / (b - a)),
-        scale, max_depth)
+        scale)
     order = np.argsort(lo)
     suffix = np.zeros((len(lo) + 1, 3))
     suffix[:-1] = np.cumsum(moments[order][::-1], axis=0)[::-1]
     return PanelPartition(np.append(lo[order], b), depth[order], budget[order],
-                          suffix, scale, max_depth)
+                          suffix, scale)

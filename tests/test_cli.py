@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopnet import cli, entropy
-from loopnet.errors import ConfigError
+from loopnet import cli, entropy, loops
+from loopnet.errors import ConfigError, NumericError
 
 
 MINIMAL = json.dumps({"algebra": {"family": "su2", "level": 1}})
@@ -206,7 +206,7 @@ def test_wrapped_window_is_the_window_derivative(profile):
     for center in (0.0, 2.9, -3.1, np.pi):
         for width in (0.4, 2.0, 5.0):
             params = {"center": center, "width": width, "amplitude": -1.3}
-            got = cli._wrapped_window(profile, **params)(thetas)
+            got = cli._wrapped_window(cli._WINDOWS[profile](**params))(thetas)
             want = _parent_wrapped_window(profile, **params)(thetas)
             assert np.array_equal(got, want)
 
@@ -321,6 +321,31 @@ def test_exp_check_passes_on_two_directions(tmp_path):
     report = cli.run_scenario(scenario, out_dir=str(tmp_path))
     assert [t["status"] for t in report.tasks] == ["pass"]
     assert json.loads((tmp_path / "exp_check.json").read_text())["pass"]
+
+
+def test_exp_check_reports_the_measured_gap(tmp_path, capsys):
+    # modes +-32 and +-40 alias on 64 samples, where the ODE check's Fourier
+    # step map works, but not in the Magnus product, which reads X exactly
+    element = {"factors": [{"generator": {"basis": 0}, "profile": "fourier",
+                            "parameters": {"coefficients": [
+                                [k, 0.3, 0.0] for k in (32, -32, 40, -40)]}}]}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "algebra": {"family": "su2"}, "grid_samples": 64,
+        "tasks": [FULL_TASKS[6], {"task": "exp-ode-check", "element": element,
+                                  "out": "aliased"}]}))
+    rc = cli.main(["exp-check", "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "[FAIL] exp-ode-check" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    passed, failed = report["tasks"]
+    assert passed["status"] == "pass"
+    assert 0.0 < passed["residuals"]["ode_sup"] <= loops._ODE_TOL
+    assert failed["status"] == "fail"
+    assert failed["residuals"]["ode_sup"] > loops._ODE_TOL
+    assert json.loads((tmp_path / "out" / "aliased.json").read_text()) == {
+        "alpha": 1.0, "time": 1.0, "rotation": 1.0, "pass": False}
 
 
 def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
@@ -579,6 +604,17 @@ MALFORMED = [
     ("hs-defect", "/loops/1/factors/0", {**_FOURIER, "parameters": {
         "coefficients": [[1, 0.4, 0.0]]}},
      "/loops/1/factors/0/parameters/coefficients"),
+    ("entropy-profile", "/grid_samples", 6, "/grid_samples"),
+    ("entropy-profile", "/grid_samples", 2, "/grid_samples"),
+    ("entropy-profile", "/grid_samples", -8, "/grid_samples"),
+    ("entropy-profile", "/loops/0/factors/0/parameters/width", 0,
+     "/loops/0/factors/0/parameters/width"),
+    ("entropy-profile", "/loops/0/factors/0/parameters/width", -1,
+     "/loops/0/factors/0/parameters/width"),
+    ("hs-defect", "/loops/1/factors/0/parameters/width", 0,
+     "/loops/1/factors/0/parameters/width"),
+    ("hs-defect", "/loops/1/factors/0/parameters/width", -1,
+     "/loops/1/factors/0/parameters/width"),
 ]
 
 
@@ -624,3 +660,48 @@ def test_wrong_typed_leaf_is_config_error(target, value):
         cli.validate_config(json.dumps(raw))
     except ConfigError:
         pass
+
+
+def _accepts(raw) -> bool:
+    try:
+        cli.validate_config(json.dumps(raw))
+    except ConfigError:
+        return False
+    return True
+
+
+def _constructs(window, width) -> bool:
+    try:
+        window(0.0, width, 1.0)
+    except NumericError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, entropy.GaussianWindow), (1, entropy.PolyBump)]),
+       st.one_of(st.sampled_from([0, 0.0, -0.0, 1e-300, -1e-300, 1, -1]),
+                 st.floats(-2.0, 2.0)))
+def test_window_width_rule_is_the_window_s(loop, width):
+    """The line loop's gaussian and the circle loop's bump accept a width
+    exactly when the window class does."""
+    index, window = loop
+    raw = json.loads(scenario_text())
+    raw["loops"][index]["factors"][0]["parameters"]["width"] = width
+    assert _accepts(raw) == _constructs(window, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-8, 300))
+def test_grid_samples_rule_is_the_grid_loop_s(samples):
+    """grid_samples is accepted exactly when a GridLoop takes that many
+    samples: a power of two >= 4."""
+    raw = json.loads(scenario_text())
+    raw["grid_samples"] = samples
+    try:
+        loops._check_sample_count(samples)
+        rule = True
+    except NumericError:
+        rule = False
+    assert rule == (samples >= 4 and samples & (samples - 1) == 0)
+    assert _accepts(raw) == rule

@@ -269,6 +269,49 @@ def test_qnec_profile_nan_residual_fails(su2):
     assert math.isnan(err.value.residual)
 
 
+def _shift(which, shift):
+    """``entropy._entropies`` with shift(ts) added to its output ``which``
+    (0: S, 1: S_bar); a shift linear in t leaves the finite differences of S
+    as they were, up to rounding."""
+    original = entropy._entropies
+
+    def shifted(path, ts, tol, **kwargs):
+        values = list(original(path, ts, tol, **kwargs))
+        values[which] = values[which] + shift(np.asarray(ts))
+        return tuple(values)
+    return shifted
+
+
+# (output shifted, shift, refusal, sign of the residual it carries)
+@pytest.mark.parametrize("which, shift, message, sign", [
+    (0, lambda ts: np.full_like(ts, -1.0), "negative entropy", -1),
+    (1, lambda ts: np.full_like(ts, -1.0), "negative entropy", -1),
+    (0, lambda ts: ts - ts.min(), "S is not nonincreasing", 1),
+    (1, lambda ts: ts.max() - ts, "S_bar is not nondecreasing", -1)])
+def test_qnec_profile_refuses_broken_invariants(su2, monkeypatch, which,
+                                                shift, message, sign):
+    monkeypatch.setattr(entropy, "_entropies", _shift(which, shift))
+    with pytest.raises(VerificationError, match=message) as err:
+        entropy.qnec_profile(gaussian_path(su2), np.linspace(-4, 4, 41))
+    assert sign * err.value.residual > 0
+
+
+def test_qnec_profile_refuses_negative_s_dd(su2, monkeypatch):
+    # a dip of depth 1e-6 and width 1e-4 at u = 6, where S'' is below 1e-31:
+    # S'' < 0 there, while S moves by less than 1e-9 and the stencil of
+    # spacing 1e-2 sees the dip as a relative 1e-6 of the peak
+    original = entropy._density_integrand
+
+    def dipped(path):
+        rho = original(path)
+        return lambda us: rho(us) - 1e-6 * np.exp(-((us - 6.0) / 1e-4) ** 2)
+
+    monkeypatch.setattr(entropy, "_density_integrand", dipped)
+    with pytest.raises(VerificationError, match="S'' went negative") as err:
+        entropy.qnec_profile(gaussian_path(su2), np.linspace(-4, 6, 51))
+    assert err.value.residual == pytest.approx(-1e-6, rel=1e-6)
+
+
 def test_sum_rule_random(su2):
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -24,24 +24,42 @@ def level1_su2(su2):
     return affine_data.level_data(su2, 1)
 
 
-def brute_force_dimension(n, cutoff):
-    """Independent state count: explicit enumeration over all mode subsets."""
+def brute_force_masks(n, cutoff):
+    """Independent enumeration over all mode subsets: the occupation mask of
+    every state, bit (k + cutoff) * n + j for the window mode (k, j)."""
     modes = [(k, j) for k in range(-cutoff, cutoff + 1) for j in range(n)]
-    count = 0
+    masks = set()
     # iterate over subsets of "excited" modes: particles at k >= 0, holes at k < 0
-    excitable = [(abs(k), (k, j)) for k, j in modes]
-    for size in range(len(excitable) + 1):
-        for combo in itertools.combinations(excitable, size):
-            if sum(e for e, _ in combo) <= cutoff:
-                count += 1
-    return count
+    for size in range(len(modes) + 1):
+        for combo in itertools.combinations(modes, size):
+            if sum(abs(k) for k, _ in combo) <= cutoff:
+                occupied = {(k, j) for k, j in modes
+                            if (k < 0) != ((k, j) in combo)}
+                masks.add(sum(1 << (k + cutoff) * n + j for k, j in occupied))
+    return masks
 
 
 def test_build_fock_dimensions(su2):
     assert fock.build_fock(2, 0).dim == 4
     got = fock.build_fock(2, 1).dim
-    assert got == brute_force_dimension(2, 1)
-    assert fock.build_fock(2, 2).dim == brute_force_dimension(2, 2)
+    assert got == len(brute_force_masks(2, 1))
+    assert fock.build_fock(2, 2).dim == len(brute_force_masks(2, 2))
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 1), (2, 2), (3, 1)])
+def test_build_fock_masks_match_brute_force(n, cutoff):
+    space = fock.build_fock(n, cutoff)
+    assert set(space.masks) == brute_force_masks(n, cutoff)
+    assert space.index == {m: i for i, m in enumerate(space.masks)}
+
+
+def test_build_fock_one_state_space_is_fast():
+    # su30 at cutoff 0, charge 0: only the vacuum, among 2^30 zero-mode subsets
+    start = time.perf_counter()
+    space = fock.build_fock(30, 0, charge=0)
+    assert time.perf_counter() - start < 0.25
+    assert space.dim == 1 and space.occupations == [((), ())]
+    assert space.vacuum_index == 0
 
 
 def test_build_fock_ordering_and_vacuum(space6):
@@ -54,7 +72,8 @@ def test_build_fock_ordering_and_vacuum(space6):
     assert int(np.sum(space6.energies == 0)) == 4
 
 
-@pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 4), (4, 3), (5, 0), (5, 1),
+                                      (5, 2), (6, 1)])
 def test_build_fock_sector_matches_filtered_full_space(n, cutoff):
     # a charge sector is the full space filtered by charge, in the same order,
     # and the sectors together, sorted, are the full space again
@@ -84,13 +103,15 @@ def test_capacity_error():
 
 
 def test_capacity_count_stops_early_past_the_mask():
-    # su2 at cutoff 400 is far too wide for the mask; the full count takes
-    # seconds, while its lower bound passes the limit after a few modes
-    start = time.perf_counter()
-    with pytest.raises(CapacityError, match="dimension at least") as err:
-        fock.build_fock(2, 400)
-    assert time.perf_counter() - start < 0.25
-    assert err.value.estimate > fock.DEFAULT_DIM_LIMIT
+    # su2 at these cutoffs is far too wide for the mask; the full count takes
+    # seconds (or all memory), while its lower bound passes the limit after
+    # a few modes, before the excitations of the rest are generated
+    for cutoff in (400, 10 ** 6):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="dimension at least") as err:
+            fock.build_fock(2, cutoff)
+        assert time.perf_counter() - start < 0.25
+        assert err.value.estimate > fock.DEFAULT_DIM_LIMIT
 
 
 @pytest.mark.parametrize("n, cutoff, dim, dim_limit",

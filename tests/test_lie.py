@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loopnet import lie
+from loopnet import cli, errors, lie
 from loopnet.errors import AlgebraMismatchError, CapacityError, InvalidRankError
 
 
@@ -312,6 +313,31 @@ def test_package_has_no_scipy_linalg():
             for path in sorted(package.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
+    assert hits == []
+
+
+def test_cli_maps_library_refusals_in_one_place():
+    """Only ``cli._accepted`` turns a library refusal into a ConfigError: no
+    other handler in the CLI catches a library input error, or turns what
+    it catches, bar a JSON syntax error, into a ConfigError."""
+    library = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, ValueError)
+               and cls is not errors.ConfigError} | {"ValueError"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    inside = {id(node) for helper in tree.body
+              if isinstance(helper, ast.FunctionDef) and helper.name == "_accepted"
+              for node in ast.walk(helper)}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or id(node) in inside:
+            continue
+        caught = ({getattr(n, "id", None) or getattr(n, "attr", None)
+                   for n in ast.walk(node.type)} - {None}
+                  if node.type else {"ValueError"})   # a bare except
+        config = any(isinstance(n, ast.Raise) and "ConfigError" in ast.unparse(n)
+                     for n in ast.walk(node))
+        if caught & library or config and caught - {"json", "JSONDecodeError"}:
+            hits.append(f"cli.py:{node.lineno}")
     assert hits == []
 
 
