@@ -1,20 +1,18 @@
 """Scenario-driven command line: verification suites, entropy profiles, reports.
 
-Subcommands
------------
-verify           run the operator-identity suite (task type ``fock-verify``)
-entropy-profile  entropy/QNEC profiles and Bekenstein checks
-alcove           exact alcove tables as CSV (plus ``--dump-table`` for the
-                 simple-type table as JSON)
-hs-defect        Hilbert-Schmidt defect of the Hardy compression of a loop
-soliton          twisted-loop classification (``soliton classify``)
-exp-check        semidirect exponential (Magnus steps) vs ODE integration
+Each subcommand (``verify``, ``entropy-profile``, ``alcove``, ``hs-defect``,
+``soliton classify``, ``exp-check``; ``loopnet --help`` describes them) runs
+the scenario's tasks of the types that the task table ``_TASKS``, the one
+list of task types, assigns to it.  All accept ``--config scenario.json``
+(strict JSON: unknown keys, wrong types, NaN and Infinity are rejected at
+every depth with a JSON pointer), ``--out-dir`` and ``--fail-fast``; ``verify``
+and ``alcove`` also run config-free from flags, and ``alcove --dump-table``
+writes the simple-type table as JSON.  Exit code 0 means every executed task
+passed, 1 that some invariant failed, 2 that the configuration was rejected.
 
-All subcommands accept ``--config scenario.json`` (strict JSON: unknown keys,
-wrong types, NaN and Infinity are rejected at every depth with a JSON
-pointer), ``--out-dir`` and ``--fail-fast``.  Exit code 0 means every
-executed task passed, 1 that some invariant failed, 2 that the configuration
-was rejected.
+The module keeps no copy of the library: each loop is built once per
+scenario, on first use, report artifacts are the library reports' own
+fields, and the scenario defaults are the library's named defaults.
 
 Artifacts (CSV/JSON) are byte-stable for a fixed scenario and package
 version; ``report.json`` additionally carries wall-clock timings and is
@@ -24,44 +22,35 @@ exempt from byte-stability.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, affine_data, entropy, fock, lie, loops
+from . import __version__, affine_data, entropy, fock, lie, loops, quadrature
 from . import soliton as soliton_mod
 from .errors import ConfigError, LoopnetError
 
 __all__ = ["Scenario", "RunReport", "validate_config", "run_scenario",
            "export_profile", "main"]
 
-_SUBCOMMAND_TASKS = {
-    "verify": ("fock-verify",),
-    "entropy-profile": ("entropy-profile", "bekenstein"),
-    "alcove": ("alcove",),
-    "hs-defect": ("hs-defect",),
-    "soliton": ("soliton-classify",),
-    "exp-check": ("exp-ode-check",),
-}
-
-
 # ---------------------------------------------------------------------------
 # Strict parsing
 # ---------------------------------------------------------------------------
 #
-# Every field of a scenario, at every depth, is read here, by one parser
-# per field: parse(value, pointer, ctx, fields), ``pointer`` being the JSON
-# pointer of ``value``, ``ctx`` what the caller hands down (the scenario-level
-# fields for loops and tasks, the algebra for factors) and ``fields`` the
-# fields of the enclosing object parsed so far.  Parsers that need neither
-# take *_.
+# Every field of a scenario, at every depth, is read here (a task's field
+# table is its entry in ``_TASKS``), by one parser per field:
+# parse(value, pointer, ctx, fields), ``pointer`` being the JSON pointer of
+# ``value``, ``ctx`` what the caller hands down (the scenario-level fields for
+# loops and tasks, the algebra for factors) and ``fields`` the fields of the
+# enclosing object parsed so far.  Parsers that need neither take *_.
 
 _REQUIRED = object()   # table default of a key that must be given
 
@@ -299,9 +288,21 @@ def _loop_factors(v, pointer, algebra, loop) -> tuple:
 
 @dataclass(frozen=True)
 class LoopSpec:
+    """A parsed loop.  ``built`` is its library object, made on first use
+    and kept: a LinePath for a line loop, a GridLoop of ``grid_samples``
+    samples for a circle loop."""
     name: str
     kind: str                      # "line" | "circle"
     factors: tuple
+    algebra: lie.CompactSimpleAlgebra = field(repr=False, compare=False)
+    level: int = field(repr=False, compare=False)
+    grid_samples: int = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def built(self):
+        if self.kind == "line":
+            return entropy.LinePath(self.algebra, self.factors, level=self.level)
+        return loops.loop_from_factors(self.algebra, self.factors, self.grid_samples)
 
 
 _LOOP_FIELDS = {"name": (_optional(_name), None),
@@ -309,15 +310,16 @@ _LOOP_FIELDS = {"name": (_optional(_name), None),
                 "factors": (_loop_factors, _REQUIRED)}
 
 
-def _loop(v, pointer, algebra, *_) -> LoopSpec:
-    return LoopSpec(**_fields(v, pointer, _LOOP_FIELDS, algebra))
+def _loop(v, pointer, top, *_) -> LoopSpec:
+    algebra, level = top["algebra"]
+    return LoopSpec(**_fields(v, pointer, _LOOP_FIELDS, algebra), algebra=algebra,
+                    level=level, grid_samples=top["grid_samples"])
 
 
 def _loops(v, pointer, _, top) -> tuple:
     """Loop specs with distinct names, ``loop<i>`` where none is given."""
     specs = []
-    for i, spec in enumerate(_list(v, pointer, top["algebra"][0], item=_loop,
-                                   empty=True)):
+    for i, spec in enumerate(_list(v, pointer, top, item=_loop, empty=True)):
         spec = replace(spec, name=spec.name or f"loop{i}")
         if any(s.name == spec.name for s in specs):
             raise ConfigError(f"duplicate loop name {spec.name!r}",
@@ -392,7 +394,9 @@ def _element(v, pointer, top, _) -> loops.FourierLoopElement:
     for gen, _, scalar in spec["factors"]:
         for k, c in scalar.coefficients.items():
             coeffs[k] = coeffs.get(k, 0) + c * gen
-    return loops.FourierLoopElement(coeffs, algebra)
+    x = loops.FourierLoopElement(coeffs, algebra)
+    _accepted(loops._check_element_resolution, pointer, x, top["grid_samples"])
+    return x
 
 
 def _alcove_level(v, pointer, top, *_) -> int:
@@ -403,52 +407,17 @@ def _alcove_level(v, pointer, top, *_) -> int:
     return level
 
 
-def _named(suffix):
-    """Default artifact name: the task's loop name plus ``suffix``."""
-    return lambda _, task: task["loop"].name + suffix
-
-
-# Task type -> {field: (parser, default)}; ``task`` itself is read first.
-_TASK_FIELDS = {
-    "fock-verify": {
-        "charge": (_optional(functools.partial(_int, minimum=None)), None),
-        "cutoff": (_cutoff, _Inherited("/fock_cutoff")),
-        "identities": (functools.partial(
-            _list, item=_choice(*fock.IDENTITIES)), list(fock.IDENTITIES)),
-        "tolerance": (_positive, _Inherited("/tolerances/identity")),
-        "mode_range": (_int, 2)},
-    "entropy-profile": {"loop": (_loop_ref("line"), _REQUIRED),
-                        "grid": (_grid, {}),
-                        "out": (_name, _named("_profile"))},
-    "bekenstein": {"loop": (_loop_ref("line"), _REQUIRED),
-                   "radii": (functools.partial(_list, item=_positive),
-                             [0.5, 1.0, 5.0]),
-                   "out": (_name, _named("_bekenstein"))},
-    "hs-defect": {"loop": (_loop_ref("circle"), _REQUIRED),
-                  "window": (_int, lambda top, _: top["grid_samples"] // 2),
-                  "out": (_name, _named("_hs_defect"))},
-    "alcove": {"levels": (functools.partial(_list, item=_alcove_level),
-                          lambda top, _: [_alcove_level(
-                              top["algebra"][1], "/algebra/level", top)]),
-               "out": (_name, "alcove")},
-    "soliton-classify": {"soliton": (_soliton, _REQUIRED),
-                         "out": (_name, "soliton_verdict")},
-    "exp-ode-check": {"element": (_element, _REQUIRED),
-                      "alpha": (_number, 1.0), "time": (_number, 1.0),
-                      "out": (_name, "exp_check")},
-}
-
-
 def _task(v, pointer, top, *_) -> dict:
+    """A task, its fields read by the field table of its type in ``_TASKS``."""
     name = v.get("task") if isinstance(v, dict) else None
-    if not isinstance(name, str) or name not in _TASK_FIELDS:
+    if not isinstance(name, str) or name not in _TASKS:
         raise ConfigError(f"unknown task {_show(name)}; expected one of "
-                          f"{tuple(_TASK_FIELDS)}", f"{pointer}/task")
+                          f"{tuple(_TASKS)}", f"{pointer}/task")
     if name == "fock-verify" and top["algebra"][1] != 1:
         raise ConfigError(f"task {pointer} (fock-verify) runs the level-1 "
                           "fermionic model; the level must be 1", "/algebra/level")
     fields = {k: x for k, x in v.items() if k != "task"}
-    return {"task": name, **_fields(fields, pointer, _TASK_FIELDS[name], top)}
+    return {"task": name, **_fields(fields, pointer, _TASKS[name].fields, top)}
 
 
 def _family(v, pointer, *_) -> lie.CompactSimpleAlgebra:
@@ -471,12 +440,13 @@ def _grid_samples(v, pointer, *_) -> int:
 
 _SCENARIO_FIELDS = {
     "algebra": (_algebra, {"family": "su2"}),
-    "grid_samples": (_grid_samples, 256),
+    "grid_samples": (_grid_samples, loops.DEFAULT_SAMPLES),
     "fock_cutoff": (_int, 6),
     "dim_limit": (_optional(_int), None),
-    "tolerances": (_object({"quadrature": (_positive, 1e-10),
-                            "identity": (_positive, 1e-10),
-                            "fd_relative": (_positive, 1e-4)}), {}),
+    "tolerances": (_object({
+        "quadrature": (_positive, quadrature.DEFAULT_TOL),
+        "identity": (_positive, fock.DEFAULT_IDENTITY_TOL),
+        "fd_relative": (_positive, entropy.DEFAULT_FD_TOLERANCE)}), {}),
     "output": (_object({"dir": (_string, "."),
                         "format": (_choice("csv", "json"), "csv"),
                         "plot_data": (_choice(False, True), False)}), {}),
@@ -529,6 +499,12 @@ def _jmat(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
+def _payload(report) -> dict:
+    """A library report's fields, matrices through ``_jmat``."""
+    return asdict(report, dict_factory=lambda items: {
+        k: _jmat(v) if isinstance(v, np.ndarray) else v for k, v in items})
+
+
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
@@ -566,15 +542,7 @@ def export_profile(profile: entropy.EntropyProfile, fmt: str = "csv",
 # Task handlers: pure computation on parsed fields, return (result, artifacts)
 # ---------------------------------------------------------------------------
 
-def _line_path(scenario: Scenario, spec: LoopSpec,
-               paths: dict[str, entropy.LinePath]) -> entropy.LinePath:
-    """The run's one LinePath of a line loop, so its panel partition is built once."""
-    if spec.name not in paths:
-        paths[spec.name] = entropy.LinePath(scenario.algebra, spec.factors,
-                                            level=scenario.level)
-    return paths[spec.name]
-
-def _run_fock_verify(scenario, task, paths):
+def _run_fock_verify(scenario, task):
     reports = fock.identity_reports(
         scenario.algebra_n, task["cutoff"], identities=task["identities"],
         mode_range=task["mode_range"], tol=task["tolerance"], charge=task["charge"],
@@ -584,9 +552,9 @@ def _run_fock_verify(scenario, task, paths):
               "residuals": {r["identity"]: r["residual_max"] for r in reports}}
     return result, [("fock_verify.json", _json_bytes(reports))]
 
-def _run_entropy_profile(scenario, task, paths):
+def _run_entropy_profile(scenario, task):
     profile = entropy.qnec_profile(
-        _line_path(scenario, task["loop"], paths), np.linspace(*task["grid"]),
+        task["loop"].built, np.linspace(*task["grid"]),
         fd_tolerance=scenario.tolerances["fd_relative"],
         tol=scenario.tolerances["quadrature"])
     artifacts = export_profile(profile, scenario.output_format, task["out"],
@@ -597,39 +565,28 @@ def _run_entropy_profile(scenario, task, paths):
               "total_energy": float(profile.total_energy)}
     return result, artifacts
 
-def _run_bekenstein(scenario, task, paths):
-    path = _line_path(scenario, task["loop"], paths)
-    rows = []
-    ok = True
-    for r in task["radii"]:
-        rep = entropy.bekenstein_check(path, r, scenario.tolerances["quadrature"])
-        ok = ok and rep.holds
-        rows.append({"r": r, "interval_entropy": float(rep.interval_entropy),
-                     "bound": float(rep.bound), "holds": rep.holds,
-                     "ratio": float(rep.ratio)})
-    result = {"status": "pass" if ok else "fail",
-              "residuals": {"worst_ratio": max(r["ratio"] for r in rows)}}
+def _run_bekenstein(scenario, task):
+    reports = [entropy.bekenstein_check(task["loop"].built, r,
+                                        scenario.tolerances["quadrature"])
+               for r in task["radii"]]
+    result = {"status": "pass" if all(rep.holds for rep in reports) else "fail",
+              "residuals": {"worst_ratio": max(rep.ratio for rep in reports)}}
+    rows = [{"r": r, **_payload(rep)} for r, rep in zip(task["radii"], reports)]
     return result, [(f"{task['out']}.json", _json_bytes(rows))]
 
-def _run_hs_defect(scenario, task, paths):
-    gamma = loops.loop_from_factors(scenario.algebra, task["loop"].factors,
-                                    scenario.grid_samples)
-    rep = fock.hs_defect(loops.loop_fourier_coefficients(gamma), task["window"])
-    payload = {"fourier_value": float(rep.fourier_value),
-               "truncated_value": float(rep.truncated_value),
-               "window": rep.window, "relative_gap": float(rep.relative_gap),
-               "tail_ok": rep.tail_ok, "tail_fraction": float(rep.tail_fraction)}
+def _run_hs_defect(scenario, task):
+    rep = fock.hs_defect(loops.loop_fourier_coefficients(task["loop"].built),
+                         task["window"])
     result = {"status": "pass" if rep.relative_gap <= 1e-3 else "fail",
               "residuals": {"relative_gap": rep.relative_gap}}
-    return result, [(f"{task['out']}.json", _json_bytes(payload))]
+    return result, [(f"{task['out']}.json", _json_bytes(_payload(rep)))]
 
-def _run_alcove(scenario, task, paths):
-    algebra = scenario.algebra
+def _run_alcove(scenario, task):
     lines = ["family,level,weight,casimir,h,c"]
     ok = True
     for lev in task["levels"]:
-        data = affine_data.level_data(algebra, lev)
-        weights = affine_data.alcove(algebra, lev)
+        data = affine_data.level_data(scenario.algebra, lev)
+        weights = affine_data.alcove(scenario.algebra, lev)
         bounds = affine_data._type_a_bounds(data, weights)
         ok = ok and bounds.c_ge_1 and bool(bounds.all_within_bound)
         for w in weights:
@@ -639,17 +596,14 @@ def _run_alcove(scenario, task, paths):
     result = {"status": "pass" if ok else "fail", "residuals": {}}
     return result, [(f"{task['out']}.csv", ("\n".join(lines) + "\n").encode())]
 
-def _run_soliton(scenario, task, paths):
+def _run_soliton(scenario, task):
     path = soliton_mod.SolitonPath(scenario.algebra, list(task["soliton"]))
     verdict = soliton_mod.extendability(path)
-    payload = {"jump": _jmat(verdict.jump), "central": verdict.central,
-               "center_index": verdict.center_index,
-               "extendable": verdict.extendable}
     result = {"status": "pass", "residuals": {},
               "extendable": verdict.extendable}
-    return result, [(f"{task['out']}.json", _json_bytes(payload))]
+    return result, [(f"{task['out']}.json", _json_bytes(_payload(verdict)))]
 
-def _run_exp_check(scenario, task, paths):
+def _run_exp_check(scenario, task):
     x, alpha, t = task["element"], task["alpha"], task["time"]
     h = loops.ScalarField.constant(1.0)
     try:
@@ -664,16 +618,47 @@ def _run_exp_check(scenario, task, paths):
     return result, [(f"{task['out']}.json", _json_bytes(payload))]
 
 
-# Handlers take (scenario, task, paths); ``paths`` maps each line loop's
-# name to the LinePath built for it in this run.
-_HANDLERS = {
-    "fock-verify": _run_fock_verify,
-    "entropy-profile": _run_entropy_profile,
-    "bekenstein": _run_bekenstein,
-    "hs-defect": _run_hs_defect,
-    "alcove": _run_alcove,
-    "soliton-classify": _run_soliton,
-    "exp-ode-check": _run_exp_check,
+def _named(suffix):
+    """Default artifact name: the task's loop name plus ``suffix``."""
+    return lambda _, task: task["loop"].name + suffix
+
+
+# The one list of task types: each maps to the subcommand that runs it, its
+# field table {field: (parser, default)}, read after ``task`` itself, and its
+# handler (scenario, task) -> (result, artifacts).
+_TaskType = collections.namedtuple("_TaskType", "subcommand fields run")
+_TASKS = {
+    "fock-verify": _TaskType("verify", {
+        "charge": (_optional(functools.partial(_int, minimum=None)), None),
+        "cutoff": (_cutoff, _Inherited("/fock_cutoff")),
+        "identities": (functools.partial(
+            _list, item=_choice(*fock.IDENTITIES)), list(fock.IDENTITIES)),
+        "tolerance": (_positive, _Inherited("/tolerances/identity")),
+        "mode_range": (_int, fock.DEFAULT_MODE_RANGE)}, _run_fock_verify),
+    "entropy-profile": _TaskType("entropy-profile", {
+        "loop": (_loop_ref("line"), _REQUIRED),
+        "grid": (_grid, {}),
+        "out": (_name, _named("_profile"))}, _run_entropy_profile),
+    "bekenstein": _TaskType("entropy-profile", {
+        "loop": (_loop_ref("line"), _REQUIRED),
+        "radii": (functools.partial(_list, item=_positive), [0.5, 1.0, 5.0]),
+        "out": (_name, _named("_bekenstein"))}, _run_bekenstein),
+    "hs-defect": _TaskType("hs-defect", {
+        "loop": (_loop_ref("circle"), _REQUIRED),
+        "window": (_int, lambda top, _: top["grid_samples"] // 2),
+        "out": (_name, _named("_hs_defect"))}, _run_hs_defect),
+    "alcove": _TaskType("alcove", {
+        "levels": (functools.partial(_list, item=_alcove_level),
+                   lambda top, _: [_alcove_level(
+                       top["algebra"][1], "/algebra/level", top)]),
+        "out": (_name, "alcove")}, _run_alcove),
+    "soliton-classify": _TaskType("soliton", {
+        "soliton": (_soliton, _REQUIRED),
+        "out": (_name, "soliton_verdict")}, _run_soliton),
+    "exp-ode-check": _TaskType("exp-check", {
+        "element": (_element, _REQUIRED),
+        "alpha": (_number, 1.0), "time": (_number, 1.0),
+        "out": (_name, "exp_check")}, _run_exp_check),
 }
 
 
@@ -705,7 +690,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     report = RunReport(__version__)
     out_base = Path(out_dir if out_dir is not None else scenario.output_dir)
     out_base.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, entropy.LinePath] = {}
     stopped = False
     for i, task in enumerate(scenario.tasks):
         if task_filter is not None and task["task"] not in task_filter:
@@ -717,7 +701,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
             continue
         t0 = time.perf_counter()
         try:
-            result, artifacts = _HANDLERS[task["task"]](scenario, task, paths)
+            result, artifacts = _TASKS[task["task"]].run(scenario, task)
         except LoopnetError as exc:
             result, artifacts = {"status": "error", "residuals": {},
                                  "message": str(exc)}, []
@@ -813,16 +797,13 @@ def main(argv=None) -> int:
         return 2
 
     if getattr(args, "dump_table", None):
-        table = [{"family": r.family, "rank": r.rank,
-                  "complex_dimension": r.complex_dimension,
-                  "dual_coxeter": r.dual_coxeter}
-                 for r in lie.simple_type_table()]
         target = Path(args.dump_table)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(_json_bytes(table))
+        target.write_bytes(_json_bytes([_payload(r) for r in lie.simple_type_table()]))
 
     report = run_scenario(scenario, out_dir=args.out_dir,
-                          task_filter=_SUBCOMMAND_TASKS[args.command],
+                          task_filter=tuple(name for name, kind in _TASKS.items()
+                                            if kind.subcommand == args.command),
                           fail_fast=args.fail_fast)
     for t in report.tasks:
         status = t["status"].upper()

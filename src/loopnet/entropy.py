@@ -73,7 +73,7 @@ import numpy as np
 from .errors import NotSplittableError, NumericError, VerificationError
 from .lie import CompactSimpleAlgebra, as_generator, eig_antihermitian
 from .loops import GridLoop, circle_grid, factor_product
-from .quadrature import PanelPartition, panel_partition
+from .quadrature import DEFAULT_TOL, PanelPartition, panel_partition
 
 __all__ = [
     "GaussianWindow",
@@ -93,9 +93,10 @@ __all__ = [
     "connes_cocycle_path",
     "cayley_transfer",
     "cayley_inverse",
+    "DEFAULT_FD_TOLERANCE",
 ]
 
-_QUAD_TOL = 1e-10
+DEFAULT_FD_TOLERANCE = 1e-4   # qnec_profile: finite-difference S'' vs closed form
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def _tail_moments(path: LinePath, ts, tol: float) -> np.ndarray:
     return _partition(path, tol).tail_moments(_density_integrand(path), ts)
 
 
-def total_energy(path: LinePath, tol: float = _QUAD_TOL) -> float:
+def total_energy(path: LinePath, tol: float = DEFAULT_TOL) -> float:
     """E_total = E0 / 2 pi, E0 the integral of S'' over the support hull."""
     lo, hi = path.support()
     if hi <= lo:
@@ -380,19 +381,19 @@ def _entropies(path: LinePath, ts, tol: float, right: bool = True,
             np.where(zero, 0.0, -m0))
 
 
-def entropy_right(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
+def entropy_right(path: LinePath, t: float, tol: float = DEFAULT_TOL) -> float:
     """Half-line relative entropy S(t) = integral_t^inf (u - t) * S''(u) du."""
     s, _, _ = _entropies(path, [float(t)], tol, left=False)
     return float(s[0])
 
 
-def entropy_left(path: LinePath, t: float, tol: float = _QUAD_TOL) -> float:
+def entropy_left(path: LinePath, t: float, tol: float = DEFAULT_TOL) -> float:
     """Complementary entropy S_bar(t) = integral_-inf^t (t - u) * S''(u) du."""
     _, s_bar, _ = _entropies(path, [float(t)], tol, right=False)
     return float(s_bar[0])
 
 
-def entropy_interval(path: LinePath, r: float, tol: float = _QUAD_TOL) -> float:
+def entropy_interval(path: LinePath, r: float, tol: float = DEFAULT_TOL) -> float:
     """Interval entropy with weight (r - u)(r + u)/(2r) on (-r, r)."""
     if r <= 0:
         raise ValueError(f"interval radius must be positive, got {r}")
@@ -413,7 +414,7 @@ class BekensteinReport:
 
 
 def bekenstein_check(path: LinePath, r: float,
-                     tol: float = _QUAD_TOL) -> BekensteinReport:
+                     tol: float = DEFAULT_TOL) -> BekensteinReport:
     """Evaluate S_(-r,r) against pi r E; holds structurally (weight <= r/2)."""
     s = entropy_interval(path, r, tol)
     bound = math.pi * r * total_energy(path, tol)
@@ -439,8 +440,10 @@ class EntropyProfile:
     total_energy: float
 
 
-def qnec_profile(path: LinePath, grid, fd_tolerance: float = 1e-4,
-                 fd_spacing: float = 1e-2, tol: float = _QUAD_TOL) -> EntropyProfile:
+def qnec_profile(path: LinePath, grid,
+                 fd_tolerance: float = DEFAULT_FD_TOLERANCE,
+                 fd_spacing: float = 1e-2,
+                 tol: float = DEFAULT_TOL) -> EntropyProfile:
     """Fill an EntropyProfile on the given grid and verify its invariants.
 
     S'' is computed twice: analytically from the current, and by a second

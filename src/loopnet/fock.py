@@ -70,9 +70,13 @@ __all__ = [
     "identity_reports",
     "IDENTITIES",
     "DEFAULT_DIM_LIMIT",
+    "DEFAULT_IDENTITY_TOL",
+    "DEFAULT_MODE_RANGE",
 ]
 
 DEFAULT_DIM_LIMIT = 20000
+DEFAULT_IDENTITY_TOL = 1e-10   # identity_reports: largest residual that passes
+DEFAULT_MODE_RANGE = 2         # identity_reports: modes |m| probed
 MASK_BITS = 64   # occupation masks are np.uint64 words
 _ADJOINT_SAMPLES = 256   # circle grid of gamma = exp(X) in adjoint_action_check
 # Taylor steps of _exp_action: each step's operator has 1-norm at most
@@ -98,19 +102,33 @@ def _excitations(n: int, cutoff: int):
 
 
 def _affordable(excitations, dq: int, budget: np.ndarray) -> np.ndarray:
-    """The most ``excitations`` of charge ``dq`` that fit together in each
-    budget: the cheapest first."""
-    costs = np.cumsum(sorted(c for c, q, _ in excitations if q == dq))
-    return np.searchsorted(costs, budget, side="right")
+    """The most ``excitations`` (in cost order) of charge ``dq`` that fit
+    together in each budget: the cheapest first.  They are read only as far
+    as the largest budget reaches."""
+    most = budget.max(initial=0)
+    totals = itertools.accumulate(c for c, q, _ in excitations if q == dq)
+    return np.searchsorted(list(itertools.takewhile(lambda t: t <= most, totals)),
+                           budget, side="right")
+
+
+def _reaching(charge: int, energies, charges, cutoff: int, rest) -> np.ndarray:
+    """Which states (energies, charges) can still reach ``charge`` within the
+    cutoff by adding excitations of ``rest()``, a fresh iterator over those
+    left in cost order."""
+    budget = cutoff - energies
+    return ((charges - _affordable(rest(), -1, budget) <= charge)
+            & (charge <= charges + _affordable(rest(), 1, budget)))
 
 
 def _dimension_bounds(n: int, cutoff: int, charge: int | None):
     """Lower bounds on the dimension: the number of states built from the
     excitations of the window modes |k| <= K, for K = 0, ..., cutoff, counted
     by (energy, charge) over ``_excitations`` one cost at a time, so a caller
-    that stops early never generates the rest.  The last is the dimension."""
+    that stops early never generates the rest.  With a ``charge``, entries
+    that can no longer reach it are dropped, as ``build_fock`` drops states,
+    and the count stops once none is left.  The last is the dimension."""
     counts = {(0, 0): 1}   # (energy, charge) -> number of states
-    for _, group in itertools.groupby(_excitations(n, cutoff),
+    for k, group in itertools.groupby(_excitations(n, cutoff),
                                       key=operator.itemgetter(0)):
         for cost, dq, _ in group:
             new = dict(counts)
@@ -118,7 +136,14 @@ def _dimension_bounds(n: int, cutoff: int, charge: int | None):
                 if e + cost <= cutoff:
                     new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
             counts = new
+        if charge is not None:
+            energies, charges = np.array(list(counts)).T
+            keep = _reaching(charge, energies, charges, cutoff, lambda: (
+                x for x in _excitations(n, cutoff) if x[0] > k))
+            counts = {key: c for (key, c), ok in zip(counts.items(), keep) if ok}
         yield sum(c for (_, q), c in counts.items() if charge in (None, q))
+        if not counts:
+            return
 
 
 def _count_states(n: int, cutoff: int, charge: int | None) -> int:
@@ -225,9 +250,8 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
         energies = np.concatenate([energies, energies[fits] + cost])
         charges = np.concatenate([charges, charges[fits] + dq])
         if charge is not None:
-            budget, rest = cutoff - energies, excitations[i + 1:]
-            keep = ((charges - _affordable(rest, -1, budget) <= charge)
-                    & (charge <= charges + _affordable(rest, 1, budget)))
+            keep = _reaching(charge, energies, charges, cutoff,
+                             lambda: excitations[i + 1:])
             words, energies, charges = words[keep], energies[keep], charges[keep]
 
     # a word's flipped modes in bit order are its holes (k < 0), then its
@@ -800,7 +824,8 @@ def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
 
 def identity_reports(n: int, cutoff: int,
                      identities: tuple[str, ...] = IDENTITIES,
-                     mode_range: int = 2, tol: float = 1e-10,
+                     mode_range: int = DEFAULT_MODE_RANGE,
+                     tol: float = DEFAULT_IDENTITY_TOL,
                      charge: int | None = None, seed: int = 7,
                      dim_limit: int | None = None) -> list[dict]:
     """Run the operator-identity suite on the truncated level-1 model.

@@ -59,7 +59,10 @@ __all__ = [
     "loop_from_factors",
     "identity_loop",
     "loop_fourier_coefficients",
+    "DEFAULT_SAMPLES",
 ]
+
+DEFAULT_SAMPLES = 256  # circle grid of a loop when no sample count is given
 
 _DROP = 1e-16          # coefficients below this Frobenius norm are discarded
 _REALITY_TOL = 1e-12
@@ -335,7 +338,8 @@ class GridLoop:
                         self.algebra, check=False)
 
 
-def identity_loop(algebra: CompactSimpleAlgebra, n_samples: int = 256) -> GridLoop:
+def identity_loop(algebra: CompactSimpleAlgebra,
+                  n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
     eye = np.broadcast_to(np.eye(algebra.n, dtype=complex),
                           (n_samples, algebra.n, algebra.n)).copy()
     return GridLoop(eye, algebra, check=False)
@@ -361,7 +365,7 @@ def factor_product(factors, n_samples: int, n: int) -> np.ndarray:
 def loop_from_factors(algebra: CompactSimpleAlgebra,
                       factors: list[tuple[np.ndarray | AlgebraElement,
                                           Callable[[np.ndarray], np.ndarray] | ScalarField]],
-                      n_samples: int = 256) -> GridLoop:
+                      n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
     """Pointwise product of exponentials exp(f_j(theta) X_j) on the grid."""
     thetas = circle_grid(n_samples)
     pairs = []
@@ -411,22 +415,32 @@ def _spectral_derivative(samples: np.ndarray) -> np.ndarray:
                        axis=0)
 
 
-def _check_resolution(gamma: GridLoop) -> None:
-    n_samp = gamma.n_samples
-    ks, _, norms = fourier_modes(gamma.samples)
-    scale = norms.max()
-    tail = norms[np.abs(ks) >= n_samp // 4].max(initial=0.0)
+def _check_resolution(ks: np.ndarray, norms: np.ndarray, n_samples: int) -> None:
+    """The resolution rule of an N-point grid, for the Fourier modes ``ks``
+    of norms ``norms`` of a sampled loop or a loop-algebra element: no mode
+    |k| >= N/4 may exceed _TAIL_GUARD times the largest norm.  Otherwise
+    ResolutionError, suggesting 2N."""
+    scale = norms.max(initial=0.0)
+    tail = norms[np.abs(ks) >= n_samples // 4].max(initial=0.0)
     if tail > _TAIL_GUARD * scale:
         raise ResolutionError(
             f"Fourier tail {tail / scale:.2e} above mode N/4 exceeds {_TAIL_GUARD}; "
-            f"resample more finely", suggested_n=2 * n_samp)
+            f"resample more finely", suggested_n=2 * n_samples)
+
+
+def _check_element_resolution(x: FourierLoopElement, n_samples: int) -> None:
+    """``_check_resolution`` for the coefficients of ``x`` on n_samples points."""
+    norms = _coeff_norms(x)
+    _check_resolution(np.array(list(norms), dtype=int),
+                      np.array(list(norms.values())), n_samples)
 
 
 def _current_samples(gamma: GridLoop, side: str) -> np.ndarray:
     """Pointwise Maurer-Cartan current, anti-hermitian part enforced."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_resolution(gamma)
+    ks, _, norms = fourier_modes(gamma.samples)
+    _check_resolution(ks, norms, gamma.n_samples)
     dot = _spectral_derivative(gamma.samples)
     inv = gamma.samples.conj().transpose(0, 2, 1)
     if side == "left":
@@ -780,7 +794,7 @@ def _magnus_product(x: FourierLoopElement, alpha: float, h: ScalarField,
 
 def semidirect_exp(x: FourierLoopElement, alpha: float,
                    h: ScalarField | None = None, t: float = 1.0,
-                   n_samples: int = 256,
+                   n_samples: int = DEFAULT_SAMPLES,
                    verify: bool = True) -> tuple[GridLoop, float]:
     """Exponential exp(t(X + alpha h)) in the semidirect product with the flow of h.
 
@@ -797,11 +811,14 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     other real field by one RK4 pass through all the node times
     (``_flow_angles``).  No commutation of the values of X is assumed.
 
+    X must be resolved on the grid by the rule of ``_check_resolution``,
+    or ResolutionError: a mode at or above N/4 would alias in the check.
     When ``verify`` is set, ``_ode_gap`` compares the result with an
     explicit RK4 integration and raises VerificationError above _ODE_TOL.
     """
     if not x.real_form:
         raise ValueError("semidirect exponential needs a real-form element")
+    _check_element_resolution(x, n_samples)
     if h is None:
         h = ScalarField.constant(1.0)
     if not h.real:

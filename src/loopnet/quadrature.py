@@ -45,8 +45,9 @@ import numpy as np
 
 from .errors import AccuracyError, NumericError
 
-__all__ = ["PanelPartition", "panel_partition"]
+__all__ = ["PanelPartition", "panel_partition", "DEFAULT_TOL"]
 
+DEFAULT_TOL = 1e-10   # absolute error target of a partition
 CHUNK = 2048
 MAX_DEPTH = 40
 FLOOR_PANELS = 1024
@@ -170,7 +171,7 @@ class PanelPartition:
 
 
 def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    tol: float = 1e-10, points=()) -> PanelPartition:
+                    tol: float = DEFAULT_TOL, points=()) -> PanelPartition:
     """Adaptive partition of [a, b] for the vectorized integrand ``f``.
 
     ``points`` are cut points where ``f`` may not be smooth; those strictly

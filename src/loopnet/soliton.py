@@ -25,7 +25,8 @@ import numpy as np
 from .errors import CompositionUnsupportedError, LoopnetError
 from .lie import (CompactSimpleAlgebra, as_generator, center_elements,
                   eig_antihermitian)
-from .loops import GridLoop, ScalarField, circle_grid, factor_product
+from .loops import (DEFAULT_SAMPLES, GridLoop, ScalarField, circle_grid,
+                    factor_product)
 
 __all__ = [
     "PeriodicFactor",
@@ -139,7 +140,8 @@ def extendability(zeta: SolitonPath) -> SolitonVerdict:
     return SolitonVerdict(False, None, False, h)
 
 
-def zeta_t(zeta: SolitonPath, t: float, n_samples: int = 256) -> GridLoop:
+def zeta_t(zeta: SolitonPath, t: float,
+           n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
     """Derived loop zeta_t(phi) = zeta(phi) zeta(phi - t)^{-1}.
 
     Periodic for every t even when zeta itself is twisted; checked on the
@@ -160,7 +162,8 @@ def zeta_t(zeta: SolitonPath, t: float, n_samples: int = 256) -> GridLoop:
     return GridLoop(samples, zeta.algebra)
 
 
-def rotation_cocycle_2pi(zeta: SolitonPath, n_samples: int = 256) -> GridLoop:
+def rotation_cocycle_2pi(zeta: SolitonPath,
+                         n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
     """The derived loop at t = 2 pi: phi -> zeta(phi) h zeta(phi)^{-1}.
 
     Constant (equal to h) exactly when the jump is central; otherwise a

@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopnet import cli, entropy, loops
+from loopnet import cli, entropy, fock, loops, quadrature
 from loopnet.errors import ConfigError, NumericError
 
 
@@ -323,9 +325,31 @@ def test_exp_check_passes_on_two_directions(tmp_path):
     assert json.loads((tmp_path / "exp_check.json").read_text())["pass"]
 
 
-def test_exp_check_reports_the_measured_gap(tmp_path, capsys):
+def test_exp_check_reports_the_measured_gap(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"algebra": {"family": "su2"},
+                                  "tasks": [FULL_TASKS[6]]}))
+    argv = ["exp-check", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    gap = report["tasks"][0]["residuals"]["ode_sup"]
+    assert 0.0 < gap <= loops._ODE_TOL
+    # a real verification failure: the same gap against a tolerance below it
+    monkeypatch.setattr(loops, "_ODE_TOL", gap / 2)
+    assert cli.main(argv) == 1
+    assert "[FAIL] exp-ode-check" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (failed,) = report["tasks"]
+    assert failed["status"] == "fail"
+    assert failed["residuals"]["ode_sup"] == gap
+    assert json.loads((tmp_path / "out" / "exp_check.json").read_text()) == {
+        "alpha": 1.0, "time": 1.0, "rotation": 1.0, "pass": False}
+
+
+def test_exp_check_refuses_an_aliased_element(tmp_path, capsys):
     # modes +-32 and +-40 alias on 64 samples, where the ODE check's Fourier
-    # step map works, but not in the Magnus product, which reads X exactly
+    # step map folds them mod N but the Magnus product reads X exactly; the
+    # grid resolves modes below N/4 only
     element = {"factors": [{"generator": {"basis": 0}, "profile": "fourier",
                             "parameters": {"coefficients": [
                                 [k, 0.3, 0.0] for k in (32, -32, 40, -40)]}}]}
@@ -336,16 +360,10 @@ def test_exp_check_reports_the_measured_gap(tmp_path, capsys):
                                   "out": "aliased"}]}))
     rc = cli.main(["exp-check", "--config", str(config),
                    "--out-dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "[FAIL] exp-ode-check" in capsys.readouterr().out
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    passed, failed = report["tasks"]
-    assert passed["status"] == "pass"
-    assert 0.0 < passed["residuals"]["ode_sup"] <= loops._ODE_TOL
-    assert failed["status"] == "fail"
-    assert failed["residuals"]["ode_sup"] > loops._ODE_TOL
-    assert json.loads((tmp_path / "out" / "aliased.json").read_text()) == {
-        "alpha": 1.0, "time": 1.0, "rotation": 1.0, "pass": False}
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "/tasks/1/element" in err and "above mode N/4" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
@@ -363,9 +381,73 @@ def test_line_loop_built_once_per_run(full_scenario, monkeypatch):
     assert report.passed
     assert len(built) == 1
     assert len(built[0]._partitions) == 1
+    # the spec keeps its LinePath: a second run of the scenario builds none
     cli.run_scenario(scenario, out_dir=str(tmp_path),
                      task_filter=("entropy-profile", "bekenstein"))
-    assert len(built) == 2
+    assert len(built) == 1
+
+
+def test_circle_loop_built_once_per_scenario(tmp_path, monkeypatch):
+    built = []
+    make = loops.loop_from_factors
+    monkeypatch.setattr(loops, "loop_from_factors",
+                        lambda *args: built.append(args) or make(*args))
+    scenario = cli.validate_config(scenario_text(tasks=[
+        {"task": "hs-defect", "loop": "circle"},
+        {"task": "hs-defect", "loop": "circle", "window": 16, "out": "w16"}]))
+    assert cli.run_scenario(scenario, out_dir=str(tmp_path)).passed
+    assert len(built) == 1
+    assert json.loads((tmp_path / "w16.json").read_text())["window"] == 16
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["verify"], ["fock-verify"]),
+    (["entropy-profile"], ["entropy-profile", "bekenstein"]),
+    (["alcove"], ["alcove"]),
+    (["hs-defect"], ["hs-defect"]),
+    (["soliton", "classify"], ["soliton-classify"]),
+    (["exp-check"], ["exp-ode-check"]),
+])
+def test_each_subcommand_runs_its_task_types(argv, ran, tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(scenario_text(tasks=FULL_TASKS))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", str(config), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [t["task"] for t in report["tasks"]] == [t["task"] for t in FULL_TASKS]
+    assert [t["task"] for t in report["tasks"] if t["status"] != "skipped"] == ran
+
+
+def test_defaults_are_the_library_s():
+    s = cli.validate_config(scenario_text(tasks=[{"task": "fock-verify"}]))
+    assert s.grid_samples == loops.DEFAULT_SAMPLES
+    assert s.tolerances == {"quadrature": quadrature.DEFAULT_TOL,
+                            "identity": fock.DEFAULT_IDENTITY_TOL,
+                            "fd_relative": entropy.DEFAULT_FD_TOLERANCE}
+    (task,) = s.tasks
+    assert task["mode_range"] == fock.DEFAULT_MODE_RANGE
+    assert task["tolerance"] == fock.DEFAULT_IDENTITY_TOL
+    # and the library's signatures take the same named values
+    for f, param, want in [
+            (loops.loop_from_factors, "n_samples", loops.DEFAULT_SAMPLES),
+            (loops.semidirect_exp, "n_samples", loops.DEFAULT_SAMPLES),
+            (quadrature.panel_partition, "tol", quadrature.DEFAULT_TOL),
+            (entropy.qnec_profile, "tol", quadrature.DEFAULT_TOL),
+            (entropy.qnec_profile, "fd_tolerance", entropy.DEFAULT_FD_TOLERANCE),
+            (fock.identity_reports, "tol", fock.DEFAULT_IDENTITY_TOL),
+            (fock.identity_reports, "mode_range", fock.DEFAULT_MODE_RANGE)]:
+        assert inspect.signature(f).parameters[param].default == want, f.__name__
+
+
+def test_unreachable_charge_refused_at_once():
+    # no su2 state below cutoff 10^6 has charge 10^6: the count stops after
+    # the zero modes and the window is refused by the mask width
+    task = {"task": "fock-verify", "cutoff": 10 ** 6, "charge": 10 ** 6}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="64-bit mask") as err:
+        cli.validate_config(scenario_text(tasks=[task]))
+    assert time.perf_counter() - start < 0.25
+    assert err.value.pointer == "/tasks/0/cutoff"
 
 
 def test_alcove_task_scans_each_level_once(tmp_path, monkeypatch):

@@ -168,7 +168,7 @@ def test_functionals_match_oracle(path, data):
     lo, hi = path.support()
     e_tot = entropy.total_energy(path)
     assert abs(e_tot - oracle_total_energy(path)) <= AGREE
-    edges = path._partitions[entropy._QUAD_TOL].edges
+    edges = path._partitions[quadrature.DEFAULT_TOL].edges
     ts = [lo - 0.7, lo, hi, hi + 0.3,
           *data.draw(st.lists(st.sampled_from(list(edges)), min_size=2,
                               max_size=2), label="panel edges"),
@@ -207,7 +207,7 @@ def test_exact_zeros_build_no_partition(su2):
     assert entropy.entropy_left(path, lo - 2.0) == 0.0
     assert not path._partitions
     assert entropy.entropy_left(path, hi + 2.0) > 0.0
-    assert list(path._partitions) == [entropy._QUAD_TOL]
+    assert list(path._partitions) == [quadrature.DEFAULT_TOL]
 
 
 def test_qnec_profile_matches_oracle_on_dense_grid(su2):
@@ -237,7 +237,19 @@ def test_partition_is_cached_per_tolerance(su2):
     # every later call only integrates partial panels: one batch per query
     assert len(calls) == built + 3
     entropy.total_energy(path, tol=1e-12)
-    assert set(path._partitions) == {entropy._QUAD_TOL, 1e-12}
+    assert set(path._partitions) == {quadrature.DEFAULT_TOL, 1e-12}
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, -3.0)])
+def test_empty_interval_partition_calls_nothing(a, b):
+    calls = []
+    f = lambda u: calls.append(len(u)) or np.ones_like(u)
+    part = panel_partition(f, a, b, points=[0.0, 1.5])
+    assert calls == []
+    assert len(part.edges) == 1 and len(part.depth) == len(part.budget) == 0
+    assert np.array_equal(part.totals, np.zeros(3))
+    assert np.array_equal(part.tail_moments(f, [-5.0, a, b, 7.0]), np.zeros((4, 3)))
+    assert calls == []
 
 
 def test_partition_raises_at_depth_limit():
@@ -607,7 +619,7 @@ def test_single_bump_partition_is_one_call(su2):
     square = path.current_square
     path.current_square = lambda us: calls.append(len(us)) or square(us)
     e_tot = entropy.total_energy(path)
-    part = path._partitions[entropy._QUAD_TOL]
+    part = path._partitions[quadrature.DEFAULT_TOL]
     assert calls == [31]
     assert np.array_equal(part.edges, path.support())
     assert abs(e_tot - oracle_total_energy(path)) <= AGREE
@@ -638,7 +650,7 @@ def test_two_bump_cut_points_save_calls(su2):
             assert abs(s - oracle_right(path, t)) <= AGREE
     # the path's own partition is the seeded one
     entropy.total_energy(path)
-    assert np.array_equal(path._partitions[entropy._QUAD_TOL].edges,
+    assert np.array_equal(path._partitions[quadrature.DEFAULT_TOL].edges,
                           seeded.edges)
 
 
@@ -647,7 +659,7 @@ def test_query_at_support_edge_reads_suffix_sums(su3):
                        entropy.PolyBump(0.2, 0.9, -1.0),
                        entropy.PolyBump(0.9, 0.7, 0.8)], seed=2)
     entropy.total_energy(path)
-    part = path._partitions[entropy._QUAD_TOL]
+    part = path._partitions[quadrature.DEFAULT_TOL]
     edges = sorted({x for _, p in path.factors for x in p.support()})
     assert set(edges) <= set(part.edges)
     calls = []
@@ -669,7 +681,7 @@ def test_nearly_equal_edges(su2, gap):
     supports = [p.support() for _, p in path.factors]
     assert 0.0 < abs(supports[1][1] - supports[0][1]) < 2e-13
     prof = entropy.qnec_profile(path, np.linspace(-2.0, 2.0, 41))
-    part = path._partitions[entropy._QUAD_TOL]
+    part = path._partitions[quadrature.DEFAULT_TOL]
     assert np.all(part.budget > 0) and np.all(np.diff(part.edges) > 0)
     assert abs(prof.total_energy - oracle_total_energy(path)) <= AGREE
     for r in (0.5, 1.5 + gap, 2.0):

@@ -114,6 +114,45 @@ def test_capacity_count_stops_early_past_the_mask():
         assert err.value.estimate > fock.DEFAULT_DIM_LIMIT
 
 
+def _unpruned_bounds(n, cutoff, charge):
+    """``fock._dimension_bounds`` without dropping unreachable entries: every
+    (energy, charge) entry is counted to the cutoff."""
+    counts = {(0, 0): 1}
+    for _, group in itertools.groupby(fock._excitations(n, cutoff),
+                                      key=lambda e: e[0]):
+        for cost, dq, _ in group:
+            new = dict(counts)
+            for (e, q), c in counts.items():
+                if e + cost <= cutoff:
+                    new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
+            counts = new
+        yield sum(c for (_, q), c in counts.items() if charge in (None, q))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: "su%d" % n)
+def test_dimension_bounds_drop_only_unreachable_entries(n):
+    for cutoff in range(9):
+        for charge in [None, *range(-cutoff - n - 2, cutoff + n + 3)]:
+            want = list(_unpruned_bounds(n, cutoff, charge))
+            got = list(fock._dimension_bounds(n, cutoff, charge))
+            if want[-1]:
+                assert got == want, (cutoff, charge)
+            else:   # no state has the charge: zero bounds, the count cut short
+                assert 1 <= len(got) <= len(want) and not any(got)
+
+
+def test_unreachable_charge_is_refused_at_once():
+    # no su2 state within these cutoffs has charge 10^6: the count stops
+    # after the zero modes, and the window is refused by the mask width
+    for cutoff in (200, 10 ** 6):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="64-bit mask") as err:
+            fock.build_fock(2, cutoff, charge=10 ** 6)
+        assert time.perf_counter() - start < 0.25
+        assert err.value.estimate == 0
+    assert fock.build_fock(2, 4, charge=10 ** 6).dim == 0
+
+
 @pytest.mark.parametrize("n, cutoff, dim, dim_limit",
                          [(5, 6, 34002, 10 ** 6), (6, 5, 33665, 10 ** 6),
                           (13, 2, 6592, None)])
@@ -136,6 +175,22 @@ def test_charge_sector_restriction(su2):
 def test_current_window_error(space6, su2):
     with pytest.raises(WindowError):
         fock.current(space6, su2.basis[0], 7)
+
+
+def test_pi_element_refuses_modes_outside_the_window(space6, su2):
+    # the grading gate on its own: pi_element's window (default: the cutoff)
+    # and the vacuum cocycle check's, cutoff // 2
+    x0 = su2.basis[0]
+    element = lambda k: FourierLoopElement({k: x0, -k: x0}, su2)
+    assert fock.pi_element(space6, element(2), max_mode=2).matrix.nnz > 0
+    with pytest.raises(WindowError, match="modes up to 2, window allows 1"):
+        fock.pi_element(space6, element(2), max_mode=1)
+    with pytest.raises(WindowError, match="modes up to 7, window allows 6"):
+        fock.pi_element(space6, element(7))
+    fock.vacuum_cocycle_check(space6, element(3), element(1))
+    for x, y in ((element(4), element(1)), (element(1), element(4))):
+        with pytest.raises(WindowError, match="modes up to 4, window allows 3"):
+            fock.vacuum_cocycle_check(space6, x, y)
 
 
 def test_zero_mode_annihilates_vacuum(space6, su2):

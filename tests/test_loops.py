@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from loopnet import lie, loops
-from loopnet.errors import (NormDivergedError, NotSplittableError, NumericError,
-                            ResolutionError, VerificationError)
+from loopnet.errors import (AlgebraMismatchError, NormDivergedError,
+                            NotSplittableError, NumericError, ResolutionError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -202,6 +202,29 @@ def test_scalar_field_evaluate_matches_all_modes_sum(coeffs):
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
+
+def test_element_sum_and_difference(su2):
+    rng = np.random.default_rng(14)
+    x = random_element(su2, rng, max_mode=3)
+    y = random_element(su2, rng, max_mode=5)
+    zero = np.zeros((2, 2))
+    thetas = loops.circle_grid(16)
+    for got, sign in ((x + y, 1.0), (x - y, -1.0)):
+        assert got.algebra is su2
+        assert set(got.coefficients) == set(x.coefficients) | set(y.coefficients)
+        for k, a in got.coefficients.items():
+            assert np.array_equal(a, x.coefficients.get(k, zero)
+                                  + sign * y.coefficients.get(k, zero))
+        assert np.abs(got.evaluate(thetas)
+                      - (x.evaluate(thetas) + sign * y.evaluate(thetas))).max() < 1e-14
+    # the real form survives a sum, and a difference with itself is empty
+    xr = random_element(su2, rng, real_form=True)
+    yr = random_element(su2, rng, real_form=True)
+    assert (xr + yr).real_form and (xr - yr).real_form
+    assert (x - x).coefficients == {}
+    with pytest.raises(AlgebraMismatchError):
+        x + FourierLoopElement({0: np.zeros((3, 3))}, lie.build_su(3))
+
 
 def test_sobolev_norm_single_mode(su2):
     a = su2.basis[0] / np.linalg.norm(su2.basis[0])
@@ -436,6 +459,27 @@ def test_cocycle_identity_random_pairs(su2):
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+def test_cocycle_b_is_the_right_current_paired_with_x(su2):
+    # b(gamma, X) = c(gamma^-1, X) = l * mean <gamma' gamma^-1, X>, the mean
+    # of a product of two Fourier series being sum_k tr(m_k x_{-k})
+    rng = np.random.default_rng(13)
+    for level in (1.0, 3.0):
+        gamma = loops.loop_from_factors(
+            su2, [(random_antihermitian(su2, rng),
+                   lambda th: 0.5 * np.sin(th) + 0.3 * np.cos(2 * th)),
+                  (random_antihermitian(su2, rng), lambda th: 0.4 * np.cos(th))],
+            256)
+        x = random_element(su2, rng, max_mode=3, real_form=True)
+        right = loops.maurer_cartan(gamma, "right").coefficients
+        zero = np.zeros((2, 2))
+        want = level * sum(np.trace(m @ x.coefficients.get(-k, zero))
+                           for k, m in right.items())
+        assert abs(want.imag) < 1e-14
+        assert abs(want.real) > 0.05
+        assert loops.cocycle_b(gamma, x, level) == pytest.approx(want.real,
+                                                                 abs=1e-13)
+
+
 def test_cocycle_field(su2):
     x2 = np.sqrt(2) * su2.basis[0]  # tr(x2^2) = -2
     f = lambda th: 0.6 * np.sin(th) + 0.2 * np.cos(2 * th)
@@ -563,15 +607,34 @@ def test_semidirect_noncommuting_verified(su2, h):
     assert rot == 1.0
 
 
-def test_semidirect_verify_flags_aliased_modes(su2):
-    # X modes 32 and 40 do not fit a 64-point grid: the Magnus product reads
-    # X off the grid, the ODE check sees the aliased modes, and they differ
+def test_semidirect_verify_flags_aliased_modes(su2, monkeypatch):
+    # X modes 32 and 40 do not fit a 64-point grid (the rule asks |k| < 16):
+    # the Magnus product would read X off the grid and the ODE check the
+    # aliased modes, so the element is refused before any work
     x = FourierLoopElement({32: 0.2 * su2.basis[0], -32: 0.2 * su2.basis[0],
                             40: 0.15 * su2.basis[1], -40: 0.15 * su2.basis[1]},
                            su2)
-    with pytest.raises(VerificationError, match="Magnus product") as err:
+    monkeypatch.setattr(loops, "_magnus_product", None)
+    with pytest.raises(ResolutionError, match="above mode N/4") as err:
         loops.semidirect_exp(x, 0.6, None, 0.5, 64)
-    assert err.value.residual > 1e-2
+    assert err.value.suggested_n == 128
+
+
+def test_element_resolution_is_the_sampled_loops_rule(su2):
+    # modes below N/4 pass; at N/4, up to _TAIL_GUARD times the largest norm
+    b = su2.basis[0]
+    main = {15: 0.1 * b, -15: 0.1 * b}
+    loops.semidirect_exp(FourierLoopElement(main, su2), 0.6, None, 0.5, 64)
+
+    def with_tail(ratio):
+        return FourierLoopElement({**main, 16: ratio * 0.1 * b,
+                                   -16: ratio * 0.1 * b}, su2)
+
+    loops._check_element_resolution(with_tail(0.5 * loops._TAIL_GUARD), 64)
+    with pytest.raises(ResolutionError) as err:
+        loops._check_element_resolution(with_tail(2 * loops._TAIL_GUARD), 64)
+    assert err.value.suggested_n == 128
+    loops._check_element_resolution(with_tail(2 * loops._TAIL_GUARD), 128)
 
 
 # ---------------------------------------------------------------------------
