@@ -59,10 +59,11 @@ class WindowError(LoopnetError, ValueError):
 
 
 class CapacityError(LoopnetError, ValueError):
-    """A state-space dimension, alcove box or su(n) basis exceeds its limit.
+    """A state-space dimension, occupation mask, alcove box or su(n) basis
+    exceeds its limit.
 
-    Carries ``estimate``, the size requested (states, coordinates, bytes),
-    or a lower bound when the count stopped early (message: "at least").
+    Carries ``estimate``, the size requested in the unit of the limit it
+    exceeds: states, bits, coordinates or bytes.
     """
 
     def __init__(self, message, estimate):

@@ -49,7 +49,8 @@ import numpy as np
 import scipy.sparse
 
 from .affine_data import LevelData, level_data
-from .errors import AlgebraMismatchError, CapacityError, NumericError, WindowError
+from .errors import (AlgebraMismatchError, CapacityError, InvalidRankError,
+                     NumericError, WindowError)
 from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
 from .loops import (FourierLoopElement, GridLoop, _mode_cut, bracket_elements,
                     central_term_B, circle_grid, cocycle_c)
@@ -101,79 +102,56 @@ def _excitations(n: int, cutoff: int):
                 yield k, dq, (dq * k + cutoff) * n + j
 
 
-def _affordable(excitations, dq: int, budget: np.ndarray) -> np.ndarray:
-    """The most ``excitations`` (in cost order) of charge ``dq`` that fit
-    together in each budget: the cheapest first.  They are read only as far
-    as the largest budget reaches."""
-    most = budget.max(initial=0)
-    totals = itertools.accumulate(c for c, q, _ in excitations if q == dq)
-    return np.searchsorted(list(itertools.takewhile(lambda t: t <= most, totals)),
-                           budget, side="right")
-
-
-def _reaching(charge: int, energies, charges, cutoff: int, rest) -> np.ndarray:
-    """Which states (energies, charges) can still reach ``charge`` within the
-    cutoff by adding excitations of ``rest()``, a fresh iterator over those
-    left in cost order."""
-    budget = cutoff - energies
-    return ((charges - _affordable(rest(), -1, budget) <= charge)
-            & (charge <= charges + _affordable(rest(), 1, budget)))
-
-
-def _dimension_bounds(n: int, cutoff: int, charge: int | None):
-    """Lower bounds on the dimension: the number of states built from the
-    excitations of the window modes |k| <= K, for K = 0, ..., cutoff, counted
-    by (energy, charge) over ``_excitations`` one cost at a time, so a caller
-    that stops early never generates the rest.  With a ``charge``, entries
-    that can no longer reach it are dropped, as ``build_fock`` drops states,
-    and the count stops once none is left.  The last is the dimension."""
-    counts = {(0, 0): 1}   # (energy, charge) -> number of states
-    for k, group in itertools.groupby(_excitations(n, cutoff),
-                                      key=operator.itemgetter(0)):
-        for cost, dq, _ in group:
-            new = dict(counts)
-            for (e, q), c in counts.items():
-                if e + cost <= cutoff:
-                    new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
-            counts = new
-        if charge is not None:
-            energies, charges = np.array(list(counts)).T
-            keep = _reaching(charge, energies, charges, cutoff, lambda: (
-                x for x in _excitations(n, cutoff) if x[0] > k))
-            counts = {key: c for (key, c), ok in zip(counts.items(), keep) if ok}
-        yield sum(c for (_, q), c in counts.items() if charge in (None, q))
-        if not counts:
-            return
+def _reaching(charge: int, charges: np.ndarray, budget: np.ndarray,
+              sums: dict, spent: dict) -> np.ndarray:
+    """Which states of these charges and cost budgets can still reach
+    ``charge``.  ``sums[dq]`` are the running cost totals, from 0, of the
+    excitations of charge dq in cost order, of which the first ``spent[dq]``
+    are used; the most of the rest that fit a budget are the cheapest."""
+    def most(dq):
+        total, used = sums[dq], spent[dq]
+        return np.searchsorted(total, total[used] + budget, side="right") - 1 - used
+    return (charges - most(-1) <= charge) & (charge <= charges + most(1))
 
 
 def _count_states(n: int, cutoff: int, charge: int | None) -> int:
-    """Exact dimension of the truncated space."""
-    *_, total = _dimension_bounds(n, cutoff, charge)
-    return total
+    """Exact dimension of the truncated space: the sets of excitations of
+    total cost <= cutoff, counted by (energy, charge) one excitation at a
+    time, then summed over ``charge`` (all charges for None)."""
+    counts = {(0, 0): 1}   # (energy, charge) -> number of states
+    for cost, dq, _ in _excitations(n, cutoff):
+        new = dict(counts)
+        for (e, q), c in counts.items():
+            if e + cost <= cutoff:
+                new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
+        counts = new
+    return sum(c for (_, q), c in counts.items() if charge in (None, q))
 
 
 def _check_capacity(n: int, cutoff: int, charge: int | None,
                     dim_limit: int | None) -> None:
-    """Raise ``CapacityError`` unless the space fits the limit and a mask word.
+    """Refuse a space that ``build_fock`` cannot build.
 
-    The (2*cutoff+1)*n window modes are the bits of one np.uint64 occupation
-    mask, so wider windows are refused rather than truncated.  A space that
-    fits the mask is cheap to count exactly; the count of a wider one, which
-    grows fast with the cutoff, stops once its lower bound passes the limit.
+    n < 2 raises ``InvalidRankError`` and cutoff < 0 ``WindowError``.  Then
+    two ``CapacityError`` checks, in this order: the (2*cutoff+1)*n window
+    modes must fit the bits of one np.uint64 occupation mask (estimate: the
+    bits), and the exact dimension must fit the limit, default
+    DEFAULT_DIM_LIMIT (estimate: the states).  The width comes first, so the
+    count never sees more than MASK_BITS excitations.
     """
-    limit = DEFAULT_DIM_LIMIT if dim_limit is None else dim_limit
+    if n < 2:
+        raise InvalidRankError(f"need n >= 2, got n={n}")
+    if cutoff < 0:
+        raise WindowError(f"need cutoff >= 0, got cutoff={cutoff}")
     width = (2 * cutoff + 1) * n
-    for k, total in enumerate(_dimension_bounds(n, cutoff, charge)):
-        if width > MASK_BITS and total > limit:
-            break
-    if total > limit:
-        least = "at least " if k < cutoff else ""
-        raise CapacityError(
-            f"truncated dimension {least}{total} exceeds limit {limit}", total)
     if width > MASK_BITS:
         raise CapacityError(
             f"occupation mask needs (2*{cutoff}+1)*{n} = {width} bits, "
-            f"more than the {MASK_BITS}-bit mask width", total)
+            f"more than the {MASK_BITS}-bit mask width", width)
+    limit = DEFAULT_DIM_LIMIT if dim_limit is None else dim_limit
+    dim = _count_states(n, cutoff, charge)
+    if dim > limit:
+        raise CapacityError(f"truncated dimension {dim} exceeds limit {limit}", dim)
 
 
 @dataclass(frozen=True)
@@ -227,13 +205,11 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
 
     ``charge`` restricts to a single charge sector, which every operator in
     this module preserves; the restriction is exact for identity checks and
-    cuts the dimension roughly by the number of sectors.  The exact dimension
-    is computed up front and ``CapacityError`` raised if it exceeds the limit
-    (default 20000, overridable via the ``dim_limit`` argument), or if the
-    (2*cutoff+1)*n window modes do not fit a 64-bit occupation mask.
+    cuts the dimension roughly by the number of sectors.  ``_check_capacity``
+    runs first: n >= 2 and cutoff >= 0, then the (2*cutoff+1)*n window modes
+    must fit a 64-bit occupation mask, then the exact dimension must fit
+    ``dim_limit`` (default 20000); each refusal is a typed ``LoopnetError``.
     """
-    if n < 2 or cutoff < 0:
-        raise ValueError(f"need n >= 2 and cutoff >= 0, got n={n}, cutoff={cutoff}")
     _check_capacity(n, cutoff, charge, dim_limit)
 
     # each excitation flips its window bit in every state it fits; a state
@@ -241,17 +217,20 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
     # budget, so it extends to a distinct final state and no list grows
     # past the final dimension
     excitations = list(_excitations(n, cutoff))
+    sums = {dq: np.cumsum([0] + [c for c, q, _ in excitations if q == dq])
+            for dq in (1, -1)}
+    spent = {1: 0, -1: 0}
     sea = (1 << cutoff * n) - 1   # the vacuum: window modes k < 0 filled
     words = np.array([sea], dtype=np.uint64)
     energies, charges = np.zeros(1, int), np.zeros(1, int)
-    for i, (cost, dq, bit) in enumerate(excitations):
+    for cost, dq, bit in excitations:
         fits = energies + cost <= cutoff
         words = np.concatenate([words, words[fits] ^ np.uint64(1 << bit)])
         energies = np.concatenate([energies, energies[fits] + cost])
         charges = np.concatenate([charges, charges[fits] + dq])
+        spent[dq] += 1
         if charge is not None:
-            keep = _reaching(charge, energies, charges, cutoff,
-                             lambda: excitations[i + 1:])
+            keep = _reaching(charge, charges, cutoff - energies, sums, spent)
             words, energies, charges = words[keep], energies[keep], charges[keep]
 
     # a word's flipped modes in bit order are its holes (k < 0), then its
@@ -675,9 +654,9 @@ def hs_defect(fourier_data, window: int) -> HSReport:
     raising; a coefficient that is not finite raises NumericError.
     """
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise WindowError("window must be >= 1")
     if not fourier_data:
-        raise ValueError("hs_defect needs at least one Fourier coefficient")
+        raise NumericError("hs_defect needs at least one Fourier coefficient")
     data = {int(k): np.asarray(v, dtype=complex) for k, v in fourier_data.items()}
     shapes = {v.shape for v in data.values()}
     shape = next(iter(shapes))

@@ -67,8 +67,10 @@ def test_unknown_key_rejected_with_pointer():
 
 
 def test_capacity_surfaced_at_validation():
-    # cutoff 400 is far past the 64-bit mask: its count stops at a lower bound
-    for cutoff, words in ((40, "dimension"), (400, "dimension at least")):
+    # su2 at cutoff 11 fits the mask (46 bits) with 27276 states, over the
+    # 20000 limit; cutoffs 40 and 400 are refused by the mask width first
+    for cutoff, words in ((11, "dimension 27276"), (40, "64-bit mask"),
+                          (400, "64-bit mask")):
         text = scenario_text(tasks=[{"task": "fock-verify", "cutoff": cutoff}])
         with pytest.raises(ConfigError) as err:
             cli.validate_config(text)
@@ -77,7 +79,8 @@ def test_capacity_surfaced_at_validation():
 
 
 @pytest.mark.parametrize("fock_cutoff, words", [(1, "integer >= 2"),
-                                                (40, "dimension")])
+                                                (11, "dimension"),
+                                                (40, "64-bit mask")])
 def test_inherited_cutoff_error_names_fock_cutoff(fock_cutoff, words):
     # the task has no cutoff of its own
     text = scenario_text(fock_cutoff=fock_cutoff, tasks=[{"task": "fock-verify"}])
@@ -440,14 +443,26 @@ def test_defaults_are_the_library_s():
 
 
 def test_unreachable_charge_refused_at_once():
-    # no su2 state below cutoff 10^6 has charge 10^6: the count stops after
-    # the zero modes and the window is refused by the mask width
+    # no su2 state below cutoff 10^6 has charge 10^6, and the window is
+    # refused by the mask width before any count
     task = {"task": "fock-verify", "cutoff": 10 ** 6, "charge": 10 ** 6}
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="64-bit mask") as err:
         cli.validate_config(scenario_text(tasks=[task]))
     assert time.perf_counter() - start < 0.25
     assert err.value.pointer == "/tasks/0/cutoff"
+
+
+def test_reachable_charge_past_the_mask_refused_at_once():
+    # charge 100 is reachable at these cutoffs: the window is refused by the
+    # mask width before the space is counted
+    for cutoff in (10 ** 4, 10 ** 6):
+        task = {"task": "fock-verify", "cutoff": cutoff, "charge": 100}
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="64-bit mask") as err:
+            cli.validate_config(scenario_text(tasks=[task]))
+        assert time.perf_counter() - start < 0.25
+        assert err.value.pointer == "/tasks/0/cutoff"
 
 
 def test_alcove_task_scans_each_level_once(tmp_path, monkeypatch):

@@ -1,14 +1,16 @@
 import itertools
+import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from loopnet import affine_data, fock, lie, loops
-from loopnet.errors import (AlgebraMismatchError, CapacityError, NumericError,
-                            WindowError)
+from loopnet import affine_data, fock, lie, loops, soliton
+from loopnet.errors import (AlgebraMismatchError, CapacityError,
+                            InvalidRankError, NumericError, WindowError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -49,7 +51,9 @@ def test_build_fock_dimensions(su2):
 @pytest.mark.parametrize("n, cutoff", [(2, 1), (2, 2), (3, 1)])
 def test_build_fock_masks_match_brute_force(n, cutoff):
     space = fock.build_fock(n, cutoff)
-    assert set(space.masks) == brute_force_masks(n, cutoff)
+    masks = brute_force_masks(n, cutoff)
+    assert set(space.masks) == masks
+    assert fock._count_states(n, cutoff, None) == len(masks)
     assert space.index == {m: i for i, m in enumerate(space.masks)}
 
 
@@ -99,58 +103,68 @@ def test_capacity_error():
     with pytest.raises(CapacityError) as err:
         fock.build_fock(2, 6, dim_limit=100)
     assert err.value.estimate == 1520
-    assert "at least" not in str(err.value)   # fits the mask: counted exactly
+    assert str(err.value) == "truncated dimension 1520 exceeds limit 100"
 
 
 def test_capacity_count_stops_early_past_the_mask():
-    # su2 at these cutoffs is far too wide for the mask; the full count takes
-    # seconds (or all memory), while its lower bound passes the limit after
-    # a few modes, before the excitations of the rest are generated
+    # su2 at these cutoffs is far too wide for the mask; the width is checked
+    # before the count starts, and the estimate is the bits requested
     for cutoff in (400, 10 ** 6):
         start = time.perf_counter()
-        with pytest.raises(CapacityError, match="dimension at least") as err:
+        with pytest.raises(CapacityError, match="64-bit mask") as err:
             fock.build_fock(2, cutoff)
         assert time.perf_counter() - start < 0.25
-        assert err.value.estimate > fock.DEFAULT_DIM_LIMIT
+        assert err.value.estimate == (2 * cutoff + 1) * 2
 
 
-def _unpruned_bounds(n, cutoff, charge):
-    """``fock._dimension_bounds`` without dropping unreachable entries: every
-    (energy, charge) entry is counted to the cutoff."""
-    counts = {(0, 0): 1}
-    for _, group in itertools.groupby(fock._excitations(n, cutoff),
-                                      key=lambda e: e[0]):
-        for cost, dq, _ in group:
-            new = dict(counts)
-            for (e, q), c in counts.items():
-                if e + cost <= cutoff:
-                    new[e + cost, q + dq] = new.get((e + cost, q + dq), 0) + c
-            counts = new
-        yield sum(c for (_, q), c in counts.items() if charge in (None, q))
+def test_capacity_width_check_needs_no_count(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted a window wider than the mask")
+
+    monkeypatch.setattr(fock, "_count_states", no_count)
+    for n, cutoff in ((2, 16), (13, 2), (65, 0)):
+        with pytest.raises(CapacityError, match="64-bit mask") as err:
+            fock._check_capacity(n, cutoff, None, None)
+        assert err.value.estimate == (2 * cutoff + 1) * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: "su%d" % n)
-def test_dimension_bounds_drop_only_unreachable_entries(n):
+def test_count_states_matches_build_fock(n):
+    # every cutoff 0..8 whose window fits the mask, every charge that some
+    # state has and a margin of unreachable ones; the charge sectors partition
+    # the space, so their dimensions add up to the count over all charges
     for cutoff in range(9):
-        for charge in [None, *range(-cutoff - n - 2, cutoff + n + 3)]:
-            want = list(_unpruned_bounds(n, cutoff, charge))
-            got = list(fock._dimension_bounds(n, cutoff, charge))
-            if want[-1]:
-                assert got == want, (cutoff, charge)
-            else:   # no state has the charge: zero bounds, the count cut short
-                assert 1 <= len(got) <= len(want) and not any(got)
+        if (2 * cutoff + 1) * n > fock.MASK_BITS:
+            continue
+        total = 0
+        for charge in range(-cutoff - n - 2, cutoff + n + 3):
+            dim = fock.build_fock(n, cutoff, charge=charge, dim_limit=10 ** 6).dim
+            assert fock._count_states(n, cutoff, charge) == dim, (cutoff, charge)
+            total += dim
+        assert fock._count_states(n, cutoff, None) == total, cutoff
 
 
 def test_unreachable_charge_is_refused_at_once():
-    # no su2 state within these cutoffs has charge 10^6: the count stops
-    # after the zero modes, and the window is refused by the mask width
+    # no su2 state within these cutoffs has charge 10^6, and the window is
+    # refused by the mask width before any count
     for cutoff in (200, 10 ** 6):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="64-bit mask") as err:
             fock.build_fock(2, cutoff, charge=10 ** 6)
         assert time.perf_counter() - start < 0.25
-        assert err.value.estimate == 0
+        assert err.value.estimate == (2 * cutoff + 1) * 2
     assert fock.build_fock(2, 4, charge=10 ** 6).dim == 0
+
+
+def test_reachable_charge_past_the_mask_is_refused_at_once():
+    # charge 100 is reachable at these cutoffs, so no count could stop early;
+    # the mask width refuses the window before the count starts
+    for cutoff in (10 ** 4, 10 ** 6):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="64-bit mask") as err:
+            fock.build_fock(2, cutoff, charge=100)
+        assert time.perf_counter() - start < 0.25
+        assert err.value.estimate == (2 * cutoff + 1) * 2
 
 
 @pytest.mark.parametrize("n, cutoff, dim, dim_limit",
@@ -162,14 +176,59 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
     assert fock._count_states(n, cutoff, 0) == dim
     with pytest.raises(CapacityError, match="64-bit mask") as err:
         fock.build_fock(n, cutoff, charge=0, dim_limit=dim_limit)
-    assert err.value.estimate == dim
+    assert err.value.estimate == (2 * cutoff + 1) * n
     assert f"{(2 * cutoff + 1) * n} bits" in str(err.value)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: fock.build_fock(1, 3), InvalidRankError, "n >= 2"),
+    (lambda: fock.build_fock(2, -1), WindowError, "cutoff >= 0"),
+    (lambda: fock.hs_defect({0: np.eye(2)}, 0), WindowError, "window must be >= 1"),
+    (lambda: fock.hs_defect({}, 4), NumericError, "at least one"),
+], ids=["build-rank", "build-cutoff", "hs-window", "hs-empty"])
+def test_argument_refusals_are_typed(call, error, words):
+    # typed LoopnetErrors that stay ValueErrors for callers that catch those
+    with pytest.raises(error, match=words) as err:
+        call()
+    assert isinstance(err.value, ValueError)
 
 
 def test_charge_sector_restriction(su2):
     full = fock.build_fock(2, 3)
     sectors = [fock.build_fock(2, 3, charge=q) for q in range(-5, 8)]
     assert sum(s.dim for s in sectors) == full.dim
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4), (4, 3)])
+def test_level_one_alcove_weights_are_fock_sectors_and_solitons(n, cutoff):
+    # each level-1 weight omega_k is three things: the Fock charge sectors
+    # q = k mod n, whose lowest-energy states are C(n, k) eigenvectors of the
+    # Sugawara L_0 with eigenvalue h(omega_k) = k(n - k)/2n; the linear
+    # soliton exp(x A_k) with centre index k; and 1/2 sum_j alpha_j^2 for
+    # the eigenvalues i alpha_j of A_k
+    algebra = lie.build_su(n)
+    data = affine_data.level_data(algebra, 1)
+    weights = affine_data.alcove(algebra, 1)
+    assert len(weights) == n
+    h = {}
+    for w in weights:
+        k = w.weight.index(1) + 1 if any(w.weight) else 0
+        h[k] = w.conformal_weight
+        assert h[k] == Fraction(k * (n - k), 2 * n)
+        alphas = [Fraction(k, n)] * (n - k) + [Fraction(k, n) - 1] * k
+        assert sum(a * a for a in alphas) / 2 == h[k]
+        a_k = 1j * np.diag([float(a) for a in alphas])
+        path = soliton.SolitonPath.linear(algebra, a_k)
+        assert soliton.extendability(path).center_index == k
+    for q in range(-1, n + 2):
+        k = q % n
+        space = fock.build_fock(n, cutoff, charge=q)
+        ground = np.flatnonzero(space.energies == space.energies.min())
+        assert len(ground) == math.comb(n, k)
+        columns = fock.sugawara(space, 0, data).matrix[:, ground].toarray()
+        want = np.zeros_like(columns)
+        want[ground, np.arange(len(ground))] = float(h[k])
+        assert np.abs(columns - want).max() <= 1e-10, q
 
 
 def test_current_window_error(space6, su2):
