@@ -393,16 +393,27 @@ def entropy_left(path: LinePath, t: float, tol: float = DEFAULT_TOL) -> float:
     return float(s_bar[0])
 
 
+def _interval_entropies(path: LinePath, radii, tol: float) -> list[float]:
+    """S_(-r,r) at every radius, from one batch of tail moments at all -r
+    and r; an interval off the support hull reads 0 and queries nothing."""
+    for r in radii:
+        if r <= 0:
+            raise ValueError(f"interval radius must be positive, got {r}")
+    lo, hi = path.support()
+    inside = [i for i, r in enumerate(radii) if min(hi, r) > max(lo, -r)]
+    out = [0.0] * len(radii)
+    if inside:
+        rs = [float(radii[i]) for i in inside]
+        moments = _tail_moments(path, [-r for r in rs] + rs, tol)
+        gaps = (moments[:len(rs)] - moments[len(rs):]).tolist()
+        for i, r, (m0, _, m2) in zip(inside, rs, gaps):
+            out[i] = (r * r * m0 - m2) / (2.0 * r)
+    return out
+
+
 def entropy_interval(path: LinePath, r: float, tol: float = DEFAULT_TOL) -> float:
     """Interval entropy with weight (r - u)(r + u)/(2r) on (-r, r)."""
-    if r <= 0:
-        raise ValueError(f"interval radius must be positive, got {r}")
-    lo, hi = path.support()
-    if min(hi, r) <= max(lo, -r):
-        return 0.0
-    left, right = _tail_moments(path, [-r, r], tol)
-    m0, _, m2 = left - right
-    return float((r * r * m0 - m2) / (2.0 * r))
+    return _interval_entropies(path, [r], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -413,13 +424,23 @@ class BekensteinReport:
     ratio: float
 
 
+def _bekenstein_reports(path: LinePath, radii,
+                        tol: float = DEFAULT_TOL) -> list[BekensteinReport]:
+    """``bekenstein_check`` at every radius, from one tail-moment query."""
+    entropies = _interval_entropies(path, radii, tol)
+    energy = total_energy(path, tol)
+    reports = []
+    for r, s in zip(radii, entropies):
+        bound = math.pi * r * energy
+        ratio = s / bound if bound > 0 else (0.0 if s == 0 else math.inf)
+        reports.append(BekensteinReport(s, bound, s <= bound + 1e-12, ratio))
+    return reports
+
+
 def bekenstein_check(path: LinePath, r: float,
                      tol: float = DEFAULT_TOL) -> BekensteinReport:
     """Evaluate S_(-r,r) against pi r E; holds structurally (weight <= r/2)."""
-    s = entropy_interval(path, r, tol)
-    bound = math.pi * r * total_energy(path, tol)
-    ratio = s / bound if bound > 0 else (0.0 if s == 0 else math.inf)
-    return BekensteinReport(s, bound, s <= bound + 1e-12, ratio)
+    return _bekenstein_reports(path, [r], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ COUNTERS = {
                         "fock.sugawara.nnz": 19_633,
                         "fock.operator_algebra.calls": 18},
     "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
-                      "loops.field_evaluations": 4_148, "lie.eigh_calls": 501},
+                      "loops.field_evaluations": 1_128, "lie.eigh_calls": 501},
 }
 
 

@@ -503,7 +503,9 @@ def test_bekenstein_uses_scenario_quadrature(tmp_path, monkeypatch):
     (path,) = built
     assert list(path._partitions) == [1e-3]
     rows = json.loads((tmp_path / "gauss_bekenstein.json").read_text())
+    assert [row["r"] for row in rows] == [0.5, 1.0]
     for row in rows:
+        assert list(row) == ["bound", "holds", "interval_entropy", "r", "ratio"]
         rep = entropy.bekenstein_check(path, row["r"], 1e-3)
         assert row == {"r": row["r"],
                        "interval_entropy": float(rep.interval_entropy),

@@ -159,6 +159,39 @@ def test_bekenstein(su2):
             assert entropy.bekenstein_check(path, r).holds
 
 
+def test_bekenstein_reports_batch_the_radii(su2):
+    # a fresh path per route, so neither reads the other's cached partition;
+    # radius 40 holds the whole support and 0.05 may miss it
+    radii = [0.05, 0.5, 1.0, 5.0, 40.0]
+    rng = np.random.default_rng(9)
+    seeds = rng.integers(0, 2**32, size=8)
+    for seed in seeds:
+        per_radius = random_line_path(su2, np.random.default_rng(seed))
+        want = [entropy.bekenstein_check(per_radius, r) for r in radii]
+        batched = random_line_path(su2, np.random.default_rng(seed))
+        got = entropy._bekenstein_reports(batched, radii)
+        for g, w in zip(got, want):
+            assert g.interval_entropy == pytest.approx(w.interval_entropy,
+                                                       rel=1e-14, abs=0.0)
+            assert (g.bound, g.holds) == (w.bound, w.holds)
+    far = gaussian_path(su2, center=30.0)
+    reports = entropy._bekenstein_reports(far, radii[:-1])
+    assert [rep.interval_entropy for rep in reports] == [0.0] * 4
+    with pytest.raises(ValueError, match="got -1"):
+        entropy._bekenstein_reports(far, [1.0, -1.0])
+
+
+def test_bekenstein_reports_make_one_query(su2):
+    path = gaussian_path(su2)
+    calls = []
+    square = path.current_square
+    path.current_square = lambda us: calls.append(len(us)) or square(us)
+    entropy.total_energy(path)
+    built = len(calls)
+    entropy._bekenstein_reports(path, [0.5, 1.0, 5.0])
+    assert len(calls) == built + 1
+
+
 def test_bekenstein_tightness_trend(su2):
     # concentrating the excitation at the origin saturates the bound
     r = 1.0

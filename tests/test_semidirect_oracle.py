@@ -13,7 +13,10 @@ t}) / (ik alpha)).  On non-commuting inputs the oracle is
 ``_flow_angles_per_node`` below is the original flow: a separate
 1000-step RK4 pass from the grid angles for every node time, each with
 its own step time/1000.  The one-pass flow visits the node times in order
-of size and never takes a longer step, so the two agree to rounding.
+of size and takes its step count N from the field (``loops._flow_steps``,
+233 on the general field here, 1,498 on case random-1).  It
+stays within 1e-12 of the 1000-step oracle, and within 5e-13 of the same
+oracle at 4,000 steps on a seeded family of random fields.
 
 ``loops._ode_pointwise`` is the original ODE check: RK4 on the grid
 samples, with X and Re h applied pointwise and d_theta by an FFT pair in
@@ -118,8 +121,8 @@ def test_flow_angles_match_per_node(name, h, alpha, t):
 
 @pytest.mark.parametrize("alpha,t", [(-1.1, 1.5), (1.5, 2.0)])
 def test_flow_rigid_field_is_a_rotation(alpha, t):
-    # RK4 is exact for h = 1; what is left is rounding over ~1000 additions
-    # (the per-node route is 4.4e-13 off here)
+    # RK4 is exact for h = 1, and the step rule takes one step per node
+    # time; what is left is rounding (the per-node route is 4.4e-13 off here)
     thetas = 2 * np.pi * np.arange(32) / 32
     times, _ = _node_times(alpha, t)
     got = loops._flow_angles(ScalarField.constant(1.0), thetas, times)
@@ -130,7 +133,8 @@ def _flow_angles_inline(h, thetas, times):
     """``loops._flow_angles`` with its own RK4 loop written out."""
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), len(thetas)))
-    h_max = np.abs(times).max(initial=0.0) / loops._FLOW_STEPS
+    reach = np.abs(times).max(initial=0.0)
+    h_max = reach / loops._flow_steps(h, reach)
     th = thetas.astype(float).copy()
     s = 0.0
 
@@ -170,14 +174,43 @@ class _CountingField(ScalarField):
 
 
 def test_flow_is_one_pass():
-    # 4 field evaluations per step; the steps add up to n_steps plus at most
-    # one per node from rounding each gap up
+    # 4 field evaluations per step; the steps add up to the rule's N plus at
+    # most one per node from rounding each gap up
     h = _CountingField({0: 1.0, 1: 0.15, -1: 0.15})
     _CountingField.calls = 0
     times, _ = _node_times(0.7, 1.0)
     loops._flow_angles(h, np.linspace(0.0, 6.0, 8), times)
-    steps = loops._FLOW_STEPS
+    steps = loops._flow_steps(h, np.abs(times).max())
     assert 4 * steps <= _CountingField.calls <= 4 * (steps + len(times))
+
+
+def _flow_family():
+    """Seeded random fields with |alpha| >= 0.4, both signs of alpha and t.
+    A far smaller |alpha t| would measure the oracle: its 4,000 tiny steps
+    round on angles near 2 pi, not on the displacement."""
+    rng = np.random.default_rng(21)
+    return [(f"family-{i}", _random_field(rng),
+             float(rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 1.5)),
+             float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)))
+            for i in range(6)]
+
+
+_FLOW_FAMILY = _flow_family()
+
+
+@pytest.mark.parametrize("name,h,alpha,t", _FLOW_FAMILY,
+                         ids=[c[0] for c in _FLOW_FAMILY])
+def test_flow_steps_are_accurate_across_fields(name, h, alpha, t):
+    # 4 angles at 8 of the 64 node times, the farthest included, against the
+    # per-node pass at 4,000 steps; constant fields take the exact rotation
+    thetas = 2 * np.pi * np.arange(4) / 4 + 0.3
+    every, _ = _node_times(alpha, t)
+    times = every[::9]
+    assert times[-1] == every[-1]
+    tiled = np.tile(thetas, len(times))
+    want = _flow_angles_per_node(h, tiled, np.repeat(times, len(thetas)),
+                                 n_steps=4000).reshape(len(times), -1)
+    assert np.abs(loops._flow_angles(h, thetas, times) - want).max() <= 5e-13
 
 
 def test_semidirect_samples_match_per_node(su2):
@@ -451,3 +484,30 @@ def test_magnus_steps_on_bench_inputs():
     _, x, alpha, h, _, _ = _ODE_CASES[0]
     assert loops._magnus_steps(x, alpha, h, 0.0) == 1
     assert loops._magnus_steps(x, alpha, h, -1.0) == 28
+
+
+def test_flow_steps_on_bench_inputs():
+    # ceil(256 max|s| sum_k |h_k| max|k|), max|s| = |alpha t| (1 + z) / 2 at
+    # the last 64-point Gauss node z: 256 * 0.69975 * 1.3 on the benchmark's
+    # general field, and 1,498 > 1000 on the strong random-1 field
+    cases = {c[0]: c[1:] for c in _CASES}
+    for name, want in (("general", 233), ("general-negative-alpha", 233),
+                       ("random-1", 1498)):
+        h, alpha, t = cases[name]
+        times, _ = _node_times(alpha, t)
+        assert loops._flow_steps(h, np.abs(times).max()) == want, name
+    # the Magnus node times of the benchmark's call reach 0.7 (1 - 0.113/23)
+    _, x, alpha, h, t, _ = _ODE_CASES[1]
+    taus = (np.arange(23)[:, None] + loops._MAGNUS_NODES) / 23
+    assert loops._magnus_steps(x, alpha, h, t) == 23
+    assert loops._flow_steps(h, np.abs(alpha * (t - taus)).max()) == 232
+    # alpha = 0 or t = 0: every node time is 0, so no step is taken
+    thetas = np.linspace(0.0, 6.0, 8)
+    for alpha, t in ((0.0, 1.0), (0.7, 0.0)):
+        h = _CountingField({0: 1.0, 1: 0.15, -1: 0.15})
+        _CountingField.calls = 0
+        times, _ = _node_times(alpha, t)
+        assert loops._flow_steps(h, np.abs(times).max()) == 1
+        got = loops._flow_angles(h, thetas, times)
+        assert _CountingField.calls == 0
+        assert np.array_equal(got, np.broadcast_to(thetas, got.shape))
