@@ -154,14 +154,18 @@ def _check_capacity(n: int, cutoff: int, charge: int | None,
         raise CapacityError(f"truncated dimension {dim} exceeds limit {limit}", dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedFockSpace:
     """Energy-cutoff basis of particle/hole configurations.
 
-    ``masks`` are occupation bitmasks over the window of modes (k, color)
-    with |k| <= cutoff; the Dirac-sea modes below the window are permanently
-    filled and never touched by any operator assembled here, so bilinear
-    matrix elements computed in the window are exact.
+    ``words`` holds one np.uint64 occupation word per basis state, in basis
+    order, with bit (k + cutoff) * n + color set when the window mode
+    (k, color), |k| <= cutoff, is filled; the Dirac-sea modes below the
+    window are permanently filled and never touched by any operator
+    assembled here, so bilinear matrix elements computed in the window are
+    exact.  ``energies`` and ``charges`` are the states' gradings, and the
+    basis is ordered by (energy, charge, word).  A space compares and
+    hashes by identity, as ``_same_space`` treats it.
 
     ``hops`` caches the elementary hops E_ij(m) = sum_k a^dag(k-m, i) a(k, j)
     as (rows, cols, signs) arrays, built on first use by ``_hop``; every
@@ -173,48 +177,48 @@ class TruncatedFockSpace:
     n: int
     cutoff: int
     charge: int | None
-    masks: list[int]
+    words: np.ndarray
     energies: np.ndarray
     charges: np.ndarray
-    occupations: list[tuple[tuple, tuple]]   # (particles, holes) per state
-    index: dict[int, int] = field(repr=False)
-    hops: dict = field(default_factory=dict, compare=False, repr=False)
-    vacuum_hops: dict = field(default_factory=dict, compare=False, repr=False)
+    hops: dict = field(default_factory=dict, repr=False)
+    vacuum_hops: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.masks)
+        return len(self.words)
 
     @cached_property
-    def _mask_lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(masks as uint64 in basis order, sorted masks, their basis indices)."""
-        words = np.array(self.masks, dtype=np.uint64)
-        order = np.argsort(words)
-        return words, words[order], order
+    def _mask_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the words in ascending order, their basis indices)."""
+        order = np.argsort(self.words)
+        return self.words[order], order
 
     @property
     def vacuum_index(self) -> int:
         if self.charge not in (None, 0):
             raise ValueError("vacuum lives in the charge-0 sector")
-        return self.index[(1 << self.cutoff * self.n) - 1]   # the filled sea
+        # energy-0 states are sets of zero-mode particles, of charges 0..n,
+        # so the filled sea is the only state of energy 0 and charge 0 and
+        # the first in (energy, charge) order
+        return 0
 
 
 def build_fock(n: int, cutoff: int, charge: int | None = None,
                dim_limit: int | None = None) -> TruncatedFockSpace:
-    """Enumerate the truncated space, ordered by (energy, charge, particles, holes).
+    """Enumerate the truncated space, ordered by (energy, charge, word).
 
     ``charge`` restricts to a single charge sector, which every operator in
     this module preserves; the restriction is exact for identity checks and
     cuts the dimension roughly by the number of sectors.  ``_check_capacity``
     runs first: n >= 2 and cutoff >= 0, then the (2*cutoff+1)*n window modes
-    must fit a 64-bit occupation mask, then the exact dimension must fit
+    must fit a 64-bit occupation word, then the exact dimension must fit
     ``dim_limit`` (default 20000); each refusal is a typed ``LoopnetError``.
     """
     _check_capacity(n, cutoff, charge, dim_limit)
 
     # each excitation flips its window bit in every state it fits; a state
     # is kept while the requested charge is still reachable within its
-    # budget, so it extends to a distinct final state and no list grows
+    # budget, so it extends to a distinct final state and no array grows
     # past the final dimension
     excitations = list(_excitations(n, cutoff))
     sums = {dq: np.cumsum([0] + [c for c, q, _ in excitations if q == dq])
@@ -233,25 +237,9 @@ def build_fock(n: int, cutoff: int, charge: int | None = None,
             keep = _reaching(charge, charges, cutoff - energies, sums, spent)
             words, energies, charges = words[keep], energies[keep], charges[keep]
 
-    # a word's flipped modes in bit order are its holes (k < 0), then its
-    # particles, each in ascending (k, color) order
-    modes = [(p // n - cutoff, p % n) for p in range((2 * cutoff + 1) * n)]
-    states = []
-    for e, q, word in zip(energies.tolist(), charges.tolist(), words.tolist()):
-        flipped, flips = [], word ^ sea
-        while flips:
-            low = flips & -flips
-            flipped.append(modes[low.bit_length() - 1])
-            flips ^= low
-        holes = (len(flipped) - q) // 2
-        states.append((e, q, tuple(flipped[holes:]), tuple(flipped[:holes]), word))
-    states.sort()
-    masks = [word for *_, word in states]
-    return TruncatedFockSpace(n, cutoff, charge, masks,
-                              np.array([e for e, *_ in states], dtype=int),
-                              np.array([q for _, q, *_ in states], dtype=int),
-                              [(p, h) for _, _, p, h, _ in states],
-                              {m: i for i, m in enumerate(masks)})
+    order = np.lexsort((words, charges, energies))
+    return TruncatedFockSpace(n, cutoff, charge, words[order], energies[order],
+                              charges[order])
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +355,16 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
 
     Built once per space for all states and window modes k at once: the sign
     of each ladder step is the parity of the occupied bits below it, and the
-    target row is found by binary search among the sorted masks (targets
-    outside the space are dropped).
+    target row is found by binary search among the words in ascending order
+    (targets outside the space are dropped).
     """
     key = (i, j, m)
     hop = space.hops.get(key)
     if hop is not None:
         return hop
     n, cutoff = space.n, space.cutoff
-    words, sorted_words, order = space._mask_lookup
+    words = space.words
+    sorted_words, order = space._mask_lookup
     ks = np.arange(max(-cutoff, -cutoff + m), min(cutoff, cutoff + m) + 1)
     one = np.uint64(1)
     src = one << ((ks + cutoff) * n + j).astype(np.uint64)[None, :]

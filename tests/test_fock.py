@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -7,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopnet import affine_data, fock, lie, loops, soliton
 from loopnet.errors import (AlgebraMismatchError, CapacityError,
@@ -41,6 +44,56 @@ def brute_force_masks(n, cutoff):
     return masks
 
 
+def oracle_states(n, cutoff, charge=None):
+    """The basis by the builder the word arrays replaced: the same
+    excitation recurrence, then each word decoded into its (particles,
+    holes) and the states sorted as (energy, charge, particles, holes,
+    word) tuples."""
+    excitations = list(fock._excitations(n, cutoff))
+    sums = {dq: np.cumsum([0] + [c for c, q, _ in excitations if q == dq])
+            for dq in (1, -1)}
+    spent = {1: 0, -1: 0}
+    sea = (1 << cutoff * n) - 1
+    words = np.array([sea], dtype=np.uint64)
+    energies, charges = np.zeros(1, int), np.zeros(1, int)
+    for cost, dq, bit in excitations:
+        fits = energies + cost <= cutoff
+        words = np.concatenate([words, words[fits] ^ np.uint64(1 << bit)])
+        energies = np.concatenate([energies, energies[fits] + cost])
+        charges = np.concatenate([charges, charges[fits] + dq])
+        spent[dq] += 1
+        if charge is not None:
+            keep = fock._reaching(charge, charges, cutoff - energies, sums, spent)
+            words, energies, charges = words[keep], energies[keep], charges[keep]
+    # a word's flipped modes in bit order are its holes (k < 0), then its
+    # particles, each in ascending (k, color) order
+    modes = [(p // n - cutoff, p % n) for p in range((2 * cutoff + 1) * n)]
+    states = []
+    for e, q, word in zip(energies.tolist(), charges.tolist(), words.tolist()):
+        flipped, flips = [], word ^ sea
+        while flips:
+            low = flips & -flips
+            flipped.append(modes[low.bit_length() - 1])
+            flips ^= low
+        holes = (len(flipped) - q) // 2
+        states.append((e, q, tuple(flipped[holes:]), tuple(flipped[:holes]), word))
+    states.sort()
+    return states
+
+
+def assert_matches_oracle(space):
+    """The space's (energy, charge) blocks hold the oracle's words and come
+    in the oracle's order; inside a block the two orders may differ."""
+    def blocks(states):
+        return [(key, {word for *_, word in block}) for key, block
+                in itertools.groupby(states, key=lambda state: state[:2])]
+
+    states = oracle_states(space.n, space.cutoff, space.charge)
+    assert space.dim == len(states)
+    assert blocks(zip(space.energies.tolist(), space.charges.tolist(),
+                      space.words.tolist())) == blocks(states)
+
+
 def test_build_fock_dimensions(su2):
     assert fock.build_fock(2, 0).dim == 4
     got = fock.build_fock(2, 1).dim
@@ -52,9 +105,12 @@ def test_build_fock_dimensions(su2):
 def test_build_fock_masks_match_brute_force(n, cutoff):
     space = fock.build_fock(n, cutoff)
     masks = brute_force_masks(n, cutoff)
-    assert set(space.masks) == masks
+    assert set(space.words.tolist()) == masks and space.dim == len(masks)
     assert fock._count_states(n, cutoff, None) == len(masks)
-    assert space.index == {m: i for i, m in enumerate(space.masks)}
+    assert_matches_oracle(space)
+    sorted_words, order = space._mask_lookup
+    assert np.all(np.diff(sorted_words) > 0)
+    assert np.array_equal(space.words[order], sorted_words)
 
 
 def test_build_fock_one_state_space_is_fast():
@@ -62,7 +118,7 @@ def test_build_fock_one_state_space_is_fast():
     start = time.perf_counter()
     space = fock.build_fock(30, 0, charge=0)
     assert time.perf_counter() - start < 0.25
-    assert space.dim == 1 and space.occupations == [((), ())]
+    assert space.dim == 1 and space.words.tolist() == [0]   # an empty window
     assert space.vacuum_index == 0
 
 
@@ -71,32 +127,45 @@ def test_build_fock_ordering_and_vacuum(space6):
     iv = space6.vacuum_index
     assert space6.energies[iv] == 0
     assert space6.charges[iv] == 0
-    assert space6.occupations[iv] == ((), ())
+    assert space6.words[iv] == (1 << 6 * 2) - 1   # the filled sea
     # energy-0 subspace is the 2^n zero-mode exterior algebra
     assert int(np.sum(space6.energies == 0)) == 4
+
+
+def test_spaces_compare_by_identity():
+    a, b = fock.build_fock(2, 2), fock.build_fock(2, 2)
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[a] == "a"
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 4), (4, 3), (5, 0), (5, 1),
                                       (5, 2), (6, 1)])
 def test_build_fock_sector_matches_filtered_full_space(n, cutoff):
     # a charge sector is the full space filtered by charge, in the same order,
-    # and the sectors together, sorted, are the full space again
+    # and the sectors together, sorted, are the full space again; each is
+    # the oracle's basis block by block, and the vacuum is the filled sea
     full = fock.build_fock(n, cutoff)
+    assert_matches_oracle(full)
+    sea = (1 << cutoff * n) - 1
+    assert full.words[full.vacuum_index] == sea
     sectors = []
     for q in sorted(set(full.charges.tolist()) | {-cutoff - 1, n + cutoff + 1}):
         sector = fock.build_fock(n, cutoff, charge=q)
+        assert_matches_oracle(sector)
         keep = np.flatnonzero(full.charges == q)
-        assert sector.masks == [full.masks[i] for i in keep]
+        assert np.array_equal(sector.words, full.words[keep])
         assert np.array_equal(sector.energies, full.energies[keep])
         assert np.array_equal(sector.charges, full.charges[keep])
-        assert sector.occupations == [full.occupations[i] for i in keep]
-        sectors += [(e, c, occ, m) for e, c, occ, m in zip(
-            sector.energies.tolist(), sector.charges.tolist(),
-            sector.occupations, sector.masks)]
+        if q == 0:
+            assert sector.words[sector.vacuum_index] == sea
+        else:
+            with pytest.raises(ValueError, match="charge-0 sector"):
+                sector.vacuum_index
+        sectors += zip(sector.energies.tolist(), sector.charges.tolist(),
+                       sector.words.tolist())
     sectors.sort()
-    assert [m for *_, m in sectors] == full.masks
-    assert [e for e, *_ in sectors] == full.energies.tolist()
-    assert [c for _, c, *_ in sectors] == full.charges.tolist()
+    assert sectors == list(zip(full.energies.tolist(), full.charges.tolist(),
+                               full.words.tolist()))
 
 
 def test_capacity_error():
@@ -383,6 +452,97 @@ def test_unprotected_residual_raises_window_error(space6, su2):
         op.max_protected_abs()
 
 
+# (n, cutoff, larger cutoff, charge): the truncation-honesty pairs
+_LARGER_CUTOFF = [(2, 6, 9, 0), (2, 6, 9, None), (3, 4, 6, 0), (3, 4, 6, None)]
+# an expression of 1-3 factors: a factor is a current x(m) of a basis
+# element ("x", element, m), its adjoint ("x*", ...) or ("L", 0, m), and a
+# product or sum is (join, left, right)
+_FACTORS = (st.tuples(st.sampled_from(["x", "x*"]), st.integers(0, 2),
+                      st.integers(-2, 2))
+            | st.tuples(st.just("L"), st.just(0), st.integers(-1, 1)))
+
+
+@st.composite
+def _expressions(draw):
+    """1-3 factors joined one at a time, each on a drawn side."""
+    factors = draw(st.lists(_FACTORS, min_size=1, max_size=3))
+    expr = factors.pop()
+    for factor in factors:
+        join = draw(st.sampled_from(["@", "+"]))
+        expr = (join, factor, expr) if draw(st.booleans()) else (join, expr, factor)
+    return expr
+
+
+@functools.cache
+def _honesty_space(n, cutoff, charge):
+    return fock.build_fock(n, cutoff, charge=charge)
+
+
+@functools.cache
+def _honesty_factor(n, cutoff, charge, kind, gen, m):
+    space = _honesty_space(n, cutoff, charge)
+    algebra = lie.build_su(n)
+    if kind == "L":
+        return fock.sugawara(space, m, affine_data.level_data(algebra, 1))
+    op = fock.current(space, algebra.basis[gen], m)
+    return op.adjoint() if kind == "x*" else op
+
+
+def _embedding(small, large):
+    """Rows of ``large`` holding the states of ``small``: each word shifted
+    past the delta * n sea modes the larger window adds, which are filled."""
+    shift = (large.cutoff - small.cutoff) * small.n
+    big = (small.words << np.uint64(shift)) | np.uint64((1 << shift) - 1)
+    order = np.argsort(large.words)
+    rows = order[np.minimum(np.searchsorted(large.words[order], big),
+                            large.dim - 1)]
+    assert np.array_equal(large.words[rows], big)
+    return rows
+
+
+@pytest.mark.parametrize("pair", _LARGER_CUTOFF,
+                         ids=lambda p: "su%d-N%d-in-N%d-q%s" % p)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(expr=_expressions())
+def test_protected_columns_agree_with_a_larger_cutoff(pair, expr):
+    # the protected columns of an expression on the smaller space are exact,
+    # so on the smaller space's rows they equal the same expression on the
+    # larger space, applied to those columns
+    n, cutoff, larger, charge = pair
+    small, large = _honesty_space(n, cutoff, charge), _honesty_space(n, larger, charge)
+    rows = _embedding(small, large)
+    # the larger space's states within the smaller cutoff are the embedded ones
+    assert np.array_equal(np.sort(rows), np.flatnonzero(large.energies <= cutoff))
+    assert np.array_equal(large.energies[rows], small.energies)
+    assert np.array_equal(large.charges[rows], small.charges)
+
+    def on_small(expr):
+        """The expression by ``FockOperator`` arithmetic, and a bound on its
+        1-norm from its factors' 1-norms, which bounds the rounding of any
+        entry."""
+        if expr[0] not in ("@", "+"):
+            op = _honesty_factor(n, cutoff, charge, *expr)
+            return op, scipy.sparse.linalg.norm(op.matrix, 1)
+        join, (a, norm_a), (b, norm_b) = expr[0], on_small(expr[1]), on_small(expr[2])
+        return (a @ b, norm_a * norm_b) if join == "@" else (a + b, norm_a + norm_b)
+
+    def on_columns(expr, block):
+        """The expression on the larger space times ``block``."""
+        if expr[0] not in ("@", "+"):
+            return _honesty_factor(n, larger, charge, *expr).matrix @ block
+        join, left, right = expr
+        if join == "@":
+            return on_columns(left, on_columns(right, block))
+        return on_columns(left, block) + on_columns(right, block)
+
+    op, scale = on_small(expr)
+    cols = np.flatnonzero(op.protected_columns())
+    unit = scipy.sparse.identity(large.dim, dtype=complex, format="csc")
+    want = on_columns(expr, unit[:, rows[cols]]).tocsr()[rows]
+    diff = (op.matrix[:, cols] - want).tocsr()
+    assert np.abs(diff.data).max(initial=0.0) <= 1e-14 * scale
+
+
 def test_rotation_commutator_sign(space6, su2):
     d = fock.rotation_generator(space6)
     x1 = fock.current(space6, su2.basis[0], 1)
@@ -419,8 +579,8 @@ def test_l0_spectrum_per_sector(space6, level1_su2):
 
 def test_l0_one_particle_weight(space6, level1_su2):
     l0 = fock.sugawara(space6, 0, level1_su2)
-    idx = [i for i in range(space6.dim)
-           if space6.occupations[i] == (((0, 0),), ())]
+    sea = (1 << 6 * 2) - 1
+    idx = np.flatnonzero(space6.words == sea | 1 << 6 * 2)   # a particle at (0, 0)
     col = l0.matrix[:, idx[0]].toarray().ravel()
     assert col[idx[0]] == pytest.approx(0.25, abs=1e-12)
 

@@ -2,8 +2,8 @@
 
 ``_bilinear`` below is the original pure-Python assembly of the
 normal-ordered bilinear sum_k a^dag(k-m) X a(k): one state, one mode and one
-matrix entry at a time, with the target row found in the space's dict
-index.  It shares no code with the vectorized hop table, so agreement to
+matrix entry at a time, with the target row found in its own dict of the
+space's words.  It shares no code with the vectorized hop table, so agreement to
 1e-14 checks the sign parity, the row lookup and the mode range of the new
 path.  ``_oracle_adjoint_residual`` is the adjoint-action check by the dense
 ``implement_exponential`` route, the whole exp(pi(X)) by ``scipy.linalg.expm``,
@@ -58,8 +58,9 @@ def _bilinear(space, xmat, m):
 
     k_lo = max(-cutoff, -cutoff + m)
     k_hi = min(cutoff, cutoff + m)
+    index = {word: row for row, word in enumerate(space.words.tolist())}
     rows, cols, data = [], [], []
-    for col, mask in enumerate(space.masks):
+    for col, mask in enumerate(space.words.tolist()):
         for k in range(k_lo, k_hi + 1):
             for i, j, xij in entries:
                 res = _apply_annihilate(mask, mode_bit(k, j))
@@ -70,7 +71,7 @@ def _bilinear(space, xmat, m):
                 if res is None:
                     continue
                 out, s2 = res
-                row = space.index.get(out)
+                row = index.get(out)
                 if row is not None:
                     rows.append(row)
                     cols.append(col)
