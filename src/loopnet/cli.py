@@ -399,6 +399,18 @@ def _element(v, pointer, top, _) -> loops.FourierLoopElement:
     return x
 
 
+_EXP_FIELD = loops.ScalarField.constant(1.0)   # the flow field of exp-ode-check
+
+
+def _time(v, pointer, _, task) -> float:
+    """The time of an exp-ode-check task, whose semidirect exponential and
+    RK4 check must each plan at most ``loops.MAX_STEPS`` steps."""
+    t = _number(v, pointer)
+    _accepted(loops._check_steps, pointer, task["element"], task["alpha"],
+              _EXP_FIELD, t)
+    return t
+
+
 def _alcove_level(v, pointer, top, *_) -> int:
     """A level whose alcove box ``affine_data.alcove`` scans (the default
     list holds the scenario level, refused at /algebra/level)."""
@@ -603,8 +615,7 @@ def _run_soliton(scenario, task):
     return result, [(f"{task['out']}.json", _json_bytes(_payload(verdict)))]
 
 def _run_exp_check(scenario, task):
-    x, alpha, t = task["element"], task["alpha"], task["time"]
-    h = loops.ScalarField.constant(1.0)
+    x, alpha, t, h = task["element"], task["alpha"], task["time"], _EXP_FIELD
     try:
         loop, _ = loops.semidirect_exp(x, alpha, h, t, scenario.grid_samples,
                                        verify=False)
@@ -656,7 +667,7 @@ _TASKS = {
         "out": (_name, "soliton_verdict")}, _run_soliton),
     "exp-ode-check": _TaskType("exp-check", {
         "element": (_element, _REQUIRED),
-        "alpha": (_number, 1.0), "time": (_number, 1.0),
+        "alpha": (_number, 1.0), "time": (_time, 1.0),
         "out": (_name, "exp_check")}, _run_exp_check),
 }
 

@@ -585,18 +585,21 @@ def cayley_transfer(circle_loop) -> SampledPath:
 
     Requires the loop to be the identity in a neighborhood of theta = pi
     (one sixteenth of the circle on each side), which plays the role of the
-    point at infinity; raises ValueError otherwise.  The sample at theta =
-    pi itself is dropped.
+    point at infinity; otherwise NotSplittableError, whose residuals map pi
+    to (the worst distance from the identity there, nan: no derivative is
+    measured).  The sample at theta = pi itself is dropped.
     """
     n_samp = circle_loop.n_samples
     thetas = circle_loop.thetas
     eye = np.eye(circle_loop.algebra.n)
     half = n_samp // 2
     guard = max(1, n_samp // 16)
-    for j in range(half - guard, half + guard + 1):
-        if np.linalg.norm(circle_loop.samples[j % n_samp] - eye) > 1e-9:
-            raise ValueError(
-                "loop is not the identity near theta = pi; cannot transfer")
+    band = circle_loop.samples[np.arange(half - guard, half + guard + 1) % n_samp]
+    worst = float(np.linalg.norm(band - eye, axis=(1, 2)).max())
+    if worst > 1e-9:
+        raise NotSplittableError(
+            f"loop is not the identity near theta = pi (residual {worst:.2e}); "
+            "cannot transfer", {math.pi: (worst, math.nan)})
     keep = np.arange(n_samp) != half
     us = np.tan(0.5 * np.where(thetas > np.pi, thetas - 2 * np.pi, thetas))
     order = np.argsort(us[keep])

@@ -807,8 +807,12 @@ def identity_reports(n: int, cutoff: int,
     The affine, commutator, virasoro, rotation and adjoint residuals are
     lists of (coef, left, right) terms, evaluated by ``_group_worst`` one
     group at a time: one basis pair of the affine suite, or the whole suite
-    of the other four.  The vacuum cocycle is its scalar check.  A residual
-    without protected columns raises ``WindowError``.
+    of the other four.  Every current is a basis current x_h(m), built once
+    per (basis index, mode); the affine suite reads [x_i, x_j] as its
+    coordinates in the orthonormal basis, one projection per sampled pair,
+    and the pairing as -tr(x_i x_j) = delta_ij.  The vacuum cocycle is its
+    scalar check.  A residual without protected columns raises
+    ``WindowError``.
     """
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
@@ -823,22 +827,15 @@ def identity_reports(n: int, cutoff: int,
     mode_range = max(1, min(mode_range, cutoff // 2))
     modes = range(-mode_range, mode_range + 1)
 
-    basis = [algebra.basis[i] for i in range(algebra.dimension)]
+    basis = algebra.basis
     pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
     if len(pair_idx) > 12:
         sel = rng.choice(len(pair_idx), size=12, replace=False)
         pair_idx = [pair_idx[int(s)] for s in sel]
 
-    # each mode operator is built once per call: currents by (generator
-    # bytes, mode), so equal brackets share one, and L_m by mode
-    currents: dict[tuple[bytes, int], FockOperator] = {}
-
-    def cur(xm: np.ndarray, m: int) -> FockOperator:
-        key = (xm.tobytes(), m)
-        if key not in currents:
-            currents[key] = current(space, xm, m)
-        return currents[key]
-
+    # each mode operator is built once per call: x_h(m) by (basis index,
+    # mode) and L_m by mode
+    cur = cache(lambda h, m: current(space, basis[h], m))
     lmode = cache(lambda m: sugawara(space, m, data))
 
     # the term-list generators yield groups of residuals; a multiple of the
@@ -848,16 +845,16 @@ def identity_reports(n: int, cutoff: int,
 
     def affine():
         for (i, j) in pair_idx:
-            xm, ym = basis[i], basis[j]
-            brk = xm @ ym - ym @ xm
-            pairing = complex(np.trace(xm @ ym))
+            brk = basis[i] @ basis[j] - basis[j] @ basis[i]
+            coords = -np.einsum("ab,hba->h", brk, basis)
+            support = np.flatnonzero(np.abs(coords) > 1e-15)
             group = []
             for a in modes:
                 for b in modes:
-                    terms = [*bracket(cur(xm, a), cur(ym, b)),
-                             (-1.0, None, cur(brk, a + b))]
-                    if a + b == 0:
-                        terms.append((-a * pairing, None, None))
+                    terms = bracket(cur(i, a), cur(j, b))
+                    terms += [(-coords[h], None, cur(h, a + b)) for h in support]
+                    if a + b == 0 and i == j:
+                        terms.append((float(a), None, None))
                     group.append(terms)
             yield group
 
@@ -865,8 +862,8 @@ def identity_reports(n: int, cutoff: int,
         group = []
         for m in modes:
             for k in modes:
-                group.append([*bracket(lmode(m), cur(basis[0], k)),
-                              (float(k), None, cur(basis[0], m + k))])
+                group.append([*bracket(lmode(m), cur(0, k)),
+                              (float(k), None, cur(0, m + k))])
         yield group
 
     def virasoro():
@@ -888,13 +885,12 @@ def identity_reports(n: int, cutoff: int,
         d_op = rotation_generator(space)
         group = []
         for m in modes:
-            group.append([*bracket(d_op, cur(basis[0], m)),
-                          (float(m), None, cur(basis[0], m))])
+            group.append([*bracket(d_op, cur(0, m)),
+                          (float(m), None, cur(0, m))])
         yield group
 
     def adjoint():
-        yield [[(1.0, None, cur(basis[i], m).adjoint()),
-                (1.0, None, cur(basis[i], -m))]
+        yield [[(1.0, None, cur(i, m).adjoint()), (1.0, None, cur(i, -m))]
                for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
 
     def vacuum_cocycle():   # scalars on the vacuum, hence block 0

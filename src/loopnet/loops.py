@@ -25,6 +25,7 @@ import scipy.sparse
 
 from .errors import (
     AlgebraMismatchError,
+    CapacityError,
     NormDivergedError,
     NotSplittableError,
     NumericError,
@@ -60,9 +61,15 @@ __all__ = [
     "identity_loop",
     "loop_fourier_coefficients",
     "DEFAULT_SAMPLES",
+    "MAX_SAMPLES",
+    "MAX_STEPS",
 ]
 
 DEFAULT_SAMPLES = 256  # circle grid of a loop when no sample count is given
+MAX_SAMPLES = 1 << 16  # largest sample count of a grid loop (4 MB on su2)
+# most steps of each step loop that semidirect_exp plans: its Magnus
+# product, its flow of h and its RK4 check (|t| <= 100 at _ODE_DT)
+MAX_STEPS = 10 ** 5
 
 _DROP = 1e-16          # coefficients below this Frobenius norm are discarded
 _REALITY_TOL = 1e-12
@@ -287,9 +294,13 @@ def central_term_B(x: FourierLoopElement, y: FourierLoopElement) -> complex:
 
 def _check_sample_count(n_samples: int) -> int:
     """``n_samples`` if it is a power of two >= 4, as a grid loop's sample
-    count must be; NumericError otherwise."""
+    count must be, and at most MAX_SAMPLES; NumericError for the first rule,
+    CapacityError (estimate: the samples) for the second."""
     if n_samples < 4 or n_samples & (n_samples - 1):
         raise NumericError(f"sample count must be a power of two >= 4, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise CapacityError(f"sample count {n_samples} exceeds MAX_SAMPLES = "
+                            f"{MAX_SAMPLES}", n_samples)
     return n_samples
 
 
@@ -572,9 +583,19 @@ def split_loop(gamma: GridLoop, z: float, w: float) -> SplitPair:
 # Semidirect exponential
 # ---------------------------------------------------------------------------
 
+def _bounded_steps(steps: float, what: str) -> float:
+    """``steps``, the steps ``what`` plans, if at most MAX_STEPS;
+    CapacityError (estimate: the steps) otherwise, also for an overflowed
+    count, before any step runs."""
+    if not steps <= MAX_STEPS:
+        raise CapacityError(f"{what} needs {steps:.3g} steps, more than "
+                            f"MAX_STEPS = {MAX_STEPS}", steps)
+    return steps
+
+
 def _flow_steps(h: ScalarField, reach: float) -> int:
     """N = ceil(256 reach sum_k |h_k| max|k|), at least 1: the RK4 steps of
-    the flow of h out to flow time ``reach``.
+    the flow of h out to flow time ``reach``; at most MAX_STEPS.
 
     |h| is at most sum_k |h_k| and each derivative of h adds at most a
     factor max|k|, so every term of an RK4 step's local error is bounded by
@@ -588,7 +609,7 @@ def _flow_steps(h: ScalarField, reach: float) -> int:
     """
     rate = (sum(abs(v) for v in h.coefficients.values())
             * max(map(abs, h.coefficients), default=0))
-    return max(1, math.ceil(256 * reach * rate))
+    return max(1, math.ceil(_bounded_steps(256 * reach * rate, "the flow of h")))
 
 
 def _flow_angles(h: ScalarField, thetas: np.ndarray,
@@ -728,22 +749,38 @@ def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
 def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
                      t: float, n_samples: int, dt: float) -> np.ndarray:
     """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma
-    on the grid, in round(|t| / dt) equal steps.
+    on the grid, in round(|t| / dt) equal steps (``_ode_steps``).
 
     Both routes run the same recurrence on the same semi-discrete operator
     (pointwise X and Re h, the spectral derivative of
     ``_spectral_derivative``), so they agree to rounding; the sparse step
     map is taken when few Fourier modes couple (``_step_map_pays``).
     """
-    n_steps = max(1, int(round(abs(t) / dt)))
+    n_steps = _ode_steps(t, dt)
     if _step_map_pays(x, h, n_samples, n_steps):
         return _ode_step_map(x, alpha, h, t, n_samples, n_steps)
     return _ode_pointwise(x, alpha, h, t, n_samples, n_steps)
 
 
+def _ode_steps(t: float, dt: float) -> int:
+    """round(|t| / dt), at least 1 and at most MAX_STEPS."""
+    return max(1, int(round(_bounded_steps(abs(t) / dt, "the RK4 check"))))
+
+
+def _check_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
+                 t: float) -> None:
+    """CapacityError unless semidirect_exp(x, alpha, h, t) plans at most
+    MAX_STEPS Magnus steps, flow steps (out to flow time |alpha t|) and
+    steps of its RK4 check; a few sums, no step."""
+    _magnus_steps(x, alpha, h, t)
+    _flow_steps(h, abs(alpha * t))
+    _ode_steps(t, _ODE_DT)
+
+
 def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
                   t: float) -> int:
-    """M = ceil(16 |t| (sum_k |a_k|_F + |alpha| sum_k |h_k| max|k|)), at least 1.
+    """M = ceil(16 |t| (sum_k |a_k|_F + |alpha| sum_k |h_k| max|k|)), at least 1
+    and at most MAX_STEPS.
 
     The two terms bound the size of X (sup |X|) and how fast X turns along
     the characteristic (sup |alpha h| times the top mode of X), so each step
@@ -753,7 +790,8 @@ def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
     size = sum(float(np.linalg.norm(a)) for a in x.coefficients.values())
     turn = (abs(alpha) * sum(abs(v) for v in h.coefficients.values())
             * max(map(abs, x.coefficients), default=0))
-    return max(1, math.ceil(16 * abs(t) * (size + turn)))
+    return max(1, math.ceil(_bounded_steps(16 * abs(t) * (size + turn),
+                                           "the Magnus product")))
 
 
 def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -834,6 +872,8 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
 
     X must be resolved on the grid by the rule of ``_check_resolution``,
     or ResolutionError: a mode at or above N/4 would alias in the check.
+    Each step count, the RK4 check's too, must be at most MAX_STEPS
+    (``_check_steps``), or CapacityError before any work.
     When ``verify`` is set, ``_ode_gap`` compares the result with an
     explicit RK4 integration and raises VerificationError above _ODE_TOL.
     """
@@ -844,6 +884,7 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
         h = ScalarField.constant(1.0)
     if not h.real:
         raise ValueError("the flow field must be real")
+    _check_steps(x, alpha, h, t)
     samples = _magnus_product(x, alpha, h, t, circle_grid(n_samples),
                               _magnus_steps(x, alpha, h, t))
     loop = GridLoop(samples, x.algebra)

@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopnet import cli, entropy, fock, loops, quadrature
-from loopnet.errors import ConfigError, NumericError
+from loopnet.errors import CapacityError, ConfigError, NumericError
 
 
 MINIMAL = json.dumps({"algebra": {"family": "su2", "level": 1}})
@@ -687,6 +687,8 @@ MALFORMED = [
      [[1, 0.4, 0.0]], "/tasks/6/element/factors/0/parameters/coefficients"),
     ("exp-check", "/tasks/6/alpha", "x", "/tasks/6/alpha"),
     ("exp-check", "/tasks/6/time", math.nan, "/tasks/6/time"),
+    ("exp-check", "/tasks/6/time", 1e7, "/tasks/6/time"),
+    ("exp-check", "/tasks/6/alpha", 1e6, "/tasks/6/time"),
     ("entropy-profile", "/loops/0/factors/0/generator", _HERMITIAN,
      "/loops/0/factors/0/generator"),
     ("entropy-profile", "/loops/0/factors/0/generator", _NEAR_ANTIHERMITIAN,
@@ -706,6 +708,7 @@ MALFORMED = [
     ("entropy-profile", "/grid_samples", 6, "/grid_samples"),
     ("entropy-profile", "/grid_samples", 2, "/grid_samples"),
     ("entropy-profile", "/grid_samples", -8, "/grid_samples"),
+    ("entropy-profile", "/grid_samples", 2 ** 40, "/grid_samples"),
     ("entropy-profile", "/loops/0/factors/0/parameters/width", 0,
      "/loops/0/factors/0/parameters/width"),
     ("entropy-profile", "/loops/0/factors/0/parameters/width", -1,
@@ -792,15 +795,30 @@ def test_window_width_rule_is_the_window_s(loop, width):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-8, 300))
+@example(loops.MAX_SAMPLES)
+@example(2 * loops.MAX_SAMPLES)
+@example(2 ** 40)
 def test_grid_samples_rule_is_the_grid_loop_s(samples):
     """grid_samples is accepted exactly when a GridLoop takes that many
-    samples: a power of two >= 4."""
+    samples: a power of two >= 4 and at most loops.MAX_SAMPLES."""
     raw = json.loads(scenario_text())
     raw["grid_samples"] = samples
     try:
         loops._check_sample_count(samples)
         rule = True
-    except NumericError:
+    except (NumericError, CapacityError):
         rule = False
-    assert rule == (samples >= 4 and samples & (samples - 1) == 0)
+    assert rule == (4 <= samples <= loops.MAX_SAMPLES
+                    and samples & (samples - 1) == 0)
     assert _accepts(raw) == rule
+
+
+def test_exp_check_time_past_the_step_bound_is_refused_at_once():
+    # time 1e7 would plan 2.9e8 Magnus steps and 1e10 steps of the RK4 check
+    raw = _full_raw()
+    _put(raw, "/tasks/6/time", 1e7)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="MAX_STEPS") as err:
+        cli.validate_config(json.dumps(raw))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.pointer == "/tasks/6/time"

@@ -448,8 +448,11 @@ def test_cayley_quarter_point(su2):
 def test_cayley_rejects_nontrivial_infinity(su2):
     gamma = loops.loop_from_factors(su2, [(su2.basis[0],
                                            lambda th: 0.4 * np.sin(th))], 128)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSplittableError, match="theta = pi") as err:
         entropy.cayley_transfer(gamma)
+    [(value, derivative)] = err.value.residuals.values()
+    assert list(err.value.residuals) == [math.pi]
+    assert value > 1e-9 and math.isnan(derivative)
 
 
 def test_cayley_inverse_mismatched_grid_raises(su2):

@@ -388,11 +388,17 @@ def test_identity_reports_need_cutoff_two(cutoff):
 
 
 def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
+    """Each L_m and each current is built at most once per call, and every
+    current is a basis current x_h(m): a bracket enters as its coordinates
+    in the basis."""
     builds = []
     current, sugawara = fock.current, fock.sugawara
 
     def counting_current(space, x, m):
-        builds.append(("current", np.asarray(x).tobytes(), m))
+        basis = lie.build_su(space.n).basis
+        hits = [h for h in range(len(basis)) if np.array_equal(x, basis[h])]
+        assert len(hits) == 1, "a current of a matrix outside the basis"
+        builds.append(("current", hits[0], m))
         return current(space, x, m)
 
     def counting_sugawara(space, m, data):
@@ -401,7 +407,7 @@ def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
 
     monkeypatch.setattr(fock, "current", counting_current)
     monkeypatch.setattr(fock, "sugawara", counting_sugawara)
-    for n, cutoff, charge in [(2, 6, None), (3, 4, 0)]:
+    for n, cutoff, charge in [(2, 6, None), (2, 6, 0), (3, 4, 0)]:
         builds.clear()
         reports = fock.identity_reports(n, cutoff, charge=charge)
         assert all(r["pass"] for r in reports)
@@ -541,6 +547,24 @@ def test_protected_columns_agree_with_a_larger_cutoff(pair, expr):
     want = on_columns(expr, unit[:, rows[cols]]).tocsr()[rows]
     diff = (op.matrix[:, cols] - want).tocsr()
     assert np.abs(diff.data).max(initial=0.0) <= 1e-14 * scale
+
+
+def test_sum_carries_the_larger_max_raise(su2):
+    """A sum lifts energy as far as its more lifting operand does:
+    P = (x(1) x(-1)) (h(0) + x(-2)) on su2/6 is exact up to energy 3, not 4,
+    and on those columns it agrees with P built on a cutoff-10 space."""
+    def product(space):
+        x = functools.partial(fock.current, space, su2.basis[0])
+        h0 = fock.current(space, su2.basis[2], 0)
+        return (x(1) @ x(-1)) @ (h0 + x(-2))
+
+    small, large = _honesty_space(2, 6, 0), _honesty_space(2, 10, 0)
+    p = product(small)
+    assert p.protected_energy == 3
+    rows = _embedding(small, large)
+    cols = np.flatnonzero(p.protected_columns())
+    want = product(large).matrix[rows][:, rows[cols]]
+    assert np.abs((p.matrix[:, cols] - want).toarray()).max() <= 1e-14
 
 
 def test_rotation_commutator_sign(space6, su2):

@@ -1,11 +1,14 @@
+import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from loopnet import lie, loops
-from loopnet.errors import (AlgebraMismatchError, NormDivergedError,
-                            NotSplittableError, NumericError, ResolutionError)
+from loopnet.errors import (AlgebraMismatchError, CapacityError,
+                            NormDivergedError, NotSplittableError, NumericError,
+                            ResolutionError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -618,6 +621,46 @@ def test_semidirect_verify_flags_aliased_modes(su2, monkeypatch):
     with pytest.raises(ResolutionError, match="above mode N/4") as err:
         loops.semidirect_exp(x, 0.6, None, 0.5, 64)
     assert err.value.suggested_n == 128
+
+
+def test_semidirect_step_bound_refuses_before_any_work(su2, monkeypatch):
+    # t = 1e7 plans 2.9e8 Magnus steps and 1e10 steps of the RK4 check
+    x0 = su2.basis[0]
+    x = FourierLoopElement({1: 0.4 * x0, -1: 0.4 * x0}, su2)
+    monkeypatch.setattr(loops, "_magnus_product", None)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="MAX_STEPS") as err:
+        loops.semidirect_exp(x, 1.0, None, 1e7, 256, verify=False)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.estimate > loops.MAX_STEPS
+
+
+def test_step_bound_counts_each_step_loop(su2):
+    x0 = su2.basis[0]
+    x = FourierLoopElement({1: 0.4 * x0, -1: 0.4 * x0}, su2)
+    rigid = ScalarField.constant(1.0)
+    general = ScalarField({0: 1.0, 1: 0.15, -1: 0.15})
+    # the RK4 check takes round(|t| / 1e-3) steps: |t| = 100 is the largest
+    loops._check_steps(x, 1.0, rigid, -100.0)
+    with pytest.raises(CapacityError, match="RK4 check"):
+        loops._check_steps(x, 1.0, rigid, 100.001)
+    # a fast turn: Magnus steps grow with |alpha| times the top mode of X
+    with pytest.raises(CapacityError, match="Magnus product"):
+        loops._check_steps(x, 1e5, rigid, 1.0)
+    # a long flow of a varying field: 256 * 1.3 * |alpha t| steps
+    with pytest.raises(CapacityError, match="flow of h"):
+        loops._check_steps(FourierLoopElement({}, su2), 1e4, general, 1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(CapacityError):
+            loops._check_steps(x, 1.0, rigid, t)
+
+
+def test_sample_count_bound():
+    assert loops._check_sample_count(loops.MAX_SAMPLES) == loops.MAX_SAMPLES
+    for samples in (2 * loops.MAX_SAMPLES, 2 ** 40):
+        with pytest.raises(CapacityError) as err:
+            loops._check_sample_count(samples)
+        assert err.value.estimate == samples
 
 
 def test_element_resolution_is_the_sampled_loops_rule(su2):
