@@ -240,7 +240,7 @@ class LinePath:
     def __init__(self, algebra: CompactSimpleAlgebra,
                  factors: list[tuple], level: int = 1):
         if level < 1:
-            raise ValueError("level must be a positive integer")
+            raise NumericError("level must be a positive integer")
         self.algebra = algebra
         self.level = level
         self.factors = []
@@ -398,7 +398,7 @@ def _interval_entropies(path: LinePath, radii, tol: float) -> list[float]:
     and r; an interval off the support hull reads 0 and queries nothing."""
     for r in radii:
         if r <= 0:
-            raise ValueError(f"interval radius must be positive, got {r}")
+            raise NumericError(f"interval radius must be positive, got {r}")
     lo, hi = path.support()
     inside = [i for i, r in enumerate(radii) if min(hi, r) > max(lo, -r)]
     out = [0.0] * len(radii)
@@ -477,9 +477,9 @@ def qnec_profile(path: LinePath, grid,
     """
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
-        raise ValueError("grid must be a 1-d array with at least 3 points")
+        raise NumericError("grid must be a 1-d array with at least 3 points")
     if np.any(np.diff(ts) <= 0):
-        raise ValueError("grid must be strictly increasing")
+        raise NumericError("grid must be strictly increasing")
     sdd = _density_integrand(path)(ts)
     dens = sdd / (2.0 * math.pi)
     # S, S_bar and S' at the grid and S on the stencil t +- d, all read from

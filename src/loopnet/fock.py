@@ -170,8 +170,8 @@ class TruncatedFockSpace:
     ``hops`` caches the elementary hops E_ij(m) = sum_k a^dag(k-m, i) a(k, j)
     as (rows, cols, signs) arrays, built on first use by ``_hop``; every
     current, Sugawara mode and pi_element is a linear combination of them.
-    ``vacuum_hops`` caches the vacuum row and column of each, cut by
-    ``_vacuum_hop`` for the vacuum cocycle check.
+    The tables list their entries by ascending column, so the entries of
+    the vacuum column, basis state 0, come first.
     """
 
     n: int
@@ -181,7 +181,6 @@ class TruncatedFockSpace:
     energies: np.ndarray
     charges: np.ndarray
     hops: dict = field(default_factory=dict, repr=False)
-    vacuum_hops: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -309,10 +308,10 @@ class FockOperator:
 
     def max_protected_abs(self) -> float:
         """Largest matrix-element magnitude over truncation-exact columns."""
-        keep = self.protected_columns()
-        if not keep.any():
+        width = _protected_width(self.space, self.protected_energy)
+        if not width:
             raise _unprotected(self.protected_energy)
-        return _max_abs_on_columns(self.matrix, keep)
+        return _max_abs_on_columns(self.matrix, width)
 
 
 def _unprotected(protected_energy: int) -> WindowError:
@@ -320,10 +319,10 @@ def _unprotected(protected_energy: int) -> WindowError:
                        f"(protected_energy={protected_energy})")
 
 
-def _max_abs_on_columns(matrix, keep: np.ndarray) -> float:
-    """Largest |entry| among stored entries of the CSR ``matrix`` whose
-    column has ``keep`` set."""
-    vals = matrix.data[keep[matrix.indices]]
+def _max_abs_on_columns(matrix, width: int) -> float:
+    """Largest |entry| among stored entries of the CSR ``matrix`` in its
+    first ``width`` columns."""
+    vals = matrix.data[matrix.indices < width]
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
@@ -356,7 +355,8 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     Built once per space for all states and window modes k at once: the sign
     of each ladder step is the parity of the occupied bits below it, and the
     target row is found by binary search among the words in ascending order
-    (targets outside the space are dropped).
+    (targets outside the space are dropped).  The entries are listed by
+    ascending column.
     """
     key = (i, j, m)
     hop = space.hops.get(key)
@@ -384,30 +384,12 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     return hop
 
 
-def _vacuum_hop(space: TruncatedFockSpace, i: int, j: int, m: int):
-    """Cached (cols, signs) of the vacuum row and (rows, signs) of the vacuum
-    column of E_ij(m), cut from its ``_hop`` table."""
-    key = (i, j, m)
-    entry = space.vacuum_hops.get(key)
-    if entry is None:
-        rows, cols, signs = _hop(space, i, j, m)
-        iv = space.vacuum_index
-        in_row, in_col = rows == iv, cols == iv
-        entry = ((cols[in_row], signs[in_row]), (rows[in_col], signs[in_col]))
-        space.vacuum_hops[key] = entry
-    return entry
-
-
-def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int, table=_hop):
-    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k).
-
-    ``table`` gives each hop E_ij(m): ``_hop`` for the whole matrix,
-    ``_vacuum_hop`` for its vacuum row and column.
-    """
+def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
+    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k)."""
     if m == 0 and abs(np.trace(xmat)) > 1e-12:
         raise ValueError("zero-mode currents are defined for traceless "
                          "generators only")
-    return [(xmat[i, j], table(space, i, j, m))
+    return [(xmat[i, j], _hop(space, i, j, m))
             for i, j in zip(*np.nonzero(np.abs(xmat) > 1e-15))]
 
 
@@ -578,16 +560,26 @@ def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
     return FockOperator(_assemble(space, terms), space, *grading)
 
 
-def _vacuum_lines(space: TruncatedFockSpace,
-                  x: FourierLoopElement) -> tuple[np.ndarray, np.ndarray]:
-    """The vacuum row and the vacuum column of pi(x), from the cached hops."""
-    terms = [t for k, a in x.coefficients.items()
-             for t in _hop_terms(space, a, k, _vacuum_hop)]
-    lines = (np.zeros(space.dim, dtype=complex), np.zeros(space.dim, dtype=complex))
-    for side, line in enumerate(lines if terms else ()):
-        np.add.at(line, np.concatenate([e[side][0] for _, e in terms]),
-                  np.concatenate([coef * e[side][1] for coef, e in terms]))
-    return lines
+def _vacuum_column(space: TruncatedFockSpace, coefficients) -> np.ndarray:
+    """pi(x) Omega for the (mode, matrix) ``coefficients`` of x.
+
+    The vacuum is basis state 0 and each hop lists its entries by ascending
+    column, so the vacuum column of a hop is the head of its table; modes
+    k > 0 annihilate the vacuum and are skipped.  The heads of the diagonal
+    zero-mode hops all hold row 0, so the entries sum by ``np.add.at``.
+    """
+    rows, values = [], []
+    for k, a in coefficients:
+        if k > 0:
+            continue
+        for coef, (hop_rows, cols, signs) in _hop_terms(space, a, k):
+            end = cols.searchsorted(1)
+            rows.append(hop_rows[:end])
+            values.append(coef * signs[:end])
+    column = np.zeros(space.dim, dtype=complex)
+    if rows:
+        np.add.at(column, np.concatenate(rows), np.concatenate(values))
+    return column
 
 
 def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
@@ -596,9 +588,10 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
 
     Equals i * l * B(X, Y) with l = 1 and B the coefficient-side 2-cocycle;
     the comparison value is computed independently by ``central_term_B``.
-    Only the (vacuum, vacuum) element is formed, from the vacuum rows and
-    columns of the factors read off the cached hops, under the protection
-    the full commutator would carry.
+    Only the (vacuum, vacuum) element is formed, under the protection the
+    full commutator would carry: the vacuum column of pi(X) is the head of
+    its cached hops, and its vacuum row the conjugate of pi(X*) Omega,
+    since E_ij(m)^dagger = E_ji(-m) with the same real signs.
     """
     half = space.cutoff // 2
     gx = _pi_grading(space, x, half)
@@ -608,9 +601,12 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
     if min(_product_protection(gx, gy), _product_protection(gy, gx),
            gbr.protected_energy) < 0:
         raise WindowError("vacuum column not protected; lower the mode window")
-    (row_x, col_x), (row_y, col_y) = _vacuum_lines(space, x), _vacuum_lines(space, y)
+    col_x, col_y, col_br = (_vacuum_column(space, z.coefficients.items())
+                            for z in (x, y, br))
+    row_x, row_y = (_vacuum_column(space, z.star().coefficients.items()).conj()
+                    for z in (x, y))
     comm = row_x @ col_y - row_y @ col_x
-    return complex(comm - _vacuum_lines(space, br)[0][space.vacuum_index])
+    return complex(comm - col_br[space.vacuum_index])
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +692,10 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     if block_energy is None:
         block_energy = space.cutoff // 4
     gamma = _loop_of_element(x, _ADJOINT_SAMPLES)
-    cols = np.flatnonzero(space.energies <= block_energy)
-    if not len(cols):
+    width = _protected_width(space, block_energy)
+    if not width:
         raise WindowError(f"no basis state has energy <= {block_energy}")
-    e_cols = np.zeros((space.dim, len(cols)), dtype=complex)
-    e_cols[cols, np.arange(len(cols))] = 1.0
+    e_cols = np.eye(space.dim, width, dtype=complex)
     px = pi_element(space, x).matrix
     py = pi_element(space, y).matrix
     lhs = _exp_action(px, py @ _exp_action(-px, e_cols))
@@ -708,7 +703,7 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
     ady = FourierLoopElement(_mode_cut(conj, space.cutoff), x.algebra)
     c_val = cocycle_c(gamma, y)
-    rhs = pi_element(space, ady).matrix[:, cols].toarray() + (1j * c_val) * e_cols
+    rhs = pi_element(space, ady).matrix[:, :width].toarray() + (1j * c_val) * e_cols
     residual = float(np.abs(lhs - rhs).max(initial=0.0))
     return _report("adjoint-action", block_energy, residual, tolerance,
                    scalar_part=c_val)
@@ -760,7 +755,7 @@ def _report(identity, block, residual, tol, **extra):
     return rep
 
 
-def _protected_width(space: TruncatedFockSpace, protected_energy) -> np.ndarray:
+def _protected_width(space: TruncatedFockSpace, protected_energy):
     """Number of basis states of energy at most ``protected_energy``.
 
     ``build_fock`` orders the basis by energy, so these states are the

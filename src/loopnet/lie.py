@@ -129,23 +129,8 @@ class AlgebraElement:
         self.algebra = algebra
         self.real_form = real_form
 
-    def star(self) -> "AlgebraElement":
-        """Involution whose -1 eigenspace is the compact real form."""
-        return AlgebraElement(self.matrix.conj().T, self.algebra)
-
-    def __add__(self, other):
-        _check_tags(self, other)
-        return AlgebraElement(self.matrix + other.matrix, self.algebra)
-
-    def __sub__(self, other):
-        _check_tags(self, other)
-        return AlgebraElement(self.matrix - other.matrix, self.algebra)
-
     def __rmul__(self, scalar):
         return AlgebraElement(scalar * self.matrix, self.algebra)
-
-    def __neg__(self):
-        return AlgebraElement(-self.matrix, self.algebra)
 
     def __repr__(self):
         return f"AlgebraElement(su({self.algebra.n}), real_form={self.real_form})"

@@ -68,7 +68,8 @@ __all__ = [
 DEFAULT_SAMPLES = 256  # circle grid of a loop when no sample count is given
 MAX_SAMPLES = 1 << 16  # largest sample count of a grid loop (4 MB on su2)
 # most steps of each step loop that semidirect_exp plans: its Magnus
-# product, its flow of h and its RK4 check (|t| <= 100 at _ODE_DT)
+# product, its flow of h and, when the check runs, its RK4 check
+# (|t| <= 100 at _ODE_DT)
 MAX_STEPS = 10 ** 5
 
 _DROP = 1e-16          # coefficients below this Frobenius norm are discarded
@@ -768,13 +769,15 @@ def _ode_steps(t: float, dt: float) -> int:
 
 
 def _check_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
-                 t: float) -> None:
+                 t: float, verify: bool = True) -> None:
     """CapacityError unless semidirect_exp(x, alpha, h, t) plans at most
-    MAX_STEPS Magnus steps, flow steps (out to flow time |alpha t|) and
-    steps of its RK4 check; a few sums, no step."""
+    MAX_STEPS Magnus steps, flow steps (out to flow time |alpha t|) and,
+    when ``verify`` runs its RK4 check, steps of that check; a few sums, no
+    step."""
     _magnus_steps(x, alpha, h, t)
     _flow_steps(h, abs(alpha * t))
-    _ode_steps(t, _ODE_DT)
+    if verify:
+        _ode_steps(t, _ODE_DT)
 
 
 def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -872,8 +875,8 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
 
     X must be resolved on the grid by the rule of ``_check_resolution``,
     or ResolutionError: a mode at or above N/4 would alias in the check.
-    Each step count, the RK4 check's too, must be at most MAX_STEPS
-    (``_check_steps``), or CapacityError before any work.
+    Each step count, the RK4 check's too when ``verify`` runs it, must be
+    at most MAX_STEPS (``_check_steps``), or CapacityError before any work.
     When ``verify`` is set, ``_ode_gap`` compares the result with an
     explicit RK4 integration and raises VerificationError above _ODE_TOL.
     """
@@ -884,7 +887,7 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
         h = ScalarField.constant(1.0)
     if not h.real:
         raise ValueError("the flow field must be real")
-    _check_steps(x, alpha, h, t)
+    _check_steps(x, alpha, h, t, verify)
     samples = _magnus_product(x, alpha, h, t, circle_grid(n_samples),
                               _magnus_steps(x, alpha, h, t))
     loop = GridLoop(samples, x.algebra)

@@ -128,6 +128,9 @@ def test_bounds_table_only_families():
 def test_non_type_a_alcove_unsupported():
     with pytest.raises(UnsupportedAlgebraError):
         affine_data.alcove(lie.simple_type_record("F4"), 1)
+    g2 = affine_data.level_data(lie.simple_type_record("G2"), 1)
+    with pytest.raises(UnsupportedAlgebraError, match="type-A"):
+        affine_data.conformal_weight((0, 0), g2)
 
 
 def test_level_validation(su2):

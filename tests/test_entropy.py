@@ -144,7 +144,7 @@ def test_entropy_interval(su2):
             interval_oracle(r, w, a), abs=1e-8)
     far = gaussian_path(su2, center=30.0)
     assert entropy.entropy_interval(far, 1.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError, match="radius must be positive"):
         entropy.entropy_interval(path, 0.0)
 
 
@@ -177,7 +177,7 @@ def test_bekenstein_reports_batch_the_radii(su2):
     far = gaussian_path(su2, center=30.0)
     reports = entropy._bekenstein_reports(far, radii[:-1])
     assert [rep.interval_entropy for rep in reports] == [0.0] * 4
-    with pytest.raises(ValueError, match="got -1"):
+    with pytest.raises(NumericError, match="got -1"):
         entropy._bekenstein_reports(far, [1.0, -1.0])
 
 
@@ -226,6 +226,21 @@ def test_qnec_profile_zero_path(su2):
                 prof.density):
         assert np.abs(arr).max() == 0.0
     assert prof.total_energy == 0.0
+
+
+def test_level_grid_and_radius_refusals_are_numeric(su2):
+    for level in (0, -1):
+        with pytest.raises(NumericError, match="positive integer"):
+            entropy.LinePath(su2, [], level=level)
+    path = gaussian_path(su2)
+    with pytest.raises(NumericError, match="radius must be positive"):
+        entropy.bekenstein_check(path, -0.5)
+    for grid in ([0.0, 1.0], np.zeros((3, 3))):
+        with pytest.raises(NumericError, match="at least 3 points"):
+            entropy.qnec_profile(path, grid)
+    for grid in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(NumericError, match="strictly increasing"):
+            entropy.qnec_profile(path, grid)
 
 
 def test_qnec_profile_fd_verification_error(su2):

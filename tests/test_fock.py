@@ -254,9 +254,24 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
     (lambda: fock.build_fock(2, -1), WindowError, "cutoff >= 0"),
     (lambda: fock.hs_defect({0: np.eye(2)}, 0), WindowError, "window must be >= 1"),
     (lambda: fock.hs_defect({}, 4), NumericError, "at least one"),
-], ids=["build-rank", "build-cutoff", "hs-window", "hs-empty"])
+    (lambda: fock.current(fock.build_fock(2, 2), np.eye(3), 1), ValueError,
+     "generator shape"),
+    (lambda: fock.sugawara(fock.build_fock(2, 2), 0,
+                           affine_data.level_data(lie.build_su(3), 1)),
+     ValueError, "level data does not match"),
+    (lambda: fock.adjoint_action_check(
+        fock.build_fock(2, 4, charge=0),
+        FourierLoopElement({1: lie.build_su(2).basis[0]}, lie.build_su(2)),
+        FourierLoopElement({}, lie.build_su(2))),
+     ValueError, "real-form element"),
+    (lambda: fock.identity_operator(fock.build_fock(2, 2))
+     @ fock.identity_operator(fock.build_fock(2, 2)),
+     ValueError, "different truncated spaces"),
+], ids=["build-rank", "build-cutoff", "hs-window", "hs-empty", "current-shape",
+        "sugawara-algebra", "adjoint-real-form", "product-spaces"])
 def test_argument_refusals_are_typed(call, error, words):
-    # typed LoopnetErrors that stay ValueErrors for callers that catch those
+    # typed LoopnetErrors, or plain ValueErrors, that callers catching
+    # ValueError all see
     with pytest.raises(error, match=words) as err:
         call()
     assert isinstance(err.value, ValueError)
@@ -326,6 +341,28 @@ def test_zero_mode_annihilates_vacuum(space6, su2):
         op = fock.current(space6, x, 0)
         col = op.matrix[:, space6.vacuum_index]
         assert np.abs(col.toarray()).max() == 0
+
+
+@pytest.mark.parametrize("n, cutoff, charge, hops",
+                         [(2, 6, 0, 52), (3, 4, 0, 81), (2, 5, None, 44),
+                          (3, 3, None, 63)],
+                         ids=["su2-N6-q0", "su3-N4-q0", "su2-N5", "su3-N3"])
+def test_hop_tables_are_column_sorted_and_adjoint_pairs(n, cutoff, charge, hops):
+    # the vacuum cocycle reads these two facts: the vacuum column of E_ij(m)
+    # is the head of its table, and E_ij(m)^dagger = E_ji(-m) with equal signs
+    space = fock.build_fock(n, cutoff, charge=charge)
+    keys = [(i, j, m) for i in range(n) for j in range(n)
+            for m in range(-cutoff, cutoff + 1)]
+    assert len(keys) == hops
+    for i, j, m in keys:
+        rows, cols, signs = fock._hop(space, i, j, m)
+        assert np.all(np.diff(cols) >= 0), (i, j, m)
+        t_rows, t_cols, t_signs = fock._hop(space, j, i, -m)
+        order = np.lexsort((cols, rows))
+        t_order = np.lexsort((t_rows, t_cols))
+        assert np.array_equal(rows[order], t_cols[t_order]), (i, j, m)
+        assert np.array_equal(cols[order], t_rows[t_order]), (i, j, m)
+        assert np.array_equal(signs[order], t_signs[t_order]), (i, j, m)
 
 
 def test_level_one_relation_ladder(space6):

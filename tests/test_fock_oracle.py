@@ -277,7 +277,7 @@ def _oracle_adjoint_residual(space, x, y, block_energy=None, n_samples=256):
     c_val = loops.cocycle_c(gamma, y)
     rhs = fock.pi_element(space, ady) + (1j * c_val) * fock.identity_operator(space)
     return fock._max_abs_on_columns((lhs - rhs).matrix,
-                                    space.energies <= block_energy)
+                                    fock._protected_width(space, block_energy))
 
 
 @pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0)],

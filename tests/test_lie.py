@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from loopnet import cli, errors, lie
-from loopnet.errors import AlgebraMismatchError, CapacityError, InvalidRankError
+from loopnet.errors import (AlgebraMismatchError, CapacityError, InvalidRankError,
+                            NumericError)
 
 
 def test_build_su2_invariants(su2):
@@ -161,6 +162,10 @@ def test_errors(su2, su3):
         lie.basic_form(su2.basis_element(0), su3.basis_element(0))
     with pytest.raises(AlgebraMismatchError):
         lie.bracket(su2.basis_element(0), su3.basis_element(0))
+    with pytest.raises(NumericError, match="non-finite"):
+        lie.group_exp(su2.element(np.full((2, 2), np.nan)))
+    with pytest.raises(ValueError, match="real-form"):
+        lie.group_exp(su2.element(1j * su2.basis[0]))
 
 
 def test_simple_type_table():

@@ -135,6 +135,14 @@ def test_grid_loop_refuses_non_finite_samples(su2, bad):
             loops.GridLoop(np.full((4, 2, 2), bad, dtype=complex), su2)
 
 
+def test_grid_loop_refuses_wrong_shape_and_non_su_samples(su2):
+    with pytest.raises(AlgebraMismatchError, match="sample shape"):
+        loops.GridLoop(np.ones((4, 3, 3), dtype=complex), su2)
+    for bad in (2 * np.eye(2), np.diag([1j, 1j])):   # not unitary; det -1
+        with pytest.raises(NumericError, match="not special unitary"):
+            loops.GridLoop(np.broadcast_to(bad, (4, 2, 2)), su2)
+
+
 @pytest.mark.parametrize("coeffs", [
     {1: 0.3 + 0.1j, -1: 0.3 - 0.1j},
     {1: 0.3 + 0.1j, -1: 0.3 - 0.1j + 1e-12},
@@ -552,6 +560,14 @@ def test_split_loop_supported_in_arc(su2):
     assert np.abs(pair.right.samples - np.eye(2)).max() < 1e-15
 
 
+def test_split_refuses_off_grid_and_coinciding_cuts(su2):
+    gamma = loops.identity_loop(su2, 16)
+    with pytest.raises(ValueError, match="not a grid point"):
+        loops.split_loop(gamma, 0.1, np.pi)
+    with pytest.raises(ValueError, match="coincide"):
+        loops.split_loop(gamma, np.pi / 2, np.pi / 2 + 2 * np.pi)
+
+
 def test_split_precondition_violation(su2):
     gamma = loops.loop_from_factors(su2, [(su2.basis[0],
                                            lambda th: 0.5 * np.sin(th))], 128)
@@ -610,6 +626,15 @@ def test_semidirect_noncommuting_verified(su2, h):
     assert rot == 1.0
 
 
+def test_semidirect_refuses_non_real_inputs(su2):
+    x0 = su2.basis[0]
+    with pytest.raises(ValueError, match="real-form element"):
+        loops.semidirect_exp(FourierLoopElement({1: x0}, su2), 1.0, None, 1.0, 16)
+    x = FourierLoopElement({1: x0, -1: x0}, su2)
+    with pytest.raises(ValueError, match="flow field must be real"):
+        loops.semidirect_exp(x, 1.0, ScalarField({1: 0.2}), 1.0, 16)
+
+
 def test_semidirect_verify_flags_aliased_modes(su2, monkeypatch):
     # X modes 32 and 40 do not fit a 64-point grid (the rule asks |k| < 16):
     # the Magnus product would read X off the grid and the ODE check the
@@ -635,6 +660,27 @@ def test_semidirect_step_bound_refuses_before_any_work(su2, monkeypatch):
     assert err.value.estimate > loops.MAX_STEPS
 
 
+def test_unverified_call_plans_no_check_steps(su2, monkeypatch):
+    # t = 101 plans 178 Magnus steps; only the RK4 check, 101,000 steps,
+    # would exceed MAX_STEPS, and verify=False does not run it
+    a, alpha, t = 0.05, 0.01, 101.0
+    x0 = su2.basis[0]
+    x = FourierLoopElement({1: a * x0, -1: a * x0}, su2)
+    assert loops._magnus_steps(x, alpha, ScalarField.constant(1.0), t) == 178
+    loop, rot = loops.semidirect_exp(x, alpha, None, t, 16, verify=False)
+    assert rot == pytest.approx(alpha * t)
+    # X commutes with itself along the flow: exp(f x0), f the integral of X
+    f = lambda th: (2 * a / alpha) * (np.sin(th) - np.sin(th - alpha * t))
+    want = loops.loop_from_factors(su2, [(x0, f)], 16)
+    assert np.abs(loop.samples - want.samples).max() < 1e-10
+    # with the check, its steps are still refused before any work
+    monkeypatch.setattr(loops, "_magnus_product", None)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="RK4 check"):
+        loops.semidirect_exp(x, alpha, None, t, 16, verify=True)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_step_bound_counts_each_step_loop(su2):
     x0 = su2.basis[0]
     x = FourierLoopElement({1: 0.4 * x0, -1: 0.4 * x0}, su2)
@@ -644,6 +690,7 @@ def test_step_bound_counts_each_step_loop(su2):
     loops._check_steps(x, 1.0, rigid, -100.0)
     with pytest.raises(CapacityError, match="RK4 check"):
         loops._check_steps(x, 1.0, rigid, 100.001)
+    loops._check_steps(x, 1.0, rigid, 100.001, verify=False)
     # a fast turn: Magnus steps grow with |alpha| times the top mode of X
     with pytest.raises(CapacityError, match="Magnus product"):
         loops._check_steps(x, 1e5, rigid, 1.0)

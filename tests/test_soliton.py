@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopnet import soliton
+from loopnet import lie, soliton
 from loopnet.errors import CompositionUnsupportedError
 from loopnet.loops import ScalarField
 from loopnet.soliton import (InvalidSolitonError, LinearFactor, PeriodicFactor,
@@ -136,6 +136,12 @@ def test_compose_unsupported(su2, quarter_twist):
                                                  ScalarField({1: 0.3, -1: 0.3}))])
     with pytest.raises(CompositionUnsupportedError):
         soliton.compose(quarter_twist, off_torus)
+
+
+def test_compose_refuses_mixed_algebras(half_twist):
+    su3_path = SolitonPath.linear(lie.build_su(3), np.diag([0.5j, -0.5j, 0.0]))
+    with pytest.raises(CompositionUnsupportedError, match="different algebras"):
+        soliton.compose(half_twist, su3_path)
 
 
 def test_equivalence_keys(su2, half_twist, quarter_twist):
