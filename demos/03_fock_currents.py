@@ -25,16 +25,17 @@ rhs = fock.current(space, e @ f - f @ e, 0) \
     + complex(np.trace(e @ f)) * fock.identity_operator(space)
 print("level-1 central term residual:", (lhs - rhs).max_protected_abs())
 
-# central charge from the vacuum expectation of [L_2, L_-2]
-l2 = fock.sugawara(space, 2, data)
-lm2 = fock.sugawara(space, -2, data)
+# central charge from the vacuum expectation of [L_2, L_-2]; sugawara reads
+# l = 1 and g = n from the space, and c is the exact level-1 value
+l2 = fock.sugawara(space, 2)
+lm2 = fock.sugawara(space, -2)
 iv = space.vacuum_index
 got = fock.commutator(l2, lm2).matrix[iv, iv]
 print(f"(vac, [L2, L-2] vac) = {got.real:.12f}   (c/2 with c = "
       f"{data.central_charge})")
 
 # conformal weights: lowest L0 eigenvalue per charge sector
-l0 = fock.sugawara(space, 0, data).dense()
+l0 = fock.sugawara(space, 0).dense()
 for q in (0, 1, -1):
     idx = np.nonzero(space.charges == q)[0]
     low = np.linalg.eigvalsh(l0[np.ix_(idx, idx)]).min()

@@ -72,8 +72,8 @@ import numpy as np
 
 from .errors import NotSplittableError, NumericError, VerificationError
 from .lie import CompactSimpleAlgebra, as_generator, eig_antihermitian
-from .loops import GridLoop, circle_grid, factor_product
-from .quadrature import DEFAULT_TOL, PanelPartition, panel_partition
+from .loops import GridLoop, _check_sample_count, circle_grid, factor_product
+from .quadrature import DEFAULT_TOL, PanelPartition, _check_positive, panel_partition
 
 __all__ = [
     "GaussianWindow",
@@ -473,8 +473,12 @@ def qnec_profile(path: LinePath, grid,
     itself may be much coarser).  A relative mismatch against the peak
     analytic value beyond ``fd_tolerance`` raises VerificationError carrying
     the worst grid point.  Positivity and monotonicity are asserted with a
-    1e-8 slack.
+    1e-8 slack.  An ``fd_tolerance``, ``fd_spacing`` or ``tol`` that is not
+    finite and > 0 raises NumericError before any integrand call.
     """
+    for name, value in (("fd_tolerance", fd_tolerance),
+                        ("fd_spacing", fd_spacing), ("tol", tol)):
+        _check_positive(name, value)
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
         raise NumericError("grid must be a 1-d array with at least 3 points")
@@ -612,9 +616,10 @@ def cayley_inverse(path: SampledPath, n_samples: int):
 
     Every other grid angle must find its sample at u = tan(theta/2) to 12
     digits; NumericError names the grid indices that do not (for instance
-    when ``n_samples`` is not a divisor of the transferred grid's size).
+    when ``n_samples`` is not a divisor of the transferred grid's size).  A
+    sample count that no grid loop may have is refused first.
     """
-    thetas = circle_grid(n_samples)
+    thetas = circle_grid(_check_sample_count(n_samples))
     n = path.algebra.n
     samples = np.broadcast_to(np.eye(n, dtype=complex),
                               (n_samples, n, n)).copy()

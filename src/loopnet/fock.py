@@ -17,7 +17,9 @@ and the quadratic (Sugawara) combination
     L_m = 1/(2(l+g)) sum_{m' >= -m/2} (2 - delta_{m',-m/2}) x_i(-m') x^i(m'+m)
 
 represents the Virasoro algebra with central charge c = l*dim/(l+g) on the
-protected part of the space.
+protected part of the space.  Here l = 1, g = n, and the basis sum is the
+integer tensor n cas[a,b,c,d] = n delta_ad delta_bc - delta_ab delta_cd on
+the hops E_ab(m), so each entry of L_m is 1/(2n(n+1)) times an integer.
 
 Truncation discipline: every operator carries ``protected_energy``; columns
 of basis states with energy at or below it are exact matrix elements of the
@@ -48,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .affine_data import LevelData, level_data
+from .affine_data import level_data
 from .errors import (AlgebraMismatchError, CapacityError, InvalidRankError,
                      NumericError, WindowError)
 from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
@@ -497,34 +499,33 @@ def rotation_generator(space: TruncatedFockSpace) -> FockOperator:
     return FockOperator(mat, space, 0, space.cutoff, 0)
 
 
-def sugawara(space: TruncatedFockSpace, m: int, data: LevelData) -> FockOperator:
+def sugawara(space: TruncatedFockSpace, m: int) -> FockOperator:
     """Stress-tensor mode L_m by the normal-ordered quadratic current sum.
 
-    The mode sum runs over m' >= ceil(-m/2) with weight 2 except at the
-    symmetric point m' = -m/2 (weight 1), which is the reordered form of the
-    double sum with annihilating factors on the right; on the truncated space
-    it terminates at m' = cutoff - max(m, 0) because higher terms vanish
-    identically.  Columns of energy at most cutoff - |m| are exact.
+    The level-1 su(n) data are read from n = ``space.n``: the scale
+    1/(2(l+g)) = 1/(2n(n+1)) times an integer sum of hop products, so
+    L_{-m} = L_m^dagger entry for entry.  The mode sum runs over
+    m' >= ceil(-m/2) with weight 2 except at the symmetric point m' = -m/2
+    (weight 1), which is the reordered form of the double sum with
+    annihilating factors on the right; on the truncated space it terminates
+    at m' = cutoff - max(m, 0) because higher terms vanish identically.
+    Columns of energy at most cutoff - |m| are exact.
     """
     if abs(m) > space.cutoff // 2:
         raise WindowError(
             f"|m| = {abs(m)} exceeds cutoff/2 = {space.cutoff // 2}")
-    if data.family != "A" or data.rank != space.n - 1:
-        raise ValueError("level data does not match the space's algebra")
-    basis = build_su(space.n).basis
-    # sum_i x_i(-m') x^i(m'+m) = sum_{ab} E_ab(-m') sum_{cd} cas[a,b,c,d] E_cd(m'+m)
-    # with the dual basis x^i = -x_i: one residual of hop terms, so one
-    # stacked product; the weight 1 or 2 scales exactly
-    cas = -np.einsum("iab,icd->abcd", basis, basis)
+    # sum_i x_i(-m') x^i(m'+m) = sum_{ab} E_ab(-m') sum_{cd} cas[a,b,c,d] E_cd(m'+m),
+    # n cas = n delta_ad delta_bc - delta_ab delta_cd, each n cas[a, b] traceless
+    n, eye = space.n, np.eye(space.n)
+    ncas = n * eye[:, None, None] * eye[:, :, None] - eye[:, :, None, None] * eye
     terms = []
     for mp in range(math.ceil(-m / 2), space.cutoff - max(m, 0) + 1):
         weight = 1.0 if 2 * mp == -m else 2.0
-        for a, b in itertools.product(range(space.n), repeat=2):
+        for a, b in itertools.product(range(n), repeat=2):
             terms += [(weight * coef, _hop(space, a, b, -mp), hop)
-                      for coef, hop in _hop_terms(space, cas[a, b], mp + m)]
-    scale = 1.0 / (2.0 * (data.level + data.dual_coxeter))
-    return FockOperator(scale * _stacked_product(space, [terms], [None]), space,
-                        degree=-m,
+                      for coef, hop in _hop_terms(space, ncas[a, b], mp + m)]
+    return FockOperator(_stacked_product(space, [terms], [None]) / (2 * n * (n + 1)),
+                        space, degree=-m,
                         protected_energy=space.cutoff - abs(m),
                         max_raise=max(0, -m))
 
@@ -603,8 +604,8 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
         raise WindowError("vacuum column not protected; lower the mode window")
     col_x, col_y, col_br = (_vacuum_column(space, z.coefficients.items())
                             for z in (x, y, br))
-    row_x, row_y = (_vacuum_column(space, z.star().coefficients.items()).conj()
-                    for z in (x, y))
+    row_x, row_y = (_vacuum_column(space, ((-k, a.conj().T) for k, a in c)).conj()
+                    for c in (x.coefficients.items(), y.coefficients.items()))
     comm = row_x @ col_y - row_y @ col_x
     return complex(comm - col_br[space.vacuum_index])
 
@@ -815,7 +816,6 @@ def identity_reports(n: int, cutoff: int,
     if cutoff < 2:
         raise WindowError(f"the identity suite needs cutoff >= 2, got {cutoff}")
     algebra = build_su(n)
-    data = level_data(algebra, 1)
     space = build_fock(n, cutoff, charge=charge, dim_limit=dim_limit)
     rng = np.random.default_rng(seed)
     # keep every probed mode (including sums a+b) inside the cutoff window
@@ -831,7 +831,7 @@ def identity_reports(n: int, cutoff: int,
     # each mode operator is built once per call: x_h(m) by (basis index,
     # mode) and L_m by mode
     cur = cache(lambda h, m: current(space, basis[h], m))
-    lmode = cache(lambda m: sugawara(space, m, data))
+    lmode = cache(lambda m: sugawara(space, m))
 
     # the term-list generators yield groups of residuals; a multiple of the
     # identity is the term (c, None, None)
@@ -862,7 +862,7 @@ def identity_reports(n: int, cutoff: int,
         yield group
 
     def virasoro():
-        c_val = float(data.central_charge)
+        c_val = float(level_data(algebra, 1).central_charge)
         group = []
         for a in modes:
             for b in modes:

@@ -351,6 +351,7 @@ class GridLoop:
 
 def identity_loop(algebra: CompactSimpleAlgebra,
                   n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
+    _check_sample_count(n_samples)
     eye = np.broadcast_to(np.eye(algebra.n, dtype=complex),
                           (n_samples, algebra.n, algebra.n)).copy()
     return GridLoop(eye, algebra, check=False)
@@ -378,7 +379,7 @@ def loop_from_factors(algebra: CompactSimpleAlgebra,
                                           Callable[[np.ndarray], np.ndarray] | ScalarField]],
                       n_samples: int = DEFAULT_SAMPLES) -> GridLoop:
     """Pointwise product of exponentials exp(f_j(theta) X_j) on the grid."""
-    thetas = circle_grid(n_samples)
+    thetas = circle_grid(_check_sample_count(n_samples))
     pairs = []
     for x, profile in factors:
         xm = as_generator(x, algebra.n)
@@ -879,7 +880,9 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     at most MAX_STEPS (``_check_steps``), or CapacityError before any work.
     When ``verify`` is set, ``_ode_gap`` compares the result with an
     explicit RK4 integration and raises VerificationError above _ODE_TOL.
+    A sample count that no grid loop may have is refused first.
     """
+    _check_sample_count(n_samples)
     if not x.real_form:
         raise ValueError("semidirect exponential needs a real-form element")
     _check_element_resolution(x, n_samples)

@@ -62,6 +62,12 @@ _RULES[10:, 3:] = _WEIGHTS_HI[:, None] * _NODES_HI[:, None] ** np.arange(3)
 _ABS_RULES = np.abs(_RULES[:, :3] + _RULES[:, 3:])
 
 
+def _check_positive(name: str, value: float) -> None:
+    """NumericError unless ``value`` is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise NumericError(f"{name} must be finite and > 0, got {value}")
+
+
 def _panel_moments(f, lo, hi, scale):
     """21-point moments integral u^p f (p = 0, 1, 2) on each panel, shape
     (k, 3), each panel's 10/21 error estimate, shape (k,), and the rounding
@@ -179,11 +185,13 @@ def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     breadth-first from the seed pieces; see the module docstring for the
     budgets and the acceptance rule.  An empty interval (b <= a) gives a
     partition with no panels whose moments are all zero.  A bound that is
-    not finite raises NumericError.
+    not finite, or a ``tol`` that is not finite and > 0, raises NumericError
+    before any integrand call.
     """
     a, b = float(a), float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NumericError(f"quadrature bounds must be finite, got [{a}, {b}]")
+    _check_positive("tol", tol)
     scale = max(b - a, 1.0)
     if not (b > a):
         return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros(0),

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import CompositionUnsupportedError, LoopnetError
 from .lie import (CompactSimpleAlgebra, as_generator, center_elements,
                   eig_antihermitian)
-from .loops import (DEFAULT_SAMPLES, GridLoop, ScalarField, circle_grid,
-                    factor_product)
+from .loops import (DEFAULT_SAMPLES, GridLoop, ScalarField, _check_sample_count,
+                    circle_grid, factor_product)
 
 __all__ = [
     "PeriodicFactor",
@@ -147,6 +147,7 @@ def zeta_t(zeta: SolitonPath, t: float,
     Periodic for every t even when zeta itself is twisted; checked on the
     grid to 1e-10 by comparing against the twisted extension over one period.
     """
+    _check_sample_count(n_samples)
     jump(zeta)  # validates the path
     phis = circle_grid(n_samples)
     left = zeta.evaluate(phis)

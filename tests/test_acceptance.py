@@ -53,9 +53,9 @@ def level_su3(su3):
     return affine_data.level_data(su3, 1)
 
 
-def test_criterion_01_stress_current_commutator(su2, space_su2, level_su2):
+def test_criterion_01_stress_current_commutator(su2, space_su2):
     t0 = time.perf_counter()
-    lmodes = {m: fock.sugawara(space_su2, m, level_su2) for m in range(-2, 3)}
+    lmodes = {m: fock.sugawara(space_su2, m) for m in range(-2, 3)}
     worst = 0.0
     for m in range(-2, 3):
         for k in range(-2, 3):
@@ -70,13 +70,11 @@ def test_criterion_01_stress_current_commutator(su2, space_su2, level_su2):
                f"(residual {worst:.2e}, {elapsed:.1f}s)")
 
 
-def test_criterion_02_central_charge(space_su2, level_su2, space_su3,
-                                     level_su3):
+def test_criterion_02_central_charge(space_su2, space_su3):
     results = []
-    for space, data, c in ((space_su2, level_su2, 1.0),
-                           (space_su3, level_su3, 2.0)):
-        comm = fock.commutator(fock.sugawara(space, 2, data),
-                               fock.sugawara(space, -2, data))
+    for space, c in ((space_su2, 1.0), (space_su3, 2.0)):
+        comm = fock.commutator(fock.sugawara(space, 2),
+                               fock.sugawara(space, -2))
         iv = space.vacuum_index
         got = complex(comm.matrix[iv, iv])
         results.append(abs(got - c / 2))
@@ -88,14 +86,14 @@ def test_criterion_02_central_charge(space_su2, level_su2, space_su3,
 def test_criterion_03_conformal_weights(space_su2, level_su2, space_su3,
                                         level_su3, su2, su3):
     checks = []
-    l0 = fock.sugawara(space_su2, 0, level_su2).dense()
+    l0 = fock.sugawara(space_su2, 0).dense()
     expected_su2 = {0: affine_data.conformal_weight((0,), level_su2),
                     1: affine_data.conformal_weight((1,), level_su2)}
     for q, h in expected_su2.items():
         idx = np.nonzero(space_su2.charges == q)[0]
         low = np.linalg.eigvalsh(l0[np.ix_(idx, idx)]).min()
         checks.append(abs(low - float(h)))
-    l0 = fock.sugawara(space_su3, 0, level_su3).dense()
+    l0 = fock.sugawara(space_su3, 0).dense()
     expected_su3 = {0: affine_data.conformal_weight((0, 0), level_su3),
                     1: affine_data.conformal_weight((1, 0), level_su3),
                     2: affine_data.conformal_weight((0, 1), level_su3)}

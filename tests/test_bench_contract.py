@@ -38,7 +38,7 @@ def _run_worker(tmp_path, workload, *flags):
 COUNTERS = {
     "operator_suites": {"fock.states": 629, "fock.current.calls": 99,
                         "fock.current.nnz": 23_056, "fock.sugawara.calls": 12,
-                        "fock.sugawara.nnz": 19_633,
+                        "fock.sugawara.nnz": 19_367,
                         "fock.operator_algebra.calls": 18},
     "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
                       "loops.field_evaluations": 1_128, "lie.eigh_calls": 501},

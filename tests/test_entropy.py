@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
-from loopnet import entropy, lie, loops
+from loopnet import entropy, lie, loops, quadrature
 from loopnet.errors import NotSplittableError, NumericError, VerificationError
 
 from conftest import random_line_path
@@ -241,6 +241,18 @@ def test_level_grid_and_radius_refusals_are_numeric(su2):
     for grid in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
         with pytest.raises(NumericError, match="strictly increasing"):
             entropy.qnec_profile(path, grid)
+    grid = np.linspace(-3, 3, 31)
+    for name in ("fd_tolerance", "fd_spacing", "tol"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(NumericError, match=f"{name} must be finite and > 0"):
+                entropy.qnec_profile(path, grid, **{name: bad})
+    for bad in (0.0, -1.0):
+        with pytest.raises(NumericError, match="tol must be finite and > 0"):
+            quadrature.panel_partition(_never_called, -3.0, 3.0, tol=bad)
+
+
+def _never_called(u):
+    raise AssertionError("the integrand was called before the arguments were checked")
 
 
 def test_qnec_profile_fd_verification_error(su2):
@@ -268,6 +280,8 @@ def test_non_finite_window_raises(su2, window, width):
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericError, match="bounds must be finite"):
         entropy.qnec_profile(path, np.linspace(-3, 3, 31))
+    with pytest.raises(NumericError, match="tol must be finite and > 0"):
+        quadrature.panel_partition(_never_called, -3.0, 3.0, tol=width)
 
 
 class _Unchecked:
@@ -473,8 +487,12 @@ def test_cayley_rejects_nontrivial_infinity(su2):
 def test_cayley_inverse_mismatched_grid_raises(su2):
     gamma = loops.loop_from_factors(su2, [(su2.basis[0], circle_bump)], 256)
     sp = entropy.cayley_transfer(gamma)
-    with pytest.raises(NumericError) as err:
+    # a count no grid loop may have is refused before any sample is read
+    with pytest.raises(NumericError, match="power of two"):
         entropy.cayley_inverse(sp, 200)
+    # a finer grid has angles that are not on the transferred one
+    with pytest.raises(NumericError) as err:
+        entropy.cayley_inverse(sp, 512)
     assert "theta indices [" in str(err.value)
     # a coarser grid whose angles are all on the transferred one still works
     back = entropy.cayley_inverse(sp, 128)

@@ -24,11 +24,6 @@ def space6(su2):
     return fock.build_fock(2, 6)
 
 
-@pytest.fixture(scope="module")
-def level1_su2(su2):
-    return affine_data.level_data(su2, 1)
-
-
 def brute_force_masks(n, cutoff):
     """Independent enumeration over all mode subsets: the occupation mask of
     every state, bit (k + cutoff) * n + j for the window mode (k, j)."""
@@ -256,9 +251,6 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
     (lambda: fock.hs_defect({}, 4), NumericError, "at least one"),
     (lambda: fock.current(fock.build_fock(2, 2), np.eye(3), 1), ValueError,
      "generator shape"),
-    (lambda: fock.sugawara(fock.build_fock(2, 2), 0,
-                           affine_data.level_data(lie.build_su(3), 1)),
-     ValueError, "level data does not match"),
     (lambda: fock.adjoint_action_check(
         fock.build_fock(2, 4, charge=0),
         FourierLoopElement({1: lie.build_su(2).basis[0]}, lie.build_su(2)),
@@ -268,7 +260,7 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
      @ fock.identity_operator(fock.build_fock(2, 2)),
      ValueError, "different truncated spaces"),
 ], ids=["build-rank", "build-cutoff", "hs-window", "hs-empty", "current-shape",
-        "sugawara-algebra", "adjoint-real-form", "product-spaces"])
+        "adjoint-real-form", "product-spaces"])
 def test_argument_refusals_are_typed(call, error, words):
     # typed LoopnetErrors, or plain ValueErrors, that callers catching
     # ValueError all see
@@ -291,7 +283,6 @@ def test_level_one_alcove_weights_are_fock_sectors_and_solitons(n, cutoff):
     # soliton exp(x A_k) with centre index k; and 1/2 sum_j alpha_j^2 for
     # the eigenvalues i alpha_j of A_k
     algebra = lie.build_su(n)
-    data = affine_data.level_data(algebra, 1)
     weights = affine_data.alcove(algebra, 1)
     assert len(weights) == n
     h = {}
@@ -309,7 +300,7 @@ def test_level_one_alcove_weights_are_fock_sectors_and_solitons(n, cutoff):
         space = fock.build_fock(n, cutoff, charge=q)
         ground = np.flatnonzero(space.energies == space.energies.min())
         assert len(ground) == math.comb(n, k)
-        columns = fock.sugawara(space, 0, data).matrix[:, ground].toarray()
+        columns = fock.sugawara(space, 0).matrix[:, ground].toarray()
         want = np.zeros_like(columns)
         want[ground, np.arange(len(ground))] = float(h[k])
         assert np.abs(columns - want).max() <= 1e-10, q
@@ -438,9 +429,9 @@ def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
         builds.append(("current", hits[0], m))
         return current(space, x, m)
 
-    def counting_sugawara(space, m, data):
+    def counting_sugawara(space, m):
         builds.append(("sugawara", m))
-        return sugawara(space, m, data)
+        return sugawara(space, m)
 
     monkeypatch.setattr(fock, "current", counting_current)
     monkeypatch.setattr(fock, "sugawara", counting_sugawara)
@@ -526,7 +517,7 @@ def _honesty_factor(n, cutoff, charge, kind, gen, m):
     space = _honesty_space(n, cutoff, charge)
     algebra = lie.build_su(n)
     if kind == "L":
-        return fock.sugawara(space, m, affine_data.level_data(algebra, 1))
+        return fock.sugawara(space, m)
     op = fock.current(space, algebra.basis[gen], m)
     return op.adjoint() if kind == "x*" else op
 
@@ -611,21 +602,42 @@ def test_rotation_commutator_sign(space6, su2):
     assert resid.max_protected_abs() < 1e-12
 
 
-def test_sugawara_window(space6, level1_su2):
+def test_sugawara_window(space6):
     with pytest.raises(WindowError):
-        fock.sugawara(space6, 4, level1_su2)
+        fock.sugawara(space6, 4)
 
 
-def test_central_charge_vacuum_expectation(space6, level1_su2):
-    l2 = fock.sugawara(space6, 2, level1_su2)
-    lm2 = fock.sugawara(space6, -2, level1_su2)
+@pytest.mark.parametrize("n, cutoff, charge", [
+    (2, 6, 0), (3, 4, 0), (4, 4, 0), (2, 5, None), (3, 3, None)])
+def test_sugawara_entries_are_exact(n, cutoff, charge):
+    # each stored entry of 2n(n+1) L_m is a nonzero integer, and L_{-m} is
+    # L_m^dagger entry for entry: the Casimir tensor leaves no rounding residue
+    space = fock.build_fock(n, cutoff, charge=charge)
+    modes = {m: fock.sugawara(space, m).matrix
+             for m in range(-(cutoff // 2), cutoff // 2 + 1)}
+    for m, mat in modes.items():
+        scaled = 2 * n * (n + 1) * mat.data
+        assert np.abs(scaled - np.round(scaled.real)).max(initial=0.0) <= 1e-12, m
+        assert np.round(scaled.real).all(), m
+        adjoint = mat.conj().T.tocsr()
+        partner = modes[-m]
+        adjoint.sort_indices()
+        partner.sort_indices()
+        assert np.array_equal(partner.indptr, adjoint.indptr), m
+        assert np.array_equal(partner.indices, adjoint.indices), m
+        assert np.array_equal(partner.data, adjoint.data), m
+
+
+def test_central_charge_vacuum_expectation(space6):
+    l2 = fock.sugawara(space6, 2)
+    lm2 = fock.sugawara(space6, -2)
     comm = fock.commutator(l2, lm2)
     iv = space6.vacuum_index
     assert comm.matrix[iv, iv] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_l0_spectrum_per_sector(space6, level1_su2):
-    l0 = fock.sugawara(space6, 0, level1_su2)
+def test_l0_spectrum_per_sector(space6):
+    l0 = fock.sugawara(space6, 0)
     dense = l0.dense()
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     mins = {}
@@ -638,15 +650,15 @@ def test_l0_spectrum_per_sector(space6, level1_su2):
     assert mins[2] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_l0_one_particle_weight(space6, level1_su2):
-    l0 = fock.sugawara(space6, 0, level1_su2)
+def test_l0_one_particle_weight(space6):
+    l0 = fock.sugawara(space6, 0)
     sea = (1 << 6 * 2) - 1
     idx = np.flatnonzero(space6.words == sea | 1 << 6 * 2)   # a particle at (0, 0)
     col = l0.matrix[:, idx[0]].toarray().ravel()
     assert col[idx[0]] == pytest.approx(0.25, abs=1e-12)
 
 
-def test_operator_norm_estimate(space6, su2, level1_su2):
+def test_operator_norm_estimate(space6, su2):
     # || pi(X) xi ||_t <= sqrt(2(l+g)) |X|_{|t|+1/2} || xi ||_{t+1/2}
     rng = np.random.default_rng(8)
     const = np.sqrt(2.0 * (1 + 2))
@@ -667,10 +679,10 @@ def test_operator_norm_estimate(space6, su2, level1_su2):
             assert lhs <= rhs + 1e-9
 
 
-def test_stress_tensor_bound(space6, level1_su2):
+def test_stress_tensor_bound(space6):
     # ||(1+L0)^k L_n xi|| <= sqrt(c/2) (1+|n|)^{k+3/2} ||(1+L0)^{k+1} xi||
     rng = np.random.default_rng(9)
-    l0 = fock.sugawara(space6, 0, level1_su2).matrix
+    l0 = fock.sugawara(space6, 0).matrix
     one_plus = l0 + scipy.sparse.identity(space6.dim, format="csr")
 
     def power_apply(k, vec):
@@ -679,7 +691,7 @@ def test_stress_tensor_bound(space6, level1_su2):
         return vec
 
     for n in (-2, -1, 1, 2):
-        ln = fock.sugawara(space6, n, level1_su2)
+        ln = fock.sugawara(space6, n)
         for _ in range(10):
             xi = rng.normal(size=space6.dim) + 1j * rng.normal(size=space6.dim)
             xi[space6.energies > space6.cutoff - abs(n) - 1] = 0.0

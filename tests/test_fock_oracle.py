@@ -195,7 +195,7 @@ def test_sugawara_matches_oracle(spaces):
                     want = want + weight * (bilinear(i, 1, -mp)
                                             @ bilinear(i, -1, mp + m))
             want = want / (2.0 * (data.level + data.dual_coxeter))
-            got = fock.sugawara(space, m, data).matrix
+            got = fock.sugawara(space, m).matrix
             assert _max_diff(got, want) <= 1e-13, (spec, m)
 
 
@@ -456,7 +456,7 @@ def _oracle_suite(n, cutoff, mode_range=2, charge=None, seed=7):
             currents[key] = fock.current(space, xm, m)
         return currents[key]
 
-    lmode = cache(lambda m: fock.sugawara(space, m, data))
+    lmode = cache(lambda m: fock.sugawara(space, m))
 
     def affine():
         for (i, j) in pair_idx:
@@ -586,10 +586,9 @@ def test_identity_reports_match_operator_arithmetic(case):
 
 def test_operator_difference_is_bit_identical_to_sum_of_negative(spaces):
     space = spaces[(2, 6, 0)]
-    data = affine_data.level_data(lie.build_su(2), 1)
     x = np.array([[0, 1], [0, 0]], complex)
     ops = [fock.current(space, x, 1), fock.current(space, x.T, -1),
-           fock.sugawara(space, 1, data), fock.identity_operator(space)]
+           fock.sugawara(space, 1), fock.identity_operator(space)]
     for a in ops:
         for b in ops:
             got, want = a - b, a + (-1.0) * b

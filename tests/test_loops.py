@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loopnet import lie, loops
+from loopnet import entropy, lie, loops, soliton
 from loopnet.errors import (AlgebraMismatchError, CapacityError,
                             NormDivergedError, NotSplittableError, NumericError,
                             ResolutionError)
@@ -708,6 +708,35 @@ def test_sample_count_bound():
         with pytest.raises(CapacityError) as err:
             loops._check_sample_count(samples)
         assert err.value.estimate == samples
+
+
+@pytest.mark.parametrize("n_samples, error", [
+    (3, NumericError), (1000, NumericError), (2 ** 17, CapacityError)])
+@pytest.mark.parametrize("name", [
+    "semidirect_exp", "loop_from_factors", "identity_loop", "zeta_t",
+    "rotation_cocycle_2pi", "cayley_inverse"])
+def test_sample_count_is_checked_before_any_work(monkeypatch, su2, name,
+                                                 n_samples, error):
+    b = su2.basis[0]
+    x = FourierLoopElement({1: 0.1 * b, -1: 0.1 * b}, su2, real_form=True)
+    path = soliton.SolitonPath.linear(su2, np.diag([0.5j, -0.5j]))
+    line = entropy.cayley_transfer(loops.identity_loop(su2, 64))
+    calls = {
+        "semidirect_exp": lambda n: loops.semidirect_exp(x, 0.5, n_samples=n),
+        "loop_from_factors": lambda n: loops.loop_from_factors(su2, [(b, np.sin)], n),
+        "identity_loop": lambda n: loops.identity_loop(su2, n),   # builds no grid
+        "zeta_t": lambda n: soliton.zeta_t(path, 1.0, n),
+        "rotation_cocycle_2pi": lambda n: soliton.rotation_cocycle_2pi(path, n),
+        "cayley_inverse": lambda n: entropy.cayley_inverse(line, n),
+    }
+
+    def no_grid(n_samples):
+        raise AssertionError(f"a grid of {n_samples} samples was built first")
+
+    for module in (loops, soliton, entropy):
+        monkeypatch.setattr(module, "circle_grid", no_grid)
+    with pytest.raises(error):
+        calls[name](n_samples)
 
 
 def test_element_resolution_is_the_sampled_loops_rule(su2):
