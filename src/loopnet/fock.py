@@ -32,10 +32,13 @@ residual is a short list of (coef, left, right) terms, its protected energy
 follows from the gradings alone, and since the basis is ordered by energy
 its protected columns are a prefix.  Each group of residuals is one sparse
 product of the stacked left factors with the stacked right factors cut to
-those columns.  The Sugawara modes are the same product of hop tables, on
-all columns, and its factors, the currents and pi(x) come from one COO ->
-CSR routine.  ``FockOperator`` arithmetic stays the public route and the
-tests' oracle.
+those columns.  A suite reads each operator once per call as its entries
+by ascending column, so a cut is a prefix of them; the hop tables are
+already in that order.  The Sugawara modes are the same product of hop
+tables, on all columns.  Its factors and the currents and pi(x) that
+repeat an entry come from one COO -> CSR routine, which joins all blocks
+by one concatenation per array.  ``FockOperator`` arithmetic stays the
+public route and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -170,10 +173,11 @@ class TruncatedFockSpace:
     hashes by identity, as ``_same_space`` treats it.
 
     ``hops`` caches the elementary hops E_ij(m) = sum_k a^dag(k-m, i) a(k, j)
-    as (rows, cols, signs) arrays, built on first use by ``_hop``; every
-    current, Sugawara mode and pi_element is a linear combination of them.
-    The tables list their entries by ascending column, so the entries of
-    the vacuum column, basis state 0, come first.
+    as (rows, cols, signs) arrays, built on first use by ``_hop`` for all
+    target colors i at once; every current, Sugawara mode and pi_element
+    is a linear combination of them.  The tables list their entries by
+    ascending column, so the entries of the vacuum column, basis state 0,
+    come first, and the entries in the first k columns are a prefix.
     """
 
     n: int
@@ -354,36 +358,50 @@ def identity_operator(space: TruncatedFockSpace) -> FockOperator:
 def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     """Cached (rows, cols, signs) of E_ij(m) = sum_k a^dag(k-m, i) a(k, j).
 
-    Built once per space for all states and window modes k at once: the sign
-    of each ladder step is the parity of the occupied bits below it, and the
-    target row is found by binary search among the words in ascending order
+    A miss builds the hops of source color j and mode m to every target
+    color at once, for all states and window modes k: the sign of each
+    ladder step is the parity of the occupied bits below it, and the target
+    row is found by binary search among the words in ascending order
     (targets outside the space are dropped).  The entries are listed by
     ascending column.
     """
     key = (i, j, m)
-    hop = space.hops.get(key)
-    if hop is not None:
-        return hop
+    if key not in space.hops:
+        _build_hops(space, j, m)
+    return space.hops[key]
+
+
+def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
+    """Cache E_ij(m) for every target color i; the annihilation at (k, j)
+    is shared, and arrays are (target color, state, k), so ``np.nonzero``
+    lists each table by column.  A hop lowers the energy by m, so only the
+    states of energy at most cutoff + m, a prefix of the basis, are
+    sources."""
     n, cutoff = space.n, space.cutoff
     words = space.words
     sorted_words, order = space._mask_lookup
     ks = np.arange(max(-cutoff, -cutoff + m), min(cutoff, cutoff + m) + 1)
     one = np.uint64(1)
-    src = one << ((ks + cutoff) * n + j).astype(np.uint64)[None, :]
-    dst = one << ((ks - m + cutoff) * n + i).astype(np.uint64)[None, :]
-    state = words[:, None]
+    src = one << ((ks + cutoff) * n + j).astype(np.uint64)
+    dst = one << ((ks - m + cutoff) * n
+                  + np.arange(n)[:, None]).astype(np.uint64)[:, None, :]
+    state = words[:_protected_width(space, cutoff + m), None]
     mid = state & ~src
     ok = ((state & src) != 0) & ((mid & dst) == 0)
-    parity = (np.bitwise_count(state & (src - one))
-              + np.bitwise_count(mid & (dst - one))) & 1
-    cols, kk = np.nonzero(ok)
-    target = (mid | dst)[cols, kk]
+    targets, cols, kk = np.nonzero(ok)
+    moved, created = mid[cols, kk], dst[targets, 0, kk]
+    parity = (np.bitwise_count(state[cols, 0] & (src[kk] - one))
+              + np.bitwise_count(moved & (created - one))) & 1
+    target = moved | created
     pos = np.minimum(np.searchsorted(sorted_words, target), len(words) - 1)
     found = sorted_words[pos] == target
-    hop = (order[pos[found]].astype(np.int32), cols[found].astype(np.int32),
-           (1 - 2 * parity[cols[found], kk[found]]).astype(np.int8))
-    space.hops[key] = hop
-    return hop
+    rows = order[pos[found]].astype(np.int32)
+    cols = cols[found].astype(np.int32)
+    signs = (1 - 2 * parity[found]).astype(np.int8)
+    bounds = np.searchsorted(targets[found], np.arange(n + 1))
+    for i in range(n):
+        part = slice(bounds[i], bounds[i + 1])
+        space.hops[i, j, m] = (rows[part], cols[part], signs[part])
 
 
 def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
@@ -391,45 +409,99 @@ def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
     if m == 0 and abs(np.trace(xmat)) > 1e-12:
         raise ValueError("zero-mode currents are defined for traceless "
                          "generators only")
+    rows, cols = np.nonzero(np.abs(xmat) > 1e-15)
     return [(xmat[i, j], _hop(space, i, j, m))
-            for i, j in zip(*np.nonzero(np.abs(xmat) > 1e-15))]
+            for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def _assemble(space: TruncatedFockSpace, terms):
-    """CSR sum of coefficient * hop over (coefficient, hop) terms."""
-    return _stacked_csr([(*hop, None, 0, 0, coef) for coef, hop in terms],
-                        (space.dim, space.dim))
+    """CSR sum of coefficient * hop over (coefficient, hop) terms, whose
+    coefficients are nonzero.
+
+    Two hops share entries only on the diagonal, where the diagonal
+    zero-mode hop E_ii(0) holds one entry per filled window mode of color
+    i.  When no (row, col) repeats, nothing sums or cancels and the CSR is
+    the entries in (row, col) order; otherwise ``_summed_csr`` sums them.
+    """
+    dim = space.dim
+    blocks = [(*hop, None, 0, 0, coef) for coef, hop in terms]
+    if not blocks:
+        return _stacked_csr(blocks, (dim, dim))
+    rows, cols, data = _joined(blocks, _index_dtype(dim))
+    key = rows.astype(np.int64) * dim + cols
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        return _summed_csr(rows, cols, data, (dim, dim))
+    return scipy.sparse.csr_matrix(
+        (data[order], cols[order], key.searchsorted(np.arange(dim + 1) * dim)),
+        shape=(dim, dim))
+
+
+def _index_dtype(size: int):
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _joined(blocks, index):
+    """The entries (rows, cols, data) of blocks (rows, cols, data, count,
+    row offset, column offset, coef): coef * the block's first ``count``
+    entries (all of them for None), placed at its offsets.  One
+    concatenation per array, with the offsets and coefficients repeated
+    over the blocks' sizes."""
+    rows, cols, data, counts, row_offsets, col_offsets, coefs = zip(*blocks)
+    sizes = [len(r) if k is None else k for r, k in zip(rows, counts)]
+
+    def joined(parts, dtype):
+        return np.concatenate([p[:k] for p, k in zip(parts, sizes)], dtype=dtype)
+
+    rows = joined(rows, index)
+    rows += np.repeat(np.array(row_offsets, dtype=index), sizes)
+    cols = joined(cols, index)
+    cols += np.repeat(np.array(col_offsets, dtype=index), sizes)
+    data = joined(data, complex)
+    data *= np.repeat(np.array(coefs, dtype=complex), sizes)
+    return rows, cols, data
 
 
 def _stacked_csr(blocks, shape):
-    """CSR sum over blocks (rows, cols, data, width, row offset, column
-    offset, coef) of coef * the entries in the first ``width`` columns (all
-    of them for None), placed at the block's offsets; duplicate entries sum
-    and entries that cancel exactly are dropped.  The module's one COO -> CSR
-    construction.
-    """
-    keeps = [None if width is None else cols < width
-             for _, cols, _, width, *_ in blocks]
-    sizes = [len(cols) if keep is None else np.count_nonzero(keep)
-             for (_, cols, *_), keep in zip(blocks, keeps)]
-    total = sum(sizes)
-    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    rows = np.empty(total, dtype=index)
-    cols = np.empty(total, dtype=index)
-    data = np.empty(total, dtype=complex)
-    pos = 0
-    for (r, c, d, _, row_offset, col_offset, coef), keep, size in zip(
-            blocks, keeps, sizes):
-        if keep is not None:
-            r, c, d = r[keep], c[keep], d[keep]
-        end = pos + size
-        np.add(r, row_offset, out=rows[pos:end])
-        np.add(c, col_offset, out=cols[pos:end])
-        np.multiply(d, coef, out=data[pos:end])
-        pos = end
+    """CSR sum of the ``_joined`` entries of blocks, by ``_summed_csr``."""
+    if not blocks:
+        return scipy.sparse.csr_matrix(shape, dtype=complex)
+    return _summed_csr(*_joined(blocks, _index_dtype(max(shape))), shape)
+
+
+def _summed_csr(rows, cols, data, shape):
+    """CSR of COO entries: duplicate entries sum and entries that cancel
+    exactly are dropped.  The module's one COO -> CSR construction."""
     mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
     mat.eliminate_zeros()
     return mat
+
+
+class _Factor(NamedTuple):
+    """An operator as the identity suites read it, made by ``_factor``:
+    its entries (rows, cols, data) by ascending column, ``starts[c]`` the
+    number of them in the columns before c, and the grading that
+    ``_product_protection`` reads."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    starts: np.ndarray
+    protected_energy: int
+    max_raise: int
+
+
+def _factor(op: FockOperator) -> _Factor:
+    """The ``_Factor`` of ``op``: a stable sort of its CSR entries by
+    column, which keeps each column's rows ascending."""
+    mat, dim = op.matrix, op.space.dim
+    by_column = np.argsort(mat.indices, kind="stable")
+    rows = np.repeat(np.arange(dim, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    cols = mat.indices[by_column]
+    return _Factor(rows[by_column], cols, mat.data[by_column],
+                   cols.searchsorted(np.arange(dim + 1)), op.protected_energy,
+                   op.max_raise)
 
 
 def _stacked_product(space: TruncatedFockSpace, residuals, widths):
@@ -437,37 +509,26 @@ def _stacked_product(space: TruncatedFockSpace, residuals, widths):
     of them for None), as one sparse product wide @ tall.
 
     A residual is a list of ``(coef, left, right)`` terms standing for
-    sum coef * left @ right; a factor is a ``FockOperator``, a cached
-    ``_hop`` table or None, the identity.  ``wide`` places the distinct
-    left factors side by side, and ``tall`` places coef * right, cut to its
+    sum coef * left @ right.  A factor is a cached ``_hop`` table or a
+    ``_Factor``, whose first three fields are its entries by ascending
+    column; a factor cut to a width is a ``_Factor``, and its cut is the
+    prefix of ``starts[width]`` entries.  ``wide`` places the distinct left
+    factors side by side, and ``tall`` places coef * right, cut to its
     residual's width, at its left factor's row block and its residual's
     column block.  Duplicate entries sum, so the product holds every
     residual in its own column block.
     """
     dim = space.dim
-    entries = {}   # id(factor) -> (rows, cols, data), read once per call
-
-    def coo(op):
-        if isinstance(op, tuple):   # a _hop table
-            return op
-        if id(op) not in entries:
-            if op is None:
-                ids = np.arange(dim)
-                entries[id(op)] = (ids, ids, np.ones(dim, dtype=complex))
-            else:
-                mat = op.matrix
-                entries[id(op)] = (np.repeat(np.arange(dim), np.diff(mat.indptr)),
-                                   mat.indices, mat.data)
-        return entries[id(op)]
-
     slots, wide, tall = {}, [], []
     col_offset = 0
     for terms, width in zip(residuals, widths):
         for coef, left, right in terms:
-            if id(left) not in slots:
-                slots[id(left)] = len(slots) * dim
-                wide.append((*coo(left), None, 0, slots[id(left)], 1.0))
-            tall.append((*coo(right), width, slots[id(left)], col_offset, coef))
+            slot = slots.get(id(left))
+            if slot is None:
+                slot = slots[id(left)] = len(slots) * dim
+                wide.append((*left[:3], None, 0, slot, 1.0))
+            tall.append((*right[:3], None if width is None else right.starts[width],
+                         slot, col_offset, coef))
         col_offset += dim if width is None else width
     stacked = len(slots) * dim
     return (_stacked_csr(wide, (dim, stacked))
@@ -518,12 +579,16 @@ def sugawara(space: TruncatedFockSpace, m: int) -> FockOperator:
     # n cas = n delta_ad delta_bc - delta_ab delta_cd, each n cas[a, b] traceless
     n, eye = space.n, np.eye(space.n)
     ncas = n * eye[:, None, None] * eye[:, :, None] - eye[:, :, None, None] * eye
+    support = [(a, b, [(ncas[a, b, c, d], c, d)
+                       for c, d in np.argwhere(ncas[a, b]).tolist()])
+               for a, b in itertools.product(range(n), repeat=2)]
     terms = []
     for mp in range(math.ceil(-m / 2), space.cutoff - max(m, 0) + 1):
         weight = 1.0 if 2 * mp == -m else 2.0
-        for a, b in itertools.product(range(n), repeat=2):
-            terms += [(weight * coef, _hop(space, a, b, -mp), hop)
-                      for coef, hop in _hop_terms(space, ncas[a, b], mp + m)]
+        for a, b, entries in support:
+            left = _hop(space, a, b, -mp)
+            terms += [(weight * coef, left, _hop(space, c, d, mp + m))
+                      for coef, c, d in entries]
     return FockOperator(_stacked_product(space, [terms], [None]) / (2 * n * (n + 1)),
                         space, degree=-m,
                         protected_energy=space.cutoff - abs(m),
@@ -569,17 +634,13 @@ def _vacuum_column(space: TruncatedFockSpace, coefficients) -> np.ndarray:
     k > 0 annihilate the vacuum and are skipped.  The heads of the diagonal
     zero-mode hops all hold row 0, so the entries sum by ``np.add.at``.
     """
-    rows, values = [], []
-    for k, a in coefficients:
-        if k > 0:
-            continue
-        for coef, (hop_rows, cols, signs) in _hop_terms(space, a, k):
-            end = cols.searchsorted(1)
-            rows.append(hop_rows[:end])
-            values.append(coef * signs[:end])
+    heads = [(*hop, hop[1].searchsorted(1), 0, 0, coef)
+             for k, a in coefficients if k <= 0
+             for coef, hop in _hop_terms(space, a, k)]
     column = np.zeros(space.dim, dtype=complex)
-    if rows:
-        np.add.at(column, np.concatenate(rows), np.concatenate(values))
+    if heads:
+        rows, _, values = _joined(heads, np.intp)
+        np.add.at(column, rows, values)
     return column
 
 
@@ -771,14 +832,12 @@ def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
 
     A residual's protected energy is the least ``_product_protection`` of
     its terms, the rule ``FockOperator`` arithmetic applies, so only the
-    gradings of its factors (``FockOperator`` or None) are read and no
-    residual matrix is formed: ``_stacked_product`` evaluates the group on
-    the protected columns of each residual at once.
+    gradings of its factors (each a ``_Factor``) are read and no residual
+    matrix is formed: ``_stacked_product`` evaluates the group on the
+    protected columns of each residual at once.
     """
-    unit = _Grading(0, space.cutoff, 0)
-    prots = [min(_product_protection(unit if a is None else a,
-                                     unit if b is None else b)
-                 for _, a, b in terms) for terms in residuals]
+    prots = [min(_product_protection(a, b) for _, a, b in terms)
+             for terms in residuals]
     widths = _protected_width(space, prots)
     if not widths.all():
         raise _unprotected(min(prots))
@@ -804,11 +863,12 @@ def identity_reports(n: int, cutoff: int,
     lists of (coef, left, right) terms, evaluated by ``_group_worst`` one
     group at a time: one basis pair of the affine suite, or the whole suite
     of the other four.  Every current is a basis current x_h(m), built once
-    per (basis index, mode); the affine suite reads [x_i, x_j] as its
-    coordinates in the orthonormal basis, one projection per sampled pair,
-    and the pairing as -tr(x_i x_j) = delta_ij.  The vacuum cocycle is its
-    scalar check.  A residual without protected columns raises
-    ``WindowError``.
+    per (basis index, mode), and every operator in a term, the identity
+    included, is read once per call as a ``_Factor``, which the call drops
+    with it.  The affine suite reads [x_i, x_j] as its coordinates in the
+    orthonormal basis, one projection per sampled pair, and the pairing as
+    -tr(x_i x_j) = delta_ij.  The vacuum cocycle is its scalar check.  A
+    residual without protected columns raises ``WindowError``.
     """
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
@@ -828,14 +888,16 @@ def identity_reports(n: int, cutoff: int,
         sel = rng.choice(len(pair_idx), size=12, replace=False)
         pair_idx = [pair_idx[int(s)] for s in sel]
 
-    # each mode operator is built once per call: x_h(m) by (basis index,
-    # mode) and L_m by mode
-    cur = cache(lambda h, m: current(space, basis[h], m))
-    lmode = cache(lambda m: sugawara(space, m))
+    # each mode operator is built once per call, x_h(m) by (basis index,
+    # mode) and L_m by mode, and read by the suites as a _Factor
+    current_op = cache(lambda h, m: current(space, basis[h], m))
+    cur = cache(lambda h, m: _factor(current_op(h, m)))
+    lmode = cache(lambda m: _factor(sugawara(space, m)))
+    eye = _factor(identity_operator(space))
 
     # the term-list generators yield groups of residuals; a multiple of the
-    # identity is the term (c, None, None)
-    def bracket(a: FockOperator, b: FockOperator) -> list:
+    # identity is the term (c, eye, eye)
+    def bracket(a: _Factor, b: _Factor) -> list:
         return [(1.0, a, b), (-1.0, b, a)]
 
     def affine():
@@ -847,9 +909,9 @@ def identity_reports(n: int, cutoff: int,
             for a in modes:
                 for b in modes:
                     terms = bracket(cur(i, a), cur(j, b))
-                    terms += [(-coords[h], None, cur(h, a + b)) for h in support]
+                    terms += [(-coords[h], eye, cur(h, a + b)) for h in support]
                     if a + b == 0 and i == j:
-                        terms.append((float(a), None, None))
+                        terms.append((float(a), eye, eye))
                     group.append(terms)
             yield group
 
@@ -858,7 +920,7 @@ def identity_reports(n: int, cutoff: int,
         for m in modes:
             for k in modes:
                 group.append([*bracket(lmode(m), cur(0, k)),
-                              (float(k), None, cur(0, m + k))])
+                              (float(k), eye, cur(0, m + k))])
         yield group
 
     def virasoro():
@@ -870,22 +932,23 @@ def identity_reports(n: int, cutoff: int,
                     continue   # L_{a+b} is outside the Sugawara window
                 terms = bracket(lmode(a), lmode(b))
                 if a != b:
-                    terms.append((-float(a - b), None, lmode(a + b)))
+                    terms.append((-float(a - b), eye, lmode(a + b)))
                 if a + b == 0:
-                    terms.append((-c_val * a * (a * a - 1) / 12.0, None, None))
+                    terms.append((-c_val * a * (a * a - 1) / 12.0, eye, eye))
                 group.append(terms)
         yield group
 
     def rotation():
-        d_op = rotation_generator(space)
+        d_op = _factor(rotation_generator(space))
         group = []
         for m in modes:
             group.append([*bracket(d_op, cur(0, m)),
-                          (float(m), None, cur(0, m))])
+                          (float(m), eye, cur(0, m))])
         yield group
 
     def adjoint():
-        yield [[(1.0, None, cur(i, m).adjoint()), (1.0, None, cur(i, -m))]
+        yield [[(1.0, eye, _factor(current_op(i, m).adjoint())),
+                (1.0, eye, cur(i, -m))]
                for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
 
     def vacuum_cocycle():   # scalars on the vacuum, hence block 0
@@ -920,12 +983,15 @@ def identity_reports(n: int, cutoff: int,
 def _random_polynomial(algebra: CompactSimpleAlgebra, rng,
                        max_mode: int) -> FourierLoopElement:
     """Random finitely supported real-form element, by hermitian pairing."""
+    # sum_i (r_i + i s_i) e_i with the draws r_0, s_0, r_1, ... in turn,
+    # summed over i in order
+    basis = algebra.basis[:, None]
     coeffs: dict[int, np.ndarray] = {}
     for k in map(int, rng.integers(1, max_mode + 1, size=2)):
-        a = sum(rng.normal() * algebra.basis[i] + 1j * rng.normal() * algebra.basis[i]
-                for i in range(algebra.dimension))
+        r, s = rng.normal(size=(algebra.dimension, 2, 1, 1)).transpose(1, 0, 2, 3)
+        a = np.add.reduce(r * basis[:, 0] + 1j * s * basis[:, 0])
         coeffs[k] = coeffs.get(k, 0) + a
         coeffs[-k] = coeffs.get(-k, 0) + (-a.conj().T)
-    z = sum(rng.normal() * algebra.basis[i] for i in range(algebra.dimension))
+    z = np.add.reduce(rng.normal(size=(algebra.dimension, 1, 1)) * algebra.basis)
     coeffs[0] = coeffs.get(0, 0) + z
     return FourierLoopElement(coeffs, algebra, real_form=True)

@@ -17,6 +17,7 @@ time-ordered exponential along the flow's characteristics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -294,9 +295,12 @@ def central_term_B(x: FourierLoopElement, y: FourierLoopElement) -> complex:
 # ---------------------------------------------------------------------------
 
 def _check_sample_count(n_samples: int) -> int:
-    """``n_samples`` if it is a power of two >= 4, as a grid loop's sample
-    count must be, and at most MAX_SAMPLES; NumericError for the first rule,
-    CapacityError (estimate: the samples) for the second."""
+    """``n_samples`` if it is an integer (a numpy integer too) and a power
+    of two >= 4, as a grid loop's sample count must be, and at most
+    MAX_SAMPLES; NumericError for the first two rules, CapacityError
+    (estimate: the samples) for the third."""
+    if not isinstance(n_samples, numbers.Integral):
+        raise NumericError(f"sample count must be an integer, got {n_samples!r}")
     if n_samples < 4 or n_samples & (n_samples - 1):
         raise NumericError(f"sample count must be a power of two >= 4, got {n_samples}")
     if n_samples > MAX_SAMPLES:

@@ -1,8 +1,11 @@
+import dataclasses
 import functools
+import gc
 import itertools
 import math
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -440,6 +443,61 @@ def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
         reports = fock.identity_reports(n, cutoff, charge=charge)
         assert all(r["pass"] for r in reports)
         assert builds and len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("n, cutoff, charge", [(2, 6, 0), (3, 4, 0), (2, 8, None)],
+                         ids=["su2-N6-q0", "su3-N4-q0", "su2-N8-all-charges"])
+def test_suite_leaves_every_hop_table_column_ordered(monkeypatch, n, cutoff, charge):
+    """The prefix cuts of ``_stacked_product`` and the vacuum heads of
+    ``_vacuum_column`` read each cached hop by ascending column: checked on
+    every table a whole suite leaves in its space's cache."""
+    spaces = []
+
+    def recording(*args, **kwargs):
+        spaces.append(build(*args, **kwargs))
+        return spaces[-1]
+
+    build = fock.build_fock
+    monkeypatch.setattr(fock, "build_fock", recording)
+    fock.identity_reports(n, cutoff, charge=charge)
+    (space,) = spaces
+    assert len(space.hops) == n * n * (2 * cutoff + 1)
+    for key, (rows, cols, signs) in space.hops.items():
+        assert len(rows) == len(cols) == len(signs), key
+        assert np.all(np.diff(cols) >= 0), key
+
+
+def test_suite_factors_are_made_once_and_not_kept(monkeypatch):
+    """Each operator's column-ordered entries (its ``_Factor``) are made at
+    most once per ``identity_reports`` call, and nothing holds them after
+    the call: not the operator, whose fields stay as they were, and not the
+    space's hop cache."""
+    made = {}
+    operators = []
+    entries = []
+    factor = fock._factor
+
+    def counting(op):
+        made[id(op)] = made.get(id(op), 0) + 1
+        operators.append(op)
+        out = factor(op)
+        entries.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(fock, "_factor", counting)
+    fields = {f.name for f in dataclasses.fields(fock.FockOperator)}
+    for n, cutoff, charge in [(2, 6, 0), (3, 4, 0)]:
+        made.clear()
+        operators.clear()
+        entries.clear()
+        fock.identity_reports(n, cutoff, charge=charge)
+        assert operators and max(made.values()) == 1
+        gc.collect()
+        assert all(ref() is None for ref in entries)
+        for op in operators:
+            assert set(vars(op)) == fields
+            assert op.matrix.format == "csr"
+            assert all(len(hop) == 3 for hop in op.space.hops.values())
 
 
 def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):

@@ -15,8 +15,14 @@ whole block matrix M, against which the counted block pairs of
 ``hs_defect`` are compared.  ``_oracle_suite`` holds the identity residuals
 as whole ``FockOperator`` expressions, against which the grouped,
 column-restricted evaluation of ``identity_reports`` is compared.
+``_stacked_csr_oracle`` is the preallocated COO fill that the concatenating
+``_stacked_csr`` replaced, and ``_hop_oracle``, ``_vacuum_column_loop`` and
+``_random_polynomial_loop`` are the one-at-a-time loops behind the batched
+hop build, vacuum column and random element; those four must agree bit for
+bit, or to 1e-14 where the sum order may change.
 """
 
+import itertools
 import math
 from functools import cache
 
@@ -597,3 +603,211 @@ def test_operator_difference_is_bit_identical_to_sum_of_negative(spaces):
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.matrix, part),
                                       getattr(want.matrix, part))
+
+
+def _stacked_csr_oracle(blocks, shape):
+    """The assembler that the concatenating ``_stacked_csr`` replaced, kept
+    verbatim: a preallocated COO fill, block by block, that cuts a block to
+    its first ``width`` columns by a mask over all of its entries."""
+    keeps = [None if width is None else cols < width
+             for _, cols, _, width, *_ in blocks]
+    sizes = [len(cols) if keep is None else np.count_nonzero(keep)
+             for (_, cols, *_), keep in zip(blocks, keeps)]
+    total = sum(sizes)
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(total, dtype=index)
+    cols = np.empty(total, dtype=index)
+    data = np.empty(total, dtype=complex)
+    pos = 0
+    for (r, c, d, _, row_offset, col_offset, coef), keep, size in zip(
+            blocks, keeps, sizes):
+        if keep is not None:
+            r, c, d = r[keep], c[keep], d[keep]
+        end = pos + size
+        np.add(r, row_offset, out=rows[pos:end])
+        np.add(c, col_offset, out=cols[pos:end])
+        np.multiply(d, coef, out=data[pos:end])
+        pos = end
+    mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _by_count(blocks):
+    """Blocks (rows, cols, data, width, ...) as ``_stacked_csr`` takes
+    them: the width replaced by the length of the prefix it keeps."""
+    return [(r, c, d, None if w is None else int(c.searchsorted(w)), *rest)
+            for r, c, d, w, *rest in blocks]
+
+
+def _random_blocks(rng, shape, count):
+    """Column-ordered blocks with int8 hop signs or complex data, cut or
+    uncut, at random offsets, with real or complex coefficients; every
+    third block is followed by its exact negative, which cancels it."""
+    blocks = []
+    for _ in range(count):
+        height = int(rng.integers(1, shape[0] + 1))
+        span = int(rng.integers(1, shape[1] + 1))
+        size = int(rng.integers(0, 3 * max(height, span)))
+        cols = np.sort(rng.integers(0, span, size)).astype(np.int32)
+        rows = rng.integers(0, height, size).astype(np.int32)
+        if rng.random() < 0.5:
+            data = rng.choice(np.array([-1, 1], dtype=np.int8), size)
+        else:
+            data = rng.normal(size=size) + 1j * rng.normal(size=size)
+        width = None if rng.random() < 0.3 else int(rng.integers(0, span + 1))
+        coef = (complex(rng.normal(), rng.normal()) if rng.random() < 0.5
+                else float(rng.normal()))
+        block = (rows, cols, data, width, int(rng.integers(0, shape[0] - height + 1)),
+                 int(rng.integers(0, shape[1] - span + 1)), coef)
+        blocks.append(block)
+        if len(blocks) % 3 == 0:
+            blocks.append((*block[:6], -coef))
+    return blocks
+
+
+def _assert_same_csr(got, want, tol=1e-14):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_csr_matches_preallocated_fill(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    blocks = _random_blocks(rng, shape, int(rng.integers(1, 25)))
+    want = _stacked_csr_oracle(blocks, shape)
+    _assert_same_csr(fock._stacked_csr(_by_count(blocks), shape), want)
+    assert not np.any(want.data == 0)
+
+
+def test_stacked_csr_drops_what_cancels_and_takes_no_blocks():
+    rows = np.array([0, 2, 1, 0], np.int32)
+    cols = np.array([0, 0, 1, 2], np.int32)
+    signs = np.array([1, -1, 1, 1], np.int8)
+    blocks = [(rows, cols, signs, 2, 1, 3, 0.5j), (rows, cols, signs, 2, 1, 3, -0.5j),
+              (rows, cols, signs, None, 0, 0, 2.0)]
+    got = fock._stacked_csr(_by_count(blocks), (4, 5))
+    _assert_same_csr(got, _stacked_csr_oracle(blocks, (4, 5)))
+    assert got.nnz == 4
+    for shape in [(3, 7), (1, 1)]:
+        empty = fock._stacked_csr([], shape)
+        _assert_same_csr(empty, _stacked_csr_oracle([], shape))
+        assert empty.nnz == 0
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 6, None)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_assemble_is_bit_identical_to_preallocated_fill(spaces, spec):
+    """The bilinears of every basis element and of a generic matrix, at
+    every mode: the zero modes of the diagonal ones repeat their diagonal
+    entries and go through the summing route, the rest through the
+    (row, col) order; both give the preallocated fill bit for bit."""
+    space = spaces[spec]
+    n, cutoff, _ = spec
+    rng = np.random.default_rng(n)
+    generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    generic -= np.trace(generic) / n * np.eye(n)
+    for x in [*lie.build_su(n).basis, generic]:
+        for m in range(-cutoff, cutoff + 1):
+            terms = fock._hop_terms(space, x, m)
+            got = fock._assemble(space, terms)
+            want = _stacked_csr_oracle([(*hop, None, 0, 0, coef)
+                                        for coef, hop in terms],
+                                       (space.dim, space.dim))
+            _assert_same_csr(got, want, tol=0.0)
+
+
+def _random_polynomial_loop(algebra, rng, max_mode):
+    """The per-element loop that ``fock._random_polynomial`` replaced."""
+    coeffs = {}
+    for k in map(int, rng.integers(1, max_mode + 1, size=2)):
+        a = sum(rng.normal() * algebra.basis[i] + 1j * rng.normal() * algebra.basis[i]
+                for i in range(algebra.dimension))
+        coeffs[k] = coeffs.get(k, 0) + a
+        coeffs[-k] = coeffs.get(-k, 0) + (-a.conj().T)
+    z = sum(rng.normal() * algebra.basis[i] for i in range(algebra.dimension))
+    coeffs[0] = coeffs.get(0, 0) + z
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_polynomial_is_bit_identical_to_the_loop(n):
+    algebra = lie.build_su(n)
+    for seed in range(10):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for max_mode in (1, 2, 3):
+            got = fock._random_polynomial(algebra, got_rng, max_mode).coefficients
+            want = _random_polynomial_loop(algebra, want_rng, max_mode)
+            assert list(got) == list(want)
+            for k in want:
+                assert np.array_equal(got[k], want[k]), (seed, k)
+        assert got_rng.random() == want_rng.random()
+
+
+def _hop_oracle(space, i, j, m):
+    """E_ij(m) built alone, as ``fock._hop`` built it before a miss built
+    every target color of the source color at once."""
+    n, cutoff = space.n, space.cutoff
+    words = space.words
+    sorted_words, order = space._mask_lookup
+    ks = np.arange(max(-cutoff, -cutoff + m), min(cutoff, cutoff + m) + 1)
+    one = np.uint64(1)
+    src = one << ((ks + cutoff) * n + j).astype(np.uint64)[None, :]
+    dst = one << ((ks - m + cutoff) * n + i).astype(np.uint64)[None, :]
+    state = words[:, None]
+    mid = state & ~src
+    ok = ((state & src) != 0) & ((mid & dst) == 0)
+    parity = (np.bitwise_count(state & (src - one))
+              + np.bitwise_count(mid & (dst - one))) & 1
+    cols, kk = np.nonzero(ok)
+    target = (mid | dst)[cols, kk]
+    pos = np.minimum(np.searchsorted(sorted_words, target), len(words) - 1)
+    found = sorted_words[pos] == target
+    return (order[pos[found]].astype(np.int32), cols[found].astype(np.int32),
+            (1 - 2 * parity[cols[found], kk[found]]).astype(np.int8))
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 5, None), (4, 3, 1)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_hops_built_by_source_color_equal_hops_built_alone(spec):
+    n, cutoff, charge = spec
+    space = fock.build_fock(n, cutoff, charge=charge)
+    for i, j in itertools.product(range(n), repeat=2):
+        for m in range(-cutoff, cutoff + 1):
+            for got, want in zip(fock._hop(space, i, j, m),
+                                 _hop_oracle(space, i, j, m)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (i, j, m)
+
+
+def _vacuum_column_loop(space, coefficients):
+    """The hop-by-hop loop that ``fock._vacuum_column`` replaced."""
+    rows, values = [], []
+    for k, a in coefficients:
+        if k > 0:
+            continue
+        for coef, (hop_rows, cols, signs) in fock._hop_terms(space, a, k):
+            end = cols.searchsorted(1)
+            rows.append(hop_rows[:end])
+            values.append(coef * signs[:end])
+    column = np.zeros(space.dim, dtype=complex)
+    if rows:
+        np.add.at(column, np.concatenate(rows), np.concatenate(values))
+    return column
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_vacuum_column_is_bit_identical_to_the_loop(spaces, spec):
+    space = spaces[spec]
+    algebra = lie.build_su(spec[0])
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x = fock._random_polynomial(algebra, rng, spec[1] // 2)
+        for coefficients in (x.coefficients.items(),
+                             [(-k, a.conj().T) for k, a in x.coefficients.items()]):
+            got = fock._vacuum_column(space, coefficients)
+            assert np.array_equal(got, _vacuum_column_loop(space, coefficients))

@@ -711,7 +711,8 @@ def test_sample_count_bound():
 
 
 @pytest.mark.parametrize("n_samples, error", [
-    (3, NumericError), (1000, NumericError), (2 ** 17, CapacityError)])
+    (3, NumericError), (1000, NumericError), (2 ** 17, CapacityError),
+    (256.0, NumericError), (2.5, NumericError)])
 @pytest.mark.parametrize("name", [
     "semidirect_exp", "loop_from_factors", "identity_loop", "zeta_t",
     "rotation_cocycle_2pi", "cayley_inverse"])
@@ -737,6 +738,21 @@ def test_sample_count_is_checked_before_any_work(monkeypatch, su2, name,
         monkeypatch.setattr(module, "circle_grid", no_grid)
     with pytest.raises(error):
         calls[name](n_samples)
+
+
+def test_sample_count_must_be_an_integer(su2):
+    """A float count is refused by value, integral or not; a numpy integer
+    is a count like any other."""
+    for bad in (256.0, 2.5):
+        with pytest.raises(NumericError, match=f"integer, got {bad!r}"):
+            loops._check_sample_count(bad)
+    count = np.int64(256)
+    assert loops._check_sample_count(count) == 256
+    assert loops.identity_loop(su2, count).samples.shape == (256, 2, 2)
+    b = su2.basis[0]
+    x = FourierLoopElement({1: 0.1 * b, -1: 0.1 * b}, su2, real_form=True)
+    loop, _ = loops.semidirect_exp(x, 0.5, n_samples=count)
+    assert loop.samples.shape == (256, 2, 2)
 
 
 def test_element_resolution_is_the_sampled_loops_rule(su2):
