@@ -386,7 +386,8 @@ def _soliton(v, pointer, top, _) -> tuple:
 
 
 def _element(v, pointer, top, _) -> loops.FourierLoopElement:
-    """Sum (not product) of profile * generator terms as a loop-algebra element."""
+    """Sum (not product) of profile * generator terms as a loop-algebra
+    element, which must be in the compact real form to 1e-12."""
     algebra = top["algebra"][0]
     spec = _fields(v, pointer, {"factors": (_fourier_factors, _REQUIRED)},
                    algebra)
@@ -394,7 +395,8 @@ def _element(v, pointer, top, _) -> loops.FourierLoopElement:
     for gen, _, scalar in spec["factors"]:
         for k, c in scalar.coefficients.items():
             coeffs[k] = coeffs.get(k, 0) + c * gen
-    x = loops.FourierLoopElement(coeffs, algebra)
+    x = _accepted(loops.FourierLoopElement, pointer, coeffs, algebra,
+                  real_form=True)
     _accepted(loops._check_element_resolution, pointer, x, top["grid_samples"])
     return x
 

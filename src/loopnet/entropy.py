@@ -38,14 +38,16 @@ because the interval weight (r^2-u^2)/2r never exceeds r/2.
 The left-hand entropy uses the weight (t - u), the unique choice that is
 nonnegative, nondecreasing in t and consistent with the sum rule.
 
-All of these are read from one quadrature of rho = S''.  Its adaptive panel
-partition over the support (``quadrature.panel_partition``) is built once
-per path and tolerance and cached on the LinePath.  It is cut at the
-support edges of every factor, where rho need not be smooth (a PolyBump
-edge is only C^3), so no panel straddles one; between those edges a path
-of one or two PolyBumps is a polynomial that the 10-point rule integrates
-exactly, and each piece passes on its first evaluation.  With the tail
-moments M_p(t) = integral_t^inf u^p rho du and the totals E_p = M_p(-inf),
+All of these are read from one quadrature of rho = S'', which
+``LinePath.rho`` evaluates; the energy density is rho / 2 pi.  Its adaptive
+panel partition over the support (``quadrature.panel_partition``) is built
+once per path and tolerance by ``LinePath.partition`` and cached there.  It
+is cut at the support edges of every factor, where rho need not be smooth
+(a PolyBump edge is only C^3), so no panel straddles one; between those
+edges a path of one or two PolyBumps is a polynomial that the 10-point rule
+integrates exactly, and each piece passes on its first evaluation.  With
+the tail moments M_p(t) = integral_t^inf u^p rho du and the totals
+E_p = M_p(-inf),
 
     S(t)     = M1(t) - t M0(t),          S'(t) = -M0(t),
     S_bar(t) = t (E0 - M0(t)) - (E1 - M1(t)),
@@ -314,42 +316,29 @@ class LinePath:
         w += term(0)
         return np.einsum("apb,bpa->p", w, w).real
 
-    def density_scale(self) -> float:
-        return self.level / (4.0 * math.pi)
+    def rho(self, us) -> np.ndarray:
+        """rho = S'' = -(l/2) <g' g^-1, g' g^-1>(u) >= 0, the integrand of
+        every entropy functional and 2 pi times the energy density."""
+        return -0.5 * self.level * self.current_square(us)
+
+    def partition(self, tol: float) -> PanelPartition:
+        """The panel partition of rho over the support, cached per tol and
+        seeded at the factors' support edges, where rho need not be smooth.
+        Its ``tail_moments(self.rho, ts)`` are M_p(t), p = 0, 1, 2."""
+        part = self._partitions.get(tol)
+        if part is None:
+            lo, hi = self.support()
+            edges = [x for _, profile in self.factors for x in profile.support()]
+            part = self._partitions[tol] = panel_partition(
+                self.rho, lo, hi, tol=tol, points=edges)
+        return part
 
 
 def energy_density(path: LinePath, u) -> float | np.ndarray:
-    """Pointwise energy density -(l/4 pi) <g' g^-1, g' g^-1>(u); nonnegative."""
-    vals = -path.density_scale() * path.current_square(u)
+    """Pointwise energy density rho / 2 pi = -(l/4 pi) <g' g^-1, g' g^-1>(u);
+    nonnegative."""
+    vals = path.rho(u) / (2.0 * math.pi)
     return float(vals[0]) if np.isscalar(u) else vals
-
-
-def _density_integrand(path: LinePath):
-    scale = -0.5 * path.level
-
-    def rho(us):
-        # -(l/2) <M, M>(u) >= 0; equals S'' and 2 pi * density
-        return scale * path.current_square(us)
-
-    return rho
-
-
-def _partition(path: LinePath, tol: float) -> PanelPartition:
-    """The panel partition of rho = S'' over the support, cached per tol and
-    seeded at the factors' support edges, where rho need not be smooth."""
-    part = path._partitions.get(tol)
-    if part is None:
-        lo, hi = path.support()
-        edges = [x for _, profile in path.factors for x in profile.support()]
-        part = panel_partition(_density_integrand(path), lo, hi, tol=tol,
-                               points=edges)
-        path._partitions[tol] = part
-    return part
-
-
-def _tail_moments(path: LinePath, ts, tol: float) -> np.ndarray:
-    """M_p(t) = integral_t^inf u^p S''(u) du for p = 0, 1, 2, shape (len(ts), 3)."""
-    return _partition(path, tol).tail_moments(_density_integrand(path), ts)
 
 
 def total_energy(path: LinePath, tol: float = DEFAULT_TOL) -> float:
@@ -357,7 +346,7 @@ def total_energy(path: LinePath, tol: float = DEFAULT_TOL) -> float:
     lo, hi = path.support()
     if hi <= lo:
         return 0.0
-    return float(_partition(path, tol).totals[0]) / (2.0 * math.pi)
+    return float(path.partition(tol).totals[0]) / (2.0 * math.pi)
 
 
 def _entropies(path: LinePath, ts, tol: float, right: bool = True,
@@ -374,8 +363,9 @@ def _entropies(path: LinePath, ts, tol: float, right: bool = True,
     m0 = m1 = np.zeros_like(ts)
     e0 = e1 = 0.0
     if not (zero.all() and zero_bar.all()):
-        m0, m1, _ = _tail_moments(path, ts, tol).T
-        e0, e1, _ = _partition(path, tol).totals
+        part = path.partition(tol)
+        m0, m1, _ = part.tail_moments(path.rho, ts).T
+        e0, e1, _ = part.totals
     return (np.where(zero, 0.0, m1 - ts * m0),
             np.where(zero_bar, 0.0, ts * (e0 - m0) - (e1 - m1)),
             np.where(zero, 0.0, -m0))
@@ -404,7 +394,7 @@ def _interval_entropies(path: LinePath, radii, tol: float) -> list[float]:
     out = [0.0] * len(radii)
     if inside:
         rs = [float(radii[i]) for i in inside]
-        moments = _tail_moments(path, [-r for r in rs] + rs, tol)
+        moments = path.partition(tol).tail_moments(path.rho, [-r for r in rs] + rs)
         gaps = (moments[:len(rs)] - moments[len(rs):]).tolist()
         for i, r, (m0, _, m2) in zip(inside, rs, gaps):
             out[i] = (r * r * m0 - m2) / (2.0 * r)
@@ -484,7 +474,7 @@ def qnec_profile(path: LinePath, grid,
         raise NumericError("grid must be a 1-d array with at least 3 points")
     if np.any(np.diff(ts) <= 0):
         raise NumericError("grid must be strictly increasing")
-    sdd = _density_integrand(path)(ts)
+    sdd = path.rho(ts)
     dens = sdd / (2.0 * math.pi)
     # S, S_bar and S' at the grid and S on the stencil t +- d, all read from
     # one batch of tail moments on the cached partition

@@ -121,7 +121,7 @@ class FourierLoopElement:
                                    axis=(1, 2)).max(initial=0.0)
             inside = bool(worst <= _REALITY_TOL)
             if real_form and not inside:
-                raise ValueError(
+                raise NumericError(
                     f"real-form tag violated: coefficient reality residual {worst:.2e}")
             real_form = inside
         self.coefficients = coeffs
@@ -755,22 +755,26 @@ def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
 def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
                      t: float, n_samples: int, dt: float) -> np.ndarray:
     """Explicit RK4 integration of d gamma/dt = X gamma - alpha h d_theta gamma
-    on the grid, in round(|t| / dt) equal steps (``_ode_steps``).
+    on the grid, in equal steps of at most dt (``_ode_steps``).
 
     Both routes run the same recurrence on the same semi-discrete operator
     (pointwise X and Re h, the spectral derivative of
     ``_spectral_derivative``), so they agree to rounding; the sparse step
     map is taken when few Fourier modes couple (``_step_map_pays``).
     """
-    n_steps = _ode_steps(t, dt)
+    n_steps = _ode_steps(x, alpha, h, t, dt)
     if _step_map_pays(x, h, n_samples, n_steps):
         return _ode_step_map(x, alpha, h, t, n_samples, n_steps)
     return _ode_pointwise(x, alpha, h, t, n_samples, n_steps)
 
 
-def _ode_steps(t: float, dt: float) -> int:
-    """round(|t| / dt), at least 1 and at most MAX_STEPS."""
-    return max(1, int(round(_bounded_steps(abs(t) / dt, "the RK4 check"))))
+def _ode_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
+               t: float, dt: float) -> int:
+    """round(|t| / dt), raised to the Magnus step count (``_magnus_steps``)
+    so that no RK4 step moves a large X further than a Magnus step does; at
+    least 1 and at most MAX_STEPS."""
+    return max(int(round(_bounded_steps(abs(t) / dt, "the RK4 check"))),
+               _magnus_steps(x, alpha, h, t))
 
 
 def _check_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -782,7 +786,7 @@ def _check_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
     _magnus_steps(x, alpha, h, t)
     _flow_steps(h, abs(alpha * t))
     if verify:
-        _ode_steps(t, _ODE_DT)
+        _ode_steps(x, alpha, h, t, _ODE_DT)
 
 
 def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -888,12 +892,12 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     """
     _check_sample_count(n_samples)
     if not x.real_form:
-        raise ValueError("semidirect exponential needs a real-form element")
+        raise NumericError("semidirect exponential needs a real-form element")
     _check_element_resolution(x, n_samples)
     if h is None:
         h = ScalarField.constant(1.0)
     if not h.real:
-        raise ValueError("the flow field must be real")
+        raise NumericError("the flow field must be real")
     _check_steps(x, alpha, h, t, verify)
     samples = _magnus_product(x, alpha, h, t, circle_grid(n_samples),
                               _magnus_steps(x, alpha, h, t))
@@ -906,8 +910,8 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
 def _ode_gap(loop: GridLoop, x: FourierLoopElement, alpha: float,
              h: ScalarField, t: float) -> float:
     """Sup-norm gap between ``loop`` = semidirect_exp(x, alpha, h, t) and
-    the RK4 integration ``_ode_exponential`` in steps of _ODE_DT on its grid;
-    above _ODE_TOL, VerificationError carrying the gap."""
+    the RK4 integration ``_ode_exponential`` in steps of at most _ODE_DT on
+    its grid; above _ODE_TOL, VerificationError carrying the gap."""
     ode = _ode_exponential(x, alpha, h, t, loop.n_samples, _ODE_DT)
     gap = float(np.abs(loop.samples - ode).max())
     if gap > _ODE_TOL:

@@ -328,6 +328,26 @@ def test_exp_check_passes_on_two_directions(tmp_path):
     assert json.loads((tmp_path / "exp_check.json").read_text())["pass"]
 
 
+def test_exp_check_refuses_an_element_outside_the_real_form(tmp_path, capsys):
+    # the generator is anti-hermitian to 1e-12 (4e-13 on its diagonal), but
+    # at amplitude 400 the element is 3.2e-10 off the real form, which the
+    # semidirect exponential needs: refused at validation, not a crash
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"algebra": {"family": "su2"}, "tasks": [
+        {"task": "exp-ode-check", "element": {"factors": [
+            {"generator": {"matrix": [[[4e-13, 0.5], [0.3, 0.0]],
+                                      [[-0.3, 0.0], [0.0, -0.5]]]},
+             "profile": "fourier", "parameters": {
+                 "coefficients": [[1, 400.0, 0.0], [-1, 400.0, 0.0]]}}]}}]}))
+    rc = cli.main(["exp-check", "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error: /tasks/0/element: real-form tag" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exp_check_reports_the_measured_gap(tmp_path, capsys, monkeypatch):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({"algebra": {"family": "su2"},

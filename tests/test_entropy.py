@@ -362,13 +362,12 @@ def test_qnec_profile_refuses_negative_s_dd(su2, monkeypatch):
     # a dip of depth 1e-6 and width 1e-4 at u = 6, where S'' is below 1e-31:
     # S'' < 0 there, while S moves by less than 1e-9 and the stencil of
     # spacing 1e-2 sees the dip as a relative 1e-6 of the peak
-    original = entropy._density_integrand
+    original = entropy.LinePath.rho
 
-    def dipped(path):
-        rho = original(path)
-        return lambda us: rho(us) - 1e-6 * np.exp(-((us - 6.0) / 1e-4) ** 2)
+    def dipped(path, us):
+        return original(path, us) - 1e-6 * np.exp(-((us - 6.0) / 1e-4) ** 2)
 
-    monkeypatch.setattr(entropy, "_density_integrand", dipped)
+    monkeypatch.setattr(entropy.LinePath, "rho", dipped)
     with pytest.raises(VerificationError, match="S'' went negative") as err:
         entropy.qnec_profile(gaussian_path(su2), np.linspace(-4, 6, 51))
     assert err.value.residual == pytest.approx(-1e-6, rel=1e-6)

@@ -10,6 +10,9 @@ The oracle integrand is the product rule, the form ``LinePath.current_square``
 had before its Ad-invariance reduction: prefix products of exp(f_j X_j)
 conjugating each X_j.  So the oracle functionals share no code with the fast
 integrand, and the two integrands must agree to 1e-14 of the peak.
+``density_integrand`` is rho = S'' as the module built it before
+``LinePath.rho``, -(l/2) times ``current_square`` in a closure; the two
+must agree bit for bit.
 
 The partition's moment rule (products of each chunk's values with a
 constant matrix) keeps the per-point power arrays it replaced as
@@ -34,7 +37,7 @@ from loopnet import entropy, lie, loops, quadrature
 from loopnet.errors import AccuracyError
 from loopnet.quadrature import panel_partition
 
-from conftest import random_antihermitian
+from conftest import random_antihermitian, random_line_path
 
 ORACLE_TOL = 1e-13
 AGREE = 1e-10
@@ -95,6 +98,16 @@ def product_rule_current_square(path, us):
 
 def _rho(path):
     return lambda us: -0.5 * path.level * product_rule_current_square(path, us)
+
+
+def density_integrand(path):
+    scale = -0.5 * path.level
+
+    def rho(us):
+        # -(l/2) <M, M>(u) >= 0; equals S'' and 2 pi * density
+        return scale * path.current_square(us)
+
+    return rho
 
 
 def oracle_total_energy(path, tol=ORACLE_TOL):
@@ -280,7 +293,7 @@ def test_tolerance_below_rounding_raises_in_bounded_time_and_memory():
     su2 = lie.build_su(2)
     path = entropy.LinePath(su2, [(np.sqrt(2.0) * su2.basis[0],
                                    entropy.GaussianWindow(0.0, 1.0, 0.8))])
-    assert len(entropy._partition(path, 1e-13).depth) == 10
+    assert len(path.partition(1e-13).depth) == 10
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -304,7 +317,7 @@ def test_level_below_floor_counted_against_limit(monkeypatch):
     path = entropy.LinePath(su2, [(np.sqrt(2.0) * su2.basis[0],
                                    entropy.GaussianWindow(0.0, 1.0, 0.8))])
     monkeypatch.setattr(quadrature, "FLOOR_PANELS", 0)
-    assert len(entropy._partition(path, 1e-13).depth) == 10
+    assert len(path.partition(1e-13).depth) == 10
     with pytest.raises(AccuracyError):
         entropy.total_energy(path, tol=1e-14)
 
@@ -388,6 +401,19 @@ def _sample_grid(path):
     lo, hi = path.support()
     # points on both sides of the support, where the profiles are constant
     return np.linspace(lo - 1.5, hi + 1.5, 301)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rho_is_the_current_square_integrand_bit_for_bit(n):
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(n)
+    sizes = set()
+    for trial in range(24):
+        path = random_line_path(algebra, rng, max_factors=4, level=1 + trial % 3)
+        sizes.add(path.n_factors)
+        us = _sample_grid(path)
+        assert path.rho(us).tobytes() == density_integrand(path)(us).tobytes()
+    assert sizes == {1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -546,7 +572,7 @@ def _path(algebra, windows, level=1, seed=0):
 
 
 def _counted_rho(path, calls):
-    rho = entropy._density_integrand(path)
+    rho = path.rho
     return lambda us: calls.append(len(us)) or rho(us)
 
 
@@ -570,7 +596,7 @@ def test_panel_moments_match_oracle(index):
     path = _unseeded_paths()[index]
     lo, hi = path.support()
     a = np.sort(rng.uniform(lo, hi, size=(40, 2)), axis=1)
-    rho = entropy._density_integrand(path)
+    rho = path.rho
     scale = max(hi - lo, 1.0)
     fast, err, floor = quadrature._panel_moments(rho, a[:, 0], a[:, 1], scale)
     slow, slow_err, slow_floor = oracle_panel_moments(rho, a[:, 0], a[:, 1],
@@ -589,7 +615,7 @@ def test_unseeded_partition_matches_oracle_rule(index, monkeypatch):
     builds: the same edges, depths and budgets tol / 2^depth, bit for bit,
     and the same suffix sums and tail moments to 1e-14."""
     path = _unseeded_paths()[index]
-    rho = entropy._density_integrand(path)
+    rho = path.rho
     lo, hi = path.support()
     fast = panel_partition(rho, lo, hi)
     with monkeypatch.context() as m:
@@ -640,7 +666,7 @@ def test_two_bump_cut_points_save_calls(su2):
     assert len(seeded_calls) == 1 and len(seeded.depth) == 3
     assert len(plain_calls) > len(seeded_calls)
     assert abs(seeded.budget.sum() - 1e-10) <= 1e-25
-    rho = entropy._density_integrand(path)
+    rho = path.rho
     e_ref = oracle_total_energy(path)
     ts = np.linspace(lo - 0.2, hi + 0.2, 9)
     for part in (seeded, plain):

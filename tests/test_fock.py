@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopnet import affine_data, fock, lie, loops, soliton
-from loopnet.errors import (AlgebraMismatchError, CapacityError,
-                            InvalidRankError, NumericError, WindowError)
+from loopnet.errors import (AlgebraMismatchError, CapacityError, ConfigError,
+                            InvalidRankError, LoopnetError, NumericError,
+                            WindowError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -252,24 +253,63 @@ def test_mask_width_capacity_error(n, cutoff, dim, dim_limit):
     (lambda: fock.build_fock(2, -1), WindowError, "cutoff >= 0"),
     (lambda: fock.hs_defect({0: np.eye(2)}, 0), WindowError, "window must be >= 1"),
     (lambda: fock.hs_defect({}, 4), NumericError, "at least one"),
-    (lambda: fock.current(fock.build_fock(2, 2), np.eye(3), 1), ValueError,
-     "generator shape"),
+    (lambda: fock.current(fock.build_fock(2, 2), np.eye(3), 1),
+     AlgebraMismatchError, "generator shape"),
+    (lambda: fock.current(fock.build_fock(2, 2), 1j * np.eye(2), 0),
+     NumericError, "traceless"),
     (lambda: fock.adjoint_action_check(
         fock.build_fock(2, 4, charge=0),
         FourierLoopElement({1: lie.build_su(2).basis[0]}, lie.build_su(2)),
         FourierLoopElement({}, lie.build_su(2))),
-     ValueError, "real-form element"),
+     NumericError, "real-form element"),
     (lambda: fock.identity_operator(fock.build_fock(2, 2))
      @ fock.identity_operator(fock.build_fock(2, 2)),
-     ValueError, "different truncated spaces"),
+     AlgebraMismatchError, "different truncated spaces"),
+    (lambda: fock.identity_reports(2, 4, identities=("afine",)),
+     ConfigError, "afine"),
+    (lambda: fock.build_fock(2, 2, charge=1).vacuum_index,
+     WindowError, "charge-0 sector"),
 ], ids=["build-rank", "build-cutoff", "hs-window", "hs-empty", "current-shape",
-        "adjoint-real-form", "product-spaces"])
+        "current-trace", "adjoint-real-form", "product-spaces",
+        "unknown-identity", "charged-vacuum"])
 def test_argument_refusals_are_typed(call, error, words):
-    # typed LoopnetErrors, or plain ValueErrors, that callers catching
-    # ValueError all see
-    with pytest.raises(error, match=words) as err:
+    # typed LoopnetErrors that are ValueErrors too, so that callers catching
+    # either see them
+    with pytest.raises(LoopnetError, match=words) as err:
         call()
+    assert isinstance(err.value, error)
     assert isinstance(err.value, ValueError)
+
+
+def test_charged_vacuum_cocycle_is_refused_before_any_work(su2, monkeypatch):
+    """A charged sector holds no vacuum: the check is refused before it
+    reads a grading or forms a vacuum column."""
+    space = fock.build_fock(2, 4, charge=1)
+    x = FourierLoopElement({1: su2.basis[0], -1: su2.basis[0]}, su2)
+    monkeypatch.setattr(fock, "_pi_grading", None)
+    monkeypatch.setattr(fock, "_vacuum_column", None)
+    with pytest.raises(WindowError, match="charge-0 sector"):
+        fock.vacuum_cocycle_check(space, x, x)
+    assert not space.hops
+
+
+@pytest.mark.parametrize("mode_range", [0, -1])
+def test_identity_reports_refuse_an_empty_mode_range(mode_range, monkeypatch):
+    """mode_range < 1 probes no mode; it is refused before the space is
+    built, as the scenario parser refuses it, not widened to |m| <= 1."""
+    monkeypatch.setattr(fock, "build_fock", None)
+    with pytest.raises(WindowError, match="mode_range >= 1"):
+        fock.identity_reports(2, 4, mode_range=mode_range)
+
+
+def test_current_grading_is_the_one_mode_rule(space6, su2):
+    """A current x(m) carries the grading of pi(x) with the one mode m:
+    degree -m, max_raise max(0, -m), protected_energy cutoff - max_raise."""
+    for m in range(-space6.cutoff, space6.cutoff + 1):
+        op = fock.current(space6, su2.basis[0], m)
+        grading = (op.degree, op.protected_energy, op.max_raise)
+        assert grading == tuple(fock._pi_grading(space6, [m], space6.cutoff))
+        assert grading == (-m, space6.cutoff - max(0, -m), max(0, -m))
 
 
 def test_charge_sector_restriction(su2):

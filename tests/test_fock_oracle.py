@@ -16,10 +16,12 @@ whole block matrix M, against which the counted block pairs of
 as whole ``FockOperator`` expressions, against which the grouped,
 column-restricted evaluation of ``identity_reports`` is compared.
 ``_stacked_csr_oracle`` is the preallocated COO fill that the concatenating
-``_stacked_csr`` replaced, and ``_hop_oracle``, ``_vacuum_column_loop`` and
-``_random_polynomial_loop`` are the one-at-a-time loops behind the batched
-hop build, vacuum column and random element; those four must agree bit for
-bit, or to 1e-14 where the sum order may change.
+``_stacked_csr`` replaced, ``_factor_oracle`` the stable argsort by column
+that ``_factor``'s read of the transposed CSR replaced, and ``_hop_oracle``,
+``_vacuum_column_loop`` and ``_random_polynomial_loop`` are the
+one-at-a-time loops behind the batched hop build, vacuum column and random
+element; those five must agree bit for bit, or to 1e-14 where the sum
+order may change.
 """
 
 import itertools
@@ -233,8 +235,8 @@ def test_vacuum_cocycle_protection_matches_full_matrix_route(
     y = fock._random_polynomial(algebra, rng, 3)
     exact = fock._pi_grading
 
-    def shallow(space, elem, max_mode):
-        grading = exact(space, elem, max_mode)
+    def shallow(space, modes, max_mode):
+        grading = exact(space, modes, max_mode)
         return grading._replace(
             protected_energy=grading.protected_energy - deficit)
 
@@ -811,3 +813,38 @@ def test_vacuum_column_is_bit_identical_to_the_loop(spaces, spec):
                              [(-k, a.conj().T) for k, a in x.coefficients.items()]):
             got = fock._vacuum_column(space, coefficients)
             assert np.array_equal(got, _vacuum_column_loop(space, coefficients))
+
+
+def _factor_oracle(op):
+    """The ``_Factor`` as a stable argsort of op's CSR column indices made
+    it, kept verbatim: the sort keeps each column's rows ascending."""
+    mat, dim = op.matrix, op.space.dim
+    by_column = np.argsort(mat.indices, kind="stable")
+    rows = np.repeat(np.arange(dim, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    cols = mat.indices[by_column]
+    return fock._Factor(rows[by_column], cols, mat.data[by_column],
+                        cols.searchsorted(np.arange(dim + 1)), op.protected_energy,
+                        op.max_raise)
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 8, None)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_factor_matches_argsort_oracle(spec, monkeypatch):
+    """Every operator an identity suite reads, the currents, their adjoints,
+    the L_m, d and the identity: the same entries by column, in value and
+    bit for bit in data, and the same ``starts`` and grading."""
+    factor = fock._factor
+    checked = []
+
+    def compared(op):
+        got, want = factor(op), _factor_oracle(op)
+        for name, g, w in zip(fock._Factor._fields, got, want):
+            assert np.array_equal(g, w), name
+        assert got.data.tobytes() == want.data.tobytes()
+        checked.append(op)
+        return got
+
+    monkeypatch.setattr(fock, "_factor", compared)
+    n, cutoff, charge = spec
+    fock.identity_reports(n, cutoff, charge=charge)
+    assert len(checked) >= 45

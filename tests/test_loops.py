@@ -104,7 +104,7 @@ def test_reality_check_is_absolute(su2):
     a = su2.basis[0] + 2.0 * su2.basis[2]
     coeffs = {1: a, -1: -a.conj().T * (1 + 1e-6)}
     assert FourierLoopElement(coeffs, su2).real_form is False
-    with pytest.raises(ValueError, match="reality residual"):
+    with pytest.raises(NumericError, match="reality residual"):
         FourierLoopElement(coeffs, su2, real_form=True)
 
 
@@ -628,10 +628,10 @@ def test_semidirect_noncommuting_verified(su2, h):
 
 def test_semidirect_refuses_non_real_inputs(su2):
     x0 = su2.basis[0]
-    with pytest.raises(ValueError, match="real-form element"):
+    with pytest.raises(NumericError, match="real-form element"):
         loops.semidirect_exp(FourierLoopElement({1: x0}, su2), 1.0, None, 1.0, 16)
     x = FourierLoopElement({1: x0, -1: x0}, su2)
-    with pytest.raises(ValueError, match="flow field must be real"):
+    with pytest.raises(NumericError, match="flow field must be real"):
         loops.semidirect_exp(x, 1.0, ScalarField({1: 0.2}), 1.0, 16)
 
 
@@ -679,6 +679,22 @@ def test_unverified_call_plans_no_check_steps(su2, monkeypatch):
     with pytest.raises(CapacityError, match="RK4 check"):
         loops.semidirect_exp(x, alpha, None, t, 16, verify=True)
     assert time.perf_counter() - start < 1.0
+
+
+def test_check_of_a_large_element_takes_the_magnus_steps(su2):
+    # |X| ~ 800: round(|t| / 1e-3) would be one RK4 step, 4.8e-4 off; the
+    # check takes the 13 Magnus steps and verifies the closed form
+    a, t = 400.0, 1e-3
+    x0 = su2.basis[0]
+    x = FourierLoopElement({1: a * x0, -1: a * x0}, su2)
+    h = ScalarField.constant(1.0)
+    assert loops._magnus_steps(x, 1.0, h, t) == 13
+    assert loops._ode_steps(x, 1.0, h, t, loops._ODE_DT) == 13
+    loop, _ = loops.semidirect_exp(x, 1.0, h, t, 256, verify=True)
+    f = lambda th: 2 * a * (np.sin(th) - np.sin(th - t))
+    want = loops.loop_from_factors(su2, [(x0, f)], 256)
+    assert np.abs(loop.samples - want.samples).max() < 1e-12
+    assert loops._ode_gap(loop, x, 1.0, h, t) <= loops._ODE_TOL
 
 
 def test_step_bound_counts_each_step_loop(su2):
