@@ -371,6 +371,15 @@ def _cutoff(v, pointer, top, task) -> int:
     return cutoff
 
 
+def _identities(v, pointer, _, task) -> tuple:
+    """A nonempty list of identity names, each one the task's sector can
+    run: a charged sector holds no vacuum, so it refuses the vacuum cocycle
+    here rather than skip it without a word."""
+    names = _list(v, pointer, item=_choice(*fock.IDENTITIES))
+    _accepted(fock._check_identities, pointer, names, task["charge"])
+    return names
+
+
 def _soliton(v, pointer, top, _) -> tuple:
     """The factors of a SolitonPath: periodic ones, then the linear one."""
     spec = _fields(v, pointer, {"factors": (_optional(_fourier_factors), None),
@@ -563,8 +572,19 @@ def _run_fock_verify(scenario, task):
         dim_limit=scenario.dim_limit)
     ok = all(r["pass"] for r in reports)
     result = {"status": "pass" if ok else "fail",
-              "residuals": {r["identity"]: r["residual_max"] for r in reports}}
+              "residuals": {r["identity"]: r["residual_max"] for r in reports},
+              "vacuum_only": _vacuum_only(reports, task["charge"])}
     return result, [("fock_verify.json", _json_bytes(reports))]
+
+def _vacuum_only(reports, charge) -> list[str]:
+    """The operator identities whose protected block is the vacuum alone,
+    one column of a sector that holds it, so that their verdict says
+    nothing of any excited state.  The vacuum cocycle, a vacuum expectation
+    by definition, is not named."""
+    if charge not in (None, 0):
+        return []
+    return [r["identity"] for r in reports
+            if r["columns"] == 1 and r["identity"] != "vacuum-cocycle"]
 
 def _run_entropy_profile(scenario, task):
     profile = entropy.qnec_profile(
@@ -643,8 +663,8 @@ _TASKS = {
     "fock-verify": _TaskType("verify", {
         "charge": (_optional(functools.partial(_int, minimum=None)), None),
         "cutoff": (_cutoff, _Inherited("/fock_cutoff")),
-        "identities": (functools.partial(
-            _list, item=_choice(*fock.IDENTITIES)), list(fock.IDENTITIES)),
+        "identities": (_identities, lambda _, task: list(
+            fock._sector_identities(task["charge"]))),
         "tolerance": (_positive, _Inherited("/tolerances/identity")),
         "mode_range": (_int, fock.DEFAULT_MODE_RANGE)}, _run_fock_verify),
     "entropy-profile": _TaskType("entropy-profile", {
@@ -819,9 +839,12 @@ def main(argv=None) -> int:
                           fail_fast=args.fail_fast)
     for t in report.tasks:
         status = t["status"].upper()
-        extras = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
-                          for k, v in t.get("residuals", {}).items())
-        print(f"[{status}] {t['task']} ({t['elapsed_s']:.2f}s) {extras}".rstrip())
+        extras = [f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
+                  for k, v in t.get("residuals", {}).items()]
+        if t.get("vacuum_only"):
+            extras.append("vacuum-only=" + ",".join(t["vacuum_only"]))
+        print(f"[{status}] {t['task']} ({t['elapsed_s']:.2f}s) "
+              f"{' '.join(extras)}".rstrip())
     executed = [t for t in report.tasks if t["status"] != "skipped"]
     print(f"{sum(t['status'] == 'pass' for t in executed)}/{len(executed)} "
           f"tasks passed")

@@ -33,14 +33,15 @@ follows from the gradings alone, and since the basis is ordered by energy
 its protected columns are a prefix.  Each group of residuals is one sparse
 product of the stacked left factors with the stacked right factors cut to
 those columns.  A suite reads each operator once per call as its entries
-by ascending column, the CSR of its transpose, so a cut is a prefix of
-them; the hop tables are already in that order.  One grading rule,
-``_pi_grading``, serves every linear mode: a current, pi(x) and the
-vacuum check's guard.  The Sugawara modes are the same product of hop
-tables, on all columns.  Its factors and the currents and pi(x) that
-repeat an entry come from one COO -> CSR routine, which joins all blocks
-by one concatenation per array.  ``FockOperator`` arithmetic stays the
-public route and the tests' oracle.
+by ascending column, so a cut is a prefix of them, and takes them where
+they are already in that order: a current from its hop tables, which are
+listed by column, L_{-m} from the rows of the real L_m, and any other
+operator from its CSC.  One grading rule, ``_pi_grading``, serves every
+linear mode: a current, pi(x) and the vacuum check's guard.  The Sugawara
+modes are the same product of hop tables, on all columns.  Its factors
+and the currents and pi(x) that repeat an entry come from one COO -> CSR
+routine, which joins all blocks by one concatenation per array.
+``FockOperator`` arithmetic stays the public route and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ class TruncatedFockSpace:
     is a linear combination of them.  The tables list their entries by
     ascending column, so the entries of the vacuum column, basis state 0,
     come first, and the entries in the first k columns are a prefix.
+    ``vacuum_heads`` caches that head of E_ij(m), as ``_vacuum_head``
+    cuts it from the hop table.
     """
 
     n: int
@@ -189,6 +192,7 @@ class TruncatedFockSpace:
     energies: np.ndarray
     charges: np.ndarray
     hops: dict = field(default_factory=dict, repr=False)
+    vacuum_heads: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -407,38 +411,70 @@ def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
         space.hops[i, j, m] = (rows[part], cols[part], signs[part])
 
 
-def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int):
-    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k)."""
+def _vacuum_head(space: TruncatedFockSpace, i: int, j: int, m: int):
+    """Cached (rows, cols, signs) of E_ij(m) Omega: the entries of the
+    vacuum column, basis state 0, which head the hop table."""
+    key = (i, j, m)
+    if key not in space.vacuum_heads:
+        rows, cols, signs = _hop(space, i, j, m)
+        end = cols.searchsorted(1)
+        space.vacuum_heads[key] = (rows[:end], cols[:end], signs[:end])
+    return space.vacuum_heads[key]
+
+
+def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int, table=_hop):
+    """(coefficient, hop) pairs of the bilinear sum_k a^dag(k-m) X a(k),
+    each hop E_ij(m) read as ``table(space, i, j, m)``."""
     if m == 0 and abs(np.trace(xmat)) > 1e-12:
         raise NumericError("zero-mode currents are defined for traceless "
                            "generators only")
     rows, cols = np.nonzero(np.abs(xmat) > 1e-15)
-    return [(xmat[i, j], _hop(space, i, j, m))
+    return [(xmat[i, j], table(space, i, j, m))
             for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+def _by_column(space: TruncatedFockSpace, terms):
+    """The sum of coefficient * hop over (coefficient, hop) terms, whose
+    coefficients are nonzero, as its entries (rows, cols, data) by
+    ascending column, rows ascending in each, and ``starts``, the number of
+    entries in the columns before each column (see ``_Factor``).
+
+    Two hops share entries only on the diagonal, where the diagonal
+    zero-mode hop E_ii(0) holds one entry per filled window mode of color
+    i.  When no (row, col) repeats, nothing sums or cancels and the entries
+    are sorted by (col, row); otherwise ``_summed_csr`` sums them and the
+    CSC of its result holds them.
+    """
+    dim = space.dim
+    index = _index_dtype(dim)
+    if not terms:
+        empty = np.zeros(0, dtype=index)
+        return empty, empty, np.zeros(0, dtype=complex), np.zeros(dim + 1, dtype=index)
+    rows, cols, data = _joined([(*hop, None, 0, 0, coef) for coef, hop in terms],
+                               index)
+    key = cols.astype(np.int64) * dim + rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        by_column = _summed_csr(rows, cols, data, (dim, dim)).tocsc()
+        return (by_column.indices, _column_indices(by_column.indptr),
+                by_column.data, by_column.indptr)
+    return (rows[order], cols[order], data[order],
+            key.searchsorted(np.arange(dim + 1) * dim))
+
+
+def _column_indices(starts: np.ndarray) -> np.ndarray:
+    """The column of each entry of a column-ordered list with ``starts``."""
+    return np.repeat(np.arange(len(starts) - 1, dtype=starts.dtype), np.diff(starts))
 
 
 def _assemble(space: TruncatedFockSpace, terms):
     """CSR sum of coefficient * hop over (coefficient, hop) terms, whose
-    coefficients are nonzero.
-
-    Two hops share entries only on the diagonal, where the diagonal
-    zero-mode hop E_ii(0) holds one entry per filled window mode of color
-    i.  When no (row, col) repeats, nothing sums or cancels and the CSR is
-    the entries in (row, col) order; otherwise ``_summed_csr`` sums them.
-    """
-    dim = space.dim
-    blocks = [(*hop, None, 0, 0, coef) for coef, hop in terms]
-    if not blocks:
-        return _stacked_csr(blocks, (dim, dim))
-    rows, cols, data = _joined(blocks, _index_dtype(dim))
-    key = rows.astype(np.int64) * dim + cols
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        return _summed_csr(rows, cols, data, (dim, dim))
-    return scipy.sparse.csr_matrix(
-        (data[order], cols[order], key.searchsorted(np.arange(dim + 1) * dim)),
-        shape=(dim, dim))
+    coefficients are nonzero: the column-ordered entries of ``_by_column``,
+    which the identity suites read as they are, converted once."""
+    rows, _, data, starts = _by_column(space, terms)
+    return scipy.sparse.csc_matrix((data, rows, starts),
+                                   shape=(space.dim, space.dim)).tocsr()
 
 
 def _index_dtype(size: int):
@@ -482,10 +518,12 @@ def _summed_csr(rows, cols, data, shape):
 
 
 class _Factor(NamedTuple):
-    """An operator as the identity suites read it, made by ``_factor``:
-    its entries (rows, cols, data) by ascending column, ``starts[c]`` the
+    """An operator as the identity suites read it: its entries (rows, cols,
+    data) by ascending column, rows ascending in each, ``starts[c]`` the
     number of them in the columns before c, and the grading that
-    ``_product_protection`` reads."""
+    ``_product_protection`` reads.  Made where the entries already are in
+    that order: ``_current_factor`` from the hop tables, ``_sugawara_factor``
+    from L_|m|, and ``_factor`` from any other operator."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -496,14 +534,17 @@ class _Factor(NamedTuple):
 
 
 def _factor(op: FockOperator) -> _Factor:
-    """The ``_Factor`` of ``op``, read from the CSR of its transpose: a row
-    of it is a column of op, its rows ascending, and its ``indptr`` is
-    ``starts``."""
-    by_column = op.matrix.T.tocsr()
-    cols = np.repeat(np.arange(op.space.dim, dtype=by_column.indices.dtype),
-                     np.diff(by_column.indptr))
-    return _Factor(by_column.indices, cols, by_column.data, by_column.indptr,
-                   op.protected_energy, op.max_raise)
+    """The ``_Factor`` of ``op``, read from its CSC: its ``indices`` are the
+    rows, ascending in each column, and its ``indptr`` is ``starts``."""
+    return _compressed_factor(op.matrix.tocsc(), op.protected_energy, op.max_raise)
+
+
+def _compressed_factor(mat, protected_energy: int, max_raise: int) -> _Factor:
+    """The ``_Factor`` whose columns are the compressed axis of ``mat``,
+    with sorted indices: the columns of a CSC matrix, or the rows of a CSR
+    matrix, which are the columns of its transpose."""
+    return _Factor(mat.indices, _column_indices(mat.indptr), mat.data, mat.indptr,
+                   protected_energy, max_raise)
 
 
 def _stacked_product(space: TruncatedFockSpace, residuals, widths):
@@ -546,13 +587,26 @@ def current(space: TruncatedFockSpace, x, m: int) -> FockOperator:
     [x(a), y(b)] = [x,y](a+b) + a delta_{a+b,0} tr(xy) Id.
     Its grading is that of the one mode m (``_pi_grading``), |m| <= cutoff.
     """
+    terms, grading = _current_terms(space, x, m)
+    return FockOperator(_assemble(space, terms), space, *grading)
+
+
+def _current_terms(space: TruncatedFockSpace, x, m: int):
+    """The (coefficient, hop) terms and the grading of the current x(m)."""
     grading = _pi_grading(space, [m], space.cutoff)
     xmat = x.matrix if isinstance(x, AlgebraElement) else np.asarray(x, complex)
     if xmat.shape != (space.n, space.n):
         raise AlgebraMismatchError(
             f"generator shape {xmat.shape} does not match n={space.n}")
-    return FockOperator(_assemble(space, _hop_terms(space, xmat, m)), space,
-                        *grading)
+    return _hop_terms(space, xmat, m), grading
+
+
+def _current_factor(space: TruncatedFockSpace, x, m: int) -> _Factor:
+    """The ``_Factor`` of ``current(space, x, m)``, read from its hop tables
+    by ``_by_column`` with no sparse matrix between."""
+    terms, grading = _current_terms(space, x, m)
+    return _Factor(*_by_column(space, terms), grading.protected_energy,
+                   grading.max_raise)
 
 
 def rotation_generator(space: TruncatedFockSpace) -> FockOperator:
@@ -571,7 +625,9 @@ def sugawara(space: TruncatedFockSpace, m: int) -> FockOperator:
     (weight 1), which is the reordered form of the double sum with
     annihilating factors on the right; on the truncated space it terminates
     at m' = cutoff - max(m, 0) because higher terms vanish identically.
-    Columns of energy at most cutoff - |m| are exact.
+    Columns of energy at most cutoff - |m| are exact (``_sugawara_grading``).
+    The entries are real, so L_{-m} = L_m^T: the identity suites build
+    L_m for m >= 0 only and read L_{-m} from it (``_sugawara_factor``).
     """
     if abs(m) > space.cutoff // 2:
         raise WindowError(
@@ -591,9 +647,7 @@ def sugawara(space: TruncatedFockSpace, m: int) -> FockOperator:
             terms += [(weight * coef, left, _hop(space, c, d, mp + m))
                       for coef, c, d in entries]
     return FockOperator(_stacked_product(space, [terms], [None]) / (2 * n * (n + 1)),
-                        space, degree=-m,
-                        protected_energy=space.cutoff - abs(m),
-                        max_raise=max(0, -m))
+                        space, *_sugawara_grading(space, m))
 
 
 class _Grading(NamedTuple):
@@ -602,6 +656,27 @@ class _Grading(NamedTuple):
     degree: int | None
     protected_energy: int
     max_raise: int
+
+
+def _sugawara_grading(space: TruncatedFockSpace, m: int) -> _Grading:
+    """Grading of L_m: degree -m, exact on columns of energy at most
+    cutoff - |m|, raising the energy by at most max(0, -m)."""
+    return _Grading(-m, space.cutoff - abs(m), max(0, -m))
+
+
+def _sugawara_factor(l_op: FockOperator, m: int) -> _Factor:
+    """The ``_Factor`` of L_m, read from ``l_op`` = ``sugawara(space, |m|)``.
+
+    For m >= 0 it is ``_factor(l_op)``.  For m < 0 it is the transpose,
+    L_m = L_{|m|}^dagger = L_{|m|}^T since every entry is real: its columns
+    are the rows of L_{|m|}, the CSR with its indices sorted, and the data
+    are taken as they are, the same bits the product for L_m would give.
+    """
+    if m >= 0:
+        return _factor(l_op)
+    grading = _sugawara_grading(l_op.space, m)
+    return _compressed_factor(l_op.matrix.sorted_indices(), grading.protected_energy,
+                              grading.max_raise)
 
 
 def _pi_grading(space: TruncatedFockSpace, modes: list[int],
@@ -632,18 +707,26 @@ def _vacuum_column(space: TruncatedFockSpace, coefficients) -> np.ndarray:
     """pi(x) Omega for the (mode, matrix) ``coefficients`` of x.
 
     The vacuum is basis state 0 and each hop lists its entries by ascending
-    column, so the vacuum column of a hop is the head of its table; modes
-    k > 0 annihilate the vacuum and are skipped.  The heads of the diagonal
-    zero-mode hops all hold row 0, so the entries sum by ``np.add.at``.
+    column, so the vacuum column of a hop is the head of its table, cached
+    on the space by ``_vacuum_head``; modes k > 0 annihilate the vacuum and
+    are skipped.  The heads of the diagonal zero-mode hops all hold row 0,
+    so the entries sum by ``np.add.at``, in the order of the terms.
     """
-    heads = [(*hop, hop[1].searchsorted(1), 0, 0, coef)
+    heads = [(*head, None, 0, 0, coef)
              for k, a in coefficients if k <= 0
-             for coef, hop in _hop_terms(space, a, k)]
+             for coef, head in _hop_terms(space, a, k, _vacuum_head)]
     column = np.zeros(space.dim, dtype=complex)
     if heads:
         rows, _, values = _joined(heads, np.intp)
         np.add.at(column, rows, values)
     return column
+
+
+def _paired(x: FourierLoopElement) -> bool:
+    """Whether the coefficients of x pair exactly, c_{-k} = -c_k^dagger at
+    every mode k, so that X* = -X entry for entry."""
+    c = x.coefficients
+    return all(-k in c and np.array_equal(c[-k], -a.conj().T) for k, a in c.items())
 
 
 def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
@@ -655,8 +738,11 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
     Only the (vacuum, vacuum) element is formed, under the protection the
     full commutator would carry: the vacuum column of pi(X) is the head of
     its cached hops, and its vacuum row the conjugate of pi(X*) Omega,
-    since E_ij(m)^dagger = E_ji(-m) with the same real signs.  A charged
-    sector, which holds no vacuum, is refused first.
+    since E_ij(m)^dagger = E_ji(-m) with the same real signs.  When the
+    coefficients of X pair exactly (``_paired``), X* = -X and the row is
+    -conj(pi(X) Omega), so three vacuum columns serve; any other element
+    forms pi(X*) Omega.  A charged sector, which holds no vacuum, is
+    refused first.
     """
     vacuum = space.vacuum_index
     half = space.cutoff // 2
@@ -669,8 +755,10 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
         raise WindowError("vacuum column not protected; lower the mode window")
     col_x, col_y, col_br = (_vacuum_column(space, z.coefficients.items())
                             for z in (x, y, br))
-    row_x, row_y = (_vacuum_column(space, ((-k, a.conj().T) for k, a in c)).conj()
-                    for c in (x.coefficients.items(), y.coefficients.items()))
+    row_x, row_y = (
+        -col.conj() if _paired(z) else _vacuum_column(
+            space, ((-k, a.conj().T) for k, a in z.coefficients.items())).conj()
+        for z, col in ((x, col_x), (y, col_y)))
     comm = row_x @ col_y - row_y @ col_x
     return complex(comm - col_br[vacuum])
 
@@ -849,8 +937,28 @@ def _group_worst(space: TruncatedFockSpace, residuals) -> tuple[float, int]:
     return float(np.abs(product.data).max(initial=0.0)), min(prots)
 
 
+def _sector_identities(charge: int | None) -> tuple[str, ...]:
+    """The identities a sector can run, in ``IDENTITIES`` order: all of them
+    on a sector that holds the vacuum (charge 0 or all charges), all but the
+    vacuum cocycle on a charged one."""
+    return tuple(name for name in IDENTITIES
+                 if charge in (None, 0) or name != "vacuum-cocycle")
+
+
+def _check_identities(identities, charge: int | None) -> None:
+    """Refuse an unknown identity name (``ConfigError``) and one the sector
+    cannot run (``WindowError``), so no requested check is dropped."""
+    unknown = [name for name in identities if name not in IDENTITIES]
+    if unknown:
+        raise ConfigError(f"unknown identities {unknown}; known: {IDENTITIES}")
+    refused = [name for name in identities if name not in _sector_identities(charge)]
+    if refused:
+        raise WindowError(f"identities {refused} need the vacuum, which the "
+                          f"charge-{charge} sector does not hold")
+
+
 def identity_reports(n: int, cutoff: int,
-                     identities: tuple[str, ...] = IDENTITIES,
+                     identities: tuple[str, ...] | None = None,
                      mode_range: int = DEFAULT_MODE_RANGE,
                      tol: float = DEFAULT_IDENTITY_TOL,
                      charge: int | None = None, seed: int = 7,
@@ -862,25 +970,35 @@ def identity_reports(n: int, cutoff: int,
     order, with the worst residual over the protected block, the block's
     energy and its number of columns.  ``charge`` restricts to a sector
     (cheaper, equally exact for these charge-preserving identities).
+    ``identities`` defaults to every identity the sector can run
+    (``_sector_identities``).
 
     The affine, commutator, virasoro, rotation and adjoint residuals are
     lists of (coef, left, right) terms, evaluated by ``_group_worst`` one
     group at a time: one basis pair of the affine suite, or the whole suite
-    of the other four.  Every current is a basis current x_h(m), built once
-    per (basis index, mode), and every operator in a term, the identity
-    included, is read once per call as a ``_Factor``, which the call drops
-    with it.  The affine suite reads [x_i, x_j] as its coordinates in the
-    orthonormal basis, one projection per sampled pair, and the pairing as
-    -tr(x_i x_j) = delta_ij.  The vacuum cocycle is its scalar check.  A
-    residual without protected columns raises ``WindowError``.
+    of the other four.  Every operator in a term, the identity included, is
+    read once per call as a ``_Factor``, its entries by column, which the
+    call drops with it, and each is made where its entries already are in
+    that order: a current is a basis current x_h(m), read once per (basis
+    index, mode) from its hop tables (``_current_factor``); L_m is built
+    once per m >= 0 and L_{-m} read from it as its transpose
+    (``_sugawara_factor``); d, the identity and the adjoint suite's
+    x_h(m)^dagger are read from their CSC (``_factor``).  The affine suite
+    reads [x_i, x_j] as its coordinates in the orthonormal basis, one
+    projection per sampled pair, and the pairing as -tr(x_i x_j) =
+    delta_ij.  The vacuum cocycle is its scalar check, on real-form
+    elements, whose vacuum rows ``vacuum_cocycle_check`` reads from their
+    vacuum columns.  A residual without protected columns raises
+    ``WindowError``.
 
     Refused before the space is built: an unknown identity name
-    (``ConfigError``), and a cutoff below 2 or a ``mode_range`` below 1
-    (``WindowError``); a ``mode_range`` above cutoff/2 probes |m| <= cutoff/2.
+    (``ConfigError``), an identity the sector cannot run, a cutoff below 2
+    or a ``mode_range`` below 1 (``WindowError``); a ``mode_range`` above
+    cutoff/2 probes |m| <= cutoff/2.
     """
-    unknown = [name for name in identities if name not in IDENTITIES]
-    if unknown:
-        raise ConfigError(f"unknown identities {unknown}; known: {IDENTITIES}")
+    if identities is None:
+        identities = _sector_identities(charge)
+    _check_identities(identities, charge)
     if cutoff < 2:
         raise WindowError(f"the identity suite needs cutoff >= 2, got {cutoff}")
     if mode_range < 1:
@@ -899,11 +1017,11 @@ def identity_reports(n: int, cutoff: int,
         sel = rng.choice(len(pair_idx), size=12, replace=False)
         pair_idx = [pair_idx[int(s)] for s in sel]
 
-    # each mode operator is built once per call, x_h(m) by (basis index,
-    # mode) and L_m by mode, and read by the suites as a _Factor
-    current_op = cache(lambda h, m: current(space, basis[h], m))
-    cur = cache(lambda h, m: _factor(current_op(h, m)))
-    lmode = cache(lambda m: _factor(sugawara(space, m)))
+    # each mode operator is read by the suites once per call as a _Factor,
+    # x_h(m) by (basis index, mode) and L_m by mode; sugawara builds L_|m|
+    cur = cache(lambda h, m: _current_factor(space, basis[h], m))
+    l_built = cache(lambda m: sugawara(space, m))
+    lmode = cache(lambda m: _sugawara_factor(l_built(abs(m)), m))
     eye = _factor(identity_operator(space))
 
     # the term-list generators yield groups of residuals; a multiple of the
@@ -961,7 +1079,7 @@ def identity_reports(n: int, cutoff: int,
         yield group
 
     def adjoint():
-        yield [[(1.0, eye, _factor(current_op(i, m).adjoint())),
+        yield [[(1.0, eye, _factor(current(space, basis[i], m).adjoint())),
                 (1.0, eye, cur(i, -m))]
                for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
 
@@ -980,8 +1098,7 @@ def identity_reports(n: int, cutoff: int,
              "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
     reports = []
     for name, (residuals, block, tolerance) in suite.items():
-        if (name not in identities
-                or name == "vacuum-cocycle" and charge not in (None, 0)):
+        if name not in identities:
             continue
         worst = 0.0
         for resid in residuals():

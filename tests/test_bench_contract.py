@@ -36,9 +36,9 @@ def _run_worker(tmp_path, workload, *flags):
 # exact work counters of the traced seed-3 runs, so that a change of the
 # work done shows here and not only when two runs of one tree are compared
 COUNTERS = {
-    "operator_suites": {"fock.states": 629, "fock.current.calls": 99,
-                        "fock.current.nnz": 23_056, "fock.sugawara.calls": 12,
-                        "fock.sugawara.nnz": 19_367,
+    "operator_suites": {"fock.states": 629, "fock.current.calls": 18,
+                        "fock.current.nnz": 7_962, "fock.sugawara.calls": 7,
+                        "fock.sugawara.nnz": 13_098,
                         "fock.operator_algebra.calls": 18},
     "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
                       "loops.field_evaluations": 1_128, "lie.eigh_calls": 501},

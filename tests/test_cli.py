@@ -596,6 +596,49 @@ def test_main_config_free_verify(tmp_path):
     assert all(r["pass"] for r in reports)
 
 
+def test_charged_fock_task_defaults_to_what_its_sector_runs(tmp_path, capsys):
+    # a charged sector holds no vacuum, so its default list leaves out the
+    # vacuum cocycle, which it would refuse if asked for
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "algebra": {"family": "su2", "level": 1},
+        "tasks": [{"task": "fock-verify", "cutoff": 4, "charge": 1}]}))
+    [task] = cli.validate_config(config.read_text()).tasks
+    assert task["identities"] == fock.IDENTITIES[:-1]
+    rc = cli.main(["verify", "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    reports = json.loads((tmp_path / "out" / "fock_verify.json").read_text())
+    assert tuple(r["identity"] for r in reports) == fock.IDENTITIES[:-1]
+
+
+@pytest.mark.parametrize("n, cutoff, vacuum_only", [
+    (3, 4, ["affine", "commutator", "virasoro"]), (2, 6, [])],
+    ids=["su3-N4", "su2-N6"])
+def test_vacuum_only_verdicts_are_named(tmp_path, capsys, n, cutoff, vacuum_only):
+    # on su3/4 at charge 0, two modes |m| = 2 raise the energy by 4, so the
+    # affine, commutator and virasoro blocks are the vacuum alone
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "algebra": {"family": f"su{n}", "level": 1},
+        "tasks": [{"task": "fock-verify", "cutoff": cutoff, "charge": 0}]}))
+    rc = cli.main(["verify", "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("[PASS] fock-verify")]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [task] = report["tasks"]
+    assert task["vacuum_only"] == vacuum_only
+    reports = json.loads((tmp_path / "out" / "fock_verify.json").read_text())
+    assert [r["identity"] for r in reports
+            if r["columns"] == 1 and r["identity"] != "vacuum-cocycle"] == vacuum_only
+    if vacuum_only:
+        assert line.endswith(" vacuum-only=" + ",".join(vacuum_only))
+    else:
+        assert "vacuum-only" not in line
+
+
 def test_unprotected_fock_sector_reports_error(tmp_path, capsys):
     # su2's charge-3 sector starts at energy 1, so at cutoff 4 no column is
     # protected for the affine residuals
@@ -685,6 +728,9 @@ MALFORMED = [
     ("verify", "/tasks/0/tolerance", "x", "/tasks/0/tolerance"),
     ("verify", "/tasks/0/charge", "x", "/tasks/0/charge"),
     ("verify", "/tasks/0/mode_range", 1.5, "/tasks/0/mode_range"),
+    ("verify", "/tasks/0", {"task": "fock-verify", "charge": 1,
+                            "identities": ["rotation", "vacuum-cocycle"]},
+     "/tasks/0/identities"),
     ("verify", "/algebra/level", 2, "/algebra/level"),
     ("soliton", "/tasks/5/soliton", {"lineer": {"basis": 0}},
      "/tasks/5/soliton/lineer"),

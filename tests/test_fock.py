@@ -293,6 +293,22 @@ def test_charged_vacuum_cocycle_is_refused_before_any_work(su2, monkeypatch):
     assert not space.hops
 
 
+def test_identity_reports_refuse_what_the_sector_cannot_run(monkeypatch):
+    """A charged sector holds no vacuum: a requested vacuum cocycle is
+    refused before the space is built, not dropped from the reports, and
+    the default list is what the sector runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "build_fock", None)
+        for identities in [("vacuum-cocycle",), ("affine", "vacuum-cocycle")]:
+            with pytest.raises(WindowError, match="vacuum-cocycle"):
+                fock.identity_reports(2, 4, identities=identities, charge=1)
+    reports = fock.identity_reports(2, 4, charge=1)
+    assert tuple(r["identity"] for r in reports) == fock.IDENTITIES[:-1]
+    assert all(r["pass"] for r in reports)
+    for charge in (None, 0):
+        assert fock._sector_identities(charge) == fock.IDENTITIES
+
+
 @pytest.mark.parametrize("mode_range", [0, -1])
 def test_identity_reports_refuse_an_empty_mode_range(mode_range, monkeypatch):
     """mode_range < 1 probes no mode; it is refused before the space is
@@ -310,6 +326,22 @@ def test_current_grading_is_the_one_mode_rule(space6, su2):
         grading = (op.degree, op.protected_energy, op.max_raise)
         assert grading == tuple(fock._pi_grading(space6, [m], space6.cutoff))
         assert grading == (-m, space6.cutoff - max(0, -m), max(0, -m))
+
+
+def test_sugawara_grading_matches_its_entries(space6):
+    """L_m, and the L_{-m} the suites read from it, carry degree -m,
+    protected_energy cutoff - |m| and max_raise max(0, -m): every stored
+    entry moves the energy by exactly -m."""
+    energies = space6.energies
+    for m in range(-(space6.cutoff // 2), space6.cutoff // 2 + 1):
+        op = fock.sugawara(space6, m)
+        grading = (op.degree, op.protected_energy, op.max_raise)
+        assert grading == tuple(fock._sugawara_grading(space6, m))
+        assert grading == (-m, space6.cutoff - abs(m), max(0, -m))
+        coo = op.matrix.tocoo()
+        assert coo.nnz and np.all(energies[coo.row] - energies[coo.col] == -m)
+        factor = fock._sugawara_factor(fock.sugawara(space6, abs(m)), m)
+        assert (factor.protected_energy, factor.max_raise) == grading[1:]
 
 
 def test_charge_sector_restriction(su2):
@@ -459,30 +491,38 @@ def test_identity_reports_need_cutoff_two(cutoff):
 
 
 def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
-    """Each L_m and each current is built at most once per call, and every
-    current is a basis current x_h(m): a bracket enters as its coordinates
-    in the basis."""
+    """Each L_m and each current is built at most once per call, as an
+    operator or as the entries of its hop tables, and every current is a
+    basis current x_h(m): a bracket enters as its coordinates in the
+    basis.  L_m is built for m >= 0 only; L_{-m} is read from it."""
     builds = []
-    current, sugawara = fock.current, fock.sugawara
+    current, current_factor, sugawara = (fock.current, fock._current_factor,
+                                         fock.sugawara)
 
-    def counting_current(space, x, m):
-        basis = lie.build_su(space.n).basis
-        hits = [h for h in range(len(basis)) if np.array_equal(x, basis[h])]
-        assert len(hits) == 1, "a current of a matrix outside the basis"
-        builds.append(("current", hits[0], m))
-        return current(space, x, m)
+    def counting(kind, build):
+        def counted(space, x, m):
+            basis = lie.build_su(space.n).basis
+            hits = [h for h in range(len(basis)) if np.array_equal(x, basis[h])]
+            assert len(hits) == 1, "a current of a matrix outside the basis"
+            builds.append((kind, hits[0], m))
+            return build(space, x, m)
+        return counted
 
     def counting_sugawara(space, m):
         builds.append(("sugawara", m))
         return sugawara(space, m)
 
-    monkeypatch.setattr(fock, "current", counting_current)
+    monkeypatch.setattr(fock, "current", counting("current", current))
+    monkeypatch.setattr(fock, "_current_factor",
+                        counting("current entries", current_factor))
     monkeypatch.setattr(fock, "sugawara", counting_sugawara)
     for n, cutoff, charge in [(2, 6, None), (2, 6, 0), (3, 4, 0)]:
         builds.clear()
         reports = fock.identity_reports(n, cutoff, charge=charge)
         assert all(r["pass"] for r in reports)
         assert builds and len(set(builds)) == len(builds)
+        assert sorted(m for kind, *m in builds if kind == "sugawara") == [
+            [m] for m in range(cutoff // 2 + 1)]
 
 
 @pytest.mark.parametrize("n, cutoff, charge", [(2, 6, 0), (3, 4, 0), (2, 8, None)],

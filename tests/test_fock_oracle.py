@@ -17,11 +17,14 @@ as whole ``FockOperator`` expressions, against which the grouped,
 column-restricted evaluation of ``identity_reports`` is compared.
 ``_stacked_csr_oracle`` is the preallocated COO fill that the concatenating
 ``_stacked_csr`` replaced, ``_factor_oracle`` the stable argsort by column
-that ``_factor``'s read of the transposed CSR replaced, and ``_hop_oracle``,
-``_vacuum_column_loop`` and ``_random_polynomial_loop`` are the
-one-at-a-time loops behind the batched hop build, vacuum column and random
-element; those five must agree bit for bit, or to 1e-14 where the sum
-order may change.
+that the suites' factors, read where their entries are made, replaced, and
+``_hop_oracle``, ``_vacuum_column_loop`` and ``_random_polynomial_loop``
+are the one-at-a-time loops behind the batched hop build, vacuum column and
+random element; those five must agree bit for bit, or to 1e-14 where the
+sum order may change.  ``_vacuum_cocycle_general`` is the vacuum check by
+five vacuum columns, before paired rows were read from columns, and
+``_grouped_reports_oracle`` the grouped suite with every factor read from
+the public operator; both must agree bit for bit.
 """
 
 import itertools
@@ -722,6 +725,18 @@ def test_assemble_is_bit_identical_to_preallocated_fill(spaces, spec):
             _assert_same_csr(got, want, tol=0.0)
 
 
+def test_empty_sum_has_no_entries_by_either_route(spaces):
+    """No term: the CSR of ``_assemble`` is the oracle's empty matrix, and
+    the column-ordered entries are empty with every ``starts`` 0."""
+    space = spaces[(2, 6, 0)]
+    shape = (space.dim, space.dim)
+    _assert_same_csr(fock._assemble(space, []), _stacked_csr_oracle([], shape),
+                     tol=0.0)
+    factor = fock._current_factor(space, np.zeros((2, 2)), 1)
+    assert not any(map(len, factor[:3]))
+    assert np.array_equal(factor.starts, np.zeros(space.dim + 1))
+
+
 def _random_polynomial_loop(algebra, rng, max_mode):
     """The per-element loop that ``fock._random_polynomial`` replaced."""
     coeffs = {}
@@ -830,21 +845,227 @@ def _factor_oracle(op):
 @pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 8, None)],
                          ids=lambda s: "su%d-N%d-q%s" % s)
 def test_factor_matches_argsort_oracle(spec, monkeypatch):
-    """Every operator an identity suite reads, the currents, their adjoints,
-    the L_m, d and the identity: the same entries by column, in value and
-    bit for bit in data, and the same ``starts`` and grading."""
-    factor = fock._factor
-    checked = []
+    """Every factor an identity suite reads, by each route that makes one:
+    the currents read from their hop tables, L_m and L_{-m} read from
+    L_{|m|}, and the adjoint currents, d and the identity read from their
+    CSC.  Each equals the argsort oracle of the operator the public
+    function builds (``current``, ``sugawara``, or the operator itself):
+    the same entries by column, in value and bit for bit in data, and the
+    same ``starts`` and grading.  Every factor in a term the suite
+    evaluates was checked."""
+    checked = {}
 
-    def compared(op):
-        got, want = factor(op), _factor_oracle(op)
-        for name, g, w in zip(fock._Factor._fields, got, want):
-            assert np.array_equal(g, w), name
-        assert got.data.tobytes() == want.data.tobytes()
-        checked.append(op)
-        return got
+    def compared(route, public):
+        def made(*args):
+            got, want = route(*args), _factor_oracle(public(*args))
+            for name, g, w in zip(fock._Factor._fields, got, want):
+                assert np.array_equal(g, w), name
+            assert got.data.tobytes() == want.data.tobytes()
+            checked[id(got)] = got
+            return got
+        return made
 
-    monkeypatch.setattr(fock, "_factor", compared)
+    read = []
+    group_worst = fock._group_worst
+
+    def reading(space, residuals):
+        read.extend(f for terms in residuals for _, *pair in terms for f in pair)
+        return group_worst(space, residuals)
+
+    monkeypatch.setattr(fock, "_current_factor",
+                        compared(fock._current_factor, fock.current))
+    monkeypatch.setattr(fock, "_sugawara_factor", compared(
+        fock._sugawara_factor, lambda l_op, m: fock.sugawara(l_op.space, m)))
+    monkeypatch.setattr(fock, "_factor", compared(fock._factor, lambda op: op))
+    monkeypatch.setattr(fock, "_group_worst", reading)
     n, cutoff, charge = spec
     fock.identity_reports(n, cutoff, charge=charge)
+    assert read and all(id(f) in checked for f in read)
     assert len(checked) >= 45
+
+
+def _vacuum_cocycle_general(space, x, y):
+    """``vacuum_cocycle_check`` before it read vacuum rows from vacuum
+    columns: five columns by the hop-by-hop loop, each row the conjugate of
+    pi(X*) Omega."""
+    br = loops.bracket_elements(x, y)
+    col_x, col_y, col_br = (_vacuum_column_loop(space, z.coefficients.items())
+                            for z in (x, y, br))
+    row_x, row_y = (_vacuum_column_loop(
+        space, [(-k, a.conj().T) for k, a in z.coefficients.items()]).conj()
+        for z in (x, y))
+    return complex(row_x @ col_y - row_y @ col_x - col_br[space.vacuum_index])
+
+
+def _counting_vacuum_columns(monkeypatch):
+    """Spy on ``fock._vacuum_column``: the list to which each call appends
+    the modes of its coefficients."""
+    calls = []
+    vacuum_column = fock._vacuum_column
+
+    def counting(space, coefficients):
+        coefficients = list(coefficients)
+        calls.append([k for k, _ in coefficients])
+        return vacuum_column(space, coefficients)
+
+    monkeypatch.setattr(fock, "_vacuum_column", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (4, 3, 0)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_paired_vacuum_rows_match_the_general_route(spec, monkeypatch):
+    """On exactly paired elements the row -conj(pi(X) Omega) gives the same
+    check, bit for bit, as the row conj(pi(X*) Omega) of the general route,
+    forced here by a ``_paired`` that answers False, and as the five-column
+    loop; the paired route forms three vacuum columns."""
+    n, cutoff, _ = spec
+    space = fock.build_fock(*spec)
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(5)
+    calls = _counting_vacuum_columns(monkeypatch)
+    for _ in range(10):
+        x = fock._random_polynomial(algebra, rng, cutoff // 2)
+        y = fock._random_polynomial(algebra, rng, cutoff // 2)
+        assert fock._paired(x) and fock._paired(y)
+        calls.clear()
+        got = fock.vacuum_cocycle_check(space, x, y)
+        assert len(calls) == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "_paired", lambda z: False)
+            general = fock.vacuum_cocycle_check(space, x, y)
+        assert len(calls) == 3 + 5
+        want = _vacuum_cocycle_general(space, x, y)
+        assert np.complex128(got).tobytes() == np.complex128(general).tobytes()
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+def test_nearly_paired_element_takes_the_general_route(monkeypatch):
+    """A real-form-tagged element whose coefficients pair only to ~1e-13 is
+    not ``_paired``: its row is formed from pi(X*) Omega (a fourth vacuum
+    column), and the check equals the five-column loop bit for bit."""
+    space = fock.build_fock(2, 6, charge=0)
+    algebra = lie.build_su(2)
+    rng = np.random.default_rng(9)
+    x = fock._random_polynomial(algebra, rng, 3)
+    y = fock._random_polynomial(algebra, rng, 3)
+    k = max(x.coefficients)
+    near = dict(x.coefficients)
+    near[-k] = near[-k] + 1e-13 * algebra.basis[0]
+    x_near = FourierLoopElement(near, algebra, real_form=True)
+    assert x_near.real_form and not fock._paired(x_near)
+    calls = _counting_vacuum_columns(monkeypatch)
+    got = fock.vacuum_cocycle_check(space, x_near, y)
+    br = loops.bracket_elements(x_near, y)
+    assert calls == [list(z.coefficients) for z in (x_near, y, br)] + [
+        [-m for m in x_near.coefficients]]
+    want = _vacuum_cocycle_general(space, x_near, y)
+    assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+def _grouped_reports_oracle(n, cutoff, charge, seed, mode_range=2, tol=1e-10):
+    """``identity_reports`` as it ran before its factors were read where
+    they are made, verbatim but for the factors: every factor the argsort
+    oracle of the public operator (``current``, ``sugawara`` at every mode,
+    its own L_{-m} included, the adjoint, d and the identity), and the
+    vacuum cocycle by five vacuum columns."""
+    algebra = lie.build_su(n)
+    space = fock.build_fock(n, cutoff, charge=charge)
+    rng = np.random.default_rng(seed)
+    mode_range = min(mode_range, cutoff // 2)
+    modes = range(-mode_range, mode_range + 1)
+    basis = algebra.basis
+    pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    if len(pair_idx) > 12:
+        sel = rng.choice(len(pair_idx), size=12, replace=False)
+        pair_idx = [pair_idx[int(s)] for s in sel]
+
+    current_op = cache(lambda h, m: fock.current(space, basis[h], m))
+    cur = cache(lambda h, m: _factor_oracle(current_op(h, m)))
+    lmode = cache(lambda m: _factor_oracle(fock.sugawara(space, m)))
+    eye = _factor_oracle(fock.identity_operator(space))
+
+    def bracket(a, b):
+        return [(1.0, a, b), (-1.0, b, a)]
+
+    def affine():
+        for (i, j) in pair_idx:
+            brk = basis[i] @ basis[j] - basis[j] @ basis[i]
+            coords = -np.einsum("ab,hba->h", brk, basis)
+            support = np.flatnonzero(np.abs(coords) > 1e-15)
+            group = []
+            for a in modes:
+                for b in modes:
+                    terms = bracket(cur(i, a), cur(j, b))
+                    terms += [(-coords[h], eye, cur(h, a + b)) for h in support]
+                    if a + b == 0 and i == j:
+                        terms.append((float(a), eye, eye))
+                    group.append(terms)
+            yield group
+
+    def stress_current():
+        yield [[*bracket(lmode(m), cur(0, k)), (float(k), eye, cur(0, m + k))]
+               for m in modes for k in modes]
+
+    def virasoro():
+        c_val = float(affine_data.level_data(algebra, 1).central_charge)
+        group = []
+        for a in modes:
+            for b in modes:
+                if abs(a + b) > cutoff // 2 and a != b:
+                    continue
+                terms = bracket(lmode(a), lmode(b))
+                if a != b:
+                    terms.append((-float(a - b), eye, lmode(a + b)))
+                if a + b == 0:
+                    terms.append((-c_val * a * (a * a - 1) / 12.0, eye, eye))
+                group.append(terms)
+        yield group
+
+    def rotation():
+        d_op = _factor_oracle(fock.rotation_generator(space))
+        yield [[*bracket(d_op, cur(0, m)), (float(m), eye, cur(0, m))]
+               for m in modes]
+
+    def adjoint():
+        yield [[(1.0, eye, _factor_oracle(current_op(i, m).adjoint())),
+                (1.0, eye, cur(i, -m))]
+               for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
+
+    def vacuum_cocycle():
+        for _ in range(10):
+            x = fock._random_polynomial(algebra, rng, cutoff // 2)
+            y = fock._random_polynomial(algebra, rng, cutoff // 2)
+            yield abs(_vacuum_cocycle_general(space, x, y)
+                      - 1j * loops.central_term_B(x, y))
+
+    suite = {"affine": (affine, cutoff, tol),
+             "commutator": (stress_current, cutoff, tol),
+             "virasoro": (virasoro, cutoff, tol),
+             "rotation": (rotation, cutoff, tol),
+             "adjoint": (adjoint, cutoff, tol),
+             "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
+    reports = []
+    for name, (residuals, block, tolerance) in suite.items():
+        if name == "vacuum-cocycle" and charge not in (None, 0):
+            continue
+        worst = 0.0
+        for resid in residuals():
+            if isinstance(resid, list):
+                resid, prot = fock._group_worst(space, resid)
+                block = min(block, prot)
+            worst = max(worst, resid)
+        reports.append(fock._report(name, block, worst, tolerance,
+                                    columns=int(fock._protected_width(space, block))))
+    return reports
+
+
+@pytest.mark.parametrize("case", [(2, 6, None, 7), (2, 6, None, 3), (3, 4, 0, 7),
+                                  (3, 4, 0, 3), (4, 3, 0, 7), (2, 4, 1, 7)],
+                         ids=lambda c: "su%d-N%d-q%s-seed%d" % c)
+def test_identity_reports_are_bit_identical_to_the_grouped_route(case):
+    n, cutoff, charge, seed = case
+    got = fock.identity_reports(n, cutoff, charge=charge, seed=seed)
+    want = _grouped_reports_oracle(n, cutoff, charge, seed)
+    assert [r["identity"] for r in got] == [r["identity"] for r in want]
+    assert got == want
