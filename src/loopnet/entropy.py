@@ -15,9 +15,11 @@ In the eigenbasis X_k = U_k diag(i d_k) U_k*, Ad_{g_k} multiplies entry
 (a, b) by e^{i f_k (d_a - d_b)}, and consecutive bases differ by the
 constant C_k = U_{k-1}* U_k.  So ``LinePath.current_square`` builds Z from
 the inside out with one phase array per interior factor and products against
-constants; it forms no matrix exponential, reads f_k only for the interior
-factors k = 2 ... L-1, and for one or two factors is the constant quadratic
-form f'^T G f' with G_ij = <X_i, X_j>.
+constants, on a batch in layout (a, b, point) so that every elementwise step
+runs along the points; it forms no matrix exponential, reads f_k only for
+the interior factors k = 2 ... L-1, and for one or two factors is the
+constant quadratic form f'^T G f' with G_ij = <X_i, X_j>.  Z is
+anti-hermitian in every unitary basis, so <Z, Z> = tr(Z Z) = -||Z||_F^2.
 
 The energy density, the total energy and the half-line/interval relative
 entropies reduce to quadratures of smooth compactly supported integrands:
@@ -161,8 +163,10 @@ class GaussianWindow:
 class PolyBump:
     """Profile with f'(u) = amplitude * (1 - s^2)^4 on |s| < 1, s = (u-center)/width.
 
-    Exactly compactly supported; f is the polynomial antiderivative.  Fields
-    are checked as for GaussianWindow.
+    Exactly compactly supported; f is the polynomial antiderivative.  Both
+    are evaluated by products alone: f' as q^2 q^2 with q = 1 - s^2, and f
+    by Horner in s^2, so no float power is taken.  Fields are checked as
+    for GaussianWindow.
     """
 
     center: float = 0.0
@@ -175,15 +179,17 @@ class PolyBump:
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
         s = (u - self.center) / self.width
-        inside = np.abs(s) < 1.0
-        core = np.where(inside, (1.0 - s * s) ** 4, 0.0)
+        q = 1.0 - s * s
+        q *= q
+        core = np.where(np.abs(s) < 1.0, q * q, 0.0)
         return self.amplitude * core
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
         s = np.clip((u - self.center) / self.width, -1.0, 1.0)
-        # antiderivative of (1-s^2)^4 from -1
-        poly = (s - 4 * s**3 / 3 + 6 * s**5 / 5 - 4 * s**7 / 7 + s**9 / 9)
+        # antiderivative of (1-s^2)^4 from -1, by Horner in s^2
+        s2 = s * s
+        poly = s * (1 + s2 * (-4 / 3 + s2 * (6 / 5 + s2 * (-4 / 7 + s2 / 9))))
         at_lo = -(1 - 4 / 3 + 6 / 5 - 4 / 7 + 1 / 9)
         return self.amplitude * self.width * (poly - at_lo)
 
@@ -264,6 +270,11 @@ class LinePath:
             self._own = [u.conj().T @ x @ u for u, x in zip(joins, xs)]
             self._steps = [bases[k - 1].conj().T @ bases[k]
                            for k in range(2, len(xs) - 1)]
+            # the first two of them as one real array (entry, factor, part):
+            # (f_1', f_2') @ [entry] is the (re, im) of that entry of
+            # f_1' X_1 + f_2' X_2
+            first = np.stack(self._own[:2], axis=-1).reshape(-1, 2)
+            self._first = np.stack([first.real, first.imag], axis=-1)
         self._partitions: dict[float, PanelPartition] = {}
 
     @property
@@ -287,8 +298,10 @@ class LinePath:
 
         Z is built from the inside out in the eigenbasis of each interior
         factor, where Ad_{g_k} multiplies entry (a, b) by e^{i f_k (d_a - d_b)};
-        the batch is kept in layout (a, point, b), so both changes of basis
-        are single products against a constant.
+        the batch is kept in layout (a, b, point), so every elementwise step
+        runs along the points and a change of basis C W C* is two products
+        against a constant.  Z is anti-hermitian, so <Z, Z> = tr(Z Z) is
+        -||Z||_F^2, read from its real and imaginary parts.
         """
         us = np.atleast_1d(np.asarray(us, dtype=float))
         fps = [np.asarray(profile.derivative(us), dtype=float)
@@ -298,23 +311,33 @@ class LinePath:
                 return np.zeros(len(us))
             return np.einsum("ip,ij,jp->p", fps, self._gram, fps)
         n, p = self.algebra.n, len(us)
-
-        def term(k):   # f_k' X_k where it joins Z, layout (a, point, b)
-            return fps[k][None, :, None] * self._own[k][:, None, :]
-
-        w = term(len(fps) - 1)
-        for k in range(len(fps) - 2, 0, -1):
+        last = len(fps) - 1
+        w = self._own[last][:, :, None] * fps[last]
+        for k in range(last - 1, 0, -1):
             (_, profile), (_, d) = self.factors[k], self._eig[k]
-            e = np.exp(1j * np.outer(d, np.asarray(profile.value(us), dtype=float)))
-            w *= e[:, :, None]
-            w *= e.conj().T[None, :, :]
+            # e_a = e^{i f_k (d_a - d_n)}, so e_n = 1 and e_a conj(e_b) is
+            # the phase of entry (a, b)
+            theta = np.multiply.outer(d[:-1] - d[-1],
+                                      np.asarray(profile.value(us), dtype=float))
+            e = np.ones((n, p), dtype=complex)
+            np.cos(theta, out=e[:-1].real)
+            np.sin(theta, out=e[:-1].imag)
+            w *= e[:, None, :]
+            w *= e.conj()[None, :, :]
             if k > 1:
+                # C W, then conj(C) (C W)^T = (C W C*)^T, transposed back
                 c = self._steps[k - 2]
-                w = ((c @ w.reshape(n, p * n)).reshape(n * p, n)
-                     @ c.conj().T).reshape(n, p, n)
-            w += term(k)
-        w += term(0)
-        return np.einsum("apb,bpa->p", w, w).real
+                w = (c @ w.reshape(n, n * p)).reshape(n, n, p).transpose(1, 0, 2)
+                w = (c.conj() @ w.reshape(n, n * p)).reshape(n, n, p).transpose(1, 0, 2)
+                w += self._own[k][:, :, None] * fps[k]
+        # f_1' X_1 + f_2' X_2: per entry, (point, factor) @ (factor, part)
+        first = np.matmul(np.stack(fps[:2], axis=1), self._first)
+        w += first.view(complex).reshape(n, n, p)
+        # squared in place: one more batch-sized temporary makes some
+        # processes page-fault on every call, at 2-3 times the cost
+        parts = w.view(float)
+        sq = np.square(parts, out=parts).sum(axis=(0, 1))   # (re, im) per point
+        return -(sq[0::2] + sq[1::2])
 
     def rho(self, us) -> np.ndarray:
         """rho = S'' = -(l/2) <g' g^-1, g' g^-1>(u) >= 0, the integrand of

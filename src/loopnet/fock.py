@@ -503,9 +503,8 @@ def _joined(blocks, index):
 
 
 def _stacked_csr(blocks, shape):
-    """CSR sum of the ``_joined`` entries of blocks, by ``_summed_csr``."""
-    if not blocks:
-        return scipy.sparse.csr_matrix(shape, dtype=complex)
+    """CSR sum of the ``_joined`` entries of blocks (at least one), by
+    ``_summed_csr``."""
     return _summed_csr(*_joined(blocks, _index_dtype(max(shape))), shape)
 
 
@@ -968,8 +967,9 @@ def identity_reports(n: int, cutoff: int,
     The central terms are those of level 1, the level of the fermionic
     representation.  Returns one report dict per identity, in ``IDENTITIES``
     order, with the worst residual over the protected block, the block's
-    energy and its number of columns.  ``charge`` restricts to a sector
-    (cheaper, equally exact for these charge-preserving identities).
+    energy and its number of columns (the one vacuum column for the vacuum
+    cocycle).  ``charge`` restricts to a sector (cheaper, equally exact for
+    these charge-preserving identities).
     ``identities`` defaults to every identity the sector can run
     (``_sector_identities``).
 
@@ -1106,8 +1106,11 @@ def identity_reports(n: int, cutoff: int,
                 resid, prot = _group_worst(space, resid)
                 block = min(block, prot)
             worst = max(worst, resid)
-        reports.append(_report(name, block, worst, tolerance,
-                               columns=int(_protected_width(space, block))))
+        # the vacuum cocycle reads the vacuum column alone, however many
+        # states of energy 0 the space holds (2^n on all charges)
+        columns = (1 if name == "vacuum-cocycle"
+                   else int(_protected_width(space, block)))
+        reports.append(_report(name, block, worst, tolerance, columns=columns))
     return reports
 
 

@@ -40,6 +40,8 @@ COUNTERS = {
                         "fock.current.nnz": 7_962, "fock.sugawara.calls": 7,
                         "fock.sugawara.nnz": 13_098,
                         "fock.operator_algebra.calls": 18},
+    "entropy_profiles": {"entropy.integrand_calls": 42,
+                         "entropy.integrand_points": 47_386},
     "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
                       "loops.field_evaluations": 1_128, "lie.eigh_calls": 501},
 }

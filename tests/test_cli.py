@@ -192,28 +192,19 @@ def test_quadrature_tolerance_below_rounding_is_a_task_error(tmp_path):
     assert task["artifacts"] == []
 
 
-def _parent_wrapped_window(profile, center, width, amplitude):
-    """The periodic window formula ``_wrapped_window`` replaced."""
-    def wrapped(thetas):
-        s = np.angle(np.exp(1j * (np.asarray(thetas) - center))) / width
-        if profile == "gaussian":
-            return amplitude * np.exp(-s * s)
-        return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
-    return wrapped
-
-
 @pytest.mark.parametrize("profile", ["gaussian", "bump"])
 def test_wrapped_window_is_the_window_derivative(profile):
-    """Bit for bit the formula it replaced, on grids across the +-pi wrap."""
+    """Bit for bit the derivative of the window moved to 0, at the angle
+    from its center wrapped by ``np.angle``, on grids across the +-pi wrap."""
     thetas = np.concatenate([np.linspace(-3 * np.pi, 3 * np.pi, 2001),
                              np.linspace(0.0, 2 * np.pi, 256, endpoint=False),
                              [np.pi, -np.pi, np.nextafter(np.pi, 4.0)]])
     for center in (0.0, 2.9, -3.1, np.pi):
         for width in (0.4, 2.0, 5.0):
-            params = {"center": center, "width": width, "amplitude": -1.3}
-            got = cli._wrapped_window(cli._WINDOWS[profile](**params))(thetas)
-            want = _parent_wrapped_window(profile, **params)(thetas)
-            assert np.array_equal(got, want)
+            window = cli._WINDOWS[profile](center=center, width=width, amplitude=-1.3)
+            angles = np.angle(np.exp(1j * (thetas - center)))
+            want = cli._WINDOWS[profile](0.0, width, -1.3).derivative(angles)
+            assert np.array_equal(cli._wrapped_window(window)(thetas), want)
 
 
 def test_line_path_rejects_fourier_profile():

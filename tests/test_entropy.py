@@ -284,6 +284,38 @@ def test_non_finite_window_raises(su2, window, width):
         quadrature.panel_partition(_never_called, -3.0, 3.0, tol=width)
 
 
+def _bump_power_forms(bump, u):
+    """PolyBump's derivative and value by float powers, the forms that its
+    product and Horner evaluations replaced."""
+    s = (u - bump.center) / bump.width
+    derivative = bump.amplitude * np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 4, 0.0)
+    s = np.clip(s, -1.0, 1.0)
+    poly = (s - 4 * s**3 / 3 + 6 * s**5 / 5 - 4 * s**7 / 7 + s**9 / 9)
+    at_lo = -(1 - 4 / 3 + 6 / 5 - 4 / 7 + 1 / 9)
+    return derivative, bump.amplitude * bump.width * (poly - at_lo)
+
+
+@pytest.mark.parametrize("center, width, amplitude",
+                         [(0.0, 1.0, 1.0), (1.0, 1.4, -1.1), (-2.3, 0.3, 0.7),
+                          (5.0, 7.0, -2.5), (0.1, 1e-3, 3.0), (-1e3, 50.0, 1e-3)])
+def test_poly_bump_matches_its_power_forms(center, width, amplitude):
+    """Within 4 eps |amplitude| (derivative) and 4 eps |amplitude| width
+    (value) of the power forms, on a dense grid over the support and past
+    its ends, the last ulps below and above |s| = 1, where the derivative
+    vanishes and the value is clipped, and s = +-0; the derivative is 0 at
+    the same points.  The largest gaps seen are 1.9 and 3.3 of those ulps."""
+    eps = np.finfo(float).eps
+    bump = entropy.PolyBump(center, width, amplitude)
+    edge = np.concatenate([1 - np.arange(200) * eps / 2, 1 + np.arange(200) * eps])
+    s = np.concatenate([np.linspace(-1.3, 1.3, 200_001), edge, -edge, [0.0, -0.0]])
+    u = center + width * s
+    want_derivative, want_value = _bump_power_forms(bump, u)
+    got_derivative, got_value = bump.derivative(u), bump.value(u)
+    assert np.abs(got_derivative - want_derivative).max() <= 4 * eps * abs(amplitude)
+    assert np.array_equal(got_derivative == 0, want_derivative == 0)
+    assert np.abs(got_value - want_value).max() <= 4 * eps * abs(amplitude) * width
+
+
 class _Unchecked:
     """A duck-typed profile: a bump times an amplitude that nothing checks."""
 

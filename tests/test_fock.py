@@ -614,6 +614,18 @@ def test_identity_reports_count_protected_columns(n, cutoff, columns):
     assert reports["vacuum-cocycle"]["columns"] == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("charge", [None, 0])
+def test_vacuum_cocycle_reports_the_vacuum_column(n, charge):
+    """One column, the vacuum, also where the space holds all charges and
+    with them 2^n states of energy 0."""
+    space = fock.build_fock(n, 4, charge=charge)
+    assert np.count_nonzero(space.energies == 0) == (2 ** n if charge is None else 1)
+    report, = fock.identity_reports(n, 4, identities=("vacuum-cocycle",),
+                                    charge=charge)
+    assert (report["block"], report["columns"], report["pass"]) == (0, 1, True)
+
+
 def test_unprotected_residual_raises_window_error(space6, su2):
     # the charge-3 sector of su2/4 starts at energy 1, above every block
     with pytest.raises(WindowError, match="no protected columns"):
