@@ -541,22 +541,22 @@ def export_profile(profile: entropy.EntropyProfile, fmt: str = "csv",
         ("S_prime", profile.S_prime), ("S_dd_analytic", profile.s_dd_analytic),
         ("S_dd_fd", profile.s_dd_fd), ("density", profile.density),
     ]
+    # tolist() gives the Python floats that repr writes, one join per line
+    lists = [vals.tolist() for _, vals in columns]
     if fmt == "csv":
         lines = [",".join(c for c, _ in columns)]
-        for i in range(len(profile.grid)):
-            lines.append(",".join(repr(float(vals[i])) for _, vals in columns))
+        lines += [",".join(map(repr, row)) for row in zip(*lists)]
         artifacts.append((f"{name}.csv", ("\n".join(lines) + "\n").encode()))
     elif fmt == "json":
         artifacts.append((f"{name}.json", _json_bytes({
-            **{c: [float(v) for v in vals] for c, vals in columns},
+            **{c: vals for (c, _), vals in zip(columns, lists)},
             "total_energy": float(profile.total_energy),
         })))
     else:
         raise ConfigError(f"unknown profile format {fmt!r}")
     if plot_data:
-        for cname, vals in columns[1:]:
-            rows = "\n".join(f"{repr(float(t))} {repr(float(v))}"
-                             for t, v in zip(profile.grid, vals))
+        for (cname, _), vals in zip(columns[1:], lists[1:]):
+            rows = "\n".join(f"{t!r} {v!r}" for t, v in zip(lists[0], vals))
             artifacts.append((f"{name}_{cname}.dat", (rows + "\n").encode()))
     return artifacts
 
@@ -755,7 +755,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="loopnet",
         description="Loop-group conformal-net numerics: verification suites, "

@@ -32,15 +32,18 @@ residual is a short list of (coef, left, right) terms, its protected energy
 follows from the gradings alone, and since the basis is ordered by energy
 its protected columns are a prefix.  Each group of residuals is one sparse
 product of the stacked left factors with the stacked right factors cut to
-those columns.  A suite reads each operator once per call as its entries
-by ascending column, so a cut is a prefix of them, and takes them where
-they are already in that order: a current from its hop tables, which are
-listed by column, L_{-m} from the rows of the real L_m, and any other
-operator from its CSC.  One grading rule, ``_pi_grading``, serves every
-linear mode: a current, pi(x) and the vacuum check's guard.  The Sugawara
-modes are the same product of hop tables, on all columns.  Its factors
-and the currents and pi(x) that repeat an entry come from one COO -> CSR
-routine, which joins all blocks by one concatenation per array.
+those columns.  The suites' currents are the hops E_ij(m) themselves:
+every current is a linear combination of them, so a relation checked on
+every hop holds on every current, and on the hops' integer entries the
+affine, rotation and adjoint residuals are exactly 0.  A suite reads each
+operator once per call as its entries by ascending column, so a cut is a
+prefix of them, and takes them where they are already in that order: a
+hop from its cached table, which is listed by column, L_{-m} from the rows
+of the real L_m, and any other operator from its CSC.  One grading rule,
+``_pi_grading``, serves every linear mode: a hop, a current, pi(x) and the
+vacuum check's guard.  The Sugawara modes are the same product of hop
+tables, on all columns.  Its factors, the currents and pi(x) come from one
+COO -> CSR routine, which joins all blocks by one concatenation per array.
 ``FockOperator`` arithmetic stays the public route and the tests' oracle.
 """
 
@@ -433,36 +436,6 @@ def _hop_terms(space: TruncatedFockSpace, xmat: np.ndarray, m: int, table=_hop):
             for i, j in zip(rows.tolist(), cols.tolist())]
 
 
-def _by_column(space: TruncatedFockSpace, terms):
-    """The sum of coefficient * hop over (coefficient, hop) terms, whose
-    coefficients are nonzero, as its entries (rows, cols, data) by
-    ascending column, rows ascending in each, and ``starts``, the number of
-    entries in the columns before each column (see ``_Factor``).
-
-    Two hops share entries only on the diagonal, where the diagonal
-    zero-mode hop E_ii(0) holds one entry per filled window mode of color
-    i.  When no (row, col) repeats, nothing sums or cancels and the entries
-    are sorted by (col, row); otherwise ``_summed_csr`` sums them and the
-    CSC of its result holds them.
-    """
-    dim = space.dim
-    index = _index_dtype(dim)
-    if not terms:
-        empty = np.zeros(0, dtype=index)
-        return empty, empty, np.zeros(0, dtype=complex), np.zeros(dim + 1, dtype=index)
-    rows, cols, data = _joined([(*hop, None, 0, 0, coef) for coef, hop in terms],
-                               index)
-    key = cols.astype(np.int64) * dim + rows
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        by_column = _summed_csr(rows, cols, data, (dim, dim)).tocsc()
-        return (by_column.indices, _column_indices(by_column.indptr),
-                by_column.data, by_column.indptr)
-    return (rows[order], cols[order], data[order],
-            key.searchsorted(np.arange(dim + 1) * dim))
-
-
 def _column_indices(starts: np.ndarray) -> np.ndarray:
     """The column of each entry of a column-ordered list with ``starts``."""
     return np.repeat(np.arange(len(starts) - 1, dtype=starts.dtype), np.diff(starts))
@@ -470,11 +443,12 @@ def _column_indices(starts: np.ndarray) -> np.ndarray:
 
 def _assemble(space: TruncatedFockSpace, terms):
     """CSR sum of coefficient * hop over (coefficient, hop) terms, whose
-    coefficients are nonzero: the column-ordered entries of ``_by_column``,
-    which the identity suites read as they are, converted once."""
-    rows, _, data, starts = _by_column(space, terms)
-    return scipy.sparse.csc_matrix((data, rows, starts),
-                                   shape=(space.dim, space.dim)).tocsr()
+    coefficients are nonzero, by ``_stacked_csr``; no term is the empty
+    matrix."""
+    shape = (space.dim, space.dim)
+    if not terms:
+        return scipy.sparse.csr_matrix(shape, dtype=complex)
+    return _stacked_csr([(*hop, None, 0, 0, coef) for coef, hop in terms], shape)
 
 
 def _index_dtype(size: int):
@@ -518,11 +492,11 @@ def _summed_csr(rows, cols, data, shape):
 
 class _Factor(NamedTuple):
     """An operator as the identity suites read it: its entries (rows, cols,
-    data) by ascending column, rows ascending in each, ``starts[c]`` the
-    number of them in the columns before c, and the grading that
-    ``_product_protection`` reads.  Made where the entries already are in
-    that order: ``_current_factor`` from the hop tables, ``_sugawara_factor``
-    from L_|m|, and ``_factor`` from any other operator."""
+    data) by ascending column, ``starts[c]`` the number of them in the
+    columns before c, and the grading that ``_product_protection`` reads.
+    Made where the entries already are in that order: ``_hop_factor`` from
+    a hop table, ``_sugawara_factor`` from L_|m|, and ``_factor`` from any
+    other operator."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -544,6 +518,21 @@ def _compressed_factor(mat, protected_energy: int, max_raise: int) -> _Factor:
     matrix, which are the columns of its transpose."""
     return _Factor(mat.indices, _column_indices(mat.indptr), mat.data, mat.indptr,
                    protected_energy, max_raise)
+
+
+def _hop_factor(space: TruncatedFockSpace, i: int, j: int, m: int) -> _Factor:
+    """The ``_Factor`` of the hop E_ij(m): its cached table, whose integer
+    signs are the data, under the one-mode grading of m."""
+    rows, cols, signs = _hop(space, i, j, m)
+    grading = _pi_grading(space, [m], space.cutoff)
+    return _Factor(rows, cols, signs, cols.searchsorted(np.arange(space.dim + 1)),
+                   grading.protected_energy, grading.max_raise)
+
+
+def _hop_operator(space: TruncatedFockSpace, i: int, j: int, m: int) -> FockOperator:
+    """The hop E_ij(m) as a ``FockOperator`` under the one-mode grading of m."""
+    return FockOperator(_assemble(space, [(1.0, _hop(space, i, j, m))]), space,
+                        *_pi_grading(space, [m], space.cutoff))
 
 
 def _stacked_product(space: TruncatedFockSpace, residuals, widths):
@@ -598,14 +587,6 @@ def _current_terms(space: TruncatedFockSpace, x, m: int):
         raise AlgebraMismatchError(
             f"generator shape {xmat.shape} does not match n={space.n}")
     return _hop_terms(space, xmat, m), grading
-
-
-def _current_factor(space: TruncatedFockSpace, x, m: int) -> _Factor:
-    """The ``_Factor`` of ``current(space, x, m)``, read from its hop tables
-    by ``_by_column`` with no sparse matrix between."""
-    terms, grading = _current_terms(space, x, m)
-    return _Factor(*_by_column(space, terms), grading.protected_energy,
-                   grading.max_raise)
 
 
 def rotation_generator(space: TruncatedFockSpace) -> FockOperator:
@@ -975,20 +956,32 @@ def identity_reports(n: int, cutoff: int,
 
     The affine, commutator, virasoro, rotation and adjoint residuals are
     lists of (coef, left, right) terms, evaluated by ``_group_worst`` one
-    group at a time: one basis pair of the affine suite, or the whole suite
-    of the other four.  Every operator in a term, the identity included, is
-    read once per call as a ``_Factor``, its entries by column, which the
-    call drops with it, and each is made where its entries already are in
-    that order: a current is a basis current x_h(m), read once per (basis
-    index, mode) from its hop tables (``_current_factor``); L_m is built
-    once per m >= 0 and L_{-m} read from it as its transpose
-    (``_sugawara_factor``); d, the identity and the adjoint suite's
-    x_h(m)^dagger are read from their CSC (``_factor``).  The affine suite
-    reads [x_i, x_j] as its coordinates in the orthonormal basis, one
-    projection per sampled pair, and the pairing as -tr(x_i x_j) =
-    delta_ij.  The vacuum cocycle is its scalar check, on real-form
-    elements, whose vacuum rows ``vacuum_cocycle_check`` reads from their
-    vacuum columns.  A residual without protected columns raises
+    group at a time: the affine pairs of one left hop, or the whole suite
+    of each of the other four.  Their currents are the hops E_ij(m), the
+    integer factors of every current: by bilinearity a relation that holds
+    on every hop holds on every x(m), and on hops each relation is a
+    Kronecker-delta identity whose residual is exactly 0.  Coverage, with
+    modes |a|, |b|, |m| <= ``mode_range``:
+
+    - affine: [E_ij(a), E_kl(b)] = delta_jk E_il(a+b) - delta_li E_kj(a+b)
+      + a delta_{a+b,0} delta_il delta_jk on every unordered pair of
+      distinct (hop, mode), one group per left hop ij;
+    - commutator: [L_m, E_01(k)] = -k E_01(m+k) on every (m, k);
+    - virasoro: the Virasoro relations with c = l dim/(l+g) on every
+      (a, b) whose L_{a+b} the Sugawara window holds;
+    - rotation: [d, E_ij(m)] = -m E_ij(m) on every hop and mode;
+    - adjoint: E_ij(m)^dagger = E_ji(-m) on every hop and 0 <= m, the left
+      side by ``FockOperator.adjoint`` of the hop's operator;
+    - vacuum-cocycle: the scalar check of ``vacuum_cocycle_check`` on 10
+      pairs of random real-form elements, the only thing ``seed`` seeds.
+
+    Every operator in a term, the identity included, is read once per call
+    as a ``_Factor``, its entries by column, which the call drops with it,
+    and each is made where its entries already are in that order: E_ij(m)
+    from its cached hop table (``_hop_factor``); L_m is built once per
+    m >= 0 and L_{-m} read from it as its transpose (``_sugawara_factor``);
+    d, the identity and the adjoint suite's E_ij(m)^dagger are read from
+    their CSC (``_factor``).  A residual without protected columns raises
     ``WindowError``.
 
     Refused before the space is built: an unknown identity name
@@ -1011,15 +1004,11 @@ def identity_reports(n: int, cutoff: int,
     mode_range = min(mode_range, cutoff // 2)
     modes = range(-mode_range, mode_range + 1)
 
-    basis = algebra.basis
-    pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    if len(pair_idx) > 12:
-        sel = rng.choice(len(pair_idx), size=12, replace=False)
-        pair_idx = [pair_idx[int(s)] for s in sel]
+    hops = list(itertools.product(range(n), repeat=2))
 
     # each mode operator is read by the suites once per call as a _Factor,
-    # x_h(m) by (basis index, mode) and L_m by mode; sugawara builds L_|m|
-    cur = cache(lambda h, m: _current_factor(space, basis[h], m))
+    # E_ij(m) by (i, j, m) and L_m by mode; sugawara builds L_|m|
+    hop = cache(lambda i, j, m: _hop_factor(space, i, j, m))
     l_built = cache(lambda m: sugawara(space, m))
     lmode = cache(lambda m: _sugawara_factor(l_built(abs(m)), m))
     eye = _factor(identity_operator(space))
@@ -1030,30 +1019,29 @@ def identity_reports(n: int, cutoff: int,
         return [(1.0, a, b), (-1.0, b, a)]
 
     def affine():
-        # each basis pair is its own group, so one product holds the
-        # residuals of one pair: a single group of all 12 pairs raised the
-        # peak RSS of the su2/6 and su3/4 charge-0 suites from 56.7 to 64.6 MB
-        for (i, j) in pair_idx:
-            brk = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coords = -np.einsum("ab,hba->h", brk, basis)
-            support = np.flatnonzero(np.abs(coords) > 1e-15)
+        # one group per left hop ij holds its pairs: a single group of all
+        # pairs raised the peak RSS of the su2/6 and su3/4 charge-0 suites
+        # from 61 to 72 MB.  The window's E_ii(0) is the normal-ordered one
+        # plus cutoff, the same for every color, so the constant cancels
+        # from the right side E_ii(0) - E_jj(0)
+        probes = [(i, j, a) for i, j in hops for a in modes]
+        pairs = itertools.combinations(probes, 2)
+        for _, by_left in itertools.groupby(pairs, key=lambda pq: pq[0][:2]):
             group = []
-            for a in modes:
-                for b in modes:
-                    terms = bracket(cur(i, a), cur(j, b))
-                    terms += [(-coords[h], eye, cur(h, a + b)) for h in support]
-                    if a + b == 0 and i == j:
-                        terms.append((float(a), eye, eye))
-                    group.append(terms)
+            for (i, j, a), (k, l, b) in by_left:
+                terms = bracket(hop(i, j, a), hop(k, l, b))
+                if j == k:
+                    terms.append((-1.0, eye, hop(i, l, a + b)))
+                if l == i:
+                    terms.append((1.0, eye, hop(k, j, a + b)))
+                if a + b == 0 and j == k and l == i:
+                    terms.append((-float(a), eye, eye))
+                group.append(terms)
             yield group
 
     def stress_current():
-        group = []
-        for m in modes:
-            for k in modes:
-                group.append([*bracket(lmode(m), cur(0, k)),
-                              (float(k), eye, cur(0, m + k))])
-        yield group
+        yield [[*bracket(lmode(m), hop(0, 1, k)), (float(k), eye, hop(0, 1, m + k))]
+               for m in modes for k in modes]
 
     def virasoro():
         c_val = float(level_data(algebra, 1).central_charge)
@@ -1072,16 +1060,13 @@ def identity_reports(n: int, cutoff: int,
 
     def rotation():
         d_op = _factor(rotation_generator(space))
-        group = []
-        for m in modes:
-            group.append([*bracket(d_op, cur(0, m)),
-                          (float(m), eye, cur(0, m))])
-        yield group
+        yield [[*bracket(d_op, hop(i, j, m)), (float(m), eye, hop(i, j, m))]
+               for i, j in hops for m in modes]
 
     def adjoint():
-        yield [[(1.0, eye, _factor(current(space, basis[i], m).adjoint())),
-                (1.0, eye, cur(i, -m))]
-               for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
+        yield [[(1.0, eye, _factor(_hop_operator(space, i, j, m).adjoint())),
+                (-1.0, eye, hop(j, i, -m))]
+               for i, j in hops for m in range(mode_range + 1)]
 
     def vacuum_cocycle():   # scalars on the vacuum, hence block 0
         for _ in range(10):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from loopnet import cli, entropy, fock, loops, quadrature
 from loopnet.errors import CapacityError, ConfigError, NumericError
 
+from conftest import random_antihermitian
+
 
 MINIMAL = json.dumps({"algebra": {"family": "su2", "level": 1}})
 
@@ -239,6 +241,45 @@ def test_export_profile_empty_and_roundtrip():
     names = {n for n, _ in plots}
     assert {"p.csv", "p_S.dat", "p_S_bar.dat", "p_S_prime.dat",
             "p_S_dd_analytic.dat", "p_S_dd_fd.dat", "p_density.dat"} == names
+
+
+def _export_profile_per_cell(profile, fmt, name, plot_data):
+    """The writer ``export_profile`` replaced, kept as its oracle: each cell
+    written as ``repr(float(vals[i]))`` in a generator."""
+    artifacts = []
+    columns = [
+        ("t", profile.grid), ("S", profile.S), ("S_bar", profile.S_bar),
+        ("S_prime", profile.S_prime), ("S_dd_analytic", profile.s_dd_analytic),
+        ("S_dd_fd", profile.s_dd_fd), ("density", profile.density),
+    ]
+    if fmt == "csv":
+        lines = [",".join(c for c, _ in columns)]
+        for i in range(len(profile.grid)):
+            lines.append(",".join(repr(float(vals[i])) for _, vals in columns))
+        artifacts.append((f"{name}.csv", ("\n".join(lines) + "\n").encode()))
+    else:
+        artifacts.append((f"{name}.json", cli._json_bytes({
+            **{c: [float(v) for v in vals] for c, vals in columns},
+            "total_energy": float(profile.total_energy),
+        })))
+    if plot_data:
+        for cname, vals in columns[1:]:
+            rows = "\n".join(f"{repr(float(t))} {repr(float(v))}"
+                             for t, v in zip(profile.grid, vals))
+            artifacts.append((f"{name}_{cname}.dat", (rows + "\n").encode()))
+    return artifacts
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_profile_bytes_match_the_per_cell_writer(fmt, su3):
+    rng = np.random.default_rng(30)
+    path = entropy.LinePath(su3, [
+        (random_antihermitian(su3, rng), entropy.GaussianWindow(c, 0.8, 0.9))
+        for c in (-1.0, 0.2, 1.1)])
+    prof = entropy.qnec_profile(path, np.linspace(-4.0, 4.0, 41))
+    got = cli.export_profile(prof, fmt, "p", plot_data=True)
+    assert got == _export_profile_per_cell(prof, fmt, "p", plot_data=True)
+    assert len(got) == 7
 
 
 FULL_TASKS = [

@@ -448,6 +448,45 @@ def test_current_adjoint(space6, su2):
         assert resid.max_protected_abs() < 1e-12
 
 
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4)], ids=["su2-N6", "su3-N4"])
+def test_public_current_adjoint_is_the_negated_opposite_mode(n, cutoff):
+    """x(m)^dagger = -x(-m) through public ``current`` and
+    ``FockOperator.adjoint``, entry for entry and in grading, for every
+    real-form basis element and every |m| <= cutoff on the charge-0 sector:
+    the identity suites check the adjoint on the hops alone."""
+    space = fock.build_fock(n, cutoff, charge=0)
+    for x in lie.build_su(n).basis:
+        for m in range(-cutoff, cutoff + 1):
+            got = fock.current(space, x, m).adjoint()
+            want = -1 * fock.current(space, x, -m)
+            for part in ("indices", "indptr", "data"):
+                assert np.array_equal(getattr(got.matrix, part),
+                                      getattr(want.matrix, part)), (m, part)
+            assert ((got.degree, got.protected_energy, got.max_raise)
+                    == (want.degree, want.protected_energy, want.max_raise)), m
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4)], ids=["su2-N6", "su3-N4"])
+def test_a_flipped_hop_sign_fails_the_suites(n, cutoff, monkeypatch):
+    """One sign of E_01(1) flipped in its hop table: the affine, commutator,
+    Virasoro and adjoint suites, which all read that hop, fail."""
+    build = fock._build_hops
+
+    def flipped(space, j, m):
+        build(space, j, m)
+        if (j, m) == (1, 1):
+            rows, cols, signs = space.hops[0, 1, 1]
+            signs = signs.copy()
+            signs[0] = -signs[0]
+            space.hops[0, 1, 1] = (rows, cols, signs)
+
+    monkeypatch.setattr(fock, "_build_hops", flipped)
+    reports = {r["identity"]: r for r in fock.identity_reports(n, cutoff, charge=0)}
+    for name in ("affine", "commutator", "virasoro", "adjoint"):
+        assert not reports[name]["pass"], reports[name]
+        assert reports[name]["residual_max"] >= 0.5, reports[name]
+
+
 def test_identity_suite_su2(space6, su2):
     reports = fock.identity_reports(2, 6, tol=1e-10)
     assert {r["identity"] for r in reports} == {
@@ -491,36 +530,33 @@ def test_identity_reports_need_cutoff_two(cutoff):
 
 
 def test_identity_suite_builds_each_mode_operator_once(monkeypatch):
-    """Each L_m and each current is built at most once per call, as an
-    operator or as the entries of its hop tables, and every current is a
-    basis current x_h(m): a bracket enters as its coordinates in the
-    basis.  L_m is built for m >= 0 only; L_{-m} is read from it."""
+    """Each L_m and each hop factor E_ij(m) is built at most once per call,
+    and no current is: the suites' currents are the hops.  L_m is built for
+    m >= 0 only; L_{-m} is read from it."""
     builds = []
-    current, current_factor, sugawara = (fock.current, fock._current_factor,
-                                         fock.sugawara)
+    hop_factor, sugawara = fock._hop_factor, fock.sugawara
 
-    def counting(kind, build):
-        def counted(space, x, m):
-            basis = lie.build_su(space.n).basis
-            hits = [h for h in range(len(basis)) if np.array_equal(x, basis[h])]
-            assert len(hits) == 1, "a current of a matrix outside the basis"
-            builds.append((kind, hits[0], m))
-            return build(space, x, m)
-        return counted
+    def counting_hop(space, i, j, m):
+        builds.append(("hop", i, j, m))
+        return hop_factor(space, i, j, m)
 
     def counting_sugawara(space, m):
         builds.append(("sugawara", m))
         return sugawara(space, m)
 
-    monkeypatch.setattr(fock, "current", counting("current", current))
-    monkeypatch.setattr(fock, "_current_factor",
-                        counting("current entries", current_factor))
+    def refused(*args):
+        raise AssertionError("a current built by an identity suite")
+
+    monkeypatch.setattr(fock, "current", refused)
+    monkeypatch.setattr(fock, "_hop_factor", counting_hop)
     monkeypatch.setattr(fock, "sugawara", counting_sugawara)
     for n, cutoff, charge in [(2, 6, None), (2, 6, 0), (3, 4, 0)]:
         builds.clear()
         reports = fock.identity_reports(n, cutoff, charge=charge)
         assert all(r["pass"] for r in reports)
         assert builds and len(set(builds)) == len(builds)
+        assert {build[1:3] for build in builds if build[0] == "hop"} == set(
+            itertools.product(range(n), repeat=2))
         assert sorted(m for kind, *m in builds if kind == "sugawara") == [
             [m] for m in range(cutoff // 2 + 1)]
 
@@ -582,7 +618,7 @@ def test_suite_factors_are_made_once_and_not_kept(monkeypatch):
 
 def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):
     """The five grouped suites form no FockOperator sum or product: one
-    sparse product per affine basis pair (12 sampled on su3) and one for
+    sparse product per left hop of the affine pairs (9 on su3) and one for
     each of the other four suites."""
     def refuse(*args):
         raise AssertionError("FockOperator arithmetic in a grouped suite")
@@ -601,9 +637,11 @@ def test_grouped_identities_use_no_operator_arithmetic(monkeypatch):
         3, 4, charge=0,
         identities=("affine", "commutator", "virasoro", "rotation", "adjoint"))
     assert all(r["pass"] for r in reports)
-    assert len(calls) == 12 + 3 + 1
-    assert calls[:12] == [25] * 12
-    assert calls[-1] == 3 * 3   # adjoint: 3 generators, modes 0..2
+    assert len(calls) == 9 + 4
+    # affine: every unordered pair of the 9 hops x 5 modes, by left hop
+    assert calls[:9] == [5 * 44 - 10 - 25 * h for h in range(9)]
+    assert sum(calls[:9]) == 45 * 44 // 2
+    assert calls[9:] == [5 * 5, 21, 9 * 5, 9 * 3]   # adjoint: modes 0..2
 
 
 @pytest.mark.parametrize("n, cutoff, columns", [(3, 4, 1), (2, 6, 14)])

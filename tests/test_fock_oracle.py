@@ -13,18 +13,22 @@ against ``scipy.sparse.linalg.expm_multiply``.
 ``_hs_dense_truncated`` is the windowed Hardy defect ||[P, M]||_2^2 from the
 whole block matrix M, against which the counted block pairs of
 ``hs_defect`` are compared.  ``_oracle_suite`` holds the identity residuals
-as whole ``FockOperator`` expressions, against which the grouped,
-column-restricted evaluation of ``identity_reports`` is compared.
-``_stacked_csr_oracle`` is the preallocated COO fill that the concatenating
-``_stacked_csr`` replaced, ``_factor_oracle`` the stable argsort by column
-that the suites' factors, read where their entries are made, replaced, and
-``_hop_oracle``, ``_vacuum_column_loop`` and ``_random_polynomial_loop``
-are the one-at-a-time loops behind the batched hop build, vacuum column and
-random element; those five must agree bit for bit, or to 1e-14 where the
-sum order may change.  ``_vacuum_cocycle_general`` is the vacuum check by
-five vacuum columns, before paired rows were read from columns, and
-``_grouped_reports_oracle`` the grouped suite with every factor read from
-the public operator; both must agree bit for bit.
+on the hops E_ij(m) as whole ``FockOperator`` expressions (each hop a
+``_hop_op``, SciPy's CSR of its table), against which the grouped,
+column-restricted evaluation of ``identity_reports`` is compared;
+``_sampled_basis_residuals`` keeps the suite's earlier residuals on seeded
+orthonormal basis pairs as a check of public ``current`` and
+``commutator``.  ``_stacked_csr_oracle`` is the preallocated COO fill that
+the concatenating ``_stacked_csr`` replaced, ``_factor_oracle`` the stable
+argsort by column that the suites' factors, read where their entries are
+made, replaced, and ``_hop_oracle``, ``_vacuum_column_loop`` and
+``_random_polynomial_loop`` are the one-at-a-time loops behind the batched
+hop build, vacuum column and random element; those five must agree bit for
+bit, or to 1e-14 where the sum order may change.
+``_vacuum_cocycle_general`` is the vacuum check by five vacuum columns,
+before paired rows were read from columns, and ``_grouped_reports_oracle``
+the grouped hop suite with every factor read from an operator built apart;
+both must agree bit for bit.
 """
 
 import itertools
@@ -439,15 +443,113 @@ def test_hs_defect_counts_match_dense_blocks(n, window):
     assert abs(got - want) <= 1e-14 * want
 
 
+def _hop_op(space, i, j, m):
+    """E_ij(m) as a ``FockOperator``: SciPy's CSR of its cached hop table,
+    under the one-mode grading stated here, degree -m, exact on columns of
+    energy at most cutoff - max(0, -m), raising by at most max(0, -m)."""
+    rows, cols, signs = fock._hop(space, i, j, m)
+    mat = scipy.sparse.csr_matrix((signs.astype(complex), (rows, cols)),
+                                  shape=(space.dim, space.dim))
+    raise_ = max(0, -m)
+    return fock.FockOperator(mat, space, -m, space.cutoff - raise_, raise_)
+
+
+def _unit(n, i, j):
+    e = np.zeros((n, n), complex)
+    e[i, j] = 1.0
+    return e
+
+
 def _oracle_suite(n, cutoff, mode_range=2, charge=None, seed=7):
-    """The space and the residual generators that ``identity_reports`` ran
-    before its grouped evaluation, verbatim: every residual a whole
-    ``FockOperator`` built by operator arithmetic, and the report loop below
-    takes its protected energy and ``max_protected_abs``.  name -> (residuals,
-    starting block, tolerance) at the default tolerance 1e-10."""
+    """The space and the residual generators of ``identity_reports`` as
+    whole ``FockOperator`` expressions, in the suite's order: every hop
+    E_ij(m) a ``_hop_op``, every residual built by operator arithmetic, and
+    the report loop below takes its protected energy and
+    ``max_protected_abs``.  The affine right side is read from the matrix
+    units, [e_ij, e_kl] by matrix products and the central term from
+    tr(e_ij e_kl), not from the Kronecker deltas the suite spells out.
+    name -> (residuals, starting block, tolerance) at the default tolerance
+    1e-10."""
     tol = 1e-10
     algebra = lie.build_su(n)
     data = affine_data.level_data(algebra, 1)
+    space = fock.build_fock(n, cutoff, charge=charge)
+    rng = np.random.default_rng(seed)
+    mode_range = max(1, min(mode_range, cutoff // 2))
+    modes = range(-mode_range, mode_range + 1)
+    hops = list(itertools.product(range(n), repeat=2))
+    hop = cache(lambda i, j, m: _hop_op(space, i, j, m))
+    lmode = cache(lambda m: fock.sugawara(space, m))
+
+    def affine():
+        probes = [(i, j, a) for i, j in hops for a in modes]
+        for (i, j, a), (k, l, b) in itertools.combinations(probes, 2):
+            x, y = _unit(n, i, j), _unit(n, k, l)
+            brk = x @ y - y @ x
+            resid = fock.commutator(hop(i, j, a), hop(k, l, b))
+            for p, q in np.argwhere(brk).tolist():
+                resid = resid - brk[p, q] * hop(p, q, a + b)
+            if a + b == 0:
+                pairing = complex(np.trace(x @ y))
+                resid = resid - (a * pairing) * fock.identity_operator(space)
+            yield resid
+
+    def stress_current():
+        for m in modes:
+            for k in modes:
+                yield (fock.commutator(lmode(m), hop(0, 1, k))
+                       + float(k) * hop(0, 1, m + k))
+
+    def virasoro():
+        c_val = float(data.central_charge)
+        for a in modes:
+            for b in modes:
+                if abs(a + b) > cutoff // 2 and a != b:
+                    continue   # L_{a+b} is outside the Sugawara window
+                resid = fock.commutator(lmode(a), lmode(b))
+                if a != b:
+                    resid = resid - float(a - b) * lmode(a + b)
+                if a + b == 0:
+                    central = c_val * a * (a * a - 1) / 12.0
+                    resid = resid - central * fock.identity_operator(space)
+                yield resid
+
+    def rotation():
+        d_op = fock.rotation_generator(space)
+        for i, j in hops:
+            for m in modes:
+                yield fock.commutator(d_op, hop(i, j, m)) + float(m) * hop(i, j, m)
+
+    def adjoint():
+        for i, j in hops:
+            for m in range(0, mode_range + 1):
+                yield hop(i, j, m).adjoint() - hop(j, i, -m)
+
+    def vacuum_cocycle():
+        for _ in range(10):
+            x = fock._random_polynomial(algebra, rng, cutoff // 2)
+            y = fock._random_polynomial(algebra, rng, cutoff // 2)
+            yield abs(fock.vacuum_cocycle_check(space, x, y)
+                      - 1j * loops.central_term_B(x, y))
+
+    suite = {"affine": (affine, cutoff, tol),
+             "commutator": (stress_current, cutoff, tol),
+             "virasoro": (virasoro, cutoff, tol),
+             "rotation": (rotation, cutoff, tol),
+             "adjoint": (adjoint, cutoff, tol),
+             "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
+    if charge not in (None, 0):
+        del suite["vacuum-cocycle"]
+    return space, suite
+
+
+def _sampled_basis_residuals(n, cutoff, mode_range=2, charge=None, seed=7):
+    """The residuals ``identity_reports`` ran before its currents were the
+    hops, verbatim: public ``current`` of orthonormal basis elements, 12
+    seeded basis pairs of the affine relation where there are more, the
+    commutator and rotation on basis[0], and the adjoint on three basis
+    elements, each a whole ``FockOperator``.  name -> residual generator."""
+    algebra = lie.build_su(n)
     space = fock.build_fock(n, cutoff, charge=charge)
     rng = np.random.default_rng(seed)
     mode_range = max(1, min(mode_range, cutoff // 2))
@@ -488,20 +590,6 @@ def _oracle_suite(n, cutoff, mode_range=2, charge=None, seed=7):
                 yield (fock.commutator(lmode(m), cur(basis[0], k))
                        + float(k) * cur(basis[0], m + k))
 
-    def virasoro():
-        c_val = float(data.central_charge)
-        for a in modes:
-            for b in modes:
-                if abs(a + b) > cutoff // 2 and a != b:
-                    continue   # L_{a+b} is outside the Sugawara window
-                resid = fock.commutator(lmode(a), lmode(b))
-                if a != b:
-                    resid = resid - float(a - b) * lmode(a + b)
-                if a + b == 0:
-                    central = c_val * a * (a * a - 1) / 12.0
-                    resid = resid - central * fock.identity_operator(space)
-                yield resid
-
     def rotation():
         d_op = fock.rotation_generator(space)
         for m in modes:
@@ -513,22 +601,8 @@ def _oracle_suite(n, cutoff, mode_range=2, charge=None, seed=7):
             for m in range(0, mode_range + 1):
                 yield cur(basis[i], m).adjoint() + cur(basis[i], -m)
 
-    def vacuum_cocycle():
-        for _ in range(10):
-            x = fock._random_polynomial(algebra, rng, cutoff // 2)
-            y = fock._random_polynomial(algebra, rng, cutoff // 2)
-            yield abs(fock.vacuum_cocycle_check(space, x, y)
-                      - 1j * loops.central_term_B(x, y))
-
-    suite = {"affine": (affine, cutoff, tol),
-             "commutator": (stress_current, cutoff, tol),
-             "virasoro": (virasoro, cutoff, tol),
-             "rotation": (rotation, cutoff, tol),
-             "adjoint": (adjoint, cutoff, tol),
-             "vacuum-cocycle": (vacuum_cocycle, 0, max(tol, 1e-12))}
-    if charge not in (None, 0):
-        del suite["vacuum-cocycle"]
-    return space, suite
+    return {"affine": affine, "commutator": stress_current,
+            "rotation": rotation, "adjoint": adjoint}
 
 
 def _oracle_reports(suite):
@@ -596,6 +670,23 @@ def test_identity_reports_match_operator_arithmetic(case):
             assert (g["block"], g["columns"]) == (0, 1), g
         else:
             assert g["columns"] == np.count_nonzero(space.energies <= g["block"])
+        if g["identity"] in ("affine", "rotation", "adjoint"):
+            assert g["residual_max"] == w["residual_max"] == 0.0, g
+
+
+@pytest.mark.parametrize("case", SUITE_CASES, ids=_suite_id)
+def test_sampled_basis_residuals_hold_through_public_current(case):
+    """The orthonormal-basis residuals of public ``current`` and
+    ``commutator`` hold to 1e-13 on the block the hop suite reports."""
+    n, cutoff, charge, mode_range = case
+    reports = {r["identity"]: r for r in fock.identity_reports(
+        n, cutoff, mode_range=mode_range, charge=charge)}
+    for name, residuals in _sampled_basis_residuals(
+            n, cutoff, mode_range, charge).items():
+        resids = list(residuals())
+        assert resids, name
+        assert min(r.protected_energy for r in resids) == reports[name]["block"]
+        assert max(r.max_protected_abs() for r in resids) <= 1e-13, name
 
 
 def test_operator_difference_is_bit_identical_to_sum_of_negative(spaces):
@@ -726,12 +817,13 @@ def test_assemble_is_bit_identical_to_preallocated_fill(spaces, spec):
 
 def test_empty_sum_has_no_entries_by_either_route(spaces):
     """No term: the CSR of ``_assemble`` is the oracle's empty matrix, and
-    the column-ordered entries are empty with every ``starts`` 0."""
+    the column-ordered entries read from it are empty with every ``starts``
+    0."""
     space = spaces[(2, 6, 0)]
     shape = (space.dim, space.dim)
     _assert_same_csr(fock._assemble(space, []), _stacked_csr_oracle([], shape),
                      tol=0.0)
-    factor = fock._current_factor(space, np.zeros((2, 2)), 1)
+    factor = fock._factor(fock.current(space, np.zeros((2, 2)), 1))
     assert not any(map(len, factor[:3]))
     assert np.array_equal(factor.starts, np.zeros(space.dim + 1))
 
@@ -845,21 +937,35 @@ def _factor_oracle(op):
                          ids=lambda s: "su%d-N%d-q%s" % s)
 def test_factor_matches_argsort_oracle(spec, monkeypatch):
     """Every factor an identity suite reads, by each route that makes one:
-    the currents read from their hop tables, L_m and L_{-m} read from
-    L_{|m|}, and the adjoint currents, d and the identity read from their
-    CSC.  Each equals the argsort oracle of the operator the public
-    function builds (``current``, ``sugawara``, or the operator itself):
-    the same entries by column, in value and bit for bit in data, and the
-    same ``starts`` and grading.  Every factor in a term the suite
-    evaluates was checked."""
+    the hops read from their tables, L_m and L_{-m} read from L_{|m|}, and
+    the adjoint hops, d and the identity read from their CSC.  Each equals
+    the argsort oracle of the operator built apart (``_hop_op``,
+    ``sugawara``, or the operator itself): the same entries by column, in
+    value and bit for bit in data, and the same ``starts`` and grading.  A
+    hop's entries are its table's, which lists a column's entries by window
+    mode, not by row, and the diagonal zero-mode hop one per filled mode:
+    summed, they are the oracle's, and its ``starts`` count them as listed.
+    Every factor in a term the suite evaluates was checked."""
     checked = {}
 
-    def compared(route, public):
+    def same_entries(got, want):
+        for name, g, w in zip(fock._Factor._fields, got, want):
+            assert np.array_equal(g, w), name
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def same_sums(got, want):
+        dim = len(got.starts) - 1
+        assert np.array_equal(got.starts, got.cols.searchsorted(np.arange(dim + 1)))
+        summed = scipy.sparse.csc_matrix(
+            (got.data.astype(complex), (got.rows, got.cols)), shape=(dim, dim))
+        for g, w in [(summed.indices, want.rows), (summed.indptr, want.starts),
+                     (summed.data, want.data), (got[4:], want[4:])]:
+            assert np.array_equal(g, w)
+
+    def compared(route, public, same=same_entries):
         def made(*args):
-            got, want = route(*args), _factor_oracle(public(*args))
-            for name, g, w in zip(fock._Factor._fields, got, want):
-                assert np.array_equal(g, w), name
-            assert got.data.tobytes() == want.data.tobytes()
+            got = route(*args)
+            same(got, _factor_oracle(public(*args)))
             checked[id(got)] = got
             return got
         return made
@@ -871,8 +977,8 @@ def test_factor_matches_argsort_oracle(spec, monkeypatch):
         read.extend(f for terms in residuals for _, *pair in terms for f in pair)
         return group_worst(space, residuals)
 
-    monkeypatch.setattr(fock, "_current_factor",
-                        compared(fock._current_factor, fock.current))
+    monkeypatch.setattr(fock, "_hop_factor", compared(fock._hop_factor, _hop_op,
+                                                      same_sums))
     monkeypatch.setattr(fock, "_sugawara_factor", compared(
         fock._sugawara_factor, lambda l_op, m: fock.sugawara(l_op.space, m)))
     monkeypatch.setattr(fock, "_factor", compared(fock._factor, lambda op: op))
@@ -963,25 +1069,19 @@ def test_nearly_paired_element_takes_the_general_route(monkeypatch):
 
 
 def _grouped_reports_oracle(n, cutoff, charge, seed, mode_range=2, tol=1e-10):
-    """``identity_reports`` as it ran before its factors were read where
-    they are made, verbatim but for the factors: every factor the argsort
-    oracle of the public operator (``current``, ``sugawara`` at every mode,
-    its own L_{-m} included, the adjoint, d and the identity), and the
-    vacuum cocycle by five vacuum columns and reported on the one vacuum
-    column it reads."""
+    """``identity_reports`` on the hops, verbatim but for the factors:
+    every factor the argsort oracle of an operator built apart (``_hop_op``,
+    ``sugawara`` at every mode, its own L_{-m} included, the adjoint of
+    ``_hop_op``, d and the identity), and the vacuum cocycle by five vacuum
+    columns and reported on the one vacuum column it reads."""
     algebra = lie.build_su(n)
     space = fock.build_fock(n, cutoff, charge=charge)
     rng = np.random.default_rng(seed)
     mode_range = min(mode_range, cutoff // 2)
     modes = range(-mode_range, mode_range + 1)
-    basis = algebra.basis
-    pair_idx = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    if len(pair_idx) > 12:
-        sel = rng.choice(len(pair_idx), size=12, replace=False)
-        pair_idx = [pair_idx[int(s)] for s in sel]
+    hops = list(itertools.product(range(n), repeat=2))
 
-    current_op = cache(lambda h, m: fock.current(space, basis[h], m))
-    cur = cache(lambda h, m: _factor_oracle(current_op(h, m)))
+    hop = cache(lambda i, j, m: _factor_oracle(_hop_op(space, i, j, m)))
     lmode = cache(lambda m: _factor_oracle(fock.sugawara(space, m)))
     eye = _factor_oracle(fock.identity_operator(space))
 
@@ -989,22 +1089,23 @@ def _grouped_reports_oracle(n, cutoff, charge, seed, mode_range=2, tol=1e-10):
         return [(1.0, a, b), (-1.0, b, a)]
 
     def affine():
-        for (i, j) in pair_idx:
-            brk = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coords = -np.einsum("ab,hba->h", brk, basis)
-            support = np.flatnonzero(np.abs(coords) > 1e-15)
+        probes = [(i, j, a) for i, j in hops for a in modes]
+        pairs = itertools.combinations(probes, 2)
+        for _, by_left in itertools.groupby(pairs, key=lambda pq: pq[0][:2]):
             group = []
-            for a in modes:
-                for b in modes:
-                    terms = bracket(cur(i, a), cur(j, b))
-                    terms += [(-coords[h], eye, cur(h, a + b)) for h in support]
-                    if a + b == 0 and i == j:
-                        terms.append((float(a), eye, eye))
-                    group.append(terms)
+            for (i, j, a), (k, l, b) in by_left:
+                terms = bracket(hop(i, j, a), hop(k, l, b))
+                if j == k:
+                    terms.append((-1.0, eye, hop(i, l, a + b)))
+                if l == i:
+                    terms.append((1.0, eye, hop(k, j, a + b)))
+                if a + b == 0 and j == k and l == i:
+                    terms.append((-float(a), eye, eye))
+                group.append(terms)
             yield group
 
     def stress_current():
-        yield [[*bracket(lmode(m), cur(0, k)), (float(k), eye, cur(0, m + k))]
+        yield [[*bracket(lmode(m), hop(0, 1, k)), (float(k), eye, hop(0, 1, m + k))]
                for m in modes for k in modes]
 
     def virasoro():
@@ -1024,13 +1125,13 @@ def _grouped_reports_oracle(n, cutoff, charge, seed, mode_range=2, tol=1e-10):
 
     def rotation():
         d_op = _factor_oracle(fock.rotation_generator(space))
-        yield [[*bracket(d_op, cur(0, m)), (float(m), eye, cur(0, m))]
-               for m in modes]
+        yield [[*bracket(d_op, hop(i, j, m)), (float(m), eye, hop(i, j, m))]
+               for i, j in hops for m in modes]
 
     def adjoint():
-        yield [[(1.0, eye, _factor_oracle(current_op(i, m).adjoint())),
-                (1.0, eye, cur(i, -m))]
-               for i in range(min(3, len(basis))) for m in range(mode_range + 1)]
+        yield [[(1.0, eye, _factor_oracle(_hop_op(space, i, j, m).adjoint())),
+                (-1.0, eye, hop(j, i, -m))]
+               for i, j in hops for m in range(mode_range + 1)]
 
     def vacuum_cocycle():
         for _ in range(10):
