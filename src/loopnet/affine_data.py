@@ -15,12 +15,14 @@ alcove bound l^2/(4 m^2 (l+g)) controls the bare part only, and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, UnsupportedAlgebraError
+from .errors import CapacityError, NumericError, UnsupportedAlgebraError
 from .lie import CompactSimpleAlgebra, SimpleTypeRecord
 
 _ALCOVE_CHUNK = 65536   # coordinates of the alcove's level box held at once
@@ -59,9 +61,17 @@ def _dims(algebra) -> tuple[str, int, int, int]:
 
 
 def level_data(algebra, level: int) -> LevelData:
-    """Exact central charge c = l*dim/(l+g) for the given level."""
+    """Exact central charge c = l*dim/(l+g) for the given level.
+
+    The level must be an integer of at least 1 (a numpy integer too, a bool
+    not), or NumericError before any arithmetic; every function here takes
+    its level through this one.
+    """
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+        raise NumericError(f"level must be an integer, got {level!r}")
     if level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
+        raise NumericError(f"level must be a positive integer, got {level}")
+    level = int(level)
     family, rank, dim, g = _dims(algebra)
     return LevelData(family, rank, level, dim, g,
                      Fraction(level * dim, level + g))
@@ -157,33 +167,60 @@ def _norms_n(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return ((coords @ gram) * coords).sum(axis=1)
 
 
+class _Scan(NamedTuple):
+    """The weights of a type-A level alcove in integers, one row each in
+    lexicographic order: coordinates, n <lambda, lambda + 2 rho> and
+    n <lambda, theta>."""
+
+    data: LevelData
+    roots: _TypeARoots
+    coords: np.ndarray
+    cas_n: np.ndarray
+    pairing_n: np.ndarray
+
+
+def _scan(algebra, data: LevelData) -> _Scan:
+    """The one scan of the level box: its integer blocks, each cut to the
+    weights with <lambda, theta> <= level, joined."""
+    level = data.level
+    roots = _scannable_roots(algebra, level)
+    theta_n = roots.gram @ roots.theta
+    rho2_n = 2 * (roots.gram @ roots.rho)
+    coords, cas_n, pairing_n = [], [], []
+    # lexicographic blocks, so the weights come out sorted
+    for block in _box_chunks(level + 1, roots.rank):
+        pairing = block @ theta_n
+        keep = pairing <= level * roots.n
+        block = block[keep]
+        coords.append(block)
+        cas_n.append(_norms_n(roots.gram, block) + block @ rho2_n)
+        pairing_n.append(pairing[keep])
+    return _Scan(data, roots, *map(np.concatenate, (coords, cas_n, pairing_n)))
+
+
+def _weights(scan: _Scan) -> list[AlcoveWeight]:
+    """The ``AlcoveWeight`` of each scanned weight.  Each distinct Fraction
+    is made once, straight from its integers: weights share a pairing
+    (at most level + 1 values) and conjugate weights a Casimir."""
+    n = scan.roots.n
+    denom_n = 2 * n * (scan.data.level + scan.data.dual_coxeter)
+    cas_n, pairing_n = scan.cas_n.tolist(), scan.pairing_n.tolist()
+    cas = {c: (Fraction(c, n), Fraction(c, denom_n)) for c in set(cas_n)}
+    pairing = {p: Fraction(p, n) for p in set(pairing_n)}
+    return [AlcoveWeight(tuple(coords), *cas[c], pairing[p])
+            for coords, c, p in zip(scan.coords.tolist(), cas_n, pairing_n)]
+
+
 def alcove(algebra, level: int) -> list[AlcoveWeight]:
     """All dominant integral weights with <lambda, theta> <= level, sorted.
 
     The pairing is evaluated through the exact Gram matrix of the fundamental
     weights, not through any closed-form shortcut, so an independent
     enumerator can cross-check the counts.  The coordinate box is scanned in
-    integer blocks, and Fractions are built only for the weights kept.
+    integer blocks (``_scan``), and Fractions are built only for the weights
+    kept.
     """
-    data = level_data(algebra, level)
-    roots = _scannable_roots(algebra, level)
-    denom = 2 * (level + data.dual_coxeter)
-    n = roots.n
-    theta_n = roots.gram @ roots.theta
-    rho2_n = 2 * (roots.gram @ roots.rho)
-    out = []
-    # lexicographic blocks, so the list comes out sorted
-    for block in _box_chunks(level + 1, roots.rank):
-        pairing = block @ theta_n
-        keep = pairing <= level * n
-        block = block[keep]
-        cas_n = _norms_n(roots.gram, block) + block @ rho2_n
-        for coords, c, p in zip(block.tolist(), cas_n.tolist(),
-                                pairing[keep].tolist()):
-            cas = Fraction(c, n)
-            out.append(AlcoveWeight(tuple(coords), cas, cas / denom,
-                                    Fraction(p, n)))
-    return out
+    return _weights(_scan(algebra, level_data(algebra, level)))
 
 
 def conformal_weight(weight: tuple[int, ...], data: LevelData) -> Fraction:
@@ -224,23 +261,24 @@ def alcove_bounds(algebra, level: int) -> AlcoveBoundsReport:
     if data.family != "A":
         return AlcoveBoundsReport(data.central_charge,
                                   data.central_charge >= 1, *[None] * 5)
-    return _type_a_bounds(data, alcove(algebra, level))
+    return _type_a_bounds(_scan(algebra, data))
 
 
-def _type_a_bounds(data: LevelData, weights: list[AlcoveWeight]) -> AlcoveBoundsReport:
-    """``alcove_bounds`` of a type-A level, read from its scanned alcove."""
-    level, roots = data.level, _TypeARoots(data.rank + 1)
+def _type_a_bounds(scan: _Scan) -> AlcoveBoundsReport:
+    """``alcove_bounds`` of a type-A level, read from the integers of its
+    scan: no ``AlcoveWeight`` is built."""
+    data, roots = scan.data, scan.roots
+    level = data.level
     gram = roots.gram / roots.n
     theta = np.array(roots.theta, dtype=float)
     # cos(angle(theta, omega_i)) = (G theta)_i / sqrt(G_ii <theta, theta>)
     m = float(((gram @ theta)
                / np.sqrt(np.diag(gram) * (theta @ gram @ theta))).min())
-    denom = 2 * (level + data.dual_coxeter)
+    denom_n = 2 * (level + data.dual_coxeter) * roots.n
     bound = level ** 2 / (4 * m * m * (level + data.dual_coxeter))
-    coords = np.array([w.weight for w in weights], dtype=np.int64)
     # int / int true division rounds correctly, like the Fraction it replaces
-    max_bare = int(_norms_n(roots.gram, coords).max()) / (roots.n * denom)
-    dressed = max(w.conformal_weight for w in weights)
+    max_bare = int(_norms_n(roots.gram, scan.coords).max()) / denom_n
+    dressed = Fraction(int(scan.cas_n.max()), denom_n)
     ok = bool(max_bare <= bound + 1e-12)
     return AlcoveBoundsReport(data.central_charge, data.central_charge >= 1,
                               m, float(bound), max_bare, dressed, ok)

@@ -619,8 +619,9 @@ def _run_alcove(scenario, task):
     ok = True
     for lev in task["levels"]:
         data = affine_data.level_data(scenario.algebra, lev)
-        weights = affine_data.alcove(scenario.algebra, lev)
-        bounds = affine_data._type_a_bounds(data, weights)
+        scan = affine_data._scan(scenario.algebra, data)
+        weights = affine_data._weights(scan)
+        bounds = affine_data._type_a_bounds(scan)
         ok = ok and bounds.c_ge_1 and bool(bounds.all_within_bound)
         for w in weights:
             weight = " ".join(str(a) for a in w.weight)

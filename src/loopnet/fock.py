@@ -373,7 +373,8 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     ladder step is the parity of the occupied bits below it, and the target
     row is found by binary search among the words in ascending order
     (targets outside the space are dropped).  The entries are listed by
-    ascending column.
+    ascending column, and no (row, col) repeats: the diagonal E_ii(0) holds
+    one entry per state, the count of its filled window modes of color i.
     """
     key = (i, j, m)
     if key not in space.hops:
@@ -412,6 +413,14 @@ def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
     for i in range(n):
         part = slice(bounds[i], bounds[i + 1])
         space.hops[i, j, m] = (rows[part], cols[part], signs[part])
+    if m == 0:
+        # E_jj(0) is diagonal, one +1 per filled window mode of color j: one
+        # entry per state holds their count, at most the 64 // n <= 32 window
+        # modes of a color, far inside int8
+        rows, cols, signs = space.hops[j, j, 0]
+        heads = np.flatnonzero(np.diff(cols, prepend=-1))
+        space.hops[j, j, 0] = (rows[heads], cols[heads],
+                               np.add.reduceat(signs, heads).astype(np.int8))
 
 
 def _vacuum_head(space: TruncatedFockSpace, i: int, j: int, m: int):
@@ -421,7 +430,14 @@ def _vacuum_head(space: TruncatedFockSpace, i: int, j: int, m: int):
     if key not in space.vacuum_heads:
         rows, cols, signs = _hop(space, i, j, m)
         end = cols.searchsorted(1)
-        space.vacuum_heads[key] = (rows[:end], cols[:end], signs[:end])
+        rows, cols, signs = rows[:end], cols[:end], signs[:end]
+        if i == j and m == 0:
+            # the count of filled modes as that many unit entries, so the
+            # vacuum column adds a diagonal coefficient once per mode, in
+            # the rounding of the per-mode sum
+            rows, cols = np.repeat(rows, signs), np.repeat(cols, signs)
+            signs = np.ones(len(rows), dtype=np.int8)
+        space.vacuum_heads[key] = (rows, cols, signs)
     return space.vacuum_heads[key]
 
 

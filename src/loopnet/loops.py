@@ -806,11 +806,21 @@ def _magnus_steps(x: FourierLoopElement, alpha: float, h: ScalarField,
                                            "the Magnus product")))
 
 
+def _planar_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p @ q for stacks laid out (a, b, ...), the stack axes innermost:
+    the n x n product as n broadcast multiply-adds along the stack."""
+    out = p[:, :1] * q[:1]
+    for b in range(1, len(q)):
+        out += p[:, b:b + 1] * q[b:b + 1]
+    return out
+
+
 def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
                       t: float, thetas: np.ndarray, step: float,
                       steps: np.ndarray) -> np.ndarray:
-    """Sixth-order Magnus exponents of the given steps at every angle, shape
-    (len(steps), len(thetas), n, n).
+    """Sixth-order Magnus exponents of the given steps at every angle, laid
+    out (a, b, step, angle): entry (a, b) of the exponent of each step at
+    each angle, so every product runs along the steps and angles.
 
     Step j covers tau in [j, j + 1] * step, and X is read at its three Gauss
     nodes, at flow time -alpha (t - tau) from the grid angles.
@@ -824,13 +834,13 @@ def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
         angles = thetas + speed * times[:, None]
     else:
         angles = _flow_angles(h, thetas, times)
-    a1, a2, a3 = x.evaluate(angles.ravel()).reshape(
-        len(steps), 3, len(thetas), n, n).swapaxes(0, 1)
+    a1, a2, a3 = np.ascontiguousarray(x.evaluate(angles.ravel()).reshape(
+        len(steps), 3, len(thetas), n, n).transpose(1, 3, 4, 0, 2))
 
     def bracket(p, q):
         # p, q anti-hermitian: qp = (pq)^dagger
-        pq = p @ q
-        return pq - pq.conj().swapaxes(-1, -2)
+        pq = _planar_matmul(p, q)
+        return pq - pq.conj().swapaxes(0, 1)
 
     # Blanes-Casas-Oteo-Ros, Phys. Rep. 470 (2009): the three-node step
     b1 = step * a2
@@ -844,21 +854,25 @@ def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
 def _magnus_product(x: FourierLoopElement, alpha: float, h: ScalarField,
                     t: float, thetas: np.ndarray, n_steps: int) -> np.ndarray:
     """The time-ordered exponential of X along each characteristic, by
-    ``n_steps`` equal sixth-order Magnus steps.
+    ``n_steps`` equal sixth-order Magnus steps, shape (len(thetas), n, n).
 
     The steps are taken in blocks of at most _MAGNUS_BLOCK exponent entries,
-    each block's exponents through one stacked ``exp_antihermitian``, and
-    the step factors multiply with the latest step on the left.
+    each block's exponents through one stacked ``exp_antihermitian``.  The
+    step factors multiply in the layout of ``_magnus_exponents``, with the
+    latest step on the left.
     """
     n = x.algebra.n
     per_block = max(1, _MAGNUS_BLOCK // (len(thetas) * n * n))
-    out = np.broadcast_to(np.eye(n, dtype=complex), (len(thetas), n, n))
+    out = np.eye(n, dtype=complex)[:, :, None]
     for first in range(0, n_steps, per_block):
         steps = np.arange(first, min(first + per_block, n_steps))
-        for factor in exp_antihermitian(_magnus_exponents(
-                x, alpha, h, t, thetas, t / n_steps, steps)):
-            out = factor @ out
-    return out
+        exponents = _magnus_exponents(x, alpha, h, t, thetas, t / n_steps, steps)
+        # (step, a, b, angle): each step's factor is one contiguous slab
+        factors = np.ascontiguousarray(
+            exp_antihermitian(exponents.transpose(2, 3, 0, 1)).transpose(0, 2, 3, 1))
+        for factor in factors:
+            out = _planar_matmul(factor, out)
+    return out.transpose(2, 0, 1).copy()
 
 
 def semidirect_exp(x: FourierLoopElement, alpha: float,

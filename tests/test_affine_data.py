@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loopnet import affine_data, lie
-from loopnet.errors import CapacityError, UnsupportedAlgebraError
+from loopnet.errors import CapacityError, NumericError, UnsupportedAlgebraError
 
 
 def brute_force_alcove_count(n, level):
@@ -110,13 +110,84 @@ def test_bounds_max_bare_h_matches_fraction_route():
             assert affine_data.alcove_bounds(alg, level).max_bare_h == want
 
 
+def _alcove_per_weight(algebra, level):
+    """The alcove as ``affine_data.alcove`` built it before the one scan:
+    per kept weight, the Casimir as ``Fraction(c, n)`` and the conformal
+    weight as that Fraction divided by 2(l + g)."""
+    data = affine_data.level_data(algebra, level)
+    roots = affine_data._scannable_roots(algebra, level)
+    denom = 2 * (level + data.dual_coxeter)
+    n = roots.n
+    theta_n = roots.gram @ roots.theta
+    rho2_n = 2 * (roots.gram @ roots.rho)
+    out = []
+    for block in affine_data._box_chunks(level + 1, roots.rank):
+        pairing = block @ theta_n
+        keep = pairing <= level * n
+        block = block[keep]
+        cas_n = affine_data._norms_n(roots.gram, block) + block @ rho2_n
+        for coords, c, p in zip(block.tolist(), cas_n.tolist(),
+                                pairing[keep].tolist()):
+            cas = Fraction(c, n)
+            out.append(affine_data.AlcoveWeight(tuple(coords), cas, cas / denom,
+                                                Fraction(p, n)))
+    return out
+
+
+def _bounds_per_weight(data, weights):
+    """The type-A bounds as ``affine_data._type_a_bounds`` read them from
+    the ``AlcoveWeight`` list before the one scan."""
+    level, roots = data.level, affine_data._TypeARoots(data.rank + 1)
+    gram = roots.gram / roots.n
+    theta = np.array(roots.theta, dtype=float)
+    m = float(((gram @ theta)
+               / np.sqrt(np.diag(gram) * (theta @ gram @ theta))).min())
+    denom = 2 * (level + data.dual_coxeter)
+    bound = level ** 2 / (4 * m * m * (level + data.dual_coxeter))
+    coords = np.array([w.weight for w in weights], dtype=np.int64)
+    max_bare = int(affine_data._norms_n(roots.gram, coords).max()) / (roots.n * denom)
+    dressed = max(w.conformal_weight for w in weights)
+    ok = bool(max_bare <= bound + 1e-12)
+    return affine_data.AlcoveBoundsReport(data.central_charge,
+                                          data.central_charge >= 1,
+                                          m, float(bound), max_bare, dressed, ok)
+
+
 @pytest.mark.parametrize("n,level", [(2, 7), (3, 5), (4, 3)])
 def test_bounds_read_from_scanned_alcove(n, level):
-    """``alcove_bounds`` is the bounds of the one scanned alcove list."""
+    """``alcove_bounds`` is the bounds of the one scan, and equal to the
+    bounds of the alcove list that scan gives."""
     alg = lie.build_su(n)
-    weights = affine_data.alcove(alg, level)
-    assert (affine_data._type_a_bounds(affine_data.level_data(alg, level), weights)
-            == affine_data.alcove_bounds(alg, level))
+    data = affine_data.level_data(alg, level)
+    scan = affine_data._scan(alg, data)
+    assert (affine_data._type_a_bounds(scan)
+            == affine_data.alcove_bounds(alg, level)
+            == _bounds_per_weight(data, affine_data._weights(scan)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_matches_the_per_weight_route(n):
+    alg = lie.build_su(n)
+    for level in range(1, 9):
+        want = _alcove_per_weight(alg, level)
+        got = affine_data.alcove(alg, level)
+        assert got == want
+        assert [str(w.conformal_weight) for w in got] == \
+            [str(w.conformal_weight) for w in want]
+        data = affine_data.level_data(alg, level)
+        assert affine_data.alcove_bounds(alg, level) == _bounds_per_weight(data, want)
+        assert type(affine_data.alcove_bounds(alg, level).max_dressed_h) is Fraction
+
+
+def test_bounds_of_a_table_only_family_scan_nothing(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a G2 level has no type-A box to scan")
+
+    monkeypatch.setattr(affine_data, "_scan", no_scan)
+    for level in range(1, 9):
+        rep = affine_data.alcove_bounds(lie.simple_type_record("G2"), level)
+        assert rep == affine_data.AlcoveBoundsReport(
+            Fraction(14 * level, level + 4), True, None, None, None, None, None)
 
 
 def test_bounds_table_only_families():
@@ -138,6 +209,28 @@ def test_level_validation(su2):
         affine_data.level_data(su2, 0)
     with pytest.raises(ValueError):
         affine_data.alcove(su2, 0)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, True, False, np.True_, "2",
+                                   Fraction(2), 0, -1, np.int64(0)])
+def test_a_level_that_is_no_positive_integer_is_refused(su3, level):
+    # every entry point takes its level through level_data, which refuses it
+    # with a typed error before any Fraction or box is made
+    for call in (affine_data.level_data, affine_data.alcove,
+                 affine_data.alcove_bounds):
+        with pytest.raises(NumericError):
+            call(su3, level)
+    with pytest.raises(NumericError):
+        affine_data.alcove_bounds(lie.simple_type_record("G2"), level)
+
+
+def test_numpy_integer_levels_are_levels(su3):
+    for level in (np.int64(2), np.int32(3), np.uint8(4)):
+        data = affine_data.level_data(su3, level)
+        assert type(data.level) is int and data.level == int(level)
+        assert affine_data.alcove(su3, level) == affine_data.alcove(su3, int(level))
+        assert (affine_data.alcove_bounds(su3, level)
+                == affine_data.alcove_bounds(su3, int(level)))
 
 
 def _alcove_fraction_gram(n, level):

@@ -1,8 +1,10 @@
 import inspect
+import itertools
 import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -522,13 +524,13 @@ def test_alcove_task_scans_each_level_once(tmp_path, monkeypatch):
     from loopnet import affine_data
 
     scanned = []
-    scan = affine_data.alcove
+    scan = affine_data._scan
 
-    def counting_alcove(algebra, level):
-        scanned.append(level)
-        return scan(algebra, level)
+    def counting_scan(algebra, data):
+        scanned.append(data.level)
+        return scan(algebra, data)
 
-    monkeypatch.setattr(affine_data, "alcove", counting_alcove)
+    monkeypatch.setattr(affine_data, "_scan", counting_scan)
     scenario = cli.validate_config(json.dumps(
         {"algebra": {"family": "su3"},
          "tasks": [{"task": "alcove", "levels": [1, 3, 5]}]}))
@@ -537,6 +539,38 @@ def test_alcove_task_scans_each_level_once(tmp_path, monkeypatch):
     assert scanned == [1, 3, 5]
     lines = (tmp_path / "alcove.csv").read_text().splitlines()
     assert len(lines) == 1 + 3 + 10 + 21
+
+
+def _casimir_by_fraction_gram(coords, n):
+    """<lambda, lambda + 2 rho> summed as Fractions of the Gram matrix
+    ((min(i, j) n - i j) / n) of the A_{n-1} fundamental weights."""
+    rank = n - 1
+    gram = [[Fraction(min(i, j) * n - i * j, n) for j in range(1, rank + 1)]
+            for i in range(1, rank + 1)]
+    shifted = [a + 2 for a in coords]
+    return sum(coords[i] * gram[i][j] * shifted[j]
+               for i in range(rank) for j in range(rank))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_alcove_csv_is_the_per_weight_table(tmp_path, n):
+    """The alcove task's CSV, byte for byte, as the Fractions of the
+    per-weight route print: the Casimir, h as the Casimir over 2(l + g)
+    and c, for every weight with coordinate sum at most the level."""
+    levels = list(range(1, 9))
+    scenario = cli.validate_config(json.dumps(
+        {"algebra": {"family": f"su{n}"},
+         "tasks": [{"task": "alcove", "levels": levels}]}))
+    assert cli.run_scenario(scenario, out_dir=str(tmp_path)).passed
+    lines = ["family,level,weight,casimir,h,c"]
+    for level in levels:
+        charge = Fraction(level * (n * n - 1), level + n)
+        for coords in itertools.product(range(level + 1), repeat=n - 1):
+            if sum(coords) <= level:
+                cas = _casimir_by_fraction_gram(coords, n)
+                lines.append(f"A{n - 1},{level},{' '.join(map(str, coords))},"
+                             f"{cas},{cas / (2 * (level + n))},{charge}")
+    assert (tmp_path / "alcove.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_bekenstein_uses_scenario_quadrature(tmp_path, monkeypatch):

@@ -24,7 +24,10 @@ argsort by column that the suites' factors, read where their entries are
 made, replaced, and ``_hop_oracle``, ``_vacuum_column_loop`` and
 ``_random_polynomial_loop`` are the one-at-a-time loops behind the batched
 hop build, vacuum column and random element; those five must agree bit for
-bit, or to 1e-14 where the sum order may change.
+bit, or to 1e-14 where the sum order may change.  ``_hop_oracle`` lists the
+diagonal zero-mode hop E_ii(0) one +1 per filled mode, as the tables did
+before each state's entries were summed into one count; the vacuum column
+loop reads those per-mode tables.
 ``_vacuum_cocycle_general`` is the vacuum check by five vacuum columns,
 before paired rows were read from columns, and ``_grouped_reports_oracle``
 the grouped hop suite with every factor read from an operator built apart;
@@ -881,23 +884,63 @@ def _hop_oracle(space, i, j, m):
 @pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 5, None), (4, 3, 1)],
                          ids=lambda s: "su%d-N%d-q%s" % s)
 def test_hops_built_by_source_color_equal_hops_built_alone(spec):
+    # the diagonal zero-mode tables E_ii(0) hold the per-mode entries summed
     n, cutoff, charge = spec
     space = fock.build_fock(n, cutoff, charge=charge)
     for i, j in itertools.product(range(n), repeat=2):
         for m in range(-cutoff, cutoff + 1):
-            for got, want in zip(fock._hop(space, i, j, m),
-                                 _hop_oracle(space, i, j, m)):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want), (i, j, m)
+            want = _hop_oracle(space, i, j, m)
+            if i == j and m == 0:
+                want = _summed_by_entry(*want)
+            for got, part in zip(fock._hop(space, i, j, m), want):
+                assert got.dtype == part.dtype
+                assert np.array_equal(got, part), (i, j, m)
+
+
+def _summed_by_entry(rows, cols, signs):
+    """A column-ordered table with the entries of each (row, col) summed."""
+    key = cols.astype(np.int64) * (rows.max(initial=0) + 1) + rows
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    total = np.zeros(len(first), dtype=np.int64)
+    np.add.at(total, inverse, signs)
+    return rows[first], cols[first], total.astype(np.int8)
+
+
+@pytest.mark.parametrize("spec", [(2, 6, 0), (3, 4, 0), (2, 5, None), (4, 3, 1)],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_diagonal_zero_mode_tables_count_filled_modes(spec):
+    # one entry per state, on the diagonal, holding the number of filled
+    # window modes of its color; no (row, col) repeats in any table.  A
+    # color has at most MASK_BITS // 2 = 32 window modes (su2), so the
+    # count is far inside int8
+    assert fock.MASK_BITS // 2 <= np.iinfo(np.int8).max
+    n, cutoff, charge = spec
+    space = fock.build_fock(n, cutoff, charge=charge)
+    window = np.arange(2 * cutoff + 1) * n
+    for i in range(n):
+        rows, cols, counts = fock._hop(space, i, i, 0)
+        filled = sum((space.words >> np.uint64(b + i)) & np.uint64(1)
+                     for b in window.tolist()).astype(np.int64)
+        assert counts.dtype == np.int8
+        assert np.array_equal(rows, cols)
+        assert np.array_equal(cols, np.flatnonzero(filled))
+        assert np.array_equal(counts, filled[filled > 0])
+        assert counts.max() <= 2 * cutoff + 1
+    for (i, j, m), (rows, cols, _) in space.hops.items():
+        assert np.all(np.diff(cols) >= 0), (i, j, m)
+        assert len(np.unique(cols.astype(np.int64) * space.dim + rows)) == len(rows)
 
 
 def _vacuum_column_loop(space, coefficients):
-    """The hop-by-hop loop that ``fock._vacuum_column`` replaced."""
+    """The hop-by-hop loop that ``fock._vacuum_column`` replaced, over the
+    per-mode tables of ``_hop_oracle``: a diagonal zero-mode coefficient is
+    added once per filled mode."""
     rows, values = [], []
     for k, a in coefficients:
         if k > 0:
             continue
-        for coef, (hop_rows, cols, signs) in fock._hop_terms(space, a, k):
+        for coef, (hop_rows, cols, signs) in fock._hop_terms(space, a, k,
+                                                              _hop_oracle):
             end = cols.searchsorted(1)
             rows.append(hop_rows[:end])
             values.append(coef * signs[:end])
@@ -943,8 +986,8 @@ def test_factor_matches_argsort_oracle(spec, monkeypatch):
     ``sugawara``, or the operator itself): the same entries by column, in
     value and bit for bit in data, and the same ``starts`` and grading.  A
     hop's entries are its table's, which lists a column's entries by window
-    mode, not by row, and the diagonal zero-mode hop one per filled mode:
-    summed, they are the oracle's, and its ``starts`` count them as listed.
+    mode, not by row: summed, they are the oracle's, and its ``starts``
+    count them as listed.
     Every factor in a term the suite evaluates was checked."""
     checked = {}
 
@@ -1171,3 +1214,51 @@ def test_identity_reports_are_bit_identical_to_the_grouped_route(case):
     want = _grouped_reports_oracle(n, cutoff, charge, seed)
     assert [r["identity"] for r in got] == [r["identity"] for r in want]
     assert got == want
+
+
+def _per_mode_hops(monkeypatch):
+    """Serve every hop from ``_hop_oracle``, whose E_ii(0) lists one +1 per
+    filled mode, as the cached tables did before they summed them."""
+    tables = {}
+
+    def hop(space, i, j, m):
+        key = (id(space), i, j, m)
+        if key not in tables:
+            tables[key] = _hop_oracle(space, i, j, m)
+        return tables[key]
+
+    monkeypatch.setattr(fock, "_hop", hop)
+
+
+def _bench_suite_seeds(workload_seed):
+    """The suite seeds the benchmark's ``operator_suites`` draws for its
+    two spaces (su2/6, su3/4) at a workload seed."""
+    rng = np.random.default_rng(workload_seed)
+    return [int(rng.integers(2 ** 31)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("workload_seed", [3, 7])
+def test_summed_zero_mode_tables_leave_the_suites_bit_identical(workload_seed,
+                                                                monkeypatch):
+    # the benchmark's two suites, the Sugawara modes in CSR and the vacuum
+    # check, with the summed tables and with the per-mode ones
+    rng = np.random.default_rng(workload_seed)
+    for seed, (n, cutoff) in zip(_bench_suite_seeds(workload_seed), ((2, 6), (3, 4))):
+        algebra = lie.build_su(n)
+        x, y = (fock._random_polynomial(algebra, rng, cutoff // 2) for _ in range(2))
+
+        def outputs():
+            space = fock.build_fock(n, cutoff, charge=0)
+            sugawara = [fock.sugawara(space, m).matrix for m in range(cutoff // 2 + 1)]
+            return (fock.identity_reports(n, cutoff, mode_range=2, charge=0, seed=seed),
+                    [(op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes())
+                     for op in sugawara],
+                    fock.vacuum_cocycle_check(space, x, y))
+
+        summed = outputs()
+        with monkeypatch.context() as m:
+            _per_mode_hops(m)
+            per_mode = outputs()
+        assert summed[0] == per_mode[0]
+        assert summed[1] == per_mode[1]
+        assert np.array_equal(summed[2], per_mode[2])

@@ -27,6 +27,12 @@ arrays bit for bit.  ``loops._ode_step_map`` applies the same RK4 recurrence to
 the same semi-discrete operator as one sparse Fourier-space step map, so
 the two agree to rounding; ``loops._ode_exponential`` takes the step map
 when few Fourier modes couple.
+
+``_magnus_exponents_aos`` and ``_magnus_product_aos`` are the Magnus
+exponents and product as they were formed with the matrix axes innermost,
+each n x n product a batched ``@``.  The exponents in the (a, b, step,
+angle) layout of ``loops._magnus_exponents`` equal them bit for bit; the
+products differ in rounding alone.
 """
 
 import functools
@@ -448,6 +454,93 @@ def test_magnus_steps_converge_at_sixth_order():
               for m in (4, 8, 16, 32)]
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert all(48 <= r <= 80 for r in ratios), ratios
+
+
+def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
+    """The Magnus exponents as ``loops._magnus_exponents`` formed them with
+    the matrix axes innermost, shape (len(steps), len(thetas), n, n), each
+    product a batched ``@``."""
+    n = x.algebra.n
+    taus = (steps[:, None] + loops._MAGNUS_NODES) * step
+    times = (-alpha * (t - taus)).ravel()
+    if h.modes() in ([], [0]):
+        # a constant field flows by the exact rotation theta + h_0 s
+        speed = h.coefficients.get(0, complex(0.0)).real
+        angles = thetas + speed * times[:, None]
+    else:
+        angles = loops._flow_angles(h, thetas, times)
+    a1, a2, a3 = x.evaluate(angles.ravel()).reshape(
+        len(steps), 3, len(thetas), n, n).swapaxes(0, 1)
+
+    def bracket(p, q):
+        # p, q anti-hermitian: qp = (pq)^dagger
+        pq = p @ q
+        return pq - pq.conj().swapaxes(-1, -2)
+
+    # Blanes-Casas-Oteo-Ros, Phys. Rep. 470 (2009): the three-node step
+    b1 = step * a2
+    b2 = (math.sqrt(15.0) * step / 3.0) * (a3 - a1)
+    b3 = (10.0 * step / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = bracket(b1, b2)
+    c2 = (-1.0 / 60.0) * bracket(b1, 2.0 * b3 + c1)
+    return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def _magnus_product_aos(x, alpha, h, t, thetas, n_steps):
+    """The Magnus product as ``loops._magnus_product`` formed it from
+    ``_magnus_exponents_aos``: each step factor (len(thetas), n, n) applied
+    by a batched ``@``, the latest step on the left."""
+    n = x.algebra.n
+    per_block = max(1, loops._MAGNUS_BLOCK // (len(thetas) * n * n))
+    out = np.broadcast_to(np.eye(n, dtype=complex), (len(thetas), n, n))
+    for first in range(0, n_steps, per_block):
+        steps = np.arange(first, min(first + per_block, n_steps))
+        for factor in lie.exp_antihermitian(_magnus_exponents_aos(
+                x, alpha, h, t, thetas, t / n_steps, steps)):
+            out = factor @ out
+    return out
+
+
+def _magnus_cases():
+    """The non-commuting inputs on 64 points, the benchmark's two on 256,
+    the su3 ODE case on 512 and an su4 element, general and rigid, on 128."""
+    cases = {c[0]: c[1:] for c in _ODE_CASES}
+    su4 = lie.build_su(4)
+    x4 = _real_form(su4, {0: (0.2j, 3), 1: (0.25 - 0.1j, 0), 2: (0.1j, 9)})
+    out = {name: (*spec, 64) for name, spec in _NONCOMMUTING.items()}
+    for name in ("bench-rigid", "bench-general", "su3-two-mode-complex-h"):
+        out[name] = cases[name]
+    out["su4-general"] = (x4, 0.8, _GENERAL, 0.9, 128)
+    out["su4-rigid"] = (x4, 0.8, ScalarField.constant(1.0), 0.9, 128)
+    return out
+
+
+_MAGNUS_CASES = _magnus_cases()
+
+
+@pytest.mark.parametrize("steps_per_block", [None, 4])
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch):
+    # the exponents are the same arithmetic laid out (a, b, step, angle),
+    # bit for bit; the products differ only in the rounding of the n x n
+    # products (the batched @ rounds with fused multiply-adds), by at most
+    # 1.11e-15 (5 eps) on the non-commuting and benchmark inputs and
+    # 1.67e-15 (7.5 eps) on su3 and su4, blocked or not
+    x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
+    n = x.algebra.n
+    if steps_per_block is not None:
+        monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples * n * n)
+    thetas = loops.circle_grid(n_samples)
+    m = loops._magnus_steps(x, alpha, h, t)
+    steps = np.arange(m)
+    planar = loops._magnus_exponents(x, alpha, h, t, thetas, t / m, steps)
+    assert planar.shape == (n, n, m, n_samples)
+    assert np.array_equal(planar.transpose(2, 3, 0, 1),
+                          _magnus_exponents_aos(x, alpha, h, t, thetas, t / m, steps))
+    got = loops._magnus_product(x, alpha, h, t, thetas, m)
+    assert got.shape == (n_samples, n, n) and got.flags.c_contiguous
+    assert (np.abs(got - _magnus_product_aos(x, alpha, h, t, thetas, m)).max()
+            <= 10 * np.finfo(float).eps)
 
 
 def _blocked(name, steps_per_block, monkeypatch):
