@@ -69,6 +69,7 @@ u_{t+s} = u_t * (dilated u_s) rather than by convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -251,12 +252,11 @@ class LinePath:
             raise NumericError("level must be a positive integer")
         self.algebra = algebra
         self.level = level
-        self.factors = []
-        self._eig = []
-        for x, profile in factors:
-            xm = as_generator(x, algebra.n)
-            self.factors.append((xm, profile))
-            self._eig.append(eig_antihermitian(xm))   # xm = u diag(i d) u^dagger
+        # a tuple: the hull, the Gram matrix or bases and the partitions
+        # below are cached for these factors
+        self.factors = tuple((as_generator(x, algebra.n), profile)
+                             for x, profile in factors)
+        self._hull = _support_hull(self.factors)
         xs = [xm for xm, _ in self.factors]
         if len(xs) <= 2:
             # <Z, Z> = f'^T G f' with the Gram matrix G_ij = <X_i, X_j>
@@ -277,13 +277,19 @@ class LinePath:
             self._first = np.stack([first.real, first.imag], axis=-1)
         self._partitions: dict[float, PanelPartition] = {}
 
+    @functools.cached_property
+    def _eig(self) -> list:
+        """(U_j, d_j) with X_j = U_j diag(i d_j) U_j*, made on first use: by
+        ``evaluate``, or at construction for three or more factors."""
+        return [eig_antihermitian(xm) for xm, _ in self.factors]
+
     @property
     def n_factors(self) -> int:
         return len(self.factors)
 
     def support(self) -> tuple[float, float]:
         """Hull of the factor supports; gamma is constant outside it."""
-        return _support_hull(self.factors)
+        return self._hull
 
     def evaluate(self, us) -> np.ndarray:
         """Path values, shape (len(us), n, n)."""
@@ -304,12 +310,14 @@ class LinePath:
         -||Z||_F^2, read from its real and imaginary parts.
         """
         us = np.atleast_1d(np.asarray(us, dtype=float))
+        if len(self.factors) <= 2:
+            if not self.factors:
+                return np.zeros(len(us))
+            fps = np.array([profile.derivative(us) for _, profile in self.factors],
+                           dtype=float)
+            return np.einsum("ip,ij,jp->p", fps, self._gram, fps)
         fps = [np.asarray(profile.derivative(us), dtype=float)
                for _, profile in self.factors]
-        if len(fps) <= 2:
-            if not fps:
-                return np.zeros(len(us))
-            return np.einsum("ip,ij,jp->p", fps, self._gram, fps)
         n, p = self.algebra.n, len(us)
         last = len(fps) - 1
         w = self._own[last][:, :, None] * fps[last]

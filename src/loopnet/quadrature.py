@@ -34,6 +34,11 @@ A panel whose budget is below eps times the same weighted sum over
 failing ones in a level raise AccuracyError.  The integrand is called on
 whole panels, at most ``CHUNK`` points at a time, and each call is reduced
 to its rule sums at once, so a level never holds all its nodes and values.
+Past the integrand, a level is a fixed handful of array operations: both
+rules' sums are written into one array, the estimates, floors and moments
+are formed in place, failing panels are bisected into interleaved children,
+and when the first level accepts every panel its arrays are returned as
+they are.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ _RULES[:10, :3] = _WEIGHTS_LO[:, None] * _NODES_LO[:, None] ** np.arange(3)
 _RULES[10:, 3:] = _WEIGHTS_HI[:, None] * _NODES_HI[:, None] ** np.arange(3)
 # |w_n x_n^p| of both rules, which scale the rounding of the sums
 _ABS_RULES = np.abs(_RULES[:, :3] + _RULES[:, 3:])
+_EPS = np.finfo(float).eps
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -72,63 +78,93 @@ def _panel_moments(f, lo, hi, scale):
     """21-point moments integral u^p f (p = 0, 1, 2) on each panel, shape
     (k, 3), each panel's 10/21 error estimate, shape (k,), and the rounding
     floor of that estimate, shape (k,)."""
+    k = len(lo)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    sums = np.empty((len(lo), 9))
+    sums = np.empty((k, 9))
     step = max(1, CHUNK // len(_NODES))
-    for start in range(0, len(lo), step):
+    for start in range(0, k, step):
         part = slice(start, start + step)
         points = mid[part, None] + half[part, None] * _NODES
         vals = f(points.ravel()).reshape(points.shape)
-        sums[part, :6] = vals @ _RULES
-        sums[part, 6:] = np.abs(vals) @ _ABS_RULES
+        np.matmul(vals, _RULES, out=sums[part, :6])
+        np.matmul(np.abs(vals), _ABS_RULES, out=sums[part, 6:])
+    # one panel a column: rows S10_p, S21_p and the sums over |w_n x_n^p f|.
+    # In place, the 10/21 gaps |S21_p - S10_p| overwrite S10_p and the
+    # rounding scales eps * sum |w_n x_n^p f| the absolute sums; read
+    # together as (2, 3, k), both are weighted by (half/scale)^p at once
+    sums = sums.T.copy()
+    gaps = sums[:3]
+    np.subtract(sums[3:6], gaps, out=gaps)
+    np.abs(gaps, out=gaps)
+    sums[6:] *= _EPS
+    cols = sums.reshape(3, 3, k)[::2]
     r = half / scale
-    # the 10/21 gaps and the rounding scales, each weighted by (half/scale)^p
-    cols = np.stack([np.abs(sums[:, 3:6] - sums[:, :3]),
-                     np.finfo(float).eps * sums[:, 6:]])
-    err, floor = scale * half * (cols[..., 0] + r * (cols[..., 1] + r * cols[..., 2]))
-    s0, s1, s2 = sums[:, 3:6].T
-    moments = half[:, None] * np.column_stack(
-        [s0, mid * s0 + half * s1,
-         mid * mid * s0 + 2.0 * mid * half * s1 + half * half * s2])
-    return moments, err, floor
+    est = cols[:, 2] * r
+    est += cols[:, 1]
+    est *= r
+    est += cols[:, 0]
+    est *= scale * half
+    s0, s1, s2 = sums[3:6]
+    moments = np.empty((3, k))
+    m0, m1, m2 = moments
+    np.multiply(half, s0, out=m0)
+    np.multiply(mid, s0, out=m1)
+    m1 += half * s1
+    np.multiply(mid, mid, out=m2)
+    m2 *= s0
+    m2 += 2.0 * mid * half * s1
+    m2 += half * half * s2
+    moments[1:] *= half
+    return moments.T, est[0], est[1]
 
 
 def _adaptive_panels(f, lo, hi, depth, budget, scale):
     """Bisect the intervals [lo_i, hi_i], starting at ``depth``_i with
     ``budget``_i, until every panel passes; return (owner, lo, hi, depth,
-    budget, moments) of the accepted panels, ``owner`` being the index of
-    the interval each came from."""
+    budget, moments) of the accepted panels, level by level, ``owner``
+    being the index of the interval each came from."""
     owner = np.arange(len(lo))
     accepted = []
     while True:
         moments, err, floor = _panel_moments(f, lo, hi, scale)
-        if not np.all(np.isfinite(err)):
-            i = int(np.argmin(np.isfinite(err)))
-            raise NumericError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
         ok = err <= budget
-        if ok.all():
+        passed = np.count_nonzero(ok)
+        if passed == len(ok):
+            if not accepted:
+                return owner, lo, hi, depth, budget, moments
             accepted.append((owner, lo, hi, depth, budget, moments))
-            break
-        accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
-                         moments[ok]))
+            return tuple(np.concatenate(parts) for parts in zip(*accepted))
+        # a non-finite estimate is never within its budget
+        finite = np.isfinite(err)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
         bad = ~ok
-        stuck = bad & (depth >= MAX_DEPTH)
-        below = bad & (budget < floor)
-        if stuck.any() or below.sum() > FLOOR_PANELS:
-            i = int(np.argmax(stuck if stuck.any() else below))
+        if passed:
+            accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
+                             moments[ok]))
+            owner, lo, hi, depth, budget, floor = (
+                owner[bad], lo[bad], hi[bad], depth[bad], budget[bad], floor[bad])
+        stuck = depth >= MAX_DEPTH
+        below = budget < floor
+        n_stuck = np.count_nonzero(stuck)
+        if n_stuck or np.count_nonzero(below) > FLOOR_PANELS:
+            i = int(np.argmax(stuck if n_stuck else below))
             estimate = float(sum(m[:, 0].sum() for *_, m in accepted)
                              + moments[bad, 0].sum())
             raise AccuracyError(
                 f"quadrature stalled on [{lo[i]}, {hi[i]}] with error "
-                f"{err[i]:.2e} > {budget[i]:.2e} (rounding floor "
+                f"{err[bad][i]:.2e} > {budget[i]:.2e} (rounding floor "
                 f"{floor[i]:.2e})", estimate)
-        mid = 0.5 * (lo[bad] + hi[bad])
-        owner = np.repeat(owner[bad], 2)
-        lo = np.column_stack([lo[bad], mid]).ravel()
-        hi = np.column_stack([mid, hi[bad]]).ravel()
-        depth = np.repeat(depth[bad] + 1, 2)
-        budget = np.repeat(0.5 * budget[bad], 2)
-    return tuple(np.concatenate(parts) for parts in zip(*accepted))
+        mid = 0.5 * (lo + hi)
+        owner = owner.repeat(2)
+        depth = (depth + 1).repeat(2)
+        budget = (0.5 * budget).repeat(2)
+        # the children [lo, mid] and [mid, hi] of each panel side by side
+        lo = lo.repeat(2)
+        lo[1::2] = mid
+        hi = hi.repeat(2)
+        hi[::2] = mid
 
 
 @dataclass(frozen=True)
@@ -164,14 +200,18 @@ class PanelPartition:
         edges = self.edges
         j = np.maximum(np.searchsorted(edges, ts, side="right") - 1, 0)
         out = self.suffix[j]
-        inner = np.flatnonzero((ts > edges[j]) & (ts < edges[-1]))
+        inner = ((ts > edges[j]) & (ts < edges[-1])).nonzero()[0]
         if len(inner):
             pj = j[inner]
             owner, *_, moments = _adaptive_panels(
                 f, ts[inner], edges[pj + 1], self.depth[pj], self.budget[pj],
                 self.scale)
-            partial = np.zeros((len(inner), 3))
-            np.add.at(partial, owner, moments)
+            if len(owner) == len(inner):
+                # no partial panel was bisected: owner is arange
+                partial = moments
+            else:
+                partial = np.zeros((len(inner), 3))
+                np.add.at(partial, owner, moments)
             out[inner] = self.suffix[pj + 1] + partial
         return out
 
@@ -196,14 +236,14 @@ def panel_partition(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     if not (b > a):
         return PanelPartition(np.array([a]), np.zeros(0, int), np.zeros(0),
                               np.zeros((1, 3)), scale)
-    cuts = np.unique(np.asarray(points, dtype=float))
-    seeds = np.concatenate([[a], cuts[(cuts > a) & (cuts < b)], [b]])
+    cuts = {x for x in np.asarray(points, dtype=float).tolist() if a < x < b}
+    seeds = np.array([a, *sorted(cuts), b])
     lo, hi = seeds[:-1], seeds[1:]
     _, lo, hi, depth, budget, moments = _adaptive_panels(
         f, lo, hi, np.zeros(len(lo), int), tol * ((hi - lo) / (b - a)),
         scale)
-    order = np.argsort(lo)
+    order = lo.argsort()
     suffix = np.zeros((len(lo) + 1, 3))
-    suffix[:-1] = np.cumsum(moments[order][::-1], axis=0)[::-1]
-    return PanelPartition(np.append(lo[order], b), depth[order], budget[order],
-                          suffix, scale)
+    suffix[:-1] = moments[order][::-1].cumsum(axis=0)[::-1]
+    return PanelPartition(np.concatenate([lo[order], [b]]), depth[order],
+                          budget[order], suffix, scale)

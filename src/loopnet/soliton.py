@@ -81,11 +81,13 @@ class SolitonPath:
 
     def __init__(self, algebra: CompactSimpleAlgebra, factors: list):
         self.algebra = algebra
-        self.factors = list(factors)
+        # a tuple, as the decompositions below are made once for these factors
+        self.factors = tuple(factors)
         for f in self.factors:
             if not isinstance(f, (PeriodicFactor, LinearFactor)):
                 raise TypeError(f"unsupported factor {type(f)}")
             as_generator(f.generator, algebra.n)
+        self._eig = [eig_antihermitian(f.generator) for f in self.factors]
 
     @staticmethod
     def linear(algebra: CompactSimpleAlgebra, a) -> "SolitonPath":
@@ -94,7 +96,7 @@ class SolitonPath:
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return factor_product(
-            [(eig_antihermitian(f.generator), f.values(xs)) for f in self.factors],
+            [(eig, f.values(xs)) for f, eig in zip(self.factors, self._eig)],
             len(xs), self.algebra.n)
 
     def is_torus_valued(self) -> bool:
@@ -107,12 +109,13 @@ class SolitonPath:
 def jump(zeta: SolitonPath) -> np.ndarray:
     """The twist h = zeta(x)^{-1} zeta(x + 2 pi), verified x-independent.
 
-    Evaluates the profile formula at _JUMP_CHECKS sample points and raises
-    InvalidSolitonError when the twist varies beyond 1e-10.
+    Evaluates the profile formula at _JUMP_CHECKS sample points and their
+    shifts by 2 pi, in one batch, and raises InvalidSolitonError when the
+    twist varies beyond 1e-10.
     """
     xs = np.linspace(0.0, 2 * math.pi, _JUMP_CHECKS, endpoint=False)
-    vals = zeta.evaluate(xs)
-    shifted = zeta.evaluate(xs + 2 * math.pi)
+    both = zeta.evaluate(np.concatenate([xs, xs + 2 * math.pi]))
+    vals, shifted = both[:_JUMP_CHECKS], both[_JUMP_CHECKS:]
     twists = np.einsum("jba,jbc->jac", vals.conj(), shifted)
     h = twists[0]
     worst = float(np.abs(twists - h).max())
@@ -190,7 +193,7 @@ def compose(zeta: SolitonPath, eta: SolitonPath) -> SolitonPath:
             raise CompositionUnsupportedError(
                 "composition needs both paths in a common maximal torus "
                 "(all generators diagonal) or a central left jump")
-    out = SolitonPath(zeta.algebra, list(zeta.factors) + list(eta.factors))
+    out = SolitonPath(zeta.algebra, zeta.factors + eta.factors)
     jump(out)  # verify the composite is a valid twisted path
     return out
 

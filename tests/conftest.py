@@ -14,6 +14,16 @@ def su3():
     return lie.build_su(3)
 
 
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """A list that grows by one at every np.linalg.eigh call of the test."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+    return calls
+
+
 def random_antihermitian(algebra, rng, scale=1.0):
     """Random real-form element as a combination of the orthonormal basis."""
     coeff = rng.normal(size=algebra.dimension)

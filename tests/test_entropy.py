@@ -7,7 +7,7 @@ from scipy.special import erf, erfc
 from loopnet import entropy, lie, loops, quadrature
 from loopnet.errors import NotSplittableError, NumericError, VerificationError
 
-from conftest import random_line_path
+from conftest import random_antihermitian, random_line_path
 
 
 def normalized_generator(su2, i=0):
@@ -562,3 +562,36 @@ def test_non_finite_profile_fields_are_refused(value):
     for name in ("rate", "sign"):
         with pytest.raises(NumericError, match=f"{name} must be finite"):
             entropy.TransformedProfile(entropy.GaussianWindow(), **{name: value})
+
+
+@pytest.mark.parametrize("n_factors", [0, 1, 2, 3, 4])
+def test_eigendecompositions_are_made_where_read(su3, eigh_calls, n_factors):
+    """A path of one or two factors reads only its Gram matrix, so its
+    partition and Bekenstein checks decompose nothing, and ``evaluate``
+    decomposes each factor once, on first use; a longer path decomposes
+    each factor once, at construction, for its integrand."""
+    rng = np.random.default_rng(n_factors)
+    path = entropy.LinePath(su3, [
+        (random_antihermitian(su3, rng), entropy.GaussianWindow(c, 0.8, 0.9))
+        for c in np.linspace(-1.0, 1.0, n_factors)])
+    made = n_factors if n_factors >= 3 else 0
+    assert len(eigh_calls) == made
+    path.partition(quadrature.DEFAULT_TOL)
+    for r in (0.5, 1.0, 5.0):
+        entropy.bekenstein_check(path, r)
+    entropy.qnec_profile(path, np.linspace(-3.0, 3.0, 7))
+    assert len(eigh_calls) == made
+    for _ in range(2):
+        path.evaluate(np.linspace(-2.0, 2.0, 5))
+        assert len(eigh_calls) == n_factors
+
+
+def test_factors_are_fixed_at_construction(su2):
+    """The hull, the integrand's constants and the partitions are cached
+    for the factors given, so the factors cannot be appended to."""
+    path = gaussian_path(su2)
+    assert isinstance(path.factors, tuple)
+    with pytest.raises(AttributeError):
+        path.factors.append((normalized_generator(su2, 1),
+                             entropy.PolyBump(3.0, 1.0, 1.0)))
+    assert path.n_factors == 1

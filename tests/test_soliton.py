@@ -197,3 +197,24 @@ def test_torus_valued_is_absolute(su2):
     assert path(0.0).is_torus_valued()
     assert path(1e-12).is_torus_valued()
     assert not path(2e-12).is_torus_valued()
+
+
+def test_factors_are_decomposed_once(su3, eigh_calls):
+    """A path decomposes each generator once, at construction; evaluating,
+    jumps and derived loops decompose nothing more."""
+    lin = np.diag([1j / 3, 1j / 3, -2j / 3])
+    zeta = SolitonPath(su3, [PeriodicFactor(su3.basis[2],
+                                            ScalarField({1: 0.2, -1: 0.2})),
+                             LinearFactor(lin), LinearFactor(-lin)])
+    assert len(eigh_calls) == 3
+    zeta.evaluate(np.linspace(-7.0, 7.0, 9))
+    soliton.extendability(zeta)
+    soliton.zeta_t(zeta, 0.7, 64)
+    assert len(eigh_calls) == 3
+
+
+def test_factors_cannot_be_appended_to(su2, half_twist):
+    assert isinstance(half_twist.factors, tuple)
+    with pytest.raises(AttributeError):
+        half_twist.factors.append(LinearFactor(A_QUARTER))
+    assert np.abs(soliton.jump(half_twist) + np.eye(2)).max() < 1e-12
