@@ -600,8 +600,8 @@ def _run_entropy_profile(scenario, task):
     return result, artifacts
 
 def _run_bekenstein(scenario, task):
-    reports = entropy._bekenstein_reports(task["loop"].built, task["radii"],
-                                          scenario.tolerances["quadrature"])
+    reports = entropy.bekenstein_checks(task["loop"].built, task["radii"],
+                                        scenario.tolerances["quadrature"])
     result = {"status": "pass" if all(rep.holds for rep in reports) else "fail",
               "residuals": {"worst_ratio": max(rep.ratio for rep in reports)}}
     rows = [{"r": r, **_payload(rep)} for r, rep in zip(task["radii"], reports)]

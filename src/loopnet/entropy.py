@@ -94,6 +94,7 @@ __all__ = [
     "entropy_left",
     "entropy_interval",
     "bekenstein_check",
+    "bekenstein_checks",
     "qnec_profile",
     "connes_cocycle_path",
     "cayley_transfer",
@@ -445,9 +446,10 @@ class BekensteinReport:
     ratio: float
 
 
-def _bekenstein_reports(path: LinePath, radii,
-                        tol: float = DEFAULT_TOL) -> list[BekensteinReport]:
-    """``bekenstein_check`` at every radius, from one tail-moment query."""
+def bekenstein_checks(path: LinePath, radii,
+                      tol: float = DEFAULT_TOL) -> list[BekensteinReport]:
+    """``bekenstein_check`` at every radius, from one tail-moment query and
+    one total energy; each report equals the one-radius call bit for bit."""
     entropies = _interval_entropies(path, radii, tol)
     energy = total_energy(path, tol)
     reports = []
@@ -461,7 +463,7 @@ def _bekenstein_reports(path: LinePath, radii,
 def bekenstein_check(path: LinePath, r: float,
                      tol: float = DEFAULT_TOL) -> BekensteinReport:
     """Evaluate S_(-r,r) against pi r E; holds structurally (weight <= r/2)."""
-    return _bekenstein_reports(path, [r], tol)[0]
+    return bekenstein_checks(path, [r], tol)[0]
 
 
 # ---------------------------------------------------------------------------

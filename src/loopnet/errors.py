@@ -10,7 +10,8 @@ class InvalidRankError(LoopnetError, ValueError):
 
 
 class AlgebraMismatchError(LoopnetError, ValueError):
-    """Operands tagged with incompatible algebras."""
+    """Operands tagged with incompatible algebras, or living on different
+    truncated spaces or grids."""
 
 
 class NumericError(LoopnetError, ValueError):

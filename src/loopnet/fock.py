@@ -62,7 +62,8 @@ import scipy.sparse
 from .affine_data import level_data
 from .errors import (AlgebraMismatchError, CapacityError, ConfigError,
                      InvalidRankError, NumericError, WindowError)
-from .lie import AlgebraElement, CompactSimpleAlgebra, build_su, exp_antihermitian
+from .lie import (AlgebraElement, CompactSimpleAlgebra, _taylor_terms, build_su,
+                  exp_antihermitian)
 from .loops import (FourierLoopElement, GridLoop, _mode_cut, bracket_elements,
                     central_term_B, circle_grid, cocycle_c)
 
@@ -95,8 +96,7 @@ _ADJOINT_SAMPLES = 256   # circle grid of gamma = exp(X) in adjoint_action_check
 # _TAYLOR_THETA, and its series stops at the first degree whose a-priori
 # bound theta^k / k! is at most the unit roundoff 2^-53 (k = 24 for theta 2).
 _TAYLOR_THETA = 2.0
-_TAYLOR_TERMS = next(k for k in itertools.count(1)
-                     if _TAYLOR_THETA ** k / math.factorial(k) <= 2.0 ** -53)
+_TAYLOR_TERMS = _taylor_terms(_TAYLOR_THETA)
 
 
 def _excitations(n: int, cutoff: int):

@@ -10,6 +10,7 @@ hard-coded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -214,6 +215,19 @@ def exp_profile(u: np.ndarray, d: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
     """exp(f X) for all f in f_vals at once, X = U diag(i d) U*."""
     phases = np.exp(1j * np.outer(f_vals, d))
     return np.einsum("ab,jb,cb->jac", u, phases, u.conj())
+
+
+def _taylor_terms(theta: float) -> int:
+    """The degree of an a-priori truncated Taylor exponential (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 2011): the first k >= 1 with
+    theta^k / k! <= 2^-53, the unit roundoff.  For a matrix whose norm, in
+    a submultiplicative norm that bounds the 2-norm, is at most theta (and
+    theta at most (k + 1) / 2), the series dropped past degree k is below
+    theta^k / k! in that norm, so no stopping test is needed."""
+    k = 1
+    while theta ** k / math.factorial(k) > 2.0 ** -53:
+        k += 1
+    return k
 
 
 def exp_antihermitian(stack: np.ndarray) -> np.ndarray:

@@ -27,14 +27,15 @@ import scipy.sparse
 from .errors import (
     AlgebraMismatchError,
     CapacityError,
+    ConfigError,
     NormDivergedError,
     NotSplittableError,
     NumericError,
     ResolutionError,
     VerificationError,
 )
-from .lie import (AlgebraElement, CompactSimpleAlgebra, as_generator,
-                  eig_antihermitian, exp_antihermitian, exp_profile)
+from .lie import (AlgebraElement, CompactSimpleAlgebra, _taylor_terms,
+                  as_generator, eig_antihermitian, exp_profile)
 
 __all__ = [
     "FourierLoopElement",
@@ -133,13 +134,11 @@ class FourierLoopElement:
         return sorted(self.coefficients)
 
     def evaluate(self, thetas: np.ndarray) -> np.ndarray:
-        """Pointwise values, shape (len(thetas), n, n)."""
+        """Pointwise values, shape (len(thetas), n, n): ``_planar_values``
+        with the matrix axes last."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        n = self.algebra.n
-        out = np.zeros((len(thetas), n, n), dtype=complex)
-        for k, a in self.coefficients.items():
-            out += np.exp(1j * k * thetas)[:, None, None] * a
-        return out
+        return np.ascontiguousarray(np.moveaxis(_planar_values(self, thetas),
+                                                (0, 1), (-2, -1)))
 
     def derivative(self) -> "FourierLoopElement":
         return FourierLoopElement(
@@ -215,7 +214,7 @@ class ScalarField:
     def real_values(self, thetas: np.ndarray) -> np.ndarray:
         """Re h(theta), for a field that is ``real``; refuses any other."""
         if not self.real:
-            raise ValueError("scalar field is not real: h_-k != conj(h_k)")
+            raise NumericError("scalar field is not real: h_-k != conj(h_k)")
         return self.evaluate(thetas).real
 
     def __repr__(self):
@@ -244,7 +243,7 @@ def sobolev_norm(x, s: float, p: float = 1.0) -> float:
     does not converge absolutely.
     """
     if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise NumericError(f"p must be >= 1, got {p}")
     norms = _coeff_norms(x)
     if x.decay_rate is not None and (s - x.decay_rate) * p >= -1.0:
         raise NormDivergedError(
@@ -348,7 +347,7 @@ class GridLoop:
     def __matmul__(self, other: "GridLoop") -> "GridLoop":
         _same_algebra(self, other)
         if self.n_samples != other.n_samples:
-            raise ValueError("sample counts differ")
+            raise AlgebraMismatchError("sample counts differ")
         return GridLoop(np.einsum("jab,jbc->jac", self.samples, other.samples),
                         self.algebra, check=False)
 
@@ -454,7 +453,7 @@ def _check_element_resolution(x: FourierLoopElement, n_samples: int) -> None:
 def _current_samples(gamma: GridLoop, side: str) -> np.ndarray:
     """Pointwise Maurer-Cartan current, anti-hermitian part enforced."""
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
     ks, _, norms = fourier_modes(gamma.samples)
     _check_resolution(ks, norms, gamma.n_samples)
     dot = _spectral_derivative(gamma.samples)
@@ -541,7 +540,7 @@ def _grid_index(gamma: GridLoop, angle: float) -> int:
     idx = int(round((angle % (2 * np.pi)) / step)) % n_samp
     if abs((angle % (2 * np.pi)) - idx * step) > 1e-12 and \
        abs((angle % (2 * np.pi)) - idx * step - 2 * np.pi) > 1e-12:
-        raise ValueError(
+        raise NumericError(
             f"cut angle {angle} is not a grid point (spacing {step:.3e})")
     return idx
 
@@ -557,7 +556,7 @@ def split_loop(gamma: GridLoop, z: float, w: float) -> SplitPair:
     """
     iz, iw = _grid_index(gamma, z), _grid_index(gamma, w)
     if iz == iw:
-        raise ValueError("cut angles coincide on the grid")
+        raise NumericError("cut angles coincide on the grid")
     eye = np.eye(gamma.algebra.n)
     dot = _spectral_derivative(gamma.samples)
     residuals = {}
@@ -815,6 +814,31 @@ def _planar_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _planar_values(x: FourierLoopElement, angles: np.ndarray) -> np.ndarray:
+    """X(theta) = sum_k a_k e^{ik theta} at ``angles``, laid out
+    (a, b, *angles.shape); ``FourierLoopElement.evaluate`` reads it with
+    the matrix axes last.
+
+    The modes are summed in coefficient order, each term the phase times
+    the coefficient (in that operand order).  Each |k| takes one exp, and
+    e^{-ik theta} is read as conj(e^{ik theta}), which is the same number
+    as exp(-ik theta); a phase is kept only until its partner mode has used
+    it.
+    """
+    n = x.algebra.n
+    out = np.zeros((n, n, *angles.shape), dtype=complex)
+    spread = (slice(None), slice(None)) + (None,) * angles.ndim
+    kept = {}
+    for k, a in x.coefficients.items():
+        phase = kept.pop(-k, None)
+        if phase is None:
+            phase = np.exp(1j * abs(k) * angles)
+            if k and -k in x.coefficients:
+                kept[k] = phase
+        out += (phase if k >= 0 else phase.conj()) * a[spread]
+    return out
+
+
 def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
                       t: float, thetas: np.ndarray, step: float,
                       steps: np.ndarray) -> np.ndarray:
@@ -825,7 +849,6 @@ def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
     Step j covers tau in [j, j + 1] * step, and X is read at its three Gauss
     nodes, at flow time -alpha (t - tau) from the grid angles.
     """
-    n = x.algebra.n
     taus = (steps[:, None] + _MAGNUS_NODES) * step
     times = (-alpha * (t - taus)).ravel()
     if h.modes() in ([], [0]):
@@ -834,8 +857,10 @@ def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
         angles = thetas + speed * times[:, None]
     else:
         angles = _flow_angles(h, thetas, times)
-    a1, a2, a3 = np.ascontiguousarray(x.evaluate(angles.ravel()).reshape(
-        len(steps), 3, len(thetas), n, n).transpose(1, 3, 4, 0, 2))
+    # (node, step, angle): each node's values are one (a, b, step, angle) slab
+    nodes = angles.reshape(len(steps), 3, len(thetas)).transpose(1, 0, 2)
+    values = _planar_values(x, np.ascontiguousarray(nodes))
+    a1, a2, a3 = np.moveaxis(values, 2, 0)
 
     def bracket(p, q):
         # p, q anti-hermitian: qp = (pq)^dagger
@@ -851,27 +876,50 @@ def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
     return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
 
 
+def _planar_exp(omega: np.ndarray) -> np.ndarray:
+    """exp of every anti-hermitian matrix of a stack laid out (a, b, ...),
+    in the same layout: the Taylor polynomial by Horner's rule.
+
+    Its degree is chosen a priori (``lie._taylor_terms``) from theta, the
+    largest Frobenius norm in the stack, which is submultiplicative and
+    bounds the 2-norm, so the dropped tail of every exponential is below
+    theta^k / k! <= 2^-53 relative; no stopping test is needed.  For an
+    anti-hermitian omega, |omega|_F^2 = -tr(omega^2), so theta^2 is read
+    in one reduction.
+    """
+    n = len(omega)
+    theta = math.sqrt((-np.einsum("ab...,ba...->...", omega, omega).real)
+                      .max(initial=0.0))
+    diagonal = (np.arange(n),) * 2
+    terms = _taylor_terms(theta)
+    out = omega * (1.0 / terms)
+    out[diagonal] += 1.0
+    for k in range(terms - 1, 0, -1):
+        out = _planar_matmul(omega, out)
+        out *= 1.0 / k
+        out[diagonal] += 1.0
+    return out
+
+
 def _magnus_product(x: FourierLoopElement, alpha: float, h: ScalarField,
                     t: float, thetas: np.ndarray, n_steps: int) -> np.ndarray:
     """The time-ordered exponential of X along each characteristic, by
     ``n_steps`` equal sixth-order Magnus steps, shape (len(thetas), n, n).
 
-    The steps are taken in blocks of at most _MAGNUS_BLOCK exponent entries,
-    each block's exponents through one stacked ``exp_antihermitian``.  The
-    step factors multiply in the layout of ``_magnus_exponents``, with the
-    latest step on the left.
+    The steps are taken in blocks of at most _MAGNUS_BLOCK exponent entries.
+    Each block's step factors are the Taylor exponentials of its exponents
+    (``_planar_exp``), and they multiply in the layout of
+    ``_magnus_exponents``, with the latest step on the left.
     """
     n = x.algebra.n
     per_block = max(1, _MAGNUS_BLOCK // (len(thetas) * n * n))
     out = np.eye(n, dtype=complex)[:, :, None]
     for first in range(0, n_steps, per_block):
         steps = np.arange(first, min(first + per_block, n_steps))
-        exponents = _magnus_exponents(x, alpha, h, t, thetas, t / n_steps, steps)
-        # (step, a, b, angle): each step's factor is one contiguous slab
-        factors = np.ascontiguousarray(
-            exp_antihermitian(exponents.transpose(2, 3, 0, 1)).transpose(0, 2, 3, 1))
-        for factor in factors:
-            out = _planar_matmul(factor, out)
+        factors = _planar_exp(
+            _magnus_exponents(x, alpha, h, t, thetas, t / n_steps, steps))
+        for j in range(len(steps)):
+            out = _planar_matmul(factors[:, :, j], out)
     return out.transpose(2, 0, 1).copy()
 
 
@@ -945,7 +993,7 @@ def kernel_bound_check(eps: float, n: int, k: int) -> bool:
     Valid for eps >= 0, k >= 0 and n + k >= 0.
     """
     if eps < 0 or k < 0 or n + k < 0:
-        raise ValueError("need eps >= 0, k >= 0 and n + k >= 0")
+        raise NumericError("need eps >= 0, k >= 0 and n + k >= 0")
     return kernel_bound_sweep([eps], [n], [k])
 
 

@@ -35,10 +35,11 @@ failing ones in a level raise AccuracyError.  The integrand is called on
 whole panels, at most ``CHUNK`` points at a time, and each call is reduced
 to its rule sums at once, so a level never holds all its nodes and values.
 Past the integrand, a level is a fixed handful of array operations: both
-rules' sums are written into one array, the estimates, floors and moments
-are formed in place, failing panels are bisected into interleaved children,
-and when the first level accepts every panel its arrays are returned as
-they are.
+rules' sums are written into one array, the estimates and floors are formed
+in place, and failing panels are bisected into interleaved children.  Each
+level keeps the 21-point sums of the panels it accepts, and the moments are
+formed once, for the accepted panels alone; when the first level accepts
+every panel its arrays are used as they are.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def _check_positive(name: str, value: float) -> None:
         raise NumericError(f"{name} must be finite and > 0, got {value}")
 
 
-def _panel_moments(f, lo, hi, scale):
-    """21-point moments integral u^p f (p = 0, 1, 2) on each panel, shape
-    (k, 3), each panel's 10/21 error estimate, shape (k,), and the rounding
-    floor of that estimate, shape (k,)."""
+def _panel_sums(f, lo, hi, scale):
+    """21-point rule sums S21_p (p = 0, 1, 2) on each panel, shape (3, k),
+    each panel's 10/21 error estimate, shape (k,), and the rounding floor
+    of that estimate, shape (k,)."""
     k = len(lo)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sums = np.empty((k, 9))
@@ -104,8 +105,17 @@ def _panel_moments(f, lo, hi, scale):
     est *= r
     est += cols[:, 0]
     est *= scale * half
-    s0, s1, s2 = sums[3:6]
-    moments = np.empty((3, k))
+    return sums[3:6], est[0], est[1]
+
+
+def _moments(lo, hi, sums):
+    """The moments integral u^p f (p = 0, 1, 2) on each panel, shape (k, 3),
+    from its 21-point rule sums ``sums``, shape (3, k), expanded about the
+    midpoint; elementwise, so a panel's moments do not depend on the
+    panels formed with it."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s0, s1, s2 = sums
+    moments = np.empty((3, len(lo)))
     m0, m1, m2 = moments
     np.multiply(half, s0, out=m0)
     np.multiply(mid, s0, out=m1)
@@ -115,25 +125,29 @@ def _panel_moments(f, lo, hi, scale):
     m2 += 2.0 * mid * half * s1
     m2 += half * half * s2
     moments[1:] *= half
-    return moments.T, est[0], est[1]
+    return moments.T
 
 
 def _adaptive_panels(f, lo, hi, depth, budget, scale):
     """Bisect the intervals [lo_i, hi_i], starting at ``depth``_i with
     ``budget``_i, until every panel passes; return (owner, lo, hi, depth,
     budget, moments) of the accepted panels, level by level, ``owner``
-    being the index of the interval each came from."""
+    being the index of the interval each came from.  Each level keeps the
+    rule sums of the panels it accepts, and the moments are formed once,
+    for the accepted panels alone."""
     owner = np.arange(len(lo))
     accepted = []
     while True:
-        moments, err, floor = _panel_moments(f, lo, hi, scale)
+        sums, err, floor = _panel_sums(f, lo, hi, scale)
         ok = err <= budget
         passed = np.count_nonzero(ok)
         if passed == len(ok):
-            if not accepted:
-                return owner, lo, hi, depth, budget, moments
-            accepted.append((owner, lo, hi, depth, budget, moments))
-            return tuple(np.concatenate(parts) for parts in zip(*accepted))
+            if accepted:
+                accepted.append((owner, lo, hi, depth, budget, sums))
+                *panels, sums = zip(*accepted)
+                owner, lo, hi, depth, budget = map(np.concatenate, panels)
+                sums = np.concatenate(sums, axis=1)
+            return owner, lo, hi, depth, budget, _moments(lo, hi, sums)
         # a non-finite estimate is never within its budget
         finite = np.isfinite(err)
         if not finite.all():
@@ -142,7 +156,7 @@ def _adaptive_panels(f, lo, hi, depth, budget, scale):
         bad = ~ok
         if passed:
             accepted.append((owner[ok], lo[ok], hi[ok], depth[ok], budget[ok],
-                             moments[ok]))
+                             sums[:, ok]))
             owner, lo, hi, depth, budget, floor = (
                 owner[bad], lo[bad], hi[bad], depth[bad], budget[bad], floor[bad])
         stuck = depth >= MAX_DEPTH
@@ -150,8 +164,10 @@ def _adaptive_panels(f, lo, hi, depth, budget, scale):
         n_stuck = np.count_nonzero(stuck)
         if n_stuck or np.count_nonzero(below) > FLOOR_PANELS:
             i = int(np.argmax(stuck if n_stuck else below))
-            estimate = float(sum(m[:, 0].sum() for *_, m in accepted)
-                             + moments[bad, 0].sum())
+            # the integral of f over every panel of every level so far
+            estimate = float(sum(_moments(a, b, s)[:, 0].sum()
+                                 for _, a, b, _, _, s in accepted)
+                             + _moments(lo, hi, sums[:, bad])[:, 0].sum())
             raise AccuracyError(
                 f"quadrature stalled on [{lo[i]}, {hi[i]}] with error "
                 f"{err[bad][i]:.2e} > {budget[i]:.2e} (rounding floor "

@@ -45,7 +45,7 @@ COUNTERS = {
     "entropy_profiles": {"entropy.integrand_calls": 42,
                          "entropy.integrand_points": 47_386},
     "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
-                      "loops.field_evaluations": 1_068, "lie.eigh_calls": 211},
+                      "loops.field_evaluations": 1_068, "lie.eigh_calls": 209},
 }
 
 

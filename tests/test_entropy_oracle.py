@@ -555,6 +555,21 @@ def oracle_panel_moments(f, lo, hi, scale):
     return moments, err, floor
 
 
+def oracle_panel_sums(f, lo, hi, scale):
+    """``oracle_panel_moments`` in the form of ``quadrature._panel_sums``:
+    each panel's per-point moments, shape (3, k), stand in for its rule
+    sums, so ``quadrature._adaptive_panels`` carries them with the panel
+    through every level; ``oracle_moments`` reads them back."""
+    moments, err, floor = oracle_panel_moments(f, lo, hi, scale)
+    return moments.T, err, floor
+
+
+def oracle_moments(lo, hi, carried):
+    """``quadrature._moments`` for the stand-ins of ``oracle_panel_sums``:
+    the per-point moments each panel carried, shape (k, 3)."""
+    return carried.T
+
+
 MOMENT_AGREE = 1e-14
 
 
@@ -598,7 +613,8 @@ def test_panel_moments_match_oracle(index):
     a = np.sort(rng.uniform(lo, hi, size=(40, 2)), axis=1)
     rho = path.rho
     scale = max(hi - lo, 1.0)
-    fast, err, floor = quadrature._panel_moments(rho, a[:, 0], a[:, 1], scale)
+    sums, err, floor = quadrature._panel_sums(rho, a[:, 0], a[:, 1], scale)
+    fast = quadrature._moments(a[:, 0], a[:, 1], sums)
     slow, slow_err, slow_floor = oracle_panel_moments(rho, a[:, 0], a[:, 1],
                                                       scale)
     _assert_moments_agree(fast, slow, a[:, 0], a[:, 1])
@@ -619,7 +635,8 @@ def test_unseeded_partition_matches_oracle_rule(index, monkeypatch):
     lo, hi = path.support()
     fast = panel_partition(rho, lo, hi)
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_panel_moments", oracle_panel_moments)
+        m.setattr(quadrature, "_panel_sums", oracle_panel_sums)
+        m.setattr(quadrature, "_moments", oracle_moments)
         slow = panel_partition(rho, lo, hi)
     assert np.array_equal(fast.edges, slow.edges)
     assert np.array_equal(fast.depth, slow.depth)
@@ -632,7 +649,8 @@ def test_unseeded_partition_matches_oracle_rule(index, monkeypatch):
     # and the partial panels of a query bisect alike
     ts = np.linspace(lo - 0.5, hi + 0.5, 23)
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_panel_moments", oracle_panel_moments)
+        m.setattr(quadrature, "_panel_sums", oracle_panel_sums)
+        m.setattr(quadrature, "_moments", oracle_moments)
         slow_tail = slow.tail_moments(rho, ts)
     reach = np.maximum(np.abs(ts), hi)[:, None] ** np.arange(3)
     assert np.all(np.abs(fast.tail_moments(rho, ts) - slow_tail)

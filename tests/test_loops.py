@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from loopnet import entropy, lie, loops, soliton
-from loopnet.errors import (AlgebraMismatchError, CapacityError,
-                            NormDivergedError, NotSplittableError, NumericError,
-                            ResolutionError)
+from loopnet.errors import (AlgebraMismatchError, CapacityError, ConfigError,
+                            LoopnetError, NormDivergedError, NotSplittableError,
+                            NumericError, ResolutionError)
 from loopnet.loops import FourierLoopElement, ScalarField
 
 from conftest import random_antihermitian
@@ -170,7 +170,7 @@ def test_scalar_field_real_values():
     h = ScalarField({0: 0.5, 1: 0.2 + 0.1j, -1: 0.2 - 0.1j})
     thetas = np.linspace(0.0, 2 * np.pi, 17)
     assert np.array_equal(h.real_values(thetas), h.evaluate(thetas).real)
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(NumericError, match="not real"):
         ScalarField({1: 0.2}).real_values(thetas)
 
 
@@ -180,7 +180,7 @@ def test_scalar_field_real_values():
     ScalarField({1: 0.2, -1: 0.2}, real=False),   # tagged not real
 ], ids=["exp", "tiny-imag", "tagged-false"])
 def test_loop_from_factors_refuses_non_real_field(su2, field):
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(NumericError, match="not real"):
         loops.loop_from_factors(su2, [(su2.basis[0], field)], 16)
 
 
@@ -560,11 +560,28 @@ def test_split_loop_supported_in_arc(su2):
     assert np.abs(pair.right.samples - np.eye(2)).max() < 1e-15
 
 
+@pytest.mark.parametrize("call,error,words", [
+    (lambda su2: loops.sobolev_norm(ScalarField({0: 1.0}), 1.0, 0.5),
+     NumericError, "p must be >= 1"),
+    (lambda su2: loops.identity_loop(su2, 8) @ loops.identity_loop(su2, 16),
+     AlgebraMismatchError, "sample counts differ"),
+    (lambda su2: loops.maurer_cartan(loops.identity_loop(su2, 8), "up"),
+     ConfigError, "side must be"),
+], ids=["sobolev-p", "product-grids", "current-side"])
+def test_argument_refusals_are_typed(su2, call, error, words):
+    # typed LoopnetErrors that are ValueErrors too, so that callers catching
+    # either see them
+    with pytest.raises(LoopnetError, match=words) as err:
+        call(su2)
+    assert isinstance(err.value, error)
+    assert isinstance(err.value, ValueError)
+
+
 def test_split_refuses_off_grid_and_coinciding_cuts(su2):
     gamma = loops.identity_loop(su2, 16)
-    with pytest.raises(ValueError, match="not a grid point"):
+    with pytest.raises(NumericError, match="not a grid point"):
         loops.split_loop(gamma, 0.1, np.pi)
-    with pytest.raises(ValueError, match="coincide"):
+    with pytest.raises(NumericError, match="coincide"):
         loops.split_loop(gamma, np.pi / 2, np.pi / 2 + 2 * np.pi)
 
 
@@ -797,7 +814,7 @@ def test_kernel_bound_trivial_cases():
     for eps in (0.0, 0.5, 2.0):
         for k in (0, 1, 7):
             assert loops.kernel_bound_check(eps, 0, k)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError, match="need eps >= 0"):
         loops.kernel_bound_check(-1.0, 0, 0)
 
 

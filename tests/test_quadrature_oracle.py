@@ -7,9 +7,11 @@ panels of every level (one level included) and column-stacked the children
 of each bisection, ``panel_partition`` seeded with ``np.unique`` and
 ``tail_moments`` summed the partial panels with ``np.add.at`` whether or not
 one was bisected.  Those forms live on here as ``stacked_*``.  The module
-now forms a level in place with the same arithmetic in the same order, so
-every field of a partition, every tail moment, every stall estimate and
-every Bekenstein report must be equal bit for bit.
+now forms a level in place with the same arithmetic in the same order, and
+forms the moments once per call for the accepted panels alone (the moment
+formula is elementwise), so every field of a partition, every tail moment,
+every stall estimate and every Bekenstein report must be equal bit for
+bit.
 """
 
 import importlib.util

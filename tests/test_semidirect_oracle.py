@@ -30,9 +30,14 @@ when few Fourier modes couple.
 
 ``_magnus_exponents_aos`` and ``_magnus_product_aos`` are the Magnus
 exponents and product as they were formed with the matrix axes innermost,
-each n x n product a batched ``@``.  The exponents in the (a, b, step,
-angle) layout of ``loops._magnus_exponents`` equal them bit for bit; the
-products differ in rounding alone.
+each n x n product a batched ``@``, the product taking its step factors
+from a given exponential.  The exponents in the (a, b, step, angle) layout
+of ``loops._magnus_exponents`` equal them bit for bit, and with the same
+factors the products differ in rounding alone.  The step factors were the
+stacked-eigh exponentials of ``lie.exp_antihermitian``; they are now
+Taylor polynomials (``loops._planar_exp``), and the oracle of both is
+``_magnus_product_longdouble``, the product of the same exponents with
+every factor and product in long double.
 """
 
 import functools
@@ -44,6 +49,8 @@ import pytest
 
 from loopnet import lie, loops
 from loopnet.loops import FourierLoopElement, ScalarField
+
+from conftest import random_antihermitian
 
 
 def _flow_angles_per_node(h, thetas, time, n_steps=1000):
@@ -456,6 +463,18 @@ def test_magnus_steps_converge_at_sixth_order():
     assert all(48 <= r <= 80 for r in ratios), ratios
 
 
+def _mode_sum(x, thetas):
+    """X at ``thetas``, shape (len(thetas), n, n), as
+    ``FourierLoopElement.evaluate`` summed it before it read
+    ``loops._planar_values``: one exp(ik theta) per mode, in coefficient
+    order."""
+    n = x.algebra.n
+    out = np.zeros((len(thetas), n, n), dtype=complex)
+    for k, a in x.coefficients.items():
+        out += np.exp(1j * k * thetas)[:, None, None] * a
+    return out
+
+
 def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
     """The Magnus exponents as ``loops._magnus_exponents`` formed them with
     the matrix axes innermost, shape (len(steps), len(thetas), n, n), each
@@ -469,7 +488,7 @@ def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
         angles = thetas + speed * times[:, None]
     else:
         angles = loops._flow_angles(h, thetas, times)
-    a1, a2, a3 = x.evaluate(angles.ravel()).reshape(
+    a1, a2, a3 = _mode_sum(x, angles.ravel()).reshape(
         len(steps), 3, len(thetas), n, n).swapaxes(0, 1)
 
     def bracket(p, q):
@@ -486,19 +505,48 @@ def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
     return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
 
 
-def _magnus_product_aos(x, alpha, h, t, thetas, n_steps):
+def _magnus_product_aos(x, alpha, h, t, thetas, n_steps, exp):
     """The Magnus product as ``loops._magnus_product`` formed it from
-    ``_magnus_exponents_aos``: each step factor (len(thetas), n, n) applied
-    by a batched ``@``, the latest step on the left."""
+    ``_magnus_exponents_aos``: each block's step factors ``exp`` of its
+    exponents, (step, angle, n, n), each applied by a batched ``@``, the
+    latest step on the left."""
     n = x.algebra.n
     per_block = max(1, loops._MAGNUS_BLOCK // (len(thetas) * n * n))
     out = np.broadcast_to(np.eye(n, dtype=complex), (len(thetas), n, n))
     for first in range(0, n_steps, per_block):
         steps = np.arange(first, min(first + per_block, n_steps))
-        for factor in lie.exp_antihermitian(_magnus_exponents_aos(
-                x, alpha, h, t, thetas, t / n_steps, steps)):
+        for factor in exp(_magnus_exponents_aos(x, alpha, h, t, thetas,
+                                                t / n_steps, steps)):
             out = factor @ out
     return out
+
+
+def _taylor_aos(stack):
+    """``loops._planar_exp`` of a stack laid out (..., n, n), in that layout."""
+    return np.moveaxis(loops._planar_exp(np.moveaxis(stack, (-2, -1), (0, 1))),
+                       (0, 1), (-2, -1))
+
+
+def _exp_longdouble(stack, degree=30):
+    """The Taylor series of exp through ``degree``, in clongdouble, of a
+    stack laid out (..., n, n); up to |stack| = 1/16 its tail is below
+    1e-60."""
+    out = np.broadcast_to(np.eye(stack.shape[-1], dtype=np.clongdouble),
+                          stack.shape).copy()
+    term = out.copy()
+    for k in range(1, degree + 1):
+        term = (stack @ term) / k
+        out += term
+    return out
+
+
+def _magnus_product_longdouble(x, alpha, h, t, thetas, n_steps):
+    """The product of the same step exponents as ``loops._magnus_product``,
+    block by block, with every factor (``_exp_longdouble``) and every
+    product in clongdouble, whose eps is 1.1e-19."""
+    return _magnus_product_aos(
+        x, alpha, h, t, thetas, n_steps,
+        lambda stack: _exp_longdouble(stack.astype(np.clongdouble)))
 
 
 def _magnus_cases():
@@ -518,29 +566,127 @@ def _magnus_cases():
 _MAGNUS_CASES = _magnus_cases()
 
 
-@pytest.mark.parametrize("steps_per_block", [None, 4])
-@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
-def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch):
-    # the exponents are the same arithmetic laid out (a, b, step, angle),
-    # bit for bit; the products differ only in the rounding of the n x n
-    # products (the batched @ rounds with fused multiply-adds), by at most
-    # 1.11e-15 (5 eps) on the non-commuting and benchmark inputs and
-    # 1.67e-15 (7.5 eps) on su3 and su4, blocked or not
+def _magnus_case(name, steps_per_block, monkeypatch):
+    """(x, alpha, h, t, grid angles, Magnus steps) of a case, with
+    ``steps_per_block`` steps a block when it is given."""
     x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
     n = x.algebra.n
     if steps_per_block is not None:
         monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples * n * n)
-    thetas = loops.circle_grid(n_samples)
-    m = loops._magnus_steps(x, alpha, h, t)
+    return (x, alpha, h, t, loops.circle_grid(n_samples),
+            loops._magnus_steps(x, alpha, h, t))
+
+
+@pytest.mark.parametrize("steps_per_block", [None, 4])
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch):
+    # the exponents are the same arithmetic laid out (a, b, step, angle),
+    # bit for bit.  With the same Taylor factors on both sides, the
+    # products differ only in the rounding of the n x n products (the
+    # batched @ rounds with fused multiply-adds), by at most 7.5 eps
+    x, alpha, h, t, thetas, m = _magnus_case(name, steps_per_block, monkeypatch)
+    n = x.algebra.n
     steps = np.arange(m)
     planar = loops._magnus_exponents(x, alpha, h, t, thetas, t / m, steps)
-    assert planar.shape == (n, n, m, n_samples)
+    assert planar.shape == (n, n, m, len(thetas))
     assert np.array_equal(planar.transpose(2, 3, 0, 1),
                           _magnus_exponents_aos(x, alpha, h, t, thetas, t / m, steps))
     got = loops._magnus_product(x, alpha, h, t, thetas, m)
-    assert got.shape == (n_samples, n, n) and got.flags.c_contiguous
-    assert (np.abs(got - _magnus_product_aos(x, alpha, h, t, thetas, m)).max()
+    assert got.shape == (len(thetas), n, n) and got.flags.c_contiguous
+    assert (np.abs(got - _magnus_product_aos(x, alpha, h, t, thetas, m, _taylor_aos)).max()
             <= 10 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("steps_per_block", [None, 4])
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_magnus_product_is_within_10_eps_of_a_long_double_product(
+        name, steps_per_block, monkeypatch):
+    # against the product of the same exponents in clongdouble, the Taylor
+    # factors multiplied in the planar layout are 3.5-8.4 eps off, the
+    # stacked-eigh factors (lie.exp_antihermitian) through the batched @
+    # 17-76 eps, blocked or not
+    x, alpha, h, t, thetas, m = _magnus_case(name, steps_per_block, monkeypatch)
+    want = _magnus_product_longdouble(x, alpha, h, t, thetas, m)
+    taylor = np.abs(loops._magnus_product(x, alpha, h, t, thetas, m) - want).max()
+    eigh = np.abs(_magnus_product_aos(x, alpha, h, t, thetas, m,
+                                      lie.exp_antihermitian) - want).max()
+    eps = np.finfo(float).eps
+    assert taylor <= 10 * eps
+    assert taylor <= eigh
+
+
+def test_taylor_terms_at_the_largest_magnus_exponent():
+    # an exponent is the three-node Gauss rule of X over its step plus
+    # brackets of order (|step| size)^2 |step| turn, where _magnus_steps
+    # keeps |step| (size + turn) <= 1/16, so its Frobenius norm is at most
+    # 1/16; the exponents of the Magnus cases reach 0.034
+    largest = 1.0 / 16.0
+    terms = lie._taylor_terms(largest)
+    assert terms == 9
+    assert largest ** terms / math.factorial(terms) <= 2.0 ** -53
+    assert largest ** (terms - 1) / math.factorial(terms - 1) > 2.0 ** -53
+    assert lie._taylor_terms(0.0) == 1
+    assert lie._taylor_terms(0.034) == 8
+    for name, (x, alpha, h, t, n_samples) in _MAGNUS_CASES.items():
+        m = loops._magnus_steps(x, alpha, h, t)
+        exponents = loops._magnus_exponents(x, alpha, h, t, loops.circle_grid(n_samples),
+                                            t / m, np.arange(m))
+        assert np.linalg.norm(exponents, axis=(0, 1)).max() <= largest, name
+    # the dropped tail is below (1/16)^9 / 9! = 4.0e-17, and at that norm
+    # the polynomial is within rounding of the long-double series
+    # (measured 0.25 eps)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        algebra = lie.build_su(n)
+        stack = np.array([random_antihermitian(algebra, rng, largest)
+                          for _ in range(64)])
+        want = _exp_longdouble(stack.astype(np.clongdouble))
+        assert np.abs(_taylor_aos(stack) - want).max() <= np.finfo(float).eps
+
+
+def test_planar_exp_takes_the_degree_of_the_rule(su3, monkeypatch):
+    # Horner's rule makes one product per degree past the first, and the
+    # degree is the rule's at the largest Frobenius norm of the stack: 8
+    # at 0.034 (the rule is conservative, so one term fewer would still be
+    # accurate and only this count tells it)
+    rng = np.random.default_rng(3)
+    stack = np.array([random_antihermitian(su3, rng, scale)
+                      for scale in (0.01, 0.034, 0.02)])
+    calls = []
+    matmul = loops._planar_matmul
+    monkeypatch.setattr(loops, "_planar_matmul",
+                        lambda p, q: calls.append(1) or matmul(p, q))
+    got = _taylor_aos(stack)
+    assert len(calls) == lie._taylor_terms(0.034) - 1 == 7
+    want = _exp_longdouble(stack.astype(np.clongdouble))
+    assert np.abs(got - want).max() <= np.finfo(float).eps
+
+
+def test_semidirect_exp_takes_no_eigh(su2, eigh_calls):
+    for h in (None, _GENERAL):
+        loops.semidirect_exp(_cos_element(su2, 0.3, [0.6, 0.0, 0.8]), 0.7, h,
+                             1.0, 64, verify=True)
+    assert eigh_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_values_are_the_mode_sum_bit_for_bit(n):
+    # one exp per |k| and conj(e^{ik theta}) for e^{-ik theta} give the
+    # numbers of one exp per mode, with a k = 0 mode, partners apart in the
+    # coefficient order, and a mode (3) without its -k partner
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(n)
+    coeffs = {k: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+              for k in (2, 0, -1, 3, -2, 1, 5, -5)}
+    x = FourierLoopElement(coeffs, algebra)
+    angles = rng.uniform(-20.0, 20.0, size=(3, 5, 16))
+    want = _mode_sum(x, angles.ravel())
+    got = loops._planar_values(x, angles)
+    assert got.shape == (n, n, 3, 5, 16)
+    assert np.array_equal(np.moveaxis(got, (0, 1), (-2, -1)).reshape(-1, n, n), want)
+    values = x.evaluate(angles.ravel())
+    assert values.flags.c_contiguous
+    assert np.array_equal(values, want)
 
 
 def _blocked(name, steps_per_block, monkeypatch):

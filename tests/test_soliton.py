@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loopnet import lie, soliton
-from loopnet.errors import CompositionUnsupportedError
+from loopnet.errors import CompositionUnsupportedError, NumericError
 from loopnet.loops import ScalarField
 from loopnet.soliton import (InvalidSolitonError, LinearFactor, PeriodicFactor,
                              SolitonPath)
@@ -184,7 +184,7 @@ def test_path_without_factors_is_identity(su3):
 ], ids=["exp", "tiny-imag", "tagged-false"])
 def test_periodic_factor_refuses_non_real_field(su2, field):
     path = SolitonPath(su2, [PeriodicFactor(su2.basis[0], field)])
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(NumericError, match="not real"):
         path.evaluate(np.linspace(0.0, 1.0, 5))
 
 
