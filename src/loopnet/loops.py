@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse
@@ -81,9 +81,19 @@ _ODE_DT = 1e-3         # step of the RK4 integration that verifies semidirect_ex
 _ODE_TOL = 1e-6        # sup-norm gap allowed between Magnus product and integration
 # Gauss nodes on [0, 1] of the three-node sixth-order Magnus step
 _MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
-# matrix entries (steps x samples x n^2) of the Magnus exponents formed at
-# once; the number of steps grows with |t| and the size of X, memory does not
-_MAGNUS_BLOCK = 1 << 18
+# (step, angle) points of the Magnus exponents formed at once, at least one
+# step: the number of steps grows with |t| and the size of X, the blocks do
+# not.  Timed on the Magnus product, 2^10 points (4 steps of 256 angles on
+# su2, 8 of 128 on su4) are a fifth faster than one block on su2 and as
+# fast on su4, where 2^8 points are a sixth slower
+_MAGNUS_BLOCK = 1 << 10
+# and at most this many matrix entries (points times n^2), which caps the
+# blocks from su17 up
+_MAGNUS_ENTRIES = 1 << 18
+# (step, angle) points whose node angles (3 floats a point) are held at
+# once.  A longer product takes them in segments of at least sqrt(M) steps,
+# so the angles held grow as sqrt(M), not as M
+_MAGNUS_SEGMENT = 1 << 16
 
 
 class FourierLoopElement:
@@ -617,22 +627,26 @@ def _flow_steps(h: ScalarField, reach: float) -> int:
     return max(1, math.ceil(_bounded_steps(256 * reach * rate, "the flow of h")))
 
 
-def _flow_angles(h: ScalarField, thetas: np.ndarray,
-                 times: np.ndarray) -> np.ndarray:
+def _flow_angles(h: ScalarField, thetas: np.ndarray, times: np.ndarray,
+                 reach: float | None = None, start: float = 0.0) -> np.ndarray:
     """Angles flowed along d theta/ds = h(theta), one row for each time.
 
-    One RK4 pass from s = 0 visits the times in order of size and records
-    the angles as it reaches each.  The gap before each time is split into
-    ceil(gap / h_max) equal steps, h_max = max|time| / N with N from
-    ``_flow_steps``, so no step is longer than those of an N-step pass to
-    the farthest time.
+    One RK4 pass from flow time ``start``, where the angles are ``thetas``,
+    visits the times in order of size and records the angles as it reaches
+    each.  The gap before each time is split into ceil(gap / h_max) equal
+    steps, h_max = reach / N with N from ``_flow_steps`` and ``reach`` the
+    largest |time| unless given, so no step is longer than those of an
+    N-step pass to the farthest time.  A pass resumed from one of its rows,
+    at that row's time and with the same reach, takes the steps that the
+    whole pass takes after it.
     """
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), len(thetas)))
-    reach = np.abs(times).max(initial=0.0)
+    if reach is None:
+        reach = np.abs(times).max(initial=0.0)
     h_max = reach / _flow_steps(h, reach)
     th = thetas.astype(float)
-    s = 0.0
+    s = start
 
     def rhs(t):
         return h.real_values(t)
@@ -706,17 +720,18 @@ def _ode_pointwise(x: FourierLoopElement, alpha: float, h: ScalarField,
     return _rk4(rhs, gam, t / n_steps, n_steps)
 
 
-def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
-                  t: float, n_samples: int, n_steps: int) -> np.ndarray:
-    """The RK4 recurrence of ``_ode_pointwise`` as one sparse step map.
+def _step_propagator(x: FourierLoopElement, alpha: float, h: ScalarField,
+                     t: float, n_samples: int,
+                     n_steps: int) -> scipy.sparse.csr_array:
+    """One RK4 step of ``_ode_pointwise`` on the Fourier coefficients of a
+    column of gamma, as a CSR matrix P.
 
     The generator A is linear and constant in time, so each RK4 step of
-    length z is one fixed map P = 1 + zA + (zA)^2/2 + (zA)^3/6 + (zA)^4/24.
-    On the Fourier coefficients of the columns of gamma, X and Re h act by
+    length z = t / n_steps is one fixed map P = 1 + zA + (zA)^2/2 +
+    (zA)^3/6 + (zA)^4/24, formed by Horner's rule.  X and Re h act by
     circular convolution over their modes (mod N, so X modes >= N/2 alias
-    as on the grid) and d_theta is diag(ik).  P is formed once, as a CSR
-    matrix by Horner's rule, and applied n_steps times to the identity,
-    which sits in mode 0; one inverse FFT gives the samples.
+    as on the grid) and d_theta is diag(ik).  Row m * n + a of a column
+    holds row a of its mode-m coefficient.
     """
     n = x.algebra.n
     modes = np.arange(n_samples)
@@ -726,7 +741,6 @@ def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
         return scipy.sparse.coo_array(
             (weights, ((modes + k) % n_samples, modes)), shape=(n_samples,) * 2)
 
-    # state row m * n + a holds row a of the mode-m coefficient
     size = n_samples * n
     gen = scipy.sparse.csr_array((size, size), dtype=complex)
     for k, a in x.coefficients.items():
@@ -739,8 +753,28 @@ def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
     prop = eye
     for j in (4, 3, 2, 1):
         prop = eye + (step / j) * (gen @ prop)
-    gam = np.zeros((size, n), dtype=complex)
-    gam[:n] = np.eye(n)
+    return prop
+
+
+def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
+                  t: float, n_samples: int, n_steps: int) -> np.ndarray:
+    """The RK4 recurrence of ``_ode_pointwise`` as one sparse step map.
+
+    The step P (``_step_propagator``) is formed once.  The n columns of
+    gamma, which start as the identity in mode 0, are stacked into one
+    vector, and each of the n_steps steps applies P to all of them as one
+    product of that vector with the block diagonal of n copies of P
+    (``_block_diagonal``).  Every row of it sums the same terms in the
+    same order as P applied to one column, so the columns come out bit for
+    bit as those of P @ gamma on the (N n, n) array, at the cost of a
+    single-vector product.  One inverse FFT gives the samples.
+    """
+    n = x.algebra.n
+    size = n_samples * n
+    prop = _block_diagonal(_step_propagator(x, alpha, h, t, n_samples, n_steps), n)
+    # column c of gamma is block c of the state, and starts as e_c
+    gam = np.zeros(n * size, dtype=complex)
+    gam[np.arange(n) * (size + 1)] = 1.0
     for _ in range(n_steps):
         gam = prop @ gam
         # exact coefficients are at most 1 in size; the near-empty high modes
@@ -748,7 +782,31 @@ def _ode_step_map(x: FourierLoopElement, alpha: float, h: ScalarField,
         # arithmetic is many times slower
         parts = gam.view(float)
         parts[np.abs(parts) < 1e-250] = 0.0
-    return np.fft.ifft(gam.reshape(n_samples, n, n), axis=0, norm="forward")
+    # (column, mode, row) to (mode, row, column)
+    coeffs = gam.reshape(n, n_samples, n).transpose(1, 2, 0)
+    return np.fft.ifft(np.ascontiguousarray(coeffs), axis=0, norm="forward")
+
+
+def _block_diagonal(prop: scipy.sparse.csr_array,
+                    copies: int) -> scipy.sparse.csr_array:
+    """``copies`` copies of the square CSR matrix ``prop`` along a block
+    diagonal, as a CSR matrix whose arrays are prop's own: its data tiled,
+    its column indices and row pointers shifted per block.  Each block
+    keeps prop's entries in prop's order, so a row sums what the same row
+    of prop sums, in the same order; scipy.sparse.block_diag and kron
+    reorder the entries, and with them the rounding.  The indices keep
+    prop's integer type where it holds the shifted ones."""
+    size, nnz = prop.shape[0], prop.nnz
+    index = prop.indices.dtype
+    if copies * max(size, nnz) > np.iinfo(index).max:
+        index = np.dtype(np.int64)
+    blocks = np.arange(copies, dtype=index)[:, None]
+    indptr = np.empty(copies * size + 1, dtype=index)
+    indptr[:-1] = (prop.indptr[:-1] + nnz * blocks).ravel()
+    indptr[-1] = copies * nnz
+    return scipy.sparse.csr_array(
+        (np.tile(prop.data[:nnz], copies), (prop.indices[:nnz] + size * blocks).ravel(),
+         indptr), shape=(copies * size,) * 2)
 
 
 def _ode_exponential(x: FourierLoopElement, alpha: float, h: ScalarField,
@@ -820,47 +878,93 @@ def _planar_values(x: FourierLoopElement, angles: np.ndarray) -> np.ndarray:
     the matrix axes last.
 
     The modes are summed in coefficient order, each term the phase times
-    the coefficient (in that operand order).  Each |k| takes one exp, and
-    e^{-ik theta} is read as conj(e^{ik theta}), which is the same number
-    as exp(-ik theta); a phase is kept only until its partner mode has used
-    it.
+    the coefficient (in that operand order).  The first term is written
+    straight into the output, plus 0.0 so that its zeros are +0.0 as in a
+    sum that starts from zeros; every later term passes through one
+    buffer.  Each |k| takes one exp, and e^{-ik theta} is read as
+    conj(e^{ik theta}), which is the same number as exp(-ik theta); a
+    phase is kept only until its partner mode has used it.
     """
     n = x.algebra.n
-    out = np.zeros((n, n, *angles.shape), dtype=complex)
     spread = (slice(None), slice(None)) + (None,) * angles.ndim
     kept = {}
+    out = term = None
     for k, a in x.coefficients.items():
         phase = kept.pop(-k, None)
         if phase is None:
             phase = np.exp(1j * abs(k) * angles)
             if k and -k in x.coefficients:
                 kept[k] = phase
-        out += (phase if k >= 0 else phase.conj()) * a[spread]
+        if k < 0:
+            phase = phase.conj()
+        if out is None:
+            out = np.multiply(phase, a[spread])
+            out += 0.0
+        else:
+            term = np.multiply(phase, a[spread], out=term)
+            out += term
+    if out is None:
+        return np.zeros((n, n, *angles.shape), dtype=complex)
     return out
 
 
-def _magnus_exponents(x: FourierLoopElement, alpha: float, h: ScalarField,
-                      t: float, thetas: np.ndarray, step: float,
-                      steps: np.ndarray) -> np.ndarray:
-    """Sixth-order Magnus exponents of the given steps at every angle, laid
-    out (a, b, step, angle): entry (a, b) of the exponent of each step at
-    each angle, so every product runs along the steps and angles.
+def _node_angles(alpha: float, h: ScalarField, t: float, thetas: np.ndarray,
+                 n_steps: int, per_segment: int) -> Iterator[np.ndarray]:
+    """The angles at which ``n_steps`` equal Magnus steps read X, in
+    segments of ``per_segment`` steps in step order, each laid out (node,
+    step, angle).
 
-    Step j covers tau in [j, j + 1] * step, and X is read at its three Gauss
-    nodes, at flow time -alpha (t - tau) from the grid angles.
+    Step j covers tau in [j, j + 1] * t / n_steps, and its three Gauss
+    nodes sit at flow time -alpha (t - tau) from the grid angles.  A
+    constant field flows by the exact rotation theta + h_0 s.  Any other
+    flows by ``_flow_angles`` with the steps of one pass through all
+    3 n_steps node times.  That pass reaches the latest steps first, so it
+    runs segment by segment from the last, keeping the angles at which
+    each segment starts; the first segment comes out of it, and every
+    other is flowed again from its start, bit for bit as in the pass.
     """
-    taus = (steps[:, None] + _MAGNUS_NODES) * step
-    times = (-alpha * (t - taus)).ravel()
+    taus = (np.arange(n_steps)[:, None] + _MAGNUS_NODES) * (t / n_steps)
+    # (step, node): |time| falls along the steps and along the nodes
+    times = -alpha * (t - taus)
+    firsts = range(0, n_steps, per_segment)
+
+    def laid_out(angles):
+        return np.ascontiguousarray(
+            angles.reshape(-1, 3, len(thetas)).transpose(1, 0, 2))
+
     if h.modes() in ([], [0]):
-        # a constant field flows by the exact rotation theta + h_0 s
         speed = h.coefficients.get(0, complex(0.0)).real
-        angles = thetas + speed * times[:, None]
-    else:
-        angles = _flow_angles(h, thetas, times)
-    # (node, step, angle): each node's values are one (a, b, step, angle) slab
-    nodes = angles.reshape(len(steps), 3, len(thetas)).transpose(1, 0, 2)
-    values = _planar_values(x, np.ascontiguousarray(nodes))
-    a1, a2, a3 = np.moveaxis(values, 2, 0)
+        for first in firsts:
+            yield laid_out(thetas + speed * times[first:first + per_segment].reshape(-1, 1))
+        return
+    reach = np.abs(times).max(initial=0.0)
+
+    def flow(first, s, th):
+        return _flow_angles(h, th, times[first:first + per_segment].ravel(), reach, s)
+
+    starts, s, th = {}, 0.0, thetas
+    for first in reversed(firsts):
+        starts[first] = s, th
+        head = flow(first, s, th)
+        # the segment ends at its first node, the farthest
+        s, th = times[first, 0], head[0].copy()
+    # each segment's flowed rows are dropped once laid out
+    head = laid_out(head)
+    yield head
+    del head
+    for first in firsts[1:]:
+        yield laid_out(flow(first, *starts[first]))
+
+
+def _magnus_exponents(x: FourierLoopElement, nodes: np.ndarray,
+                      step: float) -> np.ndarray:
+    """Sixth-order Magnus exponents of steps of length ``step`` whose X is
+    read at the angles ``nodes``, laid out (node, step, angle) as
+    ``_node_angles`` gives them.  The exponents are laid out (a, b, step,
+    angle): entry (a, b) of the exponent of each step at each angle, so
+    every product runs along the steps and angles.
+    """
+    a1, a2, a3 = np.moveaxis(_planar_values(x, nodes), 2, 0)
 
     def bracket(p, q):
         # p, q anti-hermitian: qp = (pq)^dagger
@@ -906,20 +1010,26 @@ def _magnus_product(x: FourierLoopElement, alpha: float, h: ScalarField,
     """The time-ordered exponential of X along each characteristic, by
     ``n_steps`` equal sixth-order Magnus steps, shape (len(thetas), n, n).
 
-    The steps are taken in blocks of at most _MAGNUS_BLOCK exponent entries.
-    Each block's step factors are the Taylor exponentials of its exponents
-    (``_planar_exp``), and they multiply in the layout of
-    ``_magnus_exponents``, with the latest step on the left.
+    The node angles (``_node_angles``, 3 floats a step and angle) come in
+    segments of at most _MAGNUS_SEGMENT (step, angle) points, or sqrt(M)
+    steps where that is more; only a product that needs more than one
+    segment flows a general field twice.  The rest runs in blocks of at
+    most _MAGNUS_BLOCK points and _MAGNUS_ENTRIES matrix entries, and at
+    least one step: each block's values of X, its exponents, its step
+    factors (the Taylor exponentials of ``_planar_exp``) and their
+    product, in the layout of ``_magnus_exponents``, with the latest step
+    on the left.
     """
-    n = x.algebra.n
-    per_block = max(1, _MAGNUS_BLOCK // (len(thetas) * n * n))
+    n, points = x.algebra.n, len(thetas)
+    per_segment = max(_MAGNUS_SEGMENT // points, math.isqrt(n_steps), 1)
+    per_block = max(1, min(_MAGNUS_BLOCK, _MAGNUS_ENTRIES // (n * n)) // points)
     out = np.eye(n, dtype=complex)[:, :, None]
-    for first in range(0, n_steps, per_block):
-        steps = np.arange(first, min(first + per_block, n_steps))
-        factors = _planar_exp(
-            _magnus_exponents(x, alpha, h, t, thetas, t / n_steps, steps))
-        for j in range(len(steps)):
-            out = _planar_matmul(factors[:, :, j], out)
+    for nodes in _node_angles(alpha, h, t, thetas, n_steps, per_segment):
+        for first in range(0, nodes.shape[1], per_block):
+            factors = _planar_exp(_magnus_exponents(
+                x, nodes[:, first:first + per_block], t / n_steps))
+            for j in range(factors.shape[2]):
+                out = _planar_matmul(factors[:, :, j], out)
     return out.transpose(2, 0, 1).copy()
 
 
@@ -939,9 +1049,10 @@ def semidirect_exp(x: FourierLoopElement, alpha: float,
     gamma_t(theta) is the time-ordered exponential of X along that curve,
     taken in M equal sixth-order Magnus steps (``_magnus_product``) with M
     from ``_magnus_steps``.  A constant field flows by an exact rotation; any
-    other real field by one RK4 pass through all the node times
-    (``_flow_angles``), in N steps to the farthest node with N from
-    ``_flow_steps``, at most 8.1e-14 off in angle where measured.  No
+    other real field by the steps of one RK4 pass through all the node
+    times (``_flow_angles``; ``_node_angles`` holds them in segments), in N
+    steps to the farthest node with N from ``_flow_steps``, at most
+    8.1e-14 off in angle where measured.  No
     commutation of the values of X is assumed.
 
     X must be resolved on the grid by the rule of ``_check_resolution``,

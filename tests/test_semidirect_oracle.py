@@ -26,14 +26,20 @@ every stage.  Both it and the one-pass flow now step through the one
 arrays bit for bit.  ``loops._ode_step_map`` applies the same RK4 recurrence to
 the same semi-discrete operator as one sparse Fourier-space step map, so
 the two agree to rounding; ``loops._ode_exponential`` takes the step map
-when few Fourier modes couple.
+when few Fourier modes couple.  ``multivector_step_map`` is that map as it
+applied P to the (N n, n) array of the columns in every step; the
+single-vector product with a block diagonal of P gives its samples bit
+for bit.
 
 ``_magnus_exponents_aos`` and ``_magnus_product_aos`` are the Magnus
 exponents and product as they were formed with the matrix axes innermost,
 each n x n product a batched ``@``, the product taking its step factors
-from a given exponential.  The exponents in the (a, b, step, angle) layout
-of ``loops._magnus_exponents`` equal them bit for bit, and with the same
-factors the products differ in rounding alone.  The step factors were the
+from a given exponential, and its node angles from one flow pass
+(``_node_angles_aos``) whatever its blocks.  The exponents in the
+(a, b, step, angle) layout of ``loops._magnus_exponents`` equal them bit
+for bit, and with the same factors the products differ in rounding alone.
+``_planar_values_from_zeros`` is the mode sum ``loops._planar_values`` as
+it started from zeros, equal to it byte for byte.  The step factors were the
 stacked-eigh exponentials of ``lie.exp_antihermitian``; they are now
 Taylor polynomials (``loops._planar_exp``), and the oracle of both is
 ``_magnus_product_longdouble``, the product of the same exponents with
@@ -46,6 +52,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from loopnet import lie, loops
 from loopnet.loops import FourierLoopElement, ScalarField
@@ -341,6 +348,78 @@ def test_ode_step_map_matches_pointwise_rk4(name, x, alpha, h, t, n_samples):
         loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT), got)
 
 
+def multivector_step_map(x, alpha, h, t, n_samples, n_steps):
+    """``loops._ode_step_map`` as it applied P to the (N n, n) array of the
+    n columns of gamma in every step: SciPy's multi-vector product."""
+    n = x.algebra.n
+    modes = np.arange(n_samples)
+
+    def shift(k, weights):
+        """Mode m to mode m + k (mod N), with weight weights[m]."""
+        return scipy.sparse.coo_array(
+            (weights, ((modes + k) % n_samples, modes)), shape=(n_samples,) * 2)
+
+    # state row m * n + a holds row a of the mode-m coefficient
+    size = n_samples * n
+    gen = scipy.sparse.csr_array((size, size), dtype=complex)
+    for k, a in x.coefficients.items():
+        gen += scipy.sparse.kron(shift(k, np.ones(n_samples)), a)
+    deriv = -alpha * loops._derivative_symbol(n_samples)
+    for k, coeff in loops._re_modes(h).items():
+        gen += scipy.sparse.kron(shift(k, coeff * deriv), np.eye(n))
+    step = t / n_steps
+    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
+    prop = eye
+    for j in (4, 3, 2, 1):
+        prop = eye + (step / j) * (gen @ prop)
+    gam = np.zeros((size, n), dtype=complex)
+    gam[:n] = np.eye(n)
+    for _ in range(n_steps):
+        gam = prop @ gam
+        # exact coefficients are at most 1 in size; the near-empty high modes
+        # are zeroed below 1e-250 so they never hold subnormal numbers, whose
+        # arithmetic is many times slower
+        parts = gam.view(float)
+        parts[np.abs(parts) < 1e-250] = 0.0
+    return np.fft.ifft(gam.reshape(n_samples, n, n), axis=0, norm="forward")
+
+
+@pytest.mark.parametrize("name,x,alpha,h,t,n_samples", _ODE_CASES,
+                         ids=[c[0] for c in _ODE_CASES])
+def test_ode_step_map_is_the_multivector_map_bit_for_bit(name, x, alpha, h, t,
+                                                         n_samples):
+    # the block diagonal repeats P's own arrays, so every row sums the same
+    # terms in the same order as P applied to one column
+    got = loops._ode_step_map(x, alpha, h, t, n_samples, _steps(t))
+    want = multivector_step_map(x, alpha, h, t, n_samples, _steps(t))
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def _csr_bytes(a):
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+@pytest.mark.parametrize("name,x,alpha,h,t,n_samples", _ODE_CASES,
+                         ids=[c[0] for c in _ODE_CASES])
+def test_block_diagonal_holds_n_copies_of_p(name, x, alpha, h, t, n_samples):
+    # exactly n nnz(P) entries, in P's order block by block, in at most n
+    # times P's memory; on su3 at N = 512, with 32-bit indices, P holds
+    # 74,220 entries in 1.49 MB and the operator 222,660 in 4.47 MB
+    n = x.algebra.n
+    prop = loops._step_propagator(x, alpha, h, t, n_samples, _steps(t))
+    ops = loops._block_diagonal(prop, n)
+    size = n_samples * n
+    assert ops.shape == (n * size, n * size)
+    assert ops.nnz == n * prop.nnz
+    assert _csr_bytes(ops) <= n * _csr_bytes(prop)
+    for c in range(n):
+        block = ops[c * size:(c + 1) * size, c * size:(c + 1) * size]
+        assert np.array_equal(block.indptr, prop.indptr)
+        assert np.array_equal(block.indices, prop.indices)
+        assert block.data.tobytes() == prop.data.tobytes()
+
+
 def _ode_pointwise_inline(x, alpha, h, t, n_samples, n_steps):
     """``loops._ode_pointwise`` with its own RK4 loop written out."""
     thetas = loops.circle_grid(n_samples)
@@ -475,12 +554,10 @@ def _mode_sum(x, thetas):
     return out
 
 
-def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
-    """The Magnus exponents as ``loops._magnus_exponents`` formed them with
-    the matrix axes innermost, shape (len(steps), len(thetas), n, n), each
-    product a batched ``@``."""
-    n = x.algebra.n
-    taus = (steps[:, None] + loops._MAGNUS_NODES) * step
+def _node_angles_aos(alpha, h, t, thetas, n_steps):
+    """The angles at which the Magnus steps read X, shape (n_steps, 3,
+    len(thetas)), from one flow pass through all the node times."""
+    taus = (np.arange(n_steps)[:, None] + loops._MAGNUS_NODES) * (t / n_steps)
     times = (-alpha * (t - taus)).ravel()
     if h.modes() in ([], [0]):
         # a constant field flows by the exact rotation theta + h_0 s
@@ -488,8 +565,16 @@ def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
         angles = thetas + speed * times[:, None]
     else:
         angles = loops._flow_angles(h, thetas, times)
+    return angles.reshape(n_steps, 3, len(thetas))
+
+
+def _magnus_exponents_aos(x, angles, step):
+    """The Magnus exponents as ``loops._magnus_exponents`` formed them with
+    the matrix axes innermost, from node angles (step, node, angle), shape
+    (steps, angles, n, n), each product a batched ``@``."""
+    n = x.algebra.n
     a1, a2, a3 = _mode_sum(x, angles.ravel()).reshape(
-        len(steps), 3, len(thetas), n, n).swapaxes(0, 1)
+        *angles.shape, n, n).swapaxes(0, 1)
 
     def bracket(p, q):
         # p, q anti-hermitian: qp = (pq)^dagger
@@ -506,17 +591,18 @@ def _magnus_exponents_aos(x, alpha, h, t, thetas, step, steps):
 
 
 def _magnus_product_aos(x, alpha, h, t, thetas, n_steps, exp):
-    """The Magnus product as ``loops._magnus_product`` formed it from
-    ``_magnus_exponents_aos``: each block's step factors ``exp`` of its
-    exponents, (step, angle, n, n), each applied by a batched ``@``, the
-    latest step on the left."""
+    """The Magnus product as ``loops._magnus_product`` forms it from
+    ``_magnus_exponents_aos``: the node angles from one flow pass, then
+    each block's step factors ``exp`` of its exponents, (step, angle, n,
+    n), each applied by a batched ``@``, the latest step on the left."""
     n = x.algebra.n
-    per_block = max(1, loops._MAGNUS_BLOCK // (len(thetas) * n * n))
+    per_block = max(1, min(loops._MAGNUS_BLOCK, loops._MAGNUS_ENTRIES // (n * n))
+                    // len(thetas))
+    angles = _node_angles_aos(alpha, h, t, thetas, n_steps)
     out = np.broadcast_to(np.eye(n, dtype=complex), (len(thetas), n, n))
     for first in range(0, n_steps, per_block):
-        steps = np.arange(first, min(first + per_block, n_steps))
-        for factor in exp(_magnus_exponents_aos(x, alpha, h, t, thetas,
-                                                t / n_steps, steps)):
+        for factor in exp(_magnus_exponents_aos(
+                x, angles[first:first + per_block], t / n_steps)):
             out = factor @ out
     return out
 
@@ -570,34 +656,44 @@ def _magnus_case(name, steps_per_block, monkeypatch):
     """(x, alpha, h, t, grid angles, Magnus steps) of a case, with
     ``steps_per_block`` steps a block when it is given."""
     x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
-    n = x.algebra.n
     if steps_per_block is not None:
-        monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples * n * n)
+        monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples)
+        monkeypatch.setattr(loops, "_MAGNUS_ENTRIES",
+                            steps_per_block * n_samples * x.algebra.n ** 2)
     return (x, alpha, h, t, loops.circle_grid(n_samples),
             loops._magnus_steps(x, alpha, h, t))
 
 
-@pytest.mark.parametrize("steps_per_block", [None, 4])
+# None: the default block, 2^10 points (4 steps on su2 at 256 angles, 16 at
+# 64, 2 on su3 at 512, 8 on su4 at 128); one step a block; 4; and the whole
+# product as one block
+_BLOCKINGS = [None, 1, 4, 1000]
+
+
+@pytest.mark.parametrize("steps_per_block", _BLOCKINGS)
 @pytest.mark.parametrize("name", list(_MAGNUS_CASES))
 def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch):
-    # the exponents are the same arithmetic laid out (a, b, step, angle),
-    # bit for bit.  With the same Taylor factors on both sides, the
-    # products differ only in the rounding of the n x n products (the
-    # batched @ rounds with fused multiply-adds), by at most 7.5 eps
+    # the node angles and the exponents are the same arithmetic laid out
+    # (node, step, angle) and (a, b, step, angle), bit for bit.  With the
+    # same Taylor factors on both sides, the products differ only in the
+    # rounding of the n x n products (the batched @ rounds with fused
+    # multiply-adds), by at most 7.5 eps
     x, alpha, h, t, thetas, m = _magnus_case(name, steps_per_block, monkeypatch)
     n = x.algebra.n
-    steps = np.arange(m)
-    planar = loops._magnus_exponents(x, alpha, h, t, thetas, t / m, steps)
+    [nodes] = loops._node_angles(alpha, h, t, thetas, m, m)
+    angles = _node_angles_aos(alpha, h, t, thetas, m)
+    assert np.array_equal(nodes, angles.transpose(1, 0, 2))
+    planar = loops._magnus_exponents(x, nodes, t / m)
     assert planar.shape == (n, n, m, len(thetas))
     assert np.array_equal(planar.transpose(2, 3, 0, 1),
-                          _magnus_exponents_aos(x, alpha, h, t, thetas, t / m, steps))
+                          _magnus_exponents_aos(x, angles, t / m))
     got = loops._magnus_product(x, alpha, h, t, thetas, m)
     assert got.shape == (len(thetas), n, n) and got.flags.c_contiguous
     assert (np.abs(got - _magnus_product_aos(x, alpha, h, t, thetas, m, _taylor_aos)).max()
             <= 10 * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("steps_per_block", [None, 4])
+@pytest.mark.parametrize("steps_per_block", _BLOCKINGS)
 @pytest.mark.parametrize("name", list(_MAGNUS_CASES))
 def test_magnus_product_is_within_10_eps_of_a_long_double_product(
         name, steps_per_block, monkeypatch):
@@ -629,8 +725,8 @@ def test_taylor_terms_at_the_largest_magnus_exponent():
     assert lie._taylor_terms(0.034) == 8
     for name, (x, alpha, h, t, n_samples) in _MAGNUS_CASES.items():
         m = loops._magnus_steps(x, alpha, h, t)
-        exponents = loops._magnus_exponents(x, alpha, h, t, loops.circle_grid(n_samples),
-                                            t / m, np.arange(m))
+        [nodes] = loops._node_angles(alpha, h, t, loops.circle_grid(n_samples), m, m)
+        exponents = loops._magnus_exponents(x, nodes, t / m)
         assert np.linalg.norm(exponents, axis=(0, 1)).max() <= largest, name
     # the dropped tail is below (1/16)^9 / 9! = 4.0e-17, and at that norm
     # the polynomial is within rounding of the long-double series
@@ -689,10 +785,55 @@ def test_values_are_the_mode_sum_bit_for_bit(n):
     assert np.array_equal(values, want)
 
 
+def _planar_values_from_zeros(x, angles):
+    """``loops._planar_values`` as it summed the modes into zeros, each
+    term a fresh full-size product."""
+    n = x.algebra.n
+    out = np.zeros((n, n, *angles.shape), dtype=complex)
+    spread = (slice(None), slice(None)) + (None,) * angles.ndim
+    kept = {}
+    for k, a in x.coefficients.items():
+        phase = kept.pop(-k, None)
+        if phase is None:
+            phase = np.exp(1j * abs(k) * angles)
+            if k and -k in x.coefficients:
+                kept[k] = phase
+        out += (phase if k >= 0 else phase.conj()) * a[spread]
+    return out
+
+
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_planar_values_are_the_sum_from_zeros_bit_for_bit(name):
+    # bytes, so a signed zero counts too: a first term whose entry is
+    # -0.0 (a zero entry of a coefficient times a phase, as on all but the
+    # two bench cases) is +0.0 in a sum that starts from zeros, and so in
+    # the values
+    x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
+    m = loops._magnus_steps(x, alpha, h, t)
+    [nodes] = loops._node_angles(alpha, h, t, loops.circle_grid(n_samples), m, m)
+    want = _planar_values_from_zeros(x, nodes)
+    assert loops._planar_values(x, nodes).tobytes() == want.tobytes()
+    thetas = np.linspace(-7.0, 7.0, 301)
+    values = np.moveaxis(_planar_values_from_zeros(x, thetas), (0, 1), (-2, -1))
+    assert x.evaluate(thetas).tobytes() == np.ascontiguousarray(values).tobytes()
+
+
+def test_planar_values_of_one_mode_and_of_none(su2):
+    # with one mode the first term is the whole sum: its -0.0 entries (the
+    # zero entries of the coefficient times phases of negative real part)
+    # must come out +0.0 as from zeros; with none the values are zeros
+    angles = np.linspace(-7.0, 7.0, 60).reshape(3, 20)
+    for coeffs in ({1: su2.basis[0]}, {-2: su2.basis[2]}, {}):
+        x = FourierLoopElement(coeffs, su2, real_form=False)
+        want = _planar_values_from_zeros(x, angles)
+        assert loops._planar_values(x, angles).tobytes() == want.tobytes()
+    assert not want.any() and want.shape == (2, 2, 3, 20)
+
+
 def _blocked(name, steps_per_block, monkeypatch):
     """``_magnus_product`` on a 64-point grid in blocks of the given size."""
     x, alpha, h, t = _NONCOMMUTING[name]
-    monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * 64 * 4)
+    monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * 64)
     return loops._magnus_product(x, alpha, h, t, loops.circle_grid(64),
                                  loops._magnus_steps(x, alpha, h, t))
 
@@ -713,10 +854,122 @@ def test_magnus_blocks_bound_memory(monkeypatch):
 
 
 def test_magnus_blocks_of_a_general_field(monkeypatch):
-    # 45 steps in blocks of 16: the flow is integrated once a block, which
-    # moves the angles by rounding (measured 9e-15 at 4 steps a block)
+    # 45 steps in blocks of 16 and of 1: the node angles come from one flow
+    # pass whatever the blocks, and every block here takes the Taylor
+    # degree of the whole product, so the blocks move no bit
     one = _blocked("su2-general", 45, monkeypatch)
-    assert np.abs(_blocked("su2-general", 16, monkeypatch) - one).max() <= 1e-13
+    for steps_per_block in (16, 1):
+        assert np.array_equal(_blocked("su2-general", steps_per_block, monkeypatch), one)
+
+
+def test_semidirect_exp_flows_once_whatever_the_blocks(monkeypatch):
+    # the benchmark's general call, verified, in blocks of one step and in
+    # one block: one _flow_angles pass through all 69 node times, with the
+    # same RK4 steps (4 field evaluations a step)
+    _, x, alpha, _, t, n_samples = _ODE_CASES[1]
+    passes = []
+    flow = loops._flow_angles
+    monkeypatch.setattr(loops, "_flow_angles",
+                        lambda *args: passes.append(1) or flow(*args))
+    evaluations = []
+    for steps_per_block in (1, 1000):
+        monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples)
+        h = _CountingField({0: 1.0, 1: 0.15, -1: 0.15})
+        _CountingField.calls = 0
+        passes.clear()
+        loops.semidirect_exp(x, alpha, h, t, n_samples, verify=True)
+        assert len(passes) == 1
+        evaluations.append(_CountingField.calls)
+    assert evaluations[0] == evaluations[1] >= 4 * 232
+
+
+def test_magnus_product_memory_on_bench_inputs():
+    # the node angles (3 M N floats: 0.17 and 0.14 MB) and the arrays of
+    # one block (4 steps of 256 angles, 64 KB an array); measured 1.18 and
+    # 1.16 MB, where the product in one block took 6.3 and 5.2 MB
+    for name, x, alpha, h, t, n_samples in _ODE_CASES[:2]:
+        thetas = loops.circle_grid(n_samples)
+        m = loops._magnus_steps(x, alpha, h, t)
+        tracemalloc.start()
+        try:
+            loops._magnus_product(x, alpha, h, t, thetas, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20, name
+
+
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_node_angles_in_segments_are_the_one_pass_bit_for_bit(name):
+    # a general field flows segment by segment from the last, then again
+    # from each later segment's start, with the steps of one pass: every
+    # segmenting gives its angles, and a constant field the same rotation
+    x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
+    thetas = loops.circle_grid(n_samples)
+    m = loops._magnus_steps(x, alpha, h, t)
+    [whole] = loops._node_angles(alpha, h, t, thetas, m, m)
+    for per_segment in (1, 7):
+        segments = list(loops._node_angles(alpha, h, t, thetas, m, per_segment))
+        assert len(segments) == -(-m // per_segment)
+        assert np.array_equal(np.concatenate(segments, axis=1), whole)
+
+
+def test_semidirect_exp_in_segments_flows_a_segment_twice(monkeypatch):
+    # the benchmark's general call in the shortest segments, sqrt(23) = 4
+    # steps: 6 flow passes from the last segment, then 5 segments again,
+    # where one segment takes one pass.  The samples move no bit
+    _, x, alpha, _, t, n_samples = _ODE_CASES[1]
+    passes, runs = [], []
+    flow = loops._flow_angles
+    monkeypatch.setattr(loops, "_flow_angles",
+                        lambda *args: passes.append(1) or flow(*args))
+    for segment in (loops._MAGNUS_SEGMENT, 1):
+        monkeypatch.setattr(loops, "_MAGNUS_SEGMENT", segment)
+        h = _CountingField({0: 1.0, 1: 0.15, -1: 0.15})
+        _CountingField.calls = 0
+        passes.clear()
+        grid, _ = loops.semidirect_exp(x, alpha, h, t, n_samples, verify=False)
+        runs.append((len(passes), _CountingField.calls, grid.samples.tobytes()))
+    (one, once, want), (many, evaluations, got) = runs
+    assert (one, many) == (1, 11)
+    assert got == want
+    assert once < evaluations < 2 * once
+
+
+def test_magnus_product_memory_at_many_steps():
+    # 4000 rigid steps on 64 angles, in segments of 1024 steps whose node
+    # angles take 1.5 MB: at most three of them are held at once, as the
+    # next segment is laid out.  Measured 4.7 MB; all 4000 steps' angles at
+    # once took 11.9 MB
+    x, alpha, h, t = _NONCOMMUTING["su2-rigid"]
+    m = loops._magnus_steps(x, alpha, h, 100 * t)
+    assert m == 4000
+    tracemalloc.start()
+    try:
+        loops._magnus_product(x, alpha, h, 100 * t, loops.circle_grid(64), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
+
+
+def test_magnus_blocks_cap_matrix_entries(monkeypatch):
+    # 2^10 (step, angle) points a block, 16 steps of 64 angles, and at most
+    # _MAGNUS_ENTRIES matrix entries (2^18, which binds from su17 up): with
+    # the cap lowered to 3 steps of su2 at 64 angles, and below one step
+    assert loops._MAGNUS_BLOCK == 1 << 10 and loops._MAGNUS_ENTRIES == 1 << 18
+    x, alpha, h, t = _NONCOMMUTING["su2-rigid"]
+    m = loops._magnus_steps(x, alpha, h, t)
+    sizes, blocks = [], []
+    exponents = loops._magnus_exponents
+    monkeypatch.setattr(loops, "_magnus_exponents", lambda x, nodes, step: (
+        sizes.append(nodes.shape[1]) or exponents(x, nodes, step)))
+    for entries in (loops._MAGNUS_ENTRIES, 3 * 64 * 4, 1):
+        monkeypatch.setattr(loops, "_MAGNUS_ENTRIES", entries)
+        sizes.clear()
+        loops._magnus_product(x, alpha, h, t, loops.circle_grid(64), m)
+        blocks.append(max(sizes))
+    assert blocks == [16, 3, 1]
 
 
 def test_magnus_steps_on_bench_inputs():
