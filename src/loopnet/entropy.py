@@ -387,8 +387,12 @@ def _entropies(path: LinePath, ts, tol: float, right: bool = True,
     point of ``ts``, from one batch of tail moments.  S and S' vanish right
     of the support hull, S_bar left of it; ``right`` (S, S') and ``left``
     (S_bar) pick the values wanted, the others read 0, and no partition is
-    built unless a wanted value lies off those zeros."""
+    built unless a wanted value lies off those zeros.  A point that is not
+    finite raises NumericError first."""
     ts = np.asarray(ts, dtype=float)
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise NumericError(f"entropy point must be finite, got {bad[0]}")
     lo, hi = path.support()
     zero = (np.maximum(ts, lo) >= hi) | (not right)
     zero_bar = (np.minimum(ts, hi) <= lo) | (not left)
@@ -419,8 +423,8 @@ def _interval_entropies(path: LinePath, radii, tol: float) -> list[float]:
     """S_(-r,r) at every radius, from one batch of tail moments at all -r
     and r; an interval off the support hull reads 0 and queries nothing."""
     for r in radii:
-        if r <= 0:
-            raise NumericError(f"interval radius must be positive, got {r}")
+        if not 0 < r < math.inf:
+            raise NumericError(f"interval radius must be positive and finite, got {r}")
     lo, hi = path.support()
     inside = [i for i, r in enumerate(radii) if min(hi, r) > max(lo, -r)]
     out = [0.0] * len(radii)
@@ -497,7 +501,8 @@ def qnec_profile(path: LinePath, grid,
     analytic value beyond ``fd_tolerance`` raises VerificationError carrying
     the worst grid point.  Positivity and monotonicity are asserted with a
     1e-8 slack.  An ``fd_tolerance``, ``fd_spacing`` or ``tol`` that is not
-    finite and > 0 raises NumericError before any integrand call.
+    finite and > 0, or a grid point that is not finite, raises NumericError
+    before any integrand call.
     """
     for name, value in (("fd_tolerance", fd_tolerance),
                         ("fd_spacing", fd_spacing), ("tol", tol)):
@@ -505,6 +510,8 @@ def qnec_profile(path: LinePath, grid,
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
         raise NumericError("grid must be a 1-d array with at least 3 points")
+    if not np.isfinite(ts).all():
+        raise NumericError("grid must be finite")
     if np.any(np.diff(ts) <= 0):
         raise NumericError("grid must be strictly increasing")
     sdd = path.rho(ts)

@@ -687,14 +687,14 @@ def _step_map_pays(x: FourierLoopElement, h: ScalarField, n_samples: int,
     The step map P couples mode m to m + s (mod N) for s in the 4-fold
     sumset S of the modes of X and h and 0, so it has up to N n^2 |S|
     nonzeros: few for a few-mode X and h, up to (N n)^2 for many.  Measured
-    costs, in multiply-adds of the sparse product applied to one column
-    (numpy and scipy on one x86 core): forming P ~80 per nonzero, applying
-    it n per nonzero and step, a pointwise step ~150 per entry of the
-    N n^2 samples.  S is built only until it outgrows the bound these
-    costs give.
+    costs, in multiply-adds of the single-vector product of
+    ``_ode_step_map`` (numpy and scipy on one x86 core): forming P ~160 per
+    nonzero of that count, applying it n per nonzero and step, a pointwise
+    step ~300 per entry of the N n^2 samples.  S is built only until it
+    outgrows the bound these costs give.
     """
     n = x.algebra.n
-    bound = 150 * n_steps / (n * n_steps + 80)
+    bound = 300 * n_steps / (n * n_steps + 160)
     modes = {k % n_samples for k in (*x.coefficients, *_re_modes(h), 0)}
     reach = {0}
     for _ in range(4):
@@ -731,7 +731,9 @@ def _step_propagator(x: FourierLoopElement, alpha: float, h: ScalarField,
     (zA)^3/6 + (zA)^4/24, formed by Horner's rule.  X and Re h act by
     circular convolution over their modes (mod N, so X modes >= N/2 alias
     as on the grid) and d_theta is diag(ik).  Row m * n + a of a column
-    holds row a of its mode-m coefficient.
+    holds row a of its mode-m coefficient.  P's indices are int64, those
+    of the mode arrays: the sparse-matrix identity would make each sum
+    pick int32 or int64 from the unset tail of its output buffers.
     """
     n = x.algebra.n
     modes = np.arange(n_samples)
@@ -749,7 +751,7 @@ def _step_propagator(x: FourierLoopElement, alpha: float, h: ScalarField,
     for k, coeff in _re_modes(h).items():
         gen += scipy.sparse.kron(shift(k, coeff * deriv), np.eye(n))
     step = t / n_steps
-    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
+    eye = scipy.sparse.eye_array(size, dtype=complex, format="csr")
     prop = eye
     for j in (4, 3, 2, 1):
         prop = eye + (step / j) * (gen @ prop)

@@ -253,6 +253,40 @@ def _never_called(u):
     raise AssertionError("the integrand was called before the arguments were checked")
 
 
+def _grid_with(bad, at):
+    grid = np.linspace(-3, 3, 31)
+    grid[at] = bad
+    return grid
+
+
+# each entry point with its message; a bad radius at the end of a list, and a
+# bad grid point in the middle of a grid and at its end, where it would pass
+# the ordering check
+_NON_FINITE_REFUSALS = {
+    "bekenstein_checks": (lambda path, bad: entropy.bekenstein_checks(path, [1.0, bad]),
+                          "radius must be positive and finite"),
+    "bekenstein_check": (entropy.bekenstein_check, "radius must be positive and finite"),
+    "entropy_interval": (entropy.entropy_interval, "radius must be positive and finite"),
+    "entropy_right": (entropy.entropy_right, "entropy point must be finite"),
+    "entropy_left": (entropy.entropy_left, "entropy point must be finite"),
+    "qnec_profile-middle": (lambda path, bad: entropy.qnec_profile(path, _grid_with(bad, 15)),
+                            "grid must be finite"),
+    "qnec_profile-end": (lambda path, bad: entropy.qnec_profile(path, _grid_with(bad, -1)),
+                         "grid must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(_NON_FINITE_REFUSALS))
+def test_non_finite_points_are_refused_before_any_integrand_call(su2, monkeypatch,
+                                                                 entry, bad):
+    call, message = _NON_FINITE_REFUSALS[entry]
+    path = gaussian_path(su2)
+    monkeypatch.setattr(path, "rho", _never_called)
+    with pytest.raises(NumericError, match=message):
+        call(path, bad)
+
+
 def test_qnec_profile_fd_verification_error(su2):
     path = gaussian_path(su2)
     with pytest.raises(VerificationError) as err:

@@ -1241,7 +1241,10 @@ def _bench_suite_seeds(workload_seed):
 def test_summed_zero_mode_tables_leave_the_suites_bit_identical(workload_seed,
                                                                 monkeypatch):
     # the benchmark's two suites, the Sugawara modes in CSR and the vacuum
-    # check, with the summed tables and with the per-mode ones
+    # check, with the summed tables and with the per-mode ones.  The seeds
+    # reach the vacuum cocycle alone, so at workload seed 3 the suites run
+    # that identity and no Sugawara mode is compared; seed 7 runs them all
+    full = workload_seed == 7
     rng = np.random.default_rng(workload_seed)
     for seed, (n, cutoff) in zip(_bench_suite_seeds(workload_seed), ((2, 6), (3, 4))):
         algebra = lie.build_su(n)
@@ -1249,8 +1252,10 @@ def test_summed_zero_mode_tables_leave_the_suites_bit_identical(workload_seed,
 
         def outputs():
             space = fock.build_fock(n, cutoff, charge=0)
-            sugawara = [fock.sugawara(space, m).matrix for m in range(cutoff // 2 + 1)]
-            return (fock.identity_reports(n, cutoff, mode_range=2, charge=0, seed=seed),
+            sugawara = [fock.sugawara(space, m).matrix
+                        for m in range(cutoff // 2 + 1 if full else 0)]
+            return (fock.identity_reports(n, cutoff, None if full else ("vacuum-cocycle",),
+                                          mode_range=2, charge=0, seed=seed),
                     [(op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes())
                      for op in sugawara],
                     fock.vacuum_cocycle_check(space, x, y))

@@ -47,7 +47,11 @@ every factor and product in long double.
 """
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -404,8 +408,8 @@ def _csr_bytes(a):
                          ids=[c[0] for c in _ODE_CASES])
 def test_block_diagonal_holds_n_copies_of_p(name, x, alpha, h, t, n_samples):
     # exactly n nnz(P) entries, in P's order block by block, in at most n
-    # times P's memory; on su3 at N = 512, with 32-bit indices, P holds
-    # 74,220 entries in 1.49 MB and the operator 222,660 in 4.47 MB
+    # times P's memory; on su3 at N = 512, with int64 indices, P holds
+    # 74,220 entries in 1.79 MB and the operator 222,660 in 5.38 MB
     n = x.algebra.n
     prop = loops._step_propagator(x, alpha, h, t, n_samples, _steps(t))
     ops = loops._block_diagonal(prop, n)
@@ -418,6 +422,50 @@ def test_block_diagonal_holds_n_copies_of_p(name, x, alpha, h, t, n_samples):
         assert np.array_equal(block.indptr, prop.indptr)
         assert np.array_equal(block.indices, prop.indices)
         assert block.data.tobytes() == prop.data.tobytes()
+
+
+_HASH_SEED_PROBE = """
+import hashlib, json, sys
+sys.path[:0] = sys.argv[1:]
+import test_semidirect_oracle as oracle
+from loopnet import loops
+out = []
+for name, x, alpha, h, t, n_samples in oracle._ODE_CASES:
+    prop = loops._step_propagator(x, alpha, h, t, n_samples, oracle._steps(t))
+    ops = loops._block_diagonal(prop, x.algebra.n)
+    samples = loops._ode_exponential(x, alpha, h, t, n_samples, loops._ODE_DT)
+    out.append([name, [str(a.dtype) for a in (prop.indices, prop.indptr,
+                                                ops.indices, ops.indptr)],
+                hashlib.sha256(samples.tobytes()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_seed_probes():
+    """The probe's (name, index types, sample hash) rows of every
+    ``_ODE_CASES`` case, in processes under PYTHONHASHSEED 0 and 1."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(loops.__file__))
+    runs = [subprocess.Popen([sys.executable, "-c", _HASH_SEED_PROBE, tests, src],
+                             env=dict(os.environ, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, text=True)
+            for seed in ("0", "1")]
+    printed = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    return tuple(map(json.loads, printed))
+
+
+@pytest.mark.parametrize("case", range(len(_ODE_CASES)),
+                         ids=[c[0] for c in _ODE_CASES])
+def test_step_map_is_int64_and_the_same_bytes_under_two_hash_seeds(case):
+    # SciPy's sparse-matrix sums pick their index type from the contents of
+    # their output buffers, unset entries included, so a P built through
+    # one could change type from process to process (and speed with it)
+    first, second = (rows[case] for rows in _hash_seed_probes())
+    assert first[0] == _ODE_CASES[case][0]
+    assert first[1] == ["int64"] * 4
+    assert first == second
 
 
 def _ode_pointwise_inline(x, alpha, h, t, n_samples, n_steps):
@@ -457,15 +505,16 @@ def _many_modes(algebra, top):
 
 
 @pytest.mark.parametrize("n,n_samples,top,t,step_map", [
-    (2, 256, 8, 1.0, True),     # 4-fold sumset 65 modes: P ~1.8x faster
-    (2, 256, 12, 1.0, False),   # 97 modes: P ~1.3x slower
-    (3, 512, 4, 1.0, True),     # 33 modes: P ~2.9x faster
-    (3, 512, 8, 1.0, False),    # 65 modes: P ~1.4x slower
-    (3, 1024, 32, 1.0, False),  # 257 modes: P ~4x slower
-    (2, 256, 4, 0.01, False),   # 10 steps do not pay for forming P
+    (2, 256, 8, 1.0, True),     # 4-fold sumset 65 modes: 274 / 662 ms
+    (2, 256, 12, 1.0, True),    # 97 modes: 398 / 660 ms
+    (3, 512, 4, 1.0, True),     # 33 modes: 495 / 1541 ms
+    (3, 512, 8, 1.0, True),     # 65 modes: 780 / 1586 ms
+    (3, 1024, 32, 1.0, False),  # 257 modes: 8513 / 1994 ms
+    (2, 256, 4, 0.01, False),   # 10 steps do not pay for forming P: 9 / 7 ms
 ])
 def test_ode_route_follows_coupled_modes(n, n_samples, top, t, step_map):
-    # the ratios are timings of both routes on one x86 core
+    # the times are step map / pointwise RK4, each route whole, min of 2 on
+    # one x86 core with one BLAS thread; the route is the faster one
     x = _many_modes(lie.build_su(n), top)
     h = ScalarField.constant(1.0)
     assert loops._step_map_pays(x, h, n_samples, _steps(t)) is step_map
@@ -652,14 +701,9 @@ def _magnus_cases():
 _MAGNUS_CASES = _magnus_cases()
 
 
-def _magnus_case(name, steps_per_block, monkeypatch):
-    """(x, alpha, h, t, grid angles, Magnus steps) of a case, with
-    ``steps_per_block`` steps a block when it is given."""
+def _magnus_case(name):
+    """(x, alpha, h, t, grid angles, Magnus steps) of a case."""
     x, alpha, h, t, n_samples = _MAGNUS_CASES[name]
-    if steps_per_block is not None:
-        monkeypatch.setattr(loops, "_MAGNUS_BLOCK", steps_per_block * n_samples)
-        monkeypatch.setattr(loops, "_MAGNUS_ENTRIES",
-                            steps_per_block * n_samples * x.algebra.n ** 2)
     return (x, alpha, h, t, loops.circle_grid(n_samples),
             loops._magnus_steps(x, alpha, h, t))
 
@@ -670,15 +714,36 @@ def _magnus_case(name, steps_per_block, monkeypatch):
 _BLOCKINGS = [None, 1, 4, 1000]
 
 
-@pytest.mark.parametrize("steps_per_block", _BLOCKINGS)
+@functools.lru_cache(maxsize=None)
+def _default_block_bytes(name):
+    """The bytes of a case's ``_magnus_product`` at the default block."""
+    x, alpha, h, t, thetas, m = _magnus_case(name)
+    return loops._magnus_product(x, alpha, h, t, thetas, m).tobytes()
+
+
+@pytest.mark.parametrize("steps_per_block", _BLOCKINGS[1:])
 @pytest.mark.parametrize("name", list(_MAGNUS_CASES))
-def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch):
+def test_magnus_product_is_the_same_bytes_in_every_blocking(name, steps_per_block,
+                                                            monkeypatch):
+    # the node angles come from one flow pass whatever the blocks, and every
+    # block here takes the Taylor degree of the whole product, so the blocks
+    # move no bit: the oracles below run at the default block alone
+    want = _default_block_bytes(name)
+    x, alpha, h, t, thetas, m = _magnus_case(name)
+    points = steps_per_block * len(thetas)
+    monkeypatch.setattr(loops, "_MAGNUS_BLOCK", points)
+    monkeypatch.setattr(loops, "_MAGNUS_ENTRIES", points * x.algebra.n ** 2)
+    assert loops._magnus_product(x, alpha, h, t, thetas, m).tobytes() == want
+
+
+@pytest.mark.parametrize("name", list(_MAGNUS_CASES))
+def test_planar_magnus_matches_the_aos_route(name):
     # the node angles and the exponents are the same arithmetic laid out
     # (node, step, angle) and (a, b, step, angle), bit for bit.  With the
     # same Taylor factors on both sides, the products differ only in the
     # rounding of the n x n products (the batched @ rounds with fused
     # multiply-adds), by at most 7.5 eps
-    x, alpha, h, t, thetas, m = _magnus_case(name, steps_per_block, monkeypatch)
+    x, alpha, h, t, thetas, m = _magnus_case(name)
     n = x.algebra.n
     [nodes] = loops._node_angles(alpha, h, t, thetas, m, m)
     angles = _node_angles_aos(alpha, h, t, thetas, m)
@@ -693,15 +758,13 @@ def test_planar_magnus_matches_the_aos_route(name, steps_per_block, monkeypatch)
             <= 10 * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("steps_per_block", _BLOCKINGS)
 @pytest.mark.parametrize("name", list(_MAGNUS_CASES))
-def test_magnus_product_is_within_10_eps_of_a_long_double_product(
-        name, steps_per_block, monkeypatch):
+def test_magnus_product_is_within_10_eps_of_a_long_double_product(name):
     # against the product of the same exponents in clongdouble, the Taylor
     # factors multiplied in the planar layout are 3.5-8.4 eps off, the
     # stacked-eigh factors (lie.exp_antihermitian) through the batched @
-    # 17-76 eps, blocked or not
-    x, alpha, h, t, thetas, m = _magnus_case(name, steps_per_block, monkeypatch)
+    # 17-76 eps
+    x, alpha, h, t, thetas, m = _magnus_case(name)
     want = _magnus_product_longdouble(x, alpha, h, t, thetas, m)
     taylor = np.abs(loops._magnus_product(x, alpha, h, t, thetas, m) - want).max()
     eigh = np.abs(_magnus_product_aos(x, alpha, h, t, thetas, m,
