@@ -378,16 +378,18 @@ def _hop(space: TruncatedFockSpace, i: int, j: int, m: int):
     """
     key = (i, j, m)
     if key not in space.hops:
-        _build_hops(space, j, m)
+        for target, table in enumerate(_build_hops(space, j, m)):
+            space.hops[target, j, m] = table
     return space.hops[key]
 
 
-def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
-    """Cache E_ij(m) for every target color i; the annihilation at (k, j)
+def _build_hops(space: TruncatedFockSpace, j: int, m: int,
+                width: int | None = None) -> list:
+    """The tables of E_ij(m) by target color i; the annihilation at (k, j)
     is shared, and arrays are (target color, state, k), so ``np.nonzero``
     lists each table by column.  A hop lowers the energy by m, so only the
     states of energy at most cutoff + m, a prefix of the basis, are
-    sources."""
+    sources, and only the first ``width`` of them if given."""
     n, cutoff = space.n, space.cutoff
     words = space.words
     sorted_words, order = space._mask_lookup
@@ -396,7 +398,8 @@ def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
     src = one << ((ks + cutoff) * n + j).astype(np.uint64)
     dst = one << ((ks - m + cutoff) * n
                   + np.arange(n)[:, None]).astype(np.uint64)[:, None, :]
-    state = words[:_protected_width(space, cutoff + m), None]
+    sources = _protected_width(space, cutoff + m)
+    state = words[:sources if width is None else min(sources, width), None]
     mid = state & ~src
     ok = ((state & src) != 0) & ((mid & dst) == 0)
     targets, cols, kk = np.nonzero(ok)
@@ -410,17 +413,17 @@ def _build_hops(space: TruncatedFockSpace, j: int, m: int) -> None:
     cols = cols[found].astype(np.int32)
     signs = (1 - 2 * parity[found]).astype(np.int8)
     bounds = np.searchsorted(targets[found], np.arange(n + 1))
-    for i in range(n):
-        part = slice(bounds[i], bounds[i + 1])
-        space.hops[i, j, m] = (rows[part], cols[part], signs[part])
+    tables = [(rows[a:b], cols[a:b], signs[a:b])
+              for a, b in zip(bounds[:-1], bounds[1:])]
     if m == 0:
         # E_jj(0) is diagonal, one +1 per filled window mode of color j: one
         # entry per state holds their count, at most the 64 // n <= 32 window
         # modes of a color, far inside int8
-        rows, cols, signs = space.hops[j, j, 0]
+        rows, cols, signs = tables[j]
         heads = np.flatnonzero(np.diff(cols, prepend=-1))
-        space.hops[j, j, 0] = (rows[heads], cols[heads],
-                               np.add.reduceat(signs, heads).astype(np.int8))
+        tables[j] = (rows[heads], cols[heads],
+                     np.add.reduceat(signs, heads).astype(np.int8))
+    return tables
 
 
 def _vacuum_head(space: TruncatedFockSpace, i: int, j: int, m: int):
@@ -699,6 +702,36 @@ def pi_element(space: TruncatedFockSpace, x: FourierLoopElement,
     return FockOperator(_assemble(space, terms), space, *grading)
 
 
+def _pi_columns(space: TruncatedFockSpace, x: FourierLoopElement,
+                width: int) -> np.ndarray:
+    """``pi_element(space, x).matrix[:, :width].toarray()`` from the hops'
+    entries in the first ``width`` columns: a cached table's head, else a
+    ``_build_hops`` table on ``width`` source states, not cached.  Entries
+    are summed in term order: bit for bit on su2, where at most two hops
+    share one; on su(n), n >= 3, the CSR sums the n diagonal E_ii(0) in
+    the order of SciPy's unstable per-row sort, which agrees to rounding.
+    """
+    _pi_grading(space, x.modes(), space.cutoff)
+    built = {}
+
+    def table(space: TruncatedFockSpace, i: int, j: int, m: int):
+        cached = space.hops.get((i, j, m))
+        if cached is not None:
+            end = cached[1].searchsorted(width)
+            return tuple(part[:end] for part in cached)
+        if (j, m) not in built:
+            built[j, m] = _build_hops(space, j, m, width)
+        return built[j, m][i]
+
+    terms = [(*hop, None, 0, 0, coef) for k, a in x.coefficients.items()
+             for coef, hop in _hop_terms(space, a, k, table)]
+    block = np.zeros((space.dim, width), dtype=complex)
+    if terms:
+        rows, cols, values = _joined(terms, np.intp)
+        np.add.at(block, (rows, cols), values)
+    return block
+
+
 def _vacuum_column(space: TruncatedFockSpace, coefficients) -> np.ndarray:
     """pi(x) Omega for the (mode, matrix) ``coefficients`` of x.
 
@@ -737,8 +770,8 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
     since E_ij(m)^dagger = E_ji(-m) with the same real signs.  When the
     coefficients of X pair exactly (``_paired``), X* = -X and the row is
     -conj(pi(X) Omega), so three vacuum columns serve; any other element
-    forms pi(X*) Omega.  A charged sector, which holds no vacuum, is
-    refused first.
+    forms pi(X*) Omega.  Of pi([X, Y]) Omega only the zero mode reaches the
+    vacuum.  A charged sector, which holds no vacuum, is refused first.
     """
     vacuum = space.vacuum_index
     half = space.cutoff // 2
@@ -749,8 +782,9 @@ def vacuum_cocycle_check(space: TruncatedFockSpace, x: FourierLoopElement,
     if min(_product_protection(gx, gy), _product_protection(gy, gx),
            gbr.protected_energy) < 0:
         raise WindowError("vacuum column not protected; lower the mode window")
-    col_x, col_y, col_br = (_vacuum_column(space, z.coefficients.items())
-                            for z in (x, y, br))
+    col_x, col_y = (_vacuum_column(space, z.coefficients.items()) for z in (x, y))
+    col_br = _vacuum_column(space, [(k, a) for k, a in br.coefficients.items()
+                                    if k == 0])
     row_x, row_y = (
         -col.conj() if _paired(z) else _vacuum_column(
             space, ((-k, a.conj().T) for k, a in z.coefficients.items())).conj()
@@ -828,11 +862,11 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     largest, and the quadrature cocycle of the ``loops`` module.  Returns a
     verification report dict (never raises on mismatch); the residual is
     truncation-limited and measured on columns with energy at most
-    ``block_energy`` (default cutoff/4).  Only those columns of the
-    left-hand side are formed, by ``_exp_action``, the truncated Taylor
-    action of the exponentials on them.  The element X must be real-form
-    with modes at most cutoff/4, and some state must have energy at most
-    ``block_energy``; otherwise WindowError.
+    ``block_energy`` (default cutoff/4).  Only those columns are formed:
+    on the left by ``_exp_action``, the truncated Taylor action of the
+    exponentials on them, on the right by ``_pi_columns``.  The element X
+    must be real-form with modes at most cutoff/4, and some state must have
+    energy at most ``block_energy``; otherwise WindowError.
     """
     if not x.real_form:
         raise NumericError("implementer needs a real-form element")
@@ -853,7 +887,7 @@ def adjoint_action_check(space: TruncatedFockSpace, x: FourierLoopElement,
     conj = np.einsum("jab,jbc,jdc->jad", gamma.samples, ys, gamma.samples.conj())
     ady = FourierLoopElement(_mode_cut(conj, space.cutoff), x.algebra)
     c_val = cocycle_c(gamma, y)
-    rhs = pi_element(space, ady).matrix[:, :width].toarray() + (1j * c_val) * e_cols
+    rhs = _pi_columns(space, ady, width) + (1j * c_val) * e_cols
     residual = float(np.abs(lhs - rhs).max(initial=0.0))
     return _report("adjoint-action", block_energy, residual, tolerance,
                    scalar_part=c_val)

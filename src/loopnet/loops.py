@@ -685,23 +685,44 @@ def _step_map_pays(x: FourierLoopElement, h: ScalarField, n_samples: int,
     """Whether the sparse step map is cheaper than pointwise RK4 here.
 
     The step map P couples mode m to m + s (mod N) for s in the 4-fold
-    sumset S of the modes of X and h and 0, so it has up to N n^2 |S|
-    nonzeros: few for a few-mode X and h, up to (N n)^2 for many.  Measured
-    costs, in multiply-adds of the single-vector product of
-    ``_ode_step_map`` (numpy and scipy on one x86 core): forming P ~160 per
-    nonzero of that count, applying it n per nonzero and step, a pointwise
-    step ~300 per entry of the N n^2 samples.  S is built only until it
-    outgrows the bound these costs give.
+    sumset S of the modes of X and h and 0, through the n x n block of
+    1 + zA + ... + (zA)^4 at shift s.  Measured costs, in multiply-adds of
+    the single-vector product of ``_ode_step_map`` (numpy and scipy on one
+    x86 core): forming P ~160 per nonzero, applying it n per nonzero and
+    step, a pointwise step ~300 per entry of the N n^2 samples.  The
+    nonzeros are counted from the pattern of the coefficients
+    (``_step_pattern_counts``), at most N n^2 |S| for full ones, and only
+    until they outgrow the bound these costs give.
     """
     n = x.algebra.n
-    bound = 300 * n_steps / (n * n_steps + 160)
-    modes = {k % n_samples for k in (*x.coefficients, *_re_modes(h), 0)}
-    reach = {0}
+    bound = 300 * n * n * n_steps / (n * n_steps + 160)
+    return all(count <= bound for count in _step_pattern_counts(x, h, n_samples))
+
+
+def _step_pattern_counts(x: FourierLoopElement, h: ScalarField, n_samples: int):
+    """The nonzeros per mode of 1 + zA, then of the terms through (zA)^2,
+    (zA)^3 and (zA)^4, which is N times this of P: the block of A at shift
+    k (mod N) has the nonzero pattern of the mode-k coefficient of X, and
+    of the diagonal where h has a mode, and a product's pattern is the
+    boolean product of its factors'.  The last count bounds the nonzeros
+    of P, and is theirs unless entries cancel, as the weight of d_theta
+    does at mode 0.  The patterns are kept for the reached shifts only."""
+    n = x.algebra.n
+    eye = np.eye(n, dtype=bool)
+    patterns = {}
+    for k, pattern in [*((k, a != 0) for k, a in x.coefficients.items()),
+                       *((k, eye) for k in _re_modes(h))]:
+        patterns[k % n_samples] = patterns.get(k % n_samples, False) | pattern
+    modes = np.array(list(patterns))[:, None]
+    blocks = np.array(list(patterns.values()))[:, None]
+    shifts, reach = np.zeros(1, dtype=int), eye[None]
     for _ in range(4):
-        reach = {(a + b) % n_samples for a in reach for b in modes}
-        if len(reach) > bound:
-            return False
-    return True
+        shifts = np.concatenate([shifts, ((modes + shifts) % n_samples).ravel()])
+        reach = np.concatenate([reach, (blocks @ reach).reshape(-1, n, n)])
+        order = np.argsort(shifts)
+        shifts, starts = np.unique(shifts[order], return_index=True)
+        reach = np.logical_or.reduceat(reach[order], starts)
+        yield np.count_nonzero(reach)
 
 
 def _ode_pointwise(x: FourierLoopElement, alpha: float, h: ScalarField,

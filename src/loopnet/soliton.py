@@ -88,6 +88,7 @@ class SolitonPath:
                 raise TypeError(f"unsupported factor {type(f)}")
             as_generator(f.generator, algebra.n)
         self._eig = [eig_antihermitian(f.generator) for f in self.factors]
+        self._jump = None   # the verified twist, set by ``jump``
 
     @staticmethod
     def linear(algebra: CompactSimpleAlgebra, a) -> "SolitonPath":
@@ -111,8 +112,13 @@ def jump(zeta: SolitonPath) -> np.ndarray:
 
     Evaluates the profile formula at _JUMP_CHECKS sample points and their
     shifts by 2 pi, in one batch, and raises InvalidSolitonError when the
-    twist varies beyond 1e-10.
+    twist varies beyond 1e-10.  The path keeps a verified twist, read-only,
+    and every later call, and every function of this module that needs the
+    jump, returns it without evaluating the path again; a path that fails
+    the check keeps nothing and raises on every call.
     """
+    if zeta._jump is not None:
+        return zeta._jump
     xs = np.linspace(0.0, 2 * math.pi, _JUMP_CHECKS, endpoint=False)
     both = zeta.evaluate(np.concatenate([xs, xs + 2 * math.pi]))
     vals, shifted = both[:_JUMP_CHECKS], both[_JUMP_CHECKS:]
@@ -122,6 +128,8 @@ def jump(zeta: SolitonPath) -> np.ndarray:
     if worst > _JUMP_TOL:
         raise InvalidSolitonError(
             f"twist varies with the base point by {worst:.2e} > {_JUMP_TOL}")
+    h.flags.writeable = False
+    zeta._jump = h
     return h
 
 

@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,3 +50,14 @@ def random_line_path(algebra, rng, max_factors=3, level=1):
             prof = entropy.PolyBump(center, width, amp)
         factors.append((gen, prof))
     return entropy.LinePath(algebra, factors, level=level)
+
+
+@functools.cache
+def bench_workloads():
+    """``perfbench/workloads.py``, loaded once, for tests on the benchmark's
+    own inputs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

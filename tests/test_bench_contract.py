@@ -44,8 +44,8 @@ COUNTERS = {
                         "fock.operator_algebra.calls": 39},
     "entropy_profiles": {"entropy.integrand_calls": 42,
                          "entropy.integrand_points": 47_386},
-    "oneshot_sweep": {"fock.pi_element.nnz": 42_480,
-                      "loops.field_evaluations": 1_068, "lie.eigh_calls": 209},
+    "oneshot_sweep": {"fock.pi_element.nnz": 13_824,
+                      "loops.field_evaluations": 1_044, "lie.eigh_calls": 209},
 }
 
 

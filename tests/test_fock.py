@@ -472,13 +472,14 @@ def test_a_flipped_hop_sign_fails_the_suites(n, cutoff, monkeypatch):
     Virasoro and adjoint suites, which all read that hop, fail."""
     build = fock._build_hops
 
-    def flipped(space, j, m):
-        build(space, j, m)
+    def flipped(space, j, m, width=None):
+        tables = build(space, j, m, width)
         if (j, m) == (1, 1):
-            rows, cols, signs = space.hops[0, 1, 1]
+            rows, cols, signs = tables[0]
             signs = signs.copy()
             signs[0] = -signs[0]
-            space.hops[0, 1, 1] = (rows, cols, signs)
+            tables[0] = (rows, cols, signs)
+        return tables
 
     monkeypatch.setattr(fock, "_build_hops", flipped)
     reports = {r["identity"]: r for r in fock.identity_reports(n, cutoff, charge=0)}

@@ -29,9 +29,13 @@ diagonal zero-mode hop E_ii(0) one +1 per filled mode, as the tables did
 before each state's entries were summed into one count; the vacuum column
 loop reads those per-mode tables.
 ``_vacuum_cocycle_general`` is the vacuum check by five vacuum columns,
-before paired rows were read from columns, and ``_grouped_reports_oracle``
+before paired rows were read from columns,
+``_vacuum_cocycle_three_columns`` the check before the column of
+pi([X, Y]) was formed on its zero mode alone, and ``_grouped_reports_oracle``
 the grouped hop suite with every factor read from an operator built apart;
-both must agree bit for bit.
+all three must agree bit for bit.  ``_term_order_columns`` sums pi(x) on a
+column prefix from the full hop tables, against which the width-limited
+tables of the adjoint-action check are compared.
 """
 
 import itertools
@@ -44,8 +48,10 @@ import scipy.linalg
 import scipy.sparse
 
 from loopnet import affine_data, fock, lie, loops
-from loopnet.errors import WindowError
+from loopnet.errors import NumericError, WindowError
 from loopnet.loops import FourierLoopElement
+
+from conftest import bench_workloads
 
 
 def _apply_annihilate(mask, bit):
@@ -400,6 +406,114 @@ def test_adjoint_action_without_columns_is_refused(spaces):
     x = FourierLoopElement({1: 0.2 * su2.basis[0], -1: 0.2 * su2.basis[0]}, su2)
     with pytest.raises(WindowError, match="no basis state"):
         fock.adjoint_action_check(space, x, x, block_energy=-1)
+
+
+@pytest.mark.parametrize("spec", [(2, 8, 0), (3, 5, 0)]
+                         + [(2, 6, q) for q in (None, *range(-4, 7))],
+                         ids=lambda s: "su%d-N%d-q%s" % s)
+def test_width_limited_hop_tables_are_heads_of_the_full_tables(spec):
+    """``_build_hops`` on the first ``width`` source states gives, for every
+    (i, j, m), the entries of the full table in the first ``width``
+    columns, byte for byte and in the same integer types."""
+    space = fock.build_fock(*spec)
+    n, cutoff, _ = spec
+    widths = {1, int(fock._protected_width(space, cutoff // 4)),
+              space.dim // 2, space.dim}
+    for j, m, width in itertools.product(range(n), range(-cutoff, cutoff + 1),
+                                         sorted(widths)):
+        heads = fock._build_hops(space, j, m, width)
+        for i in range(n):
+            full = fock._hop(space, i, j, m)
+            end = full[1].searchsorted(width)
+            for got, want in zip(heads[i], full):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[:end].tobytes(), (i, j, m, width)
+
+
+def _spied_pi_columns(monkeypatch):
+    """Spy on ``fock._pi_columns``: the list of (space, x, width, block,
+    modes of the cached hops at the call) of each call."""
+    calls = []
+    pi_columns = fock._pi_columns
+
+    def spied(space, x, width):
+        cached = {m for *_, m in space.hops}
+        block = pi_columns(space, x, width)
+        calls.append((space, x, width, block, cached))
+        return block
+
+    monkeypatch.setattr(fock, "_pi_columns", spied)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_adjoint_right_side_is_the_csr_columns_on_the_bench_input(seed, monkeypatch):
+    """The right side pi(Ad(gamma) Y) on the checked columns equals the
+    columns of ``pi_element``, byte for byte, on the benchmark's input;
+    the tables of the modes that only Ad(gamma) Y has stay out of
+    ``space.hops``, and the residuals are the ones the full matrix gave."""
+    bench = bench_workloads()
+    spec = bench.oneshot_sweep_setup(seed, None)["adjoint"]
+    su2 = lie.build_su(2)
+    x = bench._cos_element(su2, spec["x"], [math.cos(spec["x_angle"]),
+                                            math.sin(spec["x_angle"]), 0.0])
+    y = bench._cos_element(su2, spec["y"], spec["y_dir"])
+    n, cutoff, charge = bench._ADJOINT_SPACE
+    space = fock.build_fock(n, cutoff, charge=charge)
+    calls = _spied_pi_columns(monkeypatch)
+    report = fock.adjoint_action_check(space, x, y)
+    ((_, ady, width, block, cached),) = calls
+    assert width == 14 and max(ady.modes()) == cutoff
+    assert cached == {m for *_, m in space.hops} == {-1, 1}
+    want = fock.pi_element(space, ady).matrix[:, :width].toarray()
+    assert block.tobytes() == want.tobytes()
+    residuals = {3: 9.825993024901251e-08, 7: 1.2809882833919974e-07}
+    if seed in residuals:
+        assert report["residual_max"] == residuals[seed]
+
+
+def _term_order_columns(space, x, width):
+    """pi(x) on its first ``width`` columns from the full hop tables, each
+    entry summed in the order of the terms."""
+    terms = [(coef, hop) for k, a in x.coefficients.items()
+             for coef, hop in fock._hop_terms(space, a, k)]
+    block = np.zeros((space.dim, space.dim), dtype=complex)
+    for coef, (rows, cols, signs) in terms:
+        np.add.at(block, (rows, cols), signs.astype(complex) * coef)
+    return block[:, :width]
+
+
+def test_pi_columns_on_su3_sum_in_term_order():
+    """On su3 the block from width-limited tables equals, byte for byte,
+    the block from the cached full tables and a term-order sum of the full
+    tables.  The CSR of ``pi_element`` is matched to 1e-14: it sums the
+    three E_ii(0) entries on the diagonal in the order of SciPy's per-row
+    index sort, which does not keep the order of equal columns in rows of
+    more than 16 entries."""
+    algebra = lie.build_su(3)
+    space = fock.build_fock(3, 5, charge=0)
+    x = fock._random_polynomial(algebra, np.random.default_rng(4), 5)
+    width = int(fock._protected_width(space, 1))
+    fresh = fock._pi_columns(space, x, width)
+    assert not space.hops
+    csr = fock.pi_element(space, x).matrix[:, :width].toarray()
+    cached = fock._pi_columns(space, x, width)
+    assert fresh.tobytes() == cached.tobytes()
+    assert fresh.tobytes() == _term_order_columns(space, x, width).tobytes()
+    assert np.abs(fresh - csr).max() <= 1e-14
+
+
+def test_pi_columns_refuse_as_pi_element_does(spaces):
+    space = spaces[(2, 6, 0)]
+    su2 = lie.build_su(2)
+    wide = FourierLoopElement({7: su2.basis[0], -7: su2.basis[0]}, su2)
+    traceful = FourierLoopElement({0: np.eye(2, dtype=complex)}, su2)
+    for x, error in ((wide, WindowError), (traceful, NumericError)):
+        with pytest.raises(error) as want:
+            fock.pi_element(space, x)
+        with pytest.raises(error) as got:
+            fock._pi_columns(space, x, 5)
+        assert str(got.value) == str(want.value)
 
 
 def _hs_dense_truncated(fourier_data, window):
@@ -1045,6 +1159,41 @@ def _vacuum_cocycle_general(space, x, y):
     return complex(row_x @ col_y - row_y @ col_x - col_br[space.vacuum_index])
 
 
+def _vacuum_cocycle_three_columns(space, x, y):
+    """``vacuum_cocycle_check`` when it formed the whole vacuum column of
+    pi([X, Y]) to read its entry 0, kept verbatim after the guards."""
+    br = loops.bracket_elements(x, y)
+    col_x, col_y, col_br = (fock._vacuum_column(space, z.coefficients.items())
+                            for z in (x, y, br))
+    row_x, row_y = (
+        -col.conj() if fock._paired(z) else fock._vacuum_column(
+            space, ((-k, a.conj().T) for k, a in z.coefficients.items())).conj()
+        for z, col in ((x, col_x), (y, col_y)))
+    comm = row_x @ col_y - row_y @ col_x
+    return complex(comm - col_br[space.vacuum_index])
+
+
+@pytest.mark.parametrize("spec,seed", [((2, 6, 0), 3), ((3, 4, 0), 3),
+                                       ((2, 6, 0), 7), ((3, 4, 0), 7),
+                                       ((2, 8, 0), 3), ((2, 8, 0), 7)],
+                         ids=lambda v: "su%d-N%d-q%s" % v if isinstance(v, tuple)
+                         else "seed%d" % v)
+def test_vacuum_cocycle_equals_the_three_column_route(spec, seed):
+    """The vacuum column of pi([X, Y]) formed on its zero mode alone
+    leaves the check bit for bit as the whole column gave it, on the
+    elements the identity suite draws at ``seed``."""
+    n, cutoff, _ = spec
+    space = fock.build_fock(*spec)
+    algebra = lie.build_su(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        x = fock._random_polynomial(algebra, rng, cutoff // 2)
+        y = fock._random_polynomial(algebra, rng, cutoff // 2)
+        got = fock.vacuum_cocycle_check(space, x, y)
+        want = _vacuum_cocycle_three_columns(space, x, y)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
 def _counting_vacuum_columns(monkeypatch):
     """Spy on ``fock._vacuum_column``: the list to which each call appends
     the modes of its coefficients."""
@@ -1066,7 +1215,8 @@ def test_paired_vacuum_rows_match_the_general_route(spec, monkeypatch):
     """On exactly paired elements the row -conj(pi(X) Omega) gives the same
     check, bit for bit, as the row conj(pi(X*) Omega) of the general route,
     forced here by a ``_paired`` that answers False, and as the five-column
-    loop; the paired route forms three vacuum columns."""
+    loop; the paired route forms three vacuum columns, the last of
+    pi([X, Y]) on its zero mode alone."""
     n, cutoff, _ = spec
     space = fock.build_fock(*spec)
     algebra = lie.build_su(n)
@@ -1078,7 +1228,7 @@ def test_paired_vacuum_rows_match_the_general_route(spec, monkeypatch):
         assert fock._paired(x) and fock._paired(y)
         calls.clear()
         got = fock.vacuum_cocycle_check(space, x, y)
-        assert len(calls) == 3
+        assert len(calls) == 3 and calls[2] == [0]
         with monkeypatch.context() as patch:
             patch.setattr(fock, "_paired", lambda z: False)
             general = fock.vacuum_cocycle_check(space, x, y)
@@ -1104,9 +1254,8 @@ def test_nearly_paired_element_takes_the_general_route(monkeypatch):
     assert x_near.real_form and not fock._paired(x_near)
     calls = _counting_vacuum_columns(monkeypatch)
     got = fock.vacuum_cocycle_check(space, x_near, y)
-    br = loops.bracket_elements(x_near, y)
-    assert calls == [list(z.coefficients) for z in (x_near, y, br)] + [
-        [-m for m in x_near.coefficients]]
+    assert calls == [list(z.coefficients) for z in (x_near, y)] + [
+        [0], [-m for m in x_near.coefficients]]
     want = _vacuum_cocycle_general(space, x_near, y)
     assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 

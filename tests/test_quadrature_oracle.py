@@ -14,9 +14,7 @@ every stall estimate and every Bekenstein report must be equal bit for
 bit.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +23,7 @@ from loopnet import entropy, lie, quadrature
 from loopnet.errors import AccuracyError, NumericError
 from loopnet.quadrature import PanelPartition, panel_partition
 
-from conftest import random_antihermitian
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import bench_workloads, random_antihermitian
 
 
 def stacked_panel_moments(f, lo, hi, scale):
@@ -232,17 +228,9 @@ def test_stall_and_non_finite_errors_match():
             assert fast.estimate == slow.estimate
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_bekenstein_reports_match(monkeypatch):
     """The 300 reports of the seed-3 ``oneshot_sweep`` Bekenstein paths."""
-    bench = _workloads()
+    bench = bench_workloads()
     su2 = lie.build_su(2)
     specs = bench.oneshot_sweep_setup(3, None)["bekenstein"]
 

@@ -61,7 +61,7 @@ import scipy.sparse
 from loopnet import lie, loops
 from loopnet.loops import FourierLoopElement, ScalarField
 
-from conftest import random_antihermitian
+from conftest import bench_workloads, random_antihermitian
 
 
 def _flow_angles_per_node(h, thetas, time, n_steps=1000):
@@ -511,13 +511,62 @@ def _many_modes(algebra, top):
     (3, 512, 8, 1.0, True),     # 65 modes: 780 / 1586 ms
     (3, 1024, 32, 1.0, False),  # 257 modes: 8513 / 1994 ms
     (2, 256, 4, 0.01, False),   # 10 steps do not pay for forming P: 9 / 7 ms
+    (3, 512, 12, 1.0, True),    # 97 modes, 0.39 of them nonzero: 814 / 950 ms
+    (4, 256, 9, 1.0, True),     # 73 modes, 0.22 of them nonzero: 442 / 993 ms
 ])
 def test_ode_route_follows_coupled_modes(n, n_samples, top, t, step_map):
     # the times are step map / pointwise RK4, each route whole, min of 2 on
-    # one x86 core with one BLAS thread; the route is the faster one
+    # one x86 core with one BLAS thread; the route is the faster one.  The
+    # "nonzero" share is that of P's n x n blocks at the coupled modes
     x = _many_modes(lie.build_su(n), top)
     h = ScalarField.constant(1.0)
     assert loops._step_map_pays(x, h, n_samples, _steps(t)) is step_map
+
+
+@pytest.mark.parametrize("case", range(len(_ODE_CASES)),
+                         ids=[c[0] for c in _ODE_CASES])
+def test_step_pattern_counts_bound_the_nonzeros_of_p(case):
+    # the route model's last count bounds P's nonzeros per mode; with full
+    # coefficients (the benchmark's su2 inputs among them) it is N n^2 |S|,
+    # the count of the model it replaced
+    _, x, alpha, h, t, n_samples = _ODE_CASES[case]
+    counts = list(loops._step_pattern_counts(x, h, n_samples))
+    prop = loops._step_propagator(x, alpha, h, t, n_samples, _steps(t))
+    assert len(counts) == 4 and counts == sorted(counts)
+    assert prop.nnz <= n_samples * counts[-1]
+    if all(np.count_nonzero(a) == a.size for a in x.coefficients.values()):
+        modes = {k % n_samples for k in (*x.coefficients, *loops._re_modes(h), 0)}
+        sumset = {0}
+        for _ in range(4):
+            sumset = {(a + b) % n_samples for a in sumset for b in modes}
+        assert counts[-1] == x.algebra.n ** 2 * len(sumset)
+
+
+@pytest.mark.parametrize("n,n_samples,top", [(2, 256, 8), (3, 512, 4), (4, 256, 9)])
+def test_step_pattern_counts_the_nonzeros_of_p_on_one_basis_element(n, n_samples,
+                                                                     top):
+    x = _many_modes(lie.build_su(n), top)
+    h = ScalarField.constant(1.0)
+    *_, count = loops._step_pattern_counts(x, h, n_samples)
+    prop = loops._step_propagator(x, 1.0, h, 1.0, n_samples, _steps(1.0))
+    assert prop.nnz == n_samples * count < n_samples * n * n * (8 * top + 1)
+
+
+def test_bench_inputs_keep_the_step_map():
+    # the fields and alpha of the two semidirect items
+    bench = bench_workloads()
+    su2 = lie.build_su(2)
+    items = {"rigid": (ScalarField.constant(1.0), lambda spec: 1.0),
+             "general": (ScalarField({0: 1.0, 1: 0.15, -1: 0.15}),
+                         lambda spec: spec["alpha"])}
+    for seed in range(12):
+        inputs = bench.oneshot_sweep_setup(seed, None)
+        for name, (h, alpha) in items.items():
+            spec = inputs[name]
+            x = bench._cos_element(su2, spec["amplitude"], spec["direction"])
+            steps = loops._ode_steps(x, alpha(spec), h, 1.0, loops._ODE_DT)
+            assert all(np.count_nonzero(a) == 4 for a in x.coefficients.values())
+            assert loops._step_map_pays(x, h, bench._SEMIDIRECT_SAMPLES, steps)
 
 
 def test_many_mode_check_is_pointwise_rk4(su2):

@@ -9,6 +9,8 @@ from loopnet.loops import ScalarField
 from loopnet.soliton import (InvalidSolitonError, LinearFactor, PeriodicFactor,
                              SolitonPath)
 
+from conftest import bench_workloads
+
 A_HALF = np.diag([0.5j, -0.5j])
 A_QUARTER = np.diag([0.25j, -0.25j])
 
@@ -46,6 +48,9 @@ def test_jump_x_independence_checked(su2):
     # two non-commuting linear factors: the twist depends on the base point
     b = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
     bad = SolitonPath(su2, [LinearFactor(A_QUARTER), LinearFactor(b)])
+    with pytest.raises(InvalidSolitonError):
+        soliton.jump(bad)
+    # a failed check keeps nothing: the next call checks again and raises
     with pytest.raises(InvalidSolitonError):
         soliton.jump(bad)
 
@@ -218,3 +223,95 @@ def test_factors_cannot_be_appended_to(su2, half_twist):
     with pytest.raises(AttributeError):
         half_twist.factors.append(LinearFactor(A_QUARTER))
     assert np.abs(soliton.jump(half_twist) + np.eye(2)).max() < 1e-12
+
+
+def _counting_evaluations(monkeypatch):
+    """Spy on ``SolitonPath.evaluate``: a dict from each path to the
+    number of its evaluations at the 2 x 32 points of a jump check."""
+    counts = {}
+    evaluate = SolitonPath.evaluate
+
+    def counting(self, xs):
+        if np.size(xs) == 2 * soliton._JUMP_CHECKS:
+            counts[self] = counts.get(self, 0) + 1
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(SolitonPath, "evaluate", counting)
+    return counts
+
+
+def test_each_path_verifies_its_jump_once(su2, monkeypatch):
+    counts = _counting_evaluations(monkeypatch)
+    f = ScalarField({1: 0.2, -1: 0.2})
+    zeta = SolitonPath(su2, [PeriodicFactor(np.diag([0.3j, -0.3j]), f),
+                             LinearFactor(A_QUARTER)])
+    dressed = SolitonPath(su2, [PeriodicFactor(su2.basis[0], f),
+                                LinearFactor(A_HALF)])
+    eta = SolitonPath.linear(su2, A_HALF)
+    soliton.extendability(zeta)
+    soliton.equivalence_key(zeta)
+    both = soliton.compose(zeta, eta)
+    soliton.jump(both)
+    soliton.jump(zeta)
+    # a non-torus left path is composed through its (central) verdict
+    mixed = soliton.compose(dressed, zeta)
+    soliton.extendability(dressed)
+    soliton.zeta_t(dressed, 0.5, 16)
+    soliton.jump(mixed)
+    assert counts == {zeta: 1, both: 1, dressed: 1, mixed: 1}
+
+
+def test_returned_jumps_are_read_only(half_twist):
+    h = soliton.jump(half_twist)
+    verdict = soliton.extendability(half_twist)
+    for jump in (h, verdict.jump, soliton.equivalence_key(half_twist)):
+        with pytest.raises(ValueError):
+            jump[0, 0] = 0.0
+    assert np.abs(soliton.jump(half_twist) + np.eye(2)).max() < 1e-12
+
+
+def _twist_oracle(zeta):
+    """``jump`` before paths kept their verified twist: the check made
+    afresh on every call, kept verbatim."""
+    xs = np.linspace(0.0, 2 * math.pi, soliton._JUMP_CHECKS, endpoint=False)
+    both = zeta.evaluate(np.concatenate([xs, xs + 2 * math.pi]))
+    vals, shifted = both[:soliton._JUMP_CHECKS], both[soliton._JUMP_CHECKS:]
+    twists = np.einsum("jba,jbc->jac", vals.conj(), shifted)
+    h = twists[0]
+    assert float(np.abs(twists - h).max()) <= soliton._JUMP_TOL
+    return h
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bench_soliton_items_match_the_uncached_jumps(seed):
+    """Verdict, key, composed jump and conjugated jump of the 12 benchmark
+    paths, as the benchmark item forms them, equal byte for byte what a
+    fresh check of each path gives."""
+    bench = bench_workloads()
+    for spec in bench.oneshot_sweep_setup(seed, None)["solitons"]:
+        n = spec["n"]
+        algebra = lie.build_su(n)
+        a = np.array(spec["linear"])
+        per = np.diag(1j * np.array(spec["periodic"] + [-sum(spec["periodic"])]))
+        c1, c2 = spec["fourier"]
+        factors = [PeriodicFactor(per, ScalarField({0: c2, 1: c1, -1: c1})),
+                   LinearFactor(np.diag(1j * a))]
+        zeta = SolitonPath(algebra, factors)
+        verdict = soliton.extendability(zeta)
+        key = soliton.equivalence_key(zeta)
+        eta = SolitonPath.linear(algebra, np.diag(-0.5j * a))
+        composed = soliton.jump(soliton.compose(zeta, eta))
+        g = lie.group_exp(algebra.element(bench._generator(algebra, spec["conjugator"])))
+        moved = soliton.jump(soliton.conjugate(zeta, g))
+
+        h = _twist_oracle(SolitonPath(algebra, factors))
+        centers = [k for k, z in enumerate(lie.center_elements(n))
+                   if np.abs(h - z).max() <= soliton._JUMP_TOL]
+        assert (verdict.central, verdict.center_index, verdict.extendable) == (
+            bool(centers), centers[0] if centers else None, bool(centers))
+        for got in (verdict.jump, key):
+            assert got.tobytes() == h.tobytes()
+        want = _twist_oracle(SolitonPath(algebra, factors + list(eta.factors)))
+        assert composed.tobytes() == want.tobytes()
+        want = _twist_oracle(soliton.conjugate(SolitonPath(algebra, factors), g))
+        assert moved.tobytes() == want.tobytes()
